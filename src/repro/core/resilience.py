@@ -42,6 +42,7 @@ import dataclasses
 from typing import Any, Dict, FrozenSet, Hashable, List, Sequence, Set, Tuple
 
 from repro.simulator.engine import BatchAlgorithm
+from repro.simulator.messages import payload_words
 from repro.simulator.metrics import RoundMetrics
 from repro.simulator.network import HybridSimulator
 
@@ -165,6 +166,8 @@ class ResilientDissemination(BatchAlgorithm):
             self.complete = True
             self._live = self._live_indices()
             return
+        # Each distinct token is sized once; the exchanges get 4-tuples.
+        size = {token: payload_words(token) for token in self.all_tokens}
         while self.epochs < self.max_epochs:
             self.epochs += 1
             live = self._live_indices()
@@ -176,7 +179,7 @@ class ResilientDissemination(BatchAlgorithm):
             live_set = set(live)
             sent_anything = False
             # Collect: live holders push what the coordinator is missing.
-            collect: List[Tuple[Node, Node, Any]] = []
+            collect: List[Tuple[Node, Node, Any, int]] = []
             for index in live:
                 if index == coordinator:
                     continue
@@ -185,7 +188,9 @@ class ResilientDissemination(BatchAlgorithm):
                     continue
                 for token in tokens:
                     if token not in known[coordinator]:
-                        collect.append((nodes[index], nodes[coordinator], token))
+                        collect.append(
+                            (nodes[index], nodes[coordinator], token, size[token])
+                        )
             if collect:
                 sent_anything = True
                 result = self.resilient_exchange(
@@ -194,14 +199,16 @@ class ResilientDissemination(BatchAlgorithm):
                 for payloads in result.delivered.values():
                     known[coordinator].update(payloads)
             # Broadcast: the coordinator fills every live node's gaps.
-            broadcast: List[Tuple[Node, Node, Any]] = []
+            broadcast: List[Tuple[Node, Node, Any, int]] = []
             coordinator_node = nodes[coordinator]
             for index in live:
                 if index == coordinator:
                     continue
                 missing = known[coordinator] - known[index]
                 for token in sorted(missing, key=str):
-                    broadcast.append((coordinator_node, nodes[index], token))
+                    broadcast.append(
+                        (coordinator_node, nodes[index], token, size[token])
+                    )
             if broadcast:
                 sent_anything = True
                 result = self.resilient_exchange(

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from bisect import bisect_right
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -262,14 +263,18 @@ class FaultState:
     """Runtime fault oracle consulted by the simulator each round.
 
     Built by the simulator from a non-empty :class:`FaultSchedule`; all
-    queries are by simulator node index and round number.  Per-round crash
-    sets and degradation factors are cached (schedules are tiny; rounds are
-    many).
+    queries are by simulator node index and round number.  The fault pattern
+    only changes at window boundaries, so crash sets, degradation factors and
+    failed-edge keys are cached per *window slot* — the gap between two
+    consecutive boundaries, found by a ``bisect`` into the sorted union of
+    every window's start and end round.  A lookup costs O(log boundaries)
+    and the caches hold at most one entry per slot however many rounds run.
     """
 
     __slots__ = (
         "schedule",
         "n",
+        "_boundaries",
         "_crash_cache",
         "_crash_arr_cache",
         "_factor_cache",
@@ -300,6 +305,8 @@ class FaultState:
                 raise ValueError("capacity degradation addresses a node index out of range")
         self.schedule = schedule
         self.n = n
+        # Built on the first lookup (see _slot), keeping construction cheap.
+        self._boundaries: Optional[List[int]] = None
         self._crash_cache: Dict[int, FrozenSet[int]] = {}
         self._crash_arr_cache: Dict[int, object] = {}
         self._factor_cache: Dict[int, float] = {}
@@ -319,19 +326,33 @@ class FaultState:
             key=lambda f: (f.end_round, f.u, f.v),
         )
 
+    def _slot(self, round_index: int) -> int:
+        """The window slot of ``round_index``: the cache key of every lookup."""
+        boundaries = self._boundaries
+        if boundaries is None:
+            schedule = self.schedule
+            edges = {crash.crash_round for crash in schedule.crashes}
+            edges.update(crash.recover_round for crash in schedule.crashes)
+            for window in (*schedule.link_failures, *schedule.degradations):
+                edges.update((window.start_round, window.end_round))
+            edges.discard(None)
+            boundaries = self._boundaries = sorted(edges)
+        return bisect_right(boundaries, round_index)
+
     # ------------------------------------------------------------------
     # Crashes
     # ------------------------------------------------------------------
     def crashed_indices(self, round_index: int) -> FrozenSet[int]:
-        """Node indices crashed during ``round_index`` (cached per round)."""
-        cached = self._crash_cache.get(round_index)
+        """Node indices crashed during ``round_index`` (cached per window slot)."""
+        slot = self._slot(round_index)
+        cached = self._crash_cache.get(slot)
         if cached is None:
             cached = frozenset(
                 crash.node
                 for crash in self.schedule.crashes
                 if crash.crashed_at(round_index)
             )
-            self._crash_cache[round_index] = cached
+            self._crash_cache[slot] = cached
         return cached
 
     def is_crashed(self, node_index: int, round_index: int) -> bool:
@@ -342,15 +363,16 @@ class FaultState:
 
         The vectorised plane fault filter probes crash membership with one
         ``searchsorted`` sweep per token column; building (and sorting) the
-        array once per round keeps that probe allocation-free across the
-        round's batches.
+        array once per window slot keeps that probe allocation-free across
+        rounds.
         """
-        cached = self._crash_arr_cache.get(round_index)
+        slot = self._slot(round_index)
+        cached = self._crash_arr_cache.get(slot)
         if cached is None:
             crashed = self.crashed_indices(round_index)
             cached = np.fromiter(crashed, dtype=np.int64, count=len(crashed))
             cached.sort()
-            self._crash_arr_cache[round_index] = cached
+            self._crash_arr_cache[slot] = cached
         return cached
 
     # ------------------------------------------------------------------
@@ -358,13 +380,14 @@ class FaultState:
     # ------------------------------------------------------------------
     def global_capacity_factor(self, round_index: int) -> float:
         """Product of all node-wide degradation factors active this round."""
-        cached = self._factor_cache.get(round_index)
+        slot = self._slot(round_index)
+        cached = self._factor_cache.get(slot)
         if cached is None:
             cached = 1.0
             for degradation in self.schedule.degradations:
                 if degradation.node is None and degradation.active_at(round_index):
                     cached *= degradation.factor
-            self._factor_cache[round_index] = cached
+            self._factor_cache[slot] = cached
         return cached
 
     def degraded_budget(self, base_budget: int, round_index: int) -> int:
@@ -382,7 +405,8 @@ class FaultState:
         """
         if not self._has_node_degradations:
             return {}
-        cached = self._node_factor_cache.get(round_index)
+        slot = self._slot(round_index)
+        cached = self._node_factor_cache.get(slot)
         if cached is None:
             cached = {}
             for degradation in self.schedule.degradations:
@@ -390,7 +414,7 @@ class FaultState:
                     cached[degradation.node] = (
                         cached.get(degradation.node, 1.0) * degradation.factor
                     )
-            self._node_factor_cache[round_index] = cached
+            self._node_factor_cache[slot] = cached
         return cached
 
     # ------------------------------------------------------------------
@@ -398,7 +422,8 @@ class FaultState:
     # ------------------------------------------------------------------
     def failed_edge_keys(self, round_index: int) -> FrozenSet[int]:
         """Directed flat ``u * n + v`` keys of edges down this round (cached)."""
-        cached = self._link_cache.get(round_index)
+        slot = self._slot(round_index)
+        cached = self._link_cache.get(slot)
         if cached is None:
             n = self.n
             keys = set()
@@ -407,7 +432,7 @@ class FaultState:
                     keys.add(failure.u * n + failure.v)
                     keys.add(failure.v * n + failure.u)
             cached = frozenset(keys)
-            self._link_cache[round_index] = cached
+            self._link_cache[slot] = cached
         return cached
 
     def failed_edge_key_array(self, np, round_index: int):
@@ -416,12 +441,13 @@ class FaultState:
         The directed ``u * n + v`` twin of :meth:`crashed_index_array`, for
         the vectorised plane fault filter's edge probe.
         """
-        cached = self._link_arr_cache.get(round_index)
+        slot = self._slot(round_index)
+        cached = self._link_arr_cache.get(slot)
         if cached is None:
             keys = self.failed_edge_keys(round_index)
             cached = np.fromiter(keys, dtype=np.int64, count=len(keys))
             cached.sort()
-            self._link_arr_cache[round_index] = cached
+            self._link_arr_cache[slot] = cached
         return cached
 
     def take_permanent_closures(self, round_index: int) -> List[Tuple[int, int]]:

@@ -882,39 +882,40 @@ class HybridSimulator:
     def _select_plane_columns(self, plane, positions):
         """The (senders, receivers, words, positions) columns of a shard.
 
-        Small shards come back as plain lists whatever the plane's backing
-        arrays, so the callers' scalar paths run without per-element NumPy
-        boxing.
+        O(shard), not O(plane): a position outside the plane raises
+        :class:`IndexError` before anything is queued, and only the selected
+        entries are gathered.  Small shards come back as plain lists whatever
+        the plane's backing arrays, so the callers' scalar paths run without
+        per-element NumPy boxing.
         """
         senders = plane.senders
         receivers = plane.receivers
         words = plane.words
         np = _accel.np
+        vectorised = np is not None and isinstance(senders, np.ndarray)
         if positions is None:
-            if (
-                np is not None
-                and isinstance(senders, np.ndarray)
-                and senders.size < self._SMALL_SHARD
-            ):
+            if vectorised and senders.size < self._SMALL_SHARD:
                 return senders.tolist(), receivers.tolist(), words.tolist(), None
             return senders, receivers, words, None
-        if np is not None and isinstance(senders, np.ndarray):
-            if len(positions) >= self._SMALL_SHARD:
-                positions = np.asarray(positions, dtype=np.int64)
-                return (
-                    senders.take(positions),
-                    receivers.take(positions),
-                    words.take(positions),
-                    positions,
-                )
-            positions = (
-                positions.tolist() if hasattr(positions, "tolist") else list(positions)
-            )
-            senders = senders.tolist()
-            receivers = receivers.tolist()
-            words = words.tolist()
+        size = len(senders)
+        if vectorised:
+            positions = np.asarray(positions, dtype=np.int64)
+            outside = positions[(positions < 0) | (positions >= size)].tolist()
         else:
             positions = list(positions)
+            outside = [p for p in positions if not 0 <= p < size]
+        if outside:
+            raise IndexError(
+                f"plane position {outside[0]} is out of range for a plane of "
+                f"{size} tokens"
+            )
+        if vectorised:
+            columns = tuple(
+                column.take(positions) for column in (senders, receivers, words)
+            )
+            if positions.size >= self._SMALL_SHARD:
+                return (*columns, positions)
+            return (*(column.tolist() for column in columns), positions.tolist())
         return (
             [senders[p] for p in positions],
             [receivers[p] for p in positions],

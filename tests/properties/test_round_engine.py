@@ -423,3 +423,107 @@ def test_empty_fault_schedule_leaves_schedules_identical(shape, seed, backend):
     assert empty_sim.metrics.summary() == bare_sim.metrics.summary()
     assert empty_sim.metrics.dropped_messages == 0
     assert empty_sim.metrics.crashed_node_rounds == 0
+
+
+# ----------------------------------------------------------------------
+# Shard column selection: O(shard) gathers, typed out-of-range positions
+# ----------------------------------------------------------------------
+def _ring_plane(n, count):
+    """A plane of ``count`` neighbour-to-neighbour tokens on an ``n``-cycle."""
+    senders = [i % n for i in range(count)]
+    receivers = [(i + 1) % n for i in range(count)]
+    payloads = [("t", i, "x" * (i % 5)) for i in range(count)]
+    return TokenPlane(senders, receivers, [payload_words(p) for p in payloads], payloads)
+
+
+def _plain(column):
+    return [int(value) for value in column]
+
+
+def _select_and_send(positions):
+    """Column selection plus one global and one local round of the shard."""
+    from repro.graphs.generators import cycle_graph
+
+    graph = cycle_graph(12)
+    sim = HybridSimulator(graph, ModelConfig(strict=False), seed=3)
+    plane = _ring_plane(12, 80)
+    selected = tuple(_plain(c) for c in sim._select_plane_columns(plane, positions))
+    tag = ExchangeTag("sel", serial=1)
+    sim.global_send_plane(plane, positions, tag)
+    sim.local_send_plane(plane, positions, tag)
+    sim.advance_round()
+    return (
+        selected,
+        sim.metrics.summary(),
+        sim.delivered_plane_positions(tag, GLOBAL_MODE),
+        sim.delivered_plane_positions(tag, LOCAL_MODE),
+        sim.per_node_inbox(GLOBAL_MODE),
+        sim.per_node_inbox(LOCAL_MODE),
+    )
+
+
+@pytest.mark.parametrize("size", [0, 1, 31, 32, 33])
+@pytest.mark.parametrize("order", ["sorted", "unsorted"])
+def test_shard_selection_matches_the_pure_python_path(size, order, backend, monkeypatch):
+    rng = random.Random(size * 2 + (order == "unsorted"))
+    positions = sorted(rng.sample(range(80), size))
+    if order == "unsorted":
+        rng.shuffle(positions)
+    got = _select_and_send(positions)
+    with monkeypatch.context() as patch:
+        patch.setattr(_accel, "np", None)
+        want = _select_and_send(positions)
+    assert got == want
+    selected = got[0]
+    assert selected[3] == positions
+    assert selected[0] == [p % 12 for p in positions]
+    assert got[1]["global_messages"] == got[1]["local_messages"] == size
+
+
+@requires_numpy
+def test_small_shard_of_a_big_plane_converts_only_the_shard():
+    """A 3-token send gathers its 3 entries; it never lists a whole column."""
+    np = _accel.np
+    converted = []
+
+    class CountingArray(np.ndarray):
+        def tolist(self):
+            converted.append(self.size)
+            return super().tolist()
+
+    from repro.graphs.generators import cycle_graph
+
+    n = 64
+    count = 100_000
+    sim = HybridSimulator(cycle_graph(n), ModelConfig.hybrid(), seed=1)
+    plane = _ring_plane(n, count)
+    plane.senders = plane.senders.view(CountingArray)
+    plane.receivers = plane.receivers.view(CountingArray)
+    plane.words = plane.words.view(CountingArray)
+    positions = [count - 1, 7, 40_000]
+    sim.global_send_plane(plane, positions, "g")
+    sim.local_send_plane(plane, positions, "l")
+    sim.advance_round()
+    assert sim.metrics.global_messages == sim.metrics.local_messages == 3
+    assert converted and max(converted) <= len(positions)
+    # One gather per column per send, nothing else.
+    assert sum(converted) <= 2 * 3 * len(positions)
+
+
+@pytest.mark.parametrize("positions, bad", [([-1], -1), ([3], 3), ([0, 5, -1], 5)])
+@pytest.mark.parametrize("send", ["global_send_plane", "local_send_plane"])
+def test_out_of_range_shard_positions_raise_before_queueing(positions, bad, send, backend):
+    from repro.graphs.generators import cycle_graph
+
+    sim = HybridSimulator(cycle_graph(5), ModelConfig.hybrid())
+    plane = _ring_plane(5, 3)
+    message = f"plane position {bad} is out of range for a plane of 3 tokens"
+    with pytest.raises(IndexError) as caught:
+        getattr(sim, send)(plane, positions)
+    assert str(caught.value) == message
+    # A bulk shard (vectorised gather on NumPy) reports the first bad position.
+    big = _ring_plane(5, 40)
+    with pytest.raises(IndexError, match="plane position 40 is out"):
+        getattr(sim, send)(big, list(range(39)) + [40, -2])
+    sim.advance_round()
+    assert sim.metrics.global_messages == sim.metrics.local_messages == 0

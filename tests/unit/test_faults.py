@@ -11,9 +11,13 @@ keys.
 
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 
 from repro.graphs.generators import path_graph
+from repro.simulator import _accel
 from repro.simulator.config import ModelConfig
 from repro.simulator.faults import (
     CapacityDegradation,
@@ -181,10 +185,121 @@ def test_crashed_indices_are_cached_per_round():
         n=4,
     )
     assert state.crashed_indices(0) == frozenset({1})
-    assert state.crashed_indices(0) is state.crashed_indices(0)
+    # One cached object per window: rounds 0 and 1 share the [0, 2) slot.
+    assert state.crashed_indices(0) is state.crashed_indices(1)
     assert state.crashed_indices(2) == frozenset()
     assert state.is_crashed(1, 1)
     assert not state.is_crashed(1, 2)
+
+
+def _random_schedule(rng, n):
+    """Crashes with and without recovery, overlapping link windows, and
+    node-wide plus node-scoped degradations."""
+
+    def window(open_ended):
+        start = rng.randrange(0, 30)
+        return start, (None if rng.random() < open_ended else start + rng.randrange(1, 15))
+
+    crashes = []
+    for _ in range(rng.randrange(1, 6)):
+        start, end = window(0.3)
+        crashes.append(CrashEvent(rng.randrange(n), start, end))
+    links = []
+    for _ in range(rng.randrange(1, 5)):
+        u, v = rng.sample(range(n), 2)
+        start, end = window(0.2)
+        links.append(LinkFailure(u, v, start, end))
+        # A second window on the same edge that overlaps the first.
+        links.append(LinkFailure(v, u, start + rng.randrange(0, 3), start + rng.randrange(3, 20)))
+    degradations = []
+    for _ in range(rng.randrange(1, 6)):
+        start, end = window(0.2)
+        node = None if rng.random() < 0.5 else rng.randrange(n)
+        degradations.append(CapacityDegradation(rng.choice([0.25, 0.5, 0.75, 1.0]), start, end, node))
+    return FaultSchedule(
+        seed=rng.randrange(100),
+        crashes=crashes,
+        link_failures=links,
+        degradations=degradations,
+        global_drop_rate=0.1,
+    )
+
+
+def _scan(schedule, n, r):
+    """Brute-force fault pattern of round ``r`` straight from the schedule."""
+    crashed = frozenset(c.node for c in schedule.crashes if c.crashed_at(r))
+    factor = math.prod(
+        d.factor for d in schedule.degradations if d.node is None and d.active_at(r)
+    )
+    node_factors = {}
+    for d in schedule.degradations:
+        if d.node is not None and d.active_at(r):
+            node_factors[d.node] = node_factors.get(d.node, 1.0) * d.factor
+    keys = frozenset(
+        key
+        for f in schedule.link_failures
+        if f.active_at(r)
+        for key in (f.u * n + f.v, f.v * n + f.u)
+    )
+    return crashed, factor, node_factors, keys
+
+
+def _boundary_count(schedule):
+    edges = set()
+    for c in schedule.crashes:
+        edges.update((c.crash_round, c.recover_round))
+    for w in (*schedule.link_failures, *schedule.degradations):
+        edges.update((w.start_round, w.end_round))
+    edges.discard(None)
+    return len(edges)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_window_keyed_lookups_equal_a_per_round_scan(seed):
+    rng = random.Random(seed)
+    n = 9
+    schedule = _random_schedule(rng, n)
+    state = FaultState(schedule, n)
+    np = _accel.np
+    for r in range(schedule.horizon() + 6):
+        crashed, factor, node_factors, keys = _scan(schedule, n, r)
+        assert state.crashed_indices(r) == crashed
+        assert all(state.is_crashed(v, r) == (v in crashed) for v in range(n))
+        assert state.global_capacity_factor(r) == factor
+        assert state.node_capacity_factors(r) == node_factors
+        assert state.failed_edge_keys(r) == keys
+        if np is not None:
+            assert state.crashed_index_array(np, r).tolist() == sorted(crashed)
+            assert state.failed_edge_key_array(np, r).tolist() == sorted(keys)
+
+
+def test_fault_caches_grow_with_boundaries_not_rounds():
+    rng = random.Random(42)
+    n = 8
+    schedule = _random_schedule(rng, n)
+    sim = HybridSimulator(path_graph(n), ModelConfig.hybrid(), fault_schedule=schedule)
+    state = sim.fault_state
+    sim.advance_rounds(10_000)
+    np = _accel.np
+    for r in range(sim.round + 1):
+        state.crashed_indices(r)
+        state.global_capacity_factor(r)
+        state.node_capacity_factors(r)
+        state.failed_edge_keys(r)
+        if np is not None:
+            state.crashed_index_array(np, r)
+            state.failed_edge_key_array(np, r)
+    limit = _boundary_count(schedule) + 1
+    caches = (
+        state._crash_cache,
+        state._crash_arr_cache,
+        state._factor_cache,
+        state._node_factor_cache,
+        state._link_cache,
+        state._link_arr_cache,
+    )
+    assert all(len(cache) <= limit for cache in caches)
+    assert len(state._crash_cache) > 1  # the windows really were crossed
 
 
 def test_degradation_factors_multiply_and_floor_at_one_word():
@@ -317,6 +432,31 @@ def test_permanent_failure_commits_edge_deletion_at_window_close():
     # The simulator resynchronised itself: plane sends work on the new graph.
     sim.global_send_batch_ids([2], [5], ["post-churn"])
     sim.advance_round()
+
+
+def test_resilient_dissemination_submits_per_token_payload_words(monkeypatch):
+    from repro.core.resilience import ResilientDissemination
+    from repro.graphs.generators import cycle_graph
+    from repro.simulator.engine import TokenPlane
+    from repro.simulator.messages import payload_words
+
+    build = TokenPlane.from_triples.__func__
+    planes = []
+
+    def spy(cls, simulator, triples):
+        plane = build(cls, simulator, triples)
+        planes.append(plane)
+        return plane
+
+    monkeypatch.setattr(TokenPlane, "from_triples", classmethod(spy))
+    tokens = {0: ["a", ("pair", 1)], 3: ["a" * 40, ("nested", ("x" * 9, 2))], 5: [7]}
+    schedule = crash_fraction_schedule(10, 0.2, seed=2, exclude=(0, 3, 5), drop_rate=0.2)
+    sim = HybridSimulator(cycle_graph(10), ModelConfig.hybrid(), seed=2, fault_schedule=schedule)
+    result = ResilientDissemination(sim, tokens).run()
+    assert result.complete
+    assert planes
+    for plane in planes:
+        assert [int(w) for w in plane.words] == [payload_words(p) for p in plane.payloads]
 
 
 def test_resilient_dissemination_reports_removed_edges():
