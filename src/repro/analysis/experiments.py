@@ -147,7 +147,6 @@ def run_table1_dissemination(
     *,
     seed: int = 0,
     concentrated: bool = False,
-    engine: str = "batch",
 ) -> Dict[str, Any]:
     """One Table 1 row: k-dissemination, measured vs. prior bound vs. lower bound."""
     graph = generate_graph(spec)
@@ -156,7 +155,7 @@ def run_table1_dissemination(
     tokens = scatter_tokens(graph, k, seed=seed, concentrated=concentrated)
 
     sim = _fresh_simulator(graph, hybrid0=True, seed=seed)
-    result = KDissemination(sim, tokens, engine=engine).run()
+    result = KDissemination(sim, tokens).run()
     if not result.all_nodes_know_all_tokens():
         raise AssertionError("k-dissemination failed to deliver all tokens")
 

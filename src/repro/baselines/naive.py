@@ -85,20 +85,16 @@ class NaiveGlobalBroadcast(BatchAlgorithm):
     how badly it loses to Theorem 1 once ``k`` is large, illustrating the
     eOmega(n) bound for NCC-only information dissemination quoted in Section 1.5.
 
-    The unicast workload moves through :meth:`~repro.simulator.engine.BatchAlgorithm.exchange`;
-    ``engine="batch"`` (default) token-shards it through the batch messaging
-    engine, ``engine="legacy"`` replays the original per-message
-    ``throttled_global_exchange`` path with identical shards and round counts.
+    The unicast workload moves through :meth:`~repro.simulator.engine.BatchAlgorithm.exchange`,
+    which token-shards it through the batch messaging engine.
     """
 
     def __init__(
         self,
         simulator: HybridSimulator,
         tokens_by_node: Dict[Node, Sequence[Any]],
-        *,
-        engine: str = "batch",
     ):
-        super().__init__(simulator, engine=engine)
+        super().__init__(simulator)
         self.tokens_by_node = {node: list(tokens) for node, tokens in tokens_by_node.items()}
         self._known: Dict[Node, Set[Any]] = {v: set() for v in simulator.nodes}
         self._all_tokens: Set[Any] = set()

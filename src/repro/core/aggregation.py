@@ -15,8 +15,7 @@ final results with Theorem 1.
 
 Like :class:`~repro.core.dissemination.KDissemination`, the implementation is
 a :class:`~repro.simulator.engine.BatchAlgorithm`; the converge-cast moves
-whole levels of partial aggregates through the batch messaging engine (or the
-legacy per-message transport with ``engine="legacy"``, with identical rounds).
+whole levels of partial aggregates through the batch messaging engine.
 """
 
 from __future__ import annotations
@@ -68,7 +67,6 @@ class KAggregation(BatchAlgorithm):
         supply the same number ``k`` of values.
     combine: the aggregation function ``F`` (associative and commutative), e.g.
         ``min``, ``max``, ``operator.add``.
-    engine: ``"batch"`` (default) or ``"legacy"`` message path.
     """
 
     def __init__(
@@ -78,9 +76,8 @@ class KAggregation(BatchAlgorithm):
         combine: Callable[[Any, Any], Any],
         *,
         nq: Optional[int] = None,
-        engine: str = "batch",
     ) -> None:
-        super().__init__(simulator, engine=engine)
+        super().__init__(simulator)
         self.combine = combine
         node_set = set(simulator.nodes)
         if set(values_by_node) != node_set:
@@ -218,9 +215,7 @@ class KAggregation(BatchAlgorithm):
             ("agg-result", index, value)
             for index, value in enumerate(self._final_aggregates)
         ]
-        dissemination = KDissemination(
-            sim, {announcer: tokens}, nq=None, clustering=None, engine=self.engine
-        )
+        dissemination = KDissemination(sim, {announcer: tokens}, nq=None, clustering=None)
         dissemination_result = dissemination.run()
 
         known_aggregates: Dict[Node, List[Any]] = {}

@@ -18,9 +18,8 @@ a HYBRID network.
 BCC rounds: a :class:`~repro.simulator.engine.BatchAlgorithm` that evaluates
 ``NQ_n`` and the Lemma 3.5 clustering once and reuses them across every
 simulated round (one :class:`~repro.core.dissemination.KDissemination`
-instance per round, all riding the batch messaging engine).  Both classes
-accept ``engine="batch"`` (default) or ``engine="legacy"``; the two engines
-are schedule-identical, pinned by ``tests/unit/test_round_regression.py``.
+instance per round, all riding the batch messaging engine; round counts are
+pinned by ``tests/unit/test_round_regression.py``).
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ def _run_bcc_round(
     *,
     nq: int,
     clustering: Optional[Clustering] = None,
-    engine: str = "batch",
 ) -> BCCRoundResult:
     """One Corollary 2.1 round: Theorem 1 with the n broadcast values as tokens."""
     node_set = set(simulator.nodes)
@@ -71,9 +69,7 @@ def _run_bcc_round(
         node: [("bcc", simulator.id_of(node), value)]
         for node, value in broadcasts.items()
     }
-    result = KDissemination(
-        simulator, tokens, nq=nq, clustering=clustering, engine=engine
-    ).run()
+    result = KDissemination(simulator, tokens, nq=nq, clustering=clustering).run()
     received: Dict[Node, Dict[Node, Any]] = {}
     for node, known in result.known_tokens.items():
         view: Dict[Node, Any] = {}
@@ -95,8 +91,6 @@ class BCCSimulator:
     ----------
     simulator: the underlying HYBRID / HYBRID_0 network.
     nq_hint: ``NQ_n`` if already known (avoids recomputation per round).
-    engine: ``"batch"`` (default) or ``"legacy"`` transport for the Theorem 1
-        instance backing each simulated round.
     """
 
     def __init__(
@@ -104,10 +98,8 @@ class BCCSimulator:
         simulator: HybridSimulator,
         *,
         nq_hint: Optional[int] = None,
-        engine: str = "batch",
     ) -> None:
         self.simulator = simulator
-        self.engine = engine
         self.nq = nq_hint if nq_hint is not None else neighborhood_quality(
             simulator.graph, simulator.n
         )
@@ -124,9 +116,7 @@ class BCCSimulator:
         node's received message vector; the cost appears on the underlying
         simulator's metrics (one Theorem 1 instance with ``k = n`` tokens).
         """
-        result = _run_bcc_round(
-            self.simulator, broadcasts, nq=self.nq, engine=self.engine
-        )
+        result = _run_bcc_round(self.simulator, broadcasts, nq=self.nq)
         self.rounds_simulated += 1
         return result
 
@@ -164,9 +154,8 @@ class BCCBroadcast(BatchAlgorithm):
         schedule: Sequence[Dict[Node, Any]],
         *,
         nq_hint: Optional[int] = None,
-        engine: str = "batch",
     ) -> None:
-        super().__init__(simulator, engine=engine)
+        super().__init__(simulator)
         if not schedule:
             raise ValueError("schedule must contain at least one BCC round")
         node_set = set(simulator.nodes)
@@ -203,7 +192,6 @@ class BCCBroadcast(BatchAlgorithm):
                     self.schedule[position],
                     nq=self.nq,
                     clustering=self.clustering,
-                    engine=self.engine,
                 )
             )
 

@@ -27,10 +27,11 @@ final flood are charged per the paper's analysis (DESIGN.md substitution
 note 1).
 
 The implementation is a :class:`~repro.simulator.engine.BatchAlgorithm`: each
-phase submits whole rounds of traffic through the batch messaging engine
-(``engine="batch"``, the default) or through the legacy per-message transport
-(``engine="legacy"``); both engines produce identical round counts, inboxes
-and metrics.
+cluster-tree level of phase 5 is assembled as one id-native
+:class:`~repro.simulator.engine.TokenPlane` and moved by the round engine's
+exchange.  Its token order is that of :func:`rank_matched_triples` over the
+level's edges, so the tuple and per-message oracles (``tests/oracles/``)
+produce identical round counts, inboxes and metrics.
 """
 
 from __future__ import annotations
@@ -40,11 +41,10 @@ import operator
 from collections import defaultdict
 from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.clustering import Cluster, Clustering, distributed_nq_clustering
+from repro.core.clustering import Clustering, distributed_nq_clustering
 from repro.core.load_balancing import balance_items, cluster_load_balance
 from repro.core.neighborhood_quality import neighborhood_quality
 from repro.core.overlay import VirtualTree, basic_aggregation, build_virtual_tree
-from repro.core.transport import GlobalTransfer
 from repro.simulator import _accel
 from repro.simulator.config import log2_ceil
 from repro.simulator.engine import BatchAlgorithm, TokenPlane
@@ -230,25 +230,6 @@ def rank_matched_triples(
     return triples
 
 
-def rank_matched_transfers(
-    simulator: HybridSimulator,
-    source: Cluster,
-    target: Cluster,
-    payloads: Sequence[Any],
-    tag: str,
-) -> List[GlobalTransfer]:
-    """Legacy wrapper around :func:`rank_matched_triples` producing transfers."""
-    triples = rank_matched_triples(
-        sorted(source.members, key=simulator.id_of),
-        sorted(target.members, key=simulator.id_of),
-        payloads,
-    )
-    return [
-        GlobalTransfer(sender=sender, receiver=receiver, payload=payload, tag=tag)
-        for sender, receiver, payload in triples
-    ]
-
-
 @dataclasses.dataclass
 class DisseminationResult:
     """Outcome of a k-dissemination run.
@@ -280,10 +261,9 @@ class KDissemination(BatchAlgorithm):
         *,
         nq: Optional[int] = None,
         clustering: Optional[Clustering] = None,
-        engine: str = "batch",
         charge_only: bool = False,
     ) -> None:
-        super().__init__(simulator, engine=engine, charge_only=charge_only)
+        super().__init__(simulator, charge_only=charge_only)
         node_set = set(simulator.nodes)
         self.tokens_by_node = {
             node: list(tokens) for node, tokens in tokens_by_node.items() if tokens
@@ -300,10 +280,9 @@ class KDissemination(BatchAlgorithm):
         self.nq = 0
         self.clustering: Optional[Clustering] = None
         self.cluster_tree: Optional[ClusterTree] = None
-        self._sorted_members: Dict[int, List[Node]] = {}
         self._member_indices: Dict[int, List[int]] = {}
         self._member_arrays: Dict[int, Any] = {}
-        # Permutation-array cluster layout (plane engine): one id-native
+        # Permutation-array cluster layout (NumPy): one id-native
         # buffer of member node indices, id-sorted within each cluster's
         # ``[starts[ci], starts[ci + 1])`` range; ``_member_arrays`` holds
         # views into it.
@@ -320,9 +299,7 @@ class KDissemination(BatchAlgorithm):
         self._uniform_token_words: Optional[int] = None
         self._known_tokens: Dict[Node, FrozenSet[Any]] = {}
         # Each token crosses many cluster-tree edges; its word size is
-        # computed once (tokens are hashable — they live in sets throughout
-        # the algorithm) and reused by every exchange.
-        self._token_words: Dict[Any, int] = {}
+        # computed once, indexed by rank, and reused by every exchange.
         self._words_by_rank: List[int] = []
 
     # ------------------------------------------------------------------
@@ -356,7 +333,6 @@ class KDissemination(BatchAlgorithm):
             counts,
             lambda a, b: (a or 0) + (b or 0),
             tree=tree,
-            engine=self.engine,
         )
         nq = self._nq_hint
         if nq is None:
@@ -381,7 +357,7 @@ class KDissemination(BatchAlgorithm):
         np = _accel.np
         clusters = clustering.clusters
         permuted = False
-        if np is not None and self.use_plane:
+        if np is not None:
             # Clusters as index ranges over one permutation array
             # (:meth:`Clustering.member_layout`): cluster ``ci``'s id-sorted
             # members are the slice ``member_perm[starts[ci]:starts[ci + 1]]``
@@ -404,13 +380,12 @@ class KDissemination(BatchAlgorithm):
                 for c in clusters
             }
         else:
-            self._sorted_members = {
-                cluster.index: sorted(cluster.members, key=identifier_of.__getitem__)
-                for cluster in clusters
-            }
             self._member_indices = {
-                index: [indexer[member] for member in members]
-                for index, members in self._sorted_members.items()
+                cluster.index: [
+                    indexer[member]
+                    for member in sorted(cluster.members, key=identifier_of.__getitem__)
+                ]
+                for cluster in clusters
             }
             if np is not None:
                 self._member_arrays = {
@@ -470,8 +445,7 @@ class KDissemination(BatchAlgorithm):
         self._sorted_tokens = sorted_tokens
         token_rank = {token: rank for rank, token in enumerate(sorted_tokens)}
         self._token_rank = token_rank
-        self._token_words = {token: payload_words(token) for token in sorted_tokens}
-        self._words_by_rank = [self._token_words[token] for token in sorted_tokens]
+        self._words_by_rank = [payload_words(token) for token in sorted_tokens]
         distinct_words = set(self._words_by_rank)
         # Homogeneous tokens (the normal case) let the plane builder emit the
         # words column as one list repetition instead of a per-token lookup.
@@ -597,33 +571,17 @@ class KDissemination(BatchAlgorithm):
     def _exchange_level(self, edges: Sequence[Tuple[int, int, Any]]) -> None:
         """Move one cluster-tree level of tokens: ``(source, target, ranks)``.
 
-        ``ranks`` are ascending positions into the str-sorted token list.  On
-        the plane engine the whole level is assembled as one id-native
+        ``ranks`` are ascending positions into the str-sorted token list.  The
+        whole level is assembled as one id-native
         :class:`~repro.simulator.engine.TokenPlane` from the precomputed
         member-index columns (rank-matching is cyclic pattern repetition, word
-        counts come from the shared per-rank table); the comparison engines
-        build the historical tuple workload.  The token order — level-edge by
-        level-edge, payloads in sorted order, senders cycling by rank — is
-        identical either way, so so are the shard boundaries.
+        counts come from the shared per-rank table).  The token order —
+        level-edge by level-edge, payloads in sorted order, senders cycling by
+        rank — is that of :func:`rank_matched_triples`.
         """
-        if self.use_plane:
-            plane = self._build_level_plane(edges)
-            if plane is not None:
-                self.exchange(plane, "kdiss", collect=False)
-            return
-        sorted_tokens = self._sorted_tokens
-        triples: List[Tuple] = []
-        for source_index, target_index, ranks in edges:
-            triples.extend(
-                rank_matched_triples(
-                    self._sorted_members[source_index],
-                    self._sorted_members[target_index],
-                    [sorted_tokens[rank] for rank in ranks],
-                    self._token_words,
-                )
-            )
-        if triples:
-            self.exchange(triples, "kdiss", collect=False)
+        plane = self._build_level_plane(edges)
+        if plane is not None:
+            self.exchange(plane, "kdiss", collect=False)
 
     def _build_level_plane(
         self, edges: Sequence[Tuple[int, int, Any]]
@@ -636,8 +594,7 @@ class KDissemination(BatchAlgorithm):
         ``np.full`` (homogeneous tokens) or a take from the per-rank word
         table, and the payload side list is one ``itemgetter`` pass over the
         str-sorted token list.  The fallback builds the same columns with
-        list-pattern arithmetic.  Token order is identical to the tuple
-        engines' workload, so the shard boundaries coincide.
+        list-pattern arithmetic.
 
         Under ``charge_only`` the payload pass is skipped entirely — the
         plane is built payload-free (``payloads=None``).  The id/word columns

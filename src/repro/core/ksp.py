@@ -32,10 +32,8 @@ charged per Lemma 9.3.
 
 The implementation is a :class:`~repro.simulator.engine.BatchAlgorithm`: the
 proxy-offset broadcast of the arbitrary-sources case is a physically
-simulated k-dissemination instance riding the batch messaging engine
-(``engine="batch"``, the default) or the legacy per-message transport
-(``engine="legacy"``), both schedule-identical; the h-hop limited tables run
-on the :class:`~repro.graphs.index.GraphIndex` flat-array Bellman-Ford.
+simulated k-dissemination instance riding the batch messaging engine; the
+h-hop limited tables run on the :class:`~repro.graphs.index.GraphIndex` flat-array Bellman-Ford.
 """
 
 from __future__ import annotations
@@ -103,8 +101,6 @@ class KSourceShortestPaths(BatchAlgorithm):
         scheduling cost — this is the ``HYBRID(infinity, gamma)`` knob of
         Theorem 14.
     seed: randomness for the skeleton sampling and helper sets.
-    engine: ``"batch"`` (default) or ``"legacy"`` transport for the physically
-        simulated proxy-offset broadcast (arbitrary-sources case).
     """
 
     def __init__(
@@ -116,9 +112,8 @@ class KSourceShortestPaths(BatchAlgorithm):
         sources_in_skeleton: bool = True,
         gamma_words: Optional[int] = None,
         seed: Optional[int] = None,
-        engine: str = "batch",
     ) -> None:
-        super().__init__(simulator, engine=engine)
+        super().__init__(simulator)
         if not sources:
             raise ValueError("sources must be non-empty")
         if epsilon <= 0:
@@ -224,7 +219,7 @@ class KSourceShortestPaths(BatchAlgorithm):
                 ]
                 for source in self.sources
             }
-            KDissemination(sim, tokens, engine=self.engine).run()
+            KDissemination(sim, tokens).run()
 
     def _phase_skeleton_sssp(self) -> None:
         """One SSSP per (proxy) source on the skeleton, scheduled in parallel

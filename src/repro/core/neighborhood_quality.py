@@ -27,14 +27,14 @@ This module provides
   round per depth step) and after each step the global minimum ball size
   ``N_t = min_v |B_t(v)|`` is computed with the eO(1)-round aggregation of
   Lemma 4.4; the exploration stops at the first ``t`` with ``N_t >= k / t``.
-  The default ``engine="batch"`` floods *frontiers* (each node forwards only
-  the ball members it discovered in the previous round) through the batch
-  messaging engine; ``engine="legacy"`` reproduces the original whole-ball
-  flooding through the per-message API.  Both engines compute identical balls,
-  identical per-node values and identical round counts and charges (pinned by
-  ``tests/unit/test_round_regression.py``); the frontier engine moves strictly
-  fewer local words, and also fewer local messages once a node's ball
-  saturates before the global termination (an empty frontier is not sent).
+  Each round floods *frontiers* (each node forwards only the ball members it
+  discovered in the previous round) as one id-native token plane.  The
+  original whole-ball flood over the per-message API is a test oracle
+  (``tests/oracles/nq.py``): it computes identical balls, per-node values,
+  round counts and charges (pinned by ``tests/unit/test_round_regression.py``),
+  while the frontier flood moves strictly fewer local words, and also fewer
+  local messages once a node's ball saturates before the global termination
+  (an empty frontier is not sent).
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from repro.graphs.properties import (
     _reference_diameter,
 )
 from repro.simulator.config import log2_ceil
-from repro.simulator.engine import BatchAlgorithm
+from repro.simulator.engine import BatchAlgorithm, TokenPlane
 from repro.simulator.messages import payload_words
 from repro.simulator.metrics import RoundMetrics
 from repro.simulator.network import HybridSimulator
@@ -178,25 +178,18 @@ class DistributedNQComputation(BatchAlgorithm):
     Exploration stops at the first ``t`` with ``N_t >= k / t``; if the entire
     graph is explored first, ``NQ_k = D``.
 
-    ``engine="batch"`` (default) floods only each round's *newly discovered*
-    ball members as one id-native token plane per round
+    Each round floods only the *newly discovered* ball members as one
+    id-native token plane
     (:meth:`~repro.simulator.network.HybridSimulator.local_send_plane` over a
-    precomputed edge plane); ``engine="batch-reference"`` retains the same
-    frontier flood over the tuple workload API (the previous hot path);
-    ``engine="legacy"`` floods every node's whole known ball as a frozenset
-    through the per-message API, as the original implementation did.  All
-    engines discover identical balls in identical rounds — a node ``u`` enters
-    ``v``'s ball in round ``hop(u, v)`` either way — so per-node values, the
-    global value and all round counts and charges coincide exactly.  Message
-    and word *volumes* differ only for ``legacy``: the frontier engines never
-    re-broadcast known members, and a node whose ball has saturated sends
-    nothing at all.
+    precomputed edge plane).  A node ``u`` enters ``v``'s ball in round
+    ``hop(u, v)``, exactly as in a whole-ball flood, so per-node values, the
+    global value and all round counts and charges are those of the original
+    algorithm; the frontier flood never re-broadcasts known members, and a
+    node whose ball has saturated sends nothing at all.
     """
 
-    def __init__(
-        self, simulator: HybridSimulator, k: float, *, engine: str = "batch"
-    ) -> None:
-        super().__init__(simulator, engine=engine)
+    def __init__(self, simulator: HybridSimulator, k: float) -> None:
+        super().__init__(simulator)
         if k <= 0:
             raise ValueError("k must be positive")
         self.k = k
@@ -219,14 +212,6 @@ class DistributedNQComputation(BatchAlgorithm):
             "virtual-tree overlay construction for basic aggregation",
             "Lemma 4.3 [GHSS17]",
         )
-
-    def _phase_explore(self) -> None:
-        if self.use_plane:
-            self._explore_frontier()
-        elif self.use_batch:
-            self._explore_frontier_tuples()
-        else:
-            self._explore_legacy()
 
     # ------------------------------------------------------------------
     def _step_bookkeeping(
@@ -259,7 +244,7 @@ class DistributedNQComputation(BatchAlgorithm):
             return t
         return None
 
-    def _explore_frontier(self) -> None:
+    def _phase_explore(self) -> None:
         """Frontier-only flooding over the id-native plane engine: each node
         forwards the ball members it learned in the previous round, never its
         whole ball.
@@ -272,8 +257,6 @@ class DistributedNQComputation(BatchAlgorithm):
         straight from the plane's columns — the round's record buckets are
         never materialised.
         """
-        from repro.simulator.engine import TokenPlane
-
         sim = self.simulator
         nodes = sim.nodes
         indexer = sim.node_indexer()
@@ -283,8 +266,7 @@ class DistributedNQComputation(BatchAlgorithm):
             i = indexer[v]
             known_balls[i] = {v}
             frontier_of[i] = frozenset((v,))
-        # Directed flood edges (v -> u), grouped by sender in node order —
-        # the same (sender, neighbor) enumeration the tuple path used.
+        # Directed flood edges (v -> u), grouped by sender in node order.
         edge_senders: List[int] = []
         edge_receivers: List[int] = []
         for v in nodes:
@@ -352,86 +334,6 @@ class DistributedNQComputation(BatchAlgorithm):
             frontier_of = next_frontiers
 
             nq_value = self._step_bookkeeping(t, balls_by_node)
-            if nq_value is not None:
-                break
-
-        self._finalize(t if nq_value is None else nq_value, sim)
-
-    def _explore_frontier_tuples(self) -> None:
-        """The retained tuple-workload frontier flood (the previous engine).
-
-        Identical rounds, balls and word accounting to :meth:`_explore_frontier`
-        — only the per-token containers differ; kept as the
-        ``engine="batch-reference"`` comparison baseline.
-        """
-        from repro.simulator.messages import LOCAL_MODE
-
-        sim = self.simulator
-        known_balls: Dict[Node, Set[Node]] = {v: {v} for v in sim.nodes}
-        frontiers: Dict[Node, frozenset] = {v: frozenset((v,)) for v in sim.nodes}
-        neighbors = {v: sim.neighbors(v) for v in sim.nodes}
-
-        t = 0
-        nq_value: Optional[int] = None
-        max_steps = sim.n  # exploration can never exceed n-1 depth
-        while t < max_steps:
-            t += 1
-            # One local round: every node forwards its newest discoveries.
-            triples = []
-            for v in sim.nodes:
-                frontier = frontiers[v]
-                if not frontier:
-                    continue
-                words = payload_words(frontier)
-                for u in neighbors[v]:
-                    triples.append((v, u, frontier, words))
-            sim.local_send_batch(triples, "nq-explore")
-            sim.advance_round()
-            inbox = sim.per_node_inbox(LOCAL_MODE)
-            next_frontiers: Dict[Node, frozenset] = {}
-            for v in sim.nodes:
-                ball = known_balls[v]
-                fresh: Set[Node] = set()
-                for sender, payload, tag, _ in inbox.get(v, ()):
-                    if tag != "nq-explore":
-                        continue
-                    for u in payload:
-                        if u not in ball:
-                            fresh.add(u)
-                ball |= fresh
-                next_frontiers[v] = frozenset(fresh)
-            frontiers = next_frontiers
-
-            nq_value = self._step_bookkeeping(t, known_balls)
-            if nq_value is not None:
-                break
-
-        self._finalize(t if nq_value is None else nq_value, sim)
-
-    def _explore_legacy(self) -> None:
-        """The original whole-ball flooding over the per-message API."""
-        sim = self.simulator
-        known_balls: Dict[Node, Set[Node]] = {v: {v} for v in sim.nodes}
-
-        t = 0
-        nq_value: Optional[int] = None
-        max_steps = sim.n  # exploration can never exceed n-1 depth
-        while t < max_steps:
-            t += 1
-            # One local round: every node tells its neighbors its known ball.
-            for v in sim.nodes:
-                sim.local_broadcast(v, frozenset(known_balls[v]), tag="nq-explore")
-            sim.advance_round()
-            new_balls: Dict[Node, Set[Node]] = {}
-            for v in sim.nodes:
-                merged = set(known_balls[v])
-                for message in sim.local_inbox(v):
-                    if message.tag == "nq-explore":
-                        merged.update(message.payload)
-                new_balls[v] = merged
-            known_balls = new_balls
-
-            nq_value = self._step_bookkeeping(t, known_balls)
             if nq_value is not None:
                 break
 

@@ -14,7 +14,10 @@ physically simulated global messages: :func:`aggregate_via_tree` and
 :func:`broadcast_via_tree` implement Lemma 4.4 (``1``-aggregation and
 ``1``-dissemination in eO(1) rounds) by converge-casting / down-casting along
 tree edges, one tree level per round, which respects the per-node global
-budget because the degree is constant.
+budget because the degree is constant.  Each level moves as one id-native
+:class:`~repro.simulator.engine.TokenPlane`; the tuple and per-message
+formulations of the same operations are test oracles
+(``tests/oracles/overlay.py``).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tupl
 from repro.simulator import _accel
 from repro.simulator.config import log2_ceil
 from repro.simulator.engine import TokenPlane
-from repro.simulator.messages import GLOBAL_MODE, payload_words
+from repro.simulator.messages import payload_words
 from repro.simulator.network import HybridSimulator
 
 Node = Hashable
@@ -160,14 +163,15 @@ def _teach_tree_ids(simulator: HybridSimulator, tree: VirtualTree) -> None:
 
 
 def _tree_plane_layout(simulator: HybridSimulator, tree: VirtualTree):
-    """Id-native heap layout of ``tree`` (NumPy active), cached on the tree.
+    """Id-native heap layout of ``tree``, cached on the tree.
 
     ``idx[slot]`` is the simulator node index of the tree node in heap slot
     ``slot`` (``tree.order`` position) and ``parent_idx[slot]`` that of its
     parent (slot 0 maps to itself; the root never appears as a plane
     receiver/sender pair).  Level ``l`` is the slot range
     ``[2^l - 1, min(2^(l+1) - 1, n))``, so every per-level plane is a pair of
-    array slices — no per-node indexer lookups after the first build.
+    slices — no per-node indexer lookups after the first build.  The columns
+    are ``int64`` arrays with NumPy active and lists otherwise.
     """
     np = _accel.np
     cached = getattr(tree, "_plane_layout", None)
@@ -175,27 +179,23 @@ def _tree_plane_layout(simulator: HybridSimulator, tree: VirtualTree):
         return cached[1], cached[2]
     indexer = simulator.node_indexer()
     count = len(tree.order)
-    idx = np.fromiter(
-        (indexer[node] for node in tree.order), dtype=np.int64, count=count
-    )
-    slots = np.arange(count, dtype=np.int64)
-    slots[1:] = (slots[1:] - 1) // 2
-    parent_idx = idx[slots]
+    if np is not None:
+        idx = np.fromiter(
+            (indexer[node] for node in tree.order), dtype=np.int64, count=count
+        )
+        slots = np.arange(count, dtype=np.int64)
+        slots[1:] = (slots[1:] - 1) // 2
+        parent_idx = idx[slots]
+    else:
+        idx = [indexer[node] for node in tree.order]
+        parent_idx = [idx[(slot - 1) // 2 if slot else 0] for slot in range(count)]
     tree._plane_layout = (simulator, idx, parent_idx)
     return idx, parent_idx
 
 
-def _resolve_tree_engine(batch: bool, engine: Optional[str]) -> str:
-    """Map the historical ``batch`` flag and the driver ``engine`` switch.
-
-    ``engine`` (when given) wins: ``"batch"`` selects the id-native plane
-    path, ``"batch-reference"`` the retained tuple path, ``"legacy"`` the
-    per-message path.  Plain ``batch=True/False`` keeps the historical
-    tuple/legacy behaviour for existing callers.
-    """
-    if engine is not None:
-        return engine
-    return "batch-reference" if batch else "legacy"
+def _level_slots(count: int, level: int) -> Tuple[int, int]:
+    """Heap-slot range ``[lo, hi)`` of tree level ``level`` (root = level 0)."""
+    return (1 << level) - 1, min((1 << (level + 1)) - 1, count)
 
 
 def aggregate_via_tree(
@@ -203,197 +203,63 @@ def aggregate_via_tree(
     tree: VirtualTree,
     values: Dict[Node, Any],
     combine: Callable[[Any, Any], Any],
-    *,
-    batch: bool = True,
-    engine: Optional[str] = None,
 ) -> Any:
     """Converge-cast ``values`` up the tree, combining with ``combine``.
 
     One tree level per round (leaf level first); every node sends a single
     global message to its parent, so the per-node budget is respected.  Returns
-    the aggregate as known by the root.  ``engine="batch"`` moves each level as
-    one id-native token plane and folds the combine step directly from the
-    plane's columns (no inbox rebuild); ``batch=False`` routes the sends
-    through the legacy per-message API (identical rounds and inboxes).
+    the aggregate as known by the root.  Each level moves as one id-native
+    token plane sliced from the cached heap layout; partials live in a
+    slot-ordered list and the combine step folds them slot by slot (each
+    parent combines its children in child order), with no inbox read.
     """
-    mode = _resolve_tree_engine(batch, engine)
-    if mode == "batch" and _accel.np is not None:
-        # Heap-slot formulation: level planes are array slices of the cached
-        # layout, partials live in a slot-ordered list, and the combine fold
-        # walks slots in the same child order as the generic path.
-        idx, parent_idx = _tree_plane_layout(simulator, tree)
-        slot_values = [values.get(node) for node in tree.order]
-        nslots = len(slot_values)
-        for level in range(nslots.bit_length() - 1, 0, -1):
-            lo = (1 << level) - 1
-            hi = min((1 << (level + 1)) - 1, nslots)
-            payloads = slot_values[lo:hi]
-            plane = TokenPlane(
-                idx[lo:hi],
-                parent_idx[lo:hi],
-                [payload_words(payload) for payload in payloads],
-                payloads,
-            )
-            simulator.global_send_plane(plane, None, "tree-agg")
-            simulator.advance_round()
-            for slot in range(lo, hi):
-                incoming = slot_values[slot]
-                if incoming is None:
-                    continue
-                target = (slot - 1) >> 1
-                acc = slot_values[target]
-                slot_values[target] = (
-                    incoming if acc is None else combine(acc, incoming)
-                )
-        return slot_values[0]
-    partial: Dict[Node, Any] = {node: values.get(node) for node in tree.order}
-    levels = tree.levels()
-    if mode == "batch":
-        indexer = simulator.node_indexer()
-        for level in reversed(levels[1:]):
-            parents = [tree.parent[node] for node in level]
-            payloads = [partial[node] for node in level]
-            plane = TokenPlane(
-                [indexer[node] for node in level],
-                [indexer[parent] for parent in parents],
-                [payload_words(payload) for payload in payloads],
-                payloads,
-            )
-            simulator.global_send_plane(plane, None, "tree-agg")
-            simulator.advance_round()
-            for parent, incoming in zip(parents, payloads):
-                if incoming is None:
-                    continue
-                acc = partial[parent]
-                partial[parent] = incoming if acc is None else combine(acc, incoming)
-        return partial[tree.root]
-    for level in reversed(levels[1:]):
-        if mode == "batch-reference":
-            simulator.global_send_batch(
-                [(node, tree.parent[node], partial[node]) for node in level],
-                "tree-agg",
-            )
-            simulator.advance_round()
-            inbox = simulator.per_node_inbox(GLOBAL_MODE)
-            for parent in {tree.parent[node] for node in level}:
-                acc = partial[parent]
-                for _, incoming, tag, _ in inbox.get(parent, ()):
-                    if tag != "tree-agg":
-                        continue
-                    if acc is None:
-                        acc = incoming
-                    elif incoming is not None:
-                        acc = combine(acc, incoming)
-                partial[parent] = acc
-            continue
-        for node in level:
-            parent = tree.parent[node]
-            simulator.global_send_to_node(node, parent, partial[node], tag="tree-agg")
+    idx, parent_idx = _tree_plane_layout(simulator, tree)
+    slot_values = [values.get(node) for node in tree.order]
+    nslots = len(slot_values)
+    for level in range(nslots.bit_length() - 1, 0, -1):
+        lo, hi = _level_slots(nslots, level)
+        payloads = slot_values[lo:hi]
+        plane = TokenPlane(
+            idx[lo:hi],
+            parent_idx[lo:hi],
+            [payload_words(payload) for payload in payloads],
+            payloads,
+        )
+        simulator.global_send_plane(plane, None, "tree-agg")
         simulator.advance_round()
-        receivers = {tree.parent[node] for node in level}
-        for parent in receivers:
-            acc = partial[parent]
-            for message in simulator.global_inbox(parent):
-                if message.tag != "tree-agg":
-                    continue
-                incoming = message.payload
-                if acc is None:
-                    acc = incoming
-                elif incoming is not None:
-                    acc = combine(acc, incoming)
-            partial[parent] = acc
-    return partial[tree.root]
+        for slot in range(lo, hi):
+            incoming = slot_values[slot]
+            if incoming is None:
+                continue
+            target = (slot - 1) >> 1
+            acc = slot_values[target]
+            slot_values[target] = incoming if acc is None else combine(acc, incoming)
+    return slot_values[0]
 
 
 def broadcast_via_tree(
     simulator: HybridSimulator,
     tree: VirtualTree,
     value: Any,
-    *,
-    batch: bool = True,
-    engine: Optional[str] = None,
 ) -> Dict[Node, Any]:
-    """Down-cast ``value`` from the root to every tree node (one level per round)."""
-    received: Dict[Node, Any] = {tree.root: value}
-    mode = _resolve_tree_engine(batch, engine)
-    np = _accel.np
-    if mode == "batch" and np is not None:
-        # Down-cast of a single value: every level plane carries the same
-        # payload object, so the words column is one ``payload_words`` call
-        # and the sender/receiver columns are slices of the cached layout.
-        idx, parent_idx = _tree_plane_layout(simulator, tree)
-        nslots = len(tree.order)
-        size = payload_words(value)
-        for level in range(1, nslots.bit_length()):
-            lo = (1 << level) - 1
-            hi = min((1 << (level + 1)) - 1, nslots)
-            count = hi - lo
-            plane = TokenPlane(
-                parent_idx[lo:hi],
-                idx[lo:hi],
-                np.full(count, size, dtype=np.int64),
-                [value] * count,
-            )
-            simulator.global_send_plane(plane, None, "tree-bcast")
-            simulator.advance_round()
-        for node in tree.order:
-            received[node] = value
-        return received
-    if mode == "batch":
-        indexer = simulator.node_indexer()
-        for level in tree.levels():
-            senders: List[int] = []
-            receivers: List[int] = []
-            words: List[int] = []
-            payloads: List[Any] = []
-            children: List[Node] = []
-            for node in level:
-                if node not in received:
-                    continue
-                payload = received[node]
-                size = payload_words(payload)
-                sender_index = indexer[node]
-                for child in tree.children[node]:
-                    senders.append(sender_index)
-                    receivers.append(indexer[child])
-                    words.append(size)
-                    payloads.append(payload)
-                    children.append(child)
-            if not children:
-                continue
-            simulator.global_send_plane(
-                TokenPlane(senders, receivers, words, payloads), None, "tree-bcast"
-            )
-            simulator.advance_round()
-            for child, payload in zip(children, payloads):
-                received[child] = payload
-        return received
-    for level in tree.levels():
-        sends = [
-            (node, child, received[node])
-            for node in level
-            if node in received
-            for child in tree.children[node]
-        ]
-        if not sends:
-            continue
-        if mode == "batch-reference":
-            simulator.global_send_batch(sends, "tree-bcast")
-            simulator.advance_round()
-            inbox = simulator.per_node_inbox(GLOBAL_MODE)
-            for _, child, _ in sends:
-                for _, payload, tag, _ in inbox.get(child, ()):
-                    if tag == "tree-bcast":
-                        received[child] = payload
-            continue
-        for sender, child, payload in sends:
-            simulator.global_send_to_node(sender, child, payload, tag="tree-bcast")
+    """Down-cast ``value`` from the root to every tree node (one level per round).
+
+    Every level plane carries the same payload object, so the words column
+    is one ``payload_words`` call and the sender/receiver columns are slices
+    of the cached heap layout.
+    """
+    idx, parent_idx = _tree_plane_layout(simulator, tree)
+    nslots = len(tree.order)
+    size = payload_words(value)
+    for level in range(1, nslots.bit_length()):
+        lo, hi = _level_slots(nslots, level)
+        count = hi - lo
+        plane = TokenPlane(
+            parent_idx[lo:hi], idx[lo:hi], [size] * count, [value] * count
+        )
+        simulator.global_send_plane(plane, None, "tree-bcast")
         simulator.advance_round()
-        for _, child, _ in sends:
-            for message in simulator.global_inbox(child):
-                if message.tag == "tree-bcast":
-                    received[child] = message.payload
-    return received
+    return {node: value for node in tree.order}
 
 
 def basic_aggregation(
@@ -401,9 +267,6 @@ def basic_aggregation(
     values: Dict[Node, Any],
     combine: Callable[[Any, Any], Any],
     tree: Optional[VirtualTree] = None,
-    *,
-    batch: bool = True,
-    engine: Optional[str] = None,
 ) -> Any:
     """Lemma 4.4 for ``k = 1``: every node learns ``combine`` over all values.
 
@@ -412,10 +275,8 @@ def basic_aggregation(
     """
     if tree is None:
         tree = build_virtual_tree(simulator)
-    aggregate = aggregate_via_tree(
-        simulator, tree, values, combine, batch=batch, engine=engine
-    )
-    broadcast_via_tree(simulator, tree, aggregate, batch=batch, engine=engine)
+    aggregate = aggregate_via_tree(simulator, tree, values, combine)
+    broadcast_via_tree(simulator, tree, aggregate)
     return aggregate
 
 

@@ -84,8 +84,7 @@ class ResilientDisseminationResult:
 class ResilientDissemination(BatchAlgorithm):
     """Epoch-looped collect/broadcast dissemination surviving a fault schedule.
 
-    Runs on the plane engine only (the self-healing exchange needs the plane
-    ack channel).  Designed for the dense identifier regime
+    Designed for the dense identifier regime
     (``ModelConfig.hybrid()``), where any live pair can exchange global
     messages — under HYBRID_0 the coordinator would additionally need to
     learn identifiers, which the fault model does not currently replicate.
@@ -98,13 +97,8 @@ class ResilientDissemination(BatchAlgorithm):
         *,
         max_epochs: int = 32,
         max_attempts: int = 16,
-        engine: str = "batch",
     ) -> None:
-        super().__init__(simulator, engine=engine)
-        if not self.use_plane:
-            raise ValueError(
-                f"ResilientDissemination requires engine='batch', not {engine!r}"
-            )
+        super().__init__(simulator)
         if max_epochs < 1:
             raise ValueError("max_epochs must be at least 1")
         node_set = set(simulator.nodes)

@@ -25,9 +25,7 @@ budget is respected.  What is charged: the helper-set construction
 (Theorem 1), and the local-mode distribution/collection of messages between
 sources/targets and their helpers (bounded by the weak diameter ``eO(NQ_k)``).
 
-The implementation is a :class:`~repro.simulator.engine.BatchAlgorithm`;
-``engine="legacy"`` reroutes every hop through the per-message transport with
-identical round counts.
+The implementation is a :class:`~repro.simulator.engine.BatchAlgorithm`.
 """
 
 from __future__ import annotations
@@ -92,7 +90,6 @@ class KLRouting(BatchAlgorithm):
         determines whether source helpers are the sources themselves
         (case 1: ``H_s = {s}``) or sampled adaptively (case 3).
     seed: randomness for helper sampling and the hash family.
-    engine: ``"batch"`` (default) or ``"legacy"`` message path.
     """
 
     def __init__(
@@ -103,9 +100,8 @@ class KLRouting(BatchAlgorithm):
         scenario: RoutingScenario = RoutingScenario.ARBITRARY_SOURCES_RANDOM_TARGETS,
         seed: Optional[int] = None,
         nq: Optional[int] = None,
-        engine: str = "batch",
     ) -> None:
-        super().__init__(simulator, engine=engine)
+        super().__init__(simulator)
         if not messages:
             raise ValueError("messages must be non-empty")
         self.messages = dict(messages)

@@ -30,9 +30,8 @@ Since the batch-native migration, the whole stack is driven by
 (node identifiers, spanner edges, closest-leader / closest-skeleton labels,
 and the (k, l)-SP reversal traffic) is *physically simulated* as a
 :class:`~repro.core.dissemination.KDissemination` / routing instance riding
-the batch messaging engine, with ``engine="batch"`` (default) or
-``engine="legacy"`` selecting the transport — both schedule-identical, pinned
-by ``tests/unit/test_round_regression.py``.  The centralized all-pairs table
+the batch messaging engine, with round counts pinned by
+``tests/unit/test_round_regression.py``.  The centralized all-pairs table
 assemblies run as :class:`~repro.graphs.index.GraphIndex` flat-array sweeps:
 :class:`UnweightedApproxAPSP` returns a :class:`DenseDistanceTable` whose
 ``n``-wide rows are materialised on demand from dense BFS rows instead of one
@@ -295,8 +294,7 @@ class KLShortestPaths(BatchAlgorithm):
     ships each label to the target that needs it.
 
     The reversal traffic rides :class:`~repro.core.routing.KLRouting` on the
-    batch messaging engine; ``engine`` selects the batch or the legacy
-    per-message transport for every physically simulated hop.
+    batch messaging engine.
     """
 
     def __init__(
@@ -307,9 +305,8 @@ class KLShortestPaths(BatchAlgorithm):
         *,
         epsilon: float = 0.25,
         seed: Optional[int] = None,
-        engine: str = "batch",
     ) -> None:
-        super().__init__(simulator, engine=engine)
+        super().__init__(simulator)
         if not sources or not targets:
             raise ValueError("sources and targets must be non-empty")
         if epsilon <= 0:
@@ -362,8 +359,7 @@ class KLShortestPaths(BatchAlgorithm):
                 epsilon=self.epsilon,
                 sources_in_skeleton=True,
                 seed=self.seed,
-                engine=self.engine,
-            )
+                )
             ksp_result = ksp.run()
             self._reversed_estimates = {
                 target: {
@@ -391,7 +387,6 @@ class KLShortestPaths(BatchAlgorithm):
             else RoutingScenario.RANDOM_SOURCES_RANDOM_TARGETS,
             seed=self.seed,
             nq=self.nq,
-            engine=self.engine,
         )
         routing_result = routing.run()
         self._estimates = {
@@ -419,8 +414,7 @@ class UnweightedApproxAPSP(BatchAlgorithm):
     (closest leader, distance) pair — are physically simulated
     :class:`~repro.core.dissemination.KDissemination` instances sharing the
     NQ_n evaluation and the Lemma 3.5 clustering of the surrounding
-    algorithm; ``engine`` flips them between the batch and the legacy
-    per-message transport with identical schedules.  The centralized table
+    algorithm.  The centralized table
     assembly is dense: cluster-leader SSSP rows and the per-node hop rows are
     flat :class:`~repro.graphs.index.GraphIndex` sweeps, and the resulting
     :class:`DenseDistanceTable` materialises Algorithm 3's estimate rows on
@@ -432,17 +426,16 @@ class UnweightedApproxAPSP(BatchAlgorithm):
         simulator: HybridSimulator,
         *,
         epsilon: float = 0.5,
-        engine: str = "batch",
         nq: Optional[int] = None,
         clustering: Optional[Clustering] = None,
     ) -> None:
-        super().__init__(simulator, engine=engine)
+        super().__init__(simulator)
         if not 0 < epsilon < 1:
             raise ValueError("epsilon must lie in (0, 1)")
         self.epsilon = epsilon
         # ``nq`` / ``clustering`` are precomputation hints with the same
         # contract as KDissemination's: graph analytics a caller already has
-        # (e.g. a benchmark comparing engines on one instance) are not
+        # (e.g. a benchmark reusing one instance) are not
         # recomputed, and a hinted clustering skips the Lemma 3.5 construction
         # charges exactly like KDissemination's hint does.
         self._nq_hint = nq
@@ -495,7 +488,6 @@ class UnweightedApproxAPSP(BatchAlgorithm):
             _identifier_tokens(sim),
             nq=self.nq,
             clustering=self.clustering,
-            engine=self.engine,
         ).run()
 
     def _phase_leader_sssp(self) -> None:
@@ -544,7 +536,6 @@ class UnweightedApproxAPSP(BatchAlgorithm):
             _label_tokens(sim, self._closest_leader, "apsp-cl"),
             nq=self.nq,
             clustering=self.clustering,
-            engine=self.engine,
         ).run()
 
     # ------------------------------------------------------------------
@@ -603,7 +594,7 @@ class SpannerAPSP(BatchAlgorithm):
     simulated :class:`~repro.core.dissemination.KDissemination` instance:
     every spanner edge is one token held by its smaller-id endpoint, and the
     per-node Dijkstra table assembly runs only once every node knows the full
-    edge list.  ``engine`` selects the transport for the broadcast.
+    edge list.
 
     The table assembly runs on the spanner's own
     :class:`~repro.graphs.index.GraphIndex`: one flat-array Dijkstra row per
@@ -613,9 +604,9 @@ class SpannerAPSP(BatchAlgorithm):
     """
 
     def __init__(
-        self, simulator: HybridSimulator, *, epsilon: float = 0.5, engine: str = "batch"
+        self, simulator: HybridSimulator, *, epsilon: float = 0.5
     ) -> None:
-        super().__init__(simulator, engine=engine)
+        super().__init__(simulator)
         if epsilon <= 0:
             raise ValueError("epsilon must be positive")
         self.epsilon = epsilon
@@ -646,7 +637,7 @@ class SpannerAPSP(BatchAlgorithm):
         nq_mstar = max(1, neighborhood_quality(sim.graph, max(spanner_edges, 1)))
         tokens = _edge_tokens(sim, self._spanner, "spanner-edge")
         if tokens:
-            KDissemination(sim, tokens, nq=nq_mstar, engine=self.engine).run()
+            KDissemination(sim, tokens, nq=nq_mstar).run()
 
     def _phase_local_apsp(self) -> None:
         """Every node locally computes APSP on the (now globally known)
@@ -691,7 +682,7 @@ class SkeletonAPSP(BatchAlgorithm):
     every node's closest skeleton node) are physically simulated
     :class:`~repro.core.dissemination.KDissemination` instances; the h-hop
     limited tables run on the :class:`~repro.graphs.index.GraphIndex`
-    flat-array Bellman-Ford.  ``engine`` selects the broadcast transport.
+    flat-array Bellman-Ford.
     """
 
     def __init__(
@@ -700,9 +691,8 @@ class SkeletonAPSP(BatchAlgorithm):
         *,
         alpha: int = 1,
         seed: Optional[int] = None,
-        engine: str = "batch",
     ) -> None:
-        super().__init__(simulator, engine=engine)
+        super().__init__(simulator)
         if alpha < 1:
             raise ValueError("alpha must be a positive integer")
         self.alpha = alpha
@@ -737,7 +727,6 @@ class SkeletonAPSP(BatchAlgorithm):
             _identifier_tokens(sim),
             nq=self.nq,
             clustering=self.clustering,
-            engine=self.engine,
         ).run()
         sim.charge_rounds(self.nq, "distributed computation of NQ_n", "Lemma 3.3")
 
@@ -775,7 +764,7 @@ class SkeletonAPSP(BatchAlgorithm):
         nq_x = max(1, neighborhood_quality(sim.graph, max(spanner_edges, sim.n)))
         tokens = _edge_tokens(sim, self._spanner, "skeleton-spanner-edge")
         if tokens:
-            KDissemination(sim, tokens, nq=nq_x, engine=self.engine).run()
+            KDissemination(sim, tokens, nq=nq_x).run()
         # One index over the skeleton spanner serves every skeleton-node
         # Dijkstra row (flat CSR shared across the whole batch); the rows are
         # pulled lazily by the table :meth:`finish` returns, one Dijkstra per
@@ -808,7 +797,6 @@ class SkeletonAPSP(BatchAlgorithm):
             _label_tokens(sim, self._closest_skeleton, "apsp-cs"),
             nq=self.nq,
             clustering=self.clustering,
-            engine=self.engine,
         ).run()
 
     def finish(self) -> DenseDistanceTable:

@@ -158,8 +158,7 @@ class ApproxSSSP(BatchAlgorithm):
     tested independently).  The algorithm rides the
     :class:`~repro.simulator.engine.BatchAlgorithm` driver so its phases show
     up in ``phase_log`` next to the physically simulated algorithms; no traffic
-    crosses the simulated network, so ``engine`` only selects the (unused)
-    transport and both engines are trivially round-identical.
+    crosses the simulated network.
     """
 
     def __init__(
@@ -168,10 +167,9 @@ class ApproxSSSP(BatchAlgorithm):
         source: Node,
         epsilon: float = 0.25,
         *,
-        engine: str = "batch",
         charge_only: bool = False,
     ) -> None:
-        super().__init__(simulator, engine=engine, charge_only=charge_only)
+        super().__init__(simulator, charge_only=charge_only)
         if source not in set(simulator.nodes):
             raise KeyError(f"source {source!r} is not a node of the network")
         if epsilon <= 0:

@@ -37,7 +37,6 @@ from repro.simulator.engine import (
     batched_global_exchange,
     plan_token_rounds,
     resilient_batched_global_exchange,
-    shard_transfers,
 )
 
 __all__ = [
@@ -78,5 +77,4 @@ __all__ = [
     "batched_global_exchange",
     "plan_token_rounds",
     "resilient_batched_global_exchange",
-    "shard_transfers",
 ]

@@ -1,12 +1,8 @@
 """Vectorised round engine: id-native token planes, sharding, and the phase driver.
 
-The per-message transport in :mod:`repro.core.transport` schedules one
-:class:`~repro.core.transport.GlobalTransfer` object at a time through
-``global_send_to_node``; at production scale that is dominated by per-message
-object churn.  The first batch engine replaced it with whole-round
-``(sender, receiver, payload, words)`` tuple workloads; this module's *round
-engine* goes one step further and strips the per-token Python work out of the
-schedule/send/harvest cycle entirely:
+Every algorithm moves its global-mode traffic through one congestion-limited
+exchange, and this module is that exchange.  It strips the per-token Python
+work out of the schedule/send/harvest cycle:
 
 * :class:`TokenPlane` — the id-native workload representation.  A workload is
   parallel arrays of integer **node indices** (positions in the simulator's
@@ -20,9 +16,9 @@ schedule/send/harvest cycle entirely:
   shard — no greedy scanning at all, which is the common case for most phases.
   Congested workloads fall to a **vectorised greedy-FIFO** that resolves each
   round with a few whole-array *waves* (upper/lower prefix-sum bounds, see
-  ``_admit_round``) and is schedule-identical, token for token, to the legacy
-  greedy scanner retained as :func:`_reference_shard_transfers`
-  (``tests/properties/test_round_engine.py`` pins the equivalence; the round
+  ``_admit_round``) and is schedule-identical, token for token, to the plain
+  greedy scan kept as a test oracle (``tests/oracles/scheduler.py``;
+  ``tests/properties/test_round_engine.py`` pins the equivalence and the round
   pins in ``tests/unit/test_round_regression.py`` hold bit-for-bit).
 * :func:`batched_global_exchange` — runs the shards through the simulator's
   bulk id-native send path
@@ -33,11 +29,9 @@ schedule/send/harvest cycle entirely:
   as the user-visible prefix plus an internal serial), so concurrent protocols
   sharing a receiver can no longer collide even for observers that read the
   raw inboxes.
-* :class:`BatchAlgorithm` — the phase driver.  ``engine="batch"`` (default)
-  runs on token planes; ``engine="batch-reference"`` runs the retained tuple
-  path (the previous engine, kept as the comparison baseline for the speedup
-  benchmarks); ``engine="legacy"`` runs the per-message transport.  All three
-  produce identical round counts, inboxes and metrics.
+* :class:`BatchAlgorithm` — the phase driver; :meth:`BatchAlgorithm.exchange`
+  is the single exchange path of every algorithm.  The tuple and per-message
+  exchanges it replaced live on as test oracles under ``tests/oracles/``.
 
 Like the analytics index, the engine treats the simulated graph as **frozen**:
 the simulator caches its node-index maps and adjacency id arrays on first use,
@@ -76,7 +70,6 @@ __all__ = [
     "TokenPlane",
     "ExchangeTag",
     "plan_token_rounds",
-    "shard_transfers",
     "batched_global_exchange",
     "resilient_batched_global_exchange",
     "ResilientExchangeResult",
@@ -88,12 +81,6 @@ __all__ = [
 
 #: One unit of batch work: ``(sender, receiver, payload)``.
 GlobalTriple = Tuple[Node, Node, Any]
-
-#: Internal sharding token: ``(sender, receiver, payload, payload_words)``.
-_Token = Tuple[Node, Node, Any, int]
-
-#: Engine switch values accepted by :class:`BatchAlgorithm`.
-ENGINES = ("batch", "batch-reference", "legacy")
 
 
 # ----------------------------------------------------------------------
@@ -113,8 +100,8 @@ class TokenPlane:
     ``payloads`` may be ``None``: a **charge-only** plane carries only the
     three columns.  Scheduling, capacity accounting, round counts and
     HYBRID_0 identifier learning are exact (none of them ever read a
-    payload), but content-level operations — :meth:`iter_triples`,
-    ``collect=True`` exchanges, inbox reads of the delivered traffic — raise
+    payload), but content-level operations — ``collect=True`` exchanges,
+    inbox reads of the delivered traffic — raise
     :class:`~repro.simulator.errors.ChargeOnlyError`.
     """
 
@@ -207,71 +194,10 @@ class TokenPlane:
             raise UnknownNodeError(exc.args[0]) from None
         return cls(senders, receivers, words, payloads)
 
-    def iter_triples(self, simulator: HybridSimulator) -> Iterable[_Token]:
-        """The plane as ``(sender, receiver, payload, words)`` tuples.
-
-        Used to hand a plane to the tuple-based reference and legacy engines
-        (equivalence tests and speedup baselines only — the hot path never
-        materialises tuples).
-        """
-        if self.payloads is None:
-            raise ChargeOnlyError(
-                "charge-only planes carry no payloads and cannot be lowered "
-                "to tuples; use the plane engine, or rebuild with payloads"
-            )
-        nodes = simulator.nodes
-        for sender, receiver, payload, size in zip(
-            self.senders, self.receivers, self.payloads, self.words
-        ):
-            yield (nodes[int(sender)], nodes[int(receiver)], payload, int(size))
-
 
 # ----------------------------------------------------------------------
 # Two-tier scheduler
 # ----------------------------------------------------------------------
-def shard_transfers(
-    tokens: Sequence[_Token], budget: int, tag_words: int = 0
-) -> Iterable[List[_Token]]:
-    """Yield per-round shards of ``tokens`` respecting the per-node ``budget``.
-
-    Greedy FIFO: each round scans the remaining tokens in order and admits a
-    token iff its sender and receiver both still have budget left (counting
-    ``tag_words`` on top of each token's payload words).  If nothing fits —
-    every remaining token is individually larger than the budget — exactly one
-    oversized token is forced through (a single oversized message is the
-    sender's problem, and the simulator will flag it).
-
-    This is the **reference scheduler** (also aliased as
-    ``_reference_shard_transfers``): the vectorised :func:`plan_token_rounds`
-    reproduces its shard boundaries exactly and is what the hot path runs;
-    this tuple formulation is retained as ground truth for the
-    schedule-identity property tests and as the scheduler of the
-    ``engine="batch-reference"`` baseline.
-    """
-    pending: List[_Token] = list(tokens)
-    while pending:
-        sent: Dict[Node, int] = defaultdict(int)
-        received: Dict[Node, int] = defaultdict(int)
-        shard: List[_Token] = []
-        deferred: List[_Token] = []
-        for token in pending:
-            sender, receiver, _, words = token
-            total = words + tag_words
-            if sent[sender] + total <= budget and received[receiver] + total <= budget:
-                shard.append(token)
-                sent[sender] += total
-                received[receiver] += total
-            else:
-                deferred.append(token)
-        if not shard and deferred:
-            shard.append(deferred.pop(0))
-        yield shard
-        pending = deferred
-
-
-#: Retained ground truth for the schedule-identity property tests.
-_reference_shard_transfers = shard_transfers
-
 #: Wave cap for the vectorised admitter: each wave is guaranteed to decide at
 #: least the first undecided token, so the cap only bounds adversarial
 #: workloads — the sequential tail resolver keeps the schedule exact beyond it.
@@ -558,7 +484,7 @@ def _plan_rounds_bucketed(np, senders, receivers, wt, budget: int, min_round):
     rejections leave the counters untouched), so omitting it from those scans
     is exact.  Per-round work therefore scales with the tokens that can
     actually move this round instead of the whole eligible backlog, while the
-    shard boundaries stay identical to :func:`_reference_shard_transfers`.
+    shard boundaries stay identical to the reference greedy scan.
     Every unadmitted token sits in a bucket no later than its true admission
     round (the bounds are valid), so the pending set always contains this
     round's reference admissions and in particular never runs dry.
@@ -692,9 +618,9 @@ def _plan_rounds_numpy(np, senders, receivers, wt, budget: int):
 def _plan_rounds_python(senders, receivers, wt, budget: int):
     """Pure-Python :func:`plan_token_rounds` body (no NumPy).
 
-    The same greedy-FIFO as :func:`_reference_shard_transfers`, over flat int
-    arrays and integer-keyed counters instead of token tuples and node-keyed
-    defaultdicts.
+    The same greedy-FIFO as the reference scan in ``tests/oracles/scheduler.py``,
+    over flat int arrays and integer-keyed counters instead of token tuples
+    and node-keyed defaultdicts.
     """
     shards = []
     pending = list(range(len(wt)))
@@ -731,7 +657,7 @@ def plan_token_rounds(
     Two-tier: a workload whose per-node sent/received totals all fit ``budget``
     is one shard resolved by a single grouped reduction; congested workloads
     run the vectorised greedy-FIFO.  The shard boundaries are identical to
-    :func:`_reference_shard_transfers` on the same token sequence (including
+    reference greedy scan on the same token sequence (including
     the forced-oversized branch), so round counts never depend on which
     scheduler — or which array backend — executed the workload.
     """
@@ -820,7 +746,7 @@ class ExchangeTag(str):
     user-visible prefix alone — the serial is engine bookkeeping, not protocol
     payload — via the ``payload_words_override`` hook in
     :func:`repro.simulator.messages.payload_words`, which keeps every round
-    pin and word count identical to the reference engines.
+    pin and word count identical to the tuple and per-message oracles.
     """
 
     prefix: Optional[str]
@@ -850,9 +776,7 @@ def batched_global_exchange(
 ) -> Dict[Node, List[Any]]:
     """Deliver a workload over the global mode without exceeding capacity.
 
-    The plane counterpart of
-    :func:`~repro.core.transport.throttled_global_exchange`: the workload —
-    a :class:`TokenPlane`, or any iterable of ``(sender, receiver, payload[,
+    The workload — a :class:`TokenPlane`, or any iterable of ``(sender, receiver, payload[,
     words])`` tuples, which is resolved into a plane once up front — is
     scheduled by :func:`plan_token_rounds` and each shard is submitted with one
     :meth:`~repro.simulator.network.HybridSimulator.global_send_plane` call and
@@ -934,52 +858,6 @@ def batched_global_exchange(
         positions = shard.tolist() if hasattr(shard, "tolist") else shard
         for position in positions:
             delivered[nodes[receivers[position]]].append(payloads[position])
-    return dict(delivered)
-
-
-def _reference_batched_global_exchange(
-    simulator: HybridSimulator,
-    triples: Iterable[Tuple],
-    *,
-    tag: Optional[str] = None,
-    max_rounds: Optional[int] = None,
-) -> Dict[Node, List[Any]]:
-    """The retained tuple-based exchange (the previous engine's hot path).
-
-    Token-shards with :func:`_reference_shard_transfers`, submits each shard
-    with ``global_send_batch`` and harvests by rebuilding the round's inbox
-    dict and tag-filtering per receiver.  Kept as the baseline the speedup
-    benchmarks and equivalence tests compare the plane engine against; do not
-    use in new code.  (It inherits the historical caveat: foreign traffic that
-    shares both the tag and a receiver with a shard is indistinguishable.)
-    """
-    from repro.simulator.messages import GLOBAL_MODE
-
-    tokens: List[_Token] = [
-        triple
-        if len(triple) == 4
-        else (triple[0], triple[1], triple[2], payload_words(triple[2]))
-        for triple in triples
-    ]
-    if not tokens:
-        return {}
-    tag_words = payload_words(tag) if tag is not None else 0
-    budget = simulator.global_budget_words()
-    delivered: Dict[Node, List[Any]] = defaultdict(list)
-    rounds_used = 0
-    for shard in _reference_shard_transfers(tokens, budget, tag_words):
-        if max_rounds is not None and rounds_used >= max_rounds:
-            raise RuntimeError(
-                f"batched exchange exceeded the allowed {max_rounds} rounds"
-            )
-        simulator.global_send_batch(shard, tag)
-        simulator.advance_round()
-        rounds_used += 1
-        inbox = simulator.per_node_inbox(GLOBAL_MODE)
-        for receiver in {token[1] for token in shard}:
-            payloads = [record[1] for record in inbox.get(receiver, ()) if record[2] == tag]
-            if payloads:
-                delivered[receiver].extend(payloads)
     return dict(delivered)
 
 
@@ -1176,41 +1054,20 @@ class BatchAlgorithm:
     Parameters
     ----------
     simulator: the network.
-    engine: ``"batch"`` (default) routes exchanges through the id-native
-        :func:`batched_global_exchange`; ``"batch-reference"`` routes them
-        through the retained tuple engine
-        (:func:`_reference_batched_global_exchange`, the previous hot path,
-        kept as the speedup baseline); ``"legacy"`` routes them through the
-        per-message :func:`~repro.core.transport.throttled_global_exchange`.
-        All three produce identical inboxes, metrics and round counts — the
-        slower paths exist so equivalence tests and benchmarks can compare.
     charge_only: when true, every :meth:`exchange` demotes its workload to a
         payload-free charge view before queueing — metrics and round counts
         stay bit-identical to the payload run (property-pinned), but no
         payload is materialised or retained, which is what makes n ~ 10^6
-        metrics-only experiments feasible.  Requires ``engine="batch"``
-        (the comparison engines are tuple-based and cannot run without
-        payloads).
+        metrics-only experiments feasible.
     """
 
     def __init__(
         self,
         simulator: HybridSimulator,
         *,
-        engine: str = "batch",
         charge_only: bool = False,
     ) -> None:
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; use one of {', '.join(ENGINES)}"
-            )
-        if charge_only and engine != "batch":
-            raise ValueError(
-                f"charge_only requires engine='batch'; the {engine!r} engine "
-                f"materialises payload tuples and cannot run charge-only"
-            )
         self.simulator = simulator
-        self.engine = engine
         self.charge_only = bool(charge_only)
         self.phase_log: List[PhaseRecord] = []
 
@@ -1249,16 +1106,6 @@ class BatchAlgorithm:
         return self.finish()
 
     # ------------------------------------------------------------------
-    @property
-    def use_batch(self) -> bool:
-        """Whether exchanges run on a batch path (plane or tuple reference)."""
-        return self.engine != "legacy"
-
-    @property
-    def use_plane(self) -> bool:
-        """Whether exchanges run on the id-native token-plane path."""
-        return self.engine == "batch"
-
     def exchange(
         self,
         triples: Union[TokenPlane, Sequence[Tuple]],
@@ -1270,45 +1117,18 @@ class BatchAlgorithm:
         """Move a workload of tokens (a plane, or triples) over the global mode.
 
         Token-shards the workload over as many rounds as the per-node budget
-        requires.  The token order is the schedule order, so every engine
-        produces identical shard boundaries and round counts.  Algorithms that
-        already hold id arrays should pass a :class:`TokenPlane`; tuple
-        workloads are resolved into one internally on the plane engine (and
-        planes are lowered to tuples on the comparison engines).  Pass
-        ``collect=False`` when the caller tracks deliveries itself and would
-        discard the result dict — the *plane* engine then skips the harvest
-        entirely, while the comparison engines deliberately keep their
-        historical unconditional harvest so benchmarks measure the real
-        previous hot path.
+        requires through :func:`batched_global_exchange`; the token order is
+        the schedule order.  Algorithms that already hold id arrays should
+        pass a :class:`TokenPlane`; tuple workloads are resolved into one
+        internally.  Pass ``collect=False`` when the caller tracks deliveries
+        itself and would discard the result dict — the harvest is then
+        skipped entirely.
         """
-        if isinstance(triples, TokenPlane):
-            if not len(triples):
-                return {}
-        elif not triples:
+        if not len(triples):
             return {}
-        if self.use_plane:
-            return batched_global_exchange(
-                self.simulator, triples, tag=tag, max_rounds=max_rounds,
-                collect=collect, charge_only=self.charge_only,
-            )
-        # The comparison engines reproduce their historical behaviour —
-        # harvesting unconditionally, exactly as they did before the round
-        # engine learnt to elide it — so speedup benchmarks measure the real
-        # previous hot path; ``collect`` is intentionally not forwarded.
-        if isinstance(triples, TokenPlane):
-            triples = list(triples.iter_triples(self.simulator))
-        if self.engine == "batch-reference":
-            return _reference_batched_global_exchange(
-                self.simulator, triples, tag=tag, max_rounds=max_rounds
-            )
-        from repro.core.transport import GlobalTransfer, throttled_global_exchange
-
-        transfers = [
-            GlobalTransfer(sender=triple[0], receiver=triple[1], payload=triple[2], tag=tag)
-            for triple in triples
-        ]
-        return throttled_global_exchange(
-            self.simulator, transfers, max_rounds=max_rounds
+        return batched_global_exchange(
+            self.simulator, triples, tag=tag, max_rounds=max_rounds,
+            collect=collect, charge_only=self.charge_only,
         )
 
     def resilient_exchange(
@@ -1320,23 +1140,14 @@ class BatchAlgorithm:
         backoff_cap: int = 8,
         collect: bool = True,
     ) -> ResilientExchangeResult:
-        """Self-healing variant of :meth:`exchange` (plane engine only).
+        """Self-healing variant of :meth:`exchange`.
 
         Routes the workload through
         :func:`resilient_batched_global_exchange`: ack-tracked delivery with
         crashed-endpoint masking, per-attempt re-planning against the degraded
-        budget, and bounded exponential backoff in idle rounds.  The
-        comparison engines have no fault-aware transport, so requesting this
-        on them is an error rather than a silent downgrade.
+        budget, and bounded exponential backoff in idle rounds.
         """
-        if not self.use_plane:
-            raise ValueError(
-                f"resilient exchange requires engine='batch', not {self.engine!r}"
-            )
-        if isinstance(triples, TokenPlane):
-            if not len(triples):
-                return ResilientExchangeResult({}, [], 0, 0)
-        elif not triples:
+        if not len(triples):
             return ResilientExchangeResult({}, [], 0, 0)
         return resilient_batched_global_exchange(
             self.simulator,

@@ -30,9 +30,9 @@ link-failure windows — and enacted by a :class:`FaultState` that
   window are dropped like lossy messages.
 
 The hard invariant of the whole layer: an **empty** schedule installs no
-:class:`FaultState` at all (``HybridSimulator.fault_state is None``), so every
-engine remains token-for-token schedule-identical to
-``_reference_shard_transfers`` — the identity property suites pin this.
+:class:`FaultState` at all (``HybridSimulator.fault_state is None``), so the
+engine remains token-for-token schedule-identical to the reference greedy
+scan in ``tests/oracles/scheduler.py`` — the identity property suites pin this.
 
 Capacity accounting under faults is *attempt-based*: a dropped message still
 charged its sender's (and the addressed receiver's) budget in the round it was

@@ -7,8 +7,8 @@ whole token plane on one core.  This module partitions a plane into
 persistent ``multiprocessing`` pool over shared-memory NumPy columns when
 available, sequentially in-process otherwise — and merges the per-bucket
 schedules back into one schedule that is **token-for-token identical** to the
-single-process reference (and hence to ``_reference_shard_transfers``, the
-repo's standing oracle).
+single-process reference (and hence to the greedy scan in
+``tests/oracles/scheduler.py``, the repo's standing oracle).
 
 Why per-bucket planning is exact
 --------------------------------

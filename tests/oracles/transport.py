@@ -1,23 +1,11 @@
-"""Throttled global-mode transfers (legacy per-message path).
+"""The per-message throttled exchange (one ``global_send_to_node`` per token).
 
-Several algorithms (the cluster-tree converge-cast of Theorem 1, the
-helper/intermediate relaying of Theorem 3, the skeleton scheduling of
-Lemma 9.3) need to move a batch of point-to-point messages through the global
-network while respecting the per-node, per-round capacity ``gamma`` on both the
-sending and the receiving side.  :func:`throttled_global_exchange` schedules an
-arbitrary batch of (sender, receiver, payload) triples over as many rounds as
-needed: in each round it greedily picks messages whose sender and receiver both
-still have budget left, sends them, and advances the round.  The number of
-rounds it takes is exactly the congestion-limited quantity the paper reasons
-about (max over nodes of words sent or received, divided by gamma, up to the
-greedy scheduling constant).
-
-This is the *legacy* engine: it submits one ``global_send_to_node`` per
-message and re-estimates payload sizes on every scheduling attempt.  Hot paths
-should use :func:`repro.simulator.engine.batched_global_exchange`, which
-implements the identical greedy schedule (same shards, same round counts) over
-the simulator's batch API; this module is kept for small-scale callers and as
-the comparison baseline for the equivalence tests and speedup benchmarks.
+:func:`throttled_global_exchange` schedules an arbitrary batch of
+:class:`GlobalTransfer` objects over as many rounds as the per-node global
+budget requires, with the same greedy-FIFO rule as
+:func:`oracles.scheduler.shard_transfers`, and re-estimates every payload
+size on every scheduling attempt.  It is the slowest and most literal
+formulation of the exchange, kept as an oracle for the plane engine.
 """
 
 from __future__ import annotations
@@ -30,8 +18,6 @@ from repro.simulator.messages import payload_words
 from repro.simulator.network import HybridSimulator
 
 Node = Hashable
-
-__all__ = ["GlobalTransfer", "throttled_global_exchange"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -61,7 +47,7 @@ def throttled_global_exchange(
 
     Returns a mapping ``receiver -> list of payloads`` in delivery order.
     Raises ``RuntimeError`` if ``max_rounds`` is given and the schedule would
-    exceed it (a safety net against accidental quadratic blow-ups in tests).
+    exceed it.
     """
     budget = simulator.global_budget_words()
     pending: deque = deque(transfers)
@@ -99,8 +85,7 @@ def throttled_global_exchange(
 
         if not scheduled_any and deferred:
             # Every remaining transfer is individually larger than the budget;
-            # send them one at a time anyway (a single oversized message is the
-            # sender's problem, and the simulator will flag it).
+            # force one through (the simulator flags the overload).
             transfer = deferred.popleft()
             simulator.global_send_to_node(
                 transfer.sender, transfer.receiver, transfer.payload, transfer.tag

@@ -5,7 +5,8 @@ Three layers of cross-validation over six graph families x three seeds:
 * **engine equivalence** — every algorithm of the shortest-paths stack
   (UnweightedApproxAPSP, SpannerAPSP, SkeletonAPSP, KSourceShortestPaths,
   KLShortestPaths, the BCC bridge) produces *identical* results and identical
-  metrics summaries under ``engine="batch"`` and ``engine="legacy"``;
+  metrics summaries on the plane path and on the legacy oracle engine
+  (``oracles.engines.exchange_via("legacy")``);
 * **dense-vs-reference equivalence** — the :class:`DenseDistanceTable`
   assembled from GraphIndex flat-array sweeps equals, entry for entry, the
   dict-BFS formulation of Algorithm 3 that the seed implementation used;
@@ -20,7 +21,9 @@ import random
 import pytest
 
 from repro.core.bcc import BCCBroadcast, BCCSimulator
+from repro.core.clustering import nq_clustering
 from repro.core.ksp import KSourceShortestPaths
+from repro.core.neighborhood_quality import neighborhood_quality
 from repro.core.shortest_paths import (
     DenseDistanceTable,
     KLShortestPaths,
@@ -49,6 +52,8 @@ from repro.graphs.properties import (
 from repro.graphs.weighted import assign_random_weights, unit_weights
 from repro.simulator.config import ModelConfig
 from repro.simulator.network import HybridSimulator
+
+from oracles.engines import exchange_via
 
 SEEDS = [0, 1, 2]
 
@@ -109,8 +114,9 @@ def test_apsp_engines_and_reference_pipeline_agree(case):
 
     def run(engine):
         sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
-        algorithm = UnweightedApproxAPSP(sim, epsilon=0.5, engine=engine)
-        return algorithm, algorithm.run(), sim
+        algorithm = UnweightedApproxAPSP(sim, epsilon=0.5)
+        with exchange_via(engine):
+            return algorithm, algorithm.run(), sim
 
     batch_algo, batch, batch_sim = run("batch")
     _, legacy, _ = run("legacy")
@@ -183,6 +189,31 @@ def test_dense_table_api_is_consistent():
         table.row("missing")
 
 
+def test_hinted_apsp_is_exact_on_a_path_on_every_engine():
+    """UnweightedApproxAPSP on precomputed NQ_n and clustering hints: on a
+    path every estimate is the exact distance, and the plane path and the
+    legacy oracle agree on the metrics and on every estimate."""
+    n = 64
+    graph = path_graph(n)
+    warmup = HybridSimulator(graph, ModelConfig.hybrid0(), seed=3)
+    nq = max(1, neighborhood_quality(graph, n))
+    clustering = nq_clustering(graph, n, nq=nq, id_of=warmup.id_of)
+
+    def run(engine):
+        sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=3)
+        algorithm = UnweightedApproxAPSP(sim, epsilon=0.5, nq=nq, clustering=clustering)
+        with exchange_via(engine):
+            return algorithm.run(), sim
+
+    batch, batch_sim = run("batch")
+    legacy, legacy_sim = run("legacy")
+    assert batch_sim.metrics.summary() == legacy_sim.metrics.summary()
+    assert batch_sim.metrics.capacity_violations == 0
+    for u in range(n):
+        for v in range(n):
+            assert batch.estimate(u, v) == legacy.estimate(u, v) == float(abs(u - v))
+
+
 # ----------------------------------------------------------------------
 # k-SP / (k, l)-SP / weighted APSP: batch == legacy exactly
 # ----------------------------------------------------------------------
@@ -196,14 +227,14 @@ def test_ksp_engines_agree_exactly(case, in_skeleton):
 
     def run(engine):
         sim = HybridSimulator(graph, ModelConfig.hybrid(), seed=seed)
-        result = KSourceShortestPaths(
-            sim,
-            sources,
-            epsilon=0.25,
-            sources_in_skeleton=in_skeleton,
-            seed=seed,
-            engine=engine,
-        ).run()
+        with exchange_via(engine):
+            result = KSourceShortestPaths(
+                sim,
+                sources,
+                epsilon=0.25,
+                sources_in_skeleton=in_skeleton,
+                seed=seed,
+            ).run()
         return result, sim
 
     batch, batch_sim = run("batch")
@@ -224,9 +255,10 @@ def test_klsp_engines_agree_exactly(case):
 
     def run(engine):
         sim = HybridSimulator(graph, ModelConfig.hybrid(), seed=seed)
-        table = KLShortestPaths(
-            sim, sources, targets, epsilon=0.25, seed=seed, engine=engine
-        ).run()
+        with exchange_via(engine):
+            table = KLShortestPaths(
+                sim, sources, targets, epsilon=0.25, seed=seed
+            ).run()
         return table, sim
 
     batch, batch_sim = run("batch")
@@ -241,12 +273,13 @@ def test_weighted_apsp_engines_agree_exactly(case):
     graph = assign_random_weights(GRAPH_FAMILIES[family](seed), max_weight=9, seed=seed)
 
     for algorithm_factory in (
-        lambda sim, engine: SpannerAPSP(sim, epsilon=0.5, engine=engine),
-        lambda sim, engine: SkeletonAPSP(sim, alpha=1, seed=seed, engine=engine),
+        lambda sim: SpannerAPSP(sim, epsilon=0.5),
+        lambda sim: SkeletonAPSP(sim, alpha=1, seed=seed),
     ):
         def run(engine):
             sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
-            return algorithm_factory(sim, engine).run(), sim
+            with exchange_via(engine):
+                return algorithm_factory(sim).run(), sim
 
         batch, batch_sim = run("batch")
         legacy, legacy_sim = run("legacy")
@@ -268,7 +301,8 @@ def test_bcc_engines_agree_and_deliver_everything(case):
 
     def run(engine):
         sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
-        return BCCBroadcast(sim, schedule, engine=engine).run(), sim
+        with exchange_via(engine):
+            return BCCBroadcast(sim, schedule).run(), sim
 
     batch, batch_sim = run("batch")
     legacy, legacy_sim = run("legacy")
@@ -288,7 +322,8 @@ def test_bcc_simulator_engines_agree():
 
     def run(engine):
         sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=1)
-        return BCCSimulator(sim, engine=engine).simulate_round(broadcasts), sim
+        with exchange_via(engine):
+            return BCCSimulator(sim).simulate_round(broadcasts), sim
 
     batch, batch_sim = run("batch")
     legacy, legacy_sim = run("legacy")

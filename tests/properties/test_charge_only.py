@@ -39,7 +39,6 @@ from repro.graphs.generators import (
 from repro.simulator import _accel
 from repro.simulator.config import ModelConfig
 from repro.simulator.engine import (
-    BatchAlgorithm,
     TokenPlane,
     batched_global_exchange,
     resilient_batched_global_exchange,
@@ -48,6 +47,8 @@ from repro.simulator.errors import ChargeOnlyError
 from repro.simulator.faults import CrashEvent, FaultSchedule, LinkFailure
 from repro.simulator.messages import GLOBAL_MODE
 from repro.simulator.network import HybridSimulator
+
+from oracles.scheduler import iter_triples
 
 SEEDS = [0, 1, 2]
 
@@ -149,7 +150,7 @@ def test_charge_view_shares_columns_and_drops_payloads(backend):
     # Idempotent: a charge-only plane is its own charge view.
     assert view.charge_view() is view
     with pytest.raises(ChargeOnlyError):
-        list(view.iter_triples(HybridSimulator(path_graph(6), ModelConfig.hybrid())))
+        list(iter_triples(view, HybridSimulator(path_graph(6), ModelConfig.hybrid())))
 
 
 def test_collect_from_charge_only_exchange_raises(backend):
@@ -173,14 +174,6 @@ def test_charge_only_inbox_read_raises(backend):
     batched_global_exchange(sim, [(0, 5, "x"), (1, 6, "y")], tag="g", collect=False)
     with pytest.raises(ChargeOnlyError):
         sim.per_node_inbox(GLOBAL_MODE)
-
-
-def test_charge_only_requires_the_batch_engine():
-    sim = HybridSimulator(path_graph(6), ModelConfig.hybrid())
-    with pytest.raises(ValueError, match="charge_only"):
-        BatchAlgorithm(sim, engine="legacy", charge_only=True)
-    with pytest.raises(ValueError, match="charge_only"):
-        KDissemination(sim, {0: ["t"]}, engine="batch-reference", charge_only=True)
 
 
 # ----------------------------------------------------------------------

@@ -33,6 +33,8 @@ from repro.graphs.weighted import assign_random_weights, unit_weights
 from repro.simulator.config import ModelConfig
 from repro.simulator.network import HybridSimulator
 
+from oracles.engines import exchange_via
+
 SEEDS = [0, 1, 2]
 
 GRAPH_FAMILIES = {
@@ -141,7 +143,8 @@ def test_apsp_matches_centralized_hop_truth(case, engine):
     }
 
     sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
-    table = UnweightedApproxAPSP(sim, epsilon=0.5, engine=engine).run()
+    with exchange_via(engine):
+        table = UnweightedApproxAPSP(sim, epsilon=0.5).run()
 
     stretch = max_stretch_of_table(truth, table.estimates)
     assert stretch <= table.stretch_bound + 1e-6
@@ -158,9 +161,10 @@ def test_ksp_matches_centralized_dijkstra(case, engine):
     truth = {s: exact_sssp(graph, s) for s in sources}
 
     sim = HybridSimulator(graph, ModelConfig.hybrid(), seed=seed)
-    result = KSourceShortestPaths(
-        sim, sources, epsilon=0.25, sources_in_skeleton=True, seed=seed, engine=engine
-    ).run()
+    with exchange_via(engine):
+        result = KSourceShortestPaths(
+            sim, sources, epsilon=0.25, sources_in_skeleton=True, seed=seed
+        ).run()
 
     for node in graph.nodes:
         for s in sources:
@@ -183,9 +187,8 @@ def test_klsp_matches_centralized_dijkstra(case, engine):
     truth = {t: exact_sssp(graph, t) for t in targets}
 
     sim = HybridSimulator(graph, ModelConfig.hybrid(), seed=seed)
-    table = KLShortestPaths(
-        sim, sources, targets, epsilon=0.25, seed=seed, engine=engine
-    ).run()
+    with exchange_via(engine):
+        table = KLShortestPaths(sim, sources, targets, epsilon=0.25, seed=seed).run()
 
     pairs = [(t, s) for t in targets for s in sources]
     stretch = max_stretch_of_table(truth, table.estimates, pairs=pairs)
@@ -200,7 +203,8 @@ def test_bcc_round_delivers_every_broadcast(case, engine):
     broadcasts = {v: ("bcast", v, seed) for v in graph.nodes}
 
     sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
-    result = BCCSimulator(sim, engine=engine).simulate_round(broadcasts)
+    with exchange_via(engine):
+        result = BCCSimulator(sim).simulate_round(broadcasts)
 
     assert result.all_nodes_received_everything()
     assert result.rounds_used > 0

@@ -37,6 +37,8 @@ from repro.graphs.properties import (
 from repro.simulator.config import ModelConfig
 from repro.simulator.network import HybridSimulator
 
+from oracles.engines import ENGINES, exchange_via
+
 SEEDS = [0, 1, 2]
 
 #: Six graph families; seed-dependent generators consume the seed directly,
@@ -153,14 +155,20 @@ def test_index_is_cached_and_invalidated():
     [pytest.param("grid", 0, id="grid"), pytest.param("erdos_renyi", 1, id="er")],
 )
 def test_distributed_engines_agree_and_match_centralized(family, seed):
+    """The plane frontier flood against both NQ flood oracles: the tuple
+    frontier flood matches it in every metric, the whole-ball flood in
+    values, rounds and charges while moving more local words."""
     graph = generate_graph(FAMILY_SPECS[family](seed))
     k = max(4, graph.number_of_nodes() // 3)
     results = {}
-    for engine in ("batch", "legacy"):
+    for engine in ENGINES:
         sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
-        results[engine] = DistributedNQComputation(sim, k, engine=engine).run()
-    batch, legacy = results["batch"], results["legacy"]
-    assert batch.nq == legacy.nq == neighborhood_quality(graph, k)
-    assert batch.per_node == legacy.per_node
+        with exchange_via(engine):
+            results[engine] = DistributedNQComputation(sim, k).run()
+    batch, tuples, legacy = (results[engine] for engine in ENGINES)
+    assert batch.nq == tuples.nq == legacy.nq == neighborhood_quality(graph, k)
+    assert batch.per_node == tuples.per_node == legacy.per_node
+    assert batch.metrics.summary() == tuples.metrics.summary()
     assert batch.metrics.measured_rounds == legacy.metrics.measured_rounds
     assert batch.metrics.total_rounds == legacy.metrics.total_rounds
+    assert batch.metrics.local_words < legacy.metrics.local_words

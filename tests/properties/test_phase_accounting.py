@@ -4,9 +4,9 @@ Two families of properties:
 
 * **Phase-log conservation** — :attr:`BatchAlgorithm.phase_log` records
   per-phase *deltas*; summed over a whole run they must reproduce the
-  simulator's final :class:`RoundMetrics` totals exactly, on every engine
-  (``batch``, ``batch-reference``, ``legacy``), so no round, charge, or
-  message is ever accounted outside a named phase.
+  simulator's final :class:`RoundMetrics` totals exactly, on the plane path
+  and on both oracle engines (``batch-reference``, ``legacy``), so no round,
+  charge, or message is ever accounted outside a named phase.
 * **Lazy all-pairs tables** — the lazy ``SkeletonAPSP`` /
   ``SqrtNSkeletonAPSP`` / ``KSourceShortestPaths`` assemblies moved only the
   table *construction* to first use: round/charge totals are pinned to the
@@ -34,7 +34,7 @@ from repro.graphs.weighted import assign_random_weights
 from repro.simulator.config import ModelConfig
 from repro.simulator.network import HybridSimulator
 
-ENGINES = ("batch", "batch-reference", "legacy")
+from oracles.engines import ENGINES, exchange_via
 
 GRAPH_FAMILIES = {
     "path": lambda seed: path_graph(24),
@@ -72,8 +72,9 @@ def test_dissemination_phase_log_sums_to_totals(case, engine):
     graph = GRAPH_FAMILIES[family](seed)
     sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
     tokens = {v: [("acct", sim.id_of(v))] for v in sim.nodes}
-    algorithm = KDissemination(sim, tokens, engine=engine)
-    algorithm.run()
+    algorithm = KDissemination(sim, tokens)
+    with exchange_via(engine):
+        algorithm.run()
     _assert_log_matches_totals(algorithm, sim.metrics)
 
 
@@ -84,8 +85,9 @@ def test_skeleton_apsp_phase_log_sums_to_totals(case, engine):
     family, seed = case
     graph = assign_random_weights(GRAPH_FAMILIES[family](seed), max_weight=7, seed=seed)
     sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
-    algorithm = SkeletonAPSP(sim, alpha=1, seed=seed, engine=engine)
-    algorithm.run()
+    algorithm = SkeletonAPSP(sim, alpha=1, seed=seed)
+    with exchange_via(engine):
+        algorithm.run()
     _assert_log_matches_totals(algorithm, sim.metrics)
 
 

@@ -1,7 +1,7 @@
 """Seeded randomized equivalence properties of the vectorised round engine.
 
-The token-plane scheduler must be **schedule-identical** to the retained
-greedy reference (``_reference_shard_transfers``) on every workload shape —
+The token-plane scheduler must be **schedule-identical** to the greedy
+reference (``oracles.scheduler.shard_transfers``) on every workload shape —
 uncongested, congested, mixed token sizes, oversized tokens hitting the
 forced-through branch — under both array backends (NumPy and the pure-Python
 fallback).  The bulk id-native send paths must produce the same inboxes,
@@ -21,13 +21,15 @@ from repro.simulator.config import ModelConfig
 from repro.simulator.engine import (
     ExchangeTag,
     TokenPlane,
-    _reference_batched_global_exchange,
-    _reference_shard_transfers,
     batched_global_exchange,
     plan_token_rounds,
 )
 from repro.simulator.messages import GLOBAL_MODE, LOCAL_MODE, payload_words
 from repro.simulator.network import HybridSimulator
+
+from oracles.engines import ENGINES, ORACLES, exchange_via
+from oracles.scheduler import reference_batched_global_exchange, shard_transfers
+from oracles.transport import GlobalTransfer, throttled_global_exchange
 
 SEEDS = [0, 1, 2, 3, 4]
 
@@ -111,7 +113,7 @@ def _reference_schedule(senders, receivers, words, budget, tag_words):
     ]
     return [
         [token[2][1] for token in shard]
-        for shard in _reference_shard_transfers(tokens, budget, tag_words)
+        for shard in shard_transfers(tokens, budget, tag_words)
     ]
 
 
@@ -169,11 +171,19 @@ def test_exchange_engines_deliver_identically(seed, backend):
     plane_sim = fresh()
     reference_sim = fresh()
     delivered_plane = batched_global_exchange(plane_sim, list(triples), tag="rt")
-    delivered_reference = _reference_batched_global_exchange(
+    delivered_reference = reference_batched_global_exchange(
         reference_sim, list(triples), tag="rt"
     )
     assert delivered_plane == delivered_reference
     assert plane_sim.metrics.summary() == reference_sim.metrics.summary()
+
+    legacy_sim = fresh()
+    delivered_legacy = throttled_global_exchange(
+        legacy_sim,
+        [GlobalTransfer(sender=u, receiver=v, payload=p, tag="rt") for u, v, p in triples],
+    )
+    assert delivered_legacy == delivered_plane
+    assert legacy_sim.metrics.summary() == plane_sim.metrics.summary()
 
     # collect=False runs the identical schedule without assembling results.
     silent_sim = fresh()
@@ -200,7 +210,7 @@ def test_exchange_equivalence_under_hybrid0(seed, backend):
 
     plane, plane_sim = run(lambda sim, t: batched_global_exchange(sim, t, tag="h0"))
     reference, reference_sim = run(
-        lambda sim, t: _reference_batched_global_exchange(sim, t, tag="h0")
+        lambda sim, t: reference_batched_global_exchange(sim, t, tag="h0")
     )
     assert plane == reference
     assert plane_sim.metrics.summary() == reference_sim.metrics.summary()
@@ -356,34 +366,85 @@ def test_plane_send_enforces_hybrid0_knowledge(backend):
 # ----------------------------------------------------------------------
 # End-to-end: the three engines agree on a full algorithm run
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("engine", ["batch", "batch-reference", "legacy"])
-def test_dissemination_engines_agree_on_pinned_instance(engine, backend):
+def _hinted_dissemination(sim):
+    """KDissemination on precomputed NQ_k and clustering hints."""
+    from repro.core.clustering import nq_clustering
     from repro.core.dissemination import KDissemination
+    from repro.core.neighborhood_quality import neighborhood_quality
 
-    graph = path_graph(30)
     rng = random.Random(5)
     tokens = {}
-    for index in range(16):
-        tokens.setdefault(rng.randrange(30), []).append(("tok", index))
-    sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=5)
-    result = KDissemination(sim, tokens, engine=engine).run()
-    assert result.all_nodes_know_all_tokens()
-    assert result.metrics.capacity_violations == 0
-    summary = result.metrics.summary()
-    # All engines and both backends must produce this exact summary; pin the
-    # discriminating fields against cross-engine drift.
-    assert summary["measured_rounds"] == summary["measured_rounds"]
-    key = (
-        summary["measured_rounds"],
-        summary["total_rounds"],
-        summary["global_messages"],
-        summary["global_words"],
-    )
-    pinned = getattr(test_dissemination_engines_agree_on_pinned_instance, "_pin", None)
-    if pinned is None:
-        test_dissemination_engines_agree_on_pinned_instance._pin = key
+    for index in range(48):
+        tokens.setdefault(rng.randrange(sim.n), []).append(("tok", index))
+    nq = max(1, neighborhood_quality(sim.graph, 48))
+    clustering = nq_clustering(sim.graph, 48, nq=nq, id_of=sim.id_of)
+    return KDissemination(sim, tokens, nq=nq, clustering=clustering).run()
+
+
+def _sssp_label_pipeline(sim):
+    """ApproxSSSP from node 0, then a Theorem 1 broadcast of its labels."""
+    from repro.core.dissemination import KDissemination
+    from repro.core.sssp import ApproxSSSP
+
+    sssp = ApproxSSSP(sim, 0, epsilon=0.25).run()
+    labels = [("sssp-label", node, sssp.distances[node]) for node in range(24)]
+    return KDissemination(sim, {0: labels}).run()
+
+
+@pytest.mark.parametrize(
+    "workload",
+    [_hinted_dissemination, _sssp_label_pipeline],
+    ids=["dissemination", "sssp-labels"],
+)
+def test_engines_agree_on_whole_algorithms(workload, backend):
+    """The plane path and both oracle engines, on identically seeded
+    simulators, deliver everything with identical metrics and results."""
+    outcomes = {}
+    for engine in ENGINES:
+        sim = HybridSimulator(path_graph(40), ModelConfig.hybrid0(), seed=5)
+        with exchange_via(engine):
+            result = workload(sim)
+        assert result.all_nodes_know_all_tokens(), engine
+        assert result.metrics.capacity_violations == 0, engine
+        outcomes[engine] = (result.metrics.summary(), result.known_tokens)
+    plane = outcomes["batch"]
+    assert plane[0]["measured_rounds"] > 0
+    for engine in ORACLES:
+        assert outcomes[engine][0] == plane[0], f"backend={backend} {engine}"
+        assert outcomes[engine][1] == plane[1], f"backend={backend} {engine}"
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_exchange_via_routes_every_send_through_the_named_engine(engine, monkeypatch):
+    """The engine swap is real: the plane path queues only planes, the tuple
+    oracle only tuple batches, the legacy oracle one message per call; and
+    the production methods are back in place after the block."""
+    from repro.core.dissemination import KDissemination
+    from repro.simulator.engine import BatchAlgorithm
+
+    calls = {"global_send_plane": 0, "global_send_batch": 0, "global_send_to_node": 0}
+    for method in calls:
+        original = getattr(HybridSimulator, method)
+
+        def counting(self, *args, _name=method, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(HybridSimulator, method, counting)
+    exchange = BatchAlgorithm.exchange
+    sim = HybridSimulator(path_graph(30), ModelConfig.hybrid0(), seed=5)
+    tokens = {node: [("tok", node)] for node in range(0, 30, 3)}
+    with exchange_via(engine):
+        assert KDissemination(sim, tokens).run().all_nodes_know_all_tokens()
+    assert BatchAlgorithm.exchange is exchange
+    plane, batch, per_message = calls.values()
+    if engine == "batch":
+        assert plane > 0 and batch == 0 and per_message == 0
+    elif engine == "batch-reference":
+        assert plane == 0 and batch > 0 and per_message == 0
     else:
-        assert key == pinned, f"engine={engine} backend={backend} drifted: {key} != {pinned}"
+        # Each per-message send is a one-record tuple batch underneath.
+        assert plane == 0 and per_message > 0 and batch == per_message
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 The :class:`~repro.simulator.sharding.ShardedPlanner` must be
 **token-for-token schedule-identical** to the single-process planner (and
-hence to ``_reference_shard_transfers``, the repo's standing oracle) for
+hence to ``oracles.scheduler.shard_transfers``, the repo's standing oracle) for
 every shard count, on every workload shape, under both array backends —
 including the branches where sharding declines to engage (oversized tokens,
 single-component traffic) and the branch where buckets execute on a real
@@ -37,7 +37,6 @@ from repro.simulator import engine as engine_module
 from repro.simulator.config import ModelConfig
 from repro.simulator.engine import (
     TokenPlane,
-    _reference_shard_transfers,
     batched_global_exchange,
     install_planner,
     installed_planner,
@@ -45,6 +44,8 @@ from repro.simulator.engine import (
 )
 from repro.simulator.network import HybridSimulator
 from repro.simulator.sharding import ShardedPlanner
+
+from oracles.scheduler import shard_transfers
 
 SEEDS = [0, 1, 2]
 WORKER_COUNTS = [1, 2, 4, 7]
@@ -124,7 +125,7 @@ def _reference_schedule(senders, receivers, words, budget, tag_words):
     ]
     return [
         [token[2][1] for token in shard]
-        for shard in _reference_shard_transfers(tokens, budget, tag_words)
+        for shard in shard_transfers(tokens, budget, tag_words)
     ]
 
 

@@ -25,6 +25,8 @@ from repro.graphs.weighted import assign_random_weights, unit_weights
 from repro.simulator.config import ModelConfig
 from repro.simulator.network import HybridSimulator
 
+from oracles.engines import exchange_via
+
 
 class TestCentralizedReferences:
     def test_exact_sssp_matches_hops_on_unweighted(self):
@@ -132,17 +134,13 @@ class TestNaiveGlobalBroadcast:
 
         def run(engine):
             sim = HybridSimulator(g, ModelConfig.hybrid(), seed=0)
-            return NaiveGlobalBroadcast(sim, tokens, engine=engine).run()
+            with exchange_via(engine):
+                return NaiveGlobalBroadcast(sim, tokens).run()
 
         batch, legacy = run("batch"), run("legacy")
         assert batch.known_tokens == legacy.known_tokens
         assert batch.metrics.summary() == legacy.metrics.summary()
         assert batch.all_nodes_know_all_tokens()
-
-    def test_rejects_unknown_engine(self):
-        sim = HybridSimulator(path_graph(4), ModelConfig.hybrid(), seed=0)
-        with pytest.raises(ValueError):
-            NaiveGlobalBroadcast(sim, {0: ["x"]}, engine="bogus")
 
 
 class TestSqrtNSkeletonAPSP:

@@ -4,7 +4,8 @@ In strict mode (the default, used everywhere the paper claims a budget holds)
 capacity overruns raise; with ``strict=False`` they must be *counted* in
 ``RoundMetrics.capacity_violations`` while the traffic is still delivered —
 and the count must be identical whichever send path (tuple or id-native
-plane) or engine (batch / batch-reference / legacy) carried the messages,
+plane) or engine (the plane exchange or one of the oracle engines in
+``tests/oracles``) carried the messages,
 including the oversized-message branches where a single token exceeds the
 whole per-node or per-edge budget.
 """
@@ -15,7 +16,7 @@ import pytest
 
 from repro.graphs.generators import path_graph
 from repro.simulator.config import ModelConfig
-from repro.simulator.engine import ENGINES, BatchAlgorithm
+from repro.simulator.engine import BatchAlgorithm
 from repro.simulator.errors import (
     CapacityExceededError,
     LocalBandwidthExceededError,
@@ -23,6 +24,8 @@ from repro.simulator.errors import (
 from repro.simulator.faults import CapacityDegradation, FaultSchedule
 from repro.simulator.messages import GLOBAL_MODE, LOCAL_MODE
 from repro.simulator.network import HybridSimulator
+
+from oracles.engines import ENGINES, exchange_via
 
 
 def _overflow_workload(sim):
@@ -152,8 +155,8 @@ def test_local_oversized_raises_in_strict_mode(path):
 class _OversizedExchange(BatchAlgorithm):
     """One-phase algorithm pushing a workload with oversized tokens."""
 
-    def __init__(self, simulator, triples, engine):
-        super().__init__(simulator, engine=engine)
+    def __init__(self, simulator, triples):
+        super().__init__(simulator)
         self.triples = triples
         self.delivered = None
 
@@ -167,8 +170,7 @@ class _OversizedExchange(BatchAlgorithm):
         return self.delivered
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_exchange_engines_agree_in_degraded_mode(engine):
+def test_exchange_engines_agree_in_degraded_mode():
     graph = path_graph(16)
     config = ModelConfig.hybrid(strict=False)
     budget = HybridSimulator(graph, config).global_budget_words()
@@ -177,23 +179,23 @@ def test_exchange_engines_agree_in_degraded_mode(engine):
     triples.insert(7, (5, 9, oversized))
     triples.append((6, 10, oversized))
 
-    sim = HybridSimulator(graph, config, seed=2)
-    delivered = _OversizedExchange(sim, triples, engine).run()
-    assert delivered[9].count(oversized) == 1
-    assert delivered[10].count(oversized) == 1
-    summary = sim.metrics.summary()
-    assert summary["capacity_violations"] > 0
-    key = (
-        summary["measured_rounds"],
-        summary["global_messages"],
-        summary["global_words"],
-        summary["capacity_violations"],
-    )
-    pinned = getattr(test_exchange_engines_agree_in_degraded_mode, "_pin", None)
-    if pinned is None:
-        test_exchange_engines_agree_in_degraded_mode._pin = key
-    else:
-        assert key == pinned, f"engine={engine} drifted in degraded mode: {key} != {pinned}"
+    counts = {}
+    for engine in ENGINES:
+        sim = HybridSimulator(graph, config, seed=2)
+        with exchange_via(engine):
+            delivered = _OversizedExchange(sim, triples).run()
+        assert delivered[9].count(oversized) == 1, engine
+        assert delivered[10].count(oversized) == 1, engine
+        summary = sim.metrics.summary()
+        counts[engine] = (
+            summary["measured_rounds"],
+            summary["global_messages"],
+            summary["global_words"],
+            summary["capacity_violations"],
+        )
+    assert counts["batch"][3] > 0
+    assert counts["batch-reference"] == counts["batch"], counts
+    assert counts["legacy"] == counts["batch"], counts
 
 
 # ----------------------------------------------------------------------

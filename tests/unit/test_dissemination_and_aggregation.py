@@ -11,7 +11,7 @@ from repro.core.dissemination import (
     KDissemination,
     build_cluster_tree,
     match_cluster_tree_ids,
-    rank_matched_transfers,
+    rank_matched_triples,
 )
 from repro.core.clustering import nq_clustering
 from repro.core.neighborhood_quality import neighborhood_quality
@@ -22,8 +22,12 @@ from repro.graphs.generators import (
     path_graph,
     star_graph,
 )
+from repro.simulator import _accel
 from repro.simulator.config import ModelConfig, log2_ceil
+from repro.simulator.messages import payload_words
 from repro.simulator.network import HybridSimulator
+
+from oracles.scheduler import iter_triples
 
 
 def scatter(graph, k, seed=0, concentrated=False):
@@ -77,20 +81,77 @@ class TestClusterTree:
                 assert sim.knows_id(member, sim.id_of(counterpart))
                 assert sim.knows_id(counterpart, sim.id_of(member))
 
-    def test_rank_matched_transfers_only_use_matched_pairs(self):
+    def test_rank_matched_triples_only_use_matched_pairs(self):
         g = grid_graph(5, 2)
         sim = HybridSimulator(g, ModelConfig.hybrid0(), seed=0)
         clustering = nq_clustering(g, 12, id_of=sim.id_of)
         assert len(clustering.clusters) >= 2
         source, target = clustering.clusters[0], clustering.clusters[1]
         payloads = [("p", i) for i in range(17)]
-        transfers = rank_matched_transfers(sim, source, target, payloads, "t")
-        assert len(transfers) == 17
         source_members = sorted(source.members, key=sim.id_of)
         target_members = sorted(target.members, key=sim.id_of)
-        for transfer in transfers:
-            rank = source_members.index(transfer.sender)
-            assert transfer.receiver == target_members[rank % len(target_members)]
+        triples = rank_matched_triples(source_members, target_members, payloads)
+        assert [payload for _, _, payload in triples] == payloads
+        for sender, receiver, _ in triples:
+            rank = source_members.index(sender)
+            assert receiver == target_members[rank % len(target_members)]
+
+
+@pytest.mark.parametrize("backend", ["numpy", "python"])
+def test_level_planes_lower_to_the_rank_matched_tuple_workload(backend, monkeypatch):
+    """Every cluster-tree level plane KDissemination submits, lowered to
+    tuples, is token for token the :func:`rank_matched_triples` workload of
+    that level's edges: same senders, receivers, payloads, words and order."""
+    if backend == "python":
+        monkeypatch.setattr(_accel, "np", None)
+    elif _accel.np is None:
+        pytest.skip("NumPy not available; vectorised leg is inactive")
+    graph = grid_graph(6, 2)
+    rng = random.Random(4)
+    nodes = sorted(graph.nodes)
+    tokens = {}
+    for i in range(30):
+        # Mixed token sizes exercise the per-rank words table.
+        token = ("tok", i) if i % 3 else ("wide", i, "x" * (8 * (i % 5)))
+        tokens.setdefault(rng.choice(nodes), []).append(token)
+    sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=4)
+    built = []
+    build = KDissemination._build_level_plane
+
+    def recording(self, edges):
+        plane = build(self, edges)
+        built.append((list(edges), plane))
+        return plane
+
+    monkeypatch.setattr(KDissemination, "_build_level_plane", recording)
+    algorithm = KDissemination(sim, tokens)
+    result = algorithm.run()
+    assert result.all_nodes_know_all_tokens()
+
+    members = {
+        cluster.index: sorted(cluster.members, key=sim.id_of)
+        for cluster in algorithm.clustering.clusters
+    }
+    sorted_tokens = sorted(algorithm.all_tokens, key=str)
+    words = {token: payload_words(token) for token in sorted_tokens}
+    lowered = 0
+    for edges, plane in built:
+        expected = []
+        for source, target, ranks in edges:
+            expected.extend(
+                rank_matched_triples(
+                    members[source],
+                    members[target],
+                    [sorted_tokens[rank] for rank in ranks],
+                    words,
+                )
+            )
+        if not expected:
+            assert plane is None
+            continue
+        assert list(iter_triples(plane, sim)) == expected
+        lowered += 1
+    assert lowered >= 2
 
 
 class TestKDissemination:

@@ -1,10 +1,11 @@
 """Unit tests for virtual-tree overlays (Lemmas 4.3-4.6), load balancing
-(Lemma 4.1) and the throttled global transport."""
+(Lemma 4.1) and the throttled global transport oracle."""
 
 import math
 
 import pytest
 
+from repro.core import overlay
 from repro.core.load_balancing import balance_items, cluster_load_balance
 from repro.core.overlay import (
     aggregate_via_tree,
@@ -14,10 +15,13 @@ from repro.core.overlay import (
     build_virtual_tree,
     build_virtual_tree_on_subset,
 )
-from repro.core.transport import GlobalTransfer, throttled_global_exchange
 from repro.graphs.generators import grid_graph, path_graph
+from repro.simulator import _accel
 from repro.simulator.config import ModelConfig, log2_ceil
 from repro.simulator.network import HybridSimulator
+
+from oracles import overlay as tree_oracle
+from oracles.transport import GlobalTransfer, throttled_global_exchange
 
 
 def make_sim(graph=None, hybrid0=True, seed=0, **kwargs):
@@ -137,6 +141,79 @@ class TestTreeAggregationAndBroadcast:
         log_n = log2_ceil(64)
         # Lemma 4.4: eO(1) rounds; with our constants that is <= ~4 log^2 n.
         assert sim.metrics.total_rounds <= 6 * log_n * log_n
+
+
+@pytest.fixture(params=["numpy", "python"])
+def backend(request, monkeypatch):
+    """Run the test body under both array backends."""
+    if request.param == "python":
+        monkeypatch.setattr(_accel, "np", None)
+    elif _accel.np is None:
+        pytest.skip("NumPy not available; vectorised leg is inactive")
+    return request.param
+
+
+TREE_GRAPHS = {"grid5": lambda: grid_graph(5, 2), "path31": lambda: path_graph(31)}
+
+
+def _add(a, b):
+    return a + b
+
+
+@pytest.mark.parametrize("mode", tree_oracle.MODES)
+@pytest.mark.parametrize("graph", sorted(TREE_GRAPHS))
+class TestDefaultTreeOpsMatchTheOracles:
+    """The default (plane) tree operations against the tuple and per-message
+    oracles: same result, same rounds, same metrics summary."""
+
+    def _pair(self, graph):
+        return make_sim(TREE_GRAPHS[graph]()), make_sim(TREE_GRAPHS[graph]())
+
+    def test_aggregate_via_tree(self, graph, mode, backend):
+        plane_sim, oracle_sim = self._pair(graph)
+        values = {v: i for i, v in enumerate(plane_sim.nodes) if i % 3}
+        tree = build_virtual_tree(plane_sim)
+        oracle_tree = build_virtual_tree(oracle_sim)
+        got = aggregate_via_tree(plane_sim, tree, values, _add)
+        want = tree_oracle.aggregate_via_tree(
+            oracle_sim, oracle_tree, values, _add, mode=mode
+        )
+        assert got == want
+        assert plane_sim.round == oracle_sim.round
+        assert plane_sim.metrics.summary() == oracle_sim.metrics.summary()
+
+    def test_broadcast_via_tree(self, graph, mode, backend):
+        plane_sim, oracle_sim = self._pair(graph)
+        got = broadcast_via_tree(plane_sim, build_virtual_tree(plane_sim), ("b", 1))
+        want = tree_oracle.broadcast_via_tree(
+            oracle_sim, build_virtual_tree(oracle_sim), ("b", 1), mode=mode
+        )
+        assert got == want
+        assert plane_sim.round == oracle_sim.round
+        assert plane_sim.metrics.summary() == oracle_sim.metrics.summary()
+
+    def test_basic_aggregation(self, graph, mode, backend):
+        plane_sim, oracle_sim = self._pair(graph)
+        values = {v: 1 for v in plane_sim.nodes}
+        got = basic_aggregation(plane_sim, values, max)
+        want = tree_oracle.basic_aggregation(oracle_sim, values, max, mode=mode)
+        assert got == want
+        assert plane_sim.round == oracle_sim.round
+        assert plane_sim.metrics.summary() == oracle_sim.metrics.summary()
+
+    def test_basic_dissemination_down_cast(self, graph, mode, backend, monkeypatch):
+        plane_sim, oracle_sim = self._pair(graph)
+        source = plane_sim.nodes[7]
+        got = basic_dissemination(plane_sim, source, ("token", 42))
+
+        def oracle_broadcast(simulator, tree, value):
+            return tree_oracle.broadcast_via_tree(simulator, tree, value, mode=mode)
+
+        monkeypatch.setattr(overlay, "broadcast_via_tree", oracle_broadcast)
+        want = basic_dissemination(oracle_sim, source, ("token", 42))
+        assert got == want
+        assert plane_sim.round == oracle_sim.round
+        assert plane_sim.metrics.summary() == oracle_sim.metrics.summary()
 
 
 class TestLoadBalancing:

@@ -3,8 +3,9 @@
 The batch messaging engine must not change algorithm *behavior* — only how
 fast the simulation executes.  These tests pin the exact round counts of
 ``KDissemination`` and ``ApproxSSSP`` on fixed seeded instances, for both the
-batch and the legacy engine, so any scheduling drift in a future refactor
-fails loudly instead of silently shifting the paper's reproduced numbers.
+plane path and the legacy oracle engine (``oracles.engines.exchange_via``),
+so any scheduling drift in a future refactor fails loudly instead of
+silently shifting the paper's reproduced numbers.
 
 If a change *intentionally* alters round counts (e.g. a different cluster-tree
 shape), update the pinned constants and say so in the commit message.
@@ -23,6 +24,8 @@ from repro.core.sssp import ApproxSSSP
 from repro.graphs.generators import grid_graph, path_graph
 from repro.simulator.config import ModelConfig
 from repro.simulator.network import HybridSimulator
+
+from oracles.engines import exchange_via
 
 # (label, graph builder, k, seed) -> (measured_rounds, total_rounds, global_messages)
 DISSEMINATION_PINS = {
@@ -109,7 +112,8 @@ def test_dissemination_round_counts_are_pinned(pin, engine):
     graph = GRAPHS[label]()
     tokens = _scatter(graph, k, seed)
     sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
-    result = KDissemination(sim, tokens, engine=engine).run()
+    with exchange_via(engine):
+        result = KDissemination(sim, tokens).run()
     expected = DISSEMINATION_PINS[pin]
     actual = (
         result.metrics.measured_rounds,
@@ -130,7 +134,8 @@ def test_sssp_round_counts_are_pinned(pin, engine):
     label, epsilon, seed = pin
     graph = GRAPHS[label]()
     sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
-    result = ApproxSSSP(sim, 0, epsilon=epsilon, engine=engine).run()
+    with exchange_via(engine):
+        result = ApproxSSSP(sim, 0, epsilon=epsilon).run()
     expected = SSSP_PINS[pin]
     actual = (result.metrics.measured_rounds, result.metrics.total_rounds)
     assert actual == expected
@@ -142,7 +147,8 @@ def test_distributed_nq_round_counts_are_pinned(pin, engine):
     label, k, seed = pin
     graph = GRAPHS[label]()
     sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
-    result = DistributedNQComputation(sim, k, engine=engine).run()
+    with exchange_via(engine):
+        result = DistributedNQComputation(sim, k).run()
     expected = NQ_PINS[pin]
     actual = (
         result.nq,
@@ -164,7 +170,8 @@ def test_distributed_nq_engines_agree_exactly(pin):
 
     def run(engine):
         sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
-        return DistributedNQComputation(sim, k, engine=engine).run()
+        with exchange_via(engine):
+            return DistributedNQComputation(sim, k).run()
 
     batch, legacy = run("batch"), run("legacy")
     assert batch.nq == legacy.nq
@@ -189,7 +196,8 @@ def test_batch_and_legacy_engines_agree_exactly(pin):
 
     def run(engine):
         sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
-        return KDissemination(sim, tokens, engine=engine).run()
+        with exchange_via(engine):
+            return KDissemination(sim, tokens).run()
 
     batch, legacy = run("batch"), run("legacy")
     assert batch.metrics.summary() == legacy.metrics.summary()
@@ -213,7 +221,8 @@ def test_apsp_round_counts_are_pinned(pin, engine):
     label, epsilon, seed = pin
     graph = GRAPHS[label]()
     sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
-    UnweightedApproxAPSP(sim, epsilon=epsilon, engine=engine).run()
+    with exchange_via(engine):
+        UnweightedApproxAPSP(sim, epsilon=epsilon).run()
     assert _metrics_triple(sim) == APSP_PINS[pin], (
         f"{label} eps={epsilon} engine={engine}: APSP rounds/messages "
         f"{_metrics_triple(sim)} drifted from the pinned {APSP_PINS[pin]}"
@@ -231,14 +240,14 @@ def test_ksp_round_counts_are_pinned(pin, engine):
     nodes = sorted(graph.nodes)
     sources = nodes[::7] if in_skeleton else nodes[:5]
     sim = HybridSimulator(graph, ModelConfig.hybrid(), seed=seed)
-    KSourceShortestPaths(
-        sim,
-        sources,
-        epsilon=0.25,
-        sources_in_skeleton=in_skeleton,
-        seed=seed,
-        engine=engine,
-    ).run()
+    with exchange_via(engine):
+        KSourceShortestPaths(
+            sim,
+            sources,
+            epsilon=0.25,
+            sources_in_skeleton=in_skeleton,
+            seed=seed,
+        ).run()
     assert _metrics_triple(sim) == KSP_PINS[pin], (
         f"{label} in_skeleton={in_skeleton} engine={engine}: k-SP rounds "
         f"{_metrics_triple(sim)} drifted from the pinned {KSP_PINS[pin]}"
@@ -255,7 +264,8 @@ def test_bcc_broadcast_round_counts_are_pinned(pin, engine):
         {v: (f"round{i}", v) for v in graph.nodes} for i in range(bcc_rounds)
     ]
     sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
-    result = BCCBroadcast(sim, schedule, engine=engine).run()
+    with exchange_via(engine):
+        result = BCCBroadcast(sim, schedule).run()
     assert result.all_rounds_complete()
     assert _metrics_triple(sim) == BCC_PINS[pin], (
         f"{label} rounds={bcc_rounds} engine={engine}: BCC rounds "
@@ -270,9 +280,8 @@ def test_klsp_round_counts_are_pinned(pin, engine):
     graph = GRAPHS[label]()
     nodes = sorted(graph.nodes)
     sim = HybridSimulator(graph, ModelConfig.hybrid(), seed=seed)
-    KLShortestPaths(
-        sim, nodes[:6], nodes[-8:], epsilon=epsilon, seed=seed, engine=engine
-    ).run()
+    with exchange_via(engine):
+        KLShortestPaths(sim, nodes[:6], nodes[-8:], epsilon=epsilon, seed=seed).run()
     assert _metrics_triple(sim) == KLSP_PINS[pin], (
         f"{label} eps={epsilon} engine={engine}: (k,l)-SP rounds "
         f"{_metrics_triple(sim)} drifted from the pinned {KLSP_PINS[pin]}"
@@ -289,7 +298,8 @@ def test_apsp_engines_agree_exactly(pin):
 
     def run(engine):
         sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
-        return UnweightedApproxAPSP(sim, epsilon=epsilon, engine=engine).run()
+        with exchange_via(engine):
+            return UnweightedApproxAPSP(sim, epsilon=epsilon).run()
 
     batch, legacy = run("batch"), run("legacy")
     assert batch.metrics.summary() == legacy.metrics.summary()
