@@ -115,9 +115,10 @@ def match_cluster_tree_ids(
     ``member_arrays`` (optional) supplies the id-sorted member node-index
     array of each cluster — the permutation-array ranges the plane engine
     already holds — in which case the matching is assembled as flat learner /
-    learned index columns and applied with one grouped pass instead of a
-    Python loop per matched position.  The knowledge learned is identical
-    either way (the same set of (node, identifier) facts).
+    learned index columns and recorded in the knowledge tracker's pair store
+    with one merge instead of a Python loop per matched position.  The
+    knowledge learned is identical either way (the same set of (node,
+    identifier) facts).
     """
     identifier_of = simulator.node_identifiers()
     np = _accel.np
@@ -136,25 +137,13 @@ def match_cluster_tree_ids(
             learned_chunks.extend((b, a))
         if not learner_chunks:
             return
-        learner_col = np.concatenate(learner_chunks)
-        learned_col = np.concatenate(learned_chunks)
-        order = np.argsort(learner_col, kind="stable")
-        learner_col = learner_col[order]
-        learned_col = learned_col[order]
-        take = simulator._identifier_take()
-        learned_ids = take(learned_col)
-        starts = np.flatnonzero(
-            np.concatenate(
-                (np.ones(1, dtype=bool), learner_col[1:] != learner_col[:-1])
-            )
+        simulator.knowledge.learn_index_pairs(
+            np.concatenate(learner_chunks), np.concatenate(learned_chunks)
         )
-        bounds = np.append(starts, learner_col.size).tolist()
-        learner_ids = take(learner_col[starts])
-        learn_known = simulator.knowledge.learn_known
-        for g, learner_id in enumerate(learner_ids):
-            learn_known(learner_id, learned_ids[bounds[g] : bounds[g + 1]])
         return
-    learned: Dict[Node, Set[int]] = defaultdict(set)
+    indexer = simulator.node_indexer()
+    learners: List[int] = []
+    learned: List[int] = []
     for child_index, parent_index in cluster_tree.parent.items():
         if parent_index is None:
             continue
@@ -164,13 +153,11 @@ def match_cluster_tree_ids(
         parent_members = sorted(parent.members, key=identifier_of.__getitem__)
         span = max(len(child_members), len(parent_members))
         for position in range(span):
-            a = child_members[position % len(child_members)]
-            b = parent_members[position % len(parent_members)]
-            learned[a].add(identifier_of[b])
-            learned[b].add(identifier_of[a])
-    learn_known = simulator.knowledge.learn_known
-    for node, identifiers in learned.items():
-        learn_known(identifier_of[node], identifiers)
+            a = indexer[child_members[position % len(child_members)]]
+            b = indexer[parent_members[position % len(parent_members)]]
+            learners += (a, b)
+            learned += (b, a)
+    simulator.knowledge.learn_index_pairs(learners, learned)
 
 
 def rank_matched_indices(

@@ -151,15 +151,16 @@ def build_virtual_tree_on_subset(
 
 
 def _teach_tree_ids(simulator: HybridSimulator, tree: VirtualTree) -> None:
-    identifiers = simulator.node_identifiers()
-    learn_known = simulator.knowledge.learn_known
-    for node in tree.order:
-        relatives = {identifiers[child] for child in tree.children[node]}
-        parent = tree.parent[node]
-        if parent is not None:
-            relatives.add(identifiers[parent])
-        if relatives:
-            learn_known(identifiers[node], relatives)
+    """Every tree node learns its parent's and children's identifiers."""
+    idx, parent_idx = _tree_plane_layout(simulator, tree)
+    np = _accel.np
+    if np is not None and isinstance(idx, np.ndarray):
+        learners = np.concatenate((idx[1:], parent_idx[1:]))
+        learned = np.concatenate((parent_idx[1:], idx[1:]))
+    else:
+        learners = idx[1:] + parent_idx[1:]
+        learned = parent_idx[1:] + idx[1:]
+    simulator.knowledge.learn_index_pairs(learners, learned)
 
 
 def _tree_plane_layout(simulator: HybridSimulator, tree: VirtualTree):

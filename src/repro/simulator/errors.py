@@ -18,6 +18,7 @@ __all__ = [
     "StaleGraphError",
     "UnknownNodeError",
     "ChargeOnlyError",
+    "PairKeyOverflowError",
 ]
 
 
@@ -73,3 +74,9 @@ class StaleGraphError(SimulatorError):
     means those arrays describe a graph that no longer exists.  Call
     ``HybridSimulator.invalidate_index()`` after mutating the graph to
     resynchronise."""
+
+
+class PairKeyOverflowError(SimulatorError, OverflowError):
+    """The network is too large for the simulator's flat ``a * n + b`` int64
+    pair keys (knowledge pairs, failed edges, send validation), which would
+    otherwise wrap silently."""

@@ -122,7 +122,7 @@ from repro.simulator.errors import (
     UnknownIdentifierError,
     UnknownNodeError,
 )
-from repro.simulator.knowledge import KnowledgeTracker
+from repro.simulator.knowledge import KnowledgeTracker, check_pair_key_range
 from repro.simulator.messages import GLOBAL_MODE, LOCAL_MODE, Message, payload_words
 from repro.simulator.metrics import RoundMetrics
 from repro.simulator.sharding import span_keep_mask
@@ -138,10 +138,9 @@ BatchRecord = Tuple[Node, Any, Optional[str], int]
 
 
 # HYBRID_0 identifiers come from a polynomial range [n^c] (c = 3).  The
-# range is capped so every identifier fits both a C ssize_t (required by
-# random.sample over a range) and an int64 (required by the packed
-# knowledge arrays); the cap stays >= n^2 for any graph that fits memory,
-# so identifier collisions remain impossible and the sparse-regime
+# range is capped so every identifier fits a C ssize_t (required by
+# random.sample over a range); the cap stays >= n^2 for any graph that fits
+# memory, so identifier collisions remain impossible and the sparse-regime
 # semantics are unchanged.  Below the cap (n < ~1.66 * 10^6) the draw is
 # bit-identical to the uncapped formulation.
 _ID_UNIVERSE_CAP = 1 << 62
@@ -162,72 +161,6 @@ def node_sort_key(node: Node) -> Tuple[int, Any]:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         return (1, str(node))
     return (0, node)
-
-
-class _PairMemo:
-    """Monotone memo of flat ``a * n + b`` pair keys with a vectorised filter.
-
-    The plane paths only need per-(sender, receiver)-pair knowledge work the
-    *first* time a pair appears; rank-matched exchanges repeat the same pairs
-    every shard.  The memo keeps the authoritative Python set plus a
-    *two-level* sorted view: a big snapshot and a small recent buffer of keys
-    absorbed since the last merge.  A shard's keys are filtered against both
-    with ``searchsorted`` sweeps, so :meth:`unknown` is exact — every
-    returned key is genuinely new (modulo duplicates within the shard) and
-    never re-enters the caller's per-pair Python loop.  The buffers merge
-    geometrically (recent >= 1/4 of the set), keeping total re-sorting
-    linearithmic in the final set size however the keys trickle in.
-    """
-
-    __slots__ = ("known", "_sorted", "_recent")
-
-    def __init__(self) -> None:
-        self.known: Set[int] = set()
-        self._sorted = None
-        self._recent = None
-
-    def unknown(self, np, keys):
-        """The subset of ``keys`` not yet absorbed (exact; may have dupes)."""
-        for level in (self._sorted, self._recent):
-            if level is None or not level.size or not keys.size:
-                continue
-            slot = np.searchsorted(level, keys)
-            slot[slot == level.size] = 0
-            keys = keys[level[slot] != keys]
-        return keys
-
-    def levels(self):
-        """The non-empty sorted views, for the span-parallel filter twin of
-        :meth:`unknown` (:meth:`repro.simulator.sharding.ShardedDelivery.fresh_keys`)."""
-        return tuple(
-            level
-            for level in (self._sorted, self._recent)
-            if level is not None and level.size
-        )
-
-    def absorb(self, np, fresh) -> None:
-        """Fold a sorted array of newly-seen keys into the recent buffer.
-
-        The caller has already added them to :attr:`known`; once the recent
-        buffer outgrows a quarter of the set it is merged into the snapshot.
-        """
-        recent = self._recent
-        if recent is None or not recent.size:
-            recent = fresh
-        else:
-            recent = np.concatenate((recent, fresh))
-            recent.sort()
-        if 4 * recent.size >= len(self.known):
-            snapshot = self._sorted
-            if snapshot is None or not snapshot.size:
-                merged = recent
-            else:
-                merged = np.concatenate((snapshot, recent))
-                merged.sort()
-            self._sorted = merged
-            self._recent = None
-        else:
-            self._recent = recent
 
 
 class _PlaneBatch:
@@ -364,6 +297,7 @@ class HybridSimulator:
         self.graph = graph
         self.config = config if config is not None else ModelConfig.hybrid()
         self.n = graph.number_of_nodes()
+        check_pair_key_range(self.n)
         self.rng = random.Random(seed)
         self.capacity_multiplier = capacity_multiplier
         self.enforce_receive_capacity = enforce_receive_capacity
@@ -397,16 +331,7 @@ class HybridSimulator:
         # identifiers aligned with the node order, and the directed adjacency
         # as flat s * n + r keys for O(1)/vectorised edge validation.
         self._ids_by_index: Optional[List[int]] = None
-        self._ids_np: Optional[Any] = None
-        self._ids_table: Optional[Any] = None
         self._edge_keys: Optional[Any] = None
-        # Monotone plane-path memos: knowledge only ever grows, so an (s, r)
-        # pair that validated once stays valid, and an (r, s) pair whose
-        # sender identifier was taught once stays taught.  Rank-matched
-        # workloads repeat the same pairs every round; these memos cut the
-        # per-round knowledge work to the first occurrence of each pair.
-        self._validated_global_pairs = _PairMemo()
-        self._taught_pairs = _PairMemo()
         # Sharded delivery engine of the process-wide installed planner,
         # resolved lazily per planner identity (None = serial delivery).
         self._delivery_planner: Optional[Any] = None
@@ -513,22 +438,13 @@ class HybridSimulator:
         the analytics layer); until then, plane sends raise
         :class:`~repro.simulator.errors.StaleGraphError` because the cached
         adjacency keys describe a graph that no longer exists.  Node
-        additions/removals are not supported — the node order, identifier
-        assignment and knowledge state are fixed at construction.
+        additions/removals are not supported — the node order and identifier
+        assignment are fixed at construction, and knowledge (including the
+        tracker's pair store) is monotone, so it survives this call.
         """
         self._graph_version = graph_version(self.graph)
         self._ids_by_index = None
-        self._ids_np = None
-        self._ids_table = None
         self._edge_keys = None
-        # The pair memos cache per-(sender, receiver) validation/teaching
-        # facts keyed on flat indices; although knowledge itself is monotone,
-        # a mutated graph changes which pairs local sends may use and (in
-        # principle) which identifiers a rebuilt workload addresses, so the
-        # memos are dropped along with the arrays.  Re-validating known-good
-        # pairs is merely slow, never wrong.
-        self._validated_global_pairs = _PairMemo()
-        self._taught_pairs = _PairMemo()
 
     def _check_graph_version(self) -> None:
         """Raise :class:`StaleGraphError` if the graph mutated behind us.
@@ -552,53 +468,6 @@ class HybridSimulator:
             node_to_id = self._node_to_id
             ids = self._ids_by_index = [node_to_id[node] for node in self._nodes]
         return ids
-
-    def _identifier_take(self):
-        """Vectorised identifier lookup ``indices -> [id, ...]`` (cached).
-
-        An int64 take when the accelerator is active and every identifier is a
-        plain int (the sparse-regime default); otherwise a list-comprehension
-        fallback over :meth:`_identifier_array`.  Either way the result is a
-        list of the *original* identifier objects' values — np.int64 scalars
-        hash and compare like ints, so knowledge-set membership is unaffected.
-        """
-        take = self._ids_np
-        if take is None:
-            table = self._identifier_table()
-            if table is not None:
-
-                def take(indices):
-                    return table[indices].tolist()
-
-            else:
-                ids = self._identifier_array()
-
-                def take(indices):
-                    return [ids[i] for i in indices.tolist()]
-
-            self._ids_np = take
-        return take
-
-    def _identifier_table(self):
-        """The identifiers as an int64 array (cached), or ``None``.
-
-        Available exactly when the accelerator is active and every identifier
-        is a plain int (the sparse-regime default) — the array twin of
-        :meth:`_identifier_take` for callers that keep identifier columns
-        native (grouped validation, packed sender-id learning).
-        """
-        table = self._ids_table
-        if table is False:
-            return None
-        if table is None:
-            np = _accel.np
-            ids = self._identifier_array()
-            if np is not None and all(type(i) is int for i in ids):
-                table = self._ids_table = np.asarray(ids, dtype=np.int64)
-            else:
-                self._ids_table = False
-                return None
-        return table
 
     def _sharded_delivery(self):
         """The installed planner's delivery engine (``None`` = serial).
@@ -939,96 +808,61 @@ class HybridSimulator:
     def _validate_plane_knowledge(self, s_sel, r_sel, pair_s=None, pair_r=None) -> None:
         """HYBRID_0 knowledge check over the shard's *unique* (s, r) pairs.
 
-        Repeated pairs (the common case in rank-matched workloads) cost one
-        set probe, not one per token; the error reported is the earliest
-        offending token in submission order, like the tuple path.  When the
-        caller supplies the shard's first-occurrence pair columns (``pair_s``
-        / ``pair_r``, in submission order — see
+        Pairs already in the knowledge tracker's pair store (learned sender
+        ids, pairs validated earlier) are filtered out first — one vectorised
+        sweep with NumPy — and only the rest are probed against the personal
+        and shared layers; repeated pairs (the common case in rank-matched
+        workloads) cost one probe, not one per token.  The error reported is
+        the earliest offending token in submission order, like the tuple
+        path.  When the caller supplies the shard's first-occurrence pair
+        columns (``pair_s`` / ``pair_r``, in submission order — see
         :meth:`~repro.simulator.engine.TokenPlane.pair_spine`), the check
         runs on those directly: a pair's validity is decided at its first
         token, and the earliest offending pair's first occurrence *is* the
         earliest offending token.
         """
-        ids = self._identifier_array()
-        known_view = self.knowledge.known_ids_view
-        memo = self._validated_global_pairs
-        validated = memo.known
+        pairs = self.knowledge.pairs
         n = self.n
         np = _accel.np
         if np is not None and pair_s is not None:
             s_sel = pair_s
             r_sel = pair_r
-        if np is not None and isinstance(s_sel, np.ndarray):
+        vectorised = np is not None and isinstance(s_sel, np.ndarray)
+        if vectorised:
             key_column = s_sel * n + r_sel
-            candidates = memo.unknown(np, key_column)
-            if not candidates.size:
-                return
-            uniq = np.unique(candidates)
-            sender_col = uniq // n
-            target_col = uniq % n
-            starts = np.flatnonzero(
-                np.concatenate(
-                    (np.ones(1, dtype=bool), sender_col[1:] != sender_col[:-1])
-                )
-            )
-            bounds = np.append(starts, sender_col.size).tolist()
-            table = self._identifier_table()
-            packed_mask = self.knowledge.packed_known_mask
-            offending: Set[int] = set()
-            for g, sender_index in enumerate(sender_col[starts].tolist()):
-                lo, hi = bounds[g], bounds[g + 1]
-                targets = target_col[lo:hi]
-                sender_id = ids[sender_index]
-                if table is not None and targets.size >= 64:
-                    # Vectorised pre-filter: pairs the packed knowledge layer
-                    # already covers skip the per-target probe loop (bulk
-                    # reply traffic along learned pairs is the common case).
-                    target_ids = table[targets]
-                    miss = ~packed_mask(np, sender_id, target_ids)
-                    if not bool(miss.any()):
-                        continue
-                    probe_indices = targets[miss].tolist()
-                    probe_ids = target_ids[miss].tolist()
-                else:
-                    probe_indices = targets.tolist()
-                    probe_ids = [ids[t] for t in probe_indices]
-                known = known_view(sender_id)
-                base = sender_index * n
-                for target_index, target_id in zip(probe_indices, probe_ids):
-                    if target_id not in known:
-                        offending.add(base + target_index)
-            if offending:
-                # Report the earliest offending token in submission order,
-                # matching the tuple path and the pure-Python fallback.  The
-                # memo is left untouched — nothing was queued, so the good
-                # pairs of a failing shard simply re-validate later.
-                position = int(
-                    np.argmax(np.isin(key_column, np.fromiter(offending, np.int64)))
-                )
-                sender_index = int(s_sel[position])
-                raise UnknownIdentifierError(
-                    f"node {self._nodes[sender_index]!r} does not know "
-                    f"identifier {ids[int(r_sel[position])]!r}"
-                )
-            validated.update(uniq.tolist())
-            memo.absorb(np, uniq)
+            uniq = np.unique(pairs.unknown(np, key_column))
+            fresh = uniq.tolist()
+        else:
+            key_column = [s * n + r for s, r in zip(s_sel, r_sel)]
+            fresh = sorted({key for key in key_column if key not in pairs})
+        if not fresh:
             return
-        known_cache: Dict[int, Set[int]] = {}
-        for k in range(len(s_sel)):
-            sender_index = s_sel[k]
-            key = sender_index * n + r_sel[k]
-            if key in validated:
-                continue
-            known = known_cache.get(sender_index)
-            if known is None:
-                known = known_cache[sender_index] = known_view(ids[sender_index])
-            target = ids[r_sel[k]]
-            if target not in known:
-                raise UnknownIdentifierError(
-                    f"node {self._nodes[sender_index]!r} does not know "
-                    f"identifier {target!r}"
-                )
-            validated.add(key)
+        ids = self._identifier_array()
+        set_view = self.knowledge.set_layers_view
+        offending: Set[int] = set()
+        current = -1
+        known: Any = None
+        for key in fresh:
+            sender_index, target_index = divmod(key, n)
+            if sender_index != current:
+                current = sender_index
+                known = set_view(ids[sender_index])
+            if ids[target_index] not in known:
+                offending.add(key)
+        if offending:
+            # Report the earliest offending token in submission order.  The
+            # store is left untouched — nothing was queued, so the good pairs
+            # of a failing shard simply re-validate later.
+            keys = key_column.tolist() if vectorised else key_column
+            position = next(k for k, key in enumerate(keys) if key in offending)
+            raise UnknownIdentifierError(
+                f"node {self._nodes[int(s_sel[position])]!r} does not know "
+                f"identifier {ids[int(r_sel[position])]!r}"
+            )
+        if vectorised:
+            pairs.absorb(np, uniq)
+        else:
+            pairs.add(np, fresh)
 
     def global_send_plane(self, plane, positions=None, tag: Optional[str] = None) -> int:
         """Queue a shard of an id-native token plane over the global mode.
@@ -1479,82 +1313,41 @@ class HybridSimulator:
             self.invalidate_index()
 
     def _learn_from_planes(self, planes: List["_PlaneBatch"]) -> None:
-        """Sparse-regime sender-identifier learning, per unique (r, s) pair.
+        """Sparse-regime sender-identifier learning: one store merge per round.
 
         Equivalent to the per-record set comprehension of the tuple path —
         each receiver learns the identifier set of its senders this round —
-        but grouped: duplicated pairs (rank-matched workloads) cost one set
-        insertion instead of one per token.
+        but recorded as ``receiver * n + sender`` keys in the knowledge
+        tracker's pair store: with NumPy the round's keys not yet stored are
+        filtered (span-parallel under a sharded delivery engine), deduplicated
+        and merged in one sorted absorb, with no per-receiver work at all.
         """
-        ids = self._identifier_array()
-        learn_known = self.knowledge.learn_known
-        memo = self._taught_pairs
-        taught = memo.known
+        pairs = self.knowledge.pairs
         n = self.n
         np = _accel.np
         delivery = self._sharded_delivery() if np is not None else None
-        sender_ids_of: Dict[int, Set[int]] = {}
         fresh_chunks: List[Any] = []
+        scalar_keys: List[int] = []
         for batch in planes:
             s_sel = batch.senders
             r_sel = batch.receivers
-            if np is not None and batch.fresh_pairs is not None:
-                keys = batch.fresh_pairs
-            elif np is not None and isinstance(s_sel, np.ndarray):
-                keys = r_sel * n + s_sel
-            else:
-                for k in range(len(s_sel)):
-                    key = r_sel[k] * n + s_sel[k]
-                    if key in taught:
-                        continue
-                    taught.add(key)
-                    sender_ids_of.setdefault(r_sel[k], set()).add(ids[s_sel[k]])
+            if np is None or not isinstance(s_sel, np.ndarray):
+                scalar_keys.extend(r * n + s for r, s in zip(r_sel, s_sel))
                 continue
+            keys = batch.fresh_pairs if batch.fresh_pairs is not None else r_sel * n + s_sel
             if delivery is not None:
-                candidates = delivery.fresh_keys(np, keys, memo.levels())
+                candidates = delivery.fresh_keys(np, keys, pairs.levels())
             else:
-                candidates = memo.unknown(np, keys)
+                candidates = pairs.unknown(np, keys)
             if candidates.size:
                 fresh_chunks.append(candidates)
-        for receiver_index, id_set in sender_ids_of.items():
-            learn_known(ids[receiver_index], id_set)
-        if not fresh_chunks:
+        if np is None:
+            pairs.add(None, scalar_keys)
             return
-        uniq = np.unique(
-            fresh_chunks[0] if len(fresh_chunks) == 1 else np.concatenate(fresh_chunks)
-        )
-        uniq_list = uniq.tolist()
-        taught.update(uniq_list)
-        memo.absorb(np, uniq)
-        # A taught (r, s) pair is the knowledge fact "r knows s's identifier",
-        # which is exactly validation key r * n + s — seed the validation memo
-        # so reply traffic along the same pairs skips the per-pair probe loop.
-        validated = self._validated_global_pairs
-        validated.known.update(uniq_list)
-        validated.absorb(np, uniq)
-        receiver_col = uniq // n
-        sender_col = uniq % n
-        starts = np.flatnonzero(
-            np.concatenate((np.ones(1, dtype=bool), receiver_col[1:] != receiver_col[:-1]))
-        )
-        bounds = np.append(starts, receiver_col.size).tolist()
-        receiver_ids = self._identifier_take()(receiver_col[starts])
-        table = self._identifier_table()
-        if table is not None:
-            # Packed learning: each receiver's new sender ids as a sorted
-            # int64 array folded into the knowledge tracker's packed layer —
-            # C-speed merges instead of per-id set inserts (see
-            # KnowledgeTracker.learn_known_array).
-            sender_id_col = table[sender_col]
-            learn_array = self.knowledge.learn_known_array
-            for g, receiver_id in enumerate(receiver_ids):
-                learn_array(
-                    receiver_id, np.sort(sender_id_col[bounds[g] : bounds[g + 1]])
-                )
-        else:
-            sender_ids = self._identifier_take()(sender_col)
-            for g, receiver_id in enumerate(receiver_ids):
-                learn_known(receiver_id, sender_ids[bounds[g] : bounds[g + 1]])
+        if scalar_keys:
+            fresh_chunks.append(pairs.unknown(np, np.array(scalar_keys, dtype=np.int64)))
+        if fresh_chunks:
+            pairs.absorb(np, np.unique(np.concatenate(fresh_chunks)))
 
     # ------------------------------------------------------------------
     # Fault injection (see repro.simulator.faults)

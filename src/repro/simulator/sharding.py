@@ -505,11 +505,13 @@ def _sweep_range_worker(shm_name: str, n: int, lo: int, hi: int, budget: int):
 
 
 def filter_fresh_keys(np, keys, levels):
-    """Order-preserving filter of ``keys`` against sorted memo ``levels``.
+    """Order-preserving filter of ``keys`` against sorted ``levels``.
 
-    The span-parallel twin of ``_PairMemo.unknown``: filtering a span equals
-    the span of the whole-column filter, so concatenating span results in
-    ascending span order reproduces the serial candidate stream exactly.
+    The span-parallel twin of the knowledge store's filter
+    (``KnowledgeTracker.pairs.unknown``, the ``a * n + b`` pair keys of
+    learned identifiers): filtering a span equals the span of the
+    whole-column filter, so concatenating span results in ascending span
+    order reproduces the serial candidate stream exactly.
     """
     filtered = False
     for level in levels:
@@ -522,7 +524,7 @@ def filter_fresh_keys(np, keys, levels):
 
 
 def _fresh_keys_worker(shm_name: str, k: int, l1: int, l2: int, lo: int, hi: int):
-    """Memo-filter the key span ``[lo, hi)`` (runs in a worker).
+    """Store-filter the key span ``[lo, hi)`` (runs in a worker).
 
     Block layout: ``[keys(k) | level1(l1) | level2(l2)]``.
     """
@@ -784,7 +786,7 @@ class ShardedDelivery:
     a pool failure in either layer permanently degrades both to in-process
     execution.  Unlike planning — where components matter because the greedy
     counters couple tokens — every delivery stage is either token-elementwise
-    (fault masks, memo filtering) or an exact reduction of integer word
+    (fault masks, knowledge-store filtering) or an exact reduction of integer word
     weights (per-node counters, capacity sweep), so *any* contiguous
     partition merged in ascending span order is bit-identical to the serial
     whole-array computation.  The in-process fallback of each stage therefore
@@ -980,9 +982,9 @@ class ShardedDelivery:
         return merged
 
     def fresh_keys(self, np, keys, levels):
-        """Order-preserving pair-memo filter of a plane's packed pair keys.
+        """Order-preserving knowledge-store filter of a plane's pair keys.
 
-        ``levels`` are the memo's sorted arrays (at most two).  Elementwise
+        ``levels`` are the store's sorted arrays (at most two).  Elementwise
         and order-preserving, so ascending-span concatenation equals the
         serial :func:`filter_fresh_keys` over the whole key column.
         """

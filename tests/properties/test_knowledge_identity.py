@@ -1,0 +1,127 @@
+"""Whole-algorithm knowledge identity: plane path vs the per-message oracle.
+
+The plane path records sender-identifier learning and validated send pairs in
+the knowledge tracker's pair store (one sorted merge per round, span-filtered
+by the sharded delivery engine when one is installed), while the per-message
+``"legacy"`` oracle learns through per-receiver Python sets.  For
+``KDissemination`` on HYBRID_0 — payload and charge-only, path / star /
+Erdős–Rényi graphs, three seeds, both array backends — the round metrics and
+every node's identifier knowledge must be identical.  The oracle cannot run
+charge-only, so the charge-only plane run is compared against the oracle's
+payload run (charge-only is accounting-identical by construction).
+
+``KDissemination`` declares each rank-matched partner's identifier before it
+sends, so its receivers already know their senders; the raw-traffic test
+below pins sender-identifier learning itself, round by round.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.core.dissemination import KDissemination
+from repro.graphs.generators import erdos_renyi_graph, path_graph, star_graph
+from repro.simulator import _accel
+from repro.simulator.config import ModelConfig
+from repro.simulator.engine import TokenPlane
+from repro.simulator.messages import payload_words
+from repro.simulator.network import HybridSimulator
+
+from oracles.engines import exchange_via
+
+SEEDS = [0, 1, 2]
+
+GRAPH_FAMILIES = {
+    "path": lambda seed: path_graph(24),
+    "star": lambda seed: star_graph(24),
+    "erdos_renyi": lambda seed: erdos_renyi_graph(28, 0.14, seed=seed),
+}
+
+CASES = [(family, seed) for family in sorted(GRAPH_FAMILIES) for seed in SEEDS]
+
+
+@pytest.fixture(params=["numpy", "python"])
+def backend(request, monkeypatch):
+    """Run the test body under both array backends."""
+    if request.param == "python":
+        monkeypatch.setattr(_accel, "np", None)
+    elif _accel.np is None:
+        pytest.skip("NumPy not available; vectorised leg is inactive")
+    return request.param
+
+
+def _run(graph, tokens, seed, charge_only):
+    sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
+    result = KDissemination(sim, tokens, charge_only=charge_only).run()
+    if not charge_only:
+        assert result.all_nodes_know_all_tokens()
+    return result.metrics.summary(), {node: sim.known_ids(node) for node in sim.nodes}
+
+
+@pytest.mark.parametrize("charge_only", [False, True], ids=["payload", "charge-only"])
+@pytest.mark.parametrize("case", CASES, ids=lambda case: f"{case[0]}-s{case[1]}")
+def test_plane_knowledge_matches_the_legacy_oracle(case, charge_only, backend):
+    family, seed = case
+    graph = GRAPH_FAMILIES[family](seed)
+    rng = random.Random(f"ki-{family}-{seed}")
+    holders = sorted(graph.nodes)
+    tokens = {}
+    for index in range(rng.randrange(12, 40)):
+        tokens.setdefault(rng.choice(holders), []).append(("tok", index))
+
+    plane_summary, plane_known = _run(graph, tokens, seed, charge_only)
+    with exchange_via("legacy"):
+        legacy_summary, legacy_known = _run(graph, tokens, seed, False)
+
+    assert plane_summary == legacy_summary
+    assert plane_known == legacy_known
+    # The run really taught identifiers beyond the initial neighborhoods.
+    assert any(len(known) > graph.degree(node) + 1 for node, known in plane_known.items())
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_round_by_round_sender_learning_matches_per_message_sends(seed, backend):
+    """HYBRID_0 traffic along currently known pairs — sent as token-plane
+    shards (large ones take the vectorised path, small ones the scalar path)
+    and as one legacy ``global_send`` per message — must leave every node
+    with identical knowledge after every round.  Most receivers do not know
+    their senders beforehand, so each round teaches new identifiers, and the
+    next round's traffic may use them."""
+    graph = erdos_renyi_graph(48, 0.06, seed=seed)
+    config = ModelConfig.hybrid0(strict=False)
+    plane_sim = HybridSimulator(graph, config, seed=seed)
+    legacy_sim = HybridSimulator(graph, config, seed=seed)
+    nodes = plane_sim.nodes
+    index = plane_sim.node_indexer()
+    rng = random.Random(f"learn-{seed}")
+    # Three hubs know every identifier, so their sends reach strangers.
+    for sim in (plane_sim, legacy_sim):
+        for hub in nodes[:3]:
+            sim.declare_learned_ids(hub, sim.all_ids())
+    for round_no in range(8):
+        traffic = []
+        for k in range(rng.randrange(40, 120)):
+            sender = rng.choice(nodes[:3]) if k % 3 == 0 else rng.choice(nodes)
+            target_id = rng.choice(sorted(plane_sim.known_ids(sender)))
+            traffic.append((sender, target_id, ("m", round_no, k)))
+        plane = TokenPlane(
+            [index[sender] for sender, _, _ in traffic],
+            [index[plane_sim.node_of_id(target_id)] for _, target_id, _ in traffic],
+            [payload_words(payload) for _, _, payload in traffic],
+            [payload for _, _, payload in traffic],
+        )
+        cut = rng.choice([len(traffic) // 2, len(traffic) - 5])
+        plane_sim.global_send_plane(plane, list(range(cut)))
+        plane_sim.global_send_plane(plane, list(range(cut, len(traffic))))
+        for sender, target_id, payload in traffic:
+            legacy_sim.global_send(sender, target_id, payload)
+        plane_sim.advance_round()
+        legacy_sim.advance_round()
+        for node in nodes:
+            assert plane_sim.known_ids(node) == legacy_sim.known_ids(node)
+            assert plane_sim.knowledge.knowledge_count(plane_sim.id_of(node)) == len(
+                legacy_sim.known_ids(node)
+            )
+    assert plane_sim.metrics.summary() == legacy_sim.metrics.summary()

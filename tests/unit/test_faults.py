@@ -19,6 +19,7 @@ import pytest
 from repro.graphs.generators import path_graph
 from repro.simulator import _accel
 from repro.simulator.config import ModelConfig
+from repro.simulator.errors import UnknownIdentifierError
 from repro.simulator.faults import (
     CapacityDegradation,
     CrashEvent,
@@ -478,32 +479,36 @@ def test_resilient_dissemination_reports_removed_edges():
 
 
 # ----------------------------------------------------------------------
-# invalidate_index regression (satellite: memos and cached arrays reset)
+# invalidate_index regression: cached arrays reset, knowledge survives
 # ----------------------------------------------------------------------
-def test_invalidate_index_resets_arrays_and_pair_memos():
+def test_invalidate_index_resets_arrays_and_keeps_knowledge():
     sim = HybridSimulator(path_graph(8), ModelConfig.hybrid0(), seed=1)
     indexer = sim.node_indexer()
     # Populate every cache the plane paths maintain: identifier arrays and
-    # edge keys via a local plane send, the pair memos via a global send
-    # between neighbors (validation + teaching).
+    # edge keys via a local plane send, the knowledge pair store via a global
+    # send between neighbors (validation + sender-id learning), and a
+    # learned non-neighbor identifier via a relayed send.
+    sim.declare_learned_ids(2, [sim.id_of(6)])
     sim.local_send_batch_ids([indexer[0]], [indexer[1]], ["l"])
-    sim.global_send_batch_ids([indexer[2]], [indexer[3]], ["g"])
+    sim.global_send_batch_ids([indexer[2], indexer[2]], [indexer[3], indexer[6]], ["g", "h"])
     sim.advance_round()
     assert sim._ids_by_index is not None
     assert sim._edge_keys is not None
-    assert sim._validated_global_pairs.known
-    assert sim._taught_pairs.known
-    memo_before = sim._validated_global_pairs
+    assert sim.knows_id(6, sim.id_of(2))
+    known_before = {node: sim.known_ids(node) for node in sim.nodes}
 
     sim.invalidate_index()
 
     assert sim._ids_by_index is None
-    assert sim._ids_np is None
     assert sim._edge_keys is None
-    # Fresh, empty memo objects — not the stale ones emptied in place.
-    assert sim._validated_global_pairs is not memo_before
-    assert not sim._validated_global_pairs.known
-    assert not sim._taught_pairs.known
+    # Knowledge is monotone and keyed by the fixed node order: what was
+    # learned before the call is still reported after it.
+    assert sim.knows_id(6, sim.id_of(2))
+    assert {node: sim.known_ids(node) for node in sim.nodes} == known_before
+    # Unknown identifiers are still refused.
+    assert not sim.knows_id(6, sim.id_of(0))
+    with pytest.raises(UnknownIdentifierError):
+        sim.global_send_batch_ids([indexer[6]], [indexer[0]], ["x"])
     # The simulator still works after invalidation: caches rebuild lazily.
     sim.global_send_batch_ids([indexer[2]], [indexer[3]], ["g2"])
     sim.advance_round()

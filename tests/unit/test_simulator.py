@@ -12,11 +12,16 @@ from repro.simulator.errors import (
     CapacityExceededError,
     LocalBandwidthExceededError,
     NotANeighborError,
+    PairKeyOverflowError,
     RoundLifecycleError,
     UnknownIdentifierError,
     UnknownNodeError,
 )
-from repro.simulator.knowledge import KnowledgeTracker
+from repro.simulator.knowledge import (
+    MAX_PAIR_KEY_NODES,
+    KnowledgeTracker,
+    check_pair_key_range,
+)
 from repro.simulator.messages import GLOBAL_MODE, LOCAL_MODE, Message, payload_words
 from repro.simulator.metrics import ChargeRecord, RoundMetrics
 from repro.simulator.network import HybridSimulator, node_sort_key
@@ -124,82 +129,132 @@ class TestKnowledgeTracker:
             tracker.knows(99, 1)
 
 
-class TestPackedKnowledge:
-    """The packed sorted-array layer behind ``learn_known_array``."""
+@pytest.fixture(params=["numpy", "python"])
+def backend(request, monkeypatch):
+    """Run the test body under both array backends; yields ``_accel.np``."""
+    from repro.simulator import _accel
 
-    @staticmethod
-    def _np():
+    if request.param == "python":
+        monkeypatch.setattr(_accel, "np", None)
+    elif _accel.np is None:
+        pytest.skip("NumPy not available; vectorised leg is inactive")
+    return _accel.np
+
+
+class TestPairStore:
+    """The tracker's pair store: key ``a * n + b`` = "node a knows node b's id"."""
+
+    N = 64
+
+    def _tracker(self):
+        # Identifiers differ from node indices, so the index <-> id mapping
+        # is exercised: node index i has identifier 100 + i.
+        tracker = KnowledgeTracker([100 + i for i in range(self.N)])
+        tracker.initialize_node(100, [101])
+        return tracker
+
+    def test_learned_pair_is_visible_through_every_probe(self, backend):
+        tracker = self._tracker()
+        tracker.pairs.add(backend, [0 * self.N + 7, 0 * self.N + 30, 5 * self.N + 0])
+        assert tracker.knows(100, 107)
+        assert tracker.knows(105, 100)
+        assert not tracker.knows(100, 108)
+        assert not tracker.knows(100, 999)
+        assert tracker.known_ids(100) == {100, 101, 107, 130}
+        view = tracker.known_ids_view(100)
+        assert 130 in view and 101 in view and 129 not in view
+        assert tracker.knowledge_count(100) == 4
+        assert tracker.known_ids(105) == {100}
+
+    def test_learn_index_pairs_takes_arrays_and_lists(self, backend):
+        tracker = self._tracker()
+        learners, learned = [2, 2, 9], [40, 41, 2]
+        if backend is not None:
+            learners = backend.array(learners, dtype=backend.int64)
+            learned = backend.array(learned, dtype=backend.int64)
+        tracker.learn_index_pairs(learners, learned)
+        tracker.learn_index_pairs([2], [40])  # already known: a no-op
+        assert tracker.known_ids(102) == {140, 141}
+        assert tracker.knows(109, 102) and not tracker.knows(102, 109)
+
+    def test_random_trickle_keeps_membership_exact(self, backend):
+        n = 512
+        tracker = KnowledgeTracker(range(n))
+        rng = random.Random(13)
+        expected = {a: set() for a in range(4)}
+        for _ in range(60):
+            keys = []
+            for _ in range(rng.randrange(1, 9)):
+                a, b = rng.randrange(4), rng.randrange(n)
+                keys.append(a * n + b)
+                expected[a].add(b)
+            tracker.pairs.add(backend, keys)
+        for a, learned in expected.items():
+            assert tracker.known_ids(a) == learned
+            assert all(tracker.knows(a, b) == (b in learned) for b in range(n))
+        levels = tracker.pairs.levels()
+        if backend is None:
+            assert not levels
+            return
+        # At most two sorted levels, holding every key exactly once.
+        assert 1 <= len(levels) <= 2
+        stored = []
+        for level in levels:
+            assert level.tolist() == sorted(level.tolist())
+            stored.extend(level.tolist())
+        assert sorted(stored) == sorted(a * n + b for a in expected for b in expected[a])
+
+    def test_unknown_filters_already_stored_keys(self, backend):
+        if backend is None:
+            pytest.skip("vectorised filter only")
+        tracker = self._tracker()
+        tracker.pairs.add(backend, [3, 9, 90])
+        tracker.pairs.known.add(40)  # a key stored while the gate was off
+        keys = backend.array([3, 4, 9, 40, 41, 90, 4], dtype=backend.int64)
+        assert tracker.pairs.unknown(backend, keys).tolist() == [4, 41, 4]
+
+    def test_probes_survive_gate_switch_off(self, monkeypatch):
         from repro.simulator import _accel
 
         if _accel.np is None:
-            pytest.skip("accelerator gate off; packed layer degrades to sets")
-        return _accel.np
-
-    def _tracker(self, n=64):
-        tracker = KnowledgeTracker(range(n))
-        tracker.initialize_node(0, [1])
-        return tracker
-
-    def test_packed_ids_are_visible_through_every_probe(self):
-        np = self._np()
+            pytest.skip("NumPy not available; no arrays to keep probing")
         tracker = self._tracker()
-        tracker.learn_known_array(0, np.array([7, 11, 30], dtype=np.int64))
-        assert tracker.knows(0, 11)
-        assert not tracker.knows(0, 12)
-        assert tracker.known_ids(0) == {0, 1, 7, 11, 30}
-        view = tracker.known_ids_view(0)
-        assert 30 in view and 1 in view and 29 not in view
-        assert tracker.knowledge_count(0) == 5
+        tracker.pairs.add(_accel.np, [21, 42])
+        monkeypatch.setattr(_accel, "np", None)
+        # bisect probes work on the stored arrays regardless of the gate,
+        # and keys stored afterwards land in the set beside them.
+        tracker.pairs.add(None, [50])
+        assert tracker.knows(100, 142)
+        assert 121 in tracker.known_ids_view(100)
+        assert tracker.known_ids(100) == {100, 101, 121, 142, 150}
 
-    def test_geometric_merge_keeps_membership_exact(self):
-        np = self._np()
-        tracker = self._tracker(4096)
-        rng = __import__("random").Random(13)
-        expected = {0, 1}
-        for _ in range(40):
-            chunk = sorted(rng.sample(range(2, 4096), rng.randrange(1, 9)))
-            tracker.learn_known_array(0, np.array(chunk, dtype=np.int64))
-            expected.update(chunk)
-        assert tracker.known_ids(0) == expected
-        # Two levels at most, each sorted, recent < snapshot geometrically.
-        levels = tracker._packed_levels(0)
-        assert 1 <= len(levels) <= 2
-        for level in levels:
-            assert list(level) == sorted(level.tolist())
-
-    def test_packed_known_mask_matches_scalar_probes(self):
-        np = self._np()
-        tracker = self._tracker(128)
-        tracker.learn_known_array(0, np.array([5, 9, 90], dtype=np.int64))
-        tracker.learn_known_array(0, np.array([3, 127], dtype=np.int64))
-        targets = np.arange(128, dtype=np.int64)
-        mask = tracker.packed_known_mask(np, 0, targets)
-        packed = {3, 5, 9, 90, 127}
-        assert set(targets[mask].tolist()) == packed
-        # The mask covers the packed layer only: personal ids stay False.
-        assert not mask[0] and not mask[1]
-
-    def test_degrades_to_the_set_layer_without_numpy(self, monkeypatch):
+    def test_pure_python_backend_stores_keys_in_the_set(self, monkeypatch):
         from repro.simulator import _accel
 
         monkeypatch.setattr(_accel, "np", None)
         tracker = self._tracker()
-        tracker.learn_known_array(0, [4, 8])
-        assert tracker.knows(0, 8)
-        assert tracker.known_ids(0) == {0, 1, 4, 8}
-        assert not tracker._packed_levels(0)
+        tracker.pairs.add(None, [4, 8, 4])
+        assert tracker.pairs.known == {4, 8}
+        assert not tracker.pairs.levels()
+        assert tracker.knows(100, 108)
+        assert tracker.known_ids(100) == {100, 101, 104, 108}
 
-    def test_packed_probes_survive_gate_switch_off(self, monkeypatch):
-        np = self._np()
-        from repro.simulator import _accel
 
-        tracker = self._tracker()
-        tracker.learn_known_array(0, np.array([21, 42], dtype=np.int64))
-        monkeypatch.setattr(_accel, "np", None)
-        # bisect probes work on the stored arrays regardless of the gate.
-        assert tracker.knows(0, 42)
-        assert 21 in tracker.known_ids_view(0)
-        assert tracker.known_ids(0) == {0, 1, 21, 42}
+class TestPairKeyRange:
+    def test_helper_rejects_n_past_the_int64_bound(self):
+        check_pair_key_range(MAX_PAIR_KEY_NODES)
+        assert (MAX_PAIR_KEY_NODES**2 - 1) < 2**63 <= (MAX_PAIR_KEY_NODES + 1) ** 2 - 1
+        with pytest.raises(PairKeyOverflowError, match="3037000500 nodes"):
+            check_pair_key_range(MAX_PAIR_KEY_NODES + 1)
+        with pytest.raises(OverflowError):
+            check_pair_key_range(10**12)
+
+    def test_simulator_construction_runs_the_guard(self, monkeypatch):
+        from repro.simulator import knowledge
+
+        monkeypatch.setattr(knowledge, "MAX_PAIR_KEY_NODES", 3)
+        with pytest.raises(PairKeyOverflowError):
+            HybridSimulator(path_graph(4), ModelConfig.hybrid0(), seed=0)
 
 
 class TestRoundMetrics:
