@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 
-__all__ = ["np", "have_numpy", "cpu_count"]
+__all__ = ["np", "have_numpy"]
 
 try:  # pragma: no cover - exercised via both CI legs
     import numpy as np  # type: ignore
@@ -36,12 +36,3 @@ def have_numpy() -> bool:
     """Whether the vectorised (NumPy) paths are active."""
     return np is not None
 
-
-def cpu_count() -> int:
-    """Usable CPU cores, respecting the process affinity mask when the
-    platform exposes one (containers and CI runners often grant fewer cores
-    than the machine has).  Never less than 1."""
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        return max(1, os.cpu_count() or 1)

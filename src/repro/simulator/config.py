@@ -27,7 +27,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
-import os
 from typing import Optional
 
 __all__ = [
@@ -35,28 +34,9 @@ __all__ = [
     "ModelConfig",
     "WORD_BITS",
     "log2_ceil",
-    "resolve_shard_workers",
     "word_bits",
 ]
 
-
-def resolve_shard_workers() -> int:
-    """Worker count for the sharded round scheduler (``REPRO_SHARD_WORKERS``).
-
-    ``1`` (the default when unset, empty, or unparsable) means single-process
-    planning — the sharded planner is never consulted.  Any higher value makes
-    :func:`repro.simulator.sharding.planner_from_env` install a
-    :class:`~repro.simulator.sharding.ShardedPlanner` with that many workers
-    for every exchange.  Read at call time so tests can flip the environment.
-    """
-    raw = os.environ.get("REPRO_SHARD_WORKERS", "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return max(1, value)
 
 #: Number of bits in one "O(log n) bit" message word for an n-node network.
 #: The simulator charges message sizes in words of this many bits.

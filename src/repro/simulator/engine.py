@@ -1,4 +1,4 @@
-"""Vectorised round engine: id-native token planes, sharding, and the phase driver.
+"""Vectorised round engine: id-native token planes, the scheduler, and the phase driver.
 
 Every algorithm moves its global-mode traffic through one congestion-limited
 exchange, and this module is that exchange.  It strips the per-token Python
@@ -75,8 +75,6 @@ __all__ = [
     "ResilientExchangeResult",
     "PhaseRecord",
     "BatchAlgorithm",
-    "install_planner",
-    "installed_planner",
 ]
 
 #: One unit of batch work: ``(sender, receiver, payload)``.
@@ -680,55 +678,6 @@ def plan_token_rounds(
 
 
 # ----------------------------------------------------------------------
-# Pluggable planner (sharded multi-core scheduling, see repro.simulator.sharding)
-# ----------------------------------------------------------------------
-#: The installed planner (``None`` = single-process :func:`plan_token_rounds`)
-#: and whether the ``REPRO_SHARD_WORKERS`` environment default was resolved.
-_active_planner: Optional[Any] = None
-_env_planner_resolved = False
-
-
-def install_planner(planner: Optional[Any]) -> None:
-    """Route every exchange's scheduling through ``planner`` (a
-    :class:`~repro.simulator.sharding.ShardedPlanner`, or anything with the
-    same ``plan(plane, budget, tag_words)`` contract).
-
-    ``install_planner(None)`` restores single-process planning *and* marks the
-    environment default as resolved, so tests that installed a planner can
-    deterministically uninstall it regardless of ``REPRO_SHARD_WORKERS``.
-    Planners are schedule-preserving by contract — installing one never
-    changes a shard boundary, only which cores compute it.
-    """
-    global _active_planner, _env_planner_resolved
-    _active_planner = planner
-    _env_planner_resolved = True
-
-
-def installed_planner() -> Optional[Any]:
-    """The active planner, resolving the ``REPRO_SHARD_WORKERS`` environment
-    default lazily on first use (the sharding module imports this one, so the
-    import below cannot run at module load)."""
-    global _active_planner, _env_planner_resolved
-    if not _env_planner_resolved:
-        _env_planner_resolved = True
-        from repro.simulator.sharding import planner_from_env
-
-        _active_planner = planner_from_env()
-    return _active_planner
-
-
-def _planned_rounds(plane: TokenPlane, budget: int, tag_words: int):
-    """Scheduling entry point of the exchanges: the installed sharded planner
-    when one is active, the single-process :func:`plan_token_rounds` otherwise
-    (both produce identical shards — see the sharding module's identity
-    suite)."""
-    planner = installed_planner()
-    if planner is None:
-        return plan_token_rounds(plane, budget, tag_words)
-    return planner.plan(plane, budget, tag_words)
-
-
-# ----------------------------------------------------------------------
 # Exchange tags
 # ----------------------------------------------------------------------
 _EXCHANGE_SERIAL = itertools.count(1)
@@ -816,7 +765,7 @@ def batched_global_exchange(
         return {}
     exchange_tag = ExchangeTag(tag)
     budget = simulator.global_budget_words()
-    shards = _planned_rounds(plane, budget, exchange_tag.payload_words_override)
+    shards = plan_token_rounds(plane, budget, exchange_tag.payload_words_override)
     if (
         len(shards) == 1
         and len(shards[0]) == len(plane)
@@ -990,7 +939,7 @@ def resilient_batched_global_exchange(
             )
             attempt_tag = ExchangeTag(tag)
             budget = simulator.global_budget_words()
-            shards = _planned_rounds(
+            shards = plan_token_rounds(
                 attempt_plane, budget, attempt_tag.payload_words_override
             )
             acked: set = set()

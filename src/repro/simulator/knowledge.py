@@ -82,8 +82,8 @@ class _PairMemo:
     With NumPy the keys live in a *two-level* sorted int64 view: a big
     snapshot and a small recent buffer of keys absorbed since the last merge
     (recent >= 1/4 of the snapshot triggers a merge), so total re-sorting
-    stays linearithmic however the keys trickle in, and a shard's keys are
-    filtered against both with ``searchsorted`` sweeps (:meth:`unknown`).
+    stays linearithmic however the keys trickle in, and :meth:`unknown` (the
+    one filter of a round's keys) sweeps both with ``searchsorted``.
     Without NumPy the keys live in the Python set :attr:`known`.  Membership
     is the disjunction of both, so either backend reads what the other wrote.
     """
@@ -116,9 +116,7 @@ class _PairMemo:
         return keys
 
     def levels(self):
-        """The stored sorted arrays — also the input of the span-parallel twin
-        of :meth:`unknown`
-        (:meth:`repro.simulator.sharding.ShardedDelivery.fresh_keys`)."""
+        """The stored sorted arrays, snapshot first (empty without NumPy)."""
         if self._recent is None:
             return () if self._sorted is None else (self._sorted,)
         return (self._sorted, self._recent)

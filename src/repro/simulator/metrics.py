@@ -126,7 +126,7 @@ class RoundMetrics:
     def diff(self, other: "RoundMetrics") -> Dict[str, Tuple[object, object]]:
         """Summary keys whose values differ between two runs: ``{} == identical``.
 
-        The identity-assertion helper for the charge-only and sharded-engine
+        The identity-assertion helper for the charge-only and engine-identity
         suites: instead of dumping two full summaries on mismatch, tests and
         benchmarks report exactly the diverging counters as
         ``key -> (self value, other value)``.

@@ -125,7 +125,6 @@ from repro.simulator.errors import (
 from repro.simulator.knowledge import KnowledgeTracker, check_pair_key_range
 from repro.simulator.messages import GLOBAL_MODE, LOCAL_MODE, Message, payload_words
 from repro.simulator.metrics import RoundMetrics
-from repro.simulator.sharding import span_keep_mask
 
 Node = Hashable
 
@@ -231,6 +230,32 @@ class _PlaneBatch:
                 )
 
 
+def _isin_sorted(np, values, table):
+    """Vectorised membership of ``values`` in a **sorted** int64 ``table``."""
+    if not len(table):
+        return np.zeros(len(values), dtype=bool)
+    slots = np.searchsorted(table, values)
+    slots[slots == len(table)] = 0
+    return table[slots] == values
+
+
+def _fault_keep_mask(np, senders, receivers, crashed, failed, n: int):
+    """Crash/edge keep-mask of a plane batch (see ``_filter_planes``).
+
+    ``crashed`` / ``failed`` are sorted int64 arrays (crashed node indices,
+    directed ``u * n + v`` failed-edge keys).  Drop draws are *not* taken
+    here: the RNG consumes one draw per crash/edge survivor in ascending
+    token order, which the caller applies afterwards.
+    """
+    keep = np.ones(len(senders), dtype=bool)
+    if len(crashed):
+        keep &= ~_isin_sorted(np, senders, crashed)
+        keep &= ~_isin_sorted(np, receivers, crashed)
+    if len(failed):
+        keep &= ~_isin_sorted(np, senders * n + receivers, failed)
+    return keep
+
+
 class HybridSimulator:
     """Round-based simulator of a HYBRID(lambda, gamma) network.
 
@@ -332,10 +357,6 @@ class HybridSimulator:
         # as flat s * n + r keys for O(1)/vectorised edge validation.
         self._ids_by_index: Optional[List[int]] = None
         self._edge_keys: Optional[Any] = None
-        # Sharded delivery engine of the process-wide installed planner,
-        # resolved lazily per planner identity (None = serial delivery).
-        self._delivery_planner: Optional[Any] = None
-        self._delivery_engine: Optional[Any] = None
         self._assign_identifiers()
         self._init_knowledge()
 
@@ -468,27 +489,6 @@ class HybridSimulator:
             node_to_id = self._node_to_id
             ids = self._ids_by_index = [node_to_id[node] for node in self._nodes]
         return ids
-
-    def _sharded_delivery(self):
-        """The installed planner's delivery engine (``None`` = serial).
-
-        Resolved per planner identity, so ``install_planner`` (or a planner
-        ``close()``/re-install) mid-simulation is picked up on the next use;
-        holding the engine never extends the planner's pool lease — the
-        engine leases lazily on its first pool dispatch.
-        """
-        from repro.simulator.engine import installed_planner
-
-        planner = installed_planner()
-        if planner is not self._delivery_planner:
-            self._delivery_planner = planner
-            engine = None
-            if planner is not None and getattr(planner, "workers", 1) > 1:
-                factory = getattr(planner, "delivery", None)
-                if factory is not None:
-                    engine = factory()
-            self._delivery_engine = engine
-        return self._delivery_engine
 
     def _edge_key_index(self):
         """The directed adjacency as flat ``s * n + r`` keys (cached).
@@ -925,16 +925,8 @@ class HybridSimulator:
             if sent_arr is None:
                 sent_arr = self._plane_sent_arr = np.zeros(self.n)
                 self._plane_recv_arr = np.zeros(self.n)
-            delivery = self._sharded_delivery()
-            if delivery is not None:
-                delivery.apply_counters(
-                    np, s_sel, r_sel, wt, sent_arr, self._plane_recv_arr
-                )
-            else:
-                sent_arr += np.bincount(s_sel, weights=wt, minlength=self.n)
-                self._plane_recv_arr += np.bincount(
-                    r_sel, weights=wt, minlength=self.n
-                )
+            sent_arr += np.bincount(s_sel, weights=wt, minlength=self.n)
+            self._plane_recv_arr += np.bincount(r_sel, weights=wt, minlength=self.n)
         else:
             wt = [w + tag_words for w in w_sel] if tag_words else list(w_sel)
             total = sum(wt)
@@ -1164,27 +1156,18 @@ class HybridSimulator:
                 # Plane-only round: the capacity sweep is two whole-array
                 # comparisons over the grouped counters — identical accounting
                 # to the per-node loop (the metrics only keep the max load and
-                # the violation count).  At paper scale the sweep may run
-                # range-parallel on the delivery engine; its per-range
-                # (max, over-count, first-over) summaries merge by
-                # max / sum / min into exactly the serial numbers.
+                # the violation count; a strict error names the first
+                # over-budget node in node order).
                 np = _accel.np
                 recv_arr = self._plane_recv_arr
-                delivery = self._sharded_delivery()
-                swept = (
-                    delivery.sweep(np, sent_arr, recv_arr, budget)
-                    if delivery is not None
-                    else None
-                )
-                if swept is None:
-                    swept = []
-                    for arr in (sent_arr, recv_arr):
-                        peak = int(arr.max())
-                        if peak > budget:
-                            over = np.flatnonzero(arr > budget)
-                            swept.append((peak, int(over.size), int(over[0])))
-                        else:
-                            swept.append((peak, 0, -1))
+                swept = []
+                for arr in (sent_arr, recv_arr):
+                    peak = int(arr.max())
+                    if peak > budget:
+                        over = np.flatnonzero(arr > budget)
+                        swept.append((peak, int(over.size), int(over[0])))
+                    else:
+                        swept.append((peak, 0, -1))
                 for verb, arr, (peak, over_count, first_over), enforce in (
                     ("sent", sent_arr, swept[0], strict),
                     (
@@ -1209,31 +1192,36 @@ class HybridSimulator:
                         for _ in range(over_count):
                             metrics.record_violation()
             else:
+                # Per-node sweep with the array sweep's outcome: the strict
+                # error names the lowest-indexed offender, whatever order the
+                # counters were filled in.
                 index_of = self._index_of
-                for node, words in self._global_sent_words.items():
-                    node_budget = budget
-                    if node_budget_of is not None:
-                        node_budget = node_budget_of.get(index_of[node], budget)
-                    metrics.record_node_round_load(words)
-                    if words > node_budget:
+                for verb, counters, enforce in (
+                    ("sent", self._global_sent_words, strict),
+                    (
+                        "received",
+                        self._global_recv_words,
+                        strict and self.enforce_receive_capacity,
+                    ),
+                ):
+                    over = []
+                    for node, words in counters.items():
+                        metrics.record_node_round_load(words)
+                        index = index_of[node]
+                        node_budget = budget
+                        if node_budget_of is not None:
+                            node_budget = node_budget_of.get(index, budget)
+                        if words > node_budget:
+                            over.append((index, words, node_budget))
+                    if over and enforce:
                         metrics.record_violation()
-                        if strict:
-                            raise CapacityExceededError(
-                                f"node {node!r} sent {words} global words in round "
-                                f"{self.round}, budget is {node_budget}"
-                            )
-                for node, words in self._global_recv_words.items():
-                    node_budget = budget
-                    if node_budget_of is not None:
-                        node_budget = node_budget_of.get(index_of[node], budget)
-                    metrics.record_node_round_load(words)
-                    if words > node_budget:
+                        index, words, node_budget = min(over)
+                        raise CapacityExceededError(
+                            f"node {self._nodes[index]!r} {verb} {words} global "
+                            f"words in round {self.round}, budget is {node_budget}"
+                        )
+                    for _ in over:
                         metrics.record_violation()
-                        if strict and self.enforce_receive_capacity:
-                            raise CapacityExceededError(
-                                f"node {node!r} received {words} global words in round "
-                                f"{self.round}, budget is {node_budget}"
-                            )
 
         self.metrics.record_local_bulk(self._pending_local_msgs, self._pending_local_words)
         self.metrics.record_global_bulk(self._pending_global_msgs, self._pending_global_words)
@@ -1319,13 +1307,12 @@ class HybridSimulator:
         each receiver learns the identifier set of its senders this round —
         but recorded as ``receiver * n + sender`` keys in the knowledge
         tracker's pair store: with NumPy the round's keys not yet stored are
-        filtered (span-parallel under a sharded delivery engine), deduplicated
-        and merged in one sorted absorb, with no per-receiver work at all.
+        filtered, deduplicated and merged in one sorted absorb, with no
+        per-receiver work at all.
         """
         pairs = self.knowledge.pairs
         n = self.n
         np = _accel.np
-        delivery = self._sharded_delivery() if np is not None else None
         fresh_chunks: List[Any] = []
         scalar_keys: List[int] = []
         for batch in planes:
@@ -1335,10 +1322,7 @@ class HybridSimulator:
                 scalar_keys.extend(r * n + s for r, s in zip(r_sel, s_sel))
                 continue
             keys = batch.fresh_pairs if batch.fresh_pairs is not None else r_sel * n + s_sel
-            if delivery is not None:
-                candidates = delivery.fresh_keys(np, keys, pairs.levels())
-            else:
-                candidates = pairs.unknown(np, keys)
+            candidates = pairs.unknown(np, keys)
             if candidates.size:
                 fresh_chunks.append(candidates)
         if np is None:
@@ -1444,11 +1428,10 @@ class HybridSimulator:
 
         Surviving batches keep their original column objects when nothing was
         dropped.  Array-backed batches filter vectorised: the crash/edge
-        keep-mask is computed per batch (span-parallel on the delivery engine
-        when installed — elementwise, so bit-identical for any worker count),
-        then the RNG consumes one draw per crash/edge survivor in ascending
-        token order, exactly like the scalar loop — the drop decisions and
-        the draw stream match the serial path bit for bit.  A filtered batch
+        keep-mask is computed per batch (:func:`_fault_keep_mask`), then the
+        RNG consumes one draw per crash/edge survivor in ascending token
+        order, exactly like the scalar loop — the drop decisions and the
+        draw stream match the scalar loop bit for bit.  A filtered batch
         loses its precomputed ``fresh_pairs``; the id-learning pass recomputes
         pairs from the surviving columns instead of trusting a stale spine.
         """
@@ -1456,7 +1439,6 @@ class HybridSimulator:
             return 0
         n = self.n
         np = _accel.np
-        delivery = self._sharded_delivery() if np is not None else None
         dropped = 0
         for i, batch in enumerate(planes):
             senders = batch.senders
@@ -1467,14 +1449,9 @@ class HybridSimulator:
                 and np is not None
                 and isinstance(senders, np.ndarray)
             ):
-                if delivery is not None:
-                    keep_mask = delivery.keep_mask(
-                        np, senders, receivers, crashed_arr, failed_arr, n
-                    )
-                else:
-                    keep_mask = span_keep_mask(
-                        np, senders, receivers, crashed_arr, failed_arr, n
-                    )
+                keep_mask = _fault_keep_mask(
+                    np, senders, receivers, crashed_arr, failed_arr, n
+                )
                 if rng is not None:
                     passing = np.flatnonzero(keep_mask)
                     if passing.size:

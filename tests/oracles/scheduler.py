@@ -1,8 +1,8 @@
 """Reference greedy scheduler and the tuple-based exchange built on it.
 
 :func:`shard_transfers` is the plain greedy-FIFO scan the production
-scheduler (:func:`repro.simulator.engine.plan_token_rounds`, serial or
-sharded) must reproduce shard for shard.  :func:`reference_batched_global_exchange`
+scheduler (:func:`repro.simulator.engine.plan_token_rounds`) must reproduce
+shard for shard.  :func:`reference_batched_global_exchange`
 is the tuple exchange the plane engine replaced: it shards with
 :func:`shard_transfers`, submits each shard with ``global_send_batch`` and
 harvests by rebuilding the round's inbox dict.  :func:`iter_triples` lowers a

@@ -1,9 +1,8 @@
 """Whole-algorithm knowledge identity: plane path vs the per-message oracle.
 
 The plane path records sender-identifier learning and validated send pairs in
-the knowledge tracker's pair store (one sorted merge per round, span-filtered
-by the sharded delivery engine when one is installed), while the per-message
-``"legacy"`` oracle learns through per-receiver Python sets.  For
+the knowledge tracker's pair store (one sorted merge per round), while the
+per-message ``"legacy"`` oracle learns through per-receiver Python sets.  For
 ``KDissemination`` on HYBRID_0 — payload and charge-only, path / star /
 Erdős–Rényi graphs, three seeds, both array backends — the round metrics and
 every node's identifier knowledge must be identical.  The oracle cannot run

@@ -24,6 +24,7 @@ from repro.simulator.engine import (
     batched_global_exchange,
     plan_token_rounds,
 )
+from repro.simulator.errors import CapacityExceededError
 from repro.simulator.messages import GLOBAL_MODE, LOCAL_MODE, payload_words
 from repro.simulator.network import HybridSimulator
 
@@ -98,7 +99,25 @@ def _hot_receiver(rng, n):
     return senders, receivers, words
 
 
+def _disjoint_groups(rng, n):
+    """Node-disjoint groups, each hammering one hot member: several
+    independent congested components in one plane."""
+    groups = max(2, min(4, n // 6))
+    nodes = list(range(n))
+    rng.shuffle(nodes)
+    size = n // groups
+    senders, receivers, words = [], [], []
+    for g in range(groups):
+        members = nodes[g * size : (g + 1) * size]
+        for i in range(rng.randrange(40, 90)):
+            senders.append(rng.choice(members))
+            receivers.append(members[0] if i % 4 else rng.choice(members))
+            words.append(rng.choice([1, 2, 3]))
+    return senders, receivers, words
+
+
 WORKLOADS = {
+    "disjoint-groups": _disjoint_groups,
     "rank-matched": _congested_rank_matched,
     "mixed-sizes": _mixed_sizes,
     "oversized": _with_oversized,
@@ -281,26 +300,49 @@ def test_global_plane_and_tuple_sends_are_equivalent(seed, backend):
     assert indexer[nodes[5]] == 5
 
 
+@pytest.mark.parametrize("direction", ["sent", "received"])
 @pytest.mark.parametrize("seed", SEEDS[:3])
-def test_plane_sends_record_overloads_like_tuple_sends(seed, backend):
-    """Receive-side overload: same violation count through both paths."""
+def test_plane_sends_record_overloads_like_tuple_sends(seed, direction, backend):
+    """Overload on either side: the same violation count through both paths,
+    and under strict enforcement the same error, naming the lowest-indexed
+    offender even though the other offender's traffic was queued first."""
     graph = path_graph(40)
     budget = HybridSimulator(graph, ModelConfig.hybrid()).global_budget_words()
     count = budget + 6
-    senders = list(range(1, count + 1))
-    receivers = [0] * count
-    payloads = ["x"] * count
+    senders, receivers = [], []
+    for hot in (20, 5):
+        others = [node for node in range(40) if node != hot][:count]
+        if direction == "sent":
+            senders += [hot] * count
+            receivers += others
+        else:
+            senders += others
+            receivers += [hot] * count
+    payloads = ["x"] * len(senders)
 
-    plane_sim = HybridSimulator(graph, ModelConfig.hybrid(), seed=seed)
-    plane_sim.global_send_batch_ids(senders, receivers, payloads)
-    plane_sim.advance_round()
+    def run(config, path):
+        sim = HybridSimulator(
+            graph, config, seed=seed, enforce_receive_capacity=config.strict
+        )
+        if path == "plane":
+            sim.global_send_batch_ids(senders, receivers, payloads)
+        else:
+            sim.global_send_batch(zip(senders, receivers, payloads))
+        try:
+            sim.advance_round()
+        except CapacityExceededError as exc:
+            return sim.metrics.summary(), str(exc)
+        return sim.metrics.summary(), None
 
-    tuple_sim = HybridSimulator(graph, ModelConfig.hybrid(), seed=seed)
-    tuple_sim.global_send_batch((s, 0, "x") for s in senders)
-    tuple_sim.advance_round()
+    plane, error = run(ModelConfig.hybrid(strict=False), "plane")
+    assert error is None and plane["capacity_violations"] == 2
+    assert run(ModelConfig.hybrid(strict=False), "tuple") == (plane, None)
 
-    assert plane_sim.metrics.capacity_violations == tuple_sim.metrics.capacity_violations > 0
-    assert plane_sim.metrics.summary() == tuple_sim.metrics.summary()
+    plane, error = run(ModelConfig.hybrid(), "plane")
+    assert error == (
+        f"node 5 {direction} {count} global words in round 0, budget is {budget}"
+    )
+    assert run(ModelConfig.hybrid(), "tuple") == (plane, error)
 
 
 @pytest.mark.parametrize("seed", SEEDS[:3])
