@@ -21,7 +21,7 @@ from typing import Any, Dict, Optional, Sequence
 _DEFAULT_DIR = pathlib.Path(__file__).parent / "results"
 
 
-def _environment() -> Dict[str, Any]:
+def environment() -> Dict[str, Any]:
     try:
         import numpy
 
@@ -93,7 +93,7 @@ def write_bench_artifact(
     payload = {
         "benchmark": name,
         "context": dict(context),
-        "environment": _environment(),
+        "environment": environment(),
         "rows": [dict(row) for row in rows],
     }
     path = directory / f"BENCH_{name}.json"

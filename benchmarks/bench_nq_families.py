@@ -16,34 +16,43 @@ It additionally guards the frontier-based analytics engine
 (:mod:`repro.graphs.index`):
 
 * ``test_nq_engine_speedup`` — the fast ``NQ_k`` path must beat the Theta(n*m)
-  reference implementation by >= 10x at n = 2000 (relaxable on noisy CI
-  runners via ``NQ_MIN_SPEEDUP``) while agreeing exactly;
+  reference implementation (``oracles.nq``) by >= 10x at n = 2000 (relaxable
+  on noisy CI runners via ``NQ_MIN_SPEEDUP``) while agreeing exactly;
 * ``test_nq_large_scale`` — full NQ_k profiles on n ~ 10^5 path / tree / ring
   instances, infeasible before the engine, must complete inside the harness;
 * ``test_nq_large_tier`` — the ``default_benchmark_specs("large")`` grid
-  (n >= 2000), run by the scheduled CI job (``BENCH_SCALE=large``).
+  (n >= 2000), run by the scheduled CI job (``BENCH_SCALE=large``);
+* ``test_nq_value_large_tier`` — graph-level ``NQ_k`` on a 10^6-node path and
+  a 1000 x 1000 grid, with the number of balls the pruned scan grew (same
+  scheduled job).
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pathlib
+import sys
 import time
 
 import pytest
 
-from _artifacts import update_trajectory, write_bench_artifact
+if __name__ == "__main__":
+    # pytest gets tests/ on sys.path from conftest.py; a script run does not.
+    sys.path.append(str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
+
+from _artifacts import environment, update_trajectory, write_bench_artifact
+from oracles.nq import _reference_neighborhood_quality
 from repro.analysis.comparison import fit_power_law_exponent
 from repro.analysis.experiments import (
     default_benchmark_specs,
     run_nq_family_point,
     run_nq_scale_point,
 )
-from repro.core.neighborhood_quality import (
-    _reference_neighborhood_quality,
-    neighborhood_quality,
-)
+from repro.core.neighborhood_quality import neighborhood_quality
 from repro.graphs.generators import GraphSpec, generate_graph
+from repro.graphs.index import GraphIndex, get_index
+from suite.harness import usable_cores
 
 K_VALUES = [16, 64, 256, 1024]
 
@@ -121,6 +130,7 @@ def run_nq_speedup_comparison() -> dict:
         fast_times.append(time.perf_counter() - start)
 
     fast_best = min(fast_times)
+    env = environment()
     return {
         "n": SPEEDUP_N,
         "k": SPEEDUP_K,
@@ -130,6 +140,9 @@ def run_nq_speedup_comparison() -> dict:
         "reference seconds": round(reference_seconds, 4),
         "speedup": round(reference_seconds / fast_best, 1),
         "identical": fast_value == reference_value,
+        "cores": usable_cores(),
+        "python": env["python"],
+        "numpy": env["numpy"] or "absent",
     }
 
 
@@ -152,8 +165,10 @@ def _write_speedup_artifact(row: dict) -> None:
     )
     update_trajectory(
         "nq_engine",
-        f"frontier NQ_k {row['speedup']}x faster than the Theta(n*m) reference "
-        f"(floor {REQUIRED_NQ_SPEEDUP}x) at n={SPEEDUP_N}, k={SPEEDUP_K}",
+        f"pruned frontier NQ_k {row['speedup']}x faster than the Theta(n*m) "
+        f"reference (floor {REQUIRED_NQ_SPEEDUP}x) at n={SPEEDUP_N}, "
+        f"k={SPEEDUP_K} on {row['cores']} cores, Python {row['python']}, "
+        f"NumPy {row['numpy']}",
     )
 
 
@@ -162,7 +177,7 @@ def test_nq_engine_speedup(save_table):
     save_table(
         "nq_speedup",
         [row],
-        "NQ analytics engine - frontier ball-growing vs Theta(n*m) reference",
+        "NQ analytics engine - pruned graph-level scan vs Theta(n*m) reference",
     )
     _write_speedup_artifact(row)
     _check_speedup(row)
@@ -212,6 +227,55 @@ def test_nq_large_tier(save_table):
     for row in rows:
         assert row["NQ_k measured"] <= row["upper bound min(D, sqrt k)"] + 1
         assert row["NQ_k measured"] > row["lower bound sqrt(Dk/3n)"] - 1
+
+
+NQ_VALUE_LARGE_FAMILIES = {
+    "path": (GraphSpec.of("path", n=1_000_000), 4096),
+    "grid-2d": (GraphSpec.of("grid", side=1000, dim=2), 10**4),
+}
+
+
+def test_nq_value_large_tier(save_table, monkeypatch):
+    """Graph-level NQ_k at n = 10^6, with the ball growths the scan needed."""
+    if os.environ.get("BENCH_SCALE") != "large":
+        pytest.skip("large tier runs in the scheduled CI job (BENCH_SCALE=large)")
+    growths = [0]
+    grow = GraphIndex._nq_grow
+
+    def counting(self, *args, **kwargs):
+        growths[0] += 1
+        return grow(self, *args, **kwargs)
+
+    monkeypatch.setattr(GraphIndex, "_nq_grow", counting)
+    rows = []
+    for name, (spec, k) in NQ_VALUE_LARGE_FAMILIES.items():
+        graph = generate_graph(spec)
+        start = time.perf_counter()
+        index = get_index(graph)
+        built = time.perf_counter()
+        growths[0] = 0
+        value = index.nq_value(k)
+        done = time.perf_counter()
+        rows.append(
+            {
+                "family": name,
+                "n": index.n,
+                "k": k,
+                "NQ_k": value,
+                "index build seconds": round(built - start, 2),
+                "NQ_k seconds": round(done - built, 2),
+                "ball growths": growths[0],
+                "cores": usable_cores(),
+            }
+        )
+        del graph, index
+    save_table(
+        "nq_value_large_tier", rows, "Graph-level NQ_k at n = 10^6 (pruned scan)"
+    )
+    for row in rows:
+        # Lemma 3.6: NQ_k <= sqrt(k) rounded up; the diameter is far larger.
+        assert 1 <= row["NQ_k"] <= math.isqrt(row["k"] - 1) + 1
+        assert row["ball growths"] <= 0.05 * row["n"]
 
 
 def main() -> None:

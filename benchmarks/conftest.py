@@ -9,6 +9,7 @@ leaves a self-contained record; EXPERIMENTS.md summarises the same data.
 from __future__ import annotations
 
 import pathlib
+import sys
 from typing import Dict, List, Sequence
 
 import pytest
@@ -16,6 +17,9 @@ import pytest
 from repro.analysis.tables import ExperimentRow, render_table, rows_to_markdown
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+# Speedup benchmarks time the production paths against the test oracles.
+sys.path.append(str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
 
 
 @pytest.fixture(scope="session")

@@ -17,10 +17,10 @@ This module provides
   stop each node's BFS at the radius that certifies its answer, the diameter is
   resolved lazily (only for nodes whose exploration exhausts the graph unmet),
   ``nq_profile`` shares one exploration across all workloads, and graph-level
-  ``NQ_k`` values are memoised per ``(graph, k)``;
-* ``_reference_*`` twins of every centralized function — the original
-  Theta(n * m) formulations kept verbatim (on index-free primitives) as ground
-  truth for the equivalence tests in ``tests/properties/test_nq_equivalence.py``;
+  ``NQ_k`` skips every node a grown ball already certifies and is memoised
+  per ``(graph, k)``.  The original Theta(n * m) formulations are test
+  oracles (``tests/oracles/nq.py``), pinned by
+  ``tests/properties/test_nq_equivalence.py``;
 * :class:`DistributedNQComputation`, the distributed computation of Lemma 3.3
   that runs on the :class:`~repro.simulator.network.HybridSimulator`:
   every node explores its neighborhood to increasing depth ``t`` (one local
@@ -46,10 +46,6 @@ import networkx as nx
 
 from repro.graphs.index import get_index
 from repro.simulator import _accel
-from repro.graphs.properties import (
-    _reference_ball_sizes_all_radii,
-    _reference_diameter,
-)
 from repro.simulator.config import log2_ceil
 from repro.simulator.engine import BatchAlgorithm, TokenPlane
 from repro.simulator.messages import payload_words
@@ -66,19 +62,6 @@ __all__ = [
     "DistributedNQComputation",
     "NQResult",
 ]
-
-
-def _nq_from_ball_sizes(ball_sizes: list, k: float, graph_diameter: int) -> int:
-    """Evaluate Definition 3.1 given ``[|B_0(v)|, |B_1(v)|, ...]``."""
-    if k <= 0:
-        raise ValueError("k must be positive")
-    # t ranges over positive integers; the list index is the radius.
-    max_radius = len(ball_sizes) - 1
-    for t in range(1, graph_diameter + 1):
-        size = ball_sizes[t] if t <= max_radius else ball_sizes[max_radius]
-        if size >= k / t:
-            return t
-    return graph_diameter
 
 
 def neighborhood_quality_of_node(
@@ -101,61 +84,6 @@ def neighborhood_quality(graph: nx.Graph, k: float) -> int:
 def nq_profile(graph: nx.Graph, ks: list) -> Dict[float, int]:
     """``NQ_k(G)`` for several workloads ``k`` (one shared exploration per node)."""
     return get_index(graph).nq_profile(ks)
-
-
-# ----------------------------------------------------------------------
-# Reference (index-free) twins — ground truth for the equivalence tests
-# ----------------------------------------------------------------------
-def _reference_neighborhood_quality_of_node(
-    graph: nx.Graph, k: float, node: Node, graph_diameter: Optional[int] = None
-) -> int:
-    """Original Theta(n * m) formulation of ``NQ_k(v)`` (tests only)."""
-    if graph_diameter is None:
-        graph_diameter = _reference_diameter(graph)
-    if graph_diameter == 0:
-        # Single-node graph: the ball of radius "D" is the node itself.
-        return 0
-    sizes = _reference_ball_sizes_all_radii(graph, node)
-    return _nq_from_ball_sizes(sizes, k, graph_diameter)
-
-
-def _reference_neighborhood_quality_per_node(
-    graph: nx.Graph, k: float
-) -> Dict[Node, int]:
-    """Original Theta(n * m) formulation of the per-node map (tests only)."""
-    graph_diameter = _reference_diameter(graph)
-    result: Dict[Node, int] = {}
-    for node in graph.nodes:
-        if graph_diameter == 0:
-            result[node] = 0
-            continue
-        sizes = _reference_ball_sizes_all_radii(graph, node)
-        result[node] = _nq_from_ball_sizes(sizes, k, graph_diameter)
-    return result
-
-
-def _reference_neighborhood_quality(graph: nx.Graph, k: float) -> int:
-    """Original formulation of ``NQ_k(G)`` (tests and speedup benchmarks only)."""
-    per_node = _reference_neighborhood_quality_per_node(graph, k)
-    return max(per_node.values())
-
-
-def _reference_nq_profile(graph: nx.Graph, ks: list) -> Dict[float, int]:
-    """Original formulation of the workload profile (tests only)."""
-    graph_diameter = _reference_diameter(graph)
-    sizes_per_node = {
-        node: _reference_ball_sizes_all_radii(graph, node) for node in graph.nodes
-    }
-    profile: Dict[float, int] = {}
-    for k in ks:
-        if graph_diameter == 0:
-            profile[k] = 0
-            continue
-        profile[k] = max(
-            _nq_from_ball_sizes(sizes, k, graph_diameter)
-            for sizes in sizes_per_node.values()
-        )
-    return profile
 
 
 @dataclasses.dataclass

@@ -35,6 +35,31 @@ is exact; on paths/grids/barbells it needs only a handful of BFS passes.  A
 running diameter *lower* bound (the largest eccentricity any full sweep has
 seen) often answers ``min(t1, D)`` without computing ``D`` at all.
 
+The graph-level value ``NQ_k(G) = max_v NQ_k(v)`` does not need a ball from
+every node.  Two facts let :meth:`GraphIndex.nq_value` skip most of them while
+staying exact:
+
+* *Ball containment.*  If ``hop(u, w) = d`` then ``B_{j+d}(w)`` contains
+  ``B_j(u)``.  So once ``u``'s grown ball has ``|B_j(u)| >= k / best`` (``best``
+  the running maximum) and ``j + d <= best``, the radius ``best`` meets the
+  threshold for ``w`` and ``NQ_k(w) <= best``: ``w`` needs no growth of its
+  own.  ``best`` only rises, so the certificate stays valid.  After each
+  growth the scan takes ``j*``, the first radius with ``|B_j*(u)| >= k / best``,
+  and certifies the grown levels ``1 .. best - j*``.
+* *Lemma 3.6 stop.*  Every node has ``NQ_k(v) <= t0``, the least integer
+  ``t0 >= 1`` with ``t0^2 >= k``.  If ``ecc(v) >= t0`` then ``|B_t0(v)| >=
+  t0 + 1 > k / t0``.  Otherwise the ball saturates below radius ``t0``, and
+  either ``n >= k / t0`` (so ``t0`` meets the threshold) or ``t0 >= k / t0 >
+  n > D >= NQ_k(v)``.  The scan stops as soon as ``best == t0``, or
+  ``best == D`` once the diameter is known; for non-finite ``k`` only the
+  ``D`` stop applies.
+
+The scan starts at the periphery node the connectivity sweep already found
+(on paths and grids its ball grows slowest), then goes in index order.  On a
+10^4-node path with ``k = 4096`` that is one growth instead of 10^4; where
+every node has a similar ball (random regular graphs) nothing is certified
+and every ball is grown, as before.
+
 The weighted engine
 -------------------
 
@@ -103,6 +128,7 @@ full-drop decision table.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import weakref
 from array import array
@@ -273,6 +299,7 @@ class GraphIndex:
 
         # Lazily filled analytics caches.
         self._connected: Optional[bool] = None
+        self._periphery: Optional[int] = None  # farthest node from index 0
         self._diameter: Optional[int] = None
         self._diam_lb = 0  # largest eccentricity any full sweep has observed
         self._nq_cache: Dict[float, int] = {}
@@ -323,6 +350,7 @@ class GraphIndex:
     # rebuild-oracle property grid pins.
     def _drop_topology_caches(self) -> None:
         self._connected = None
+        self._periphery = None
         self._diameter = None
         self._diam_lb = 0
         self._nq_cache.clear()
@@ -867,7 +895,7 @@ class GraphIndex:
             if self.n <= 1:
                 self._connected = True
             else:
-                ecc, size, _ = self._sweep(0)
+                ecc, size, self._periphery = self._sweep(0)
                 self._connected = size == self.n
                 if self._connected and ecc > self._diam_lb:
                     self._diam_lb = ecc
@@ -948,12 +976,19 @@ class GraphIndex:
         if not self.is_connected():
             raise ValueError("graph is disconnected; diameter undefined")
 
-    def _nq_grow(self, s: int, k: float, cap: Optional[int]) -> int:
+    def _nq_grow(
+        self,
+        s: int,
+        k: float,
+        cap: Optional[int],
+        levels: Optional[List[List[int]]] = None,
+    ) -> int:
         """First radius ``t`` with ``|B_t(s)| >= k / t``, capped by the diameter.
 
         ``cap`` is an explicit diameter (when the caller supplied one);
         ``cap=None`` resolves the diameter lazily and only in the rare
-        saturated case.
+        saturated case.  ``levels``, when given, receives the BFS levels the
+        growth visited: ``[s]``, then the nodes at hop distance 1, 2, ...
         """
         self._epoch += 1
         epoch = self._epoch
@@ -962,6 +997,8 @@ class GraphIndex:
         targets = self._targets
         visited[s] = epoch
         frontier = [s]
+        if levels is not None:
+            levels.append(frontier)
         size = 1
         t = 0
         while True:
@@ -978,6 +1015,8 @@ class GraphIndex:
             if not nxt:
                 ecc = t - 1
                 break
+            if levels is not None:
+                levels.append(nxt)
             size += len(nxt)
             if size >= k / t:
                 return t
@@ -1038,24 +1077,45 @@ class GraphIndex:
         return {node: grow(i, k, None) for i, node in enumerate(self.nodes)}
 
     def nq_value(self, k: float) -> int:
-        """``NQ_k(G) = max_v NQ_k(v)``, memoised per ``k``."""
+        """``NQ_k(G) = max_v NQ_k(v)``, memoised per ``k``.
+
+        Exact, but grows balls only from nodes no earlier ball certified and
+        stops at the Lemma 3.6 bound (see "Why early termination is correct
+        and fast" in the module docstring).
+        """
         cached = self._nq_cache.get(k)
         if cached is not None:
             return cached
         self._require_nq_preconditions()
         if self.n == 1:
-            value = 0
-        else:
-            if k <= 0:
-                raise ValueError("k must be positive")
-            grow = self._nq_grow
-            value = 0
-            for i in range(self.n):
-                candidate = grow(i, k, None)
-                if candidate > value:
-                    value = candidate
-        self._nq_cache[k] = value
-        return value
+            self._nq_cache[k] = 0
+            return 0
+        if k <= 0:
+            raise ValueError("k must be positive")
+        # t0 >= 1 is the least integer with t0^2 >= k, i.e. t0^2 >= ceil(k).
+        stop = math.isqrt(math.ceil(k) - 1) + 1 if math.isfinite(k) else None
+        done = bytearray(self.n)
+        best = 0
+        for s in itertools.chain((self._periphery,), range(self.n)):
+            if done[s]:
+                continue
+            done[s] = 1
+            levels: List[List[int]] = []
+            best = max(best, self._nq_grow(s, k, None, levels))
+            if best == stop or best == self._diameter:
+                break
+            # j* is the first radius whose ball reaches k / best; the levels
+            # 1 .. best - j* around s are then certified.
+            size = 0
+            for j, level in enumerate(levels):
+                size += len(level)
+                if size >= k / best:
+                    for certified in levels[1 : best - j + 1]:
+                        for w in certified:
+                            done[w] = 1
+                    break
+        self._nq_cache[k] = best
+        return best
 
     def nq_profile(self, ks: Iterable[float]) -> Dict[float, int]:
         """``NQ_k(G)`` for several workloads, sharing one exploration per node.

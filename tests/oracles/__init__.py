@@ -6,8 +6,8 @@ equivalence suites can pin the plane engine against ground truth.
 * :mod:`oracles.scheduler` — the reference greedy scheduler, plane-to-tuple
   lowering and the tuple exchange.
 * :mod:`oracles.transport` — the per-message throttled exchange.
-* :mod:`oracles.nq` — the tuple frontier flood and the whole-ball flood of
-  the distributed NQ computation.
+* :mod:`oracles.nq` — the centralized ``NQ_k`` references, plus the tuple
+  frontier flood and the whole-ball flood of the distributed NQ computation.
 * :mod:`oracles.overlay` — the tuple and per-message virtual-tree operations.
 * :mod:`oracles.engines` — ``exchange_via(name)``, which runs whole
   algorithms on one of the oracle engines.

@@ -2,23 +2,26 @@
 
 The frontier-based analytics engine (:mod:`repro.graphs.index`) must agree
 *exactly* — not approximately — with the original reference formulations kept
-as ``_reference_*`` in :mod:`repro.core.neighborhood_quality` and
-:mod:`repro.graphs.properties`, across six graph families x three seeds, for
-per-node values, graph-level values, workload profiles, diameters,
-eccentricities and ball-size sequences.  Any divergence is a correctness bug
-in the engine, never an acceptable approximation.
+as ``_reference_*`` in ``oracles.nq`` and :mod:`repro.graphs.properties`,
+across six graph families x three seeds, for per-node values, graph-level
+values, workload profiles, diameters, eccentricities and ball-size sequences.
+Any divergence is a correctness bug in the engine, never an acceptable
+approximation.
+
+The graph-level scan skips the nodes a grown ball already certifies and stops
+at the Lemma 3.6 bound, so it is also pinned against the per-node maximum on
+random connected graphs, after every cache-filling call that can precede it,
+and after edge edits; a spy on its ball grower pins that the pruning engages.
 """
 
 import math
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.neighborhood_quality import (
     DistributedNQComputation,
-    _reference_neighborhood_quality,
-    _reference_neighborhood_quality_of_node,
-    _reference_neighborhood_quality_per_node,
-    _reference_nq_profile,
     neighborhood_quality,
     neighborhood_quality_of_node,
     neighborhood_quality_per_node,
@@ -26,6 +29,7 @@ from repro.core.neighborhood_quality import (
 )
 from repro.graphs.generators import GraphSpec, generate_graph
 from repro.graphs.index import GraphIndex, get_index
+from repro.graphs.mutation import GraphMutator
 from repro.graphs.properties import (
     _reference_ball_sizes_all_radii,
     _reference_diameter,
@@ -38,6 +42,13 @@ from repro.simulator.config import ModelConfig
 from repro.simulator.network import HybridSimulator
 
 from oracles.engines import ENGINES, exchange_via
+from oracles.nq import (
+    _reference_neighborhood_quality,
+    _reference_neighborhood_quality_of_node,
+    _reference_neighborhood_quality_per_node,
+    _reference_nq_profile,
+)
+from test_nq_properties import connected_graphs
 
 SEEDS = [0, 1, 2]
 
@@ -62,8 +73,9 @@ CASES = [
 
 def _workloads(n):
     # Integer, fractional, sub-n, super-n and threshold-exhausting workloads;
-    # the last one drives nodes into the saturated (lazy-diameter) code path.
-    return [1, 2, 2.5, 7, max(1, n // 2), n, 3 * n, 10**6]
+    # the last ones drive nodes into the saturated (lazy-diameter) code path,
+    # and k < 1 hits the Lemma 3.6 stop at t0 = 1.
+    return [0.5, 1, 2, 2.5, 7, max(1, n // 2), n, 3 * n, 10**6, math.inf]
 
 
 @pytest.mark.parametrize("family,seed", CASES)
@@ -172,3 +184,112 @@ def test_distributed_engines_agree_and_match_centralized(family, seed):
     assert batch.metrics.measured_rounds == legacy.metrics.measured_rounds
     assert batch.metrics.total_rounds == legacy.metrics.total_rounds
     assert batch.metrics.local_words < legacy.metrics.local_words
+
+
+# ----------------------------------------------------------------------
+# The pruned graph-level scan
+# ----------------------------------------------------------------------
+@st.composite
+def _graph_and_workload(draw):
+    graph = draw(connected_graphs())
+    n = graph.number_of_nodes()
+    k = draw(
+        st.one_of(
+            st.integers(min_value=1, max_value=3 * n),
+            st.integers(min_value=1, max_value=12 * n).map(lambda q: q / 4),
+            st.integers(min_value=n * n, max_value=10**6),
+        )
+    )
+    return graph, k
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_graph_and_workload())
+def test_graph_level_nq_is_the_per_node_maximum(data):
+    graph, k = data
+    value = GraphIndex(graph).nq_value(k)
+    assert value == max(GraphIndex(graph).nq_per_node(k).values())
+    assert value == _reference_neighborhood_quality(graph, k)
+
+
+def test_nq_value_after_nq_profile():
+    graph = generate_graph(GraphSpec.of("barbell", clique_size=6, path_length=20))
+    n = graph.number_of_nodes()
+    profiled = [2, 7, n]
+    index = GraphIndex(graph)
+    index.nq_profile(profiled)
+    for k in profiled + [2.5, 3 * n, 10**6]:
+        assert index.nq_value(k) == _reference_neighborhood_quality(graph, k), k
+
+
+def test_nq_value_after_a_saturated_nq_of_node():
+    # Index 0 is the middle of the path, so the connectivity sweep sees
+    # eccentricity 25; a saturated growth from an end raises the lower bound.
+    graph = nx.Graph()
+    graph.add_node(25)
+    graph.add_edges_from(nx.path_graph(50).edges)
+    index = GraphIndex(graph)
+    index.is_connected()
+    assert index._diam_lb == 25
+    assert index.nq_of_node(0, 10**4) == _reference_neighborhood_quality_of_node(
+        graph, 10**4, 0
+    )
+    # Its t1 exceeds its eccentricity, the new lower bound, so D is resolved.
+    assert index._diam_lb == index._diameter == 49
+    for k in _workloads(50):
+        assert index.nq_value(k) == _reference_neighborhood_quality(graph, k), k
+
+
+def test_nq_value_after_edge_edits():
+    graph = nx.path_graph(40)
+    index = get_index(graph)
+    assert index.nq_value(20) == _reference_neighborhood_quality(graph, 20)
+    assert index._periphery == 39
+    mutator = GraphMutator(graph)
+    edits = [
+        (mutator.add_edge, 5, 30),
+        (mutator.remove_edge, 5, 6),
+        (mutator.add_edge, 0, 39),
+    ]
+    for edit, u, v in edits:
+        edit(u, v)
+        assert get_index(graph) is index and index._periphery is None
+        for k in (2, 20, 160, 10**6):
+            assert index.nq_value(k) == _reference_neighborhood_quality(graph, k)
+
+
+@pytest.fixture
+def growths(monkeypatch):
+    """Count the ball growths of the graph-level scan."""
+    calls = [0]
+    grow = GraphIndex._nq_grow
+
+    def counting(self, *args, **kwargs):
+        calls[0] += 1
+        return grow(self, *args, **kwargs)
+
+    monkeypatch.setattr(GraphIndex, "_nq_grow", counting)
+    return calls
+
+
+def test_pruning_engages_on_a_long_path(growths):
+    # The end of the path reaches the Lemma 3.6 bound t0 = 64 at once.
+    assert GraphIndex(nx.path_graph(10_000)).nq_value(4096) == 64
+    assert growths[0] <= 2
+
+
+def test_pruning_engages_on_a_grid(growths):
+    graph = nx.grid_2d_graph(100, 100)
+    value = GraphIndex(graph).nq_value(10**4)
+    assert growths[0] <= 0.05 * graph.number_of_nodes()
+    # A corner has the smallest ball at every radius, so it attains the max.
+    assert value == GraphIndex(graph).nq_of_node((0, 0), 10**4) == 27
+
+
+def test_unprunable_regular_graph_still_matches(growths):
+    graph = generate_graph(GraphSpec.of("random_regular", n=60, degree=6, seed=0))
+    for k in (4, 60, 600):
+        assert GraphIndex(graph).nq_value(k) == _reference_neighborhood_quality(
+            graph, k
+        )
+    assert growths[0] > 0
