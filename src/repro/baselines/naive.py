@@ -19,7 +19,6 @@ from array import array
 from repro.core.shortest_paths import DenseDistanceTable
 from repro.core.skeleton import build_skeleton
 from repro.graphs.index import SSSPRowCache, get_index
-from repro.graphs.properties import h_hop_limited_distances
 from repro.simulator.engine import BatchAlgorithm, GlobalTriple
 from repro.simulator.metrics import RoundMetrics
 from repro.simulator.network import HybridSimulator
@@ -135,10 +134,9 @@ class SqrtNSkeletonAPSP:
     — which is exactly the existential behaviour the universally optimal
     algorithms of Theorems 6-8 improve on when ``NQ_n << sqrt(n)``.
 
-    The per-node ``h``-hop limited tables run on the
-    :class:`~repro.graphs.index.GraphIndex` flat-array Bellman-Ford (via
-    :func:`~repro.graphs.properties.h_hop_limited_distances`), not one
-    Python-dict relaxation per node, and :meth:`run` returns a lazy
+    The per-node ``h``-hop limited tables are dense rows from one batched
+    :meth:`~repro.graphs.index.GraphIndex.h_hop_limited_rows` call, and
+    :meth:`run` returns a lazy
     :class:`~repro.core.shortest_paths.DenseDistanceTable`
     (``row_store="array"``) whose skeleton Dijkstra rows are computed on
     first use — values identical to the historical eager dict-of-dicts.
@@ -166,10 +164,15 @@ class SqrtNSkeletonAPSP:
         skeleton_rows = SSSPRowCache(get_index(skeleton.graph))
         h = skeleton.h
         sim.charge_rounds(h, "h-hop local distance computation", "[KS20]")
-        skeleton_set = set(skeleton.skeleton_nodes)
-        limited = {v: h_hop_limited_distances(sim.graph, v, h) for v in sim.nodes}
+        index = get_index(sim.graph)
         columns = list(sim.nodes)
-        inf = math.inf
+        limited = dict(zip(columns, index.h_hop_limited_rows(columns, h)))
+        limited_pos = [index.index_of[w] for w in columns]
+        # ``(node, position in the limited rows, skeleton index position)``.
+        skeleton_at = [
+            (z, index.index_of[z], skeleton_rows.position_of(z))
+            for z in skeleton.skeleton_nodes
+        ]
         n_sk = skeleton_rows.index.n
 
         # Per-column nearby-skeleton entry points, resolved once: column j can
@@ -179,15 +182,9 @@ class SqrtNSkeletonAPSP:
         col_dist: List[array] = []
         for w in columns:
             lim_w = limited[w]
-            col_pos.append(
-                array(
-                    "q",
-                    (skeleton_rows.position_of(z) for z in lim_w if z in skeleton_set),
-                )
-            )
-            col_dist.append(
-                array("d", (lim_w[z] for z in lim_w if z in skeleton_set))
-            )
+            nearby = [(q, lim_w[p]) for _, p, q in skeleton_at if lim_w[p] < math.inf]
+            col_pos.append(array("q", (q for q, _ in nearby)))
+            col_dist.append(array("d", (d for _, d in nearby)))
 
         # The historical quadruple loop evaluated
         # ``(limited[v][u] + d_skel(u, z)) + limited[w][z]`` per (u, z) pair
@@ -198,19 +195,19 @@ class SqrtNSkeletonAPSP:
         # sums against one |skeleton|-wide scratch row.
         def make_row(v: Node) -> List[float]:
             lim_v = limited[v]
-            via = [inf] * n_sk
-            for u in lim_v:
-                if u not in skeleton_set:
+            via = [math.inf] * n_sk
+            for u, position, _ in skeleton_at:
+                d_v_u = lim_v[position]
+                if d_v_u == math.inf:
                     continue
                 row_u = skeleton_rows.row(u)
-                d_v_u = lim_v[u]
                 for p in range(n_sk):
                     candidate = d_v_u + row_u[p]
                     if candidate < via[p]:
                         via[p] = candidate
             out: List[float] = []
-            for j, w in enumerate(columns):
-                best = lim_v.get(w, inf)
+            for j, position in enumerate(limited_pos):
+                best = lim_v[position]
                 positions = col_pos[j]
                 distances = col_dist[j]
                 for i in range(len(positions)):

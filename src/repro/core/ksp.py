@@ -47,7 +47,7 @@ from repro.core.helper_sets import compute_classic_helper_sets
 from repro.core.skeleton import SkeletonGraph, build_skeleton
 from repro.core.sssp import sssp_round_cost
 from repro.graphs.index import SSSPRowCache, get_index
-from repro.graphs.properties import h_hop_limited_distances, weighted_distances_from
+from repro.graphs.properties import weighted_distances_from
 from repro.simulator.config import log2_ceil
 from repro.simulator.engine import BatchAlgorithm
 from repro.simulator.metrics import RoundMetrics
@@ -188,14 +188,18 @@ class KSourceShortestPaths(BatchAlgorithm):
         graph = sim.graph
         h = self.skeleton.h
         skeleton_set = self._skeleton_set
+        index = get_index(graph)
+        skeleton_positions = [
+            (u, index.index_of[u]) for u in self.skeleton.skeleton_nodes
+        ]
         for source in self.sources:
             if source in skeleton_set:
                 self._proxy_of[source] = source
                 self._proxy_offset[source] = 0.0
-                continue
-            limited = h_hop_limited_distances(graph, source, h)
+        outside = [source for source in self.sources if source not in skeleton_set]
+        for source, limited in zip(outside, index.h_hop_limited_rows(outside, h)):
             candidates = {
-                node: dist for node, dist in limited.items() if node in skeleton_set
+                u: limited[p] for u, p in skeleton_positions if limited[p] < math.inf
             }
             if not candidates:
                 # Fall back to the globally closest skeleton node (can only
@@ -245,16 +249,18 @@ class KSourceShortestPaths(BatchAlgorithm):
         sim = self.simulator
         graph = sim.graph
         h = self.skeleton.h
-        skeleton_set = self._skeleton_set
         skeleton_rows = self._skeleton_rows
         sim.charge_rounds(
             h,
             "h-hop limited distance computation over the local mode",
             "Lemma 9.4",
         )
-        limited_from_node: Dict[Node, Dict[Node, float]] = {}
-        for node in sim.nodes:
-            limited_from_node[node] = h_hop_limited_distances(graph, node, h)
+        index = get_index(graph)
+        skeleton_positions = [
+            (index.index_of[u], skeleton_rows.position_of(u))
+            for u in self.skeleton.skeleton_nodes
+        ]
+        source_positions = [index.index_of[source] for source in self.sources]
         # Flat-array assembly.  The historical loop evaluated
         # ``(limited[u] + d_skel(proxy, u)) + offset`` per (source, u) pair;
         # the node-to-proxy leg does not depend on the source, and adding the
@@ -263,16 +269,15 @@ class KSourceShortestPaths(BatchAlgorithm):
         # node therefore scans its nearby skeleton entry points once per
         # *distinct proxy* against that proxy's dense row — |proxies| * |U| +
         # k work instead of k * |U|.
-        for node in sim.nodes:
-            limited = limited_from_node[node]
+        for node, limited in zip(sim.nodes, index.h_hop_limited_rows(sim.nodes, h)):
             nearby = [
-                (skeleton_rows.position_of(u), limited[u])
-                for u in limited
-                if u in skeleton_set
+                (position, limited[p])
+                for p, position in skeleton_positions
+                if limited[p] < math.inf
             ]
             via_to_proxy: Dict[Node, float] = {}
             per_source: Dict[Node, float] = {}
-            for source in self.sources:
+            for source, source_position in zip(self.sources, source_positions):
                 proxy = self._proxy_of[source]
                 to_proxy = via_to_proxy.get(proxy)
                 if to_proxy is None:
@@ -283,7 +288,7 @@ class KSourceShortestPaths(BatchAlgorithm):
                         if candidate < to_proxy:
                             to_proxy = candidate
                     via_to_proxy[proxy] = to_proxy
-                best = limited.get(source, math.inf)
+                best = limited[source_position]
                 via = to_proxy + self._proxy_offset[source]
                 if via < best:
                     best = via

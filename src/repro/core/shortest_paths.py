@@ -55,7 +55,7 @@ from repro.core.spanner import distributed_spanner, greedy_spanner
 from repro.core.sssp import approx_sssp_distances, sssp_round_cost
 from repro.core.ksp import KSourceShortestPaths
 from repro.graphs.index import GraphIndex, SSSPRowCache, get_index
-from repro.graphs.properties import h_hop_limited_distances, weighted_distances_from
+from repro.graphs.properties import weighted_distances_from
 from repro.simulator.config import log2_ceil
 from repro.simulator.engine import BatchAlgorithm
 from repro.simulator.metrics import RoundMetrics
@@ -704,7 +704,7 @@ class SkeletonAPSP(BatchAlgorithm):
         self._skeleton = None
         self._spanner: Optional[nx.Graph] = None
         self._skeleton_rows: Optional[SSSPRowCache] = None
-        self._limited: Dict[Node, Dict[Node, float]] = {}
+        self._limited: Dict[Node, array] = {}
         self._closest_skeleton: Dict[Node, Tuple[Node, float]] = {}
 
     def phases(self):
@@ -779,14 +779,13 @@ class SkeletonAPSP(BatchAlgorithm):
         skeleton = self._skeleton
         h = skeleton.h
         sim.charge_rounds(h, "h-hop local neighborhood exploration", "Theorem 8")
-        self._limited = {
-            v: h_hop_limited_distances(sim.graph, v, h) for v in sim.nodes
-        }
+        index = get_index(sim.graph)
+        self._limited = dict(zip(sim.nodes, index.h_hop_limited_rows(sim.nodes, h)))
+        skeleton_positions = [(u, index.index_of[u]) for u in skeleton.skeleton_nodes]
         skeleton_set = set(skeleton.skeleton_nodes)
         for v in sim.nodes:
-            candidates = {
-                u: d for u, d in self._limited[v].items() if u in skeleton_set
-            }
+            row = self._limited[v]
+            candidates = {u: row[p] for u, p in skeleton_positions if row[p] < math.inf}
             if not candidates:
                 full = weighted_distances_from(sim.graph, v)
                 candidates = {u: d for u, d in full.items() if u in skeleton_set}
@@ -805,7 +804,9 @@ class SkeletonAPSP(BatchAlgorithm):
         closest_skeleton = self._closest_skeleton
         skeleton_rows = self._skeleton_rows
         columns = list(sim.nodes)
-        inf = math.inf
+        # Column j's position in the dense h-hop limited rows.
+        index_of = get_index(sim.graph).index_of
+        limited_pos = [index_of[w] for w in columns]
 
         # Per-column closest-skeleton data, resolved once: ``cs_pos[j]`` is
         # the spanner-index position of column j's closest skeleton node and
@@ -826,8 +827,8 @@ class SkeletonAPSP(BatchAlgorithm):
             skeleton_row = skeleton_rows.row(v_s)
             lim = limited[v]
             return [
-                min(lim.get(w, inf), (d_v_vs + skeleton_row[cs_pos[j]]) + cs_dist[j])
-                for j, w in enumerate(columns)
+                min(lim[p], (d_v_vs + skeleton_row[cs_pos[j]]) + cs_dist[j])
+                for j, p in enumerate(limited_pos)
             ]
 
         return DenseDistanceTable(

@@ -27,7 +27,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
-from repro.graphs.properties import h_hop_limited_distances
+from repro.graphs.index import get_index
 from repro.simulator.network import HybridSimulator
 
 Node = Hashable
@@ -93,10 +93,12 @@ def build_skeleton(
     skeleton = nx.Graph()
     skeleton.add_nodes_from(skeleton_nodes)
     ordered = sorted(skeleton_nodes, key=str)
-    for node in ordered:
-        limited = h_hop_limited_distances(graph, node, h)
-        for other, dist in limited.items():
-            if other == node or other not in skeleton_nodes:
+    index = get_index(graph)
+    positions = [(other, index.index_of[other]) for other in ordered]
+    for node, limited in zip(ordered, index.h_hop_limited_rows(ordered, h)):
+        for other, position in positions:
+            dist = limited[position]
+            if other == node or dist == math.inf:
                 continue
             existing = skeleton.get_edge_data(node, other)
             if existing is None or dist < existing.get("weight", math.inf):

@@ -87,6 +87,19 @@ substrate for every centralized weighted computation:
   needs a single sweep where it used to run one BFS per ruler twice.
 * :meth:`GraphIndex.ruling_set` — the greedy (alpha, alpha-1)-ruling set
   grown from flat truncated frontiers over the CSR.
+* *Batched h-hop rows* — :meth:`GraphIndex.h_hop_limited_rows` serves the
+  all-sources ``d^h`` callers.  With NumPy a block of ``S`` sources runs as one
+  synchronous Bellman-Ford over a node-major ``(|U| + 1) x S`` matrix, ``U``
+  the union of their ``h``-hop balls (no ``h``-hop walk leaves it): each round
+  pulls ``D[t_c] + w_c`` per degree column ``c`` and ``np.minimum``-s it in,
+  until ``h`` rounds or an unchanged round.  These are the per-source Jacobi
+  rounds, ``x -> fl(x + w)`` is monotone and ``min`` exact, so every value
+  equals the per-source one.  The source before each block runs per-source
+  and prices it: dense iff ``(I + 1) * (E_U * S / _HHOP_NUMPY_RATIO +
+  maxdeg_U * _HHOP_CALL_COST) < S * F * E_U / |U|`` (``I`` rounds and ``F``
+  frontier nodes of that source, ``E_U`` the union's CSR entries).  Blocks
+  halve until the matrix fits in ``_HHOP_BLOCK_CELLS``.  Without NumPy every
+  source runs per-source.
 
 Caching
 -------
@@ -133,7 +146,7 @@ import math
 import weakref
 from array import array
 from collections import OrderedDict
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
@@ -149,6 +162,14 @@ __all__ = [
     "invalidate_index",
     "round_weight_up",
 ]
+
+# Dense h-hop blocks (module docstring): at most 256 sources and 2^18
+# float64 cells (2 MiB) per matrix; a Python edge relaxation costs as much as
+# 60 dense cell updates, and one degree column's NumPy calls as 20 relaxations.
+_HHOP_BLOCK_SOURCES = 256
+_HHOP_BLOCK_CELLS = 1 << 18
+_HHOP_NUMPY_RATIO = 60.0
+_HHOP_CALL_COST = 20.0
 
 
 class StaleIndexError(RuntimeError):
@@ -529,19 +550,23 @@ class GraphIndex:
     def h_hop_limited_distances(self, source: Node, h: int) -> Dict[Node, float]:
         """``h``-hop limited weighted distances ``d^h(source, .)`` (Section 1.2).
 
-        Flat-array Bellman-Ford over the pre-zipped ``(target, weight)``
-        adjacency pairs (shared with the Dijkstra engine, built once per
-        graph): ``h`` relaxation rounds with an epoch-stamped distance scratch
-        vector, touching only the nodes the relaxation actually reaches — one
-        sequence traversal per relaxed edge instead of two indexed reads from
-        the parallel CSR arrays.  Produces exactly the same values as the
-        dict-based reference (the candidate path sums are identical
-        floating-point operations); only the key order of the returned dict may
-        differ.  Unreached nodes are omitted.
+        One :meth:`_bellman_ford` run; unreached nodes are omitted.  Values
+        equal the dict-based reference exactly (the same floating-point sums);
+        only the key order may differ.
         """
         if h < 0:
             raise ValueError("h must be non-negative")
-        s = self._require(source)
+        reached, _, _ = self._bellman_ford(self._require(source), h)
+        nodes, dist = self.nodes, self._fdist
+        return {nodes[i]: dist[i] for i in reached}
+
+    def _bellman_ford(self, s: int, h: int) -> Tuple[List[int], int, int]:
+        """``h`` Jacobi rounds from ``s``: ``(reached, relaxed, rounds)``.
+
+        Distances stay in ``_fdist``; ``relaxed`` counts frontier nodes.  Only
+        nodes the last round changed are relaxed from: every other candidate
+        was already offered, so the values are those of full Jacobi rounds.
+        """
         offsets = self._offsets
         pairs = self._pair_array(0.0)
         self._epoch += 1
@@ -552,7 +577,9 @@ class GraphIndex:
         dist[s] = 0.0
         reached = [s]
         frontier = [s]
-        for _ in range(h):
+        relaxed = rounds = 0
+        for rounds in range(1, h + 1):
+            relaxed += len(frontier)
             updates: Dict[int, float] = {}
             for u in frontier:
                 du = dist[u]
@@ -575,8 +602,123 @@ class GraphIndex:
                 frontier.append(v)
             if not frontier:
                 break
-        nodes = self.nodes
-        return {nodes[i]: dist[i] for i in reached}
+        return reached, relaxed, rounds
+
+    def h_hop_limited_rows(self, sources: Iterable[Node], h: int) -> Iterator[array]:
+        """Dense ``d^h`` rows, one ``array('d')`` per source, in order.
+
+        ``row[i] = d^h(source, nodes[i])`` (``math.inf`` past ``h`` hops), equal
+        to :meth:`h_hop_limited_distances` bit for bit.  Sources and ``h`` are
+        checked at call time; rows come block by block (module docstring), so
+        consume them before editing the graph.
+        """
+        if h < 0:
+            raise ValueError("h must be non-negative")
+        src = [self._require(node) for node in sources]
+        # Read at call time (the ``_accel.np = None`` switch); imported here
+        # because the simulator package imports this module.
+        from repro.simulator import _accel
+
+        return self._limited_rows(_accel.np, src, h)
+
+    def _limited_rows(self, np, src: List[int], h: int) -> Iterator[array]:
+        csr = None  # a per-call NumPy copy of the CSR: nothing to keep in sync
+        if np is not None and len(src) > 1:
+            csr = (np.array(self._offsets), np.array(self._targets))
+            csr += (np.array(self._weights, dtype=np.float64),)
+        done = unpriced = 0
+        while done < len(src):
+            reached, relaxed, rounds = self._bellman_ford(src[done], h)
+            row, dist = array("d", [math.inf]) * self.n, self._fdist
+            for v in reached:
+                row[v] = dist[v]
+            yield row
+            done += 1
+            # The first run, and the one after each block, prices the next.
+            if unpriced:
+                unpriced -= 1
+            elif csr is not None:
+                block, ball = self._dense_block(np, csr, src, done, h, relaxed, rounds)
+                if ball is None:
+                    unpriced = len(block)
+                else:
+                    yield from self._dense_rows(np, csr, block, *ball, h)
+                    done += len(block)
+
+    def _dense_block(self, np, csr, src, start, h, relaxed, rounds):
+        """The next block, with its ball union and degrees in descending degree
+        order (``None``: run the block per-source)."""
+        size = min(_HHOP_BLOCK_SOURCES, len(src) - start)
+        while size:
+            union = self._ball_union(src[start : start + size], h)
+            if union is not None:
+                break
+            size //= 2
+        else:
+            return src[start : start + _HHOP_BLOCK_SOURCES], None
+        block, union = src[start : start + size], np.array(union)
+        degrees = csr[0][union + 1] - csr[0][union]
+        entries = int(degrees.sum())
+        cost = entries * size / _HHOP_NUMPY_RATIO + int(degrees.max()) * _HHOP_CALL_COST
+        if (rounds + 1) * cost >= size * relaxed * entries / len(union):
+            return block, None
+        order = np.argsort(-degrees, kind="stable")
+        return block, (union[order], degrees[order])
+
+    def _ball_union(self, block: List[int], h: int) -> Optional[List[int]]:
+        """Indices within ``h`` hops of a block source; ``None`` past the cap."""
+        limit = _HHOP_BLOCK_CELLS // len(block) - 1  # one more row: the sentinel
+        self._epoch += 1
+        epoch = self._epoch
+        visited, offsets, targets = self._visited, self._offsets, self._targets
+        union = list(dict.fromkeys(block))  # distinct sources, in order
+        for s in union:
+            visited[s] = epoch
+        start = 0
+        for _ in range(h):
+            end = len(union)
+            for u in union[start:end]:
+                for v in targets[offsets[u] : offsets[u + 1]]:
+                    if visited[v] != epoch:
+                        visited[v] = epoch
+                        union.append(v)
+            if len(union) == end or len(union) > limit:
+                break
+            start = end
+        return union if len(union) <= limit else None
+
+    def _dense_rows(self, np, csr, block, union, degrees, h):
+        """Synchronous multi-source Bellman-Ford over one block's ball union.
+
+        With ``union`` sorted by degree, descending, every degree column is a
+        row prefix; the extra last row stays ``inf`` for nodes outside ``U``.
+        """
+        offsets, targets, weights = csr
+        size = len(union)
+        local = np.full(self.n, size)  # O(n), like every output row
+        local[union] = np.arange(size)
+        starts = offsets[union]
+        columns = []
+        for c in range(int(degrees[0])):
+            count = int(np.count_nonzero(degrees > c))
+            entries = starts[:count] + c
+            columns.append((count, local[targets[entries]], weights[entries][:, None]))
+        dist = np.full((size + 1, len(block)), math.inf)
+        dist[local[block], np.arange(len(block))] = 0.0
+        nxt, scratch = np.empty_like(dist), np.empty_like(dist)
+        for _ in range(h):
+            np.copyto(nxt, dist)
+            for count, t, w in columns:
+                candidate = np.take(dist, t, axis=0, out=scratch[:count], mode="clip")
+                np.add(candidate, w, out=candidate)
+                np.minimum(nxt[:count], candidate, out=nxt[:count])
+            if np.array_equal(nxt, dist):
+                break
+            dist, nxt = nxt, dist
+        row = np.full(self.n, math.inf)
+        for column in dist[:size].T:
+            row[union] = column
+            yield array("d", row.tobytes())
 
     def weak_diameter(self, members: Iterable[Node]):
         """Weak diameter of a member set: max pairwise hop distance *in G*.

@@ -132,13 +132,6 @@ def weighted_distances_from(graph: nx.Graph, source: Node) -> Dict[Node, float]:
     return get_index(graph).sssp_dict(source)
 
 
-def _reference_weighted_distances_from(
-    graph: nx.Graph, source: Node
-) -> Dict[Node, float]:
-    """Index-free ground truth for :func:`weighted_distances_from` (tests only)."""
-    return nx.single_source_dijkstra_path_length(graph, source, weight="weight")
-
-
 def all_weighted_distances(graph: nx.Graph) -> Dict[Node, Dict[Node, float]]:
     """All-pairs weighted distances, one flat index Dijkstra row per node."""
     index = get_index(graph)
@@ -157,35 +150,6 @@ def h_hop_limited_distances(
     source, like the other BFS primitives).
     """
     return get_index(graph).h_hop_limited_distances(source, h)
-
-
-def _reference_h_hop_limited_distances(
-    graph: nx.Graph, source: Node, h: int
-) -> Dict[Node, float]:
-    """Index-free ground truth for :func:`h_hop_limited_distances` (tests only):
-    ``h`` rounds of dict-based Bellman-Ford relaxation."""
-    if h < 0:
-        raise ValueError("h must be non-negative")
-    dist: Dict[Node, float] = {source: 0.0}
-    frontier: Set[Node] = {source}
-    for _ in range(h):
-        updates: Dict[Node, float] = {}
-        for u in frontier:
-            du = dist[u]
-            for v in graph.neighbors(u):
-                cand = du + edge_weight(graph, u, v)
-                if cand < dist.get(v, math.inf) and cand < updates.get(v, math.inf):
-                    updates[v] = cand
-        if not updates:
-            break
-        frontier = set()
-        for v, d in updates.items():
-            if d < dist.get(v, math.inf):
-                dist[v] = d
-                frontier.add(v)
-        if not frontier:
-            break
-    return dist
 
 
 def ball(graph: nx.Graph, center: Node, radius: int) -> Set[Node]:

@@ -42,7 +42,6 @@ from repro.graphs.generators import (
 )
 from repro.graphs.properties import (
     _reference_all_hop_distances,
-    _reference_h_hop_limited_distances,
     _reference_weak_diameter,
     all_hop_distances,
     h_hop_limited_distances,
@@ -54,6 +53,7 @@ from repro.simulator.config import ModelConfig
 from repro.simulator.network import HybridSimulator
 
 from oracles.engines import exchange_via
+from oracles.weighted import _reference_h_hop_limited_distances
 
 SEEDS = [0, 1, 2]
 

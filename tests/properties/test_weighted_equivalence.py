@@ -46,11 +46,10 @@ from repro.graphs.generators import (
     path_graph,
 )
 from repro.graphs.index import get_index
-from repro.graphs.properties import (
-    _reference_weighted_distances_from,
-    weighted_distances_from,
-)
+from repro.graphs.properties import weighted_distances_from
 from repro.graphs.weighted import assign_random_weights
+
+from oracles.weighted import _reference_weighted_distances_from
 
 SEEDS = [0, 1, 2]
 

@@ -9,7 +9,6 @@ from repro.graphs.generators import cycle_graph, grid_graph, path_graph, star_gr
 from repro.graphs.weighted import assign_random_weights, unit_weights
 from repro.graphs.properties import (
     _reference_diameter,
-    _reference_h_hop_limited_distances,
     ball,
     ball_size,
     ball_sizes_all_radii,
@@ -27,6 +26,8 @@ from repro.graphs.properties import (
     weak_diameter,
     weighted_distances_from,
 )
+
+from oracles.weighted import _reference_h_hop_limited_distances
 
 
 class TestHopDistances:
