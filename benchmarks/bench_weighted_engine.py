@@ -37,17 +37,24 @@ from __future__ import annotations
 
 import math
 import os
+import pathlib
 import random
+import sys
 import time
 
 import networkx as nx
 import pytest
 
+if __name__ == "__main__":
+    # pytest gets tests/ on sys.path from conftest.py; a script run does not.
+    sys.path.append(str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
+
 from _artifacts import environment, update_trajectory, write_bench_artifact
+from oracles.clustering import _reference_nq_clustering
+from oracles.weighted import _reference_approx_sssp_distances
 from repro.analysis.experiments import run_clustering_scale_point
-from repro.core.clustering import _reference_nq_clustering, nq_clustering
+from repro.core.clustering import nq_clustering
 from repro.core.neighborhood_quality import neighborhood_quality
-from repro.core.sssp import _reference_approx_sssp_distances
 from repro.graphs.generators import GraphSpec, generate_graph
 from repro.graphs.index import get_index
 from repro.graphs.weighted import assign_random_weights

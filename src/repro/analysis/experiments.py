@@ -24,7 +24,6 @@ from repro.analysis.tables import ExperimentRow
 from repro.analysis.theory import TheoryPredictions
 from repro.baselines.centralized import exact_apsp, exact_hop_apsp, max_stretch_of_table
 from repro.baselines.existential import ExistentialBounds
-from repro.baselines.naive import LocalFloodingBroadcast, NaiveGlobalBroadcast
 from repro.core.aggregation import KAggregation
 from repro.core.clustering import nq_clustering
 from repro.core.dissemination import KDissemination

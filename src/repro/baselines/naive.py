@@ -19,7 +19,8 @@ from array import array
 from repro.core.shortest_paths import DenseDistanceTable
 from repro.core.skeleton import build_skeleton
 from repro.graphs.index import SSSPRowCache, get_index
-from repro.simulator.engine import BatchAlgorithm, GlobalTriple
+from repro.simulator.engine import BatchAlgorithm, ExchangeTag, GlobalTriple, TokenPlane
+from repro.simulator.messages import LOCAL_MODE, payload_words
 from repro.simulator.metrics import RoundMetrics
 from repro.simulator.network import HybridSimulator
 
@@ -62,15 +63,29 @@ class LocalFloodingBroadcast:
         if not all_tokens:
             return BroadcastOutcome(known_tokens=known, tokens=set(), metrics=sim.metrics)
 
+        # One local plane per round: every holder sends its token set to every
+        # neighbour; receivers learn from the positions actually delivered.
+        nodes = sim.nodes
+        index = sim.node_indexer()
+        tag = ExchangeTag("flood")
         while not all(tokens == all_tokens for tokens in known.values()):
-            for v in sim.nodes:
+            senders: List[int] = []
+            receivers: List[int] = []
+            words: List[int] = []
+            payloads: List[Any] = []
+            for v in nodes:
                 if known[v]:
-                    sim.local_broadcast(v, frozenset(known[v]), tag="flood")
+                    payload = frozenset(known[v])
+                    size = payload_words(payload)
+                    targets = [index[u] for u in sim.neighbors(v)]
+                    senders.extend([index[v]] * len(targets))
+                    receivers.extend(targets)
+                    words.extend([size] * len(targets))
+                    payloads.extend([payload] * len(targets))
+            sim.local_send_plane(TokenPlane(senders, receivers, words, payloads), None, tag)
             sim.advance_round()
-            for v in sim.nodes:
-                for message in sim.local_inbox(v):
-                    if message.tag == "flood":
-                        known[v].update(message.payload)
+            for position in sim.delivered_plane_positions(tag, LOCAL_MODE):
+                known[nodes[receivers[position]]].update(payloads[position])
         return BroadcastOutcome(known_tokens=known, tokens=all_tokens, metrics=sim.metrics)
 
 

@@ -22,7 +22,7 @@ the per-cluster BFS order both come out of a single flat multi-source sweep
 (:meth:`~repro.graphs.index.GraphIndex.closest_sources`, deterministic
 minimum-identifier tie-breaking) instead of two full dict BFS passes per
 ruler, and the ruling set grows from flat truncated frontiers.  The pre-index
-formulation survives as :func:`_reference_nq_clustering` ground truth;
+formulation is a test oracle (``tests/oracles/clustering.py``), and
 ``tests/properties/test_weighted_equivalence.py`` pins byte-identical output
 (assignment, leaders, member order) across graph families.  Clusterings are
 built for a frozen graph: :class:`Cluster` memoises its member set for
@@ -35,18 +35,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, FrozenSet, Hashable, List, Optional, Set
+from typing import Dict, FrozenSet, Hashable, List, Optional
 
 import networkx as nx
 
 from repro.core.neighborhood_quality import neighborhood_quality
-from repro.core.ruling_sets import (
-    _reference_greedy_ruling_set,
-    distributed_ruling_set,
-    greedy_ruling_set,
-)
+from repro.core.ruling_sets import distributed_ruling_set, greedy_ruling_set
 from repro.graphs.index import get_index
-from repro.graphs.properties import hop_distances_from, weak_diameter
+from repro.graphs.properties import weak_diameter
 from repro.simulator.config import log2_ceil
 from repro.simulator.network import HybridSimulator
 
@@ -175,20 +171,6 @@ def _split_cluster(members: List[Node], lower: float, upper: float) -> List[List
     return [chunk for chunk in chunks if chunk]
 
 
-def _bfs_order_from(graph: nx.Graph, root: Node, members: Set[Node]) -> List[Node]:
-    """Members of a cluster ordered by BFS (in G) from the leader.
-
-    Reference machinery: :func:`nq_clustering` now reads the same order out of
-    the shared multi-source sweep; only :func:`_reference_nq_clustering` still
-    runs this per-ruler BFS.
-    """
-    dist = hop_distances_from(graph, root)
-    inside = [m for m in members if m in dist]
-    inside.sort(key=lambda m: (dist[m], str(m)))
-    missing = sorted((m for m in members if m not in dist), key=str)
-    return inside + missing
-
-
 def nq_clustering(
     graph: nx.Graph,
     k: float,
@@ -201,7 +183,7 @@ def nq_clustering(
     the closest-ruler assignment — ties to the minimum identifier, exactly as
     the per-ruler formulation resolved them — and each node's hop distance to
     its ruler, which is the BFS order the splitting step chunks by.  Output is
-    byte-identical to :func:`_reference_nq_clustering`.
+    byte-identical to the per-ruler formulation (``tests/oracles/clustering.py``).
 
     Parameters
     ----------
@@ -258,64 +240,6 @@ def nq_clustering(
             )
             for node in chunk:
                 cluster_of[node] = cluster_index
-
-    return Clustering(clusters=clusters, nq=nq, k=k, cluster_of=cluster_of)
-
-
-def _reference_nq_clustering(
-    graph: nx.Graph,
-    k: float,
-    nq: Optional[int] = None,
-    id_of=None,
-) -> Clustering:
-    """Index-free ground truth for :func:`nq_clustering` (tests only): one
-    full dict BFS per ruler for the assignment plus one per-ruler re-BFS for
-    the member order — the pre-sweep formulation, kept verbatim."""
-    if k <= 0:
-        raise ValueError("k must be positive")
-    n = graph.number_of_nodes()
-    if nq is None:
-        nq = neighborhood_quality(graph, k)
-    nq = max(1, nq)
-    if id_of is None:
-        id_of = lambda node: node  # noqa: E731 - trivial default
-
-    rulers = _reference_greedy_ruling_set(graph, alpha=2 * nq + 1)
-
-    # Every node joins the cluster of its closest ruler (ties by min identifier).
-    # Multi-source BFS, processing rulers in identifier order so ties resolve
-    # to the smallest identifier deterministically.
-    assignment: Dict[Node, Node] = {}
-    best_dist: Dict[Node, int] = {}
-    for ruler in sorted(rulers, key=lambda r: (id_of(r), str(r))):
-        dist = hop_distances_from(graph, ruler)
-        for node, d in dist.items():
-            current = best_dist.get(node)
-            if current is None or d < current:
-                best_dist[node] = d
-                assignment[node] = ruler
-    # (Ties keep the earlier, i.e. smaller-identifier, ruler.)
-
-    members_by_ruler: Dict[Node, Set[Node]] = {ruler: set() for ruler in rulers}
-    for node, ruler in assignment.items():
-        members_by_ruler[ruler].add(node)
-
-    lower = min(float(n), k / nq)
-    upper = 2 * lower if lower >= 1 else 2.0
-
-    clusters: List[Cluster] = []
-    cluster_of: Dict[Node, int] = {}
-    for ruler in sorted(rulers, key=lambda r: (id_of(r), str(r))):
-        members = members_by_ruler[ruler]
-        if not members:
-            continue
-        ordered = _bfs_order_from(graph, ruler, members)
-        for chunk in _split_cluster(ordered, lower, upper):
-            leader = ruler if ruler in chunk else chunk[0]
-            index = len(clusters)
-            clusters.append(Cluster(leader=leader, members=list(chunk), index=index))
-            for node in chunk:
-                cluster_of[node] = index
 
     return Clustering(clusters=clusters, nq=nq, k=k, cluster_of=cluster_of)
 

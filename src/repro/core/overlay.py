@@ -290,19 +290,19 @@ def basic_dissemination(
     """Lemma 4.4 for ``k = 1``: a single value becomes known to every node.
 
     The source first converge-casts the value to the root (by sending it up its
-    root path), then the root broadcasts it down the tree.
+    root path, one one-token plane per hop and round), then the root
+    broadcasts it down the tree.  Every hop forwards ``value`` itself, so the
+    up-path reads no inbox.
     """
     if tree is None:
         tree = build_virtual_tree(simulator)
-    # Send the value up the path from the source to the root, one hop per round.
+    index = simulator.node_indexer()
+    size = payload_words(value)
     current = source
-    payload = value
     while tree.parent[current] is not None:
         parent = tree.parent[current]
-        simulator.global_send_to_node(current, parent, payload, tag="tree-up")
+        plane = TokenPlane([index[current]], [index[parent]], [size], [value])
+        simulator.global_send_plane(plane, None, "tree-up")
         simulator.advance_round()
-        for message in simulator.global_inbox(parent):
-            if message.tag == "tree-up":
-                payload = message.payload
         current = parent
-    return broadcast_via_tree(simulator, tree, payload)
+    return broadcast_via_tree(simulator, tree, value)

@@ -51,45 +51,11 @@ def greedy_ruling_set(
     ruler grows a flat truncated frontier over the CSR adjacency and marks its
     radius-``alpha - 1`` ball in a shared flat ``covered`` array, instead of
     one Python-set BFS per ruler.  Output is identical to the set-based
-    reference (:func:`_reference_greedy_ruling_set`).
+    formulation (``tests/oracles/clustering.py``).
     """
     if alpha < 1:
         raise ValueError("alpha must be at least 1")
     return set(get_index(graph).ruling_set(alpha, order))
-
-
-def _reference_greedy_ruling_set(
-    graph: nx.Graph, alpha: int, order: Optional[List[Node]] = None
-) -> Set[Node]:
-    """Index-free ground truth for :func:`greedy_ruling_set` (tests only)."""
-    if alpha < 1:
-        raise ValueError("alpha must be at least 1")
-    nodes = order if order is not None else sorted(graph.nodes, key=str)
-    ruling: Set[Node] = set()
-    # Nodes within alpha - 1 hops of the current ruling set; a node is addable
-    # iff it is not covered.  Each new ruler runs its own truncated BFS (with a
-    # private visited set, so coverage by earlier rulers does not block the
-    # traversal) and adds everything it reaches to the shared covered set.
-    covered: Set[Node] = set()
-    for v in nodes:
-        if v in covered:
-            continue
-        ruling.add(v)
-        visited: Set[Node] = {v}
-        covered.add(v)
-        frontier = {v}
-        for _ in range(1, alpha):
-            next_frontier = set()
-            for u in frontier:
-                for w in graph.neighbors(u):
-                    if w not in visited:
-                        visited.add(w)
-                        covered.add(w)
-                        next_frontier.add(w)
-            frontier = next_frontier
-            if not frontier:
-                break
-    return ruling
 
 
 def verify_ruling_set(graph: nx.Graph, ruling: Set[Node], alpha: int, beta: int) -> bool:

@@ -24,23 +24,21 @@ with precomputed tie keys, and the power-of-``(1 + eps)`` rounding is applied
 to the whole weight array once per ``(graph, epsilon)`` and memoised instead
 of once per edge relaxation per query — the per-leader (Theorem 6) and
 per-skeleton (Theorems 8/14) SSSP sweeps share one rounded CSR.  The
-historical dict+heapq implementation survives as
-:func:`_reference_exact_sssp_distances` / :func:`_reference_approx_sssp_distances`
-ground truth; ``tests/properties/test_weighted_equivalence.py`` pins exact
-agreement (and agreement with ``networkx``) across graph families.
+historical dict+heapq implementation is a test oracle
+(``tests/oracles/weighted.py``), and
+``tests/properties/test_weighted_equivalence.py`` pins exact agreement (and
+agreement with ``networkx``) across graph families.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import math
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, Optional
 
 import networkx as nx
 
 from repro.graphs.index import get_index, round_weight_up
-from repro.graphs.properties import edge_weight
 from repro.simulator.config import log2_ceil
 from repro.simulator.engine import BatchAlgorithm
 from repro.simulator.metrics import RoundMetrics
@@ -62,8 +60,8 @@ def exact_sssp_distances(graph: nx.Graph, source: Node) -> Dict[Node, float]:
     """Exact Dijkstra distances (ground truth / stretch-1 special case).
 
     Delegates to the cached :class:`~repro.graphs.index.GraphIndex` flat-array
-    Dijkstra; identical values to :func:`_reference_exact_sssp_distances`,
-    only the key order of the returned dict may differ.
+    Dijkstra; identical values to the dict+heapq oracle, only the key order
+    of the returned dict may differ.
     """
     return get_index(graph).sssp_dict(source)
 
@@ -81,52 +79,6 @@ def approx_sssp_distances(
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
     return get_index(graph).sssp_dict(source, epsilon)
-
-
-def _reference_exact_sssp_distances(
-    graph: nx.Graph, source: Node
-) -> Dict[Node, float]:
-    """Index-free ground truth for :func:`exact_sssp_distances` (tests only)."""
-    return _dijkstra(graph, source, lambda w: float(w))
-
-
-def _reference_approx_sssp_distances(
-    graph: nx.Graph, source: Node, epsilon: float
-) -> Dict[Node, float]:
-    """Index-free ground truth for :func:`approx_sssp_distances` (tests only)."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
-    if epsilon == 0:
-        return _reference_exact_sssp_distances(graph, source)
-    return _dijkstra(graph, source, lambda w: round_weight_up(w, epsilon))
-
-
-def _dijkstra(graph: nx.Graph, source: Node, transform) -> Dict[Node, float]:
-    """The pre-index dict+heapq Dijkstra (reference machinery, tests only).
-
-    The flat-array Dijkstra in :mod:`repro.graphs.index` replicates this
-    routine's tie-break keys and relaxation tolerance exactly.
-    """
-    if source not in graph:
-        raise KeyError(f"source {source!r} not in graph")
-    # Tie-break keys are precomputed once per node: str() per heap push is a
-    # measurable cost at n >= 10^3 and the visit order must stay identical.
-    tie_key: Dict[Node, str] = {node: str(node) for node in graph.nodes}
-    dist: Dict[Node, float] = {source: 0.0}
-    visited: Dict[Node, bool] = {}
-    heap: List[Tuple[float, str, Node]] = [(0.0, tie_key[source], source)]
-    while heap:
-        d, _, u = heapq.heappop(heap)
-        if visited.get(u):
-            continue
-        visited[u] = True
-        for v in graph.neighbors(u):
-            w = transform(edge_weight(graph, u, v))
-            candidate = d + w
-            if candidate < dist.get(v, math.inf) - 1e-15:
-                dist[v] = candidate
-                heapq.heappush(heap, (candidate, tie_key[v], v))
-    return dist
 
 
 def sssp_round_cost(n: int, epsilon: float) -> int:

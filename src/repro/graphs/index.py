@@ -71,7 +71,7 @@ substrate for every centralized weighted computation:
   Dijkstra producing dense ``n``-wide distance rows.  The heap holds
   ``(distance, tie_rank)`` pairs whose precomputed integer ranks order ties
   exactly like the ``str`` tie keys of the historical dict+heapq
-  implementation (kept as ``_reference_*`` in :mod:`repro.core.sssp`), with
+  implementation (a test oracle, ``tests/oracles/weighted.py``), with
   the same relaxation tolerance, so the produced distances are identical —
   only the containers are flat.
 * A cached *rounded-weight* CSR per ``epsilon``: the power-of-``(1 + eps)``
@@ -829,8 +829,8 @@ class GraphIndex:
 
         Heap entries are ``(distance, tie_rank)`` pairs whose integer ranks
         order ties exactly like the ``str`` tie keys of the historical
-        dict+heapq implementation (kept as ``_reference_*`` in
-        :mod:`repro.core.sssp`); the relaxation tolerance matches too, so the
+        dict+heapq implementation (a test oracle in
+        ``tests/oracles/weighted.py``); the relaxation tolerance matches, so the
         produced distance values are identical floating-point results.
         """
         offsets = self._offsets

@@ -115,11 +115,6 @@ def all_hop_distances(graph: nx.Graph) -> Dict[Node, Dict[Node, int]]:
     }
 
 
-def _reference_all_hop_distances(graph: nx.Graph) -> Dict[Node, Dict[Node, int]]:
-    """Index-free ground truth for :func:`all_hop_distances` (tests only)."""
-    return {v: hop_distances_from(graph, v) for v in graph.nodes}
-
-
 def weighted_distances_from(graph: nx.Graph, source: Node) -> Dict[Node, float]:
     """Weighted single-source distances via Dijkstra (unit weights by default).
 
@@ -183,35 +178,12 @@ def ball_sizes_all_radii(graph: nx.Graph, center: Node) -> List[int]:
     return get_index(graph).ball_sizes_all_radii(center)
 
 
-def _reference_ball_sizes_all_radii(graph: nx.Graph, center: Node) -> List[int]:
-    """Index-free ground truth for :func:`ball_sizes_all_radii` (tests only)."""
-    dist = hop_distances_from(graph, center)
-    if not dist:
-        return [1]
-    ecc = max(dist.values())
-    counts = [0] * (ecc + 1)
-    for d in dist.values():
-        counts[d] += 1
-    sizes = []
-    running = 0
-    for c in counts:
-        running += c
-        sizes.append(running)
-    return sizes
-
-
 def eccentricity(graph: nx.Graph, v: Node) -> int:
     """Maximum hop distance from ``v`` to any reachable node.
 
     Delegates to the cached :class:`~repro.graphs.index.GraphIndex`.
     """
     return get_index(graph).eccentricity(v)
-
-
-def _reference_eccentricity(graph: nx.Graph, v: Node) -> int:
-    """Index-free ground truth for :func:`eccentricity` (tests only)."""
-    dist = hop_distances_from(graph, v)
-    return max(dist.values()) if dist else 0
 
 
 def diameter(graph: nx.Graph) -> int:
@@ -223,20 +195,6 @@ def diameter(graph: nx.Graph) -> int:
     BFS passes (and memoises it per graph).
     """
     return get_index(graph).diameter()
-
-
-def _reference_diameter(graph: nx.Graph) -> int:
-    """Index-free ground truth for :func:`diameter` (tests only): n BFS passes."""
-    if graph.number_of_nodes() == 0:
-        raise ValueError("diameter of empty graph is undefined")
-    best = 0
-    reference_size = graph.number_of_nodes()
-    for v in graph.nodes:
-        dist = hop_distances_from(graph, v)
-        if len(dist) != reference_size:
-            raise ValueError("graph is disconnected; diameter undefined")
-        best = max(best, max(dist.values()))
-    return best
 
 
 def weak_diameter(graph: nx.Graph, nodes: Iterable[Node]) -> int:
@@ -257,25 +215,6 @@ def weak_diameter(graph: nx.Graph, nodes: Iterable[Node]) -> int:
     return get_index(graph).weak_diameter(node_list)
 
 
-def _reference_weak_diameter(graph: nx.Graph, nodes: Iterable[Node]) -> int:
-    """Index-free ground truth for :func:`weak_diameter` (tests only): one full
-    BFS per member plus a target-set scan.  Kept verbatim — including the
-    historical quirk that a member missing from the graph surfaces as ``inf``
-    or ``KeyError`` depending on iteration order, which the fast path fixes."""
-    node_list = list(nodes)
-    if not node_list:
-        return 0
-    best = 0
-    targets = set(node_list)
-    for v in node_list:
-        dist = hop_distances_from(graph, v)
-        for t in targets:
-            if t not in dist:
-                return math.inf
-            best = max(best, dist[t])
-    return best
-
-
 def strong_diameter(graph: nx.Graph, nodes: Iterable[Node]) -> int:
     """Strong diameter: diameter of the subgraph induced by ``nodes``.
 
@@ -289,17 +228,6 @@ def strong_diameter(graph: nx.Graph, nodes: Iterable[Node]) -> int:
         return 0
     try:
         return diameter(sub)
-    except ValueError:
-        return math.inf
-
-
-def _reference_strong_diameter(graph: nx.Graph, nodes: Iterable[Node]) -> int:
-    """Index-free ground truth for :func:`strong_diameter` (tests only)."""
-    sub = graph.subgraph(set(nodes))
-    if sub.number_of_nodes() <= 1:
-        return 0
-    try:
-        return _reference_diameter(sub)
     except ValueError:
         return math.inf
 

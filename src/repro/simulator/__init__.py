@@ -15,7 +15,7 @@ from repro.simulator.errors import (
     UnknownIdentifierError,
     UnknownNodeError,
 )
-from repro.simulator.messages import GLOBAL_MODE, LOCAL_MODE, Message, payload_words
+from repro.simulator.messages import GLOBAL_MODE, LOCAL_MODE, payload_words
 from repro.simulator.knowledge import KnowledgeTracker
 from repro.simulator.metrics import ChargeRecord, RoundMetrics
 from repro.simulator.faults import (
@@ -52,7 +52,6 @@ __all__ = [
     "LocalBandwidthExceededError",
     "RoundLifecycleError",
     "UnknownNodeError",
-    "Message",
     "payload_words",
     "LOCAL_MODE",
     "GLOBAL_MODE",

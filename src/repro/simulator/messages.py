@@ -1,4 +1,4 @@
-"""Message objects and size accounting.
+"""Message size accounting.
 
 The HYBRID model's global mode moves ``O(log n)``-bit messages, so the simulator
 needs a notion of message *size in words* to enforce the per-node capacity
@@ -14,9 +14,9 @@ words are charged Theta(k) words.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Hashable, Optional, Tuple
+from typing import Any
 
-__all__ = ["Message", "payload_words", "LOCAL_MODE", "GLOBAL_MODE"]
+__all__ = ["payload_words", "LOCAL_MODE", "GLOBAL_MODE"]
 
 LOCAL_MODE = "local"
 GLOBAL_MODE = "global"
@@ -69,44 +69,3 @@ def _payload_words(payload: Any) -> int:
     # Unknown object: charge a single word.  Algorithms in this repository only
     # ever send primitives and containers, so this branch is a safety net.
     return 1
-
-
-@dataclasses.dataclass(frozen=True)
-class Message:
-    """A single message in flight.
-
-    Attributes
-    ----------
-    sender:
-        The graph node that sent the message.
-    receiver:
-        The graph node the message is addressed to (already resolved from an
-        identifier for global messages).
-    payload:
-        Arbitrary application data.
-    mode:
-        ``"local"`` or ``"global"``.
-    tag:
-        Optional short routing tag; many algorithms multiplex several logical
-        sub-protocols over the same rounds and use the tag to demultiplex.
-    round_sent:
-        The round during which the message was submitted.
-    """
-
-    sender: Hashable
-    receiver: Hashable
-    payload: Any
-    mode: str
-    tag: Optional[str] = None
-    round_sent: int = 0
-
-    @property
-    def words(self) -> int:
-        """Size of the message in O(log n)-bit words (tag included)."""
-        size = payload_words(self.payload)
-        if self.tag is not None:
-            size += payload_words(self.tag)
-        return size
-
-    def with_round(self, round_index: int) -> "Message":
-        return dataclasses.replace(self, round_sent=round_index)

@@ -13,25 +13,20 @@ synchronous rounds (Section 1.3):
   its own identifier and those of its graph neighbors, and knowledge spreads
   only through received messages.
 
-Batch messaging engine
-----------------------
+Token planes
+------------
 
-The simulator is *batch-native*: queued traffic is stored as lightweight
-``(sender, payload, tag, words)`` records pre-bucketed by receiver, and
-capacity accounting is done with aggregated per-node word counters that are
-updated at enqueue time — ``advance_round`` never iterates over individual
-messages to enforce the budget.  Whole rounds of traffic are submitted with
+The simulator has one send path.  Traffic is submitted as **token planes**
+(:class:`~repro.simulator.engine.TokenPlane`): parallel arrays of integer node
+indices (positions in the deterministic :attr:`HybridSimulator.nodes` order,
+see :meth:`node_indexer`) plus a payload side list.
+:meth:`global_send_plane` / :meth:`local_send_plane` queue a whole shard at
+once: membership is a range check, HYBRID_0 knowledge and local adjacency are
+validated on the workload's *unique* (sender, receiver) pairs with set/array
+operations, and the capacity counters are updated via grouped per-node
+reductions.  A shard is validated up front; on error nothing is queued.
 
-* :meth:`HybridSimulator.local_send_batch` — an iterable of
-  ``(sender, receiver, payload)`` (or ``(sender, receiver, payload, words)``
-  with the payload size precomputed) triples over local edges,
-* :meth:`HybridSimulator.global_send_batch` — the same shape for the global
-  mode, addressed by node (or by identifier with ``by_id=True``), and
-* :meth:`HybridSimulator.per_node_inbox` — the pre-bucketed delivery dict
-  ``receiver -> [(sender, payload, tag, words), ...]`` of the last round,
-  returned without materialising per-message objects.
-
-Capacity-accounting semantics: every queued global record adds its word count
+Capacity-accounting semantics: every queued global token adds its word count
 (payload words plus tag words) to the sender's and the receiver's running
 totals for the round; at ``advance_round`` each total is compared against
 :meth:`HybridSimulator.global_budget_words` exactly once per node.  Send-side
@@ -42,27 +37,14 @@ are otherwise recorded in
 accounting is therefore identical to charging each message individually — only
 the bookkeeping is O(#nodes) instead of O(#messages) per round.
 
-Id-native plane API
--------------------
+The delivered planes are the round's inbox.  :meth:`delivered_plane_positions`
+names the positions of a tagged plane that arrived (the round engine's ack
+channel), and :meth:`per_node_inbox` expands the planes into per-receiver
+``(sender, payload, tag, words)`` records on request.
 
-The round engine (:mod:`repro.simulator.engine`) talks to the simulator in
-**token planes**: parallel arrays of integer node indices (positions in the
-deterministic :attr:`HybridSimulator.nodes` order, see :meth:`node_indexer`)
-plus a payload side list.  :meth:`global_send_plane` /
-:meth:`local_send_plane` (and the array-argument conveniences
-:meth:`global_send_batch_ids` / :meth:`local_send_batch_ids`) queue a whole
-shard at once: membership is a range check, HYBRID_0 knowledge and local
-adjacency are validated on the workload's *unique* (sender, receiver) pairs
-with set/array operations, the capacity counters are updated via grouped
-per-node reductions, and the delivery buckets are built in one sort/group pass
-— **lazily**: plane records are expanded into per-receiver
-``(sender, payload, tag, words)`` tuples only if somebody actually reads the
-round's inbox.  The plane paths validate a workload up front and queue nothing
-on error (the tuple paths abort mid-batch, keeping the already-queued prefix).
-
-Like the analytics index, the plane paths cache id-native state on first use
-(node-index maps, identifier arrays, adjacency keys) — but the graph is no
-longer assumed frozen: the simulator records the graph's **version stamp**
+The plane paths cache id-native state on first use (node-index maps,
+identifier arrays, adjacency keys) — but the graph is no longer assumed
+frozen: the simulator records the graph's **version stamp**
 (:func:`repro.graphs.index.graph_version`) and every plane send checks it, so
 a mutation through :class:`repro.graphs.mutation.GraphMutator`,
 :mod:`repro.graphs.weighted` or :func:`repro.graphs.index.invalidate_index`
@@ -75,22 +57,17 @@ unsupported (the node order, identifier assignment and knowledge state are
 fixed at construction); edge edits are fully supported, including permanent
 link-failure commits from the fault layer (see ``advance_round``).
 
-Legacy per-message API
-----------------------
-
-``local_send`` / ``global_send`` / ``local_inbox`` / ``global_inbox`` are kept
-as thin wrappers over the batch engine: the send wrappers enqueue a single
-record, and the inbox wrappers lazily materialise
-:class:`~repro.simulator.messages.Message` objects from the delivered records
-(cached per round).  They are not deprecated for correctness work — unit tests
-and small experiments read better with them — but hot paths should migrate to
-the batch API (see :mod:`repro.simulator.engine`); new per-message conveniences
-will not be added.
-
 Algorithms drive the simulator directly::
 
     sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=0)
-    sim.global_send_batch([(u, v, payload) for v, payload in assignments])
+    index = sim.node_indexer()
+    plane = TokenPlane(
+        [index[u]] * len(targets),
+        [index[v] for v in targets],
+        [payload_words(p) for p in payloads],
+        payloads,
+    )
+    sim.global_send_plane(plane, tag="t")
     sim.advance_round()
     for sender, payload, tag, words in sim.per_node_inbox().get(v, ()):
         ...
@@ -103,7 +80,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 import networkx as nx
 
@@ -123,16 +100,15 @@ from repro.simulator.errors import (
     UnknownNodeError,
 )
 from repro.simulator.knowledge import KnowledgeTracker, check_pair_key_range
-from repro.simulator.messages import GLOBAL_MODE, LOCAL_MODE, Message, payload_words
+from repro.simulator.messages import GLOBAL_MODE, LOCAL_MODE, payload_words
 from repro.simulator.metrics import RoundMetrics
 
 Node = Hashable
 
 __all__ = ["HybridSimulator", "BatchRecord", "node_sort_key"]
 
-#: One delivered (or pending) message as stored by the batch engine:
-#: ``(sender, payload, tag, words)``.  The receiver is the bucket key and the
-#: round is the simulator's ``_delivered_round``.
+#: One delivered message as :meth:`HybridSimulator.per_node_inbox` reports it:
+#: ``(sender, payload, tag, words)``.  The receiver is the bucket key.
 BatchRecord = Tuple[Node, Any, Optional[str], int]
 
 
@@ -295,10 +271,8 @@ class HybridSimulator:
         runs on the (sender, receiver, words) data alone, so schedules,
         capacity accounting, metrics, round counts and HYBRID_0 identifier
         learning are bit-identical to a payload run (the property suites pin
-        this), while memory stays flat in the payload volume.  This covers
-        both the id-native plane paths and the legacy tuple
-        ``*_send_batch``/``*_send`` paths, so mixed-era workloads run
-        payload-free too.  Reading a round's inbox for charge-only traffic
+        this), while memory stays flat in the payload volume.  Reading a
+        round's inbox for charge-only traffic
         raises :class:`~repro.simulator.errors.ChargeOnlyError`; fault
         filtering and delivery acks (``delivered_plane_positions``) are
         unaffected.
@@ -360,35 +334,25 @@ class HybridSimulator:
         self._assign_identifiers()
         self._init_knowledge()
 
-        # Batch-native round state: pending traffic pre-bucketed by receiver,
-        # per-node word counters for the round being composed, and the buckets
-        # delivered by the most recent ``advance_round``.
-        self._pending_local: Dict[Node, List[BatchRecord]] = {}
-        self._pending_global: Dict[Node, List[BatchRecord]] = {}
+        # Round state: the plane batches queued for the round being composed,
+        # per-node word counters for it, and the batches delivered by the most
+        # recent ``advance_round``.
         self._pending_local_planes: List[_PlaneBatch] = []
         self._pending_global_planes: List[_PlaneBatch] = []
+        # Scalar counters (small shards and the pure-Python backend) ...
         self._global_sent_words: Dict[Node, int] = defaultdict(int)
         self._global_recv_words: Dict[Node, int] = defaultdict(int)
-        # Plane-path counters for the round being composed: dense per-index
-        # word arrays fed by grouped reductions (NumPy only; the fallback
-        # folds into the dicts above at queue time).  ``advance_round``
-        # sweeps them with whole-array comparisons.
+        # ... and dense per-index word arrays fed by grouped reductions
+        # (NumPy, bulk shards).  ``advance_round`` sweeps them with
+        # whole-array comparisons.
         self._plane_sent_arr: Optional[Any] = None
         self._plane_recv_arr: Optional[Any] = None
         self._pending_local_msgs = 0
         self._pending_local_words = 0
         self._pending_global_msgs = 0
         self._pending_global_words = 0
-        self._delivered_local: Dict[Node, List[BatchRecord]] = {}
-        self._delivered_global: Dict[Node, List[BatchRecord]] = {}
         self._delivered_local_planes: List[_PlaneBatch] = []
         self._delivered_global_planes: List[_PlaneBatch] = []
-        # Lazily merged eager + plane buckets of the delivered round.
-        self._merged_local: Optional[Dict[Node, List[BatchRecord]]] = None
-        self._merged_global: Optional[Dict[Node, List[BatchRecord]]] = None
-        # Lazily materialised Message lists for the legacy inbox API.
-        self._materialized_local: Dict[Node, List[Message]] = {}
-        self._materialized_global: Dict[Node, List[Message]] = {}
         self._delivered_round = -1
 
     # ------------------------------------------------------------------
@@ -471,8 +435,7 @@ class HybridSimulator:
         """Raise :class:`StaleGraphError` if the graph mutated behind us.
 
         One weak-dict lookup per plane shard — negligible against the shard
-        work it guards.  Tuple-path sends don't need it: they validate against
-        the live ``graph`` object, never against cached adjacency keys.
+        work it guards.
         """
         current = graph_version(self.graph)
         if current != self._graph_version:
@@ -588,160 +551,6 @@ class HybridSimulator:
         return self.graph[u][v].get("weight", 1)
 
     # ------------------------------------------------------------------
-    # Sending — batch API (the native path)
-    # ------------------------------------------------------------------
-    def local_send_batch(
-        self,
-        triples: Iterable[Tuple],
-        tag: Optional[str] = None,
-    ) -> int:
-        """Queue a whole round of local-mode traffic at once.
-
-        ``triples`` yields ``(sender, receiver, payload)`` — or
-        ``(sender, receiver, payload, words)`` with ``words`` the precomputed
-        :func:`~repro.simulator.messages.payload_words` of the payload, which
-        skips re-estimating sizes the caller already knows.  All records share
-        ``tag``.  Returns the number of messages queued.
-        """
-        if not self.config.local_mode_enabled():
-            raise LocalBandwidthExceededError(
-                f"local mode disabled in model {self.config.name!r}"
-            )
-        tag_words = payload_words(tag) if tag is not None else 0
-        max_words = self.config.resolve_local_word_limit()
-        node_set = self._node_set
-        has_edge = self.graph.has_edge
-        buckets = self._pending_local
-        charge_only = self.charge_only
-        count = 0
-        total_words = 0
-        # The try/finally keeps the aggregate counters in sync with the
-        # records already queued when a validation error aborts the batch
-        # mid-iteration (the failing record itself is never queued).
-        try:
-            for triple in triples:
-                if len(triple) == 4:
-                    sender, receiver, payload, words = triple
-                else:
-                    sender, receiver, payload = triple
-                    words = payload_words(payload)
-                if sender not in node_set:
-                    raise UnknownNodeError(sender)
-                if receiver not in node_set:
-                    raise UnknownNodeError(receiver)
-                if not has_edge(sender, receiver):
-                    raise NotANeighborError(f"{sender!r} and {receiver!r} are not adjacent")
-                words += tag_words
-                if max_words is not None and words > max_words:
-                    # CONGEST-style finite bandwidth: the per-edge payload may
-                    # use at most limit bits ~= limit / 64 words.
-                    if self.config.strict:
-                        raise LocalBandwidthExceededError(
-                            f"local message of {words} words exceeds per-edge "
-                            f"budget of {max_words} words"
-                        )
-                    self.metrics.record_violation()
-                bucket = buckets.get(receiver)
-                if bucket is None:
-                    bucket = buckets[receiver] = []
-                # Charge-only runs queue no payload reference: scheduling,
-                # capacity accounting and fault filtering only touch the
-                # other fields, and inbox reads raise before any record
-                # escapes (see _local_buckets).
-                bucket.append(
-                    (sender, None, tag, words)
-                    if charge_only
-                    else (sender, payload, tag, words)
-                )
-                count += 1
-                total_words += words
-        finally:
-            self._pending_local_msgs += count
-            self._pending_local_words += total_words
-        return count
-
-    def global_send_batch(
-        self,
-        triples: Iterable[Tuple],
-        tag: Optional[str] = None,
-        *,
-        by_id: bool = False,
-    ) -> int:
-        """Queue a whole round of global-mode traffic at once.
-
-        ``triples`` yields ``(sender, receiver, payload)`` — or
-        ``(sender, receiver, payload, words)`` with the payload size
-        precomputed — where ``receiver`` is a node, or an identifier when
-        ``by_id`` is set.  In HYBRID_0 each sender must know the receiver's
-        identifier.  Word counts (payload plus shared ``tag``) are added to the
-        aggregated per-node counters checked by :meth:`advance_round`.
-        Returns the number of messages queued.
-        """
-        if not self.config.global_mode_enabled():
-            raise CapacityExceededError(
-                f"global mode disabled in model {self.config.name!r}"
-            )
-        tag_words = payload_words(tag) if tag is not None else 0
-        check_knowledge = self.config.is_hybrid0()
-        node_set = self._node_set
-        node_to_id = self._node_to_id
-        id_to_node = self._id_to_node
-        known_view = self.knowledge.known_ids_view
-        known_cache: Dict[Node, Set[int]] = {}
-        buckets = self._pending_global
-        sent_words = self._global_sent_words
-        recv_words = self._global_recv_words
-        charge_only = self.charge_only
-        count = 0
-        total_words = 0
-        # As in local_send_batch: a validation error mid-batch must leave the
-        # aggregate counters consistent with the records already queued.
-        try:
-            for triple in triples:
-                if len(triple) == 4:
-                    sender, receiver, payload, words = triple
-                else:
-                    sender, receiver, payload = triple
-                    words = payload_words(payload)
-                if sender not in node_set:
-                    raise UnknownNodeError(sender)
-                if by_id:
-                    target_id = receiver
-                    if target_id not in id_to_node:
-                        raise UnknownNodeError(target_id)
-                    receiver = id_to_node[target_id]
-                else:
-                    if receiver not in node_set:
-                        raise UnknownNodeError(receiver)
-                    target_id = node_to_id[receiver]
-                if check_knowledge:
-                    known = known_cache.get(sender)
-                    if known is None:
-                        known = known_cache[sender] = known_view(node_to_id[sender])
-                    if target_id not in known:
-                        raise UnknownIdentifierError(
-                            f"node {sender!r} does not know identifier {target_id!r}"
-                        )
-                words += tag_words
-                bucket = buckets.get(receiver)
-                if bucket is None:
-                    bucket = buckets[receiver] = []
-                # See local_send_batch: charge-only queues no payload ref.
-                bucket.append(
-                    (sender, None, tag, words)
-                    if charge_only
-                    else (sender, payload, tag, words)
-                )
-                sent_words[sender] += words
-                recv_words[receiver] += words
-                count += 1
-                total_words += words
-        finally:
-            self._pending_global_msgs += count
-            self._pending_global_words += total_words
-        return count
-
-    # ------------------------------------------------------------------
     # Sending — id-native plane API (the round engine's hot path)
     # ------------------------------------------------------------------
     #: Shards below this size take the scalar (dict-counter) queueing paths —
@@ -813,9 +622,9 @@ class HybridSimulator:
         sweep with NumPy — and only the rest are probed against the personal
         and shared layers; repeated pairs (the common case in rank-matched
         workloads) cost one probe, not one per token.  The error reported is
-        the earliest offending token in submission order, like the tuple
-        path.  When the caller supplies the shard's first-occurrence pair
-        columns (``pair_s`` / ``pair_r``, in submission order — see
+        the earliest offending token in submission order.  When the caller
+        supplies the shard's first-occurrence pair columns (``pair_s`` /
+        ``pair_r``, in submission order — see
         :meth:`~repro.simulator.engine.TokenPlane.pair_spine`), the check
         runs on those directly: a pair's validity is decided at its first
         token, and the earliest offending pair's first occurrence *is* the
@@ -1025,81 +834,6 @@ class HybridSimulator:
         self._pending_local_words += total
         return count
 
-    def global_send_batch_ids(
-        self,
-        senders: Sequence[int],
-        receivers: Sequence[int],
-        payloads: Sequence[Any],
-        words: Optional[Sequence[int]] = None,
-        tag: Optional[str] = None,
-    ) -> int:
-        """Bulk global send addressed by node index (parallel arrays).
-
-        Convenience wrapper that wraps the arrays in a
-        :class:`~repro.simulator.engine.TokenPlane` and queues it whole via
-        :meth:`global_send_plane`.  ``words[i]`` is the precomputed payload
-        size; omit it to have sizes estimated here (once per token).
-        """
-        from repro.simulator.engine import TokenPlane
-
-        if words is None:
-            words = [payload_words(payload) for payload in payloads]
-        plane = TokenPlane(senders, receivers, words, list(payloads))
-        return self.global_send_plane(plane, None, tag)
-
-    def local_send_batch_ids(
-        self,
-        senders: Sequence[int],
-        receivers: Sequence[int],
-        payloads: Sequence[Any],
-        words: Optional[Sequence[int]] = None,
-        tag: Optional[str] = None,
-    ) -> int:
-        """Bulk local send addressed by node index (parallel arrays)."""
-        from repro.simulator.engine import TokenPlane
-
-        if words is None:
-            words = [payload_words(payload) for payload in payloads]
-        plane = TokenPlane(senders, receivers, words, list(payloads))
-        return self.local_send_plane(plane, None, tag)
-
-    # ------------------------------------------------------------------
-    # Sending — legacy per-message wrappers
-    # ------------------------------------------------------------------
-    def local_send(self, sender: Node, receiver: Node, payload: Any, tag: Optional[str] = None) -> None:
-        """Queue a local-mode message along the edge ``{sender, receiver}``.
-
-        Thin wrapper over :meth:`local_send_batch` for a single message.
-        """
-        self.local_send_batch(((sender, receiver, payload),), tag)
-
-    def local_broadcast(self, sender: Node, payload: Any, tag: Optional[str] = None) -> None:
-        """Send the same payload to every neighbor of ``sender``."""
-        words = payload_words(payload)
-        self.local_send_batch(
-            ((sender, neighbor, payload, words) for neighbor in self.neighbors(sender)),
-            tag,
-        )
-
-    def global_send(
-        self,
-        sender: Node,
-        target_id: int,
-        payload: Any,
-        tag: Optional[str] = None,
-    ) -> None:
-        """Queue a global-mode message to the node whose identifier is ``target_id``.
-
-        Thin wrapper over :meth:`global_send_batch` for a single message.
-        """
-        self.global_send_batch(((sender, target_id, payload),), tag, by_id=True)
-
-    def global_send_to_node(
-        self, sender: Node, receiver: Node, payload: Any, tag: Optional[str] = None
-    ) -> None:
-        """Convenience wrapper: address a global message by node rather than id."""
-        self.global_send_batch(((sender, receiver, payload),), tag)
-
     # ------------------------------------------------------------------
     # Round lifecycle
     # ------------------------------------------------------------------
@@ -1139,9 +873,9 @@ class HybridSimulator:
                 or self._global_sent_words
                 or self._global_recv_words
             ):
-                # Mixed round (plane and tuple sends) or per-node degraded
-                # budgets: fold the arrays into the dicts and run the
-                # per-node sweep below on the union.
+                # Mixed round (bulk shards on the arrays, small shards on the
+                # dicts) or per-node degraded budgets: fold the arrays into
+                # the dicts and run the per-node sweep below on the union.
                 np = _accel.np
                 nodes = self._nodes
                 for counters, arr in (
@@ -1153,7 +887,7 @@ class HybridSimulator:
                 sent_arr = None
                 self._plane_sent_arr = self._plane_recv_arr = None
             if sent_arr is not None:
-                # Plane-only round: the capacity sweep is two whole-array
+                # Array-only round: the capacity sweep is two whole-array
                 # comparisons over the grouped counters — identical accounting
                 # to the per-node loop (the metrics only keep the max load and
                 # the violation count; a strict error names the first
@@ -1233,22 +967,15 @@ class HybridSimulator:
         # identifier (the sender attaches it implicitly).  In the dense regime
         # everyone already knows every identifier, so the bookkeeping is
         # skipped.
-        if self.config.identifier_regime is IdentifierRegime.SPARSE:
-            if self._pending_global:
-                node_to_id = self._node_to_id
-                learn = self.knowledge.learn
-                for receiver, records in self._pending_global.items():
-                    learn(node_to_id[receiver], {node_to_id[record[0]] for record in records})
-            if self._pending_global_planes:
-                self._learn_from_planes(self._pending_global_planes)
+        if (
+            self.config.identifier_regime is IdentifierRegime.SPARSE
+            and self._pending_global_planes
+        ):
+            self._learn_from_planes(self._pending_global_planes)
 
-        # Deliver: the pending buckets become the inboxes of this round.
-        self._delivered_local = self._pending_local
-        self._delivered_global = self._pending_global
+        # Deliver: the pending planes become the inboxes of this round.
         self._delivered_local_planes = self._pending_local_planes
         self._delivered_global_planes = self._pending_global_planes
-        self._pending_local = {}
-        self._pending_global = {}
         self._pending_local_planes = []
         self._pending_global_planes = []
         self._global_sent_words = defaultdict(int)
@@ -1259,10 +986,6 @@ class HybridSimulator:
         self._pending_local_words = 0
         self._pending_global_msgs = 0
         self._pending_global_words = 0
-        self._merged_local = None
-        self._merged_global = None
-        self._materialized_local = {}
-        self._materialized_global = {}
         self._delivered_round = self.round
         self.round += 1
         self.metrics.record_round()
@@ -1303,9 +1026,8 @@ class HybridSimulator:
     def _learn_from_planes(self, planes: List["_PlaneBatch"]) -> None:
         """Sparse-regime sender-identifier learning: one store merge per round.
 
-        Equivalent to the per-record set comprehension of the tuple path —
-        each receiver learns the identifier set of its senders this round —
-        but recorded as ``receiver * n + sender`` keys in the knowledge
+        Each receiver learns the identifier of every sender it heard from this
+        round, recorded as ``receiver * n + sender`` keys in the knowledge
         tracker's pair store: with NumPy the round's keys not yet stored are
         filtered, deduplicated and merged in one sorted absorb, with no
         per-receiver work at all.
@@ -1343,9 +1065,10 @@ class HybridSimulator:
         (attempt-based: a dropped message keeps its budget charge) and before
         sparse-regime identifier learning (a receiver learns nothing from a
         message it did not get).  Drop draws are consumed in a fixed order —
-        per mode, tuple buckets in queueing order first, then plane batches in
-        submission order — so a run replays bit-for-bit from
-        ``(schedule.seed, schedule)`` on either array backend.
+        global mode first, then local; within a mode, plane batches in
+        submission order, one draw per crash/link survivor — so a run replays
+        bit-for-bit from ``(schedule.seed, schedule)`` on either array
+        backend.
         """
         round_index = self.round
         metrics = self.metrics
@@ -1355,16 +1078,15 @@ class HybridSimulator:
             metrics.record_crashed_nodes(len(crashed))
         failed_edges = fault_state.failed_edge_keys(round_index)
         dropped = 0
-        for mode, buckets, planes in (
-            (GLOBAL_MODE, self._pending_global, self._pending_global_planes),
-            (LOCAL_MODE, self._pending_local, self._pending_local_planes),
+        for mode, planes in (
+            (GLOBAL_MODE, self._pending_global_planes),
+            (LOCAL_MODE, self._pending_local_planes),
         ):
             rate = fault_state.drop_rate(mode)
             rng = fault_state.round_rng(round_index, mode) if rate > 0.0 else None
             edges = failed_edges if (mode == LOCAL_MODE and failed_edges) else None
             if not crashed and edges is None and rng is None:
                 continue
-            dropped += self._filter_tuple_buckets(buckets, crashed, edges, rate, rng)
             crashed_arr = failed_arr = None
             if np is not None and planes:
                 crashed_arr = fault_state.crashed_index_array(np, round_index)
@@ -1378,41 +1100,6 @@ class HybridSimulator:
             )
         if dropped:
             metrics.record_dropped(dropped)
-
-    def _filter_tuple_buckets(self, buckets, crashed, failed_edges, rate, rng) -> int:
-        """Filter the eager per-receiver buckets in place; return drop count."""
-        if not buckets:
-            return 0
-        index_of = self._index_of
-        n = self.n
-        dropped = 0
-        for receiver in list(buckets):
-            records = buckets[receiver]
-            receiver_index = index_of[receiver]
-            if receiver_index in crashed:
-                dropped += len(records)
-                del buckets[receiver]
-                continue
-            kept: List[BatchRecord] = []
-            for record in records:
-                sender_index = index_of[record[0]]
-                if (
-                    sender_index in crashed
-                    or (
-                        failed_edges is not None
-                        and sender_index * n + receiver_index in failed_edges
-                    )
-                    or (rng is not None and rng.random() < rate)
-                ):
-                    dropped += 1
-                    continue
-                kept.append(record)
-            if len(kept) != len(records):
-                if kept:
-                    buckets[receiver] = kept
-                else:
-                    del buckets[receiver]
-        return dropped
 
     def _filter_planes(
         self,
@@ -1532,14 +1219,8 @@ class HybridSimulator:
         matched by tag equality, so pass a unique
         :class:`~repro.simulator.engine.ExchangeTag` per exchange.
         """
-        self._require_delivered()
-        planes = (
-            self._delivered_global_planes
-            if mode == GLOBAL_MODE
-            else self._delivered_local_planes
-        )
         delivered: List[int] = []
-        for batch in planes:
+        for batch in self._delivered_planes(mode):
             if batch.tag != tag:
                 continue
             positions = batch.positions
@@ -1566,113 +1247,34 @@ class HybridSimulator:
     # Receiving
     # ------------------------------------------------------------------
     def per_node_inbox(self, mode: str = GLOBAL_MODE) -> Dict[Node, List[BatchRecord]]:
-        """The pre-bucketed deliveries of the last round for ``mode``.
+        """The deliveries of the last round for ``mode``, bucketed by receiver.
 
         Returns the mapping ``receiver -> [(sender, payload, tag, words), ...]``
         — nodes that received nothing are absent, so read with
-        ``inbox.get(node, ())``.  The dict and its lists are the simulator's
-        own buckets; treat them as read-only.  Plane deliveries are expanded
-        into record tuples here, on first read of the round (the round engine
-        harvests directly from its shards and never triggers this).
+        ``inbox.get(node, ())``.  Within a receiver, records follow plane
+        submission order.  The dict is built from the delivered planes on
+        every call (the round engine harvests from its own shards and
+        :meth:`delivered_plane_positions` and never calls this), so read it
+        once per round.  Charge-only planes raise
+        :class:`~repro.simulator.errors.ChargeOnlyError` here.
         """
+        inbox: Dict[Node, List[BatchRecord]] = {}
+        nodes = self._nodes
+        for batch in self._delivered_planes(mode):
+            for receiver, record in batch.records(nodes):
+                bucket = inbox.get(receiver)
+                if bucket is None:
+                    bucket = inbox[receiver] = []
+                bucket.append(record)
+        return inbox
+
+    def _delivered_planes(self, mode: str) -> List[_PlaneBatch]:
         self._require_delivered()
         if mode == GLOBAL_MODE:
-            return self._global_buckets()
+            return self._delivered_global_planes
         if mode == LOCAL_MODE:
-            return self._local_buckets()
+            return self._delivered_local_planes
         raise ValueError(f"unknown mode {mode!r}")
-
-    def _global_buckets(self) -> Dict[Node, List[BatchRecord]]:
-        self._check_charge_only_read(self._delivered_global)
-        if not self._delivered_global_planes:
-            return self._delivered_global
-        merged = self._merged_global
-        if merged is None:
-            merged = self._merged_global = self._merge_buckets(
-                self._delivered_global, self._delivered_global_planes
-            )
-        return merged
-
-    def _local_buckets(self) -> Dict[Node, List[BatchRecord]]:
-        self._check_charge_only_read(self._delivered_local)
-        if not self._delivered_local_planes:
-            return self._delivered_local
-        merged = self._merged_local
-        if merged is None:
-            merged = self._merged_local = self._merge_buckets(
-                self._delivered_local, self._delivered_local_planes
-            )
-        return merged
-
-    def _check_charge_only_read(self, eager: Dict[Node, List[BatchRecord]]) -> None:
-        """Raise on inbox reads of charge-only *tuple* traffic.
-
-        The plane twin of this guard lives in :meth:`_PlaneBatch.records`;
-        tuple records are stored with a ``None`` payload slot in charge-only
-        mode, so they must never escape to a reader either.  Rounds with no
-        tuple traffic pass through — an empty inbox is exact, not a content
-        read.
-        """
-        if self.charge_only and eager:
-            raise ChargeOnlyError(
-                "this round's tuple traffic was queued charge-only (no "
-                "payload references); its schedule and accounting are exact, "
-                "but the round's inbox contents were never materialised"
-            )
-
-    def _merge_buckets(
-        self,
-        eager: Dict[Node, List[BatchRecord]],
-        planes: List["_PlaneBatch"],
-    ) -> Dict[Node, List[BatchRecord]]:
-        """Materialise plane records into (a copy of) the eager buckets.
-
-        Within one receiver, eager records come first, then plane records in
-        submission order — matching the queueing order of callers that mix the
-        two APIs in one round only when the eager sends happened first.
-        """
-        merged = {receiver: list(records) for receiver, records in eager.items()}
-        nodes = self._nodes
-        for batch in planes:
-            for receiver, record in batch.records(nodes):
-                bucket = merged.get(receiver)
-                if bucket is None:
-                    bucket = merged[receiver] = []
-                bucket.append(record)
-        return merged
-
-    def local_inbox(self, node: Node) -> List[Message]:
-        """Messages delivered to ``node`` over the local mode in the last round."""
-        self._require_delivered()
-        self._require_node(node)
-        cached = self._materialized_local.get(node)
-        if cached is None:
-            cached = self._materialize(node, self._local_buckets(), LOCAL_MODE)
-            self._materialized_local[node] = cached
-        return list(cached)
-
-    def global_inbox(self, node: Node) -> List[Message]:
-        """Messages delivered to ``node`` over the global mode in the last round."""
-        self._require_delivered()
-        self._require_node(node)
-        cached = self._materialized_global.get(node)
-        if cached is None:
-            cached = self._materialize(node, self._global_buckets(), GLOBAL_MODE)
-            self._materialized_global[node] = cached
-        return list(cached)
-
-    def inbox(self, node: Node) -> List[Message]:
-        """All messages (local then global) delivered to ``node`` in the last round."""
-        return self.local_inbox(node) + self.global_inbox(node)
-
-    def _materialize(
-        self, node: Node, buckets: Dict[Node, List[BatchRecord]], mode: str
-    ) -> List[Message]:
-        round_sent = self._delivered_round
-        return [
-            Message(sender, node, payload, mode, tag, round_sent)
-            for sender, payload, tag, _ in buckets.get(node, ())
-        ]
 
     # ------------------------------------------------------------------
     # Internals

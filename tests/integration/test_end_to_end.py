@@ -29,7 +29,10 @@ from repro.graphs.generators import GraphSpec, generate_graph
 from repro.graphs.weighted import assign_random_weights
 from repro.lowerbounds.universal import dissemination_lower_bound
 from repro.simulator.config import ModelConfig
+from repro.simulator.messages import GLOBAL_MODE
 from repro.simulator.network import HybridSimulator
+
+from oracles import transport
 
 
 FAMILY_SPECS = [
@@ -109,7 +112,7 @@ class TestMarginalModels:
         for u in sim.nodes:
             for v in sim.nodes:
                 if u != v:
-                    sim.global_send_to_node(u, v, 1)
+                    transport.send(sim, u, v, 1)
         sim.advance_round()
         assert sim.metrics.capacity_violations == 0
 
@@ -126,9 +129,10 @@ class TestMarginalModels:
         for node in sim.nodes:
             sim.declare_learned_ids(node, ids)
         # Now any node can message any other directly.
-        sim.global_send(sim.nodes[0], sim.id_of(sim.nodes[-1]), "post-preprocessing")
+        last = sim.nodes[-1]
+        transport.send(sim, sim.nodes[0], sim.id_of(last), "post-preprocessing", by_id=True)
         sim.advance_round()
-        assert sim.global_inbox(sim.nodes[-1])[0].payload == "post-preprocessing"
+        assert transport.inbox(sim, last, GLOBAL_MODE)[0].payload == "post-preprocessing"
 
 
 class TestPaperQualitativeClaims:

@@ -10,11 +10,12 @@ and run its ``explore`` phase, reusing the algorithm's own per-step
 bookkeeping, so they can stand in for ``_phase_explore``:
 
 * :func:`explore_frontier_tuples` floods the same frontiers as the plane path
-  over the tuple send API (``local_send_batch`` plus ``per_node_inbox``):
-  identical rounds, balls, messages and words;
-* :func:`explore_legacy` floods every node's whole known ball as a frozenset
-  through the per-message API: identical balls, rounds and charges, but more
-  local words (and messages once a ball saturates).
+  as one tuple batch per round (:func:`oracles.transport.send_batch` plus
+  ``per_node_inbox``): identical rounds, balls, messages and words;
+* :func:`explore_legacy` floods every node's whole known ball as a frozenset,
+  one :func:`oracles.transport.broadcast` per node and one
+  :func:`oracles.transport.inbox` read per node: identical balls, rounds and
+  charges, but more local words (and messages once a ball saturates).
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ from typing import Dict, Hashable, Optional, Set
 import networkx as nx
 
 from repro.core.neighborhood_quality import DistributedNQComputation
-from repro.graphs.properties import (
-    _reference_ball_sizes_all_radii,
-    _reference_diameter,
-)
 from repro.simulator.messages import LOCAL_MODE, payload_words
+
+from oracles import transport
+from oracles.hops import _reference_ball_sizes_all_radii, _reference_diameter
 
 Node = Hashable
 
@@ -52,7 +52,7 @@ def explore_frontier_tuples(algorithm: DistributedNQComputation) -> None:
             words = payload_words(frontier)
             for u in neighbors[v]:
                 triples.append((v, u, frontier, words))
-        sim.local_send_batch(triples, "nq-explore")
+        transport.send_batch(sim, triples, "nq-explore", mode=LOCAL_MODE)
         sim.advance_round()
         inbox = sim.per_node_inbox(LOCAL_MODE)
         next_frontiers: Dict[Node, frozenset] = {}
@@ -77,7 +77,7 @@ def explore_frontier_tuples(algorithm: DistributedNQComputation) -> None:
 
 
 def explore_legacy(algorithm: DistributedNQComputation) -> None:
-    """Whole-ball flood over the per-message API."""
+    """Whole-ball flood, one broadcast and one inbox read per node."""
     sim = algorithm.simulator
     known_balls: Dict[Node, Set[Node]] = {v: {v} for v in sim.nodes}
 
@@ -86,12 +86,12 @@ def explore_legacy(algorithm: DistributedNQComputation) -> None:
     while t < sim.n:
         t += 1
         for v in sim.nodes:
-            sim.local_broadcast(v, frozenset(known_balls[v]), tag="nq-explore")
+            transport.broadcast(sim, v, frozenset(known_balls[v]), tag="nq-explore")
         sim.advance_round()
         new_balls: Dict[Node, Set[Node]] = {}
         for v in sim.nodes:
             merged = set(known_balls[v])
-            for message in sim.local_inbox(v):
+            for message in transport.inbox(sim, v, LOCAL_MODE):
                 if message.tag == "nq-explore":
                     merged.update(message.payload)
             new_balls[v] = merged

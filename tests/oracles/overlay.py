@@ -1,11 +1,11 @@
 """The tuple and per-message formulations of the virtual-tree operations.
 
 :mod:`repro.core.overlay` moves every tree level as one id-native token
-plane.  The functions here move the same levels through the tuple send API
-(``mode="tuple"``: ``global_send_batch`` plus a tag-filtered
-``per_node_inbox`` read) or one ``global_send_to_node`` per edge
-(``mode="per-message"``: ``global_inbox`` reads).  Rounds, inboxes and
-metrics are identical in all three.
+plane.  The functions here move the same levels as one tuple batch per level
+(``mode="tuple"``: :func:`oracles.transport.send_batch` plus a tag-filtered
+``per_node_inbox`` read) or one :func:`oracles.transport.send` per edge
+(``mode="per-message"``: :func:`oracles.transport.inbox` reads).  Rounds,
+inboxes and metrics are identical in all three.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from typing import Any, Callable, Dict, Hashable, Optional
 from repro.core.overlay import VirtualTree, build_virtual_tree
 from repro.simulator.messages import GLOBAL_MODE
 from repro.simulator.network import HybridSimulator
+
+from oracles import transport
 
 Node = Hashable
 
@@ -39,7 +41,8 @@ def aggregate_via_tree(
     partial: Dict[Node, Any] = {node: values.get(node) for node in tree.order}
     for level in reversed(tree.levels()[1:]):
         if mode == "tuple":
-            simulator.global_send_batch(
+            transport.send_batch(
+                simulator,
                 [(node, tree.parent[node], partial[node]) for node in level],
                 "tree-agg",
             )
@@ -55,14 +58,14 @@ def aggregate_via_tree(
             }
         else:
             for node in level:
-                simulator.global_send_to_node(
-                    node, tree.parent[node], partial[node], tag="tree-agg"
+                transport.send(
+                    simulator, node, tree.parent[node], partial[node], tag="tree-agg"
                 )
             simulator.advance_round()
             incoming = {
                 parent: [
                     message.payload
-                    for message in simulator.global_inbox(parent)
+                    for message in transport.inbox(simulator, parent, GLOBAL_MODE)
                     if message.tag == "tree-agg"
                 ]
                 for parent in {tree.parent[node] for node in level}
@@ -94,7 +97,7 @@ def broadcast_via_tree(
         if not sends:
             continue
         if mode == "tuple":
-            simulator.global_send_batch(sends, "tree-bcast")
+            transport.send_batch(simulator, sends, "tree-bcast")
             simulator.advance_round()
             inbox = simulator.per_node_inbox(GLOBAL_MODE)
             for _, child, _ in sends:
@@ -103,10 +106,10 @@ def broadcast_via_tree(
                         received[child] = payload
             continue
         for sender, child, payload in sends:
-            simulator.global_send_to_node(sender, child, payload, tag="tree-bcast")
+            transport.send(simulator, sender, child, payload, tag="tree-bcast")
         simulator.advance_round()
         for _, child, _ in sends:
-            for message in simulator.global_inbox(child):
+            for message in transport.inbox(simulator, child, GLOBAL_MODE):
                 if message.tag == "tree-bcast":
                     received[child] = message.payload
     return received

@@ -4,8 +4,10 @@
 scheduler (:func:`repro.simulator.engine.plan_token_rounds`) must reproduce
 shard for shard.  :func:`reference_batched_global_exchange`
 is the tuple exchange the plane engine replaced: it shards with
-:func:`shard_transfers`, submits each shard with ``global_send_batch`` and
-harvests by rebuilding the round's inbox dict.  :func:`iter_triples` lowers a
+:func:`shard_transfers`, submits each shard with
+:func:`oracles.transport.send_batch` and harvests by rebuilding the round's
+inbox dict.  It runs on a simulator or on an
+:class:`oracles.delivery.ReferenceNetwork`.  :func:`iter_triples` lowers a
 :class:`~repro.simulator.engine.TokenPlane` into the tuple workload these
 oracles consume.
 """
@@ -19,6 +21,8 @@ from repro.simulator.engine import TokenPlane
 from repro.simulator.errors import ChargeOnlyError
 from repro.simulator.messages import GLOBAL_MODE, payload_words
 from repro.simulator.network import HybridSimulator
+
+from oracles import transport
 
 Node = Hashable
 
@@ -106,7 +110,7 @@ def reference_batched_global_exchange(
             raise RuntimeError(
                 f"batched exchange exceeded the allowed {max_rounds} rounds"
             )
-        simulator.global_send_batch(shard, tag)
+        transport.send_batch(simulator, shard, tag)
         simulator.advance_round()
         rounds_used += 1
         inbox = simulator.per_node_inbox(GLOBAL_MODE)

@@ -41,8 +41,6 @@ from repro.graphs.generators import (
     path_graph,
 )
 from repro.graphs.properties import (
-    _reference_all_hop_distances,
-    _reference_weak_diameter,
     all_hop_distances,
     h_hop_limited_distances,
     hop_distances_from,
@@ -53,6 +51,7 @@ from repro.simulator.config import ModelConfig
 from repro.simulator.network import HybridSimulator
 
 from oracles.engines import exchange_via
+from oracles.hops import _reference_all_hop_distances, _reference_weak_diameter
 from oracles.weighted import _reference_h_hop_limited_distances
 
 SEEDS = [0, 1, 2]

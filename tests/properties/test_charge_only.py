@@ -45,9 +45,10 @@ from repro.simulator.engine import (
 )
 from repro.simulator.errors import ChargeOnlyError
 from repro.simulator.faults import CrashEvent, FaultSchedule, LinkFailure
-from repro.simulator.messages import GLOBAL_MODE
+from repro.simulator.messages import GLOBAL_MODE, LOCAL_MODE
 from repro.simulator.network import HybridSimulator
 
+from oracles import transport
 from oracles.scheduler import iter_triples
 
 SEEDS = [0, 1, 2]
@@ -234,11 +235,13 @@ def test_failed_edge_filtering_matches_on_charge_only_planes(backend):
             charge_only=charge_only,
         )
         for r in range(3):
-            sim.local_send_batch_ids(
+            transport.send_ids(
+                sim,
                 [2, 3, 4],
                 [3, 2, 5],
                 [("p", r, 0), ("p", r, 1), ("p", r, 2)],
                 tag="lf",
+                mode=LOCAL_MODE,
             )
             sim.advance_round()
         return sim.metrics.summary()
@@ -278,11 +281,12 @@ def test_crashed_endpoint_dissemination_identical_charge_only(case, backend):
 
 
 # ----------------------------------------------------------------------
-# Legacy tuple paths: *_send_batch bucket deliveries, charge-only
+# Small tuple batches (oracles.transport: one sub-32-token plane per call,
+# the simulator's scalar arm), charge-only
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", SEEDS)
 def test_tuple_batches_charge_only_are_accounting_identical(seed, backend):
-    """Multi-round legacy-tuple traffic (global + local) under a crash +
+    """Multi-round small-batch traffic (global + local) under a crash +
     drop schedule: charge-only must replay every metric bit-for-bit."""
     n = 24
     graph = path_graph(n)
@@ -304,16 +308,19 @@ def test_tuple_batches_charge_only_are_accounting_identical(seed, backend):
             charge_only=charge_only,
         )
         for r in range(4):
-            sim.global_send_batch(
+            transport.send_batch(
+                sim,
                 [
                     (rng.randrange(n), rng.randrange(n), ("p", r, i))
                     for i in range(40)
                 ],
                 tag="tg",
             )
-            sim.local_send_batch(
+            transport.send_batch(
+                sim,
                 [(i, i + 1, ("l", r, i)) for i in range(0, n - 1, 2)],
                 tag="tl",
+                mode=LOCAL_MODE,
             )
             sim.advance_round()
         return sim.metrics.summary()
@@ -325,28 +332,29 @@ def test_tuple_batches_charge_only_are_accounting_identical(seed, backend):
 
 
 def test_tuple_inbox_read_raises_charge_only(backend):
-    """Reading tuple traffic queued charge-only is a hard error on both
+    """Reading small-batch traffic queued charge-only is a hard error on both
     modes; a traffic-free round stays readable (an empty inbox is exact)."""
     sim = HybridSimulator(
         path_graph(8), ModelConfig.hybrid(), seed=0, charge_only=True
     )
-    sim.global_send_to_node(0, 5, ("g", 0))
-    sim.local_send(3, 4, ("l", 0))
+    transport.send(sim, 0, 5, ("g", 0))
+    transport.send(sim, 3, 4, ("l", 0), mode=LOCAL_MODE)
     sim.advance_round()
     with pytest.raises(ChargeOnlyError):
-        sim.global_inbox(5)
+        transport.inbox(sim, 5, GLOBAL_MODE)
     with pytest.raises(ChargeOnlyError):
-        sim.local_inbox(4)
+        transport.inbox(sim, 4, LOCAL_MODE)
     # The next round carries nothing: empty inboxes are exact, not a read
     # of suppressed payloads.
     sim.advance_round()
-    assert sim.global_inbox(5) == []
-    assert sim.local_inbox(4) == []
+    assert transport.inbox(sim, 5, GLOBAL_MODE) == []
+    assert transport.inbox(sim, 4, LOCAL_MODE) == []
 
 
 def test_mixed_tuple_and_plane_round_charge_only_identical(backend):
-    """One round mixing a token plane with legacy tuple sends: accounting
-    must match the payload run, and the read guard must still fire."""
+    """One round mixing a bulk plane (array counters) with a small batch
+    (dict counters): accounting must match the payload run, and the read
+    guard must still fire."""
     n = 16
 
     def run(charge_only):
@@ -365,7 +373,8 @@ def test_mixed_tuple_and_plane_round_charge_only_identical(backend):
             [("pp", i) for i in range(count)],
         )
         sim.global_send_plane(plane, tag="mx")
-        sim.global_send_batch(
+        transport.send_batch(
+            sim,
             [(rng.randrange(n), rng.randrange(n), ("tp", i)) for i in range(20)],
             tag="mt",
         )
@@ -376,12 +385,12 @@ def test_mixed_tuple_and_plane_round_charge_only_identical(backend):
     charged_sim = run(True)
     assert charged_sim.metrics.diff(payload_sim.metrics) == {}
     with pytest.raises(ChargeOnlyError):
-        charged_sim.global_inbox(1)
+        transport.inbox(charged_sim, 1, GLOBAL_MODE)
 
 
 def test_tuple_charge_only_sparse_learning_is_identical(backend):
-    """HYBRID_0 sender-id learning reads only the sender column, so tuple
-    traffic with suppressed payloads must teach exactly the same ids."""
+    """HYBRID_0 sender-id learning reads only the sender column, so small
+    batches with suppressed payloads must teach exactly the same ids."""
     n = 12
     graph = path_graph(n)
 
@@ -394,9 +403,10 @@ def test_tuple_charge_only_sparse_learning_is_identical(backend):
         far_id = sim.id_of(9)
         sim.declare_learned_ids(0, [far_id])
         for r in range(3):
-            sim.global_send(0, far_id, ("t", r))
-            sim.global_send_batch(
-                [(i, i + 1, ("u", r, i)) for i in range(n - 1)], tag="k"
+            transport.send(sim, 0, far_id, ("t", r), by_id=True)
+            transport.send_batch(
+                sim,
+                [(i, i + 1, ("u", r, i)) for i in range(n - 1)], tag="k",
             )
             sim.advance_round()
         return (

@@ -1,18 +1,18 @@
-"""Plane delivery in every operating mode, checked against the tuple oracles.
+"""Plane delivery in every operating mode, checked against the oracles.
 
 A round's plane traffic passes through the fault filter, the grouped capacity
-counters, the capacity sweep and identifier learning.  The tuple send path
-(``global_send_batch``) and the oracle exchange engines reach the same
-quantities through separate per-message code, so for each mode — fault-free,
-a crash + link-failure + drop schedule, and charge-only — the plane path must
-match them exactly on both array backends:
+counters, the capacity sweep and identifier learning.  The record-level round
+model (``oracles.delivery.ReferenceNetwork``) and the oracle exchange engines
+reach the same quantities through separate per-message code, so for each
+mode — fault-free, a crash + link-failure + drop schedule, and charge-only —
+the plane path must match them exactly on both array backends:
 
 * a congested multi-round exchange: the metrics of
-  ``oracles.scheduler.reference_batched_global_exchange`` (and, fault-free,
-  its deliveries);
+  ``oracles.scheduler.reference_batched_global_exchange`` run on the round
+  model (and, fault-free, its deliveries);
 * HYBRID_0 dissemination: the metrics and every node's identifier knowledge
   of the per-message ``"legacy"`` oracle engine;
-* a deliberately overloaded round: the tuple path's violation counts, and
+* a deliberately overloaded round: the round model's violation counts, and
   under strict enforcement the same error naming the same node.
 
 A charge-only plane run is compared against the payload-carrying oracle run,
@@ -39,6 +39,8 @@ from repro.simulator.errors import CapacityExceededError
 from repro.simulator.faults import CrashEvent, FaultSchedule, LinkFailure
 from repro.simulator.network import HybridSimulator
 
+from oracles import transport
+from oracles.delivery import ReferenceNetwork
 from oracles.engines import exchange_via
 from oracles.scheduler import reference_batched_global_exchange
 
@@ -129,19 +131,19 @@ def _knowledge_state(sim):
 
 
 # ----------------------------------------------------------------------
-# Exchange: plane engine vs the tuple exchange
+# Exchange: plane engine vs the reference exchange on the round model
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("groups", GROUP_COUNTS)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_exchange_metrics_match_the_tuple_exchange(seed, groups, mode, backend):
+def test_exchange_metrics_match_the_reference_exchange(seed, groups, mode, backend):
     graph = erdos_renyi_graph(36, 0.15, seed=seed)
     rng = random.Random(f"delivery-{seed}-{groups}-{mode}")
     budget = HybridSimulator(graph, ModelConfig(strict=False)).global_budget_words()
     triples = _congested_triples(rng, 36, min(budget, 57), groups)
     faults = _fault_kwargs(mode, seed, _exchange_schedule)
 
-    reference_sim = HybridSimulator(graph, ModelConfig(strict=False), seed=seed, **faults)
+    reference_sim = ReferenceNetwork(graph, ModelConfig(strict=False), seed=seed, **faults)
     expected = reference_batched_global_exchange(reference_sim, list(triples), tag="sd")
 
     faults = _fault_kwargs(mode, seed, _exchange_schedule)
@@ -202,15 +204,20 @@ def test_dissemination_matches_the_per_message_oracle(seed, family, mode, backen
 
 
 # ----------------------------------------------------------------------
-# Capacity sweep: plane sends vs tuple sends of one overloaded round
+# Capacity sweep: plane sends vs the round model on one overloaded round
 # ----------------------------------------------------------------------
 def _run_overload(seed, mode, hot_receivers, path, *, strict):
     rng = random.Random(f"overload-{seed}-{mode}-{hot_receivers}")
-    sim = HybridSimulator(
+    if path == "plane":
+        network = HybridSimulator
+        kwargs = {"charge_only": mode == "charge-only"}
+    else:
+        network, kwargs = ReferenceNetwork, {}
+    sim = network(
         path_graph(24),
         ModelConfig.hybrid(strict=strict),
         seed=seed,
-        charge_only=mode == "charge-only",
+        **kwargs,
         **_fault_kwargs(mode, seed, _exchange_schedule),
     )
     budget = sim.global_budget_words()
@@ -227,7 +234,8 @@ def _run_overload(seed, mode, hot_receivers, path, *, strict):
                 plane = plane.charge_view()
             sim.global_send_plane(plane, tag="ov")
         else:
-            sim.global_send_batch(
+            transport.send_batch(
+                sim,
                 [(senders[i], receivers[i], payloads[i], words[i]) for i in range(count)],
                 tag="ov",
             )
@@ -240,14 +248,14 @@ def _run_overload(seed, mode, hot_receivers, path, *, strict):
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("hot_receivers", [1, 2, 3])
 @pytest.mark.parametrize("seed", SEEDS[:2])
-def test_capacity_sweep_matches_tuple_sends(seed, hot_receivers, mode, backend):
+def test_capacity_sweep_matches_the_round_model(seed, hot_receivers, mode, backend):
     metrics, error = _run_overload(seed, mode, hot_receivers, "plane", strict=False)
-    tuple_metrics, tuple_error = _run_overload(
-        seed, mode, hot_receivers, "tuple", strict=False
+    model_metrics, model_error = _run_overload(
+        seed, mode, hot_receivers, "model", strict=False
     )
-    assert error is None and tuple_error is None
-    assert metrics.diff(tuple_metrics) == {}
-    assert metrics.summary() == tuple_metrics.summary()
+    assert error is None and model_error is None
+    assert metrics.diff(model_metrics) == {}
+    assert metrics.summary() == model_metrics.summary()
     assert metrics.capacity_violations > 0
 
 
@@ -255,7 +263,7 @@ def test_capacity_sweep_matches_tuple_sends(seed, hot_receivers, mode, backend):
 @pytest.mark.parametrize("seed", SEEDS[:2])
 def test_strict_sweep_names_the_same_offender(seed, mode, backend):
     metrics, error = _run_overload(seed, mode, 2, "plane", strict=True)
-    tuple_metrics, tuple_error = _run_overload(seed, mode, 2, "tuple", strict=True)
+    model_metrics, model_error = _run_overload(seed, mode, 2, "model", strict=True)
     assert error is not None and "global words in round 0" in error
-    assert error == tuple_error
-    assert metrics.diff(tuple_metrics) == {}
+    assert error == model_error
+    assert metrics.diff(model_metrics) == {}

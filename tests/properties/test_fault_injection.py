@@ -48,6 +48,8 @@ from repro.simulator.faults import (
 from repro.simulator.messages import GLOBAL_MODE, LOCAL_MODE, payload_words
 from repro.simulator.network import HybridSimulator
 
+from oracles import transport
+
 SEEDS = [0, 1, 2]
 
 
@@ -84,9 +86,11 @@ def _mixed_traffic(sim, rng, rounds=4):
             senders.append(sender)
             receivers.append(rng.randrange(n))
             payloads.append(payload)
-        sim.global_send_batch_ids(senders, receivers, payloads, tag="fi")
+        transport.send_ids(sim, senders, receivers, payloads, tag="fi")
         picks = [edges[rng.randrange(len(edges))] for _ in range(rng.randrange(5, 20))]
-        sim.local_send_batch([(u, v, ("l", r, i)) for i, (u, v) in enumerate(picks)])
+        transport.send_batch(
+            sim, [(u, v, ("l", r, i)) for i, (u, v) in enumerate(picks)], mode=LOCAL_MODE
+        )
         sim.advance_round()
         trace.append(
             {
@@ -152,7 +156,7 @@ def test_crash_window_silences_sends_and_receives(backend):
     got_from3, got_to3 = [], []
     for _ in range(5):
         # Node 3 both sends and is addressed every round.
-        sim.global_send_batch_ids([3, 0], [5, 3], [("from3", sim.round), ("to3", sim.round)])
+        transport.send_ids(sim, [3, 0], [5, 3], [("from3", sim.round), ("to3", sim.round)])
         sim.advance_round()
         inbox = sim.per_node_inbox(GLOBAL_MODE)
         got_from3.extend(p[1] for _, p, *_ in inbox.get(5, ()))
@@ -170,9 +174,11 @@ def test_link_failure_drops_only_the_failed_edge(backend):
     sim = HybridSimulator(graph, ModelConfig.hybrid(), seed=0, fault_schedule=schedule)
     got = {1: [], 2: [], 3: []}
     for _ in range(3):
-        sim.local_send_batch(
+        transport.send_batch(
+            sim,
             [(1, 2, ("down", sim.round)), (2, 1, ("down-rev", sim.round)),
-             (2, 3, ("up", sim.round))]
+             (2, 3, ("up", sim.round))],
+            mode=LOCAL_MODE,
         )
         sim.advance_round()
         inbox = sim.per_node_inbox(LOCAL_MODE)
@@ -231,7 +237,8 @@ def test_node_scoped_degradation_tightens_only_that_node(backend):
     budget = sim.global_budget_words()  # node-wide budget is undegraded
     degraded = max(1, int(budget * 0.25))
     per_node = degraded + 1  # over node 0's budget, under everyone else's
-    sim.global_send_batch_ids(
+    transport.send_ids(
+        sim,
         [0] * per_node + [1] * per_node,
         [2 + (i % 7) for i in range(per_node)] + [2 + (i % 7) for i in range(per_node)],
         ["x"] * (2 * per_node),

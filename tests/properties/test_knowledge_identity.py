@@ -25,9 +25,12 @@ from repro.graphs.generators import erdos_renyi_graph, path_graph, star_graph
 from repro.simulator import _accel
 from repro.simulator.config import ModelConfig
 from repro.simulator.engine import TokenPlane
+from repro.simulator.faults import CrashEvent, FaultSchedule
 from repro.simulator.messages import payload_words
 from repro.simulator.network import HybridSimulator
 
+from oracles import transport
+from oracles.delivery import ReferenceNetwork
 from oracles.engines import exchange_via
 
 SEEDS = [0, 1, 2]
@@ -80,23 +83,32 @@ def test_plane_knowledge_matches_the_legacy_oracle(case, charge_only, backend):
     assert any(len(known) > graph.degree(node) + 1 for node, known in plane_known.items())
 
 
+@pytest.mark.parametrize("faults", [False, True], ids=["fault-free", "faulted"])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_round_by_round_sender_learning_matches_per_message_sends(seed, backend):
+def test_round_by_round_sender_learning_matches_per_message_sends(seed, faults, backend):
     """HYBRID_0 traffic along currently known pairs — sent as token-plane
     shards (large ones take the vectorised path, small ones the scalar path)
-    and as one legacy ``global_send`` per message — must leave every node
-    with identical knowledge after every round.  Most receivers do not know
-    their senders beforehand, so each round teaches new identifiers, and the
-    next round's traffic may use them."""
+    and, one message per call, into the round model's per-receiver sets —
+    must leave every node with identical knowledge after every round.  Most
+    receivers do not know their senders beforehand, so each round teaches new
+    identifiers, and the next round's traffic may use them.  Under a crash and drop schedule a
+    receiver learns only from the tokens that reached it."""
     graph = erdos_renyi_graph(48, 0.06, seed=seed)
     config = ModelConfig.hybrid0(strict=False)
-    plane_sim = HybridSimulator(graph, config, seed=seed)
-    legacy_sim = HybridSimulator(graph, config, seed=seed)
+    schedule = None
+    if faults:
+        schedule = FaultSchedule(
+            seed=seed,
+            crashes=(CrashEvent(node=5, crash_round=2, recover_round=5),),
+            global_drop_rate=0.25,
+        )
+    plane_sim = HybridSimulator(graph, config, seed=seed, fault_schedule=schedule)
+    model_sim = ReferenceNetwork(graph, config, seed=seed, fault_schedule=schedule)
     nodes = plane_sim.nodes
     index = plane_sim.node_indexer()
     rng = random.Random(f"learn-{seed}")
     # Three hubs know every identifier, so their sends reach strangers.
-    for sim in (plane_sim, legacy_sim):
+    for sim in (plane_sim, model_sim):
         for hub in nodes[:3]:
             sim.declare_learned_ids(hub, sim.all_ids())
     for round_no in range(8):
@@ -115,12 +127,12 @@ def test_round_by_round_sender_learning_matches_per_message_sends(seed, backend)
         plane_sim.global_send_plane(plane, list(range(cut)))
         plane_sim.global_send_plane(plane, list(range(cut, len(traffic))))
         for sender, target_id, payload in traffic:
-            legacy_sim.global_send(sender, target_id, payload)
+            transport.send(model_sim, sender, target_id, payload, by_id=True)
         plane_sim.advance_round()
-        legacy_sim.advance_round()
+        model_sim.advance_round()
         for node in nodes:
-            assert plane_sim.known_ids(node) == legacy_sim.known_ids(node)
+            assert plane_sim.known_ids(node) == model_sim.known_ids(node)
             assert plane_sim.knowledge.knowledge_count(plane_sim.id_of(node)) == len(
-                legacy_sim.known_ids(node)
+                model_sim.known_ids(node)
             )
-    assert plane_sim.metrics.summary() == legacy_sim.metrics.summary()
+    assert plane_sim.metrics.summary() == model_sim.metrics.summary()

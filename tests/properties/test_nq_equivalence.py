@@ -2,7 +2,7 @@
 
 The frontier-based analytics engine (:mod:`repro.graphs.index`) must agree
 *exactly* — not approximately — with the original reference formulations kept
-as ``_reference_*`` in ``oracles.nq`` and :mod:`repro.graphs.properties`,
+as ``_reference_*`` in ``oracles.nq`` and ``oracles.hops``,
 across six graph families x three seeds, for per-node values, graph-level
 values, workload profiles, diameters, eccentricities and ball-size sequences.
 Any divergence is a correctness bug in the engine, never an acceptable
@@ -31,9 +31,6 @@ from repro.graphs.generators import GraphSpec, generate_graph
 from repro.graphs.index import GraphIndex, get_index
 from repro.graphs.mutation import GraphMutator
 from repro.graphs.properties import (
-    _reference_ball_sizes_all_radii,
-    _reference_diameter,
-    _reference_eccentricity,
     ball_sizes_all_radii,
     diameter,
     eccentricity,
@@ -42,6 +39,11 @@ from repro.simulator.config import ModelConfig
 from repro.simulator.network import HybridSimulator
 
 from oracles.engines import ENGINES, exchange_via
+from oracles.hops import (
+    _reference_ball_sizes_all_radii,
+    _reference_diameter,
+    _reference_eccentricity,
+)
 from oracles.nq import (
     _reference_neighborhood_quality,
     _reference_neighborhood_quality_of_node,

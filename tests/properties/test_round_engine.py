@@ -4,8 +4,9 @@ The token-plane scheduler must be **schedule-identical** to the greedy
 reference (``oracles.scheduler.shard_transfers``) on every workload shape —
 uncongested, congested, mixed token sizes, oversized tokens hitting the
 forced-through branch — under both array backends (NumPy and the pure-Python
-fallback).  The bulk id-native send paths must produce the same inboxes,
-metrics, capacity accounting and knowledge as the tuple paths.  Each property
+fallback).  The plane sends must produce the same inboxes, metrics, capacity
+accounting and knowledge as the record-level round model
+(``oracles.delivery.ReferenceNetwork``).  Each property
 is exercised across seeds; the fallback is selected by monkeypatching
 ``repro.simulator._accel.np`` (exactly what ``REPRO_NO_NUMPY=1`` does at
 import time).
@@ -28,6 +29,8 @@ from repro.simulator.errors import CapacityExceededError
 from repro.simulator.messages import GLOBAL_MODE, LOCAL_MODE, payload_words
 from repro.simulator.network import HybridSimulator
 
+from oracles import transport
+from oracles.delivery import ReferenceNetwork
 from oracles.engines import ENGINES, ORACLES, exchange_via
 from oracles.scheduler import reference_batched_global_exchange, shard_transfers
 from oracles.transport import GlobalTransfer, throttled_global_exchange
@@ -175,6 +178,8 @@ def test_forced_oversized_branch_matches_reference(backend):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", SEEDS)
 def test_exchange_engines_deliver_identically(seed, backend):
+    """The plane exchange against the greedy reference exchange on the round
+    model, and against the per-message exchange on a simulator."""
     rng = random.Random(9000 + seed)
     graph = path_graph(24)
     senders, receivers, words = _mixed_sizes(rng, 24)
@@ -184,11 +189,11 @@ def test_exchange_engines_deliver_identically(seed, backend):
         for i in range(len(words))
     ]
 
-    def fresh():
-        return HybridSimulator(graph, ModelConfig.hybrid(), seed=seed)
+    def fresh(network=HybridSimulator):
+        return network(graph, ModelConfig.hybrid(), seed=seed)
 
     plane_sim = fresh()
-    reference_sim = fresh()
+    reference_sim = fresh(ReferenceNetwork)
     delivered_plane = batched_global_exchange(plane_sim, list(triples), tag="rt")
     delivered_reference = reference_batched_global_exchange(
         reference_sim, list(triples), tag="rt"
@@ -222,14 +227,17 @@ def test_exchange_equivalence_under_hybrid0(seed, backend):
             u, v = v, u
         triples.append((u, v, ("p", rng.randrange(50))))
 
-    def run(runner):
-        sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
+    def run(runner, network):
+        sim = network(graph, ModelConfig.hybrid0(), seed=seed)
         delivered = runner(sim, list(triples))
         return delivered, sim
 
-    plane, plane_sim = run(lambda sim, t: batched_global_exchange(sim, t, tag="h0"))
+    plane, plane_sim = run(
+        lambda sim, t: batched_global_exchange(sim, t, tag="h0"), HybridSimulator
+    )
     reference, reference_sim = run(
-        lambda sim, t: reference_batched_global_exchange(sim, t, tag="h0")
+        lambda sim, t: reference_batched_global_exchange(sim, t, tag="h0"),
+        ReferenceNetwork,
     )
     assert plane == reference
     assert plane_sim.metrics.summary() == reference_sim.metrics.summary()
@@ -240,7 +248,7 @@ def test_exchange_equivalence_under_hybrid0(seed, backend):
 def test_exchange_is_collision_proof_for_shared_tags(backend):
     """Foreign traffic sharing BOTH the tag and a receiver no longer leaks."""
     sim = HybridSimulator(path_graph(6), ModelConfig.hybrid())
-    sim.global_send_batch([(0, 2, "foreign")], tag="x")
+    transport.send_batch(sim, [(0, 2, "foreign")], tag="x")
     delivered = batched_global_exchange(sim, [(1, 2, "mine")], tag="x")
     assert delivered == {2: ["mine"]}
     # The foreign record is still delivered and readable from the inbox.
@@ -258,14 +266,14 @@ def test_exchange_tag_words_charge_only_the_prefix():
 
 
 # ----------------------------------------------------------------------
-# Bulk id-native sends: capacity counters, inboxes, knowledge
+# Plane sends against the round model: capacity counters, inboxes, knowledge
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", SEEDS)
-def test_global_plane_and_tuple_sends_are_equivalent(seed, backend):
+def test_global_plane_sends_match_the_round_model(seed, backend):
     graph = erdos_renyi_graph(30, 0.2, seed=seed)
     rng = random.Random(4000 + seed)
     plane_sim = HybridSimulator(graph, ModelConfig.hybrid(), seed=seed)
-    tuple_sim = HybridSimulator(graph, ModelConfig.hybrid(), seed=seed)
+    model = ReferenceNetwork(graph, ModelConfig.hybrid(), seed=seed)
     indexer = plane_sim.node_indexer()
     nodes = plane_sim.nodes
 
@@ -283,8 +291,9 @@ def test_global_plane_and_tuple_sends_are_equivalent(seed, backend):
             senders.append(sender)
             receivers.append(rng.randrange(len(nodes)))
             payloads.append(payload)
-        plane_sim.global_send_batch_ids(senders, receivers, payloads, tag="eq")
-        tuple_sim.global_send_batch(
+        transport.send_ids(plane_sim, senders, receivers, payloads, tag="eq")
+        transport.send_batch(
+            model,
             [
                 (nodes[senders[i]], nodes[receivers[i]], payloads[i])
                 for i in range(len(payloads))
@@ -292,18 +301,18 @@ def test_global_plane_and_tuple_sends_are_equivalent(seed, backend):
             tag="eq",
         )
         plane_sim.advance_round()
-        tuple_sim.advance_round()
-        assert plane_sim.per_node_inbox(GLOBAL_MODE) == tuple_sim.per_node_inbox(GLOBAL_MODE)
-        assert plane_sim.metrics.summary() == tuple_sim.metrics.summary()
+        model.advance_round()
+        assert plane_sim.per_node_inbox(GLOBAL_MODE) == model.per_node_inbox(GLOBAL_MODE)
+        assert plane_sim.metrics.summary() == model.metrics.summary()
         for node in nodes:
-            assert plane_sim.inbox(node) == tuple_sim.inbox(node)
+            assert transport.inbox(plane_sim, node) == transport.inbox(model, node)
     assert indexer[nodes[5]] == 5
 
 
 @pytest.mark.parametrize("direction", ["sent", "received"])
 @pytest.mark.parametrize("seed", SEEDS[:3])
-def test_plane_sends_record_overloads_like_tuple_sends(seed, direction, backend):
-    """Overload on either side: the same violation count through both paths,
+def test_plane_sends_record_overloads_like_the_round_model(seed, direction, backend):
+    """Overload on either side: the same violation count as the round model,
     and under strict enforcement the same error, naming the lowest-indexed
     offender even though the other offender's traffic was queued first."""
     graph = path_graph(40)
@@ -320,37 +329,32 @@ def test_plane_sends_record_overloads_like_tuple_sends(seed, direction, backend)
             receivers += [hot] * count
     payloads = ["x"] * len(senders)
 
-    def run(config, path):
-        sim = HybridSimulator(
-            graph, config, seed=seed, enforce_receive_capacity=config.strict
-        )
-        if path == "plane":
-            sim.global_send_batch_ids(senders, receivers, payloads)
-        else:
-            sim.global_send_batch(zip(senders, receivers, payloads))
+    def run(config, network):
+        sim = network(graph, config, seed=seed, enforce_receive_capacity=config.strict)
+        transport.send_ids(sim, senders, receivers, payloads)
         try:
             sim.advance_round()
         except CapacityExceededError as exc:
             return sim.metrics.summary(), str(exc)
         return sim.metrics.summary(), None
 
-    plane, error = run(ModelConfig.hybrid(strict=False), "plane")
+    plane, error = run(ModelConfig.hybrid(strict=False), HybridSimulator)
     assert error is None and plane["capacity_violations"] == 2
-    assert run(ModelConfig.hybrid(strict=False), "tuple") == (plane, None)
+    assert run(ModelConfig.hybrid(strict=False), ReferenceNetwork) == (plane, None)
 
-    plane, error = run(ModelConfig.hybrid(), "plane")
+    plane, error = run(ModelConfig.hybrid(), HybridSimulator)
     assert error == (
         f"node 5 {direction} {count} global words in round 0, budget is {budget}"
     )
-    assert run(ModelConfig.hybrid(), "tuple") == (plane, error)
+    assert run(ModelConfig.hybrid(), ReferenceNetwork) == (plane, error)
 
 
 @pytest.mark.parametrize("seed", SEEDS[:3])
-def test_local_plane_and_tuple_sends_are_equivalent(seed, backend):
+def test_local_plane_sends_match_the_round_model(seed, backend):
     graph = erdos_renyi_graph(25, 0.25, seed=seed)
     rng = random.Random(6000 + seed)
     plane_sim = HybridSimulator(graph, ModelConfig.hybrid(), seed=seed)
-    tuple_sim = HybridSimulator(graph, ModelConfig.hybrid(), seed=seed)
+    model = ReferenceNetwork(graph, ModelConfig.hybrid(), seed=seed)
     nodes = plane_sim.nodes
     indexer = plane_sim.node_indexer()
     edges = sorted(graph.edges)
@@ -359,20 +363,24 @@ def test_local_plane_and_tuple_sends_are_equivalent(seed, backend):
         picks = [edges[rng.randrange(len(edges))] for _ in range(rng.randrange(1, 60))]
         picks = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in picks]
         payloads = [("l", rng.randrange(100)) for _ in picks]
-        plane_sim.local_send_batch_ids(
+        transport.send_ids(
+            plane_sim,
             [indexer[u] for u, _ in picks],
             [indexer[v] for _, v in picks],
             payloads,
             tag="lt",
+            mode=LOCAL_MODE,
         )
-        tuple_sim.local_send_batch(
-            [(u, v, payloads[i]) for i, (u, v) in enumerate(picks)], tag="lt"
+        transport.send_batch(
+            model,
+            [(u, v, payloads[i]) for i, (u, v) in enumerate(picks)], tag="lt",
+            mode=LOCAL_MODE,
         )
         plane_sim.advance_round()
-        tuple_sim.advance_round()
-        assert plane_sim.per_node_inbox(LOCAL_MODE) == tuple_sim.per_node_inbox(LOCAL_MODE)
-        assert plane_sim.metrics.summary() == tuple_sim.metrics.summary()
-    assert nodes == tuple_sim.nodes
+        model.advance_round()
+        assert plane_sim.per_node_inbox(LOCAL_MODE) == model.per_node_inbox(LOCAL_MODE)
+        assert plane_sim.metrics.summary() == model.metrics.summary()
+    assert nodes == model.nodes
 
 
 def test_plane_send_validates_adjacency_and_membership(backend):
@@ -380,11 +388,11 @@ def test_plane_send_validates_adjacency_and_membership(backend):
 
     sim = HybridSimulator(path_graph(5), ModelConfig.hybrid())
     with pytest.raises(NotANeighborError):
-        sim.local_send_batch_ids([0], [3], ["x"])
+        transport.send_ids(sim, [0], [3], ["x"], mode=LOCAL_MODE)
     with pytest.raises(UnknownNodeError):
-        sim.global_send_batch_ids([0], [99], ["x"])
+        transport.send_ids(sim, [0], [99], ["x"])
     with pytest.raises(UnknownNodeError):
-        sim.global_send_batch_ids([-1], [2], ["x"])
+        transport.send_ids(sim, [-1], [2], ["x"])
     # Nothing was queued by the failed validations.
     sim.advance_round()
     assert sim.metrics.global_messages == 0
@@ -397,10 +405,10 @@ def test_plane_send_enforces_hybrid0_knowledge(backend):
     sim = HybridSimulator(path_graph(6), ModelConfig.hybrid0(), seed=1)
     indexer = sim.node_indexer()
     with pytest.raises(UnknownIdentifierError):
-        sim.global_send_batch_ids([indexer[0]], [indexer[5]], ["x"])
+        transport.send_ids(sim, [indexer[0]], [indexer[5]], ["x"])
     # Neighbors are known from round zero; repeated pairs hit the memo.
     for _ in range(2):
-        sim.global_send_batch_ids([indexer[0]], [indexer[1]], ["x"])
+        transport.send_ids(sim, [indexer[0]], [indexer[1]], ["x"])
         sim.advance_round()
     assert sim.metrics.global_messages == 2
 
@@ -458,21 +466,28 @@ def test_engines_agree_on_whole_algorithms(workload, backend):
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_exchange_via_routes_every_send_through_the_named_engine(engine, monkeypatch):
-    """The engine swap is real: the plane path queues only planes, the tuple
-    oracle only tuple batches, the legacy oracle one message per call; and
-    the production methods are back in place after the block."""
+    """The engine swap is real: the plane path sends no adapter traffic, the
+    tuple oracle only global tuple batches, the legacy oracle one message per
+    call; every adapter call lowers to planes; and the production methods are
+    back in place after the block."""
     from repro.core.dissemination import KDissemination
     from repro.simulator.engine import BatchAlgorithm
 
-    calls = {"global_send_plane": 0, "global_send_batch": 0, "global_send_to_node": 0}
-    for method in calls:
-        original = getattr(HybridSimulator, method)
+    calls = {"plane": 0, "send_batch": 0, "send": 0}
 
-        def counting(self, *args, _name=method, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(self, *args, **kwargs)
+    def spy(name, original):
+        def counting(*args, **kwargs):
+            if kwargs.get("mode", GLOBAL_MODE) == GLOBAL_MODE:
+                calls[name] += 1
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(HybridSimulator, method, counting)
+        return counting
+
+    monkeypatch.setattr(
+        HybridSimulator, "global_send_plane", spy("plane", HybridSimulator.global_send_plane)
+    )
+    for name in ("send_batch", "send"):
+        monkeypatch.setattr(transport, name, spy(name, getattr(transport, name)))
     exchange = BatchAlgorithm.exchange
     sim = HybridSimulator(path_graph(30), ModelConfig.hybrid0(), seed=5)
     tokens = {node: [("tok", node)] for node in range(0, 30, 3)}
@@ -483,10 +498,10 @@ def test_exchange_via_routes_every_send_through_the_named_engine(engine, monkeyp
     if engine == "batch":
         assert plane > 0 and batch == 0 and per_message == 0
     elif engine == "batch-reference":
-        assert plane == 0 and batch > 0 and per_message == 0
+        assert batch > 0 and per_message == 0 and plane >= batch
     else:
         # Each per-message send is a one-record tuple batch underneath.
-        assert plane == 0 and per_message > 0 and batch == per_message
+        assert per_message > 0 and batch == per_message and plane >= per_message
 
 
 # ----------------------------------------------------------------------

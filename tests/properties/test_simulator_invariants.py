@@ -1,4 +1,4 @@
-"""Seeded randomized invariants of the batch messaging engine.
+"""Seeded randomized invariants of the simulator's round.
 
 Three conservation/equivalence properties of :class:`HybridSimulator`:
 
@@ -8,9 +8,10 @@ Three conservation/equivalence properties of :class:`HybridSimulator`:
 (b) **Capacity soundness** — ``capacity_violations == 0`` implies every node
     stayed within ``global_budget_words()`` on both the send and the receive
     side in every round (and, conversely, a forced overload is recorded).
-(c) **Engine equivalence** — the batch send path and the legacy per-message
-    path produce identical inboxes, identical metrics and identical knowledge
-    on the same seeded workload.
+(c) **Model equivalence** — one plane per mode and round, and the
+    record-level round model (``oracles.delivery``) fed one message per call,
+    produce identical inboxes, identical metrics and identical knowledge on
+    the same seeded workload.
 """
 
 import dataclasses
@@ -23,6 +24,9 @@ from repro.graphs.generators import erdos_renyi_graph
 from repro.simulator.config import ModelConfig
 from repro.simulator.messages import GLOBAL_MODE, LOCAL_MODE, payload_words
 from repro.simulator.network import HybridSimulator
+
+from oracles import transport
+from oracles.delivery import ReferenceNetwork
 
 SEEDS = [0, 1, 2, 3, 4]
 ROUNDS = 6
@@ -75,8 +79,8 @@ def test_words_sent_equal_words_received_per_round(seed):
         local_queued = sum(payload_words(p) for _, _, p in local)
         global_queued = sum(payload_words(p) for _, _, p in global_)
         before_local, before_global = sim.metrics.local_words, sim.metrics.global_words
-        sim.local_send_batch(local)
-        sim.global_send_batch(global_)
+        transport.send_batch(sim, local, mode=LOCAL_MODE)
+        transport.send_batch(sim, global_)
         sim.advance_round()
         # Sent words as accounted by the metrics...
         assert sim.metrics.local_words - before_local == local_queued
@@ -113,7 +117,7 @@ def test_no_violations_implies_within_budget(seed):
             words = payload_words(payload)
             sent[u] += words
             received[v] += words
-        sim.global_send_batch(global_)
+        transport.send_batch(sim, global_)
         sim.advance_round()
         if sim.metrics.capacity_violations == 0:
             # The implication under test: zero recorded violations means no
@@ -130,8 +134,9 @@ def test_no_violations_implies_within_budget(seed):
         # aim every node's full budget at a single receiver.
         nodes = sim.nodes
         target = nodes[0]
-        sim.global_send_batch(
-            (u, target, tuple(range(budget - 1))) for u in nodes[1 : budget + 2]
+        transport.send_batch(
+            sim,
+            [(u, target, tuple(range(budget - 1))) for u in nodes[1 : budget + 2]],
         )
         sim.advance_round()
         assert sim.metrics.capacity_violations > 0
@@ -139,12 +144,12 @@ def test_no_violations_implies_within_budget(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("hybrid0", [False, True])
-def test_batch_and_legacy_sends_are_equivalent(seed, hybrid0):
+def test_batch_sends_match_the_round_model(seed, hybrid0):
     graph = erdos_renyi_graph(32, 0.18, seed=seed)
     config = ModelConfig.hybrid0() if hybrid0 else ModelConfig.hybrid()
     batch_sim = HybridSimulator(graph, config, seed=seed)
-    legacy_sim = HybridSimulator(graph, config, seed=seed)
-    assert batch_sim.nodes == legacy_sim.nodes
+    model = ReferenceNetwork(graph, config, seed=seed)
+    assert batch_sim.nodes == model.nodes
     rng = random.Random(3000 + seed)
     budget = batch_sim.global_budget_words()
     workload = _random_workload(graph, rng, budget, tag_words=payload_words("gt"))
@@ -159,23 +164,23 @@ def test_batch_and_legacy_sends_are_equivalent(seed, hybrid0):
         ]
 
     for local, global_ in workload:
-        batch_sim.local_send_batch(local, tag="lt")
-        batch_sim.global_send_batch(global_, tag="gt")
+        transport.send_batch(batch_sim, local, tag="lt", mode=LOCAL_MODE)
+        transport.send_batch(batch_sim, global_, tag="gt")
         for u, v, payload in local:
-            legacy_sim.local_send(u, v, payload, tag="lt")
+            transport.send(model, u, v, payload, tag="lt", mode=LOCAL_MODE)
         for u, v, payload in global_:
-            legacy_sim.global_send_to_node(u, v, payload, tag="gt")
+            transport.send(model, u, v, payload, tag="gt")
         batch_sim.advance_round()
-        legacy_sim.advance_round()
+        model.advance_round()
 
         # Identical pre-bucketed inboxes (records carry sender/payload/tag/words).
         for mode in (LOCAL_MODE, GLOBAL_MODE):
-            assert batch_sim.per_node_inbox(mode) == legacy_sim.per_node_inbox(mode)
-        # Identical materialised Message inboxes through the legacy accessors.
+            assert batch_sim.per_node_inbox(mode) == model.per_node_inbox(mode)
+        # Identical Message inboxes through the adapter.
         for node in batch_sim.nodes:
-            assert batch_sim.inbox(node) == legacy_sim.inbox(node)
+            assert transport.inbox(batch_sim, node) == transport.inbox(model, node)
         # Identical metrics and knowledge.
-        assert batch_sim.metrics.summary() == legacy_sim.metrics.summary()
-        assert dataclasses.asdict(batch_sim.metrics) == dataclasses.asdict(legacy_sim.metrics)
+        assert batch_sim.metrics.summary() == model.metrics.summary()
+        assert dataclasses.asdict(batch_sim.metrics) == dataclasses.asdict(model.metrics)
         for node in batch_sim.nodes:
-            assert batch_sim.known_ids(node) == legacy_sim.known_ids(node)
+            assert batch_sim.known_ids(node) == model.known_ids(node)

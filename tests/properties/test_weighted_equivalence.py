@@ -25,18 +25,9 @@ import networkx as nx
 import pytest
 
 from repro.baselines.centralized import exact_sssp
-from repro.core.clustering import _reference_nq_clustering, nq_clustering
-from repro.core.ruling_sets import (
-    _reference_greedy_ruling_set,
-    greedy_ruling_set,
-    verify_ruling_set,
-)
-from repro.core.sssp import (
-    _reference_approx_sssp_distances,
-    _reference_exact_sssp_distances,
-    approx_sssp_distances,
-    exact_sssp_distances,
-)
+from repro.core.clustering import nq_clustering
+from repro.core.ruling_sets import greedy_ruling_set, verify_ruling_set
+from repro.core.sssp import approx_sssp_distances, exact_sssp_distances
 from repro.graphs.generators import (
     barbell_graph,
     broom_graph,
@@ -49,7 +40,12 @@ from repro.graphs.index import get_index
 from repro.graphs.properties import weighted_distances_from
 from repro.graphs.weighted import assign_random_weights
 
-from oracles.weighted import _reference_weighted_distances_from
+from oracles.clustering import _reference_greedy_ruling_set, _reference_nq_clustering
+from oracles.weighted import (
+    _reference_approx_sssp_distances,
+    _reference_exact_sssp_distances,
+    _reference_weighted_distances_from,
+)
 
 SEEDS = [0, 1, 2]
 

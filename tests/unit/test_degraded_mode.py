@@ -3,11 +3,11 @@
 In strict mode (the default, used everywhere the paper claims a budget holds)
 capacity overruns raise; with ``strict=False`` they must be *counted* in
 ``RoundMetrics.capacity_violations`` while the traffic is still delivered —
-and the count must be identical whichever send path (tuple or id-native
-plane) or engine (the plane exchange or one of the oracle engines in
-``tests/oracles``) carried the messages,
-including the oversized-message branches where a single token exceeds the
-whole per-node or per-edge budget.
+and the count must match the record-level round model
+(``oracles.delivery.ReferenceNetwork``) and every engine (the plane exchange
+or one of the oracle engines in ``tests/oracles``), including the
+oversized-message branches where a single token exceeds the whole per-node or
+per-edge budget.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from repro.simulator.faults import CapacityDegradation, FaultSchedule
 from repro.simulator.messages import GLOBAL_MODE, LOCAL_MODE
 from repro.simulator.network import HybridSimulator
 
+from oracles import transport
+from oracles.delivery import ReferenceNetwork
 from oracles.engines import ENGINES, exchange_via
 
 
@@ -37,44 +39,33 @@ def _overflow_workload(sim):
 
 
 # ----------------------------------------------------------------------
-# Send-side overflow: counted through both send paths, raised in strict
+# Send-side overflow: counted like the round model, raised in strict
 # ----------------------------------------------------------------------
-def test_send_overflow_counted_identically_through_both_paths():
+def test_send_overflow_counted_like_the_round_model():
     graph = path_graph(12)
     config = ModelConfig.hybrid(strict=False)
 
     plane_sim = HybridSimulator(graph, config, seed=0)
     senders, receivers, payloads = _overflow_workload(plane_sim)
-    plane_sim.global_send_batch_ids(senders, receivers, payloads)
+    transport.send_ids(plane_sim, senders, receivers, payloads)
     plane_sim.advance_round()
 
-    tuple_sim = HybridSimulator(graph, config, seed=0)
-    nodes = tuple_sim.nodes
-    tuple_sim.global_send_batch(
-        (nodes[senders[i]], nodes[receivers[i]], payloads[i])
-        for i in range(len(payloads))
-    )
-    tuple_sim.advance_round()
+    model = ReferenceNetwork(graph, config, seed=0)
+    transport.send_ids(model, senders, receivers, payloads)
+    model.advance_round()
 
     assert plane_sim.metrics.capacity_violations == 1
-    assert plane_sim.metrics.summary() == tuple_sim.metrics.summary()
+    assert plane_sim.metrics.summary() == model.metrics.summary()
     # Degraded mode still delivers everything.
-    assert plane_sim.per_node_inbox(GLOBAL_MODE) == tuple_sim.per_node_inbox(GLOBAL_MODE)
+    assert plane_sim.per_node_inbox(GLOBAL_MODE) == model.per_node_inbox(GLOBAL_MODE)
     assert sum(len(v) for v in plane_sim.per_node_inbox(GLOBAL_MODE).values()) == len(payloads)
 
 
-@pytest.mark.parametrize("path", ["plane", "tuple"])
-def test_send_overflow_raises_in_strict_mode(path):
-    sim = HybridSimulator(path_graph(12), ModelConfig.hybrid(), seed=0)
+@pytest.mark.parametrize("network", [HybridSimulator, ReferenceNetwork], ids=["plane", "model"])
+def test_send_overflow_raises_in_strict_mode(network):
+    sim = network(path_graph(12), ModelConfig.hybrid(), seed=0)
     senders, receivers, payloads = _overflow_workload(sim)
-    if path == "plane":
-        sim.global_send_batch_ids(senders, receivers, payloads)
-    else:
-        nodes = sim.nodes
-        sim.global_send_batch(
-            (nodes[senders[i]], nodes[receivers[i]], payloads[i])
-            for i in range(len(payloads))
-        )
+    transport.send_ids(sim, senders, receivers, payloads)
     with pytest.raises(CapacityExceededError):
         sim.advance_round()
 
@@ -83,7 +74,7 @@ def test_send_overflow_raises_in_strict_mode(path):
 # Receive-side overflow: recorded in both modes, raised only when enforced
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("strict", [True, False])
-def test_receive_overflow_is_recorded_identically(strict):
+def test_receive_overflow_is_recorded_like_the_round_model(strict):
     graph = path_graph(30)
     config = ModelConfig.hybrid(strict=strict)
     budget = HybridSimulator(graph, config).global_budget_words()
@@ -91,21 +82,21 @@ def test_receive_overflow_is_recorded_identically(strict):
     senders = list(range(1, count + 1))
 
     plane_sim = HybridSimulator(graph, config, seed=1)
-    plane_sim.global_send_batch_ids(senders, [0] * count, ["y"] * count)
+    transport.send_ids(plane_sim, senders, [0] * count, ["y"] * count)
     plane_sim.advance_round()
 
-    tuple_sim = HybridSimulator(graph, config, seed=1)
-    tuple_sim.global_send_batch((s, 0, "y") for s in senders)
-    tuple_sim.advance_round()
+    model = ReferenceNetwork(graph, config, seed=1)
+    transport.send_batch(model, [(s, 0, "y") for s in senders])
+    model.advance_round()
 
     # Receive overload raises only under enforce_receive_capacity; by default
     # both strictness modes just count it — one violation, same summary.
     assert plane_sim.metrics.capacity_violations == 1
-    assert plane_sim.metrics.summary() == tuple_sim.metrics.summary()
+    assert plane_sim.metrics.summary() == model.metrics.summary()
 
     enforcing = HybridSimulator(graph, config, seed=1)
     enforcing.enforce_receive_capacity = True
-    enforcing.global_send_batch_ids(senders, [0] * count, ["y"] * count)
+    transport.send_ids(enforcing, senders, [0] * count, ["y"] * count)
     if strict:
         with pytest.raises(CapacityExceededError):
             enforcing.advance_round()
@@ -117,7 +108,7 @@ def test_receive_overflow_is_recorded_identically(strict):
 # ----------------------------------------------------------------------
 # Local oversized-message branch (finite lambda)
 # ----------------------------------------------------------------------
-def test_local_oversized_counted_identically_through_both_paths():
+def test_local_oversized_counted_like_the_round_model():
     graph = path_graph(8)
     config = ModelConfig.congest(strict=False)
     limit = config.resolve_local_word_limit()
@@ -125,28 +116,25 @@ def test_local_oversized_counted_identically_through_both_paths():
     payload = "z" * (8 * (limit + 2))  # > limit words
 
     plane_sim = HybridSimulator(graph, config, seed=0)
-    plane_sim.local_send_batch_ids([0, 1], [1, 2], [payload, payload])
+    transport.send_ids(plane_sim, [0, 1], [1, 2], [payload, payload], mode=LOCAL_MODE)
     plane_sim.advance_round()
 
-    tuple_sim = HybridSimulator(graph, config, seed=0)
-    tuple_sim.local_send_batch([(0, 1, payload), (1, 2, payload)])
-    tuple_sim.advance_round()
+    model = ReferenceNetwork(graph, config, seed=0)
+    transport.send_batch(model, [(0, 1, payload), (1, 2, payload)], mode=LOCAL_MODE)
+    model.advance_round()
 
     assert plane_sim.metrics.capacity_violations == 2
-    assert plane_sim.metrics.summary() == tuple_sim.metrics.summary()
-    assert plane_sim.per_node_inbox(LOCAL_MODE) == tuple_sim.per_node_inbox(LOCAL_MODE)
+    assert plane_sim.metrics.summary() == model.metrics.summary()
+    assert plane_sim.per_node_inbox(LOCAL_MODE) == model.per_node_inbox(LOCAL_MODE)
 
 
-@pytest.mark.parametrize("path", ["plane", "tuple"])
-def test_local_oversized_raises_in_strict_mode(path):
+@pytest.mark.parametrize("network", [HybridSimulator, ReferenceNetwork], ids=["plane", "model"])
+def test_local_oversized_raises_in_strict_mode(network):
     config = ModelConfig.congest()
-    sim = HybridSimulator(path_graph(8), config, seed=0)
+    sim = network(path_graph(8), config, seed=0)
     payload = "z" * (8 * (config.resolve_local_word_limit() + 2))
     with pytest.raises(LocalBandwidthExceededError):
-        if path == "plane":
-            sim.local_send_batch_ids([0], [1], [payload])
-        else:
-            sim.local_send_batch([(0, 1, payload)])
+        transport.send_ids(sim, [0], [1], [payload], mode=LOCAL_MODE)
 
 
 # ----------------------------------------------------------------------
@@ -213,13 +201,53 @@ def test_degradation_induced_overflow_is_counted_not_raised():
     assert degraded_budget < full_budget
     # Legal under the healthy budget, an overrun under the degraded one.
     receivers = [1 + (i % 8) for i in range(full_budget)]
-    sim.global_send_batch_ids([0] * full_budget, receivers, ["d"] * full_budget)
+    transport.send_ids(sim, [0] * full_budget, receivers, ["d"] * full_budget)
     sim.advance_round()
     assert sim.metrics.capacity_violations == 1
 
     strict_sim = HybridSimulator(
         graph, ModelConfig.hybrid(), seed=0, fault_schedule=schedule
     )
-    strict_sim.global_send_batch_ids([0] * full_budget, receivers, ["d"] * full_budget)
+    transport.send_ids(strict_sim, [0] * full_budget, receivers, ["d"] * full_budget)
     with pytest.raises(CapacityExceededError):
         strict_sim.advance_round()
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_node_scoped_degradation_matches_the_round_model(strict):
+    """Two node-scoped windows: the per-node sweep counts both offenders like
+    the round model, and a strict error names the lowest-indexed one with its
+    own degraded budget, although the other one's traffic came first."""
+    graph = path_graph(12)
+    schedule = FaultSchedule(
+        degradations=(
+            CapacityDegradation(0.5, node=7),
+            CapacityDegradation(0.25, node=3),
+        )
+    )
+    budget = HybridSimulator(graph, ModelConfig.hybrid()).global_budget_words()
+    count = budget // 2 + 1  # over both degraded budgets, under the full one
+    senders = [7] * count + [3] * count
+    receivers = [(i % 11) + (i % 11 >= 7) for i in range(count)]
+    receivers += [(i % 11) + (i % 11 >= 3) for i in range(count)]
+
+    def run(network):
+        sim = network(
+            graph, ModelConfig.hybrid(strict=strict), seed=0, fault_schedule=schedule
+        )
+        transport.send_ids(sim, senders, receivers, ["n"] * len(senders))
+        try:
+            sim.advance_round()
+        except CapacityExceededError as exc:
+            return sim.metrics.summary(), str(exc)
+        return sim.metrics.summary(), None
+
+    plane = run(HybridSimulator)
+    assert plane == run(ReferenceNetwork)
+    if strict:
+        assert plane[1] == (
+            f"node 3 sent {count} global words in round 0, budget is "
+            f"{max(1, int(budget * 0.25))}"
+        )
+    else:
+        assert plane == (plane[0], None) and plane[0]["capacity_violations"] == 2

@@ -29,6 +29,8 @@ from repro.simulator.faults import FaultSchedule, crash_fraction_schedule
 from repro.simulator.messages import GLOBAL_MODE
 from repro.simulator.network import HybridSimulator
 
+from oracles import transport
+
 SRC_ROOT = Path(repro.__file__).resolve().parent
 
 #: The only attribute of the global ``random`` module code may touch.
@@ -73,7 +75,8 @@ def test_runs_do_not_touch_global_random_state():
     schedule = crash_fraction_schedule(24, 0.2, seed=5, drop_rate=0.3)
     sim = HybridSimulator(graph, ModelConfig.hybrid(), seed=3, fault_schedule=schedule)
     for r in range(4):
-        sim.global_send_batch_ids(
+        transport.send_ids(
+            sim,
             [i % 24 for i in range(40)],
             [(i * 7 + r) % 24 for i in range(40)],
             [("p", r, i) for i in range(40)],
@@ -90,7 +93,8 @@ def _drop_run(schedule_seed):
     schedule = FaultSchedule(seed=schedule_seed, global_drop_rate=0.4)
     sim = HybridSimulator(graph, ModelConfig.hybrid(), seed=1, fault_schedule=schedule)
     for r in range(5):
-        sim.global_send_batch_ids(
+        transport.send_ids(
+            sim,
             [i % 20 for i in range(60)],
             [(i * 3 + r) % 20 for i in range(60)],
             [("q", r, i) for i in range(60)],

@@ -31,6 +31,8 @@ from repro.simulator.faults import (
 from repro.simulator.messages import GLOBAL_MODE, LOCAL_MODE
 from repro.simulator.network import HybridSimulator
 
+from oracles import transport
+
 
 # ----------------------------------------------------------------------
 # Event window semantics
@@ -431,7 +433,7 @@ def test_permanent_failure_commits_edge_deletion_at_window_close():
     sim.advance_round()
     assert sim.committed_link_removals == [(0, 1)]
     # The simulator resynchronised itself: plane sends work on the new graph.
-    sim.global_send_batch_ids([2], [5], ["post-churn"])
+    transport.send_ids(sim, [2], [5], ["post-churn"])
     sim.advance_round()
 
 
@@ -489,8 +491,8 @@ def test_invalidate_index_resets_arrays_and_keeps_knowledge():
     # send between neighbors (validation + sender-id learning), and a
     # learned non-neighbor identifier via a relayed send.
     sim.declare_learned_ids(2, [sim.id_of(6)])
-    sim.local_send_batch_ids([indexer[0]], [indexer[1]], ["l"])
-    sim.global_send_batch_ids([indexer[2], indexer[2]], [indexer[3], indexer[6]], ["g", "h"])
+    transport.send_ids(sim, [indexer[0]], [indexer[1]], ["l"], mode=LOCAL_MODE)
+    transport.send_ids(sim, [indexer[2], indexer[2]], [indexer[3], indexer[6]], ["g", "h"])
     sim.advance_round()
     assert sim._ids_by_index is not None
     assert sim._edge_keys is not None
@@ -508,8 +510,8 @@ def test_invalidate_index_resets_arrays_and_keeps_knowledge():
     # Unknown identifiers are still refused.
     assert not sim.knows_id(6, sim.id_of(0))
     with pytest.raises(UnknownIdentifierError):
-        sim.global_send_batch_ids([indexer[6]], [indexer[0]], ["x"])
+        transport.send_ids(sim, [indexer[6]], [indexer[0]], ["x"])
     # The simulator still works after invalidation: caches rebuild lazily.
-    sim.global_send_batch_ids([indexer[2]], [indexer[3]], ["g2"])
+    transport.send_ids(sim, [indexer[2]], [indexer[3]], ["g2"])
     sim.advance_round()
     assert ("g2" in [record[1] for record in sim.per_node_inbox(GLOBAL_MODE)[3]])

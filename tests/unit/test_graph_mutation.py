@@ -28,8 +28,11 @@ from repro.graphs.properties import h_hop_limited_distances, weighted_distances_
 from repro.core.shortest_paths import DenseDistanceTable
 from repro.simulator.config import ModelConfig
 from repro.simulator.errors import StaleGraphError
+from repro.simulator.messages import LOCAL_MODE
 from repro.simulator.metrics import RoundMetrics
 from repro.simulator.network import HybridSimulator
+
+from oracles import transport
 
 
 # ----------------------------------------------------------------------
@@ -260,15 +263,15 @@ def test_dense_distance_table_without_guard_is_unchecked():
 def test_simulator_plane_send_raises_until_invalidate_resync():
     graph = path_graph(6)
     sim = HybridSimulator(graph, ModelConfig.hybrid(), seed=3)
-    sim.global_send_batch_ids([0], [1], ["before"])
+    transport.send_ids(sim, [0], [1], ["before"])
     sim.advance_round()
     GraphMutator(graph).remove_edge(4, 5)  # behind the simulator's back
     with pytest.raises(StaleGraphError, match="invalidate_index"):
-        sim.global_send_batch_ids([0], [1], ["stale"])
+        transport.send_ids(sim, [0], [1], ["stale"])
     with pytest.raises(StaleGraphError):
-        sim.local_send_batch_ids([0], [1], ["stale"])
+        transport.send_ids(sim, [0], [1], ["stale"], mode=LOCAL_MODE)
     sim.invalidate_index()  # acknowledge the mutation
-    sim.global_send_batch_ids([0], [1], ["after"])
+    transport.send_ids(sim, [0], [1], ["after"])
     sim.advance_round()
 
 

@@ -8,7 +8,6 @@ import pytest
 from repro.graphs.generators import cycle_graph, grid_graph, path_graph, star_graph
 from repro.graphs.weighted import assign_random_weights, unit_weights
 from repro.graphs.properties import (
-    _reference_diameter,
     ball,
     ball_size,
     ball_sizes_all_radii,
@@ -27,6 +26,7 @@ from repro.graphs.properties import (
     weighted_distances_from,
 )
 
+from oracles.hops import _reference_diameter
 from oracles.weighted import _reference_h_hop_limited_distances
 
 

