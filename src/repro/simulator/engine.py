@@ -748,6 +748,11 @@ def batched_global_exchange(
     submitted as a payload-free plane — raises
     :class:`~repro.simulator.errors.ChargeOnlyError` rather than silently
     returning nothing.
+
+    Under a fault schedule the result is what was *scheduled*: payloads the
+    fault layer dropped are included.  Callers that need delivery use
+    :func:`resilient_batched_global_exchange` or
+    :meth:`~repro.simulator.network.HybridSimulator.delivered_plane_positions`.
     """
     plane = (
         triples
@@ -1071,7 +1076,9 @@ class BatchAlgorithm:
         pass a :class:`TokenPlane`; tuple workloads are resolved into one
         internally.  Pass ``collect=False`` when the caller tracks deliveries
         itself and would discard the result dict — the harvest is then
-        skipped entirely.
+        skipped entirely.  Under a fault schedule the result includes dropped
+        payloads (see :func:`batched_global_exchange`); use
+        :meth:`resilient_exchange` for delivery.
         """
         if not len(triples):
             return {}

@@ -2,49 +2,44 @@
 
 In HYBRID_0 (Section 1.3) a node may only address global messages to nodes whose
 identifiers it *knows*; initially it knows its own identifier and those of its
-graph neighbors.  Knowledge grows when a node receives a message whose payload
-contains identifiers (the application must declare them) or simply by having
-exchanged a message with a node (sender identifiers are always learned).
+graph neighbors.  Knowledge grows when a node receives a message (the sender's
+identifier is always learned) or a payload carrying identifiers, which the
+application declares through ``simulator.declare_learned_ids`` (e.g. the
+broadcast of all identifiers used as a preprocessing step in Theorem 1's
+corollary).  Sending to an unknown identifier raises
+:class:`~repro.simulator.errors.UnknownIdentifierError`.
 
-The tracker is deliberately explicit: algorithms call
-``simulator.declare_learned_ids(node, ids)`` when a received payload taught the
-node new identifiers (e.g. the broadcast of all identifiers used as a
-preprocessing step in Theorem 1's corollary).  Sending to an unknown identifier
-raises :class:`~repro.simulator.errors.UnknownIdentifierError`.
+The tracker is addressed by node index only (positions in the simulator's node
+order); :class:`~repro.simulator.network.HybridSimulator` translates
+identifiers at its public boundary.  "Node ``a`` knows node ``b``'s identifier"
+is held in one of two places:
 
-Representation: each node's knowledge is the union of three layers.
+* The **pair store** (:class:`_PairMemo`, :attr:`KnowledgeTracker.pairs`) of flat
+  keys ``a * n + b``.  It holds every per-pair fact: the initial knowledge (the
+  graph's directed adjacency plus the diagonal, seeded once as one sorted
+  array), declared identifiers, partner pairs
+  (:meth:`KnowledgeTracker.learn_index_pairs`: overlay-tree neighbors,
+  rank-matched partners), learned senders and validated send pairs — each
+  batch merged as one sorted key array.
+* The **shared records** of :meth:`KnowledgeTracker.learn_shared`: one
+  ``(learners, learned)`` pair of node-index frozensets per broadcast ("every
+  cluster member learns all leader identifiers"), O(n + |ids|) instead of
+  n * |ids| pair keys.
 
-* A **personal** mutable set (own and neighbor identifiers, declared ids).
-* A list of **shared frozensets** appended by
-  :meth:`KnowledgeTracker.learn_shared` — the broadcast idiom ("every cluster
-  member learns all leader identifiers", "everyone knows everything" in the
-  dense regime) stores one frozenset object referenced by every learner
-  instead of copying it into n per-node sets, which keeps the bookkeeping
-  O(n) instead of O(n * |ids|) in both time and memory.
-* One network-wide **pair store** (:class:`_PairMemo`, :attr:`KnowledgeTracker.pairs`)
-  of flat keys ``a * n + b`` over node indices — the tracker is built with
-  the identifiers in node order, so index ``i`` is the ``i``-th identifier —
-  meaning "node ``a`` knows node ``b``'s identifier".  The plane paths learn
-  a whole round's sender identifiers (and record validated send pairs), and
-  algorithms declare index pairs (:meth:`KnowledgeTracker.learn_index_pairs`:
-  overlay-tree neighbors, rank-matched partners), as one sorted key array
-  merged into the store, instead of boxing ints into per-node Python sets.
-
-Membership checks probe the personal set first, then the (short) shared list,
-then the store; :meth:`~KnowledgeTracker.known_ids` materialises the union on
-demand.  Knowledge is monotone and node order is fixed at construction, so the
-store is never reset.
+The dense regime (HYBRID) is one flag, :attr:`KnowledgeTracker.all_known`.
+Knowledge is monotone and node order is fixed at construction, so nothing is
+ever removed.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set
+from typing import FrozenSet, Iterable, List, Set, Tuple
 
 from repro.simulator import _accel
 from repro.simulator.errors import PairKeyOverflowError, UnknownNodeError
 
-__all__ = ["KnowledgeTracker", "check_pair_key_range", "MAX_PAIR_KEY_NODES"]
+__all__ = ["KnowledgeTracker", "check_pair_key_range", "sorted_unique", "MAX_PAIR_KEY_NODES"]
 
 #: Largest ``n`` whose flat pair keys ``a * n + b`` (at most ``n * n - 1``)
 #: fit a signed 64-bit integer.
@@ -63,6 +58,16 @@ def check_pair_key_range(n: int) -> None:
             f"{n} nodes exceed the flat pair-key limit of {MAX_PAIR_KEY_NODES}: "
             "a * n + b keys would overflow int64"
         )
+
+
+def sorted_unique(np, keys):
+    """``np.unique`` of an int64 key array, by one sort and an adjacent
+    compare: NumPy 2's hash-based ``np.unique`` is an order of magnitude
+    slower on the store's key arrays."""
+    keys = np.sort(keys)
+    if keys.size > 1:
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    return keys
 
 
 def _in_levels(levels, key) -> bool:
@@ -152,7 +157,7 @@ class _PairMemo:
         if np is None:
             self.known.update(keys)
         elif len(keys):
-            self.absorb(np, np.unique(self.unknown(np, np.asarray(keys, dtype=np.int64))))
+            self.absorb(np, sorted_unique(np, self.unknown(np, np.asarray(keys, dtype=np.int64))))
 
     def row(self, a: int, n: int) -> List[int]:
         """Every ``b`` with key ``a * n + b`` stored (may repeat)."""
@@ -169,136 +174,56 @@ class _PairMemo:
         return found
 
 
-class _KnownView:
-    """Read-only membership view over a personal set, shared frozensets and
-    (optionally) the node's row ``base + b`` of the pair store, where
-    ``index`` maps identifiers to node indices ``b``."""
-
-    __slots__ = ("_personal", "_shared", "_pairs", "_index", "_base")
-
-    def __init__(self, personal, shared, pairs=None, index=None, base=0) -> None:
-        self._personal = personal
-        self._shared = shared
-        self._pairs = pairs
-        self._index = index
-        self._base = base
-
-    def __contains__(self, target: Hashable) -> bool:
-        if target in self._personal:
-            return True
-        for ids in self._shared:
-            if target in ids:
-                return True
-        if self._pairs is None:
-            return False
-        b = self._index.get(target)
-        return b is not None and self._base + b in self._pairs
-
-
 class KnowledgeTracker:
-    """Tracks, per node, the set of identifiers the node currently knows.
+    """Which identifiers every node knows, addressed by node index ``0..n-1``.
 
-    ``all_ids`` lists the identifiers in node order: the ``i``-th identifier
-    is node index ``i`` of the pair store's ``a * n + b`` keys.
+    ``knows(a, b)``: node ``a`` knows node ``b``'s identifier.  Indices are
+    positions in the simulator's node order; out-of-range learners raise
+    :class:`UnknownNodeError`, out-of-range targets are simply unknown.
     """
 
-    def __init__(self, all_ids: Iterable[Hashable]) -> None:
-        self._ids: List[Hashable] = list(all_ids)
-        self._all_ids: Set[Hashable] = set(self._ids)
-        self._index: Optional[Dict[Hashable, int]] = None
-        self._known: Dict[Hashable, Set[Hashable]] = {}
-        self._shared: Dict[Hashable, List[FrozenSet[Hashable]]] = {}
+    def __init__(self, n: int, all_known: bool = False) -> None:
+        self.n = n
+        #: HYBRID's dense regime: every node knows every identifier.
+        self.all_known = all_known
         #: The pair store: key ``a * n + b`` = "node a knows node b's id".
         self.pairs = _PairMemo()
+        self._shared: List[Tuple[FrozenSet[int], FrozenSet[int]]] = []
 
-    def _index_of_id(self) -> Dict[Hashable, int]:
-        """``identifier -> node index`` (built on the first store probe)."""
-        index = self._index
-        if index is None:
-            index = self._index = {i: k for k, i in enumerate(self._ids)}
-        return index
+    def knows(self, a: int, b: int) -> bool:
+        self._validate(a)
+        return 0 <= b < self.n and (a * self.n + b in self.pairs or self.knows_shared(a, b))
 
-    def initialize_node(self, node_id: Hashable, neighbor_ids: Iterable[Hashable]) -> None:
-        """A node starts knowing its own identifier and its neighbors' (Section 1.3)."""
-        self._validate(node_id)
-        known = {node_id}
-        known.update(neighbor_ids)
-        self._known[node_id] = known
-
-    def initialize_all_known(self) -> None:
-        """HYBRID (dense regime): every node knows every identifier from the start.
-
-        One shared frozenset referenced by all nodes — O(n), not O(n^2).
-        """
-        universe = frozenset(self._all_ids)
-        for node_id in self._all_ids:
-            self._shared[node_id] = [universe]
-
-    def knows(self, node_id: Hashable, target_id: Hashable) -> bool:
-        return target_id in self.known_ids_view(node_id)
-
-    def known_ids(self, node_id: Hashable) -> Set[Hashable]:
-        self._validate(node_id)
-        result = set(self._known.get(node_id, ()))
-        for ids in self._shared.get(node_id, ()):
-            result |= ids
-        if self.pairs:
-            ids = self._ids
-            a = self._index_of_id()[node_id]
-            result.update(ids[b] for b in self.pairs.row(a, len(ids)))
-        return result
-
-    def set_layers_view(self, node_id: Hashable):
-        """Membership over the personal and shared layers only (no store).
-
-        For callers that have already filtered their candidates against
-        :attr:`pairs` with one vectorised sweep.  Returns the personal set
-        itself when the node has no shared knowledge; read-only.
-        """
-        shared = self._shared.get(node_id)
-        personal = self._known.get(node_id, set())
-        if not shared:
-            return personal
-        return _KnownView(personal, shared)
-
-    def known_ids_view(self, node_id: Hashable):
-        """The node's knowledge *without* a defensive copy.
-
-        Used by the batch send paths, which probe membership once per queued
-        message (or unique pair); supports only the ``in`` operator and must
-        be treated as read-only.  Returns the personal set itself when the
-        node has no shared knowledge and the pair store is empty.
-        """
-        self._validate(node_id)
-        if not self.pairs:
-            return self.set_layers_view(node_id)
-        index = self._index_of_id()
-        return _KnownView(
-            self._known.get(node_id, set()),
-            self._shared.get(node_id, ()),
-            self.pairs,
-            index,
-            index[node_id] * len(self._ids),
+    def knows_shared(self, a: int, b: int) -> bool:
+        """Whether ``a`` knows ``b`` outside the pair store: through the dense
+        flag or a shared record (the residue check of a caller that already
+        filtered its keys against :attr:`pairs`)."""
+        return self.all_known or any(
+            a in learners and b in learned for learners, learned in self._shared
         )
 
-    def learn(self, node_id: Hashable, new_ids: Iterable[Hashable]) -> None:
-        """Record that ``node_id`` learned the identifiers in ``new_ids``.
+    def known(self, a: int) -> Set[int]:
+        """Every node index whose identifier ``a`` knows."""
+        self._validate(a)
+        if self.all_known:
+            return set(range(self.n))
+        result = set(self.pairs.row(a, self.n))
+        for learners, learned in self._shared:
+            if a in learners:
+                result |= learned
+        return result
 
-        Identifiers that do not exist in the network are ignored (a node may be
-        told about identifiers that turn out to be bogus; it simply cannot reach
-        anyone with them).
-        """
-        self._validate(node_id)
-        bucket = self._known.setdefault(node_id, {node_id})
-        if not isinstance(new_ids, (set, frozenset)):
-            new_ids = set(new_ids)
-        bucket |= new_ids & self._all_ids
+    def learn(self, a: int, learned: Iterable[int]) -> None:
+        """Node ``a`` learns the identifiers of the node indices ``learned``."""
+        self._validate(a)
+        base = a * self.n
+        self.pairs.add(_accel.np, [base + b for b in learned])
 
     def learn_index_pairs(self, learners, learned) -> None:
         """Node index ``learners[i]`` learns node index ``learned[i]``'s
         identifier, for every ``i`` — parallel int64 arrays (or lists), recorded
-        in the pair store with one merge instead of one set update per node."""
-        n = len(self._ids)
+        in the pair store with one merge instead of one update per node."""
+        n = self.n
         np = _accel.np
         if np is not None and isinstance(learners, np.ndarray):
             keys = learners * n + learned
@@ -306,33 +231,16 @@ class KnowledgeTracker:
             keys = [a * n + b for a, b in zip(learners, learned)]
         self.pairs.add(np, keys)
 
-    def learn_shared(
-        self, node_ids: Iterable[Hashable], ids: FrozenSet[Hashable]
-    ) -> None:
-        """Every node in ``node_ids`` learns the same (validated) frozenset.
+    def learn_shared(self, learners: FrozenSet[int], learned: FrozenSet[int]) -> None:
+        """Every node index in ``learners`` learns every one in ``learned``.
 
-        Stored by reference — one append per learner, however large ``ids``
-        is.  The caller is responsible for filtering bogus identifiers (see
-        :meth:`valid_ids`) and for not mutating the set afterwards.
+        Kept as one ``(learners, learned)`` record, O(|learners| + |learned|)
+        however many pairs it stands for.  The caller validates both sets and
+        must not mutate them afterwards.
         """
-        shared = self._shared
-        for node_id in node_ids:
-            shared.setdefault(node_id, []).append(ids)
+        if learners and learned:
+            self._shared.append((learners, learned))
 
-    def valid_ids(self, ids: Iterable[Hashable]) -> Set[Hashable]:
-        """The subset of ``ids`` that exist in the network.
-
-        Lets a bulk caller apply :meth:`learn`'s bogus-id filtering once per
-        shared identifier set instead of once per learning node (pair with
-        :meth:`learn_shared`).
-        """
-        if not isinstance(ids, (set, frozenset)):
-            ids = set(ids)
-        return ids & self._all_ids
-
-    def knowledge_count(self, node_id: Hashable) -> int:
-        return len(self.known_ids(node_id))
-
-    def _validate(self, node_id: Hashable) -> None:
-        if node_id not in self._all_ids:
-            raise UnknownNodeError(node_id)
+    def _validate(self, a: int) -> None:
+        if not 0 <= a < self.n:
+            raise UnknownNodeError(a)

@@ -99,7 +99,7 @@ from repro.simulator.errors import (
     UnknownIdentifierError,
     UnknownNodeError,
 )
-from repro.simulator.knowledge import KnowledgeTracker, check_pair_key_range
+from repro.simulator.knowledge import KnowledgeTracker, check_pair_key_range, sorted_unique
 from repro.simulator.messages import GLOBAL_MODE, LOCAL_MODE, payload_words
 from repro.simulator.metrics import RoundMetrics
 
@@ -326,10 +326,9 @@ class HybridSimulator:
         self._index_of: Dict[Node, int] = {
             node: index for index, node in enumerate(self._nodes)
         }
-        # Lazy id-native caches (frozen-graph caveat; see invalidate_index):
-        # identifiers aligned with the node order, and the directed adjacency
-        # as flat s * n + r keys for O(1)/vectorised edge validation.
-        self._ids_by_index: Optional[List[int]] = None
+        # Lazy id-native cache (frozen-graph caveat; see invalidate_index):
+        # the directed adjacency as flat s * n + r keys for O(1)/vectorised
+        # edge validation.
         self._edge_keys: Optional[Any] = None
         self._assign_identifiers()
         self._init_knowledge()
@@ -359,34 +358,43 @@ class HybridSimulator:
     # Identifiers and knowledge
     # ------------------------------------------------------------------
     def _assign_identifiers(self) -> None:
+        nodes = self._nodes
         if self.config.identifier_regime is IdentifierRegime.DENSE:
             # HYBRID: identifiers are exactly [n].  When nodes are already the
             # integers 0..n-1 we use them verbatim; otherwise we enumerate.
-            if all(isinstance(v, int) for v in self._nodes) and set(self._nodes) == set(
-                range(self.n)
-            ):
-                self._node_to_id: Dict[Node, int] = {v: v for v in self._nodes}
+            if all(isinstance(v, int) for v in nodes) and set(nodes) == set(range(self.n)):
+                ids = list(nodes)
             else:
-                self._node_to_id = {v: index for index, v in enumerate(self._nodes)}
+                ids = list(range(self.n))
         else:
             # HYBRID_0: identifiers from a polynomial range [n^c]; we draw
             # distinct random integers from [n^3] (capped, see
             # _identifier_universe).
-            universe = _identifier_universe(self.n)
-            ids = self.rng.sample(range(universe), self.n)
-            self._node_to_id = {v: ids[index] for index, v in enumerate(self._nodes)}
-        self._id_to_node: Dict[int, Node] = {
-            identifier: node for node, identifier in self._node_to_id.items()
-        }
+            ids = self.rng.sample(range(_identifier_universe(self.n)), self.n)
+        #: Identifier of every node, aligned with the node order.
+        self._ids: List[int] = ids
+        self._node_to_id: Dict[Node, int] = dict(zip(nodes, ids))
+        self._id_to_node: Dict[int, Node] = dict(zip(ids, nodes))
 
     def _init_knowledge(self) -> None:
-        self.knowledge = KnowledgeTracker(self._id_to_node.keys())
-        if self.config.identifier_regime is IdentifierRegime.DENSE:
-            self.knowledge.initialize_all_known()
+        """HYBRID: everyone knows every identifier (one flag).  HYBRID_0: a
+        node knows its own identifier and its neighbors' (Section 1.3) — the
+        diagonal plus the directed adjacency keys, copied into the pair store
+        as one sorted array."""
+        n = self.n
+        dense = self.config.identifier_regime is IdentifierRegime.DENSE
+        self.knowledge = KnowledgeTracker(n, all_known=dense)
+        if dense:
+            return
+        np = _accel.np
+        if np is None:
+            keys = list(self._edge_key_index())
+            keys.extend(range(0, n * n, n + 1))
         else:
-            for node in self._nodes:
-                neighbor_ids = [self._node_to_id[u] for u in self.graph.neighbors(node)]
-                self.knowledge.initialize_node(self._node_to_id[node], neighbor_ids)
+            keys = np.concatenate(
+                (self._edge_key_index(), np.arange(0, n * n, n + 1, dtype=np.int64))
+            )
+        self.knowledge.pairs.add(np, keys)
 
     # ------------------------------------------------------------------
     # Introspection helpers
@@ -424,11 +432,11 @@ class HybridSimulator:
         :class:`~repro.simulator.errors.StaleGraphError` because the cached
         adjacency keys describe a graph that no longer exists.  Node
         additions/removals are not supported — the node order and identifier
-        assignment are fixed at construction, and knowledge (including the
-        tracker's pair store) is monotone, so it survives this call.
+        assignment are fixed at construction, and knowledge is monotone and
+        holds its own copy of the construction-time adjacency, so it survives
+        this call.
         """
         self._graph_version = graph_version(self.graph)
-        self._ids_by_index = None
         self._edge_keys = None
 
     def _check_graph_version(self) -> None:
@@ -444,14 +452,6 @@ class HybridSimulator:
                 "since the simulator's id-native arrays were built; call "
                 "invalidate_index() after mutating the graph"
             )
-
-    def _identifier_array(self) -> List[int]:
-        """Identifier of every node, aligned with the node order (cached)."""
-        ids = self._ids_by_index
-        if ids is None:
-            node_to_id = self._node_to_id
-            ids = self._ids_by_index = [node_to_id[node] for node in self._nodes]
-        return ids
 
     def _edge_key_index(self):
         """The directed adjacency as flat ``s * n + r`` keys (cached).
@@ -498,15 +498,26 @@ class HybridSimulator:
     def all_ids(self) -> List[int]:
         return sorted(self._id_to_node)
 
+    def _indices_of_ids(self, identifiers: Iterable[int]) -> List[int]:
+        """Node indices of ``identifiers``, skipping ones that do not exist (a
+        node may be told bogus identifiers; it simply cannot reach anyone
+        with them)."""
+        id_to_node = self._id_to_node
+        index_of = self._index_of
+        return [index_of[id_to_node[i]] for i in identifiers if i in id_to_node]
+
     def known_ids(self, node: Node) -> Set[int]:
-        return self.knowledge.known_ids(self.id_of(node))
+        ids = self._ids
+        return {ids[b] for b in self.knowledge.known(self.node_index(node))}
 
     def knows_id(self, node: Node, identifier: int) -> bool:
-        return self.knowledge.knows(self.id_of(node), identifier)
+        learner = self.node_index(node)
+        target = self._id_to_node.get(identifier)
+        return target is not None and self.knowledge.knows(learner, self._index_of[target])
 
     def declare_learned_ids(self, node: Node, identifiers: Iterable[int]) -> None:
         """Record that ``node`` learned identifiers from received payloads."""
-        self.knowledge.learn(self.id_of(node), identifiers)
+        self.knowledge.learn(self.node_index(node), self._indices_of_ids(identifiers))
 
     def declare_learned_ids_bulk(
         self, nodes: Iterable[Node], identifiers: Iterable[int]
@@ -515,20 +526,13 @@ class HybridSimulator:
 
         Equivalent to calling :meth:`declare_learned_ids` per node, but the
         bogus-id filtering happens once for the shared set — the broadcast
-        idiom ("every cluster member learns all leader identifiers") is a
-        single pass over the learners.
+        idiom ("every cluster member learns all leader identifiers") is one
+        shared record.  Every learner is resolved before anything is
+        recorded: an unknown node raises :class:`UnknownNodeError` and
+        teaches no one.
         """
-        valid = frozenset(self.knowledge.valid_ids(identifiers))
-        node_to_id = self._node_to_id
-
-        def identifiers_of():
-            for node in nodes:
-                identifier = node_to_id.get(node)
-                if identifier is None:
-                    raise UnknownNodeError(node)
-                yield identifier
-
-        self.knowledge.learn_shared(identifiers_of(), valid)
+        learners = frozenset(self.node_index(node) for node in nodes)
+        self.knowledge.learn_shared(learners, frozenset(self._indices_of_ids(identifiers)))
 
     def global_budget_words(self) -> int:
         """Per-node, per-round global budget in words.
@@ -617,14 +621,14 @@ class HybridSimulator:
     def _validate_plane_knowledge(self, s_sel, r_sel, pair_s=None, pair_r=None) -> None:
         """HYBRID_0 knowledge check over the shard's *unique* (s, r) pairs.
 
-        Pairs already in the knowledge tracker's pair store (learned sender
-        ids, pairs validated earlier) are filtered out first — one vectorised
-        sweep with NumPy — and only the rest are probed against the personal
-        and shared layers; repeated pairs (the common case in rank-matched
-        workloads) cost one probe, not one per token.  The error reported is
-        the earliest offending token in submission order.  When the caller
-        supplies the shard's first-occurrence pair columns (``pair_s`` /
-        ``pair_r``, in submission order — see
+        Pairs already in the knowledge tracker's pair store (initial
+        adjacency, learned sender ids, pairs validated earlier) are filtered
+        out first — one vectorised sweep with NumPy — and only the residue is
+        checked against the shared records; repeated pairs (the common case
+        in rank-matched workloads) cost one probe, not one per token.  The
+        error reported is the earliest offending token in submission order.
+        When the caller supplies the shard's first-occurrence pair columns
+        (``pair_s`` / ``pair_r``, in submission order — see
         :meth:`~repro.simulator.engine.TokenPlane.pair_spine`), the check
         runs on those directly: a pair's validity is decided at its first
         token, and the earliest offending pair's first occurrence *is* the
@@ -639,25 +643,15 @@ class HybridSimulator:
         vectorised = np is not None and isinstance(s_sel, np.ndarray)
         if vectorised:
             key_column = s_sel * n + r_sel
-            uniq = np.unique(pairs.unknown(np, key_column))
+            uniq = sorted_unique(np, pairs.unknown(np, key_column))
             fresh = uniq.tolist()
         else:
             key_column = [s * n + r for s, r in zip(s_sel, r_sel)]
             fresh = sorted({key for key in key_column if key not in pairs})
         if not fresh:
             return
-        ids = self._identifier_array()
-        set_view = self.knowledge.set_layers_view
-        offending: Set[int] = set()
-        current = -1
-        known: Any = None
-        for key in fresh:
-            sender_index, target_index = divmod(key, n)
-            if sender_index != current:
-                current = sender_index
-                known = set_view(ids[sender_index])
-            if ids[target_index] not in known:
-                offending.add(key)
+        knows_shared = self.knowledge.knows_shared
+        offending = {key for key in fresh if not knows_shared(*divmod(key, n))}
         if offending:
             # Report the earliest offending token in submission order.  The
             # store is left untouched — nothing was queued, so the good pairs
@@ -666,7 +660,7 @@ class HybridSimulator:
             position = next(k for k, key in enumerate(keys) if key in offending)
             raise UnknownIdentifierError(
                 f"node {self._nodes[int(s_sel[position])]!r} does not know "
-                f"identifier {ids[int(r_sel[position])]!r}"
+                f"identifier {self._ids[int(r_sel[position])]!r}"
             )
         if vectorised:
             pairs.absorb(np, uniq)
@@ -1053,7 +1047,7 @@ class HybridSimulator:
         if scalar_keys:
             fresh_chunks.append(pairs.unknown(np, np.array(scalar_keys, dtype=np.int64)))
         if fresh_chunks:
-            pairs.absorb(np, np.unique(np.concatenate(fresh_chunks)))
+            pairs.absorb(np, sorted_unique(np, np.concatenate(fresh_chunks)))
 
     # ------------------------------------------------------------------
     # Fault injection (see repro.simulator.faults)

@@ -6,6 +6,7 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import settings
 
 from repro.graphs.generators import (
     GraphSpec,
@@ -15,8 +16,24 @@ from repro.graphs.generators import (
     path_graph,
 )
 from repro.graphs.weighted import assign_random_weights, unit_weights
+from repro.simulator import _accel
 from repro.simulator.config import ModelConfig
 from repro.simulator.network import HybridSimulator
+
+# Property tests draw the same examples on every run: a CI failure replays
+# locally, and no run depends on the example database or the wall clock.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
+
+
+@pytest.fixture(params=["numpy", "python"])
+def backend(request, monkeypatch):
+    """Run the test body under both array backends."""
+    if request.param == "python":
+        monkeypatch.setattr(_accel, "np", None)
+    elif _accel.np is None:
+        pytest.skip("NumPy not available; vectorised leg is inactive")
+    return request.param
 
 
 @pytest.fixture

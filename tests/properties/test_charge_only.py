@@ -36,7 +36,6 @@ from repro.graphs.generators import (
     grid_graph,
     path_graph,
 )
-from repro.simulator import _accel
 from repro.simulator.config import ModelConfig
 from repro.simulator.engine import (
     TokenPlane,
@@ -68,16 +67,6 @@ CASES = [(family, seed) for family in sorted(GRAPH_FAMILIES) for seed in SEEDS]
 def _ids(case):
     family, seed = case
     return f"{family}-s{seed}"
-
-
-@pytest.fixture(params=["numpy", "python"])
-def backend(request, monkeypatch):
-    """Run the test body under both array backends."""
-    if request.param == "python":
-        monkeypatch.setattr(_accel, "np", None)
-    elif _accel.np is None:
-        pytest.skip("NumPy not available; vectorised leg is inactive")
-    return request.param
 
 
 # ----------------------------------------------------------------------

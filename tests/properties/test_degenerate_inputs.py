@@ -13,7 +13,6 @@ import networkx as nx
 import pytest
 
 from repro.graphs.generators import path_graph
-from repro.simulator import _accel
 from repro.simulator.config import ModelConfig
 from repro.simulator.engine import (
     TokenPlane,
@@ -26,16 +25,6 @@ from repro.simulator.faults import FaultSchedule
 from repro.simulator.network import HybridSimulator
 
 from oracles.scheduler import shard_transfers
-
-
-@pytest.fixture(params=["numpy", "python"])
-def backend(request, monkeypatch):
-    """Run the test body under both array backends."""
-    if request.param == "python":
-        monkeypatch.setattr(_accel, "np", None)
-    elif _accel.np is None:
-        pytest.skip("NumPy not available; vectorised leg is inactive")
-    return request.param
 
 
 def _one_node():

@@ -32,7 +32,6 @@ from repro.graphs.generators import (
     erdos_renyi_graph,
     path_graph,
 )
-from repro.simulator import _accel
 from repro.simulator.config import ModelConfig
 from repro.simulator.engine import TokenPlane, batched_global_exchange
 from repro.simulator.errors import CapacityExceededError
@@ -54,16 +53,6 @@ DISSEMINATION_FAMILIES = {
     "barbell": lambda seed: barbell_graph(8, 12),
     "broom": lambda seed: broom_graph(18, 10),
 }
-
-
-@pytest.fixture(params=["numpy", "python"])
-def backend(request, monkeypatch):
-    """Run the test body under both array backends."""
-    if request.param == "python":
-        monkeypatch.setattr(_accel, "np", None)
-    elif _accel.np is None:
-        pytest.skip("NumPy not available; vectorised leg is inactive")
-    return request.param
 
 
 # ----------------------------------------------------------------------
@@ -125,7 +114,7 @@ def _fault_kwargs(mode, seed, schedule_factory):
 
 def _knowledge_state(sim):
     return {
-        identifier: sorted(sim.knowledge.known_ids(identifier))
+        identifier: sorted(sim.known_ids(sim.node_of_id(identifier)))
         for identifier in sim.all_ids()
     }
 

@@ -35,7 +35,6 @@ from repro.graphs.generators import (
     path_graph,
     star_graph,
 )
-from repro.simulator import _accel
 from repro.simulator.config import ModelConfig
 from repro.simulator.engine import BatchAlgorithm
 from repro.simulator.faults import (
@@ -51,16 +50,6 @@ from repro.simulator.network import HybridSimulator
 from oracles import transport
 
 SEEDS = [0, 1, 2]
-
-
-@pytest.fixture(params=["numpy", "python"])
-def backend(request, monkeypatch):
-    """Run the test body under both array backends."""
-    if request.param == "python":
-        monkeypatch.setattr(_accel, "np", None)
-    elif _accel.np is None:
-        pytest.skip("NumPy not available; vectorised leg is inactive")
-    return request.param
 
 
 def _mixed_traffic(sim, rng, rounds=4):

@@ -22,7 +22,6 @@ import pytest
 
 from repro.core.dissemination import KDissemination
 from repro.graphs.generators import erdos_renyi_graph, path_graph, star_graph
-from repro.simulator import _accel
 from repro.simulator.config import ModelConfig
 from repro.simulator.engine import TokenPlane
 from repro.simulator.faults import CrashEvent, FaultSchedule
@@ -42,16 +41,6 @@ GRAPH_FAMILIES = {
 }
 
 CASES = [(family, seed) for family in sorted(GRAPH_FAMILIES) for seed in SEEDS]
-
-
-@pytest.fixture(params=["numpy", "python"])
-def backend(request, monkeypatch):
-    """Run the test body under both array backends."""
-    if request.param == "python":
-        monkeypatch.setattr(_accel, "np", None)
-    elif _accel.np is None:
-        pytest.skip("NumPy not available; vectorised leg is inactive")
-    return request.param
 
 
 def _run(graph, tokens, seed, charge_only):
@@ -132,7 +121,7 @@ def test_round_by_round_sender_learning_matches_per_message_sends(seed, faults, 
         model_sim.advance_round()
         for node in nodes:
             assert plane_sim.known_ids(node) == model_sim.known_ids(node)
-            assert plane_sim.knowledge.knowledge_count(plane_sim.id_of(node)) == len(
+            assert len(plane_sim.knowledge.known(plane_sim.node_index(node))) == len(
                 model_sim.known_ids(node)
             )
     assert plane_sim.metrics.summary() == model_sim.metrics.summary()

@@ -42,16 +42,6 @@ requires_numpy = pytest.mark.skipif(
 )
 
 
-@pytest.fixture(params=["numpy", "python"])
-def backend(request, monkeypatch):
-    """Run the test body under both array backends."""
-    if request.param == "python":
-        monkeypatch.setattr(_accel, "np", None)
-    elif _accel.np is None:
-        pytest.skip("NumPy not available; vectorised leg is inactive")
-    return request.param
-
-
 # ----------------------------------------------------------------------
 # Workload generators (node indices in [0, n); words >= 1)
 # ----------------------------------------------------------------------

@@ -53,16 +53,6 @@ def _ids(case):
     return f"{family}-s{seed}"
 
 
-@pytest.fixture(params=["numpy", "python"])
-def backend(request, monkeypatch):
-    """Run the test body under both array backends."""
-    if request.param == "python":
-        monkeypatch.setattr(_accel, "np", None)
-    elif _accel.np is None:
-        pytest.skip("NumPy not available; vectorised leg is inactive")
-    return request.param
-
-
 # ----------------------------------------------------------------------
 # Workload generators (node indices in [0, n); words >= 1)
 # ----------------------------------------------------------------------

@@ -437,6 +437,32 @@ def test_permanent_failure_commits_edge_deletion_at_window_close():
     sim.advance_round()
 
 
+def test_initial_knowledge_survives_a_committed_edge_deletion(backend):
+    # HYBRID_0 knowledge is a copy of the construction-time adjacency: once
+    # the fault layer deletes edge (0, 1) for good, both ends still know each
+    # other's identifier, and a global send along the dead edge validates.
+    from repro.graphs.generators import cycle_graph
+
+    graph = cycle_graph(6)
+    schedule = FaultSchedule(
+        link_failures=(LinkFailure(0, 1, start_round=0, end_round=1, permanent=True),)
+    )
+    sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=2, fault_schedule=schedule)
+    assert not sim.knows_id(0, sim.id_of(3))
+    sim.advance_round()  # round 0 -> 1: window closed, deletion committed
+    assert sim.committed_link_removals == [(0, 1)]
+    assert not graph.has_edge(0, 1)
+    assert sim.knows_id(0, sim.id_of(1)) and sim.knows_id(1, sim.id_of(0))
+    assert not sim.knows_id(0, sim.id_of(3))
+    transport.send_ids(sim, [0, 1], [1, 0], ["over", "back"])
+    sim.advance_round()
+    inbox = sim.per_node_inbox(GLOBAL_MODE)
+    assert [record[1] for record in inbox[1]] == ["over"]
+    assert [record[1] for record in inbox[0]] == ["back"]
+    with pytest.raises(UnknownIdentifierError):
+        transport.send_ids(sim, [0], [3], ["stranger"])
+
+
 def test_resilient_dissemination_submits_per_token_payload_words(monkeypatch):
     from repro.core.resilience import ResilientDissemination
     from repro.graphs.generators import cycle_graph
@@ -480,28 +506,55 @@ def test_resilient_dissemination_reports_removed_edges():
     assert not graph.has_edge(2, 3)
 
 
+def test_resilient_dissemination_that_cannot_equalise_reports_incomplete():
+    # 99% drops with one attempt per exchange: two epochs cannot spread the
+    # tokens, and the run says so instead of claiming completion.
+    from repro.core.resilience import ResilientDissemination
+    from repro.graphs.generators import cycle_graph
+
+    schedule = FaultSchedule(seed=3, global_drop_rate=0.99)
+    sim = HybridSimulator(cycle_graph(6), ModelConfig.hybrid(), fault_schedule=schedule)
+    result = ResilientDissemination(
+        sim, {0: ["a"], 3: ["b"]}, max_epochs=2, max_attempts=1
+    ).run()
+    assert result.complete is False
+    assert result.epochs == 2
+    assert not result.all_live_nodes_know_all_tokens()
+
+
+def test_batched_exchange_returns_scheduled_payloads_under_faults():
+    # The plain exchange reports what it scheduled, not what arrived: the
+    # payload for a crashed receiver is in the result although the fault
+    # layer dropped it (resilient_batched_global_exchange reports delivery).
+    from repro.simulator.engine import batched_global_exchange
+
+    schedule = FaultSchedule(crashes=(CrashEvent(node=2, crash_round=0, recover_round=5),))
+    sim = HybridSimulator(path_graph(4), ModelConfig.hybrid(), fault_schedule=schedule)
+    result = batched_global_exchange(sim, [(0, 2, "lost"), (0, 1, "kept")], tag="x")
+    assert result == {2: ["lost"], 1: ["kept"]}
+    assert sim.metrics.dropped_messages == 1
+
+
 # ----------------------------------------------------------------------
 # invalidate_index regression: cached arrays reset, knowledge survives
 # ----------------------------------------------------------------------
 def test_invalidate_index_resets_arrays_and_keeps_knowledge():
     sim = HybridSimulator(path_graph(8), ModelConfig.hybrid0(), seed=1)
     indexer = sim.node_indexer()
-    # Populate every cache the plane paths maintain: identifier arrays and
-    # edge keys via a local plane send, the knowledge pair store via a global
-    # send between neighbors (validation + sender-id learning), and a
-    # learned non-neighbor identifier via a relayed send.
+    # Populate every cache the plane paths maintain: the edge keys via a
+    # local plane send, the knowledge pair store via a global send between
+    # neighbors (validation + sender-id learning), and a learned
+    # non-neighbor identifier via a relayed send.
     sim.declare_learned_ids(2, [sim.id_of(6)])
     transport.send_ids(sim, [indexer[0]], [indexer[1]], ["l"], mode=LOCAL_MODE)
     transport.send_ids(sim, [indexer[2], indexer[2]], [indexer[3], indexer[6]], ["g", "h"])
     sim.advance_round()
-    assert sim._ids_by_index is not None
     assert sim._edge_keys is not None
     assert sim.knows_id(6, sim.id_of(2))
     known_before = {node: sim.known_ids(node) for node in sim.nodes}
 
     sim.invalidate_index()
 
-    assert sim._ids_by_index is None
     assert sim._edge_keys is None
     # Knowledge is monotone and keyed by the fixed node order: what was
     # learned before the call is still reported after it.

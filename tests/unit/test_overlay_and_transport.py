@@ -16,7 +16,6 @@ from repro.core.overlay import (
     build_virtual_tree_on_subset,
 )
 from repro.graphs.generators import grid_graph, path_graph
-from repro.simulator import _accel
 from repro.simulator.config import ModelConfig, log2_ceil
 from repro.simulator.network import HybridSimulator
 
@@ -141,16 +140,6 @@ class TestTreeAggregationAndBroadcast:
         log_n = log2_ceil(64)
         # Lemma 4.4: eO(1) rounds; with our constants that is <= ~4 log^2 n.
         assert sim.metrics.total_rounds <= 6 * log_n * log_n
-
-
-@pytest.fixture(params=["numpy", "python"])
-def backend(request, monkeypatch):
-    """Run the test body under both array backends."""
-    if request.param == "python":
-        monkeypatch.setattr(_accel, "np", None)
-    elif _accel.np is None:
-        pytest.skip("NumPy not available; vectorised leg is inactive")
-    return request.param
 
 
 TREE_GRAPHS = {"grid5": lambda: grid_graph(5, 2), "path31": lambda: path_graph(31)}

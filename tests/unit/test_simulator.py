@@ -104,35 +104,75 @@ class TestPayloadWords:
 
 
 class TestKnowledgeTracker:
+    """The tracker is addressed by node index; the simulator translates
+    identifiers at its boundary."""
+
     def test_initial_knowledge_is_self_and_neighbors(self):
-        tracker = KnowledgeTracker([10, 20, 30])
-        tracker.initialize_node(10, [20])
-        assert tracker.knows(10, 10)
-        assert tracker.knows(10, 20)
-        assert not tracker.knows(10, 30)
+        sim = HybridSimulator(path_graph(3), ModelConfig.hybrid0(), seed=0)
+        assert sim.known_ids(0) == {sim.id_of(0), sim.id_of(1)}
+        assert sim.knows_id(1, sim.id_of(0)) and sim.knows_id(1, sim.id_of(2))
+        assert not sim.knows_id(0, sim.id_of(2))
+        assert sim.knowledge.known(2) == {1, 2}
 
     def test_learning_new_ids(self):
-        tracker = KnowledgeTracker([10, 20, 30])
-        tracker.initialize_node(10, [])
-        tracker.learn(10, [30])
-        assert tracker.knows(10, 30)
+        tracker = KnowledgeTracker(3)
+        tracker.learn(0, [2])
+        assert tracker.knows(0, 2)
+        assert not tracker.knows(0, 1) and not tracker.knows(2, 0)
+        sim = HybridSimulator(path_graph(3), ModelConfig.hybrid0(), seed=0)
+        sim.declare_learned_ids(0, [sim.id_of(2)])
+        assert sim.knows_id(0, sim.id_of(2))
 
     def test_learning_nonexistent_id_is_ignored(self):
-        tracker = KnowledgeTracker([10, 20])
-        tracker.initialize_node(10, [])
-        tracker.learn(10, [999])
-        assert not tracker.knows(10, 999)
+        sim = HybridSimulator(path_graph(3), ModelConfig.hybrid0(), seed=0)
+        bogus = max(sim.all_ids()) + 1
+        before = sim.known_ids(0)
+        sim.declare_learned_ids(0, [bogus])
+        sim.declare_learned_ids_bulk([0, 1], [bogus])
+        assert not sim.knows_id(0, bogus)
+        assert sim.known_ids(0) == before
+
+    def test_target_past_the_last_index_is_unknown(self):
+        # Key 1 * 4 + 0 must not read as node 0 knowing "index 4".
+        tracker = KnowledgeTracker(4)
+        tracker.learn(1, [0])
+        assert not tracker.knows(0, 4) and not tracker.knows(0, -1)
 
     def test_all_known_initialization(self):
-        tracker = KnowledgeTracker([1, 2, 3])
-        tracker.initialize_all_known()
-        assert tracker.knows(1, 3)
-        assert tracker.knowledge_count(2) == 3
+        tracker = KnowledgeTracker(3, all_known=True)
+        assert tracker.knows(0, 2)
+        assert tracker.known(1) == {0, 1, 2}
+        assert not tracker.pairs
+        sim = HybridSimulator(path_graph(3), ModelConfig.hybrid(), seed=0)
+        assert sim.known_ids(0) == set(sim.all_ids())
+        assert not sim.knowledge.pairs
+
+    def test_shared_record_teaches_every_learner(self):
+        tracker = KnowledgeTracker(5)
+        tracker.learn_shared(frozenset({0, 1}), frozenset({3, 4}))
+        assert tracker.knows(1, 4) and tracker.knows_shared(0, 3)
+        assert not tracker.knows(2, 3) and not tracker.knows(0, 2)
+        assert tracker.known(0) == {3, 4} and tracker.known(2) == set()
+        assert not tracker.pairs
 
     def test_unknown_node_raises(self):
-        tracker = KnowledgeTracker([1])
+        tracker = KnowledgeTracker(1)
         with pytest.raises(UnknownNodeError):
-            tracker.knows(99, 1)
+            tracker.knows(99, 0)
+        sim = HybridSimulator(path_graph(3), ModelConfig.hybrid0(), seed=0)
+        with pytest.raises(UnknownNodeError):
+            sim.knows_id("ghost", sim.id_of(0))
+
+    def test_declare_learned_ids_bulk_is_atomic(self, backend):
+        sim = HybridSimulator(path_graph(8), ModelConfig.hybrid0(), seed=0)
+        target = sim.id_of(5)
+        with pytest.raises(UnknownNodeError):
+            sim.declare_learned_ids_bulk([0, 1, "ghost"], [target])
+        # The unknown learner taught no one, not even the learners before it.
+        assert not sim.knows_id(0, target) and not sim.knows_id(1, target)
+        sim.declare_learned_ids_bulk(iter([0, 1]), [target])
+        assert sim.knows_id(0, target) and sim.knows_id(1, target)
+        assert not sim.knows_id(2, target)
 
 
 @pytest.fixture(params=["numpy", "python"])
@@ -153,24 +193,22 @@ class TestPairStore:
     N = 64
 
     def _tracker(self):
-        # Identifiers differ from node indices, so the index <-> id mapping
-        # is exercised: node index i has identifier 100 + i.
-        tracker = KnowledgeTracker([100 + i for i in range(self.N)])
-        tracker.initialize_node(100, [101])
+        # Node 0 also knows {0, 1} through a shared record, so every probe
+        # reads the store and the records together.
+        tracker = KnowledgeTracker(self.N)
+        tracker.learn_shared(frozenset({0}), frozenset({0, 1}))
         return tracker
 
     def test_learned_pair_is_visible_through_every_probe(self, backend):
         tracker = self._tracker()
         tracker.pairs.add(backend, [0 * self.N + 7, 0 * self.N + 30, 5 * self.N + 0])
-        assert tracker.knows(100, 107)
-        assert tracker.knows(105, 100)
-        assert not tracker.knows(100, 108)
-        assert not tracker.knows(100, 999)
-        assert tracker.known_ids(100) == {100, 101, 107, 130}
-        view = tracker.known_ids_view(100)
-        assert 130 in view and 101 in view and 129 not in view
-        assert tracker.knowledge_count(100) == 4
-        assert tracker.known_ids(105) == {100}
+        assert tracker.knows(0, 7)
+        assert tracker.knows(5, 0)
+        assert not tracker.knows(0, 8)
+        assert not tracker.knows(0, 999)
+        assert tracker.known(0) == {0, 1, 7, 30}
+        assert tracker.knows(0, 30) and tracker.knows(0, 1) and not tracker.knows(0, 29)
+        assert tracker.known(5) == {0}
 
     def test_learn_index_pairs_takes_arrays_and_lists(self, backend):
         tracker = self._tracker()
@@ -180,12 +218,12 @@ class TestPairStore:
             learned = backend.array(learned, dtype=backend.int64)
         tracker.learn_index_pairs(learners, learned)
         tracker.learn_index_pairs([2], [40])  # already known: a no-op
-        assert tracker.known_ids(102) == {140, 141}
-        assert tracker.knows(109, 102) and not tracker.knows(102, 109)
+        assert tracker.known(2) == {40, 41}
+        assert tracker.knows(9, 2) and not tracker.knows(2, 9)
 
     def test_random_trickle_keeps_membership_exact(self, backend):
         n = 512
-        tracker = KnowledgeTracker(range(n))
+        tracker = KnowledgeTracker(n)
         rng = random.Random(13)
         expected = {a: set() for a in range(4)}
         for _ in range(60):
@@ -196,7 +234,7 @@ class TestPairStore:
                 expected[a].add(b)
             tracker.pairs.add(backend, keys)
         for a, learned in expected.items():
-            assert tracker.known_ids(a) == learned
+            assert tracker.known(a) == learned
             assert all(tracker.knows(a, b) == (b in learned) for b in range(n))
         levels = tracker.pairs.levels()
         if backend is None:
@@ -230,9 +268,9 @@ class TestPairStore:
         # bisect probes work on the stored arrays regardless of the gate,
         # and keys stored afterwards land in the set beside them.
         tracker.pairs.add(None, [50])
-        assert tracker.knows(100, 142)
-        assert 121 in tracker.known_ids_view(100)
-        assert tracker.known_ids(100) == {100, 101, 121, 142, 150}
+        assert tracker.knows(0, 42)
+        assert tracker.knows(0, 21)
+        assert tracker.known(0) == {0, 1, 21, 42, 50}
 
     def test_pure_python_backend_stores_keys_in_the_set(self, monkeypatch):
         from repro.simulator import _accel
@@ -242,8 +280,8 @@ class TestPairStore:
         tracker.pairs.add(None, [4, 8, 4])
         assert tracker.pairs.known == {4, 8}
         assert not tracker.pairs.levels()
-        assert tracker.knows(100, 108)
-        assert tracker.known_ids(100) == {100, 101, 104, 108}
+        assert tracker.knows(0, 8)
+        assert tracker.known(0) == {0, 1, 4, 8}
 
 
 class TestPairKeyRange:
