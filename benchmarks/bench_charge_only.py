@@ -13,7 +13,8 @@ exact, but no payload is materialised.  Two tiers:
 
 * **Large** (``BENCH_SCALE=large``, the scheduled CI job) — charge-only
   ``KDissemination`` k=4096 on an n=10^6 **star** and, as a separate test, on
-  an n=10^7 star: rounds, global words and wall-clock.  The star keeps NQ_k
+  an n=10^7 star: rounds, global words, wall-clock, peak RSS and the
+  generation-0/1/2 garbage collections ``run()`` triggered.  The star keeps NQ_k
   at 2 (the center's radius-1 ball is the whole graph), which yields few,
   large clusters and a down-cast volume that fits in memory — a payload run
   at this scale would materialise ~10^7 token objects.  NQ is passed as a
@@ -31,8 +32,10 @@ Run directly (``python benchmarks/bench_charge_only.py``; add
 
 from __future__ import annotations
 
+import gc
 import os
 import random
+import resource
 import time
 from typing import Any, Dict, List
 
@@ -106,6 +109,23 @@ def run_charge_only_comparison() -> Dict[str, Any]:
     }
 
 
+def _counting_collections(call):
+    """``(call(), collections)``: the garbage collections of each generation
+    that ``call`` triggered, read through ``gc.callbacks`` (no threshold is
+    changed)."""
+    collections = [0, 0, 0]
+
+    def on_gc(phase: str, info: Dict[str, int]) -> None:
+        if phase == "start":
+            collections[info["generation"]] += 1
+
+    gc.callbacks.append(on_gc)
+    try:
+        return call(), collections
+    finally:
+        gc.callbacks.remove(on_gc)
+
+
 def run_charge_only_star(n: int) -> Dict[str, Any]:
     """One end-to-end charge-only star dissemination at ``n`` nodes."""
     graph = star_graph(n)
@@ -113,14 +133,20 @@ def run_charge_only_star(n: int) -> Dict[str, Any]:
     # NQ_k(star) = 2 by inspection (the center's radius-1 ball is the whole
     # graph); the centralized NQ computation is Theta(n^2) here.
     algorithm = KDissemination(simulator, _tokens(n), nq=2, charge_only=True)
+    gc.collect()
     start = time.perf_counter()
-    result = algorithm.run()
+    result, collections = _counting_collections(algorithm.run)
     elapsed = time.perf_counter() - start
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return {
         "workload": f"charge-only KDissemination k={K_DISSEMINATION} (star)",
         "n": n,
         "cores": usable_cores(),
         "seconds": round(elapsed, 2),
+        # Process peak so far: the run's own peak unless an earlier row in
+        # the same process went higher.
+        "peak rss MB": round(peak_kb / 1024, 1),
+        "gc collections gen0/1/2": "/".join(map(str, collections)),
         "total rounds": result.metrics.total_rounds,
         "global words": result.metrics.global_words,
         "capacity violations": result.metrics.capacity_violations,

@@ -43,6 +43,7 @@ from repro.core.neighborhood_quality import neighborhood_quality
 from repro.core.ruling_sets import distributed_ruling_set, greedy_ruling_set
 from repro.graphs.index import get_index
 from repro.graphs.properties import weak_diameter
+from repro.simulator import _accel
 from repro.simulator.config import log2_ceil
 from repro.simulator.network import HybridSimulator
 
@@ -210,36 +211,44 @@ def nq_clustering(
     # identifier) — one multi-source sweep; ``owner`` ranks point into
     # ``sorted_rulers``, so the min-rank tie-break IS the min-identifier rule.
     dist, owner = index.closest_sources(sorted_rulers)
-    members_by_rank: List[List[int]] = [[] for _ in sorted_rulers]
-    for i, rank in enumerate(owner):
-        if rank >= 0:
-            members_by_rank[rank].append(i)
+    # Members ordered by (owner, hop distance, str tie rank) in one sort: the
+    # sweep distance to the closest ruler equals the hop distance from the
+    # assigned ruler, so each owner's run is the per-ruler BFS order of the
+    # reference construction.  Unreached nodes (owner -1) sort first and are
+    # dropped.
+    tie_rank, _ = index._tie_rank_arrays()
+    np = _accel.np
+    if np is not None:
+        owner_col = np.asarray(owner)
+        keys = (np.asarray(tie_rank), np.asarray(dist), owner_col)
+        ordered = np.lexsort(keys).tolist()
+        sizes = np.bincount(owner_col + 1, minlength=len(sorted_rulers) + 1).tolist()
+    else:
+        ordered = sorted(range(n), key=lambda i: (owner[i], dist[i], tie_rank[i]))
+        sizes = [0] * (len(sorted_rulers) + 1)
+        for rank in owner:
+            sizes[rank + 1] += 1
+    ordered_nodes = list(map(index.nodes.__getitem__, ordered))
 
     lower = min(float(n), k / nq)
     upper = 2 * lower if lower >= 1 else 2.0
 
-    nodes = index.nodes
     clusters: List[Cluster] = []
     cluster_of: Dict[Node, int] = {}
-    for rank, ruler in enumerate(sorted_rulers):
-        member_indices = members_by_rank[rank]
-        if not member_indices:
+    end = sizes[0]
+    for size in sizes[1:]:
+        start, end = end, end + size
+        if not size:
             continue
-        # The sweep distance to the closest ruler equals the hop distance from
-        # the assigned ruler, so sorting by it reproduces the per-ruler BFS
-        # order of the reference construction.
-        ordered = [
-            nodes[i]
-            for i in sorted(member_indices, key=lambda i: (dist[i], str(nodes[i])))
-        ]
-        for chunk in _split_cluster(ordered, lower, upper):
-            leader = ruler if ruler in chunk else chunk[0]
+        # A ruler is the only member at distance 0 from itself, so it heads
+        # its run and leads the first chunk; later chunks are led by their
+        # first member.
+        for chunk in _split_cluster(ordered_nodes[start:end], lower, upper):
             cluster_index = len(clusters)
             clusters.append(
-                Cluster(leader=leader, members=list(chunk), index=cluster_index)
+                Cluster(leader=chunk[0], members=chunk, index=cluster_index)
             )
-            for node in chunk:
-                cluster_of[node] = cluster_index
+            cluster_of.update(dict.fromkeys(chunk, cluster_index))
 
     return Clustering(clusters=clusters, nq=nq, k=k, cluster_of=cluster_of)
 

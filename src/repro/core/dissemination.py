@@ -38,11 +38,9 @@ from __future__ import annotations
 
 import dataclasses
 import operator
-from collections import defaultdict
 from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.clustering import Clustering, distributed_nq_clustering
-from repro.core.load_balancing import balance_items, cluster_load_balance
 from repro.core.neighborhood_quality import neighborhood_quality
 from repro.core.overlay import VirtualTree, basic_aggregation, build_virtual_tree
 from repro.simulator import _accel
@@ -57,46 +55,14 @@ Node = Hashable
 __all__ = ["DisseminationResult", "KDissemination", "ClusterTree"]
 
 
-@dataclasses.dataclass
-class ClusterTree:
-    """A rooted logical tree whose vertices are clusters (phase 3)."""
-
-    root: int
-    parent: Dict[int, Optional[int]]
-    children: Dict[int, List[int]]
-    order: List[int]
-
-    def levels(self) -> List[List[int]]:
-        result: List[List[int]] = []
-        current = [self.root]
-        while current:
-            result.append(current)
-            nxt: List[int] = []
-            for index in current:
-                nxt.extend(self.children[index])
-            current = nxt
-        return result
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels()) - 1
+#: The phase-3 cluster tree: a heap-layout tree whose labels are cluster indices.
+ClusterTree = VirtualTree
 
 
 def build_cluster_tree(clustering: Clustering) -> ClusterTree:
     """Binary cluster tree over cluster indices (constant degree, O(log) depth)."""
     order = [cluster.index for cluster in clustering.clusters]
-    parent: Dict[int, Optional[int]] = {}
-    children: Dict[int, List[int]] = {index: [] for index in order}
-    if not order:
-        raise ValueError("clustering has no clusters")
-    parent[order[0]] = None
-    for position, index in enumerate(order):
-        if position == 0:
-            continue
-        parent_index = order[(position - 1) // 2]
-        parent[index] = parent_index
-        children[parent_index].append(index)
-    return ClusterTree(root=order[0], parent=parent, children=children, order=order)
+    return VirtualTree(order, list(range(len(order))))
 
 
 def match_cluster_tree_ids(
@@ -275,7 +241,6 @@ class KDissemination(BatchAlgorithm):
         # views into it.
         self._member_perm: Any = None
         self._member_starts: Any = None
-        self._held: Dict[Node, List[Any]] = {}
         # Id-native token state (phase 5): tokens are handled as *ranks* into
         # the one str-sorted token list, so set algebra over cluster holdings
         # becomes boolean-mask work and the sorted payload order of every
@@ -403,14 +368,21 @@ class KDissemination(BatchAlgorithm):
 
     def _phase_load_balance(self) -> None:
         """Phase 4: initial load balancing inside each cluster (Lemma 4.1,
-        charged)."""
+        charged).
+
+        Balancing moves tokens only between members of one cluster, so it
+        never changes a cluster's token union, and that union is all the
+        converge-cast reads.  The allocation itself
+        (:func:`~repro.core.load_balancing.balance_items`) is therefore not
+        materialised; only its rounds are charged.
+        """
         if self._trivial:
             return
-        held: Dict[Node, List[Any]] = defaultdict(list)
-        for node, tokens in self.tokens_by_node.items():
-            held[node].extend(tokens)
-        self._held = self._load_balance_all_clusters(
-            self.clustering, held, self.nq, self._log_n, "initial"
+        weak_diameter = 4 * self.nq * self._log_n
+        self.simulator.charge_rounds(
+            2 * weak_diameter,
+            "initial intra-cluster load balancing",
+            "Lemma 4.1",
         )
 
     def _phase_converge_cast(self) -> None:
@@ -426,7 +398,6 @@ class KDissemination(BatchAlgorithm):
         if self._trivial:
             return
         sim = self.simulator
-        clustering = self.clustering
         cluster_tree = self.cluster_tree
         sorted_tokens = sorted(self.all_tokens, key=str)
         self._sorted_tokens = sorted_tokens
@@ -441,19 +412,7 @@ class KDissemination(BatchAlgorithm):
         )
 
         np = _accel.np
-        k = self.k
-        cluster_count = len(clustering.clusters)
-        cluster_of = clustering.cluster_of
-        if np is not None:
-            masks = np.zeros((cluster_count, k), dtype=bool)
-            for node, tokens in self._held.items():
-                row = masks[cluster_of[node]]
-                for token in tokens:
-                    row[token_rank[token]] = True
-        else:
-            masks = [set() for _ in range(cluster_count)]
-            for node, tokens in self._held.items():
-                masks[cluster_of[node]].update(token_rank[token] for token in tokens)
+        masks = self._cluster_token_masks(token_rank)
         self._cluster_masks = masks
 
         levels = cluster_tree.levels()
@@ -476,6 +435,24 @@ class KDissemination(BatchAlgorithm):
                 "intra-cluster load balancing between converge-cast levels",
                 "Lemma 4.1",
             )
+
+    def _cluster_token_masks(self, token_rank: Dict[Any, int]) -> Any:
+        """One row per cluster: the ranks of the tokens its members hold,
+        read from the input holdings (see :meth:`_phase_load_balance`).  A
+        ``(clusters, k)`` boolean array with NumPy active, a list of rank sets
+        otherwise."""
+        np = _accel.np
+        cluster_count = len(self.clustering.clusters)
+        cluster_of = self.clustering.cluster_of
+        if np is not None:
+            masks = np.zeros((cluster_count, self.k), dtype=bool)
+            for node, tokens in self.tokens_by_node.items():
+                masks[cluster_of[node], [token_rank[token] for token in tokens]] = True
+            return masks
+        masks = [set() for _ in range(cluster_count)]
+        for node, tokens in self.tokens_by_node.items():
+            masks[cluster_of[node]].update(token_rank[token] for token in tokens)
+        return masks
 
     def _phase_down_cast(self) -> None:
         """Phase 5b: cast every token back down the cluster tree (measured),
@@ -541,7 +518,7 @@ class KDissemination(BatchAlgorithm):
                 k=0,
                 nq=0,
                 clustering=Clustering(clusters=[], nq=0, k=0, cluster_of={}),
-                cluster_tree=ClusterTree(root=0, parent={0: None}, children={0: []}, order=[0]),
+                cluster_tree=VirtualTree([0], [0]),
                 metrics=sim.metrics,
             )
         return DisseminationResult(
@@ -655,23 +632,3 @@ class KDissemination(BatchAlgorithm):
         if not senders:
             return None
         return TokenPlane(senders, receivers, words, payloads)
-
-    def _load_balance_all_clusters(
-        self,
-        clustering: Clustering,
-        held: Dict[Node, List[Any]],
-        nq: int,
-        log_n: int,
-        label: str,
-    ) -> Dict[Node, List[Any]]:
-        balanced: Dict[Node, List[Any]] = {}
-        weak_diam = 4 * nq * log_n
-        for cluster in clustering.clusters:
-            allocation = balance_items(cluster.members, held)
-            balanced.update(allocation)
-        self.simulator.charge_rounds(
-            2 * weak_diam,
-            f"{label} intra-cluster load balancing",
-            "Lemma 4.1",
-        )
-        return balanced

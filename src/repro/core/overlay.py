@@ -22,8 +22,7 @@ formulations of the same operations are test oracles
 
 from __future__ import annotations
 
-import dataclasses
-import math
+import functools
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.simulator import _accel
@@ -45,19 +44,61 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass
 class VirtualTree:
-    """A rooted virtual tree over a subset of the network's nodes.
+    """A rooted virtual tree over a subset of the network's nodes, in heap layout.
 
-    ``parent[v]`` is ``None`` for the root; ``children[v]`` lists v's children.
-    ``order`` is the identifier-sorted list of participating nodes (the implicit
-    array backing the binary-heap layout).
+    ``index[slot]`` is the simulator node index of the tree node in heap slot
+    ``slot``.  Slots follow identifier order; slot ``s``'s parent is slot
+    ``(s - 1) // 2`` and its children are slots ``2s + 1`` and ``2s + 2``, so
+    level ``l`` is the slot range ``[2^l - 1, min(2^(l+1) - 1, size))`` and
+    every per-level plane is a pair of slices.  ``parent_index[slot]`` is the
+    node index of that parent (slot 0 maps to itself).  Both columns are
+    ``int64`` arrays or lists; ``labels`` maps a node index to its node.
+
+    The label views ``order`` (the identifier-sorted nodes), ``parent``
+    (``None`` for the root), ``children`` and :meth:`levels` are built from
+    slot arithmetic on first access; no level plane reads them.
     """
 
-    root: Node
-    parent: Dict[Node, Optional[Node]]
-    children: Dict[Node, List[Node]]
-    order: List[Node]
+    def __init__(self, labels: Sequence[Node], index) -> None:
+        count = len(index)
+        if not count:
+            raise ValueError("cannot build a virtual tree over an empty node set")
+        self.labels = labels
+        self.index = index
+        np = _accel.np
+        if np is not None and isinstance(index, np.ndarray):
+            slots = np.arange(count, dtype=np.int64)
+            slots[1:] = (slots[1:] - 1) // 2
+            self.parent_index = index[slots]
+        else:
+            self.parent_index = index[:1] + [
+                index[(slot - 1) >> 1] for slot in range(1, count)
+            ]
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    @property
+    def root(self) -> Node:
+        return self.labels[self.index[0]]
+
+    @functools.cached_property
+    def order(self) -> List[Node]:
+        index = self.index
+        slots = index if isinstance(index, list) else index.tolist()
+        return list(map(self.labels.__getitem__, slots))
+
+    @functools.cached_property
+    def parent(self) -> Dict[Node, Optional[Node]]:
+        order = self.order
+        parents = [order[(slot - 1) >> 1] for slot in range(1, len(order))]
+        return dict(zip(order, [None] + parents))
+
+    @functools.cached_property
+    def children(self) -> Dict[Node, List[Node]]:
+        order = self.order
+        return {node: order[2 * s + 1 : 2 * s + 3] for s, node in enumerate(order)}
 
     @property
     def nodes(self) -> List[Node]:
@@ -65,46 +106,25 @@ class VirtualTree:
 
     @property
     def depth(self) -> int:
-        if len(self.order) <= 1:
-            return 0
-        return int(math.floor(math.log2(len(self.order))))
+        return len(self).bit_length() - 1
 
     def max_degree(self) -> int:
-        best = 0
-        for node in self.order:
-            degree = len(self.children[node]) + (0 if self.parent[node] is None else 1)
-            best = max(best, degree)
-        return best
+        # The root has up to two children; slot 1 adds its parent to its own
+        # up-to-two children.  No other slot has more.
+        count = len(self)
+        if count == 1:
+            return 0
+        return max(min(count - 1, 2), 1 + min(max(count - 3, 0), 2))
 
     def levels(self) -> List[List[Node]]:
         """Nodes grouped by depth (root first)."""
-        result: List[List[Node]] = []
-        current = [self.root]
-        while current:
-            result.append(current)
-            nxt: List[Node] = []
-            for node in current:
-                nxt.extend(self.children[node])
-            current = nxt
-        return result
+        order = self.order
+        spans = map(self.level_slots, range(self.depth + 1))
+        return [order[lo:hi] for lo, hi in spans]
 
-
-def _heap_tree(order: Sequence[Node]) -> VirtualTree:
-    """Balanced binary tree in heap layout over ``order``."""
-    order = list(order)
-    if not order:
-        raise ValueError("cannot build a virtual tree over an empty node set")
-    parent: Dict[Node, Optional[Node]] = {}
-    children: Dict[Node, List[Node]] = {node: [] for node in order}
-    parent[order[0]] = None
-    for index, node in enumerate(order):
-        if index == 0:
-            continue
-        parent_index = (index - 1) // 2
-        parent_node = order[parent_index]
-        parent[node] = parent_node
-        children[parent_node].append(node)
-    return VirtualTree(root=order[0], parent=parent, children=children, order=order)
+    def level_slots(self, level: int) -> Tuple[int, int]:
+        """Heap-slot range ``[lo, hi)`` of tree level ``level`` (root = level 0)."""
+        return (1 << level) - 1, min((1 << (level + 1)) - 1, len(self))
 
 
 def build_virtual_tree(simulator: HybridSimulator) -> VirtualTree:
@@ -115,8 +135,13 @@ def build_virtual_tree(simulator: HybridSimulator) -> VirtualTree:
     (``declare_learned_ids``), which is exactly the post-condition of
     Lemma 4.3.
     """
-    order = sorted(simulator.nodes, key=simulator.node_identifiers().__getitem__)
-    tree = _heap_tree(order)
+    ids = simulator.identifier_column()
+    np = _accel.np
+    if np is not None:
+        column = np.argsort(np.asarray(ids, dtype=np.int64), kind="stable")
+    else:
+        column = sorted(range(simulator.n), key=ids.__getitem__)
+    tree = VirtualTree(simulator.nodes, column)
     log_n = log2_ceil(max(simulator.n, 2))
     simulator.charge_rounds(
         log_n * log_n,
@@ -136,10 +161,13 @@ def build_virtual_tree_on_subset(
     tree over the identifier-sorted subset, with the combined construction and
     pruning cost of Lemmas 4.3 + 4.5 charged.
     """
-    members = sorted(set(subset), key=simulator.id_of)
-    if not members:
+    column = sorted(
+        {simulator.node_index(node) for node in subset},
+        key=simulator.identifier_column().__getitem__,
+    )
+    if not column:
         raise ValueError("subset must be non-empty")
-    tree = _heap_tree(members)
+    tree = VirtualTree(simulator.nodes, column)
     log_n = log2_ceil(max(simulator.n, 2))
     simulator.charge_rounds(
         log_n * log_n + log_n * log_n,
@@ -152,7 +180,7 @@ def build_virtual_tree_on_subset(
 
 def _teach_tree_ids(simulator: HybridSimulator, tree: VirtualTree) -> None:
     """Every tree node learns its parent's and children's identifiers."""
-    idx, parent_idx = _tree_plane_layout(simulator, tree)
+    idx, parent_idx = tree.index, tree.parent_index
     np = _accel.np
     if np is not None and isinstance(idx, np.ndarray):
         learners = np.concatenate((idx[1:], parent_idx[1:]))
@@ -163,40 +191,24 @@ def _teach_tree_ids(simulator: HybridSimulator, tree: VirtualTree) -> None:
     simulator.knowledge.learn_index_pairs(learners, learned)
 
 
-def _tree_plane_layout(simulator: HybridSimulator, tree: VirtualTree):
-    """Id-native heap layout of ``tree``, cached on the tree.
+#: Integers below this magnitude have at most 64 bits: one word each.
+_ONE_WORD_INT = 1 << 64
 
-    ``idx[slot]`` is the simulator node index of the tree node in heap slot
-    ``slot`` (``tree.order`` position) and ``parent_idx[slot]`` that of its
-    parent (slot 0 maps to itself; the root never appears as a plane
-    receiver/sender pair).  Level ``l`` is the slot range
-    ``[2^l - 1, min(2^(l+1) - 1, n))``, so every per-level plane is a pair of
-    slices — no per-node indexer lookups after the first build.  The columns
-    are ``int64`` arrays with NumPy active and lists otherwise.
+
+def _level_words(payloads: List[Any]) -> List[int]:
+    """The words column of one aggregation level.
+
+    When every partial is ``None`` or an ``int`` of at most 64 bits -- exactly
+    the values :func:`payload_words` charges one word -- the level is sized
+    once; any other level is sized value by value.
     """
-    np = _accel.np
-    cached = getattr(tree, "_plane_layout", None)
-    if cached is not None and cached[0] is simulator:
-        return cached[1], cached[2]
-    indexer = simulator.node_indexer()
-    count = len(tree.order)
-    if np is not None:
-        idx = np.fromiter(
-            (indexer[node] for node in tree.order), dtype=np.int64, count=count
-        )
-        slots = np.arange(count, dtype=np.int64)
-        slots[1:] = (slots[1:] - 1) // 2
-        parent_idx = idx[slots]
-    else:
-        idx = [indexer[node] for node in tree.order]
-        parent_idx = [idx[(slot - 1) // 2 if slot else 0] for slot in range(count)]
-    tree._plane_layout = (simulator, idx, parent_idx)
-    return idx, parent_idx
-
-
-def _level_slots(count: int, level: int) -> Tuple[int, int]:
-    """Heap-slot range ``[lo, hi)`` of tree level ``level`` (root = level 0)."""
-    return (1 << level) - 1, min((1 << (level + 1)) - 1, count)
+    if set(map(type, payloads)) <= {int, type(None)}:
+        nonzero = list(filter(None, payloads))
+        if not nonzero or (
+            min(nonzero) > -_ONE_WORD_INT and max(nonzero) < _ONE_WORD_INT
+        ):
+            return [1] * len(payloads)
+    return [payload_words(payload) for payload in payloads]
 
 
 def aggregate_via_tree(
@@ -210,21 +222,17 @@ def aggregate_via_tree(
     One tree level per round (leaf level first); every node sends a single
     global message to its parent, so the per-node budget is respected.  Returns
     the aggregate as known by the root.  Each level moves as one id-native
-    token plane sliced from the cached heap layout; partials live in a
-    slot-ordered list and the combine step folds them slot by slot (each
-    parent combines its children in child order), with no inbox read.
+    token plane sliced from the heap layout; partials live in a slot-ordered
+    list and the combine step folds them slot by slot (each parent combines
+    its children in child order), with no inbox read.
     """
-    idx, parent_idx = _tree_plane_layout(simulator, tree)
-    slot_values = [values.get(node) for node in tree.order]
-    nslots = len(slot_values)
-    for level in range(nslots.bit_length() - 1, 0, -1):
-        lo, hi = _level_slots(nslots, level)
+    idx, parent_idx = tree.index, tree.parent_index
+    slot_values = list(map(values.get, tree.order))
+    for level in range(tree.depth, 0, -1):
+        lo, hi = tree.level_slots(level)
         payloads = slot_values[lo:hi]
         plane = TokenPlane(
-            idx[lo:hi],
-            parent_idx[lo:hi],
-            [payload_words(payload) for payload in payloads],
-            payloads,
+            idx[lo:hi], parent_idx[lo:hi], _level_words(payloads), payloads
         )
         simulator.global_send_plane(plane, None, "tree-agg")
         simulator.advance_round()
@@ -247,20 +255,19 @@ def broadcast_via_tree(
 
     Every level plane carries the same payload object, so the words column
     is one ``payload_words`` call and the sender/receiver columns are slices
-    of the cached heap layout.
+    of the heap layout.
     """
-    idx, parent_idx = _tree_plane_layout(simulator, tree)
-    nslots = len(tree.order)
+    idx, parent_idx = tree.index, tree.parent_index
     size = payload_words(value)
-    for level in range(1, nslots.bit_length()):
-        lo, hi = _level_slots(nslots, level)
+    for level in range(1, tree.depth + 1):
+        lo, hi = tree.level_slots(level)
         count = hi - lo
         plane = TokenPlane(
             parent_idx[lo:hi], idx[lo:hi], [size] * count, [value] * count
         )
         simulator.global_send_plane(plane, None, "tree-bcast")
         simulator.advance_round()
-    return {node: value for node in tree.order}
+    return dict.fromkeys(tree.order, value)
 
 
 def basic_aggregation(
@@ -296,13 +303,15 @@ def basic_dissemination(
     """
     if tree is None:
         tree = build_virtual_tree(simulator)
-    index = simulator.node_indexer()
+    slot = tree.order.index(source)
+    idx = tree.index
     size = payload_words(value)
-    current = source
-    while tree.parent[current] is not None:
-        parent = tree.parent[current]
-        plane = TokenPlane([index[current]], [index[parent]], [size], [value])
+    while slot:
+        parent = (slot - 1) >> 1
+        plane = TokenPlane(
+            idx[slot : slot + 1], idx[parent : parent + 1], [size], [value]
+        )
         simulator.global_send_plane(plane, None, "tree-up")
         simulator.advance_round()
-        current = parent
+        slot = parent
     return broadcast_via_tree(simulator, tree, value)

@@ -143,6 +143,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 import weakref
 from array import array
 from collections import OrderedDict
@@ -260,16 +261,22 @@ class GraphIndex:
     :meth:`apply_edge_delete`, :meth:`apply_weight_update`) — used by
     :class:`repro.graphs.mutation.GraphMutator` so an edit costs an O(n)
     offset shift instead of a full O(n + m) rebuild.  Self-loops are rejected
-    at construction: the CSR build would write them twice (once per endpoint
-    cursor), silently inflating degrees, ball sizes and NQ, and no supported
-    workload produces them.
+    at construction (``ValueError``): they would silently inflate degrees,
+    ball sizes and NQ, and no supported workload produces them.  Directed
+    graphs and multigraphs are rejected with ``TypeError``: the CSR is read
+    from ``graph.adj`` and assumes one symmetric, simple adjacency.
     """
 
     def __init__(self, graph: nx.Graph) -> None:
+        if graph.is_directed() or graph.is_multigraph():
+            raise TypeError(
+                f"GraphIndex requires a simple undirected graph, got "
+                f"{type(graph).__name__} (a directed graph would be silently "
+                "symmetrised, a multigraph's key dicts read as edge data)"
+            )
         nodes: List[Node] = list(graph.nodes)
         n = len(nodes)
         self.n = n
-        self.m = graph.number_of_edges()
         self.nodes = nodes
         # Version-stamp bookkeeping (see the module docstring): ``version`` is
         # the graph version this CSR reflects; ``retired`` flips when
@@ -277,38 +284,32 @@ class GraphIndex:
         # reads instead of serving dead distances.
         self.version = graph_version(graph)
         self.retired = False
-        index_of: Dict[Node, int] = {}
-        for i, v in enumerate(nodes):
-            index_of[v] = i
+        index_of: Dict[Node, int] = dict(zip(nodes, range(n)))
         self.index_of = index_of
 
-        offsets = [0] * (n + 1)
-        for u, v in graph.edges():
-            if u == v:
-                raise ValueError(
-                    f"self-loop at node {u!r}: GraphIndex requires a simple "
-                    "graph (a self-loop would be double-counted in the CSR, "
-                    "inflating degrees, ball sizes and NQ)"
-                )
-            offsets[index_of[u] + 1] += 1
-            offsets[index_of[v] + 1] += 1
-        for i in range(n):
-            offsets[i + 1] += offsets[i]
-        cursor = list(offsets)
-        targets = [0] * (2 * self.m)
-        # Edge weights ride along in a CSR array parallel to ``targets`` so the
-        # weighted primitives (h-hop limited Bellman-Ford) share the adjacency.
-        weights: List[float] = [1] * (2 * self.m)
-        for u, v, data in graph.edges(data=True):
-            w = data.get("weight", 1)
-            ui = index_of[u]
-            vi = index_of[v]
-            targets[cursor[ui]] = vi
-            weights[cursor[ui]] = w
-            cursor[ui] += 1
-            targets[cursor[vi]] = ui
-            weights[cursor[vi]] = w
-            cursor[vi] += 1
+        # The CSR is read straight off the neighbour dicts, in node order:
+        # node ``u``'s slice lists its neighbours in adjacency order.  Edge
+        # weights ride along in a CSR array parallel to ``targets`` so the
+        # weighted primitives (h-hop limited Bellman-Ford) share the
+        # adjacency.
+        adj = dict(graph.adjacency())
+        neighbours = list(map(adj.__getitem__, nodes))
+        if any(map(operator.contains, neighbours, nodes)):
+            u = next(u for u, nbrs in zip(nodes, neighbours) if u in nbrs)
+            raise ValueError(
+                f"self-loop at node {u!r}: GraphIndex requires a simple "
+                "graph (a self-loop would inflate degrees, ball sizes and NQ)"
+            )
+        chain = itertools.chain.from_iterable
+        offsets = [0, *itertools.accumulate(map(len, neighbours))]
+        targets = list(map(index_of.__getitem__, chain(neighbours)))
+        weights = list(
+            map(
+                operator.methodcaller("get", "weight", 1),
+                chain(map(operator.methodcaller("values"), neighbours)),
+            )
+        )
+        self.m = len(targets) // 2
         self._offsets = offsets
         self._targets = targets
         self._weights = weights
@@ -1427,12 +1428,15 @@ def _peek_index(graph: nx.Graph) -> Optional[GraphIndex]:
 def _index_is_current(cached: GraphIndex, graph: nx.Graph) -> bool:
     # The version comparison is the real staleness check; the node/edge-count
     # comparison stays as a backstop for out-of-band networkx mutations that
-    # bypassed every stamping path.
+    # bypassed every stamping path.  The edge side counts adjacency entries
+    # (2m for the simple graphs an index holds; a self-loop adds one) without
+    # a Python-level step per node, since it runs on every cache hit.
+    entries = sum(map(len, map(operator.itemgetter(1), graph.adjacency())))
     return (
         not cached.retired
         and cached.version == graph_version(graph)
         and cached.n == graph.number_of_nodes()
-        and cached.m == graph.number_of_edges()
+        and 2 * cached.m == entries
     )
 
 

@@ -490,6 +490,11 @@ class HybridSimulator:
         """
         return self._node_to_id
 
+    def identifier_column(self) -> List[int]:
+        """Every node's identifier in node-index order (the simulator's own
+        list; treat as read-only)."""
+        return self._ids
+
     def node_of_id(self, identifier: int) -> Node:
         if identifier not in self._id_to_node:
             raise UnknownNodeError(identifier)

@@ -20,7 +20,8 @@ equivalence suites can pin the plane engine against ground truth.
 * :mod:`oracles.weighted` — the index-free weighted-distance references:
   networkx Dijkstra, the dict-based ``h``-hop limited Bellman-Ford and the
   dict+heapq (approximate) SSSP.
-* :mod:`oracles.overlay` — the tuple and per-message virtual-tree operations.
+* :mod:`oracles.overlay` — the dict heap tree and the tuple and per-message
+  virtual-tree operations.
 * :mod:`oracles.engines` — ``exchange_via(name)``, which runs whole
   algorithms on one of the oracle engines.
 """

@@ -1,4 +1,9 @@
-"""The tuple and per-message formulations of the virtual-tree operations.
+"""The dict tree and the tuple and per-message virtual-tree operations.
+
+:class:`repro.core.overlay.VirtualTree` is a heap layout over node-index
+columns whose label views are derived from slot arithmetic.
+:func:`heap_tree` builds the same tree eagerly as parent and children dicts
+over an identifier-sorted node list; the tree tests compare the two.
 
 :mod:`repro.core.overlay` moves every tree level as one id-native token
 plane.  The functions here move the same levels as one tuple batch per level
@@ -10,7 +15,9 @@ inboxes and metrics are identical in all three.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, Optional
+import dataclasses
+import math
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence
 
 from repro.core.overlay import VirtualTree, build_virtual_tree
 from repro.simulator.messages import GLOBAL_MODE
@@ -21,6 +28,50 @@ from oracles import transport
 Node = Hashable
 
 MODES = ("tuple", "per-message")
+
+
+@dataclasses.dataclass
+class HeapTree:
+    """A balanced binary tree in heap layout, held as eager dicts."""
+
+    root: Node
+    parent: Dict[Node, Optional[Node]]
+    children: Dict[Node, List[Node]]
+    order: List[Node]
+
+    @property
+    def depth(self) -> int:
+        if len(self.order) <= 1:
+            return 0
+        return int(math.floor(math.log2(len(self.order))))
+
+    def max_degree(self) -> int:
+        return max(
+            len(self.children[node]) + (self.parent[node] is not None)
+            for node in self.order
+        )
+
+    def levels(self) -> List[List[Node]]:
+        result: List[List[Node]] = []
+        current = [self.root]
+        while current:
+            result.append(current)
+            current = [child for node in current for child in self.children[node]]
+        return result
+
+
+def heap_tree(order: Sequence[Node]) -> HeapTree:
+    """Balanced binary tree in heap layout over ``order``."""
+    order = list(order)
+    if not order:
+        raise ValueError("cannot build a virtual tree over an empty node set")
+    parent: Dict[Node, Optional[Node]] = {order[0]: None}
+    children: Dict[Node, List[Node]] = {node: [] for node in order}
+    for index, node in enumerate(order[1:], start=1):
+        parent_node = order[(index - 1) // 2]
+        parent[node] = parent_node
+        children[parent_node].append(node)
+    return HeapTree(root=order[0], parent=parent, children=children, order=order)
 
 
 def _check(mode: str) -> None:

@@ -14,10 +14,13 @@ from repro.core.dissemination import (
     rank_matched_triples,
 )
 from repro.core.clustering import nq_clustering
+from repro.core.load_balancing import balance_items
 from repro.core.neighborhood_quality import neighborhood_quality
 from repro.graphs.generators import (
     barbell_graph,
+    broom_graph,
     cycle_graph,
+    erdos_renyi_graph,
     grid_graph,
     path_graph,
     star_graph,
@@ -152,6 +155,46 @@ def test_level_planes_lower_to_the_rank_matched_tuple_workload(backend, monkeypa
         assert list(iter_triples(plane, sim)) == expected
         lowered += 1
     assert lowered >= 2
+
+
+LOAD_BALANCE_FAMILIES = {
+    "path": lambda seed: path_graph(30),
+    "cycle": lambda seed: cycle_graph(30),
+    "grid": lambda seed: grid_graph(6, 2),
+    "barbell": lambda seed: barbell_graph(8, 12),
+    "broom": lambda seed: broom_graph(18, 10),
+    "erdos_renyi": lambda seed: erdos_renyi_graph(30, 0.12, seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("family", sorted(LOAD_BALANCE_FAMILIES))
+def test_cluster_masks_equal_the_balanced_allocation(family, seed, backend):
+    """Phase 4 charges Lemma 4.1 without materialising the allocation: the
+    cluster token masks the converge-cast starts from equal masks built from
+    a ``balance_items`` allocation of every cluster."""
+    graph = LOAD_BALANCE_FAMILIES[family](seed)
+    tokens = scatter(graph, 16, seed=seed)
+    sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
+    algorithm = KDissemination(sim, tokens)
+    for _, phase in algorithm.phases()[:3]:
+        phase()
+    ranked = sorted(algorithm.all_tokens, key=str)
+    token_rank = {token: rank for rank, token in enumerate(ranked)}
+    clustering = algorithm.clustering
+    assert len(clustering.clusters) > 1
+
+    want = [set() for _ in clustering.clusters]
+    for cluster in clustering.clusters:
+        allocation = balance_items(cluster.members, tokens)
+        for held in allocation.values():
+            want[cluster.index].update(token_rank[token] for token in held)
+    masks = algorithm._cluster_token_masks(token_rank)
+    if _accel.np is not None:
+        got = [set(_accel.np.flatnonzero(row).tolist()) for row in masks]
+    else:
+        got = masks
+    assert got == want
 
 
 class TestKDissemination:

@@ -2,7 +2,8 @@
 
 Covers :class:`~repro.graphs.mutation.GraphMutator` validation and cache
 synchronisation, the :class:`~repro.graphs.index.GraphIndex` self-loop
-rejection (via the public BFS and Dijkstra entry points), the bounded
+rejection (via the public BFS and Dijkstra entry points), its rejection of
+directed graphs and multigraphs, the bounded
 ``get_index`` fallback memo for non-weakrefable graph-likes, and the
 staleness guards downstream of the version stamp: ``SSSPRowCache``,
 ``DenseDistanceTable`` and the simulator plane-send paths.
@@ -122,6 +123,29 @@ def test_self_loop_rejected_on_dijkstra_entry_point():
 def test_self_loop_rejected_at_index_construction():
     with pytest.raises(ValueError, match="self-loop"):
         GraphIndex(_looped_graph())
+
+
+def test_out_of_band_self_loop_is_caught_by_the_count_backstop():
+    graph = cycle_graph(6)
+    get_index(graph)
+    graph.add_edge(2, 2)  # a hand edit: no version stamp moves
+    with pytest.raises(ValueError, match="self-loop"):
+        get_index(graph)
+
+
+def test_directed_graph_rejected_at_index_construction():
+    with pytest.raises(TypeError, match="DiGraph"):
+        GraphIndex(nx.DiGraph([(0, 1), (1, 2)]))
+
+
+def test_multigraph_rejected_at_index_construction():
+    # A multigraph's adjacency maps each neighbour to a key dict, which the
+    # CSR would read as edge data and charge weight 1.
+    graph = nx.MultiGraph()
+    graph.add_edge(0, 1, weight=5)
+    graph.add_edge(0, 1, weight=7)
+    with pytest.raises(TypeError, match="MultiGraph"):
+        get_index(graph)
 
 
 # ----------------------------------------------------------------------

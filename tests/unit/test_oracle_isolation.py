@@ -31,7 +31,7 @@ def _imported_roots(path: pathlib.Path):
 
 #: Reference-only helpers that live in ``tests/oracles`` (besides every
 #: ``_reference_*`` function).
-REFERENCE_HELPERS = {"_dijkstra", "_bfs_order_from"}
+REFERENCE_HELPERS = {"_dijkstra", "_bfs_order_from", "_heap_tree", "heap_tree"}
 #: The label-addressed send and inbox surface; ``oracles.transport`` lowers
 #: it to token planes.
 SIMULATOR_SURFACE = {

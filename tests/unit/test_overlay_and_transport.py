@@ -2,6 +2,7 @@
 (Lemma 4.1) and the throttled global transport oracle."""
 
 import math
+import random
 
 import pytest
 
@@ -84,6 +85,83 @@ class TestVirtualTree:
         tree = build_virtual_tree(sim)
         flattened = [node for level in tree.levels() for node in level]
         assert sorted(flattened, key=str) == sorted(tree.nodes, key=str)
+
+
+def _relatives(tree, node):
+    parent = tree.parent[node]
+    return list(tree.children[node]) + ([] if parent is None else [parent])
+
+
+@pytest.mark.parametrize("subset", [False, True], ids=["full", "subset"])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 100])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_heap_layout_tree_matches_the_dict_oracle(n, subset, seed, backend):
+    """The slot-arithmetic views and the taught identifiers equal those of
+    the eager dict heap tree over the identifier-sorted members."""
+    sim = make_sim(path_graph(n), seed=seed)
+    before = {node: sim.known_ids(node) for node in sim.nodes}
+    if subset:
+        rng = random.Random(f"tree-{n}-{seed}")
+        members = rng.sample(sim.nodes, rng.randint(1, n))
+        tree = build_virtual_tree_on_subset(sim, members + members[:1])
+    else:
+        members = sim.nodes
+        tree = build_virtual_tree(sim)
+    oracle = tree_oracle.heap_tree(sorted(members, key=sim.id_of))
+
+    assert tree.order == oracle.order
+    assert tree.root == oracle.root
+    assert tree.parent == oracle.parent
+    assert tree.children == oracle.children
+    assert tree.levels() == oracle.levels()
+    assert tree.depth == oracle.depth
+    assert tree.max_degree() == oracle.max_degree()
+    for node in sim.nodes:
+        taught = (
+            {sim.id_of(relative) for relative in _relatives(oracle, node)}
+            if node in oracle.parent
+            else set()
+        )
+        assert sim.known_ids(node) == before[node] | taught
+
+
+#: Partials on both sides of the one-word boundary of ``payload_words``.
+SIZING_PARTIALS = [
+    None, 0, -1, 2**63 - 1, 2**63, 2**64 - 1, 2**64, -(2**64 - 1), -(2**64),
+    True, 1.5, ("t", 2**64), "a string of several words",
+]
+
+
+def _keep_first(a, b):
+    return a
+
+
+@pytest.mark.parametrize("partial", SIZING_PARTIALS, ids=repr)
+def test_level_sizing_matches_the_tuple_oracle(partial, backend):
+    """A level sized once (None and ints of at most 64 bits) or value by
+    value charges what the per-value tuple oracle charges."""
+    plane_sim, oracle_sim = make_sim(path_graph(13)), make_sim(path_graph(13))
+    values = {v: partial for v in plane_sim.nodes}
+    got = basic_aggregation(plane_sim, values, _keep_first)
+    want = tree_oracle.basic_aggregation(oracle_sim, values, _keep_first, mode="tuple")
+    assert got == want
+    assert plane_sim.metrics.total_rounds == oracle_sim.metrics.total_rounds
+    assert plane_sim.metrics.global_words == oracle_sim.metrics.global_words
+    assert plane_sim.metrics.summary() == oracle_sim.metrics.summary()
+
+
+def test_level_sizing_of_mixed_partials_matches_the_tuple_oracle(backend):
+    n = len(SIZING_PARTIALS) * 3
+    plane_sim, oracle_sim = make_sim(path_graph(n)), make_sim(path_graph(n))
+    values = {
+        v: SIZING_PARTIALS[i % len(SIZING_PARTIALS)]
+        for i, v in enumerate(plane_sim.nodes)
+    }
+    got = basic_aggregation(plane_sim, values, _keep_first)
+    want = tree_oracle.basic_aggregation(oracle_sim, values, _keep_first, mode="tuple")
+    assert got == want
+    assert plane_sim.metrics.global_words == oracle_sim.metrics.global_words
+    assert plane_sim.metrics.summary() == oracle_sim.metrics.summary()
 
 
 class TestTreeAggregationAndBroadcast:
