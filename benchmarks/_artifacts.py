@@ -16,22 +16,18 @@ import os
 import pathlib
 import platform
 import sys
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Sequence
+
+import numpy
 
 _DEFAULT_DIR = pathlib.Path(__file__).parent / "results"
 
 
 def environment() -> Dict[str, Any]:
-    try:
-        import numpy
-
-        numpy_version: Optional[str] = numpy.__version__
-    except Exception:
-        numpy_version = None
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
-        "numpy": numpy_version,
+        "numpy": numpy.__version__,
         "platform": sys.platform,
         "commit": os.environ.get("GITHUB_SHA"),
     }

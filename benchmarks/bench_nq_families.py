@@ -142,7 +142,7 @@ def run_nq_speedup_comparison() -> dict:
         "identical": fast_value == reference_value,
         "cores": usable_cores(),
         "python": env["python"],
-        "numpy": env["numpy"] or "absent",
+        "numpy": env["numpy"],
     }
 
 

@@ -265,9 +265,9 @@ def run_hhop_batch_comparison(label, make_graph, h, count) -> dict:
     dense_blocks = []
     dense_rows = index._dense_rows
 
-    def counted(np, csr, block, *rest):
+    def counted(csr, block, *rest):
         dense_blocks.append(len(block))
-        return dense_rows(np, csr, block, *rest)
+        return dense_rows(csr, block, *rest)
 
     index._dense_rows = counted
     nodes = index.nodes
@@ -290,7 +290,7 @@ def run_hhop_batch_comparison(label, make_graph, h, count) -> dict:
         "identical": identical,
         "cores": usable_cores(),
         "python": env["python"],
-        "numpy": env["numpy"] or "absent",
+        "numpy": env["numpy"],
     }
 
 

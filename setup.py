@@ -5,11 +5,10 @@ work on environments whose setuptools/pip combination predates full PEP 660
 editable-install support (such as offline machines without the ``wheel``
 package).
 
-The ``[fast]`` extra pulls in NumPy, the optional accelerator behind the
-vectorised round engine (:mod:`repro.simulator._accel`).  Without it every
-code path still works — the engine falls back to pure-Python array sweeps
-with bit-for-bit identical schedules — so the hard dependency surface stays
-``networkx`` only.
+The install requirements are ``networkx`` (graph input) and ``numpy`` (the
+array backend of the round engine, the simulator's knowledge store and the
+analytics kernels); there is no optional accelerator and no pure-Python
+fallback.
 """
 
 from setuptools import find_packages, setup
@@ -24,9 +23,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.9",
-    install_requires=["networkx"],
+    install_requires=["networkx", "numpy"],
     extras_require={
-        "fast": ["numpy"],
         "test": ["pytest", "pytest-benchmark", "hypothesis"],
     },
 )

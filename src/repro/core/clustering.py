@@ -38,12 +38,12 @@ import math
 from typing import Dict, FrozenSet, Hashable, List, Optional
 
 import networkx as nx
+import numpy as np
 
 from repro.core.neighborhood_quality import neighborhood_quality
 from repro.core.ruling_sets import distributed_ruling_set, greedy_ruling_set
 from repro.graphs.index import get_index
 from repro.graphs.properties import weak_diameter
-from repro.simulator import _accel
 from repro.simulator.config import log2_ceil
 from repro.simulator.network import HybridSimulator
 
@@ -107,7 +107,7 @@ class Clustering:
         index = get_index(graph)
         return max(index.weak_diameter(cluster.members) for cluster in self.clusters)
 
-    def member_layout(self, np, indexer, identifier_of):
+    def member_layout(self, indexer, identifier_of):
         """Id-native cluster layout: ``(member_perm, starts)`` index ranges.
 
         Flattens every cluster's member list into parallel (cluster id,
@@ -120,10 +120,9 @@ class Clustering:
         (identifiers are unique integers), which is the rank order the
         Theorem 1 workload assembly tiles from.
 
-        ``np`` is the caller's numpy handle; ``indexer`` maps a node to its
-        simulator index and ``identifier_of`` to its integer identifier.
-        Raises ``TypeError`` when identifiers are not plain integers — callers
-        fall back to the per-cluster sorted-list representation.
+        ``indexer`` maps a node to its simulator index and ``identifier_of``
+        to its identifier (the simulator's integers below ``2^62``, whatever
+        the node labels).
         """
         clusters = self.clusters
         total = sum(len(c.members) for c in clusters)
@@ -217,17 +216,9 @@ def nq_clustering(
     # reference construction.  Unreached nodes (owner -1) sort first and are
     # dropped.
     tie_rank, _ = index._tie_rank_arrays()
-    np = _accel.np
-    if np is not None:
-        owner_col = np.asarray(owner)
-        keys = (np.asarray(tie_rank), np.asarray(dist), owner_col)
-        ordered = np.lexsort(keys).tolist()
-        sizes = np.bincount(owner_col + 1, minlength=len(sorted_rulers) + 1).tolist()
-    else:
-        ordered = sorted(range(n), key=lambda i: (owner[i], dist[i], tie_rank[i]))
-        sizes = [0] * (len(sorted_rulers) + 1)
-        for rank in owner:
-            sizes[rank + 1] += 1
+    owner_col = np.asarray(owner)
+    ordered = np.lexsort((np.asarray(tie_rank), np.asarray(dist), owner_col)).tolist()
+    sizes = np.bincount(owner_col + 1, minlength=len(sorted_rulers) + 1).tolist()
     ordered_nodes = list(map(index.nodes.__getitem__, ordered))
 
     lower = min(float(n), k / nq)

@@ -40,10 +40,11 @@ import dataclasses
 import operator
 from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.core.clustering import Clustering, distributed_nq_clustering
 from repro.core.neighborhood_quality import neighborhood_quality
 from repro.core.overlay import VirtualTree, basic_aggregation, build_virtual_tree
-from repro.simulator import _accel
 from repro.simulator.config import log2_ceil
 from repro.simulator.engine import BatchAlgorithm, TokenPlane
 from repro.simulator.messages import payload_words
@@ -65,6 +66,23 @@ def build_cluster_tree(clustering: Clustering) -> ClusterTree:
     return VirtualTree(order, list(range(len(order))))
 
 
+def _cluster_member_arrays(
+    simulator: HybridSimulator, clustering: Clustering
+) -> Dict[int, Any]:
+    """Cluster index -> its members' node indices in identifier order.
+
+    Views into the one permutation array of :meth:`Clustering.member_layout`.
+    """
+    member_perm, starts = clustering.member_layout(
+        simulator.node_indexer(), simulator.node_identifiers()
+    )
+    bounds = starts.tolist()
+    return {
+        c.index: member_perm[bounds[c.index] : bounds[c.index + 1]]
+        for c in clustering.clusters
+    }
+
+
 def match_cluster_tree_ids(
     simulator: HybridSimulator,
     clustering: Clustering,
@@ -78,77 +96,29 @@ def match_cluster_tree_ids(
     identifier so they can exchange global messages.  The round cost of the
     matching (O(log n), one tree level at a time) is charged by the caller.
 
-    ``member_arrays`` (optional) supplies the id-sorted member node-index
-    array of each cluster — the permutation-array ranges the plane engine
-    already holds — in which case the matching is assembled as flat learner /
-    learned index columns and recorded in the knowledge tracker's pair store
-    with one merge instead of a Python loop per matched position.  The
-    knowledge learned is identical either way (the same set of (node,
-    identifier) facts).
+    ``member_arrays`` (optional) supplies :func:`_cluster_member_arrays`, which
+    the plane engine already holds.  The matching is assembled as flat
+    learner / learned index columns and recorded in the knowledge tracker's
+    pair store with one merge.
     """
-    identifier_of = simulator.node_identifiers()
-    np = _accel.np
-    if member_arrays is not None and np is not None:
-        learner_chunks: List[Any] = []
-        learned_chunks: List[Any] = []
-        for child_index, parent_index in cluster_tree.parent.items():
-            if parent_index is None:
-                continue
-            child_arr = member_arrays[child_index]
-            parent_arr = member_arrays[parent_index]
-            span = max(child_arr.size, parent_arr.size)
-            a = np.resize(child_arr, span)
-            b = np.resize(parent_arr, span)
-            learner_chunks.extend((a, b))
-            learned_chunks.extend((b, a))
-        if not learner_chunks:
-            return
-        simulator.knowledge.learn_index_pairs(
-            np.concatenate(learner_chunks), np.concatenate(learned_chunks)
-        )
-        return
-    indexer = simulator.node_indexer()
-    learners: List[int] = []
-    learned: List[int] = []
+    if member_arrays is None:
+        member_arrays = _cluster_member_arrays(simulator, clustering)
+    learner_chunks: List[Any] = []
+    learned_chunks: List[Any] = []
     for child_index, parent_index in cluster_tree.parent.items():
         if parent_index is None:
             continue
-        child = clustering.clusters[child_index]
-        parent = clustering.clusters[parent_index]
-        child_members = sorted(child.members, key=identifier_of.__getitem__)
-        parent_members = sorted(parent.members, key=identifier_of.__getitem__)
-        span = max(len(child_members), len(parent_members))
-        for position in range(span):
-            a = indexer[child_members[position % len(child_members)]]
-            b = indexer[parent_members[position % len(parent_members)]]
-            learners += (a, b)
-            learned += (b, a)
-    simulator.knowledge.learn_index_pairs(learners, learned)
-
-
-def rank_matched_indices(
-    source_indices: Sequence[int],
-    target_indices: Sequence[int],
-    count: int,
-) -> Tuple[List[int], List[int]]:
-    """Id-native :func:`rank_matched_triples`: ``(senders, receivers)`` columns.
-
-    ``source_indices`` / ``target_indices`` are the id-sorted member lists of
-    the two clusters as simulator node indices.  The rank-matching is cyclic
-    with period ``len(source_indices)``, so the columns for ``count`` payloads
-    are whole-pattern repetitions — built with list arithmetic, no per-token
-    index math.
-    """
-    n_source = len(source_indices)
-    n_target = len(target_indices)
-    receiver_pattern = [
-        target_indices[rank % n_target] for rank in range(n_source)
-    ]
-    source_pattern = list(source_indices)
-    full, remainder = divmod(count, n_source)
-    senders = source_pattern * full + source_pattern[:remainder]
-    receivers = receiver_pattern * full + receiver_pattern[:remainder]
-    return senders, receivers
+        child_arr = member_arrays[child_index]
+        parent_arr = member_arrays[parent_index]
+        span = max(child_arr.size, parent_arr.size)
+        a = np.resize(child_arr, span)
+        b = np.resize(parent_arr, span)
+        learner_chunks.extend((a, b))
+        learned_chunks.extend((b, a))
+    if learner_chunks:
+        simulator.knowledge.learn_index_pairs(
+            np.concatenate(learner_chunks), np.concatenate(learned_chunks)
+        )
 
 
 def rank_matched_triples(
@@ -233,14 +203,9 @@ class KDissemination(BatchAlgorithm):
         self.nq = 0
         self.clustering: Optional[Clustering] = None
         self.cluster_tree: Optional[ClusterTree] = None
-        self._member_indices: Dict[int, List[int]] = {}
+        # Cluster index -> id-sorted member node indices, as views into one
+        # permutation array (:func:`_cluster_member_arrays`).
         self._member_arrays: Dict[int, Any] = {}
-        # Permutation-array cluster layout (NumPy): one id-native
-        # buffer of member node indices, id-sorted within each cluster's
-        # ``[starts[ci], starts[ci + 1])`` range; ``_member_arrays`` holds
-        # views into it.
-        self._member_perm: Any = None
-        self._member_starts: Any = None
         # Id-native token state (phase 5): tokens are handled as *ranks* into
         # the one str-sorted token list, so set algebra over cluster holdings
         # becomes boolean-mask work and the sorted payload order of every
@@ -304,46 +269,10 @@ class KDissemination(BatchAlgorithm):
             clustering = distributed_nq_clustering(sim, self.k, nq=self.nq)
         self.clustering = clustering
         self.cluster_tree = build_cluster_tree(clustering)
-        identifier_of = sim.node_identifiers()
-        indexer = sim.node_indexer()
-        np = _accel.np
-        clusters = clustering.clusters
-        permuted = False
-        if np is not None:
-            # Clusters as index ranges over one permutation array
-            # (:meth:`Clustering.member_layout`): cluster ``ci``'s id-sorted
-            # members are the slice ``member_perm[starts[ci]:starts[ci + 1]]``
-            # — array views into one buffer instead of a sorted list per
-            # cluster.  The rank-matched workloads of phase 5 are tiled
-            # straight from these ranges without touching individual tokens.
-            try:
-                member_perm, starts = clustering.member_layout(
-                    np, indexer, identifier_of
-                )
-                permuted = True
-            except TypeError:
-                permuted = False  # non-integer identifiers: sorted-list path
-        if permuted:
-            self._member_perm = member_perm
-            self._member_starts = starts
-            bounds = starts.tolist()
-            self._member_arrays = {
-                c.index: member_perm[bounds[c.index] : bounds[c.index + 1]]
-                for c in clusters
-            }
-        else:
-            self._member_indices = {
-                cluster.index: [
-                    indexer[member]
-                    for member in sorted(cluster.members, key=identifier_of.__getitem__)
-                ]
-                for cluster in clusters
-            }
-            if np is not None:
-                self._member_arrays = {
-                    index: np.asarray(indices, dtype=np.int64)
-                    for index, indices in self._member_indices.items()
-                }
+        # Clusters as index ranges over one permutation array: the
+        # rank-matched workloads of phase 5 are tiled straight from these
+        # ranges without touching individual tokens.
+        self._member_arrays = _cluster_member_arrays(sim, clustering)
         sim.charge_rounds(
             log_n * log_n,
             "cluster-tree construction over cluster leaders",
@@ -360,10 +289,7 @@ class KDissemination(BatchAlgorithm):
             leader_ids,
         )
         match_cluster_tree_ids(
-            sim,
-            clustering,
-            self.cluster_tree,
-            member_arrays=self._member_arrays if permuted else None,
+            sim, clustering, self.cluster_tree, member_arrays=self._member_arrays
         )
 
     def _phase_load_balance(self) -> None:
@@ -411,7 +337,6 @@ class KDissemination(BatchAlgorithm):
             distinct_words.pop() if len(distinct_words) == 1 else None
         )
 
-        np = _accel.np
         masks = self._cluster_token_masks(token_rank)
         self._cluster_masks = masks
 
@@ -420,14 +345,9 @@ class KDissemination(BatchAlgorithm):
             edges: List[Tuple[int, int, Any]] = []
             for cluster_index in level:
                 parent_index = cluster_tree.parent[cluster_index]
-                if np is not None:
-                    new = masks[cluster_index] & ~masks[parent_index]
-                    edges.append((cluster_index, parent_index, np.flatnonzero(new)))
-                    masks[parent_index] |= masks[cluster_index]
-                else:
-                    new_ranks = sorted(masks[cluster_index] - masks[parent_index])
-                    edges.append((cluster_index, parent_index, new_ranks))
-                    masks[parent_index].update(masks[cluster_index])
+                new = masks[cluster_index] & ~masks[parent_index]
+                edges.append((cluster_index, parent_index, np.flatnonzero(new)))
+                masks[parent_index] |= masks[cluster_index]
             self._exchange_level(edges)
             # Load balancing at the receiving clusters before the next level.
             sim.charge_rounds(
@@ -438,20 +358,12 @@ class KDissemination(BatchAlgorithm):
 
     def _cluster_token_masks(self, token_rank: Dict[Any, int]) -> Any:
         """One row per cluster: the ranks of the tokens its members hold,
-        read from the input holdings (see :meth:`_phase_load_balance`).  A
-        ``(clusters, k)`` boolean array with NumPy active, a list of rank sets
-        otherwise."""
-        np = _accel.np
-        cluster_count = len(self.clustering.clusters)
+        read from the input holdings (see :meth:`_phase_load_balance`), as a
+        ``(clusters, k)`` boolean array."""
         cluster_of = self.clustering.cluster_of
-        if np is not None:
-            masks = np.zeros((cluster_count, self.k), dtype=bool)
-            for node, tokens in self.tokens_by_node.items():
-                masks[cluster_of[node], [token_rank[token] for token in tokens]] = True
-            return masks
-        masks = [set() for _ in range(cluster_count)]
+        masks = np.zeros((len(self.clustering.clusters), self.k), dtype=bool)
         for node, tokens in self.tokens_by_node.items():
-            masks[cluster_of[node]].update(token_rank[token] for token in tokens)
+            masks[cluster_of[node], [token_rank[token] for token in tokens]] = True
         return masks
 
     def _phase_down_cast(self) -> None:
@@ -462,27 +374,16 @@ class KDissemination(BatchAlgorithm):
         sim = self.simulator
         cluster_tree = self.cluster_tree
         masks = self._cluster_masks
-        np = _accel.np
-        k = self.k
         # The down-cast proceeds top-down, so every sender cluster already
         # holds the full token set when its level is processed and every
         # receiver is read exactly once; the per-child "missing" payload is
         # therefore the complement of the child's converge-cast-final mask —
         # no holdings need updating along the way.
-        all_ranks = range(k)
         for level in cluster_tree.levels():
             edges: List[Tuple[int, int, Any]] = []
             for cluster_index in level:
                 for child_index in cluster_tree.children[cluster_index]:
-                    if np is not None:
-                        missing = np.flatnonzero(~masks[child_index])
-                    else:
-                        have = masks[child_index]
-                        missing = (
-                            list(all_ranks)
-                            if not have
-                            else [rank for rank in all_ranks if rank not in have]
-                        )
+                    missing = np.flatnonzero(~masks[child_index])
                     edges.append((cluster_index, child_index, missing))
             self._exchange_level(edges)
             sim.charge_rounds(
@@ -552,13 +453,11 @@ class KDissemination(BatchAlgorithm):
     ) -> Optional[TokenPlane]:
         """Assemble one level's id-native workload from token ranks.
 
-        With NumPy active the sender/receiver columns are whole-chunk tile
-        operations over the cached per-cluster member arrays (the cyclic
-        rank-matching is exactly ``np.resize``), the words column is one
-        ``np.full`` (homogeneous tokens) or a take from the per-rank word
-        table, and the payload side list is one ``itemgetter`` pass over the
-        str-sorted token list.  The fallback builds the same columns with
-        list-pattern arithmetic.
+        The sender/receiver columns are whole-chunk tile operations over the
+        cached per-cluster member arrays (the cyclic rank-matching is exactly
+        ``np.resize``), the words column is one ``np.full`` (homogeneous
+        tokens) or a take from the per-rank word table, and the payload side
+        list is one ``itemgetter`` pass over the str-sorted token list.
 
         Under ``charge_only`` the payload pass is skipped entirely — the
         plane is built payload-free (``payloads=None``).  The id/word columns
@@ -566,69 +465,43 @@ class KDissemination(BatchAlgorithm):
         elision; this is where charge-only dissemination stops scaling with
         token *content* and the n ~ 10^6 tier becomes feasible.
         """
-        np = _accel.np
         sorted_tokens = self._sorted_tokens
         uniform = self._uniform_token_words
         charge_only = self.charge_only
         payloads: Optional[List[Any]] = None if charge_only else []
-        if np is not None:
-            member_arrays = self._member_arrays
-            sender_chunks = []
-            receiver_chunks = []
-            rank_chunks = []
-            for source_index, target_index, ranks in edges:
-                count = len(ranks)
-                if not count:
-                    continue
-                source = member_arrays[source_index]
-                target = member_arrays[target_index]
-                pattern = target[np.arange(source.size) % target.size]
-                sender_chunks.append(np.resize(source, count))
-                receiver_chunks.append(np.resize(pattern, count))
-                rank_chunks.append(ranks)
-                if charge_only:
-                    continue
-                if count == len(sorted_tokens):
-                    payloads.extend(sorted_tokens)
-                elif count == 1:
-                    payloads.append(sorted_tokens[ranks[0]])
-                else:
-                    payloads.extend(operator.itemgetter(*ranks)(sorted_tokens))
-            if not sender_chunks:
-                return None
-            if uniform is not None:
-                count_total = sum(chunk.size for chunk in sender_chunks)
-                words = np.full(count_total, uniform, dtype=np.int64)
-            else:
-                table = np.asarray(self._words_by_rank, dtype=np.int64)
-                words = table.take(np.concatenate(rank_chunks))
-            return TokenPlane(
-                np.concatenate(sender_chunks),
-                np.concatenate(receiver_chunks),
-                words,
-                payloads,
-            )
-        words_by_rank = self._words_by_rank
-        senders: List[int] = []
-        receivers: List[int] = []
-        words: List[int] = []
-        member_indices = self._member_indices
+        member_arrays = self._member_arrays
+        sender_chunks = []
+        receiver_chunks = []
+        rank_chunks = []
         for source_index, target_index, ranks in edges:
-            if not len(ranks):
+            count = len(ranks)
+            if not count:
                 continue
-            sender_column, receiver_column = rank_matched_indices(
-                member_indices[source_index],
-                member_indices[target_index],
-                len(ranks),
-            )
-            senders.extend(sender_column)
-            receivers.extend(receiver_column)
-            if uniform is not None:
-                words.extend([uniform] * len(ranks))
+            source = member_arrays[source_index]
+            target = member_arrays[target_index]
+            pattern = target[np.arange(source.size) % target.size]
+            sender_chunks.append(np.resize(source, count))
+            receiver_chunks.append(np.resize(pattern, count))
+            rank_chunks.append(ranks)
+            if charge_only:
+                continue
+            if count == len(sorted_tokens):
+                payloads.extend(sorted_tokens)
+            elif count == 1:
+                payloads.append(sorted_tokens[ranks[0]])
             else:
-                words.extend([words_by_rank[rank] for rank in ranks])
-            if not charge_only:
-                payloads.extend(sorted_tokens[rank] for rank in ranks)
-        if not senders:
+                payloads.extend(operator.itemgetter(*ranks)(sorted_tokens))
+        if not sender_chunks:
             return None
-        return TokenPlane(senders, receivers, words, payloads)
+        if uniform is not None:
+            count_total = sum(chunk.size for chunk in sender_chunks)
+            words = np.full(count_total, uniform, dtype=np.int64)
+        else:
+            table = np.asarray(self._words_by_rank, dtype=np.int64)
+            words = table.take(np.concatenate(rank_chunks))
+        return TokenPlane(
+            np.concatenate(sender_chunks),
+            np.concatenate(receiver_chunks),
+            words,
+            payloads,
+        )

@@ -43,9 +43,9 @@ import dataclasses
 from typing import Dict, Hashable, List, Optional, Set
 
 import networkx as nx
+import numpy as np
 
 from repro.graphs.index import get_index
-from repro.simulator import _accel
 from repro.simulator.config import log2_ceil
 from repro.simulator.engine import BatchAlgorithm, TokenPlane
 from repro.simulator.messages import payload_words
@@ -202,10 +202,8 @@ class DistributedNQComputation(BatchAlgorithm):
             for u in sim.neighbors(v):
                 edge_senders.append(i)
                 edge_receivers.append(indexer[u])
-        np = _accel.np
-        if np is not None:
-            edge_senders = np.asarray(edge_senders, dtype=np.int64)
-            edge_receivers = np.asarray(edge_receivers, dtype=np.int64)
+        edge_senders = np.asarray(edge_senders, dtype=np.int64)
+        edge_receivers = np.asarray(edge_receivers, dtype=np.int64)
 
         balls_by_node = {v: known_balls[indexer[v]] for v in nodes}
         t = 0
@@ -214,26 +212,16 @@ class DistributedNQComputation(BatchAlgorithm):
         while t < max_steps:
             t += 1
             # One local round: every node forwards its newest discoveries.
-            if np is not None:
-                active = np.fromiter(
-                    (frontier_of[i] is not None for i in range(sim.n)),
-                    dtype=bool,
-                    count=sim.n,
-                )
-                keep = active[edge_senders]
-                senders = edge_senders[keep]
-                receivers = edge_receivers[keep]
-                sender_list = senders.tolist()
-                receiver_list = receivers.tolist()
-            else:
-                sender_list = [i for i in edge_senders if frontier_of[i] is not None]
-                receiver_list = [
-                    r
-                    for i, r in zip(edge_senders, edge_receivers)
-                    if frontier_of[i] is not None
-                ]
-                senders = sender_list
-                receivers = receiver_list
+            active = np.fromiter(
+                (frontier_of[i] is not None for i in range(sim.n)),
+                dtype=bool,
+                count=sim.n,
+            )
+            keep = active[edge_senders]
+            senders = edge_senders[keep]
+            receivers = edge_receivers[keep]
+            sender_list = senders.tolist()
+            receiver_list = receivers.tolist()
             words_of = [0] * sim.n
             for i, frontier in enumerate(frontier_of):
                 if frontier is not None:

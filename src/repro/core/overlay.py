@@ -25,7 +25,8 @@ from __future__ import annotations
 import functools
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.simulator import _accel
+import numpy as np
+
 from repro.simulator.config import log2_ceil
 from repro.simulator.engine import TokenPlane
 from repro.simulator.messages import payload_words
@@ -53,7 +54,7 @@ class VirtualTree:
     level ``l`` is the slot range ``[2^l - 1, min(2^(l+1) - 1, size))`` and
     every per-level plane is a pair of slices.  ``parent_index[slot]`` is the
     node index of that parent (slot 0 maps to itself).  Both columns are
-    ``int64`` arrays or lists; ``labels`` maps a node index to its node.
+    ``int64`` arrays; ``labels`` maps a node index to its node.
 
     The label views ``order`` (the identifier-sorted nodes), ``parent``
     (``None`` for the root), ``children`` and :meth:`levels` are built from
@@ -65,16 +66,10 @@ class VirtualTree:
         if not count:
             raise ValueError("cannot build a virtual tree over an empty node set")
         self.labels = labels
-        self.index = index
-        np = _accel.np
-        if np is not None and isinstance(index, np.ndarray):
-            slots = np.arange(count, dtype=np.int64)
-            slots[1:] = (slots[1:] - 1) // 2
-            self.parent_index = index[slots]
-        else:
-            self.parent_index = index[:1] + [
-                index[(slot - 1) >> 1] for slot in range(1, count)
-            ]
+        self.index = index = np.asarray(index, dtype=np.int64)
+        slots = np.arange(count, dtype=np.int64)
+        slots[1:] = (slots[1:] - 1) // 2
+        self.parent_index = index[slots]
 
     def __len__(self) -> int:
         return len(self.index)
@@ -85,9 +80,7 @@ class VirtualTree:
 
     @functools.cached_property
     def order(self) -> List[Node]:
-        index = self.index
-        slots = index if isinstance(index, list) else index.tolist()
-        return list(map(self.labels.__getitem__, slots))
+        return list(map(self.labels.__getitem__, self.index.tolist()))
 
     @functools.cached_property
     def parent(self) -> Dict[Node, Optional[Node]]:
@@ -135,13 +128,8 @@ def build_virtual_tree(simulator: HybridSimulator) -> VirtualTree:
     (``declare_learned_ids``), which is exactly the post-condition of
     Lemma 4.3.
     """
-    ids = simulator.identifier_column()
-    np = _accel.np
-    if np is not None:
-        column = np.argsort(np.asarray(ids, dtype=np.int64), kind="stable")
-    else:
-        column = sorted(range(simulator.n), key=ids.__getitem__)
-    tree = VirtualTree(simulator.nodes, column)
+    ids = np.asarray(simulator.identifier_column(), dtype=np.int64)
+    tree = VirtualTree(simulator.nodes, np.argsort(ids, kind="stable"))
     log_n = log2_ceil(max(simulator.n, 2))
     simulator.charge_rounds(
         log_n * log_n,
@@ -180,15 +168,10 @@ def build_virtual_tree_on_subset(
 
 def _teach_tree_ids(simulator: HybridSimulator, tree: VirtualTree) -> None:
     """Every tree node learns its parent's and children's identifiers."""
-    idx, parent_idx = tree.index, tree.parent_index
-    np = _accel.np
-    if np is not None and isinstance(idx, np.ndarray):
-        learners = np.concatenate((idx[1:], parent_idx[1:]))
-        learned = np.concatenate((parent_idx[1:], idx[1:]))
-    else:
-        learners = idx[1:] + parent_idx[1:]
-        learned = parent_idx[1:] + idx[1:]
-    simulator.knowledge.learn_index_pairs(learners, learned)
+    idx, parent_idx = tree.index[1:], tree.parent_index[1:]
+    simulator.knowledge.learn_index_pairs(
+        np.concatenate((idx, parent_idx)), np.concatenate((parent_idx, idx))
+    )
 
 
 #: Integers below this magnitude have at most 64 bits: one word each.

@@ -88,7 +88,7 @@ substrate for every centralized weighted computation:
 * :meth:`GraphIndex.ruling_set` — the greedy (alpha, alpha-1)-ruling set
   grown from flat truncated frontiers over the CSR.
 * *Batched h-hop rows* — :meth:`GraphIndex.h_hop_limited_rows` serves the
-  all-sources ``d^h`` callers.  With NumPy a block of ``S`` sources runs as one
+  all-sources ``d^h`` callers.  A block of ``S`` sources can run as one
   synchronous Bellman-Ford over a node-major ``(|U| + 1) x S`` matrix, ``U``
   the union of their ``h``-hop balls (no ``h``-hop walk leaves it): each round
   pulls ``D[t_c] + w_c`` per degree column ``c`` and ``np.minimum``-s it in,
@@ -98,8 +98,8 @@ substrate for every centralized weighted computation:
   and prices it: dense iff ``(I + 1) * (E_U * S / _HHOP_NUMPY_RATIO +
   maxdeg_U * _HHOP_CALL_COST) < S * F * E_U / |U|`` (``I`` rounds and ``F``
   frontier nodes of that source, ``E_U`` the union's CSR entries).  Blocks
-  halve until the matrix fits in ``_HHOP_BLOCK_CELLS``.  Without NumPy every
-  source runs per-source.
+  halve until the matrix fits in ``_HHOP_BLOCK_CELLS``.  A single source
+  always runs per-source.
 
 Caching
 -------
@@ -150,6 +150,7 @@ from collections import OrderedDict
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import networkx as nx
+import numpy as np
 
 Node = Hashable
 
@@ -615,16 +616,11 @@ class GraphIndex:
         """
         if h < 0:
             raise ValueError("h must be non-negative")
-        src = [self._require(node) for node in sources]
-        # Read at call time (the ``_accel.np = None`` switch); imported here
-        # because the simulator package imports this module.
-        from repro.simulator import _accel
+        return self._limited_rows([self._require(node) for node in sources], h)
 
-        return self._limited_rows(_accel.np, src, h)
-
-    def _limited_rows(self, np, src: List[int], h: int) -> Iterator[array]:
+    def _limited_rows(self, src: List[int], h: int) -> Iterator[array]:
         csr = None  # a per-call NumPy copy of the CSR: nothing to keep in sync
-        if np is not None and len(src) > 1:
+        if len(src) > 1:
             csr = (np.array(self._offsets), np.array(self._targets))
             csr += (np.array(self._weights, dtype=np.float64),)
         done = unpriced = 0
@@ -639,14 +635,14 @@ class GraphIndex:
             if unpriced:
                 unpriced -= 1
             elif csr is not None:
-                block, ball = self._dense_block(np, csr, src, done, h, relaxed, rounds)
+                block, ball = self._dense_block(csr, src, done, h, relaxed, rounds)
                 if ball is None:
                     unpriced = len(block)
                 else:
-                    yield from self._dense_rows(np, csr, block, *ball, h)
+                    yield from self._dense_rows(csr, block, *ball, h)
                     done += len(block)
 
-    def _dense_block(self, np, csr, src, start, h, relaxed, rounds):
+    def _dense_block(self, csr, src, start, h, relaxed, rounds):
         """The next block, with its ball union and degrees in descending degree
         order (``None``: run the block per-source)."""
         size = min(_HHOP_BLOCK_SOURCES, len(src) - start)
@@ -688,7 +684,7 @@ class GraphIndex:
             start = end
         return union if len(union) <= limit else None
 
-    def _dense_rows(self, np, csr, block, union, degrees, h):
+    def _dense_rows(self, csr, block, union, degrees, h):
         """Synchronous multi-source Bellman-Ford over one block's ball union.
 
         With ``union`` sorted by degree, descending, every degree column is a

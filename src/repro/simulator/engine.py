@@ -6,10 +6,8 @@ work out of the schedule/send/harvest cycle:
 
 * :class:`TokenPlane` — the id-native workload representation.  A workload is
   parallel arrays of integer **node indices** (positions in the simulator's
-  deterministic node order) and word counts; payloads live in a side list that
-  the scheduler never touches.  With NumPy installed the arrays are ``int64``
-  vectors; the pure-Python fallback stores plain lists (see
-  :mod:`repro.simulator._accel` — the dependency surface is unchanged).
+  deterministic node order) and word counts, as ``int64`` vectors; payloads
+  live in a side list that the scheduler never touches.
 * :func:`plan_token_rounds` — the two-tier scheduler.  The **uncongested fast
   path** applies one grouped reduction per side (sent/received words per node);
   when every node fits the per-round budget the whole workload is a single
@@ -58,7 +56,8 @@ from typing import (
     Union,
 )
 
-from repro.simulator import _accel
+import numpy as np
+
 from repro.simulator.errors import ChargeOnlyError, UnknownNodeError
 from repro.simulator.messages import payload_words
 from repro.simulator.network import HybridSimulator
@@ -92,8 +91,7 @@ class TokenPlane:
     :meth:`HybridSimulator.node_indexer`) — and ``words[i]`` is the token's
     payload size in words (excluding any shared tag).  ``payloads[i]`` is the
     application object; the scheduler and the capacity accounting never touch
-    it.  With NumPy active the three id/word columns are ``int64`` arrays,
-    otherwise plain lists — either way the schedule they produce is identical.
+    it.  The three id/word columns are ``int64`` arrays.
 
     ``payloads`` may be ``None``: a **charge-only** plane carries only the
     three columns.  Scheduling, capacity accounting, round counts and
@@ -108,15 +106,9 @@ class TokenPlane:
     def __init__(
         self, senders, receivers, words, payloads: Optional[List[Any]] = None
     ) -> None:
-        np = _accel.np
-        if np is not None:
-            self.senders = np.asarray(senders, dtype=np.int64)
-            self.receivers = np.asarray(receivers, dtype=np.int64)
-            self.words = np.asarray(words, dtype=np.int64)
-        else:
-            self.senders = list(senders)
-            self.receivers = list(receivers)
-            self.words = list(words)
+        self.senders = np.asarray(senders, dtype=np.int64)
+        self.receivers = np.asarray(receivers, dtype=np.int64)
+        self.words = np.asarray(words, dtype=np.int64)
         self.payloads = payloads
         self._pair_spine = None
 
@@ -142,9 +134,9 @@ class TokenPlane:
         view._pair_spine = self._pair_spine
         return view
 
-    def pair_spine(self, np):
+    def pair_spine(self):
         """Sorted positions of each distinct (sender, receiver) pair's first
-        occurrence (cached; NumPy columns only).
+        occurrence (cached).
 
         Rank-matched workloads repeat a small pair set over a long token
         column; per-pair knowledge work (HYBRID_0 validation and sender-id
@@ -154,8 +146,8 @@ class TokenPlane:
         """
         spine = self._pair_spine
         if spine is None:
-            order = _pair_order(np, self.senders, self.receivers)
-            starts = _pair_starts(np, self.senders, self.receivers, order)
+            order = _pair_order(self.senders, self.receivers)
+            starts = _pair_starts(self.senders, self.receivers, order)
             spine = np.sort(order[starts])
             self._pair_spine = spine
         return spine
@@ -203,12 +195,12 @@ _MAX_WAVES = 24
 
 #: Below this many tokens the fixed cost of the NumPy machinery exceeds the
 #: per-token cost of the plain greedy scan; tiny workloads (ubiquitous in
-#: tests and per-level tree traffic) take the Python paths even when NumPy is
-#: active.  Both sides of the cutoff produce identical schedules.
+#: tests and per-level tree traffic) take :func:`_plan_rounds_python`.  Both
+#: sides of the cutoff produce identical schedules.
 _SMALL_WORKLOAD = 64
 
 
-def _group_starts(np, group, order):
+def _group_starts(group, order):
     """Boolean mask (in sorted order) marking the first token of each group."""
     sorted_group = group[order]
     starts = np.empty(order.size, dtype=bool)
@@ -217,7 +209,7 @@ def _group_starts(np, group, order):
     return starts
 
 
-def _grouped_prefix(np, order, starts, weights):
+def _grouped_prefix(order, starts, weights):
     """Per-group inclusive prefix sums of ``weights``, in token order.
 
     ``order`` is a stable argsort of the group column and ``starts`` its
@@ -235,7 +227,7 @@ def _grouped_prefix(np, order, starts, weights):
     return out
 
 
-def _compress_order(np, order, keep):
+def _compress_order(order, keep):
     """Restrict a stable sorted-order array to the kept positions.
 
     ``order`` holds local indices in group-sorted order; ``keep`` is a boolean
@@ -248,7 +240,7 @@ def _compress_order(np, order, keep):
     return renumber[order[keep[order]]]
 
 
-def _narrow_sort_key(np, arr):
+def _narrow_sort_key(arr):
     """An ``int16`` copy of a non-negative key column when its values fit.
 
     NumPy's stable argsort is a radix sort for 16-bit integers but a
@@ -261,7 +253,7 @@ def _narrow_sort_key(np, arr):
     return arr
 
 
-def _pair_order(np, senders, receivers):
+def _pair_order(senders, receivers):
     """Stable (sender, receiver) argsort as two narrow-key passes.
 
     Equivalent to ``np.argsort(senders * stride + receivers, kind="stable")``
@@ -271,12 +263,12 @@ def _pair_order(np, senders, receivers):
     (:func:`_narrow_sort_key`), where the single wide-key sort is always a
     comparison sort.
     """
-    first = np.argsort(_narrow_sort_key(np, receivers), kind="stable")
-    second = np.argsort(_narrow_sort_key(np, senders[first]), kind="stable")
+    first = np.argsort(_narrow_sort_key(receivers), kind="stable")
+    second = np.argsort(_narrow_sort_key(senders[first]), kind="stable")
     return first[second]
 
 
-def _pair_starts(np, senders, receivers, order):
+def _pair_starts(senders, receivers, order):
     """:func:`_group_starts` for the (sender, receiver) pair key columns."""
     ps = senders[order]
     pr = receivers[order]
@@ -286,7 +278,7 @@ def _pair_starts(np, senders, receivers, order):
     return starts
 
 
-def _admit_round_numpy(np, sa, ra, wa, order_s, order_r, budget: int):
+def _admit_round_numpy(sa, ra, wa, order_s, order_r, budget: int):
     """One greedy-FIFO round, resolved with compressed bound waves (exact).
 
     ``sa`` / ``ra`` / ``wa`` are the pending tokens of this round in FIFO
@@ -314,10 +306,10 @@ def _admit_round_numpy(np, sa, ra, wa, order_s, order_r, budget: int):
     base_s = np.zeros(m, dtype=np.int64)
     base_r = np.zeros(m, dtype=np.int64)
     for _ in range(_MAX_WAVES):
-        starts_s = _group_starts(np, sa, order_s)
-        starts_r = _group_starts(np, ra, order_r)
-        upper_s = base_s + _grouped_prefix(np, order_s, starts_s, wa)
-        upper_r = base_r + _grouped_prefix(np, order_r, starts_r, wa)
+        starts_s = _group_starts(sa, order_s)
+        starts_r = _group_starts(ra, order_r)
+        upper_s = base_s + _grouped_prefix(order_s, starts_s, wa)
+        upper_r = base_r + _grouped_prefix(order_r, starts_r, wa)
         ok = (upper_s <= budget) & (upper_r <= budget)
         if ok.all():
             admitted[active] = True
@@ -328,15 +320,15 @@ def _admit_round_numpy(np, sa, ra, wa, order_s, order_r, budget: int):
         # so the genuine flip candidates (rejected by the overcount, fitting
         # under the undercount) are all that survives into the next wave.
         ok_w = np.where(ok, wa, 0)
-        adm_s = base_s + _grouped_prefix(np, order_s, starts_s, ok_w)
-        adm_r = base_r + _grouped_prefix(np, order_r, starts_r, ok_w)
+        adm_s = base_s + _grouped_prefix(order_s, starts_s, ok_w)
+        adm_r = base_r + _grouped_prefix(order_r, starts_r, ok_w)
         undecided = ~ok & (adm_s + wa <= budget) & (adm_r + wa <= budget)
         if not undecided.any():
             return admitted
         base_s = adm_s[undecided]
         base_r = adm_r[undecided]
-        order_s = _compress_order(np, order_s, undecided)
-        order_r = _compress_order(np, order_r, undecided)
+        order_s = _compress_order(order_s, undecided)
+        order_r = _compress_order(order_r, undecided)
         active = active[undecided]
         sa = sa[undecided]
         ra = ra[undecided]
@@ -360,7 +352,7 @@ def _admit_round_numpy(np, sa, ra, wa, order_s, order_r, budget: int):
     return admitted
 
 
-def _pair_round_bounds(np, senders, receivers, wt, budget: int):
+def _pair_round_bounds(senders, receivers, wt, budget: int):
     """Static per-token lower bounds on the round a token can be admitted in.
 
     Within one (sender, receiver) pair of a uniform-word workload, tokens are
@@ -378,25 +370,25 @@ def _pair_round_bounds(np, senders, receivers, wt, budget: int):
     per_round = budget // w0
     if per_round <= 0:
         return None
-    order = _pair_order(np, senders, receivers)
-    starts = _pair_starts(np, senders, receivers, order)
-    rank = _grouped_prefix(np, order, starts, np.ones(senders.size, dtype=np.int64))
+    order = _pair_order(senders, receivers)
+    starts = _pair_starts(senders, receivers, order)
+    rank = _grouped_prefix(order, starts, np.ones(senders.size, dtype=np.int64))
     return (rank - 1) // per_round
 
 
-def _split_rounds(np, rounds):
+def _split_rounds(rounds):
     """Round indices -> per-round position shards, FIFO within each round.
 
     ``rounds`` must occupy a gap-free ``0..max`` range (component schedules
     are each gap-free and share round 0, so their union is too).
     """
-    by_round = np.argsort(_narrow_sort_key(np, rounds), kind="stable")
+    by_round = np.argsort(_narrow_sort_key(rounds), kind="stable")
     sorted_rounds = rounds[by_round]
     edges = np.searchsorted(sorted_rounds, np.arange(int(sorted_rounds[-1]) + 2))
     return [by_round[edges[i] : edges[i + 1]] for i in range(edges.size - 1)]
 
 
-def _plan_rounds_uniform(np, senders, receivers, wt, budget: int, min_round):
+def _plan_rounds_uniform(senders, receivers, wt, budget: int, min_round):
     """Exact component decomposition for uniform-word workloads.
 
     Greedy-FIFO admission reads only a token's own sender and receiver
@@ -421,7 +413,7 @@ def _plan_rounds_uniform(np, senders, receivers, wt, budget: int, min_round):
     per_round = budget // w0
     m = senders.size
     ones = np.ones(m, dtype=np.int64)
-    order_r = np.argsort(_narrow_sort_key(np, receivers), kind="stable")
+    order_r = np.argsort(_narrow_sort_key(receivers), kind="stable")
     rr = receivers[order_r]
     sr = senders[order_r]
     starts_r = np.empty(m, dtype=bool)
@@ -431,45 +423,42 @@ def _plan_rounds_uniform(np, senders, receivers, wt, budget: int, min_round):
     shared = np.minimum.reduceat(sr, group_at) != np.maximum.reduceat(sr, group_at)
     if not shared.any():
         # Every sender is clean: the whole workload is in closed form.
-        order_s = np.argsort(_narrow_sort_key(np, senders), kind="stable")
-        rank = _grouped_prefix(
-            np, order_s, _group_starts(np, senders, order_s), ones
-        )
-        return _split_rounds(np, (rank - 1) // per_round)
-    order_s = np.argsort(_narrow_sort_key(np, senders), kind="stable")
+        order_s = np.argsort(_narrow_sort_key(senders), kind="stable")
+        rank = _grouped_prefix(order_s, _group_starts(senders, order_s), ones)
+        return _split_rounds((rank - 1) // per_round)
+    order_s = np.argsort(_narrow_sort_key(senders), kind="stable")
     ss = senders[order_s]
     rs = receivers[order_s]
     if not ((ss[1:] == ss[:-1]) & (rs[1:] != rs[:-1])).any():
         # Sender-exclusive: only the receiver caps can bind.
-        rank = _grouped_prefix(np, order_r, starts_r, ones)
-        return _split_rounds(np, (rank - 1) // per_round)
+        rank = _grouped_prefix(order_r, starts_r, ones)
+        return _split_rounds((rank - 1) // per_round)
     counts = np.diff(np.append(group_at, m))
     entangled = np.zeros(int(senders.max()) + 1, dtype=bool)
     entangled[sr[np.repeat(shared, counts)]] = True
     dirty = entangled[senders]
     if dirty.all():
-        return _plan_rounds_bucketed(np, senders, receivers, wt, budget, min_round)
+        return _plan_rounds_bucketed(senders, receivers, wt, budget, min_round)
     rounds = np.empty(m, dtype=np.int64)
     clean = ~dirty
     cs = senders[clean]
-    order_cs = np.argsort(_narrow_sort_key(np, cs), kind="stable")
+    order_cs = np.argsort(_narrow_sort_key(cs), kind="stable")
     rank = _grouped_prefix(
-        np,
         order_cs,
-        _group_starts(np, cs, order_cs),
+        _group_starts(cs, order_cs),
         np.ones(cs.size, dtype=np.int64),
     )
     rounds[clean] = (rank - 1) // per_round
     didx = np.flatnonzero(dirty)
     sub = _plan_rounds_bucketed(
-        np, senders[didx], receivers[didx], wt[didx], budget, min_round[didx]
+        senders[didx], receivers[didx], wt[didx], budget, min_round[didx]
     )
     for index, shard in enumerate(sub):
         rounds[didx[shard]] = index
-    return _split_rounds(np, rounds)
+    return _split_rounds(rounds)
 
 
-def _plan_rounds_bucketed(np, senders, receivers, wt, budget: int, min_round):
+def _plan_rounds_bucketed(senders, receivers, wt, budget: int, min_round):
     """Greedy-FIFO planning for uniform-word workloads, bucketed by bound.
 
     The static :func:`_pair_round_bounds` lower bounds partition the workload
@@ -489,7 +478,7 @@ def _plan_rounds_bucketed(np, senders, receivers, wt, budget: int, min_round):
     """
     w0 = int(wt[0])
     per_round = budget // w0
-    order = np.argsort(_narrow_sort_key(np, min_round), kind="stable")
+    order = np.argsort(_narrow_sort_key(min_round), kind="stable")
     bounds_sorted = min_round[order]
     last_bound = int(bounds_sorted[-1])
     bucket_edges = np.searchsorted(bounds_sorted, np.arange(last_bound + 2))
@@ -524,7 +513,7 @@ def _plan_rounds_bucketed(np, senders, receivers, wt, budget: int, min_round):
         else:
             order_s = np.argsort(es, kind="stable")
             order_r = np.argsort(er, kind="stable")
-        admitted = _admit_round_numpy(np, es, er, ew, order_s, order_r, budget)
+        admitted = _admit_round_numpy(es, er, ew, order_s, order_r, budget)
         if admitted.all():
             shards.append(pending)
             remaining -= pending.size
@@ -538,11 +527,11 @@ def _plan_rounds_bucketed(np, senders, receivers, wt, budget: int, min_round):
             deferred = pending[rejected]
             ds = es[rejected]
             dr = er[rejected]
-            porder = _pair_order(np, ds, dr)
-            starts = _pair_starts(np, ds, dr, porder)
+            porder = _pair_order(ds, dr)
+            starts = _pair_starts(ds, dr, porder)
             ahead = (
                 _grouped_prefix(
-                    np, porder, starts, np.ones(ds.size, dtype=np.int64)
+                    porder, starts, np.ones(ds.size, dtype=np.int64)
                 )
                 - 1
             )
@@ -559,8 +548,9 @@ def _plan_rounds_bucketed(np, senders, receivers, wt, budget: int, min_round):
     return shards
 
 
-def _plan_rounds_numpy(np, senders, receivers, wt, budget: int):
-    """Vectorised :func:`plan_token_rounds` body (NumPy active).
+def _plan_rounds_numpy(senders, receivers, wt, budget: int):
+    """Vectorised :func:`plan_token_rounds` body (``_SMALL_WORKLOAD`` tokens
+    or more).
 
     Tier 1 — uncongested fast path: one grouped reduction per side; when every
     node's totals fit the budget the whole workload is a single shard and no
@@ -578,9 +568,9 @@ def _plan_rounds_numpy(np, senders, receivers, wt, budget: int):
         recv = np.bincount(receivers, weights=wt, minlength=1)
         if recv.max() <= budget:
             return [np.arange(senders.size, dtype=np.int64)]
-    min_round = _pair_round_bounds(np, senders, receivers, wt, budget)
+    min_round = _pair_round_bounds(senders, receivers, wt, budget)
     if min_round is not None:
-        return _plan_rounds_uniform(np, senders, receivers, wt, budget, min_round)
+        return _plan_rounds_uniform(senders, receivers, wt, budget, min_round)
     shards = []
     positions = np.arange(senders.size, dtype=np.int64)
     s = senders
@@ -591,7 +581,7 @@ def _plan_rounds_numpy(np, senders, receivers, wt, budget: int):
     order_s = np.argsort(s, kind="stable")
     order_r = np.argsort(r, kind="stable")
     while positions.size:
-        admitted = _admit_round_numpy(np, s, r, w, order_s, order_r, budget)
+        admitted = _admit_round_numpy(s, r, w, order_s, order_r, budget)
         if admitted.any():
             shards.append(positions[admitted])
             deferred = ~admitted
@@ -608,13 +598,13 @@ def _plan_rounds_numpy(np, senders, receivers, wt, budget: int):
         s = s[deferred]
         r = r[deferred]
         w = w[deferred]
-        order_s = _compress_order(np, order_s, deferred)
-        order_r = _compress_order(np, order_r, deferred)
+        order_s = _compress_order(order_s, deferred)
+        order_r = _compress_order(order_r, deferred)
     return shards
 
 
 def _plan_rounds_python(senders, receivers, wt, budget: int):
-    """Pure-Python :func:`plan_token_rounds` body (no NumPy).
+    """Scalar :func:`plan_token_rounds` body (below ``_SMALL_WORKLOAD`` tokens).
 
     The same greedy-FIFO as the reference scan in ``tests/oracles/scheduler.py``,
     over flat int arrays and integer-keyed counters instead of token tuples
@@ -657,24 +647,17 @@ def plan_token_rounds(
     run the vectorised greedy-FIFO.  The shard boundaries are identical to
     reference greedy scan on the same token sequence (including
     the forced-oversized branch), so round counts never depend on which
-    scheduler — or which array backend — executed the workload.
+    scheduler executed the workload.
     """
     m = len(plane)
     if m == 0:
         return []
-    np = _accel.np
-    if np is not None and m >= _SMALL_WORKLOAD:
-        wt = plane.words + tag_words if tag_words else plane.words
-        return _plan_rounds_numpy(np, plane.senders, plane.receivers, wt, budget)
-    senders = plane.senders
-    receivers = plane.receivers
-    words = plane.words
-    if hasattr(senders, "tolist"):
-        senders = senders.tolist()
-        receivers = receivers.tolist()
-        words = words.tolist()
-    wt = [w + tag_words for w in words] if tag_words else words
-    return _plan_rounds_python(senders, receivers, wt, budget)
+    wt = plane.words + tag_words if tag_words else plane.words
+    if m >= _SMALL_WORKLOAD:
+        return _plan_rounds_numpy(plane.senders, plane.receivers, wt, budget)
+    return _plan_rounds_python(
+        plane.senders.tolist(), plane.receivers.tolist(), wt.tolist(), budget
+    )
 
 
 # ----------------------------------------------------------------------
@@ -901,13 +884,9 @@ def resilient_batched_global_exchange(
     total = len(plane)
     if not total:
         return ResilientExchangeResult({}, [], 0, 0)
-    senders = plane.senders
-    receivers = plane.receivers
-    words = plane.words
-    if hasattr(senders, "tolist"):
-        senders = senders.tolist()
-        receivers = receivers.tolist()
-        words = words.tolist()
+    senders = plane.senders.tolist()
+    receivers = plane.receivers.tolist()
+    words = plane.words.tolist()
     payloads = plane.payloads
     nodes = simulator.nodes
     fault_state = simulator.fault_state

@@ -19,7 +19,7 @@ link-failure windows — and enacted by a :class:`FaultState` that
   independently with the per-mode probability, decided by a :class:`random.
   Random` derived deterministically from ``(schedule.seed, round, mode)``.
   Fault runs are therefore replayable bit-for-bit from ``(seed, schedule)``
-  alone, on either array backend.
+  alone.
 * **Capacity degradation** — active windows multiply the per-node global
   budget.  The *global* factor flows through
   :meth:`~repro.simulator.network.HybridSimulator.global_budget_words` and
@@ -47,6 +47,8 @@ import dataclasses
 import random
 from bisect import bisect_right
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 __all__ = [
     "CrashEvent",
@@ -358,7 +360,7 @@ class FaultState:
     def is_crashed(self, node_index: int, round_index: int) -> bool:
         return node_index in self.crashed_indices(round_index)
 
-    def crashed_index_array(self, np, round_index: int):
+    def crashed_index_array(self, round_index: int):
         """:meth:`crashed_indices` as a **sorted** int64 array (cached).
 
         The vectorised plane fault filter probes crash membership with one
@@ -435,7 +437,7 @@ class FaultState:
             self._link_cache[slot] = cached
         return cached
 
-    def failed_edge_key_array(self, np, round_index: int):
+    def failed_edge_key_array(self, round_index: int):
         """:meth:`failed_edge_keys` as a **sorted** int64 array (cached).
 
         The directed ``u * n + v`` twin of :meth:`crashed_index_array`, for
@@ -484,7 +486,7 @@ class FaultState:
 
         Derived deterministically from the schedule seed alone, so fault runs
         replay bit-for-bit from ``(seed, schedule)`` — independent of the
-        array backend, wall clock, or anything else in the process.  One
+        wall clock, shard sizes, or anything else in the process.  One
         fresh generator per (round, mode) keeps the draw sequence aligned
         with delivery order even when a round carries traffic in both modes.
         """

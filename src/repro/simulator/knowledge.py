@@ -33,10 +33,10 @@ ever removed.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import FrozenSet, Iterable, List, Set, Tuple
 
-from repro.simulator import _accel
+import numpy as np
+
 from repro.simulator.errors import PairKeyOverflowError, UnknownNodeError
 
 __all__ = ["KnowledgeTracker", "check_pair_key_range", "sorted_unique", "MAX_PAIR_KEY_NODES"]
@@ -60,7 +60,7 @@ def check_pair_key_range(n: int) -> None:
         )
 
 
-def sorted_unique(np, keys):
+def sorted_unique(keys):
     """``np.unique`` of an int64 key array, by one sort and an adjacent
     compare: NumPy 2's hash-based ``np.unique`` is an order of magnitude
     slower on the store's key arrays."""
@@ -70,43 +70,33 @@ def sorted_unique(np, keys):
     return keys
 
 
-def _in_levels(levels, key) -> bool:
-    """Bisection probe of sorted arrays (backend-agnostic: ``bisect`` works on
-    NumPy arrays through ``__getitem__``, so probes keep working even if the
-    accelerator gate is switched off after arrays were stored)."""
-    for level in levels:
-        slot = bisect_left(level, key)
-        if slot < len(level) and level[slot] == key:
-            return True
-    return False
-
-
 class _PairMemo:
     """Monotone store of flat ``a * n + b`` pair keys.
 
-    With NumPy the keys live in a *two-level* sorted int64 view: a big
-    snapshot and a small recent buffer of keys absorbed since the last merge
-    (recent >= 1/4 of the snapshot triggers a merge), so total re-sorting
-    stays linearithmic however the keys trickle in, and :meth:`unknown` (the
-    one filter of a round's keys) sweeps both with ``searchsorted``.
-    Without NumPy the keys live in the Python set :attr:`known`.  Membership
-    is the disjunction of both, so either backend reads what the other wrote.
+    The keys live in a *two-level* sorted int64 view: a big snapshot and a
+    small recent buffer of keys absorbed since the last merge (recent >= 1/4
+    of the snapshot triggers a merge), so total re-sorting stays linearithmic
+    however the keys trickle in, and :meth:`unknown` (the one filter of a
+    round's keys) sweeps both with ``searchsorted``.
     """
 
-    __slots__ = ("known", "_sorted", "_recent")
+    __slots__ = ("_sorted", "_recent")
 
     def __init__(self) -> None:
-        self.known: Set[int] = set()
         self._sorted = None
         self._recent = None
 
     def __bool__(self) -> bool:
-        return bool(self.known) or self._sorted is not None
+        return self._sorted is not None
 
     def __contains__(self, key: int) -> bool:
-        return key in self.known or _in_levels(self.levels(), key)
+        for level in self.levels():
+            slot = int(level.searchsorted(key))
+            if slot < level.size and level[slot] == key:
+                return True
+        return False
 
-    def unknown(self, np, keys):
+    def unknown(self, keys):
         """The subset of the int64 array ``keys`` not yet stored (exact; may
         have dupes)."""
         for level in self.levels():
@@ -115,18 +105,15 @@ class _PairMemo:
             slot = np.searchsorted(level, keys)
             slot[slot == level.size] = 0
             keys = keys[level[slot] != keys]
-        known = self.known
-        if known and keys.size:
-            keys = keys[np.fromiter((k not in known for k in keys.tolist()), bool)]
         return keys
 
     def levels(self):
-        """The stored sorted arrays, snapshot first (empty without NumPy)."""
+        """The stored sorted arrays, snapshot first."""
         if self._recent is None:
             return () if self._sorted is None else (self._sorted,)
         return (self._sorted, self._recent)
 
-    def absorb(self, np, fresh) -> None:
+    def absorb(self, fresh) -> None:
         """Fold a sorted, duplicate-free array of new keys into the store."""
         if not fresh.size:
             return
@@ -150,27 +137,19 @@ class _PairMemo:
         else:
             self._recent = recent
 
-    def add(self, np, keys) -> None:
-        """Store ``keys`` (a list or int64 array): into :attr:`known` without
-        NumPy, otherwise through :meth:`absorb` (stored keys and duplicates
-        are dropped)."""
-        if np is None:
-            self.known.update(keys)
-        elif len(keys):
-            self.absorb(np, sorted_unique(np, self.unknown(np, np.asarray(keys, dtype=np.int64))))
+    def add(self, keys) -> None:
+        """Store ``keys`` (a list or int64 array) through :meth:`absorb`
+        (stored keys and duplicates are dropped)."""
+        if len(keys):
+            self.absorb(sorted_unique(self.unknown(np.asarray(keys, dtype=np.int64))))
 
     def row(self, a: int, n: int) -> List[int]:
         """Every ``b`` with key ``a * n + b`` stored (may repeat)."""
         lo = a * n
-        hi = lo + n
         found: List[int] = []
         for level in self.levels():
-            found.extend((level[bisect_left(level, lo) : bisect_left(level, hi)] - lo).tolist())
-        known = self.known
-        if len(known) > n:
-            found.extend(b for b in range(n) if lo + b in known)
-        else:
-            found.extend(key - lo for key in known if lo <= key < hi)
+            span = level[level.searchsorted(lo) : level.searchsorted(lo + n)]
+            found.extend((span - lo).tolist())
         return found
 
 
@@ -217,19 +196,14 @@ class KnowledgeTracker:
         """Node ``a`` learns the identifiers of the node indices ``learned``."""
         self._validate(a)
         base = a * self.n
-        self.pairs.add(_accel.np, [base + b for b in learned])
+        self.pairs.add([base + b for b in learned])
 
     def learn_index_pairs(self, learners, learned) -> None:
         """Node index ``learners[i]`` learns node index ``learned[i]``'s
         identifier, for every ``i`` — parallel int64 arrays (or lists), recorded
         in the pair store with one merge instead of one update per node."""
-        n = self.n
-        np = _accel.np
-        if np is not None and isinstance(learners, np.ndarray):
-            keys = learners * n + learned
-        else:
-            keys = [a * n + b for a, b in zip(learners, learned)]
-        self.pairs.add(np, keys)
+        learners = np.asarray(learners, dtype=np.int64)
+        self.pairs.add(learners * self.n + np.asarray(learned, dtype=np.int64))
 
     def learn_shared(self, learners: FrozenSet[int], learned: FrozenSet[int]) -> None:
         """Every node index in ``learners`` learns every one in ``learned``.

@@ -83,10 +83,10 @@ from collections import defaultdict
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.graphs.index import graph_version
 from repro.graphs.mutation import GraphMutator
-from repro.simulator import _accel
 from repro.simulator.config import IdentifierRegime, ModelConfig
 from repro.simulator.faults import FaultSchedule, FaultState
 from repro.simulator.errors import (
@@ -206,7 +206,7 @@ class _PlaneBatch:
                 )
 
 
-def _isin_sorted(np, values, table):
+def _isin_sorted(values, table):
     """Vectorised membership of ``values`` in a **sorted** int64 ``table``."""
     if not len(table):
         return np.zeros(len(values), dtype=bool)
@@ -215,7 +215,7 @@ def _isin_sorted(np, values, table):
     return table[slots] == values
 
 
-def _fault_keep_mask(np, senders, receivers, crashed, failed, n: int):
+def _fault_keep_mask(senders, receivers, crashed, failed, n: int):
     """Crash/edge keep-mask of a plane batch (see ``_filter_planes``).
 
     ``crashed`` / ``failed`` are sorted int64 arrays (crashed node indices,
@@ -225,10 +225,10 @@ def _fault_keep_mask(np, senders, receivers, crashed, failed, n: int):
     """
     keep = np.ones(len(senders), dtype=bool)
     if len(crashed):
-        keep &= ~_isin_sorted(np, senders, crashed)
-        keep &= ~_isin_sorted(np, receivers, crashed)
+        keep &= ~_isin_sorted(senders, crashed)
+        keep &= ~_isin_sorted(receivers, crashed)
     if len(failed):
-        keep &= ~_isin_sorted(np, senders * n + receivers, failed)
+        keep &= ~_isin_sorted(senders * n + receivers, failed)
     return keep
 
 
@@ -327,7 +327,7 @@ class HybridSimulator:
             node: index for index, node in enumerate(self._nodes)
         }
         # Lazy id-native cache (frozen-graph caveat; see invalidate_index):
-        # the directed adjacency as flat s * n + r keys for O(1)/vectorised
+        # the directed adjacency as sorted flat s * n + r keys for vectorised
         # edge validation.
         self._edge_keys: Optional[Any] = None
         self._assign_identifiers()
@@ -338,12 +338,12 @@ class HybridSimulator:
         # recent ``advance_round``.
         self._pending_local_planes: List[_PlaneBatch] = []
         self._pending_global_planes: List[_PlaneBatch] = []
-        # Scalar counters (small shards and the pure-Python backend) ...
+        # Scalar counters (small shards) ...
         self._global_sent_words: Dict[Node, int] = defaultdict(int)
         self._global_recv_words: Dict[Node, int] = defaultdict(int)
         # ... and dense per-index word arrays fed by grouped reductions
-        # (NumPy, bulk shards).  ``advance_round`` sweeps them with
-        # whole-array comparisons.
+        # (bulk shards).  ``advance_round`` sweeps them with whole-array
+        # comparisons.
         self._plane_sent_arr: Optional[Any] = None
         self._plane_recv_arr: Optional[Any] = None
         self._pending_local_msgs = 0
@@ -386,15 +386,11 @@ class HybridSimulator:
         self.knowledge = KnowledgeTracker(n, all_known=dense)
         if dense:
             return
-        np = _accel.np
-        if np is None:
-            keys = list(self._edge_key_index())
-            keys.extend(range(0, n * n, n + 1))
-        else:
-            keys = np.concatenate(
+        self.knowledge.pairs.add(
+            np.concatenate(
                 (self._edge_key_index(), np.arange(0, n * n, n + 1, dtype=np.int64))
             )
-        self.knowledge.pairs.add(np, keys)
+        )
 
     # ------------------------------------------------------------------
     # Introspection helpers
@@ -454,11 +450,8 @@ class HybridSimulator:
             )
 
     def _edge_key_index(self):
-        """The directed adjacency as flat ``s * n + r`` keys (cached).
-
-        A sorted NumPy array when the accelerator is active (validated with
-        one ``searchsorted`` per shard), otherwise a plain set.
-        """
+        """The directed adjacency as flat ``s * n + r`` keys (cached): a
+        sorted int64 array, validated with one ``searchsorted`` per shard."""
         keys = self._edge_keys
         if keys is None:
             n = self.n
@@ -469,12 +462,8 @@ class HybridSimulator:
                 vi = index_of[v]
                 pairs.add(ui * n + vi)
                 pairs.add(vi * n + ui)
-            np = _accel.np
-            if np is not None:
-                keys = np.fromiter(pairs, dtype=np.int64, count=len(pairs))
-                keys.sort()
-            else:
-                keys = pairs
+            keys = np.fromiter(pairs, dtype=np.int64, count=len(pairs))
+            keys.sort()
             self._edge_keys = keys
         return keys
 
@@ -562,8 +551,9 @@ class HybridSimulator:
     # ------------------------------------------------------------------
     # Sending — id-native plane API (the round engine's hot path)
     # ------------------------------------------------------------------
-    #: Shards below this size take the scalar (dict-counter) queueing paths —
-    #: the grouped NumPy reductions only pay off on bulk traffic.
+    #: Shards below this size take the scalar (list and dict-counter) paths
+    #: of validation, capacity counting, the capacity sweep and fault
+    #: filtering: the grouped NumPy reductions only pay off on bulk traffic.
     _SMALL_SHARD = 32
 
     def _select_plane_columns(self, plane, positions):
@@ -571,88 +561,64 @@ class HybridSimulator:
 
         O(shard), not O(plane): a position outside the plane raises
         :class:`IndexError` before anything is queued, and only the selected
-        entries are gathered.  Small shards come back as plain lists whatever
-        the plane's backing arrays, so the callers' scalar paths run without
-        per-element NumPy boxing.
+        entries are gathered.  Shards below :attr:`_SMALL_SHARD` tokens come
+        back as plain lists, so the callers' scalar paths run without
+        per-element NumPy boxing; bulk shards stay int64 arrays.
         """
-        senders = plane.senders
-        receivers = plane.receivers
-        words = plane.words
-        np = _accel.np
-        vectorised = np is not None and isinstance(senders, np.ndarray)
-        if positions is None:
-            if vectorised and senders.size < self._SMALL_SHARD:
-                return senders.tolist(), receivers.tolist(), words.tolist(), None
-            return senders, receivers, words, None
-        size = len(senders)
-        if vectorised:
+        columns = (plane.senders, plane.receivers, plane.words)
+        if positions is not None:
             positions = np.asarray(positions, dtype=np.int64)
+            size = len(plane)
             outside = positions[(positions < 0) | (positions >= size)].tolist()
-        else:
-            positions = list(positions)
-            outside = [p for p in positions if not 0 <= p < size]
-        if outside:
-            raise IndexError(
-                f"plane position {outside[0]} is out of range for a plane of "
-                f"{size} tokens"
-            )
-        if vectorised:
-            columns = tuple(
-                column.take(positions) for column in (senders, receivers, words)
-            )
-            if positions.size >= self._SMALL_SHARD:
-                return (*columns, positions)
-            return (*(column.tolist() for column in columns), positions.tolist())
+            if outside:
+                raise IndexError(
+                    f"plane position {outside[0]} is out of range for a plane "
+                    f"of {size} tokens"
+                )
+            columns = tuple(column.take(positions) for column in columns)
+        if len(columns[0]) >= self._SMALL_SHARD:
+            return (*columns, positions)
         return (
-            [senders[p] for p in positions],
-            [receivers[p] for p in positions],
-            [words[p] for p in positions],
-            positions,
+            *(column.tolist() for column in columns),
+            None if positions is None else positions.tolist(),
         )
 
     def _validate_index_range(self, values) -> None:
         """Membership check for a node-index column: one range comparison."""
         n = self.n
-        np = _accel.np
-        if np is not None and isinstance(values, np.ndarray):
-            if values.size and (int(values.min()) < 0 or int(values.max()) >= n):
-                bad = values[(values < 0) | (values >= n)]
-                raise UnknownNodeError(int(bad[0]))
-            return
-        for value in values:
-            if not 0 <= value < n:
-                raise UnknownNodeError(value)
+        if len(values) < self._SMALL_SHARD:
+            for value in values:
+                if not 0 <= value < n:
+                    raise UnknownNodeError(value)
+        elif int(values.min()) < 0 or int(values.max()) >= n:
+            bad = values[(values < 0) | (values >= n)]
+            raise UnknownNodeError(int(bad[0]))
 
-    def _validate_plane_knowledge(self, s_sel, r_sel, pair_s=None, pair_r=None) -> None:
+    def _validate_plane_knowledge(self, s_col, r_col, small: bool) -> None:
         """HYBRID_0 knowledge check over the shard's *unique* (s, r) pairs.
 
         Pairs already in the knowledge tracker's pair store (initial
         adjacency, learned sender ids, pairs validated earlier) are filtered
-        out first — one vectorised sweep with NumPy — and only the residue is
-        checked against the shared records; repeated pairs (the common case
-        in rank-matched workloads) cost one probe, not one per token.  The
-        error reported is the earliest offending token in submission order.
-        When the caller supplies the shard's first-occurrence pair columns
-        (``pair_s`` / ``pair_r``, in submission order — see
-        :meth:`~repro.simulator.engine.TokenPlane.pair_spine`), the check
-        runs on those directly: a pair's validity is decided at its first
+        out first and only the residue is checked against the shared
+        records; repeated pairs (the common case in rank-matched workloads)
+        cost one probe, not one per token.  The error reported is the
+        earliest offending token in submission order.  A small shard passes
+        its full list columns (one scalar store probe per token); a bulk
+        shard passes its first-occurrence pair columns (in submission order
+        — see :meth:`~repro.simulator.engine.TokenPlane.pair_spine`), swept
+        in one vectorised filter: a pair's validity is decided at its first
         token, and the earliest offending pair's first occurrence *is* the
         earliest offending token.
         """
         pairs = self.knowledge.pairs
         n = self.n
-        np = _accel.np
-        if np is not None and pair_s is not None:
-            s_sel = pair_s
-            r_sel = pair_r
-        vectorised = np is not None and isinstance(s_sel, np.ndarray)
-        if vectorised:
-            key_column = s_sel * n + r_sel
-            uniq = sorted_unique(np, pairs.unknown(np, key_column))
-            fresh = uniq.tolist()
+        if small:
+            keys = [s * n + r for s, r in zip(s_col, r_col)]
+            fresh = sorted({key for key in keys if key not in pairs})
         else:
-            key_column = [s * n + r for s, r in zip(s_sel, r_sel)]
-            fresh = sorted({key for key in key_column if key not in pairs})
+            key_column = s_col * n + r_col
+            uniq = sorted_unique(pairs.unknown(key_column))
+            fresh = uniq.tolist()
         if not fresh:
             return
         knows_shared = self.knowledge.knows_shared
@@ -661,16 +627,14 @@ class HybridSimulator:
             # Report the earliest offending token in submission order.  The
             # store is left untouched — nothing was queued, so the good pairs
             # of a failing shard simply re-validate later.
-            keys = key_column.tolist() if vectorised else key_column
+            if not small:
+                keys = key_column.tolist()
             position = next(k for k, key in enumerate(keys) if key in offending)
             raise UnknownIdentifierError(
-                f"node {self._nodes[int(s_sel[position])]!r} does not know "
-                f"identifier {self._ids[int(r_sel[position])]!r}"
+                f"node {self._nodes[int(s_col[position])]!r} does not know "
+                f"identifier {self._ids[int(r_col[position])]!r}"
             )
-        if vectorised:
-            pairs.absorb(np, uniq)
-        else:
-            pairs.add(np, fresh)
+        pairs.absorb(np.array(fresh, dtype=np.int64) if small else uniq)
 
     def global_send_plane(self, plane, positions=None, tag: Optional[str] = None) -> int:
         """Queue a shard of an id-native token plane over the global mode.
@@ -696,16 +660,16 @@ class HybridSimulator:
         tag_words = payload_words(tag) if tag is not None else 0
         self._validate_index_range(s_sel)
         self._validate_index_range(r_sel)
-        np = _accel.np
+        small = count < self._SMALL_SHARD
         fresh_pairs = None
-        pair_s = pair_r = None
-        if np is not None and isinstance(s_sel, np.ndarray):
+        pair_s, pair_r = s_sel, r_sel
+        if not small:
             # The shard's distinct pairs, via the plane's first-occurrence
             # spine: per-pair knowledge work (validation below, sender-id
             # learning at delivery) reduces to this (tiny) subset — pairs
             # whose first occurrence fell in an earlier shard were handled
             # when that shard was queued/delivered.
-            spine = plane.pair_spine(np)
+            spine = plane.pair_spine()
             if positions is None:
                 sel_first = spine
             else:
@@ -722,11 +686,21 @@ class HybridSimulator:
             pair_r = plane.receivers[sel_first]
             fresh_pairs = pair_r * self.n + pair_s
         if self.config.is_hybrid0():
-            self._validate_plane_knowledge(s_sel, r_sel, pair_s, pair_r)
-        nodes = self._nodes
-        sent_words = self._global_sent_words
-        recv_words = self._global_recv_words
-        if np is not None and isinstance(s_sel, np.ndarray):
+            self._validate_plane_knowledge(pair_s, pair_r, small)
+        if small:
+            nodes = self._nodes
+            wt = [w + tag_words for w in w_sel] if tag_words else w_sel
+            total = sum(wt)
+            for counters, column in (
+                (self._global_sent_words, s_sel),
+                (self._global_recv_words, r_sel),
+            ):
+                grouped: Dict[int, int] = {}
+                for k, index in enumerate(column):
+                    grouped[index] = grouped.get(index, 0) + wt[k]
+                for index, words in grouped.items():
+                    counters[nodes[index]] += words
+        else:
             wt = w_sel + tag_words if tag_words else w_sel
             total = int(wt.sum())
             sent_arr = self._plane_sent_arr
@@ -735,15 +709,6 @@ class HybridSimulator:
                 self._plane_recv_arr = np.zeros(self.n)
             sent_arr += np.bincount(s_sel, weights=wt, minlength=self.n)
             self._plane_recv_arr += np.bincount(r_sel, weights=wt, minlength=self.n)
-        else:
-            wt = [w + tag_words for w in w_sel] if tag_words else list(w_sel)
-            total = sum(wt)
-            for counters, column in ((sent_words, s_sel), (recv_words, r_sel)):
-                grouped: Dict[int, int] = {}
-                for k, index in enumerate(column):
-                    grouped[index] = grouped.get(index, 0) + wt[k]
-                for index, words in grouped.items():
-                    counters[nodes[index]] += words
         self._pending_global_planes.append(
             _PlaneBatch(
                 s_sel, r_sel, wt,
@@ -760,8 +725,8 @@ class HybridSimulator:
 
         The local counterpart of :meth:`global_send_plane`: adjacency is
         validated per unique (sender, receiver) pair against the cached
-        directed edge keys (one ``searchsorted`` sweep when NumPy is active),
-        and the CONGEST-style per-edge limit, when configured, is checked with
+        directed edge keys (one ``searchsorted`` sweep on bulk shards), and
+        the CONGEST-style per-edge limit, when configured, is checked with
         one vectorised comparison.  Returns the number of messages queued.
         """
         if not self.config.local_mode_enabled():
@@ -779,9 +744,8 @@ class HybridSimulator:
         n = self.n
         nodes = self._nodes
         edge_keys = self._edge_key_index()
-        np = _accel.np
-        vectorised = np is not None and isinstance(s_sel, np.ndarray)
-        if vectorised:
+        small = count < self._SMALL_SHARD
+        if not small:
             uniq, first = np.unique(s_sel * n + r_sel, return_index=True)
             slot = np.searchsorted(edge_keys, uniq)
             in_bounds = slot < edge_keys.size
@@ -806,14 +770,14 @@ class HybridSimulator:
                             f"are not adjacent"
                         )
                     checked.add(key)
-            wt = [w + tag_words for w in w_sel] if tag_words else list(w_sel)
+            wt = [w + tag_words for w in w_sel] if tag_words else w_sel
             total = sum(wt)
         max_words = self.config.resolve_local_word_limit()
         if max_words is not None:
-            if vectorised:
-                oversized = int((wt > max_words).sum())
-            else:
+            if small:
                 oversized = sum(1 for w in wt if w > max_words)
+            else:
+                oversized = int((wt > max_words).sum())
             if oversized:
                 if self.config.strict:
                     raise LocalBandwidthExceededError(
@@ -875,7 +839,6 @@ class HybridSimulator:
                 # Mixed round (bulk shards on the arrays, small shards on the
                 # dicts) or per-node degraded budgets: fold the arrays into
                 # the dicts and run the per-node sweep below on the union.
-                np = _accel.np
                 nodes = self._nodes
                 for counters, arr in (
                     (self._global_sent_words, sent_arr),
@@ -891,7 +854,6 @@ class HybridSimulator:
                 # to the per-node loop (the metrics only keep the max load and
                 # the violation count; a strict error names the first
                 # over-budget node in node order).
-                np = _accel.np
                 recv_arr = self._plane_recv_arr
                 swept = []
                 for arr in (sent_arr, recv_arr):
@@ -1027,32 +989,28 @@ class HybridSimulator:
 
         Each receiver learns the identifier of every sender it heard from this
         round, recorded as ``receiver * n + sender`` keys in the knowledge
-        tracker's pair store: with NumPy the round's keys not yet stored are
-        filtered, deduplicated and merged in one sorted absorb, with no
-        per-receiver work at all.
+        tracker's pair store: the round's keys not yet stored are filtered,
+        deduplicated and merged in one sorted absorb, with no per-receiver
+        work at all.  Small batches contribute their keys as one scalar list.
         """
         pairs = self.knowledge.pairs
         n = self.n
-        np = _accel.np
         fresh_chunks: List[Any] = []
         scalar_keys: List[int] = []
         for batch in planes:
             s_sel = batch.senders
             r_sel = batch.receivers
-            if np is None or not isinstance(s_sel, np.ndarray):
+            if len(batch) < self._SMALL_SHARD:
                 scalar_keys.extend(r * n + s for r, s in zip(r_sel, s_sel))
                 continue
             keys = batch.fresh_pairs if batch.fresh_pairs is not None else r_sel * n + s_sel
-            candidates = pairs.unknown(np, keys)
+            candidates = pairs.unknown(keys)
             if candidates.size:
                 fresh_chunks.append(candidates)
-        if np is None:
-            pairs.add(None, scalar_keys)
-            return
         if scalar_keys:
-            fresh_chunks.append(pairs.unknown(np, np.array(scalar_keys, dtype=np.int64)))
+            fresh_chunks.append(pairs.unknown(np.array(scalar_keys, dtype=np.int64)))
         if fresh_chunks:
-            pairs.absorb(np, sorted_unique(np, np.concatenate(fresh_chunks)))
+            pairs.absorb(sorted_unique(np.concatenate(fresh_chunks)))
 
     # ------------------------------------------------------------------
     # Fault injection (see repro.simulator.faults)
@@ -1066,12 +1024,10 @@ class HybridSimulator:
         message it did not get).  Drop draws are consumed in a fixed order —
         global mode first, then local; within a mode, plane batches in
         submission order, one draw per crash/link survivor — so a run replays
-        bit-for-bit from ``(schedule.seed, schedule)`` on either array
-        backend.
+        bit-for-bit from ``(schedule.seed, schedule)``.
         """
         round_index = self.round
         metrics = self.metrics
-        np = _accel.np
         crashed = fault_state.crashed_indices(round_index)
         if crashed:
             metrics.record_crashed_nodes(len(crashed))
@@ -1084,16 +1040,14 @@ class HybridSimulator:
             rate = fault_state.drop_rate(mode)
             rng = fault_state.round_rng(round_index, mode) if rate > 0.0 else None
             edges = failed_edges if (mode == LOCAL_MODE and failed_edges) else None
-            if not crashed and edges is None and rng is None:
+            if not planes or (not crashed and edges is None and rng is None):
                 continue
-            crashed_arr = failed_arr = None
-            if np is not None and planes:
-                crashed_arr = fault_state.crashed_index_array(np, round_index)
-                failed_arr = (
-                    fault_state.failed_edge_key_array(np, round_index)
-                    if edges is not None
-                    else crashed_arr[:0]
-                )
+            crashed_arr = fault_state.crashed_index_array(round_index)
+            failed_arr = (
+                fault_state.failed_edge_key_array(round_index)
+                if edges is not None
+                else crashed_arr[:0]
+            )
             dropped += self._filter_planes(
                 planes, crashed, edges, rate, rng, crashed_arr, failed_arr
             )
@@ -1101,42 +1055,29 @@ class HybridSimulator:
             metrics.record_dropped(dropped)
 
     def _filter_planes(
-        self,
-        planes,
-        crashed,
-        failed_edges,
-        rate,
-        rng,
-        crashed_arr=None,
-        failed_arr=None,
+        self, planes, crashed, failed_edges, rate, rng, crashed_arr, failed_arr
     ) -> int:
         """Filter queued plane batches in place; return the drop count.
 
         Surviving batches keep their original column objects when nothing was
-        dropped.  Array-backed batches filter vectorised: the crash/edge
-        keep-mask is computed per batch (:func:`_fault_keep_mask`), then the
-        RNG consumes one draw per crash/edge survivor in ascending token
-        order, exactly like the scalar loop — the drop decisions and the
-        draw stream match the scalar loop bit for bit.  A filtered batch
-        loses its precomputed ``fresh_pairs``; the id-learning pass recomputes
-        pairs from the surviving columns instead of trusting a stale spine.
+        dropped.  Bulk batches filter vectorised: the crash/edge keep-mask is
+        computed per batch (:func:`_fault_keep_mask`), then the RNG consumes
+        one draw per crash/edge survivor in ascending token order, exactly
+        like the scalar loop that small batches run — the drop decisions and
+        the draw stream match bit for bit.  A filtered batch loses its
+        precomputed ``fresh_pairs``; the id-learning pass recomputes pairs
+        from the surviving columns instead of trusting a stale spine.
         """
-        if not planes:
-            return 0
         n = self.n
-        np = _accel.np
         dropped = 0
         for i, batch in enumerate(planes):
             senders = batch.senders
             receivers = batch.receivers
             words = batch.words
-            if (
-                crashed_arr is not None
-                and np is not None
-                and isinstance(senders, np.ndarray)
-            ):
+            positions = batch.positions
+            if len(batch) >= self._SMALL_SHARD:
                 keep_mask = _fault_keep_mask(
-                    np, senders, receivers, crashed_arr, failed_arr, n
+                    senders, receivers, crashed_arr, failed_arr, n
                 )
                 if rng is not None:
                     passing = np.flatnonzero(keep_mask)
@@ -1152,27 +1093,16 @@ class HybridSimulator:
                 if kept.size == len(senders):
                     continue
                 dropped += len(senders) - int(kept.size)
-                positions = batch.positions
-                if positions is None:
-                    new_positions = kept
-                else:
-                    if not isinstance(positions, np.ndarray):
-                        positions = np.asarray(positions, dtype=np.int64)
-                    new_positions = positions[kept]
                 planes[i] = _PlaneBatch(
                     senders[kept],
                     receivers[kept],
                     words[kept],
                     batch.payloads,
-                    new_positions,
+                    kept if positions is None else positions[kept],
                     batch.tag,
                     None,
                 )
                 continue
-            if hasattr(senders, "tolist"):
-                senders = senders.tolist()
-                receivers = receivers.tolist()
-                words = words.tolist()
             keep: List[int] = []
             for k in range(len(senders)):
                 sender_index = senders[k]
@@ -1191,19 +1121,12 @@ class HybridSimulator:
                 keep.append(k)
             if len(keep) == len(senders):
                 continue
-            positions = batch.positions
-            if positions is None:
-                new_positions_list: List[int] = keep
-            else:
-                if hasattr(positions, "tolist"):
-                    positions = positions.tolist()
-                new_positions_list = [positions[k] for k in keep]
             planes[i] = _PlaneBatch(
                 [senders[k] for k in keep],
                 [receivers[k] for k in keep],
                 [words[k] for k in keep],
                 batch.payloads,
-                new_positions_list,
+                keep if positions is None else [positions[k] for k in keep],
                 batch.tag,
                 None,
             )

@@ -16,7 +16,7 @@ from repro.graphs.generators import (
     path_graph,
 )
 from repro.graphs.weighted import assign_random_weights, unit_weights
-from repro.simulator import _accel
+from repro.simulator import engine
 from repro.simulator.config import ModelConfig
 from repro.simulator.network import HybridSimulator
 
@@ -26,13 +26,19 @@ settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
 
 
-@pytest.fixture(params=["numpy", "python"])
-def backend(request, monkeypatch):
-    """Run the test body under both array backends."""
-    if request.param == "python":
-        monkeypatch.setattr(_accel, "np", None)
-    elif _accel.np is None:
-        pytest.skip("NumPy not available; vectorised leg is inactive")
+@pytest.fixture(params=["sized", "array"])
+def arms(request, monkeypatch):
+    """Run the test body under both arms of the size selections.
+
+    ``sized`` keeps the shipped cutoffs, so the small inputs of most tests
+    take the scalar arms (``_plan_rounds_python`` below
+    ``engine._SMALL_WORKLOAD`` tokens, the list paths below
+    ``HybridSimulator._SMALL_SHARD``).  ``array`` sets both cutoffs to 0, so
+    every plan and shard of the same inputs takes the NumPy arm.
+    """
+    if request.param == "array":
+        monkeypatch.setattr(engine, "_SMALL_WORKLOAD", 0)
+        monkeypatch.setattr(HybridSimulator, "_SMALL_SHARD", 0)
     return request.param
 
 

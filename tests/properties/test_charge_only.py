@@ -5,7 +5,7 @@ payload objects are materialised, queued or delivered — yet schedules, round
 counts and every :class:`~repro.simulator.metrics.RoundMetrics` field must be
 bit-identical to the payload run, because the engine's accounting reads only
 the words columns.  Three activation levels are pinned across the 6-family x
-3-seed grid on both backends:
+3-seed grid:
 
 * **algorithm-level** — ``KDissemination(..., charge_only=True)`` builds
   payload-free planes at the source;
@@ -73,7 +73,7 @@ def _ids(case):
 # The grid: payload vs algorithm-level vs simulator-level charge-only
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("case", CASES, ids=_ids)
-def test_dissemination_charge_only_is_accounting_identical(case, backend):
+def test_dissemination_charge_only_is_accounting_identical(case, arms):
     family, seed = case
     graph = GRAPH_FAMILIES[family](seed)
     holders = sorted(graph.nodes, key=str)
@@ -103,7 +103,7 @@ def test_dissemination_charge_only_is_accounting_identical(case, backend):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_exchange_level_charge_only_is_accounting_identical(seed, backend):
+def test_exchange_level_charge_only_is_accounting_identical(seed, arms):
     graph = erdos_renyi_graph(28, 0.18, seed=seed)
     rng = random.Random(900 + seed)
     triples = [
@@ -129,7 +129,7 @@ def test_exchange_level_charge_only_is_accounting_identical(seed, backend):
 # ----------------------------------------------------------------------
 # Guards: payload content is unreachable, loudly
 # ----------------------------------------------------------------------
-def test_charge_view_shares_columns_and_drops_payloads(backend):
+def test_charge_view_shares_columns_and_drops_payloads(arms):
     plane = TokenPlane([0, 1, 2], [3, 4, 5], [1, 2, 3], ["a", "b", "c"])
     view = plane.charge_view()
     assert view.payloads is None
@@ -143,7 +143,7 @@ def test_charge_view_shares_columns_and_drops_payloads(backend):
         list(iter_triples(view, HybridSimulator(path_graph(6), ModelConfig.hybrid())))
 
 
-def test_collect_from_charge_only_exchange_raises(backend):
+def test_collect_from_charge_only_exchange_raises(arms):
     sim = HybridSimulator(path_graph(8), ModelConfig.hybrid(), seed=0)
     triples = [(0, 5, "x"), (1, 6, "y")]
     with pytest.raises(ChargeOnlyError):
@@ -159,7 +159,7 @@ def test_collect_from_charge_only_exchange_raises(backend):
     )
 
 
-def test_charge_only_inbox_read_raises(backend):
+def test_charge_only_inbox_read_raises(arms):
     sim = HybridSimulator(path_graph(8), ModelConfig.hybrid(), seed=0, charge_only=True)
     batched_global_exchange(sim, [(0, 5, "x"), (1, 6, "y")], tag="g", collect=False)
     with pytest.raises(ChargeOnlyError):
@@ -170,7 +170,7 @@ def test_charge_only_inbox_read_raises(backend):
 # Fault x charge-only: filtering works on payload-free planes
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", SEEDS)
-def test_fault_schedule_replays_identically_charge_only(seed, backend):
+def test_fault_schedule_replays_identically_charge_only(seed, arms):
     """Crash windows, drops and retransmission under charge-only traffic
     must replay the payload run's fault trajectory bit-for-bit."""
     graph = erdos_renyi_graph(24, 0.2, seed=seed)
@@ -209,7 +209,7 @@ def test_fault_schedule_replays_identically_charge_only(seed, backend):
     assert payload_run[0]["dropped_messages"] > 0  # faults actually fired
 
 
-def test_failed_edge_filtering_matches_on_charge_only_planes(backend):
+def test_failed_edge_filtering_matches_on_charge_only_planes(arms):
     """Local-mode link-failure filtering must drop the same records whether
     or not the plane carries payloads."""
     graph = path_graph(8)
@@ -242,7 +242,7 @@ def test_failed_edge_filtering_matches_on_charge_only_planes(backend):
 
 
 @pytest.mark.parametrize("case", CASES[::3], ids=_ids)
-def test_crashed_endpoint_dissemination_identical_charge_only(case, backend):
+def test_crashed_endpoint_dissemination_identical_charge_only(case, arms):
     """A transient crash window mid-dissemination: payload and simulator-level
     charge-only runs must agree on every metric including the fault counters."""
     family, seed = case
@@ -274,7 +274,7 @@ def test_crashed_endpoint_dissemination_identical_charge_only(case, backend):
 # the simulator's scalar arm), charge-only
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", SEEDS)
-def test_tuple_batches_charge_only_are_accounting_identical(seed, backend):
+def test_tuple_batches_charge_only_are_accounting_identical(seed, arms):
     """Multi-round small-batch traffic (global + local) under a crash +
     drop schedule: charge-only must replay every metric bit-for-bit."""
     n = 24
@@ -320,7 +320,7 @@ def test_tuple_batches_charge_only_are_accounting_identical(seed, backend):
     assert payload_summary["dropped_messages"] > 0
 
 
-def test_tuple_inbox_read_raises_charge_only(backend):
+def test_tuple_inbox_read_raises_charge_only(arms):
     """Reading small-batch traffic queued charge-only is a hard error on both
     modes; a traffic-free round stays readable (an empty inbox is exact)."""
     sim = HybridSimulator(
@@ -340,7 +340,7 @@ def test_tuple_inbox_read_raises_charge_only(backend):
     assert transport.inbox(sim, 4, LOCAL_MODE) == []
 
 
-def test_mixed_tuple_and_plane_round_charge_only_identical(backend):
+def test_mixed_tuple_and_plane_round_charge_only_identical(arms):
     """One round mixing a bulk plane (array counters) with a small batch
     (dict counters): accounting must match the payload run, and the read
     guard must still fire."""
@@ -377,7 +377,7 @@ def test_mixed_tuple_and_plane_round_charge_only_identical(backend):
         transport.inbox(charged_sim, 1, GLOBAL_MODE)
 
 
-def test_tuple_charge_only_sparse_learning_is_identical(backend):
+def test_tuple_charge_only_sparse_learning_is_identical(arms):
     """HYBRID_0 sender-id learning reads only the sender column, so small
     batches with suppressed payloads must teach exactly the same ids."""
     n = 12

@@ -1,10 +1,12 @@
-"""Degenerate inputs on both array backends.
+"""Degenerate inputs.
 
 A one-node network, an empty plane, zero-word tokens and a plane whose every
 token is individually larger than the round budget.  For each shape the
 scheduler must match the greedy reference
 (``oracles.scheduler.shard_transfers``) and both exchanges must complete; an
 oversized token under strict enforcement must fail loudly with a typed error.
+Theorem 1 on string and mixed int/str node labels must match the oracle
+engines (``oracles.engines``) in metrics and identifier knowledge.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
+from repro.core.dissemination import KDissemination
 from repro.graphs.generators import path_graph
 from repro.simulator.config import ModelConfig
 from repro.simulator.engine import (
@@ -24,6 +27,7 @@ from repro.simulator.errors import CapacityExceededError
 from repro.simulator.faults import FaultSchedule
 from repro.simulator.network import HybridSimulator
 
+from oracles.engines import ORACLES, exchange_via
 from oracles.scheduler import shard_transfers
 
 
@@ -60,7 +64,7 @@ def _simulator(case, config=None, **kwargs):
 
 @pytest.mark.parametrize("tag_words", [0, 1])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_plan_matches_the_greedy_reference(case, tag_words, backend):
+def test_plan_matches_the_greedy_reference(case, tag_words, arms):
     _, senders, receivers, words = CASES[case]
     budget = _simulator(case).global_budget_words()
     tokens = [(senders[i], receivers[i], i, words[i]) for i in range(len(words))]
@@ -75,7 +79,7 @@ def test_plan_matches_the_greedy_reference(case, tag_words, backend):
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_exchange_delivers_everything(case, backend):
+def test_exchange_delivers_everything(case, arms):
     sim = _simulator(case)
     delivered = batched_global_exchange(sim, _plane(case), tag="degenerate")
     senders = CASES[case][1]
@@ -90,7 +94,7 @@ def test_exchange_delivers_everything(case, backend):
 
 @pytest.mark.parametrize("faulted", [False, True])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_resilient_exchange_completes(case, faulted, backend):
+def test_resilient_exchange_completes(case, faulted, arms):
     kwargs = {}
     if faulted:
         kwargs["fault_schedule"] = FaultSchedule(seed=3, global_drop_rate=0.3)
@@ -103,13 +107,45 @@ def test_resilient_exchange_completes(case, faulted, backend):
         assert result.attempts == 0 and sim.metrics.total_rounds == 0
 
 
-def test_oversized_token_fails_loudly_in_strict_mode(backend):
+def test_oversized_token_fails_loudly_in_strict_mode(arms):
     sim = _simulator("all-oversized", ModelConfig.hybrid())
     with pytest.raises(CapacityExceededError, match=r"^node 0 sent 1000\d global words"):
         batched_global_exchange(sim, _plane("all-oversized"), tag="degenerate")
 
 
-def test_one_node_hybrid0_sends_to_itself(backend):
+def test_one_node_hybrid0_sends_to_itself(arms):
     sim = _simulator("one-node", ModelConfig.hybrid0())
     delivered = batched_global_exchange(sim, _plane("one-node"), tag="self")
     assert delivered == {0: [("p", 0), ("p", 1), ("p", 2)]}
+
+
+# ----------------------------------------------------------------------
+# Non-integer node labels: Theorem 1 against the oracle engines
+# ----------------------------------------------------------------------
+LABELLINGS = {
+    "string": lambda v: f"v{v}",
+    "mixed": lambda v: v if v % 2 else f"v{v}",
+}
+
+
+def _dissemination_outcome(graph, tokens):
+    sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=5)
+    result = KDissemination(sim, tokens).run()
+    assert result.all_nodes_know_all_tokens()
+    return result.metrics.summary(), {node: sim.known_ids(node) for node in sim.nodes}
+
+
+@pytest.mark.parametrize("engine", ORACLES)
+@pytest.mark.parametrize("labelling", sorted(LABELLINGS))
+def test_dissemination_on_non_integer_labels_matches_the_oracles(labelling, engine):
+    """Node labels never reach the cluster layout: identifiers are the
+    simulator's integers, so string and mixed int/str labels run the one
+    array path and match the oracle engines in metrics and knowledge."""
+    grid = nx.convert_node_labels_to_integers(nx.grid_2d_graph(5, 6))
+    graph = nx.relabel_nodes(grid, LABELLINGS[labelling])
+    nodes = sorted(graph.nodes, key=str)
+    tokens = {nodes[i]: [("tok", i, j) for j in range(i % 3 + 1)] for i in range(0, 30, 2)}
+    outcome = _dissemination_outcome(graph, tokens)
+    with exchange_via(engine):
+        assert _dissemination_outcome(graph, tokens) == outcome
+    assert outcome[0]["global_messages"] > 0

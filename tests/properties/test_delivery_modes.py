@@ -5,7 +5,7 @@ counters, the capacity sweep and identifier learning.  The record-level round
 model (``oracles.delivery.ReferenceNetwork``) and the oracle exchange engines
 reach the same quantities through separate per-message code, so for each
 mode — fault-free, a crash + link-failure + drop schedule, and charge-only —
-the plane path must match them exactly on both array backends:
+the plane path must match them exactly:
 
 * a congested multi-round exchange: the metrics of
   ``oracles.scheduler.reference_batched_global_exchange`` run on the round
@@ -125,7 +125,7 @@ def _knowledge_state(sim):
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("groups", GROUP_COUNTS)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_exchange_metrics_match_the_reference_exchange(seed, groups, mode, backend):
+def test_exchange_metrics_match_the_reference_exchange(seed, groups, mode, arms):
     graph = erdos_renyi_graph(36, 0.15, seed=seed)
     rng = random.Random(f"delivery-{seed}-{groups}-{mode}")
     budget = HybridSimulator(graph, ModelConfig(strict=False)).global_budget_words()
@@ -165,7 +165,7 @@ def test_exchange_metrics_match_the_reference_exchange(seed, groups, mode, backe
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("family", sorted(DISSEMINATION_FAMILIES))
 @pytest.mark.parametrize("seed", SEEDS[:2])
-def test_dissemination_matches_the_per_message_oracle(seed, family, mode, backend):
+def test_dissemination_matches_the_per_message_oracle(seed, family, mode, arms):
     graph = DISSEMINATION_FAMILIES[family](seed)
     rng = random.Random(f"kdiss-{seed}-{family}-{mode}")
     tokens = {}
@@ -237,7 +237,7 @@ def _run_overload(seed, mode, hot_receivers, path, *, strict):
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("hot_receivers", [1, 2, 3])
 @pytest.mark.parametrize("seed", SEEDS[:2])
-def test_capacity_sweep_matches_the_round_model(seed, hot_receivers, mode, backend):
+def test_capacity_sweep_matches_the_round_model(seed, hot_receivers, mode, arms):
     metrics, error = _run_overload(seed, mode, hot_receivers, "plane", strict=False)
     model_metrics, model_error = _run_overload(
         seed, mode, hot_receivers, "model", strict=False
@@ -250,7 +250,7 @@ def test_capacity_sweep_matches_the_round_model(seed, hot_receivers, mode, backe
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("seed", SEEDS[:2])
-def test_strict_sweep_names_the_same_offender(seed, mode, backend):
+def test_strict_sweep_names_the_same_offender(seed, mode, arms):
     metrics, error = _run_overload(seed, mode, 2, "plane", strict=True)
     model_metrics, model_error = _run_overload(seed, mode, 2, "model", strict=True)
     assert error is not None and "global words in round 0" in error

@@ -19,8 +19,7 @@ through query results.  Three layers over six graph families x three seeds:
 * **out-of-band mutations** — direct ``networkx`` edits that change the
   counts are still caught by the (n, m) backstop.
 
-Everything here is pure-Python CSR manipulation: the suite runs identically
-under both CI backends (with NumPy and with ``REPRO_NO_NUMPY=1``).
+Everything here is pure-Python CSR manipulation.
 """
 
 import math

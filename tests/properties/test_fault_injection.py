@@ -4,14 +4,13 @@ Four groups, mirroring the layer's contract:
 
 * **Empty-schedule identity** — an empty :class:`FaultSchedule` installs no
   fault state, so runs are bit-identical (inboxes, metrics, algorithm
-  results) to runs with no schedule at all, on both array backends.
+  results) to runs with no schedule at all.
 * **Fault semantics** — crash windows silence a node's sends *and* receives
   and count ``crashed_node_rounds``; link failures drop local records on the
   failed edge only; degradation windows shrink the planned budget and recover
   afterwards without ever tripping strict capacity checks.
 * **Replay** — a fault trajectory is a deterministic function of
-  ``(schedule seed, schedule)``: identical across reruns *and* across the
-  NumPy / pure-Python backends.
+  ``(schedule seed, schedule)``: identical across reruns.
 * **Self-healing** — the ack-tracked resilient exchange delivers everything
   deliverable under drops, waits out crash windows, reports genuinely dead
   receivers; :class:`ResilientDissemination` reaches every live node on a
@@ -94,7 +93,7 @@ def _mixed_traffic(sim, rng, rounds=4):
 # Empty-schedule identity (the layer's hard invariant)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", SEEDS)
-def test_empty_schedule_runs_are_bit_identical(seed, backend):
+def test_empty_schedule_runs_are_bit_identical(seed, arms):
     graph = erdos_renyi_graph(22, 0.2, seed=seed)
 
     def run(schedule):
@@ -115,7 +114,7 @@ def test_empty_schedule_runs_are_bit_identical(seed, backend):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_empty_schedule_dissemination_is_identical(seed, backend):
+def test_empty_schedule_dissemination_is_identical(seed, arms):
     graph = path_graph(24)
     rng = random.Random(50 + seed)
     tokens = {}
@@ -136,7 +135,7 @@ def test_empty_schedule_dissemination_is_identical(seed, backend):
 # ----------------------------------------------------------------------
 # Crash, link-failure and degradation semantics
 # ----------------------------------------------------------------------
-def test_crash_window_silences_sends_and_receives(backend):
+def test_crash_window_silences_sends_and_receives(arms):
     graph = path_graph(8)
     schedule = FaultSchedule(
         crashes=(CrashEvent(node=3, crash_round=1, recover_round=3),)
@@ -157,7 +156,7 @@ def test_crash_window_silences_sends_and_receives(backend):
     assert sim.metrics.crashed_node_rounds == 2
 
 
-def test_link_failure_drops_only_the_failed_edge(backend):
+def test_link_failure_drops_only_the_failed_edge(arms):
     graph = path_graph(5)
     schedule = FaultSchedule(link_failures=(LinkFailure(1, 2, end_round=2),))
     sim = HybridSimulator(graph, ModelConfig.hybrid(), seed=0, fault_schedule=schedule)
@@ -179,7 +178,7 @@ def test_link_failure_drops_only_the_failed_edge(backend):
     assert sim.metrics.dropped_messages == 4
 
 
-def test_degradation_window_shrinks_and_restores_the_budget(backend):
+def test_degradation_window_shrinks_and_restores_the_budget(arms):
     graph = path_graph(10)
     schedule = FaultSchedule(
         degradations=(CapacityDegradation(0.5, start_round=2, end_round=4),)
@@ -194,7 +193,7 @@ def test_degradation_window_shrinks_and_restores_the_budget(backend):
     assert observed == [full, full, full // 2, full // 2, full]
 
 
-def test_exchange_planned_inside_degraded_window_stays_capacity_clean(backend):
+def test_exchange_planned_inside_degraded_window_stays_capacity_clean(arms):
     """Degraded budgets feed the scheduler: more rounds, zero violations."""
     from repro.simulator.engine import batched_global_exchange
 
@@ -215,7 +214,7 @@ def test_exchange_planned_inside_degraded_window_stays_capacity_clean(backend):
     assert degraded_rounds > fault_free_rounds
 
 
-def test_node_scoped_degradation_tightens_only_that_node(backend):
+def test_node_scoped_degradation_tightens_only_that_node(arms):
     graph = path_graph(10)
     schedule = FaultSchedule(
         degradations=(CapacityDegradation(0.25, node=0),)
@@ -237,22 +236,20 @@ def test_node_scoped_degradation_tightens_only_that_node(backend):
 
 
 # ----------------------------------------------------------------------
-# Replay: deterministic across reruns and across backends
+# Replay: deterministic across reruns
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", SEEDS)
-def test_drop_trajectory_is_identical_across_backends(seed, backend):
+def test_drop_trajectory_replays_identically(seed, arms):
     graph = erdos_renyi_graph(20, 0.25, seed=seed)
     schedule = FaultSchedule(seed=seed, global_drop_rate=0.35, local_drop_rate=0.2)
-    sim = HybridSimulator(graph, ModelConfig.hybrid(), seed=seed, fault_schedule=schedule)
-    inboxes = _mixed_traffic(sim, random.Random(7000 + seed))
-    key = (inboxes, sim.metrics.summary())
-    assert sim.metrics.dropped_messages > 0
-    pins = getattr(test_drop_trajectory_is_identical_across_backends, "_pins", {})
-    test_drop_trajectory_is_identical_across_backends._pins = pins
-    if seed in pins:
-        assert key == pins[seed], f"seed={seed}: backend {backend} diverged"
-    else:
-        pins[seed] = key
+
+    def run():
+        sim = HybridSimulator(graph, ModelConfig.hybrid(), seed=seed, fault_schedule=schedule)
+        inboxes = _mixed_traffic(sim, random.Random(7000 + seed))
+        assert sim.metrics.dropped_messages > 0
+        return inboxes, sim.metrics.summary()
+
+    assert run() == run(), f"seed={seed}: rerun diverged"
 
 
 # ----------------------------------------------------------------------
@@ -266,7 +263,7 @@ def _resilient_run(graph, triples, schedule, *, seed=1, max_attempts=16):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_resilient_exchange_completes_under_heavy_drops(seed, backend):
+def test_resilient_exchange_completes_under_heavy_drops(seed, arms):
     graph = path_graph(14)
     rng = random.Random(300 + seed)
     triples = [
@@ -289,7 +286,7 @@ def test_resilient_exchange_completes_under_heavy_drops(seed, backend):
     assert rerun_sim.metrics.summary() == sim.metrics.summary()
 
 
-def test_resilient_exchange_waits_out_a_crash_window(backend):
+def test_resilient_exchange_waits_out_a_crash_window(arms):
     graph = path_graph(6)
     schedule = FaultSchedule(
         crashes=(CrashEvent(node=4, crash_round=0, recover_round=5),)
@@ -300,7 +297,7 @@ def test_resilient_exchange_waits_out_a_crash_window(backend):
     assert sim.round >= 5  # delivery had to wait for the recovery
 
 
-def test_resilient_exchange_reports_dead_receivers(backend):
+def test_resilient_exchange_reports_dead_receivers(arms):
     graph = path_graph(6)
     schedule = FaultSchedule(crashes=(CrashEvent(node=4, crash_round=0),))
     result, sim = _resilient_run(
@@ -370,24 +367,23 @@ def test_resilient_dissemination_reaches_all_live_nodes(family, seed):
     ), f"{family}/seed={seed}: rerun diverged"
 
 
-def test_resilient_dissemination_is_backend_independent(backend):
+def test_resilient_dissemination_replays_identically(arms):
     graph = cycle_graph(16)
     tokens = {0: [("t", i) for i in range(6)]}
     schedule = crash_fraction_schedule(
         16, 0.25, seed=4, crash_round=1, drop_rate=0.3, exclude=(0,)
     )
-    sim = HybridSimulator(graph, ModelConfig.hybrid(), seed=2, fault_schedule=schedule)
-    result = ResilientDissemination(sim, tokens).run()
-    assert result.complete and result.all_live_nodes_know_all_tokens()
-    key = _dissemination_fingerprint(result, sim)
-    pinned = getattr(test_resilient_dissemination_is_backend_independent, "_pin", None)
-    if pinned is None:
-        test_resilient_dissemination_is_backend_independent._pin = key
-    else:
-        assert key == pinned, f"backend={backend} diverged"
+
+    def run():
+        sim = HybridSimulator(graph, ModelConfig.hybrid(), seed=2, fault_schedule=schedule)
+        result = ResilientDissemination(sim, tokens).run()
+        assert result.complete and result.all_live_nodes_know_all_tokens()
+        return _dissemination_fingerprint(result, sim)
+
+    assert run() == run()
 
 
-def test_resilient_dissemination_survives_crash_recovery_churn(backend):
+def test_resilient_dissemination_survives_crash_recovery_churn(arms):
     graph = path_graph(14)
     tokens = {2: [("c", i) for i in range(4)]}
     schedule = FaultSchedule(

@@ -5,10 +5,10 @@ NumPy Bellman-Ford or the per-source loop.  Every row must equal
 :meth:`GraphIndex.h_hop_limited_distances` and the dict-based oracle
 (:mod:`oracles.weighted`) exactly, whichever arm ran:
 
-* on the pure-Python backend (``_accel.np = None``);
-* on the NumPy backend with the crossover as shipped;
-* on the NumPy backend with the dense arm forced, with tiny blocks and a tiny
-  cell cap as well, so block splitting and the memory fallback run too.
+* with the per-source arm forced (a zero cell cap: no block ever fits);
+* with the crossover as shipped;
+* with the dense arm forced, with tiny blocks and a tiny cell cap as well, so
+  block splitting and the memory fallback run too.
 
 The hypothesis tests use a pinned, derandomized profile.  Edits through
 :class:`GraphMutator` patch the index in place; rows read after them must
@@ -32,48 +32,31 @@ from hypothesis import given, settings, strategies as st
 import repro.graphs.index as graph_index
 from repro.graphs.index import GraphIndex, get_index
 from repro.graphs.mutation import GraphMutator
-from repro.simulator import _accel
 
 from oracles.weighted import _reference_h_hop_limited_distances
 
-NUMPY = _accel.np
-needs_numpy = pytest.mark.skipif(NUMPY is None, reason="NumPy not available")
-
-#: name -> (NumPy module or None, overrides of the index's h-hop constants).
+#: name -> overrides of the index's h-hop constants.
 FORCE_DENSE = {"_HHOP_NUMPY_RATIO": math.inf, "_HHOP_CALL_COST": 0.0}
 MODES = {
-    "python": (None, {}),
-    "numpy": (NUMPY, {}),
-    "dense": (NUMPY, FORCE_DENSE),
-    "dense-small-blocks": (
-        NUMPY,
-        dict(FORCE_DENSE, _HHOP_BLOCK_SOURCES=3, _HHOP_BLOCK_CELLS=24),
-    ),
+    "per-source": {"_HHOP_BLOCK_CELLS": 0},
+    "shipped": {},
+    "dense": FORCE_DENSE,
+    "dense-small-blocks": dict(FORCE_DENSE, _HHOP_BLOCK_SOURCES=3, _HHOP_BLOCK_CELLS=24),
 }
 PROFILE = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 @contextlib.contextmanager
-def backend(mode):
-    np, overrides = MODES[mode]
+def arm(mode):
+    overrides = MODES[mode]
     saved = {name: getattr(graph_index, name) for name in overrides}
-    saved_np = _accel.np
-    _accel.np = np
     for name, value in overrides.items():
         setattr(graph_index, name, value)
     try:
         yield
     finally:
-        _accel.np = saved_np
         for name, value in saved.items():
             setattr(graph_index, name, value)
-
-
-def _modes():
-    return [
-        pytest.param(mode, marks=needs_numpy) if mode != "python" else mode
-        for mode in MODES
-    ]
 
 
 @st.composite
@@ -120,12 +103,12 @@ def _assert_rows_match(graph, sources, h):
         } == expected
 
 
-@pytest.mark.parametrize("mode", _modes())
+@pytest.mark.parametrize("mode", MODES)
 @PROFILE
 @given(rows_cases())
 def test_batch_rows_equal_per_source_and_oracle(mode, case):
     graph, sources, h = case
-    with backend(mode):
+    with arm(mode):
         _assert_rows_match(graph, sources, h)
 
 
@@ -142,14 +125,14 @@ def edit_cases(draw):
     return graph, edits, draw(st.sampled_from([1, 3, n + 1]))
 
 
-@pytest.mark.parametrize("mode", _modes())
+@pytest.mark.parametrize("mode", MODES)
 @PROFILE
 @given(edit_cases())
 def test_rows_follow_in_place_index_patches(mode, case):
     graph, edits, h = case
     nodes = list(graph.nodes)
     mutator = GraphMutator(graph)
-    with backend(mode):
+    with arm(mode):
         index = get_index(graph)
         _assert_rows_match(graph, nodes, h)
         for op, u, v, weight in edits:
@@ -187,15 +170,14 @@ def dense_blocks(monkeypatch):
     blocks = []
     dense_rows = GraphIndex._dense_rows
 
-    def spy(self, np, csr, block, union, degrees, h):
+    def spy(self, csr, block, union, degrees, h):
         blocks.append((len(union), len(block)))
-        return dense_rows(self, np, csr, block, union, degrees, h)
+        return dense_rows(self, csr, block, union, degrees, h)
 
     monkeypatch.setattr(GraphIndex, "_dense_rows", spy)
     return blocks
 
 
-@needs_numpy
 def test_crossover_picks_per_source_on_a_long_path(dense_blocks):
     graph = _weighted(nx.path_graph(3000), 0)
     index = GraphIndex(graph)
@@ -204,7 +186,6 @@ def test_crossover_picks_per_source_on_a_long_path(dense_blocks):
     assert dense_blocks == []
 
 
-@needs_numpy
 def test_crossover_picks_dense_on_a_regular_graph(dense_blocks):
     graph = _weighted(nx.random_regular_graph(6, 200, seed=1), 1)
     index = GraphIndex(graph)
@@ -215,25 +196,23 @@ def test_crossover_picks_dense_on_a_regular_graph(dense_blocks):
         assert list(rows[node]) == [expected.get(v, math.inf) for v in index.nodes]
 
 
-@needs_numpy
 def test_blocks_halve_to_fit_the_cell_cap(dense_blocks):
     # Sources 0, 1, 3 on a cycle with h = 2 cover 8 nodes: 9 x 3 cells do not
     # fit in 24, so the block halves to single sources.
     graph = _weighted(nx.cycle_graph(20), 3)
     sources = [0, 1, 3, 10, 11, 13]
-    with backend("dense-small-blocks"):
+    with arm("dense-small-blocks"):
         _assert_rows_match(graph, sources, 2)
     assert dense_blocks
     assert all((union + 1) * size <= 24 for union, size in dense_blocks)
 
 
-@needs_numpy
 def test_all_sources_on_10k_nodes_stays_within_the_block_cap(dense_blocks):
     graph = _weighted(nx.grid_2d_graph(100, 100), 2)
     index = GraphIndex(graph)
     index._pair_array(0.0)  # the index's own arrays are not the block's
     cap = graph_index._HHOP_BLOCK_CELLS
-    with backend("dense"):
+    with arm("dense"):
         tracemalloc.start()
         try:
             count = sum(1 for _ in index.h_hop_limited_rows(graph.nodes, 2))

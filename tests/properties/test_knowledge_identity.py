@@ -4,8 +4,8 @@ The plane path records sender-identifier learning and validated send pairs in
 the knowledge tracker's pair store (one sorted merge per round), while the
 per-message ``"legacy"`` oracle learns through per-receiver Python sets.  For
 ``KDissemination`` on HYBRID_0 — payload and charge-only, path / star /
-Erdős–Rényi graphs, three seeds, both array backends — the round metrics and
-every node's identifier knowledge must be identical.  The oracle cannot run
+Erdős–Rényi graphs, three seeds — the round metrics and every node's
+identifier knowledge must be identical.  The oracle cannot run
 charge-only, so the charge-only plane run is compared against the oracle's
 payload run (charge-only is accounting-identical by construction).
 
@@ -53,7 +53,7 @@ def _run(graph, tokens, seed, charge_only):
 
 @pytest.mark.parametrize("charge_only", [False, True], ids=["payload", "charge-only"])
 @pytest.mark.parametrize("case", CASES, ids=lambda case: f"{case[0]}-s{case[1]}")
-def test_plane_knowledge_matches_the_legacy_oracle(case, charge_only, backend):
+def test_plane_knowledge_matches_the_legacy_oracle(case, charge_only, arms):
     family, seed = case
     graph = GRAPH_FAMILIES[family](seed)
     rng = random.Random(f"ki-{family}-{seed}")
@@ -74,7 +74,7 @@ def test_plane_knowledge_matches_the_legacy_oracle(case, charge_only, backend):
 
 @pytest.mark.parametrize("faults", [False, True], ids=["fault-free", "faulted"])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_round_by_round_sender_learning_matches_per_message_sends(seed, faults, backend):
+def test_round_by_round_sender_learning_matches_per_message_sends(seed, faults, arms):
     """HYBRID_0 traffic along currently known pairs — sent as token-plane
     shards (large ones take the vectorised path, small ones the scalar path)
     and, one message per call, into the round model's per-receiver sets —

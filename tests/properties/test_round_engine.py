@@ -3,21 +3,18 @@
 The token-plane scheduler must be **schedule-identical** to the greedy
 reference (``oracles.scheduler.shard_transfers``) on every workload shape —
 uncongested, congested, mixed token sizes, oversized tokens hitting the
-forced-through branch — under both array backends (NumPy and the pure-Python
-fallback).  The plane sends must produce the same inboxes, metrics, capacity
-accounting and knowledge as the record-level round model
-(``oracles.delivery.ReferenceNetwork``).  Each property
-is exercised across seeds; the fallback is selected by monkeypatching
-``repro.simulator._accel.np`` (exactly what ``REPRO_NO_NUMPY=1`` does at
-import time).
+forced-through branch.  The plane sends must produce the same inboxes,
+metrics, capacity accounting and knowledge as the record-level round model
+(``oracles.delivery.ReferenceNetwork``).  Each property is exercised across
+seeds.
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.graphs.generators import erdos_renyi_graph, path_graph
-from repro.simulator import _accel
 from repro.simulator.config import ModelConfig
 from repro.simulator.engine import (
     ExchangeTag,
@@ -36,10 +33,6 @@ from oracles.scheduler import reference_batched_global_exchange, shard_transfers
 from oracles.transport import GlobalTransfer, throttled_global_exchange
 
 SEEDS = [0, 1, 2, 3, 4]
-
-requires_numpy = pytest.mark.skipif(
-    _accel.np is None, reason="NumPy not available; vectorised leg is inactive"
-)
 
 
 # ----------------------------------------------------------------------
@@ -134,7 +127,7 @@ def _reference_schedule(senders, receivers, words, budget, tag_words):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("shape", sorted(WORKLOADS))
 @pytest.mark.parametrize("seed", SEEDS)
-def test_plan_token_rounds_is_schedule_identical(shape, seed, backend):
+def test_plan_token_rounds_is_schedule_identical(shape, seed, arms):
     rng = random.Random(hash((shape, seed)) & 0xFFFFFF)
     n = rng.randrange(10, 60)
     senders, receivers, words = WORKLOADS[shape](rng, n)
@@ -145,7 +138,7 @@ def test_plan_token_rounds_is_schedule_identical(shape, seed, backend):
     actual = [[int(position) for position in shard] for shard in shards]
     expected = _reference_schedule(senders, receivers, words, budget, tag_words)
     assert actual == expected, (
-        f"{shape} seed={seed} backend={backend}: shard boundaries diverged "
+        f"{shape} seed={seed}: shard boundaries diverged "
         f"from the greedy reference"
     )
     # Every token is scheduled exactly once, in FIFO order within each shard.
@@ -153,7 +146,7 @@ def test_plan_token_rounds_is_schedule_identical(shape, seed, backend):
     assert flat == list(range(len(words)))
 
 
-def test_forced_oversized_branch_matches_reference(backend):
+def test_forced_oversized_branch_matches_reference(arms):
     # Every token exceeds the budget: one forced token per round, FIFO.
     senders = [0, 1, 2, 0]
     receivers = [3, 4, 5, 3]
@@ -167,7 +160,7 @@ def test_forced_oversized_branch_matches_reference(backend):
 # Exchange equivalence (plane vs reference vs legacy transport)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", SEEDS)
-def test_exchange_engines_deliver_identically(seed, backend):
+def test_exchange_engines_deliver_identically(seed, arms):
     """The plane exchange against the greedy reference exchange on the round
     model, and against the per-message exchange on a simulator."""
     rng = random.Random(9000 + seed)
@@ -206,7 +199,7 @@ def test_exchange_engines_deliver_identically(seed, backend):
 
 
 @pytest.mark.parametrize("seed", SEEDS[:3])
-def test_exchange_equivalence_under_hybrid0(seed, backend):
+def test_exchange_equivalence_under_hybrid0(seed, arms):
     graph = erdos_renyi_graph(20, 0.25, seed=seed)
     edges = sorted(graph.edges)
     rng = random.Random(777 + seed)
@@ -235,7 +228,7 @@ def test_exchange_equivalence_under_hybrid0(seed, backend):
         assert plane_sim.known_ids(node) == reference_sim.known_ids(node)
 
 
-def test_exchange_is_collision_proof_for_shared_tags(backend):
+def test_exchange_is_collision_proof_for_shared_tags(arms):
     """Foreign traffic sharing BOTH the tag and a receiver no longer leaks."""
     sim = HybridSimulator(path_graph(6), ModelConfig.hybrid())
     transport.send_batch(sim, [(0, 2, "foreign")], tag="x")
@@ -259,7 +252,7 @@ def test_exchange_tag_words_charge_only_the_prefix():
 # Plane sends against the round model: capacity counters, inboxes, knowledge
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", SEEDS)
-def test_global_plane_sends_match_the_round_model(seed, backend):
+def test_global_plane_sends_match_the_round_model(seed, arms):
     graph = erdos_renyi_graph(30, 0.2, seed=seed)
     rng = random.Random(4000 + seed)
     plane_sim = HybridSimulator(graph, ModelConfig.hybrid(), seed=seed)
@@ -301,7 +294,7 @@ def test_global_plane_sends_match_the_round_model(seed, backend):
 
 @pytest.mark.parametrize("direction", ["sent", "received"])
 @pytest.mark.parametrize("seed", SEEDS[:3])
-def test_plane_sends_record_overloads_like_the_round_model(seed, direction, backend):
+def test_plane_sends_record_overloads_like_the_round_model(seed, direction, arms):
     """Overload on either side: the same violation count as the round model,
     and under strict enforcement the same error, naming the lowest-indexed
     offender even though the other offender's traffic was queued first."""
@@ -340,7 +333,7 @@ def test_plane_sends_record_overloads_like_the_round_model(seed, direction, back
 
 
 @pytest.mark.parametrize("seed", SEEDS[:3])
-def test_local_plane_sends_match_the_round_model(seed, backend):
+def test_local_plane_sends_match_the_round_model(seed, arms):
     graph = erdos_renyi_graph(25, 0.25, seed=seed)
     rng = random.Random(6000 + seed)
     plane_sim = HybridSimulator(graph, ModelConfig.hybrid(), seed=seed)
@@ -373,7 +366,7 @@ def test_local_plane_sends_match_the_round_model(seed, backend):
     assert nodes == model.nodes
 
 
-def test_plane_send_validates_adjacency_and_membership(backend):
+def test_plane_send_validates_adjacency_and_membership(arms):
     from repro.simulator.errors import NotANeighborError, UnknownNodeError
 
     sim = HybridSimulator(path_graph(5), ModelConfig.hybrid())
@@ -389,7 +382,7 @@ def test_plane_send_validates_adjacency_and_membership(backend):
     assert sim.metrics.local_messages == 0
 
 
-def test_plane_send_enforces_hybrid0_knowledge(backend):
+def test_plane_send_enforces_hybrid0_knowledge(arms):
     from repro.simulator.errors import UnknownIdentifierError
 
     sim = HybridSimulator(path_graph(6), ModelConfig.hybrid0(), seed=1)
@@ -436,7 +429,7 @@ def _sssp_label_pipeline(sim):
     [_hinted_dissemination, _sssp_label_pipeline],
     ids=["dissemination", "sssp-labels"],
 )
-def test_engines_agree_on_whole_algorithms(workload, backend):
+def test_engines_agree_on_whole_algorithms(workload, arms):
     """The plane path and both oracle engines, on identically seeded
     simulators, deliver everything with identical metrics and results."""
     outcomes = {}
@@ -450,8 +443,8 @@ def test_engines_agree_on_whole_algorithms(workload, backend):
     plane = outcomes["batch"]
     assert plane[0]["measured_rounds"] > 0
     for engine in ORACLES:
-        assert outcomes[engine][0] == plane[0], f"backend={backend} {engine}"
-        assert outcomes[engine][1] == plane[1], f"backend={backend} {engine}"
+        assert outcomes[engine][0] == plane[0], engine
+        assert outcomes[engine][1] == plane[1], engine
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -499,7 +492,7 @@ def test_exchange_via_routes_every_send_through_the_named_engine(engine, monkeyp
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("shape", sorted(WORKLOADS))
 @pytest.mark.parametrize("seed", SEEDS[:3])
-def test_empty_fault_schedule_leaves_schedules_identical(shape, seed, backend):
+def test_empty_fault_schedule_leaves_schedules_identical(shape, seed, arms):
     """An empty FaultSchedule must not perturb the engine in any way.
 
     The fault layer's hard invariant: installing an empty schedule creates no
@@ -548,50 +541,45 @@ def _plain(column):
     return [int(value) for value in column]
 
 
-def _select_and_send(positions):
-    """Column selection plus one global and one local round of the shard."""
-    from repro.graphs.generators import cycle_graph
-
-    graph = cycle_graph(12)
-    sim = HybridSimulator(graph, ModelConfig(strict=False), seed=3)
+def _send_shard(network, positions):
+    """One global and one local round of a shard of an 80-token ring plane."""
     plane = _ring_plane(12, 80)
-    selected = tuple(_plain(c) for c in sim._select_plane_columns(plane, positions))
     tag = ExchangeTag("sel", serial=1)
-    sim.global_send_plane(plane, positions, tag)
-    sim.local_send_plane(plane, positions, tag)
-    sim.advance_round()
+    network.global_send_plane(plane, positions, tag)
+    network.local_send_plane(plane, positions, tag)
+    network.advance_round()
     return (
-        selected,
-        sim.metrics.summary(),
-        sim.delivered_plane_positions(tag, GLOBAL_MODE),
-        sim.delivered_plane_positions(tag, LOCAL_MODE),
-        sim.per_node_inbox(GLOBAL_MODE),
-        sim.per_node_inbox(LOCAL_MODE),
+        network.metrics.summary(),
+        network.per_node_inbox(GLOBAL_MODE),
+        network.per_node_inbox(LOCAL_MODE),
     )
 
 
 @pytest.mark.parametrize("size", [0, 1, 31, 32, 33])
 @pytest.mark.parametrize("order", ["sorted", "unsorted"])
-def test_shard_selection_matches_the_pure_python_path(size, order, backend, monkeypatch):
+def test_shard_selection_matches_the_round_model(size, order, arms):
+    from repro.graphs.generators import cycle_graph
+
     rng = random.Random(size * 2 + (order == "unsorted"))
     positions = sorted(rng.sample(range(80), size))
     if order == "unsorted":
         rng.shuffle(positions)
-    got = _select_and_send(positions)
-    with monkeypatch.context() as patch:
-        patch.setattr(_accel, "np", None)
-        want = _select_and_send(positions)
-    assert got == want
-    selected = got[0]
+    graph = cycle_graph(12)
+    config = ModelConfig(strict=False)
+    sim = HybridSimulator(graph, config, seed=3)
+    selected = [_plain(c) for c in sim._select_plane_columns(_ring_plane(12, 80), positions)]
     assert selected[3] == positions
     assert selected[0] == [p % 12 for p in positions]
-    assert got[1]["global_messages"] == got[1]["local_messages"] == size
+    got = _send_shard(sim, positions)
+    assert got == _send_shard(ReferenceNetwork(graph, config, seed=3), positions)
+    assert got[0]["global_messages"] == got[0]["local_messages"] == size
+    tag = ExchangeTag("sel", serial=1)
+    for mode in (GLOBAL_MODE, LOCAL_MODE):
+        assert sim.delivered_plane_positions(tag, mode) == positions
 
 
-@requires_numpy
 def test_small_shard_of_a_big_plane_converts_only_the_shard():
     """A 3-token send gathers its 3 entries; it never lists a whole column."""
-    np = _accel.np
     converted = []
 
     class CountingArray(np.ndarray):
@@ -620,7 +608,7 @@ def test_small_shard_of_a_big_plane_converts_only_the_shard():
 
 @pytest.mark.parametrize("positions, bad", [([-1], -1), ([3], 3), ([0, 5, -1], 5)])
 @pytest.mark.parametrize("send", ["global_send_plane", "local_send_plane"])
-def test_out_of_range_shard_positions_raise_before_queueing(positions, bad, send, backend):
+def test_out_of_range_shard_positions_raise_before_queueing(positions, bad, send, arms):
     from repro.graphs.generators import cycle_graph
 
     sim = HybridSimulator(cycle_graph(5), ModelConfig.hybrid())
@@ -629,7 +617,7 @@ def test_out_of_range_shard_positions_raise_before_queueing(positions, bad, send
     with pytest.raises(IndexError) as caught:
         getattr(sim, send)(plane, positions)
     assert str(caught.value) == message
-    # A bulk shard (vectorised gather on NumPy) reports the first bad position.
+    # A bulk shard (vectorised gather) reports the first bad position.
     big = _ring_plane(5, 40)
     with pytest.raises(IndexError, match="plane position 40 is out"):
         getattr(sim, send)(big, list(range(39)) + [40, -2])

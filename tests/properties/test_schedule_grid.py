@@ -4,7 +4,7 @@
 schedule-identical** to ``oracles.scheduler.shard_transfers`` on congested
 workloads drawn from the node sets of six graph families, for one to seven
 node-disjoint congested groups (independent components of the sender/receiver
-counters), three seeds and both array backends.  The same identity is pinned
+counters) and three seeds.  The same identity is pinned
 for workloads that force individually-oversized tokens through, for a single
 global hot receiver, and for small hand-built planes whose schedules are
 known in closed form.
@@ -24,17 +24,12 @@ from repro.graphs.generators import (
     grid_graph,
     path_graph,
 )
-from repro.simulator import _accel
-from repro.simulator.engine import TokenPlane, plan_token_rounds
+from repro.simulator.engine import TokenPlane, _plan_rounds_python, plan_token_rounds
 
 from oracles.scheduler import shard_transfers
 
 SEEDS = [0, 1, 2]
 GROUP_COUNTS = [1, 2, 4, 7]
-
-requires_numpy = pytest.mark.skipif(
-    _accel.np is None, reason="NumPy not available; vectorised leg is inactive"
-)
 
 GRAPH_FAMILIES = {
     "path": lambda seed: path_graph(30),
@@ -96,11 +91,11 @@ def _as_lists(shards):
 
 
 # ----------------------------------------------------------------------
-# The grid: families x seeds x group counts x backends
+# The grid: families x seeds x group counts
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("groups", GROUP_COUNTS)
 @pytest.mark.parametrize("case", CASES, ids=_ids)
-def test_schedule_is_token_identical(case, groups, backend):
+def test_schedule_is_token_identical(case, groups, arms):
     family, seed = case
     graph = GRAPH_FAMILIES[family](seed)
     n = graph.number_of_nodes()
@@ -112,7 +107,7 @@ def test_schedule_is_token_identical(case, groups, backend):
     actual = _as_lists(plan_token_rounds(_plane(senders, receivers, words), budget, tag_words))
     expected = _reference_schedule(senders, receivers, words, budget, tag_words)
     assert actual == expected, (
-        f"{family} seed={seed} groups={groups} backend={backend}: "
+        f"{family} seed={seed} groups={groups}: "
         f"schedule diverged from the greedy reference"
     )
     # Congested by construction: every group needs more than one round.
@@ -124,7 +119,7 @@ def test_schedule_is_token_identical(case, groups, backend):
 
 @pytest.mark.parametrize("budget", [8, 24])
 @pytest.mark.parametrize("case", CASES[::3], ids=_ids)
-def test_oversized_tokens_are_forced_through_in_order(case, budget, backend):
+def test_oversized_tokens_are_forced_through_in_order(case, budget, arms):
     """Tokens larger than the budget interleave with congested groups: each
     is forced through alone once nothing else fits, as in the reference."""
     family, seed = case
@@ -147,7 +142,7 @@ def test_oversized_tokens_are_forced_through_in_order(case, budget, backend):
 
 @pytest.mark.parametrize("tag_words", [0, 1])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_hot_receiver_schedule_is_token_identical(seed, tag_words, backend):
+def test_hot_receiver_schedule_is_token_identical(seed, tag_words, arms):
     """One global hot receiver couples every token into one component."""
     rng = random.Random(4100 + seed)
     n = 40
@@ -167,22 +162,22 @@ def test_hot_receiver_schedule_is_token_identical(seed, tag_words, backend):
 # ----------------------------------------------------------------------
 # Closed-form schedules
 # ----------------------------------------------------------------------
-def test_empty_plane_plans_no_rounds(backend):
+def test_empty_plane_plans_no_rounds(arms):
     assert _as_lists(plan_token_rounds(_plane([], [], []), 8)) == []
 
 
-def test_uncongested_plane_is_one_shard(backend):
+def test_uncongested_plane_is_one_shard(arms):
     plane = _plane([0, 2, 4, 6], [1, 3, 5, 7], [2, 2, 2, 2])
     assert _as_lists(plan_token_rounds(plane, 8, 1)) == [[0, 1, 2, 3]]
 
 
-def test_single_congested_pair_is_fifo(backend):
+def test_single_congested_pair_is_fifo(arms):
     # 5 + 1 tag word per token: one token per round on a budget of 8.
     plane = _plane([0] * 4, [1] * 4, [5] * 4)
     assert _as_lists(plan_token_rounds(plane, 8, 1)) == [[0], [1], [2], [3]]
 
 
-def test_sender_and_receiver_budgets_are_independent(backend):
+def test_sender_and_receiver_budgets_are_independent(arms):
     # Node 1 receives token 0 and sends token 1; its sent and received
     # counters are separate, so both full-budget tokens fit in one round.
     plane = _plane([0, 1], [1, 2], [8, 8])
@@ -192,27 +187,21 @@ def test_sender_and_receiver_budgets_are_independent(backend):
     assert _as_lists(plan_token_rounds(plane, 8)) == [[0, 1]]
 
 
-def test_shared_counters_defer_tokens(backend):
+def test_shared_counters_defer_tokens(arms):
     # (0->1) and (2->1) share receiver 1; (2->3) shares sender 2 with (2->1).
     # (5->6) shares nothing and rides in round 0.
     plane = _plane([0, 2, 2, 5], [1, 1, 3, 6], [5, 5, 5, 5])
     assert _as_lists(plan_token_rounds(plane, 8)) == [[0, 2, 3], [1]]
 
 
-@requires_numpy
-def test_plans_agree_across_backends(monkeypatch):
+def test_plans_agree_across_the_size_arms():
+    """A bulk workload planned by the vectorised arm and by the scalar arm
+    that small workloads take: one schedule, the reference one."""
     rng = random.Random(11)
     senders = [rng.randrange(20) for _ in range(400)]
     receivers = [rng.randrange(20) for _ in range(400)]
     words = [rng.choice([1, 2, 3, 30]) for _ in range(400)]
-    np = _accel.np
-    plane = TokenPlane(
-        np.asarray(senders, dtype=np.int64),
-        np.asarray(receivers, dtype=np.int64),
-        np.asarray(words, dtype=np.int64),
-        list(range(400)),
-    )
-    from_numpy = _as_lists(plan_token_rounds(plane, 24, 1))
-    monkeypatch.setattr(_accel, "np", None)
-    assert _as_lists(plan_token_rounds(_plane(senders, receivers, words), 24, 1)) == from_numpy
-    assert from_numpy == _reference_schedule(senders, receivers, words, 24, 1)
+    vectorised = _as_lists(plan_token_rounds(_plane(senders, receivers, words), 24, 1))
+    scalar = _plan_rounds_python(senders, receivers, [w + 1 for w in words], 24)
+    assert _as_lists(scalar) == vectorised
+    assert vectorised == _reference_schedule(senders, receivers, words, 24, 1)

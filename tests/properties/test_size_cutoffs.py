@@ -1,0 +1,226 @@
+"""Both sides of every input-size selection, checked against the oracles.
+
+The round engine picks scalar or array code by input size alone:
+
+* :func:`~repro.simulator.engine.plan_token_rounds` plans a workload below
+  ``engine._SMALL_WORKLOAD`` tokens with the scalar greedy scan and a larger
+  one with the vectorised planner;
+* :class:`~repro.simulator.network.HybridSimulator` queues a shard below
+  ``HybridSimulator._SMALL_SHARD`` tokens as lists — scalar range and
+  knowledge checks, dict counters, the per-node capacity sweep and the scalar
+  fault filter — and a larger shard as int64 arrays.
+
+On token counts and shard sizes one below, at and one above each cutoff,
+with and without a fault schedule and in strict mode, schedules must equal
+``oracles.scheduler.shard_transfers`` and rounds must equal
+``oracles.delivery.ReferenceNetwork``: metrics, inboxes, delivered positions,
+identifier knowledge and the strict offender.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.graphs.generators import erdos_renyi_graph
+from repro.simulator.config import ModelConfig
+from repro.simulator.engine import (
+    _SMALL_WORKLOAD,
+    TokenPlane,
+    batched_global_exchange,
+    plan_token_rounds,
+)
+from repro.simulator.errors import CapacityExceededError, UnknownIdentifierError
+from repro.simulator.faults import (
+    CapacityDegradation,
+    CrashEvent,
+    FaultSchedule,
+    LinkFailure,
+)
+from repro.simulator.messages import GLOBAL_MODE, LOCAL_MODE
+from repro.simulator.network import HybridSimulator
+
+from oracles.delivery import ReferenceNetwork
+from oracles.scheduler import reference_batched_global_exchange, shard_transfers
+
+WORKLOAD_SIZES = [_SMALL_WORKLOAD - 1, _SMALL_WORKLOAD, _SMALL_WORKLOAD + 1]
+_SMALL_SHARD = HybridSimulator._SMALL_SHARD
+SHARD_SIZES = [_SMALL_SHARD - 1, _SMALL_SHARD, _SMALL_SHARD + 1]
+FAULTS = ["fault-free", "faulted"]
+
+N = 24
+#: Nodes that know every identifier, so their sends reach strangers.
+HUBS = 4
+
+
+def _graph():
+    return erdos_renyi_graph(N, 0.2, seed=3)
+
+
+def _schedule(faults):
+    if faults == "fault-free":
+        return None
+    edge = sorted(_graph().edges)[0]
+    return FaultSchedule(
+        seed=9,
+        crashes=(CrashEvent(node=HUBS + 1, crash_round=0, recover_round=2),),
+        link_failures=(LinkFailure(u=edge[0], v=edge[1], start_round=0, end_round=2),),
+        degradations=(CapacityDegradation(factor=0.5, start_round=0, end_round=2, node=2),),
+        global_drop_rate=0.25,
+        local_drop_rate=0.25,
+    )
+
+
+# ----------------------------------------------------------------------
+# Planner: _SMALL_WORKLOAD +- 1 tokens against the greedy reference
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("tag_words", [0, 2])
+@pytest.mark.parametrize("words", ["uniform", "mixed", "oversized"])
+@pytest.mark.parametrize("count", WORKLOAD_SIZES)
+def test_plan_matches_the_greedy_reference_at_the_workload_cutoff(count, words, tag_words):
+    rng = random.Random(f"plan-{count}-{words}-{tag_words}")
+    senders = [rng.randrange(6) for _ in range(count)]
+    receivers = [rng.randrange(6) for _ in range(count)]
+    sizes = {
+        "uniform": lambda: 3,
+        "mixed": lambda: rng.choice([1, 2, 5, 9]),
+        "oversized": lambda: rng.choice([1, 2, 20]),
+    }[words]
+    sizes = [sizes() for _ in range(count)]
+    budget = 12
+    tokens = [(senders[i], receivers[i], i, sizes[i]) for i in range(count)]
+    expected = [[token[2] for token in shard] for shard in shard_transfers(tokens, budget, tag_words)]
+    shards = plan_token_rounds(TokenPlane(senders, receivers, sizes), budget, tag_words)
+    assert [[int(p) for p in shard] for shard in shards] == expected
+    assert len(expected) > 1
+
+
+@pytest.mark.parametrize("faults", FAULTS)
+@pytest.mark.parametrize("count", WORKLOAD_SIZES)
+def test_exchange_matches_the_round_model_at_the_workload_cutoff(count, faults):
+    rng = random.Random(f"exchange-{count}-{faults}")
+    triples = [
+        (rng.randrange(8), rng.randrange(8), ("x", i), rng.choice([1, 3, 6]))
+        for i in range(count)
+    ]
+    config = ModelConfig.hybrid(strict=False)
+    model = ReferenceNetwork(_graph(), config, seed=1, fault_schedule=_schedule(faults))
+    expected = reference_batched_global_exchange(model, triples, tag="cut")
+    sim = HybridSimulator(_graph(), config, seed=1, fault_schedule=_schedule(faults))
+    delivered = batched_global_exchange(sim, triples, tag="cut")
+    assert sim.metrics.summary() == model.metrics.summary()
+    assert sim.metrics.total_rounds > 1
+    if faults == "fault-free":
+        assert delivered == expected
+    else:
+        assert sim.metrics.dropped_messages > 0
+
+
+# ----------------------------------------------------------------------
+# Rounds: _SMALL_SHARD +- 1 token shards against the round model
+# ----------------------------------------------------------------------
+def _networks(faults, strict):
+    config = ModelConfig.hybrid0(strict=strict)
+    networks = []
+    for network in (HybridSimulator, ReferenceNetwork):
+        net = network(_graph(), config, seed=11, fault_schedule=_schedule(faults))
+        for hub in net.nodes[:HUBS]:
+            net.declare_learned_ids(hub, net.all_ids())
+        networks.append(net)
+    return networks
+
+
+def _round_traffic(rng, sim, size):
+    """A global shard along known pairs (hubs heavy enough to overload the
+    budget) and a local shard along edges, ``size`` tokens each."""
+    nodes = sim.nodes
+    index = sim.node_indexer()
+    heavy = sim.global_budget_words() // 3 + 1
+    senders, receivers, words = [], [], []
+    for k in range(size):
+        sender = nodes[k // 2 % HUBS] if k % 2 == 0 else rng.choice(nodes)
+        target = sim.node_of_id(rng.choice(sorted(sim.known_ids(sender))))
+        senders.append(index[sender])
+        receivers.append(index[target])
+        words.append(heavy if k % 2 == 0 else rng.choice([1, 2]))
+    global_plane = TokenPlane(senders, receivers, words, [("g", p) for p in range(size)])
+    edges = sorted(sim.graph.edges)
+    local = [rng.choice(edges)[:: rng.choice([1, -1])] for _ in range(size)]
+    local_plane = TokenPlane(
+        [index[u] for u, _ in local],
+        [index[v] for _, v in local],
+        [rng.choice([1, 4]) for _ in local],
+        [("l", p) for p in range(size)],
+    )
+    return global_plane, local_plane
+
+
+def _run_round(network, planes):
+    """One round; ``(error, metrics, inboxes, delivered positions)``."""
+    global_plane, local_plane = planes
+    try:
+        network.global_send_plane(global_plane, None, "g")
+        network.local_send_plane(local_plane, None, "l")
+        network.advance_round()
+    except CapacityExceededError as exc:
+        return str(exc), network.metrics.summary(), None, None
+    inboxes = {mode: network.per_node_inbox(mode) for mode in (GLOBAL_MODE, LOCAL_MODE)}
+    positions = {
+        mode: sorted(
+            record[1][1] for records in inbox.values() for record in records
+        )
+        for mode, inbox in inboxes.items()
+    }
+    return None, network.metrics.summary(), inboxes, positions
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+@pytest.mark.parametrize("faults", FAULTS)
+@pytest.mark.parametrize("size", SHARD_SIZES)
+def test_rounds_match_the_round_model_at_the_shard_cutoff(size, faults, strict):
+    sim, model = _networks(faults, strict)
+    rng = random.Random(f"rounds-{size}-{faults}-{strict}")
+    for _ in range(3):
+        planes = _round_traffic(rng, sim, size)
+        got = _run_round(sim, planes)
+        assert got == _run_round(model, planes)
+        error, _, _, positions = got
+        if error is not None:
+            # Several hubs overload; the error names the lowest-indexed one.
+            assert error.startswith(f"node {sim.nodes[0]!r} sent ")
+            return
+        for mode, tag in ((GLOBAL_MODE, "g"), (LOCAL_MODE, "l")):
+            assert sorted(sim.delivered_plane_positions(tag, mode)) == positions[mode]
+        for node in sim.nodes:
+            assert sim.known_ids(node) == model.known_ids(node)
+    assert not strict, "strict rounds must overload"
+    assert sim.metrics.capacity_violations > 0
+    if faults == "faulted":
+        assert sim.metrics.dropped_messages > 0
+
+
+@pytest.mark.parametrize("size", SHARD_SIZES)
+def test_unknown_identifier_at_the_shard_cutoff_queues_nothing(size):
+    sim, _ = _networks("fault-free", True)
+    index = sim.node_indexer()
+    stranger = next(
+        v for v in sim.nodes if sim.id_of(v) not in sim.known_ids(sim.nodes[-1])
+    )
+    senders = [index[sim.nodes[k % HUBS]] for k in range(size)]
+    receivers = [index[stranger]] * size
+    # The last token alone is illegal: the last node does not know the stranger.
+    senders[-1] = index[sim.nodes[-1]]
+    plane = TokenPlane(senders, receivers, [1] * size, [("u", p) for p in range(size)])
+    with pytest.raises(UnknownIdentifierError) as caught:
+        sim.global_send_plane(plane, None, "u")
+    assert str(caught.value) == (
+        f"node {sim.nodes[-1]!r} does not know identifier {sim.id_of(stranger)!r}"
+    )
+    sim.advance_round()
+    assert sim.metrics.global_messages == 0
+    # The legal prefix alone goes through, and its pairs are remembered.
+    sim.global_send_plane(plane, list(range(size - 1)), "u")
+    sim.advance_round()
+    assert sim.metrics.global_messages == size - 1
+    assert sim.delivered_plane_positions("u") == list(range(size - 1))

@@ -4,6 +4,7 @@ import math
 import operator
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.aggregation import KAggregation
@@ -25,7 +26,6 @@ from repro.graphs.generators import (
     path_graph,
     star_graph,
 )
-from repro.simulator import _accel
 from repro.simulator.config import ModelConfig, log2_ceil
 from repro.simulator.messages import payload_words
 from repro.simulator.network import HybridSimulator
@@ -100,15 +100,10 @@ class TestClusterTree:
             assert receiver == target_members[rank % len(target_members)]
 
 
-@pytest.mark.parametrize("backend", ["numpy", "python"])
-def test_level_planes_lower_to_the_rank_matched_tuple_workload(backend, monkeypatch):
+def test_level_planes_lower_to_the_rank_matched_tuple_workload(monkeypatch, arms):
     """Every cluster-tree level plane KDissemination submits, lowered to
     tuples, is token for token the :func:`rank_matched_triples` workload of
     that level's edges: same senders, receivers, payloads, words and order."""
-    if backend == "python":
-        monkeypatch.setattr(_accel, "np", None)
-    elif _accel.np is None:
-        pytest.skip("NumPy not available; vectorised leg is inactive")
     graph = grid_graph(6, 2)
     rng = random.Random(4)
     nodes = sorted(graph.nodes)
@@ -169,7 +164,7 @@ LOAD_BALANCE_FAMILIES = {
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("family", sorted(LOAD_BALANCE_FAMILIES))
-def test_cluster_masks_equal_the_balanced_allocation(family, seed, backend):
+def test_cluster_masks_equal_the_balanced_allocation(family, seed, arms):
     """Phase 4 charges Lemma 4.1 without materialising the allocation: the
     cluster token masks the converge-cast starts from equal masks built from
     a ``balance_items`` allocation of every cluster."""
@@ -190,11 +185,7 @@ def test_cluster_masks_equal_the_balanced_allocation(family, seed, backend):
         for held in allocation.values():
             want[cluster.index].update(token_rank[token] for token in held)
     masks = algorithm._cluster_token_masks(token_rank)
-    if _accel.np is not None:
-        got = [set(_accel.np.flatnonzero(row).tolist()) for row in masks]
-    else:
-        got = masks
-    assert got == want
+    assert [set(np.flatnonzero(row).tolist()) for row in masks] == want
 
 
 class TestKDissemination:

@@ -17,7 +17,6 @@ import random
 import pytest
 
 from repro.graphs.generators import path_graph
-from repro.simulator import _accel
 from repro.simulator.config import ModelConfig
 from repro.simulator.errors import UnknownIdentifierError
 from repro.simulator.faults import (
@@ -263,7 +262,6 @@ def test_window_keyed_lookups_equal_a_per_round_scan(seed):
     n = 9
     schedule = _random_schedule(rng, n)
     state = FaultState(schedule, n)
-    np = _accel.np
     for r in range(schedule.horizon() + 6):
         crashed, factor, node_factors, keys = _scan(schedule, n, r)
         assert state.crashed_indices(r) == crashed
@@ -271,9 +269,8 @@ def test_window_keyed_lookups_equal_a_per_round_scan(seed):
         assert state.global_capacity_factor(r) == factor
         assert state.node_capacity_factors(r) == node_factors
         assert state.failed_edge_keys(r) == keys
-        if np is not None:
-            assert state.crashed_index_array(np, r).tolist() == sorted(crashed)
-            assert state.failed_edge_key_array(np, r).tolist() == sorted(keys)
+        assert state.crashed_index_array(r).tolist() == sorted(crashed)
+        assert state.failed_edge_key_array(r).tolist() == sorted(keys)
 
 
 def test_fault_caches_grow_with_boundaries_not_rounds():
@@ -283,15 +280,13 @@ def test_fault_caches_grow_with_boundaries_not_rounds():
     sim = HybridSimulator(path_graph(n), ModelConfig.hybrid(), fault_schedule=schedule)
     state = sim.fault_state
     sim.advance_rounds(10_000)
-    np = _accel.np
     for r in range(sim.round + 1):
         state.crashed_indices(r)
         state.global_capacity_factor(r)
         state.node_capacity_factors(r)
         state.failed_edge_keys(r)
-        if np is not None:
-            state.crashed_index_array(np, r)
-            state.failed_edge_key_array(np, r)
+        state.crashed_index_array(r)
+        state.failed_edge_key_array(r)
     limit = _boundary_count(schedule) + 1
     caches = (
         state._crash_cache,
@@ -437,7 +432,7 @@ def test_permanent_failure_commits_edge_deletion_at_window_close():
     sim.advance_round()
 
 
-def test_initial_knowledge_survives_a_committed_edge_deletion(backend):
+def test_initial_knowledge_survives_a_committed_edge_deletion(arms):
     # HYBRID_0 knowledge is a copy of the construction-time adjacency: once
     # the fault layer deletes edge (0, 1) for good, both ends still know each
     # other's identifier, and a global send along the dead edge validates.

@@ -95,7 +95,7 @@ def _relatives(tree, node):
 @pytest.mark.parametrize("subset", [False, True], ids=["full", "subset"])
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 100])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_heap_layout_tree_matches_the_dict_oracle(n, subset, seed, backend):
+def test_heap_layout_tree_matches_the_dict_oracle(n, subset, seed, arms):
     """The slot-arithmetic views and the taught identifiers equal those of
     the eager dict heap tree over the identifier-sorted members."""
     sim = make_sim(path_graph(n), seed=seed)
@@ -137,7 +137,7 @@ def _keep_first(a, b):
 
 
 @pytest.mark.parametrize("partial", SIZING_PARTIALS, ids=repr)
-def test_level_sizing_matches_the_tuple_oracle(partial, backend):
+def test_level_sizing_matches_the_tuple_oracle(partial, arms):
     """A level sized once (None and ints of at most 64 bits) or value by
     value charges what the per-value tuple oracle charges."""
     plane_sim, oracle_sim = make_sim(path_graph(13)), make_sim(path_graph(13))
@@ -150,7 +150,7 @@ def test_level_sizing_matches_the_tuple_oracle(partial, backend):
     assert plane_sim.metrics.summary() == oracle_sim.metrics.summary()
 
 
-def test_level_sizing_of_mixed_partials_matches_the_tuple_oracle(backend):
+def test_level_sizing_of_mixed_partials_matches_the_tuple_oracle(arms):
     n = len(SIZING_PARTIALS) * 3
     plane_sim, oracle_sim = make_sim(path_graph(n)), make_sim(path_graph(n))
     values = {
@@ -236,7 +236,7 @@ class TestDefaultTreeOpsMatchTheOracles:
     def _pair(self, graph):
         return make_sim(TREE_GRAPHS[graph]()), make_sim(TREE_GRAPHS[graph]())
 
-    def test_aggregate_via_tree(self, graph, mode, backend):
+    def test_aggregate_via_tree(self, graph, mode, arms):
         plane_sim, oracle_sim = self._pair(graph)
         values = {v: i for i, v in enumerate(plane_sim.nodes) if i % 3}
         tree = build_virtual_tree(plane_sim)
@@ -249,7 +249,7 @@ class TestDefaultTreeOpsMatchTheOracles:
         assert plane_sim.round == oracle_sim.round
         assert plane_sim.metrics.summary() == oracle_sim.metrics.summary()
 
-    def test_broadcast_via_tree(self, graph, mode, backend):
+    def test_broadcast_via_tree(self, graph, mode, arms):
         plane_sim, oracle_sim = self._pair(graph)
         got = broadcast_via_tree(plane_sim, build_virtual_tree(plane_sim), ("b", 1))
         want = tree_oracle.broadcast_via_tree(
@@ -259,7 +259,7 @@ class TestDefaultTreeOpsMatchTheOracles:
         assert plane_sim.round == oracle_sim.round
         assert plane_sim.metrics.summary() == oracle_sim.metrics.summary()
 
-    def test_basic_aggregation(self, graph, mode, backend):
+    def test_basic_aggregation(self, graph, mode, arms):
         plane_sim, oracle_sim = self._pair(graph)
         values = {v: 1 for v in plane_sim.nodes}
         got = basic_aggregation(plane_sim, values, max)
@@ -268,7 +268,7 @@ class TestDefaultTreeOpsMatchTheOracles:
         assert plane_sim.round == oracle_sim.round
         assert plane_sim.metrics.summary() == oracle_sim.metrics.summary()
 
-    def test_basic_dissemination_down_cast(self, graph, mode, backend, monkeypatch):
+    def test_basic_dissemination_down_cast(self, graph, mode, monkeypatch, arms):
         plane_sim, oracle_sim = self._pair(graph)
         source = plane_sim.nodes[7]
         got = basic_dissemination(plane_sim, source, ("token", 42))

@@ -6,6 +6,7 @@ lowers every call to one token plane."""
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.graphs.generators import path_graph, grid_graph, complete_graph
@@ -163,7 +164,7 @@ class TestKnowledgeTracker:
         with pytest.raises(UnknownNodeError):
             sim.knows_id("ghost", sim.id_of(0))
 
-    def test_declare_learned_ids_bulk_is_atomic(self, backend):
+    def test_declare_learned_ids_bulk_is_atomic(self, arms):
         sim = HybridSimulator(path_graph(8), ModelConfig.hybrid0(), seed=0)
         target = sim.id_of(5)
         with pytest.raises(UnknownNodeError):
@@ -173,18 +174,6 @@ class TestKnowledgeTracker:
         sim.declare_learned_ids_bulk(iter([0, 1]), [target])
         assert sim.knows_id(0, target) and sim.knows_id(1, target)
         assert not sim.knows_id(2, target)
-
-
-@pytest.fixture(params=["numpy", "python"])
-def backend(request, monkeypatch):
-    """Run the test body under both array backends; yields ``_accel.np``."""
-    from repro.simulator import _accel
-
-    if request.param == "python":
-        monkeypatch.setattr(_accel, "np", None)
-    elif _accel.np is None:
-        pytest.skip("NumPy not available; vectorised leg is inactive")
-    return _accel.np
 
 
 class TestPairStore:
@@ -199,9 +188,9 @@ class TestPairStore:
         tracker.learn_shared(frozenset({0}), frozenset({0, 1}))
         return tracker
 
-    def test_learned_pair_is_visible_through_every_probe(self, backend):
+    def test_learned_pair_is_visible_through_every_probe(self, arms):
         tracker = self._tracker()
-        tracker.pairs.add(backend, [0 * self.N + 7, 0 * self.N + 30, 5 * self.N + 0])
+        tracker.pairs.add([0 * self.N + 7, 0 * self.N + 30, 5 * self.N + 0])
         assert tracker.knows(0, 7)
         assert tracker.knows(5, 0)
         assert not tracker.knows(0, 8)
@@ -210,18 +199,16 @@ class TestPairStore:
         assert tracker.knows(0, 30) and tracker.knows(0, 1) and not tracker.knows(0, 29)
         assert tracker.known(5) == {0}
 
-    def test_learn_index_pairs_takes_arrays_and_lists(self, backend):
+    def test_learn_index_pairs_takes_arrays_and_lists(self, arms):
         tracker = self._tracker()
-        learners, learned = [2, 2, 9], [40, 41, 2]
-        if backend is not None:
-            learners = backend.array(learners, dtype=backend.int64)
-            learned = backend.array(learned, dtype=backend.int64)
+        learners = np.array([2, 2, 9], dtype=np.int64)
+        learned = np.array([40, 41, 2], dtype=np.int64)
         tracker.learn_index_pairs(learners, learned)
         tracker.learn_index_pairs([2], [40])  # already known: a no-op
         assert tracker.known(2) == {40, 41}
         assert tracker.knows(9, 2) and not tracker.knows(2, 9)
 
-    def test_random_trickle_keeps_membership_exact(self, backend):
+    def test_random_trickle_keeps_membership_exact(self, arms):
         n = 512
         tracker = KnowledgeTracker(n)
         rng = random.Random(13)
@@ -232,14 +219,11 @@ class TestPairStore:
                 a, b = rng.randrange(4), rng.randrange(n)
                 keys.append(a * n + b)
                 expected[a].add(b)
-            tracker.pairs.add(backend, keys)
+            tracker.pairs.add(keys)
         for a, learned in expected.items():
             assert tracker.known(a) == learned
             assert all(tracker.knows(a, b) == (b in learned) for b in range(n))
         levels = tracker.pairs.levels()
-        if backend is None:
-            assert not levels
-            return
         # At most two sorted levels, holding every key exactly once.
         assert 1 <= len(levels) <= 2
         stored = []
@@ -248,40 +232,12 @@ class TestPairStore:
             stored.extend(level.tolist())
         assert sorted(stored) == sorted(a * n + b for a in expected for b in expected[a])
 
-    def test_unknown_filters_already_stored_keys(self, backend):
-        if backend is None:
-            pytest.skip("vectorised filter only")
+    def test_unknown_filters_already_stored_keys(self, arms):
         tracker = self._tracker()
-        tracker.pairs.add(backend, [3, 9, 90])
-        tracker.pairs.known.add(40)  # a key stored while the gate was off
-        keys = backend.array([3, 4, 9, 40, 41, 90, 4], dtype=backend.int64)
-        assert tracker.pairs.unknown(backend, keys).tolist() == [4, 41, 4]
-
-    def test_probes_survive_gate_switch_off(self, monkeypatch):
-        from repro.simulator import _accel
-
-        if _accel.np is None:
-            pytest.skip("NumPy not available; no arrays to keep probing")
-        tracker = self._tracker()
-        tracker.pairs.add(_accel.np, [21, 42])
-        monkeypatch.setattr(_accel, "np", None)
-        # bisect probes work on the stored arrays regardless of the gate,
-        # and keys stored afterwards land in the set beside them.
-        tracker.pairs.add(None, [50])
-        assert tracker.knows(0, 42)
-        assert tracker.knows(0, 21)
-        assert tracker.known(0) == {0, 1, 21, 42, 50}
-
-    def test_pure_python_backend_stores_keys_in_the_set(self, monkeypatch):
-        from repro.simulator import _accel
-
-        monkeypatch.setattr(_accel, "np", None)
-        tracker = self._tracker()
-        tracker.pairs.add(None, [4, 8, 4])
-        assert tracker.pairs.known == {4, 8}
-        assert not tracker.pairs.levels()
-        assert tracker.knows(0, 8)
-        assert tracker.known(0) == {0, 1, 4, 8}
+        tracker.pairs.add([3, 9, 90])
+        tracker.pairs.add([40])
+        keys = np.array([3, 4, 9, 40, 41, 90, 4], dtype=np.int64)
+        assert tracker.pairs.unknown(keys).tolist() == [4, 41, 4]
 
 
 class TestPairKeyRange:
