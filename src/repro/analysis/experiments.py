@@ -547,8 +547,9 @@ def run_nq_scale_point(
     """One large-scale NQ row: the full ``NQ_k`` profile of one graph, timed.
 
     Exercises the frontier-based analytics engine (:mod:`repro.graphs.index`)
-    at production scale: one shared early-terminating exploration per node
-    answers every workload in ``ks``.  ``with_diameter`` additionally reports
+    at production scale: each workload in ``ks`` runs the pruned graph-level
+    scan, which grows balls only from nodes no earlier ball certified.
+    ``with_diameter`` additionally reports
     the exact hop diameter (cheap through the index's iFUB search on path- and
     tree-like families; leave it off for cycles, whose antipodal symmetry
     defeats eccentricity pruning).

@@ -16,9 +16,9 @@ This module provides
   (:mod:`repro.graphs.index`): incremental ball growers with early termination
   stop each node's BFS at the radius that certifies its answer, the diameter is
   resolved lazily (only for nodes whose exploration exhausts the graph unmet),
-  ``nq_profile`` shares one exploration across all workloads, and graph-level
-  ``NQ_k`` skips every node a grown ball already certifies and is memoised
-  per ``(graph, k)``.  The original Theta(n * m) formulations are test
+  graph-level ``NQ_k`` skips every node a grown ball already certifies and is
+  memoised per ``(graph, k)``, and ``nq_profile`` runs that pruned scan once
+  per distinct workload.  The original Theta(n * m) formulations are test
   oracles (``tests/oracles/nq.py``), pinned by
   ``tests/properties/test_nq_equivalence.py``;
 * :class:`DistributedNQComputation`, the distributed computation of Lemma 3.3
@@ -82,7 +82,7 @@ def neighborhood_quality(graph: nx.Graph, k: float) -> int:
 
 
 def nq_profile(graph: nx.Graph, ks: list) -> Dict[float, int]:
-    """``NQ_k(G)`` for several workloads ``k`` (one shared exploration per node)."""
+    """``NQ_k(G)`` for several workloads ``k`` (one pruned scan per distinct ``k``)."""
     return get_index(graph).nq_profile(ks)
 
 

@@ -1257,12 +1257,11 @@ class GraphIndex:
         return best
 
     def nq_profile(self, ks: Iterable[float]) -> Dict[float, int]:
-        """``NQ_k(G)`` for several workloads, sharing one exploration per node.
+        """``NQ_k(G)`` for several workloads: :meth:`nq_value` per distinct ``k``.
 
-        The satisfying radius is monotone in ``k`` (a larger workload needs a
-        larger ball), so one ball grower per node answers every ``k`` on its
-        way out: it checks the sorted thresholds smallest-first and stops at
-        the largest one.
+        Each workload runs the pruned graph-level scan, memoised per ``k``, so
+        a repeated or already answered ``k`` costs one lookup.  Every ``k`` is
+        validated before anything is computed.
         """
         ks_list = list(ks)
         self._require_nq_preconditions()
@@ -1271,58 +1270,7 @@ class GraphIndex:
         for k in ks_list:
             if k <= 0:
                 raise ValueError("k must be positive")
-        if not ks_list:
-            return {}
-        distinct = sorted(set(ks_list))
-        best = [0] * len(distinct)
-        for s in range(self.n):
-            values = self._nq_profile_grow(s, distinct)
-            for j, value in enumerate(values):
-                if value > best[j]:
-                    best[j] = value
-        result = {k: best[j] for j, k in enumerate(distinct)}
-        for k, value in result.items():
-            self._nq_cache.setdefault(k, value)
-        return {k: result[k] for k in ks_list}
-
-    def _nq_profile_grow(self, s: int, ks_asc: Sequence[float]) -> List[int]:
-        """One shared ball growth answering every ``k`` in ascending order."""
-        self._epoch += 1
-        epoch = self._epoch
-        visited = self._visited
-        offsets = self._offsets
-        targets = self._targets
-        visited[s] = epoch
-        frontier = [s]
-        size = 1
-        t = 0
-        nk = len(ks_asc)
-        idx = 0
-        values: List[int] = [0] * nk
-        while True:
-            t += 1
-            nxt = []
-            for u in frontier:
-                for j in range(offsets[u], offsets[u + 1]):
-                    v = targets[j]
-                    if visited[v] != epoch:
-                        visited[v] = epoch
-                        nxt.append(v)
-            if not nxt:
-                ecc = t - 1
-                break
-            size += len(nxt)
-            while idx < nk and size >= ks_asc[idx] / t:
-                values[idx] = t
-                idx += 1
-            if idx == nk:
-                return values
-            frontier = nxt
-        if self._connected and ecc > self._diam_lb:
-            self._diam_lb = ecc
-        for j in range(idx, nk):
-            values[j] = self._saturated_nq(size, ecc, ks_asc[j], None)
-        return values
+        return {k: self.nq_value(k) for k in ks_list}
 
 
 class SSSPRowCache:

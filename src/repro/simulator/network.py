@@ -23,19 +23,20 @@ see :meth:`node_indexer`) plus a payload side list.
 :meth:`global_send_plane` / :meth:`local_send_plane` queue a whole shard at
 once: membership is a range check, HYBRID_0 knowledge and local adjacency are
 validated on the workload's *unique* (sender, receiver) pairs with set/array
-operations, and the capacity counters are updated via grouped per-node
-reductions.  A shard is validated up front; on error nothing is queued.
+operations, and the shard is queued as one batch.  A shard is validated up
+front; on error nothing is queued.
 
-Capacity-accounting semantics: every queued global token adds its word count
-(payload words plus tag words) to the sender's and the receiver's running
-totals for the round; at ``advance_round`` each total is compared against
-:meth:`HybridSimulator.global_budget_words` exactly once per node.  Send-side
-overruns raise in strict mode (they are always under the algorithm's control);
-receive-side overruns raise only when ``enforce_receive_capacity`` is set and
-are otherwise recorded in
+Capacity-accounting semantics: sends keep no counters.  At ``advance_round``
+one sweep reads the round's per-node loads off the queued global batches —
+every token adds its word count (payload words plus tag words) to its
+sender's and its receiver's load — and compares each load exactly once
+against the node's budget (:meth:`HybridSimulator.global_budget_words`, or a
+node-scoped degraded budget).  Send-side overruns raise in strict mode (they
+are always under the algorithm's control); receive-side overruns raise only
+when ``enforce_receive_capacity`` is set and are otherwise recorded in
 :class:`~repro.simulator.metrics.RoundMetrics.capacity_violations`.  The
 accounting is therefore identical to charging each message individually — only
-the bookkeeping is O(#nodes) instead of O(#messages) per round.
+the bookkeeping is grouped per node instead of per message.
 
 The delivered planes are the round's inbox.  :meth:`delivered_plane_positions`
 names the positions of a tagged plane that arrived (the round engine's ack
@@ -79,7 +80,6 @@ recorded in :class:`~repro.simulator.metrics.RoundMetrics`.
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 import networkx as nx
@@ -334,18 +334,11 @@ class HybridSimulator:
         self._init_knowledge()
 
         # Round state: the plane batches queued for the round being composed,
-        # per-node word counters for it, and the batches delivered by the most
-        # recent ``advance_round``.
+        # their message and word totals, and the batches delivered by the
+        # most recent ``advance_round``.  Per-node loads are read off the
+        # queued batches by the capacity sweep; the send path keeps none.
         self._pending_local_planes: List[_PlaneBatch] = []
         self._pending_global_planes: List[_PlaneBatch] = []
-        # Scalar counters (small shards) ...
-        self._global_sent_words: Dict[Node, int] = defaultdict(int)
-        self._global_recv_words: Dict[Node, int] = defaultdict(int)
-        # ... and dense per-index word arrays fed by grouped reductions
-        # (bulk shards).  ``advance_round`` sweeps them with whole-array
-        # comparisons.
-        self._plane_sent_arr: Optional[Any] = None
-        self._plane_recv_arr: Optional[Any] = None
         self._pending_local_msgs = 0
         self._pending_local_words = 0
         self._pending_global_msgs = 0
@@ -537,7 +530,7 @@ class HybridSimulator:
         planning time) therefore plan with exactly the budget the capacity
         sweep will enforce, as long as planning and delivery happen in the
         same round.  Node-scoped factors do not appear here; they only tighten
-        the per-node sweep in :meth:`advance_round`.
+        that node's budget in the capacity sweep of :meth:`advance_round`.
         """
         base = self.config.resolve_global_word_budget(self.n) * self.capacity_multiplier
         fault_state = self.fault_state
@@ -551,9 +544,10 @@ class HybridSimulator:
     # ------------------------------------------------------------------
     # Sending — id-native plane API (the round engine's hot path)
     # ------------------------------------------------------------------
-    #: Shards below this size take the scalar (list and dict-counter) paths
-    #: of validation, capacity counting, the capacity sweep and fault
-    #: filtering: the grouped NumPy reductions only pay off on bulk traffic.
+    #: Shards below this size take the scalar (list) paths of validation,
+    #: fault filtering and identifier learning, and a round with fewer global
+    #: tokens than this sweeps capacity with dicts: the grouped NumPy
+    #: reductions only pay off on bulk traffic.
     _SMALL_SHARD = 32
 
     def _select_plane_columns(self, plane, positions):
@@ -642,11 +636,13 @@ class HybridSimulator:
         ``plane`` carries parallel node-index arrays plus a payload side list
         (see :class:`~repro.simulator.engine.TokenPlane`); ``positions``
         selects the shard (``None`` sends the whole plane).  Membership is a
-        range check, HYBRID_0 knowledge is validated per unique (sender,
-        receiver) pair, the capacity counters are updated via grouped
-        reductions, and no per-token record objects are built unless the
-        round's inbox is read.  The workload is validated up front; on error
-        nothing is queued.  Returns the number of messages queued.
+        range check and HYBRID_0 knowledge is validated per unique (sender,
+        receiver) pair; the shard is then queued as it is, with its tag words
+        folded into its word column.  Capacity is not counted here: the sweep
+        in :meth:`advance_round` reads every node's load off the queued
+        shards.  No per-token record objects are built unless the round's
+        inbox is read.  The workload is validated up front; on error nothing
+        is queued.  Returns the number of messages queued.
         """
         if not self.config.global_mode_enabled():
             raise CapacityExceededError(
@@ -688,27 +684,11 @@ class HybridSimulator:
         if self.config.is_hybrid0():
             self._validate_plane_knowledge(pair_s, pair_r, small)
         if small:
-            nodes = self._nodes
             wt = [w + tag_words for w in w_sel] if tag_words else w_sel
             total = sum(wt)
-            for counters, column in (
-                (self._global_sent_words, s_sel),
-                (self._global_recv_words, r_sel),
-            ):
-                grouped: Dict[int, int] = {}
-                for k, index in enumerate(column):
-                    grouped[index] = grouped.get(index, 0) + wt[k]
-                for index, words in grouped.items():
-                    counters[nodes[index]] += words
         else:
             wt = w_sel + tag_words if tag_words else w_sel
             total = int(wt.sum())
-            sent_arr = self._plane_sent_arr
-            if sent_arr is None:
-                sent_arr = self._plane_sent_arr = np.zeros(self.n)
-                self._plane_recv_arr = np.zeros(self.n)
-            sent_arr += np.bincount(s_sel, weights=wt, minlength=self.n)
-            self._plane_recv_arr += np.bincount(r_sel, weights=wt, minlength=self.n)
         self._pending_global_planes.append(
             _PlaneBatch(
                 s_sel, r_sel, wt,
@@ -803,127 +783,21 @@ class HybridSimulator:
     def advance_round(self) -> None:
         """Deliver all queued messages and advance the round counter.
 
-        Global-mode capacity is enforced here from the aggregated per-node
-        counters maintained by the send path: the total number of words each
-        node *sends* and *receives* in this round must not exceed the per-node
-        budget (times the configured slack).  Send-side violations raise in
-        strict mode because they are always under the algorithm's control;
-        receive-side violations raise only when ``enforce_receive_capacity`` is
-        set, and are otherwise recorded.
-
-        Under a non-empty fault schedule the sweep additionally tightens the
-        budget of node-scoped degradation targets, and queued traffic is
-        filtered through :meth:`_apply_faults` *after* capacity accounting
-        (attempt-based: drops never refund budget) and *before* sparse-regime
-        identifier learning (receivers learn nothing from dropped messages).
+        The round runs as stages over the queued plane batches: the global
+        capacity sweep (:meth:`_sweep_global_capacity`), the round's message
+        and word totals, the fault filter (:meth:`_apply_faults`, under a
+        non-empty fault schedule), sparse-regime sender-identifier learning
+        (:meth:`_learn_from_planes`) and delivery (:meth:`_deliver`).  The
+        order is the semantics: capacity is charged per attempt, before
+        faults (drops never refund budget), and receivers learn identifiers
+        only from the messages that survived the filter.
         """
-        fault_state = self.fault_state
-        node_budget_of: Optional[Dict[int, int]] = None
-        if self.config.global_mode_enabled():
-            budget = self.global_budget_words()
-            strict = self.config.strict
-            metrics = self.metrics
-            if fault_state is not None:
-                factors = fault_state.node_capacity_factors(self.round)
-                if factors:
-                    node_budget_of = {
-                        index: max(1, int(budget * factor))
-                        for index, factor in factors.items()
-                    }
-            sent_arr = self._plane_sent_arr
-            if sent_arr is not None and (
-                node_budget_of is not None
-                or self._global_sent_words
-                or self._global_recv_words
-            ):
-                # Mixed round (bulk shards on the arrays, small shards on the
-                # dicts) or per-node degraded budgets: fold the arrays into
-                # the dicts and run the per-node sweep below on the union.
-                nodes = self._nodes
-                for counters, arr in (
-                    (self._global_sent_words, sent_arr),
-                    (self._global_recv_words, self._plane_recv_arr),
-                ):
-                    for index in np.flatnonzero(arr).tolist():
-                        counters[nodes[index]] += int(arr[index])
-                sent_arr = None
-                self._plane_sent_arr = self._plane_recv_arr = None
-            if sent_arr is not None:
-                # Array-only round: the capacity sweep is two whole-array
-                # comparisons over the grouped counters — identical accounting
-                # to the per-node loop (the metrics only keep the max load and
-                # the violation count; a strict error names the first
-                # over-budget node in node order).
-                recv_arr = self._plane_recv_arr
-                swept = []
-                for arr in (sent_arr, recv_arr):
-                    peak = int(arr.max())
-                    if peak > budget:
-                        over = np.flatnonzero(arr > budget)
-                        swept.append((peak, int(over.size), int(over[0])))
-                    else:
-                        swept.append((peak, 0, -1))
-                for verb, arr, (peak, over_count, first_over), enforce in (
-                    ("sent", sent_arr, swept[0], strict),
-                    (
-                        "received",
-                        recv_arr,
-                        swept[1],
-                        strict and self.enforce_receive_capacity,
-                    ),
-                ):
-                    peak = int(peak)
-                    if peak:
-                        metrics.record_node_round_load(peak)
-                    if peak > budget:
-                        if enforce:
-                            metrics.record_violation()
-                            node = self._nodes[first_over]
-                            raise CapacityExceededError(
-                                f"node {node!r} {verb} {int(arr[first_over])} "
-                                f"global words in round {self.round}, budget "
-                                f"is {budget}"
-                            )
-                        for _ in range(over_count):
-                            metrics.record_violation()
-            else:
-                # Per-node sweep with the array sweep's outcome: the strict
-                # error names the lowest-indexed offender, whatever order the
-                # counters were filled in.
-                index_of = self._index_of
-                for verb, counters, enforce in (
-                    ("sent", self._global_sent_words, strict),
-                    (
-                        "received",
-                        self._global_recv_words,
-                        strict and self.enforce_receive_capacity,
-                    ),
-                ):
-                    over = []
-                    for node, words in counters.items():
-                        metrics.record_node_round_load(words)
-                        index = index_of[node]
-                        node_budget = budget
-                        if node_budget_of is not None:
-                            node_budget = node_budget_of.get(index, budget)
-                        if words > node_budget:
-                            over.append((index, words, node_budget))
-                    if over and enforce:
-                        metrics.record_violation()
-                        index, words, node_budget = min(over)
-                        raise CapacityExceededError(
-                            f"node {self._nodes[index]!r} {verb} {words} global "
-                            f"words in round {self.round}, budget is {node_budget}"
-                        )
-                    for _ in over:
-                        metrics.record_violation()
-
+        self._sweep_global_capacity()
         self.metrics.record_local_bulk(self._pending_local_msgs, self._pending_local_words)
         self.metrics.record_global_bulk(self._pending_global_msgs, self._pending_global_words)
-
+        fault_state = self.fault_state
         if fault_state is not None:
             self._apply_faults(fault_state)
-
         # Receiving a global message always teaches the receiver the sender's
         # identifier (the sender attaches it implicitly).  In the dense regime
         # everyone already knows every identifier, so the bookkeeping is
@@ -933,16 +807,101 @@ class HybridSimulator:
             and self._pending_global_planes
         ):
             self._learn_from_planes(self._pending_global_planes)
+        self._deliver()
+        if fault_state is not None:
+            self._commit_permanent_link_failures(fault_state)
 
-        # Deliver: the pending planes become the inboxes of this round.
+    def _sweep_global_capacity(self) -> None:
+        """Charge the round's global traffic against every node's budget.
+
+        Each node's send and receive loads are read off the queued global
+        batches (payload plus tag words per token) and compared once against
+        its budget: :meth:`global_budget_words`, or the node's own degraded
+        budget under a node-scoped :class:`~repro.simulator.faults.
+        CapacityDegradation`.  A round below :attr:`_SMALL_SHARD` global
+        tokens sums its loads in index-keyed dicts; a larger round
+        ``bincount``-s each batch into one float64 pair (exact below 2^53
+        words) and compares it against a limit vector when a node budget is
+        degraded.  The metrics keep the peak load and one violation per
+        overloaded node and side.  Send-side overloads raise in strict mode
+        (they are always under the algorithm's control); receive-side
+        overloads raise only when ``enforce_receive_capacity`` is set.  The
+        error names the lowest-indexed offender, send side first.
+        """
+        planes = self._pending_global_planes
+        if not planes:
+            return
+        budget = self.global_budget_words()
+        node_budgets: Dict[int, int] = {}
+        if self.fault_state is not None:
+            node_budgets = {
+                index: max(1, int(budget * factor))
+                for index, factor in self.fault_state.node_capacity_factors(
+                    self.round
+                ).items()
+            }
+        # No node is overloaded unless the peak load exceeds the lowest budget
+        # (node-scoped budgets never exceed the node-wide one).
+        lowest = min(node_budgets.values(), default=budget)
+        # Per side: (loads by node index, peak load, overloaded nodes, the
+        # lowest-indexed offender).
+        swept = []
+        if self._pending_global_msgs < self._SMALL_SHARD:
+            sent: Dict[int, int] = {}
+            received: Dict[int, int] = {}
+            for queued in planes:
+                for s, r, w in zip(queued.senders, queued.receivers, queued.words):
+                    sent[s] = sent.get(s, 0) + w
+                    received[r] = received.get(r, 0) + w
+            for loads in (sent, received):
+                peak = max(loads.values())
+                over = []
+                if peak > lowest:
+                    over = [
+                        index
+                        for index, words in loads.items()
+                        if words > node_budgets.get(index, budget)
+                    ]
+                swept.append((loads, peak, len(over), min(over) if over else -1))
+        else:
+            n = self.n
+            sent_arr = np.zeros(n)
+            recv_arr = np.zeros(n)
+            for queued in planes:
+                sent_arr += np.bincount(queued.senders, weights=queued.words, minlength=n)
+                recv_arr += np.bincount(queued.receivers, weights=queued.words, minlength=n)
+            limit: Any = budget
+            if node_budgets:
+                limit = np.full(n, budget)
+                limit[list(node_budgets)] = list(node_budgets.values())
+            for loads in (sent_arr, recv_arr):
+                peak = loads.max()
+                over = np.flatnonzero(loads > limit) if peak > lowest else []
+                swept.append((loads, peak, len(over), int(over[0]) if len(over) else -1))
+        metrics = self.metrics
+        strict = self.config.strict
+        for verb, (loads, peak, over_count, first), enforce in zip(
+            ("sent", "received"),
+            swept,
+            (strict, strict and self.enforce_receive_capacity),
+        ):
+            metrics.record_node_round_load(int(peak))
+            if over_count and enforce:
+                metrics.record_violation()
+                raise CapacityExceededError(
+                    f"node {self._nodes[first]!r} {verb} {int(loads[first])} global "
+                    f"words in round {self.round}, budget is "
+                    f"{node_budgets.get(first, budget)}"
+                )
+            for _ in range(over_count):
+                metrics.record_violation()
+
+    def _deliver(self) -> None:
+        """The queued planes become this round's inboxes; the round ends."""
         self._delivered_local_planes = self._pending_local_planes
         self._delivered_global_planes = self._pending_global_planes
         self._pending_local_planes = []
         self._pending_global_planes = []
-        self._global_sent_words = defaultdict(int)
-        self._global_recv_words = defaultdict(int)
-        self._plane_sent_arr = None
-        self._plane_recv_arr = None
         self._pending_local_msgs = 0
         self._pending_local_words = 0
         self._pending_global_msgs = 0
@@ -950,8 +909,6 @@ class HybridSimulator:
         self._delivered_round = self.round
         self.round += 1
         self.metrics.record_round()
-        if fault_state is not None:
-            self._commit_permanent_link_failures(fault_state)
 
     def _commit_permanent_link_failures(self, fault_state: FaultState) -> None:
         """Turn closed permanent link-failure windows into real edge deletions.

@@ -15,6 +15,7 @@ from typing import Dict, List
 
 NETWORK = "src/repro/simulator/network.py"
 ENGINE = "src/repro/simulator/engine.py"
+INDEX = "src/repro/graphs/index.py"
 
 DELIVERY = "tests/properties/test_delivery_modes.py"
 KNOWLEDGE = "tests/properties/test_knowledge_identity.py"
@@ -22,6 +23,9 @@ CUTOFFS = "tests/properties/test_size_cutoffs.py"
 ROUND_ENGINE = "tests/properties/test_round_engine.py"
 FAULTS = "tests/properties/test_fault_injection.py"
 SCHEDULES = "tests/properties/test_schedule_grid.py"
+NQ = "tests/properties/test_nq_equivalence.py"
+NQ_UNIT = "tests/unit/test_neighborhood_quality.py"
+HHOP = "tests/properties/test_hhop_rows.py"
 
 MUTANTS: List[Dict[str, object]] = [
     # Plane delivery: fault filter, capacity sweep, identifier learning.
@@ -35,23 +39,37 @@ MUTANTS: List[Dict[str, object]] = [
     {
         "name": "array-sweep-counts-the-budget-as-overload",
         "file": NETWORK,
-        "snippet": "peak = int(arr.max())\n                    if peak > budget:",
-        "replacement": "peak = int(arr.max())\n                    if peak >= budget:",
+        "snippet": "np.flatnonzero(loads > limit) if peak > lowest",
+        "replacement": "np.flatnonzero(loads >= limit) if peak >= lowest",
         "selection": [ROUND_ENGINE, DELIVERY, CUTOFFS],
     },
     {
         "name": "strict-error-names-the-highest-indexed-offender",
         "file": NETWORK,
-        "snippet": "index, words, node_budget = min(over)",
-        "replacement": "index, words, node_budget = max(over)",
+        "snippet": "min(over) if over else -1",
+        "replacement": "max(over) if over else -1",
         "selection": [CUTOFFS, DELIVERY, ROUND_ENGINE],
     },
     {
         "name": "array-sweep-names-the-highest-indexed-offender",
         "file": NETWORK,
-        "snippet": "swept.append((peak, int(over.size), int(over[0])))",
-        "replacement": "swept.append((peak, int(over.size), int(over[-1])))",
+        "snippet": "int(over[0]) if len(over) else -1",
+        "replacement": "int(over[-1]) if len(over) else -1",
         "selection": [CUTOFFS, DELIVERY, ROUND_ENGINE],
+    },
+    {
+        "name": "scalar-sweep-reads-only-the-first-batch",
+        "file": NETWORK,
+        "snippet": "            for queued in planes:\n                for s, r, w in zip(",
+        "replacement": "            for queued in planes[:1]:\n                for s, r, w in zip(",
+        "selection": [CUTOFFS],
+    },
+    {
+        "name": "array-sweep-reads-only-the-first-batch",
+        "file": NETWORK,
+        "snippet": "            for queued in planes:\n                sent_arr +=",
+        "replacement": "            for queued in planes[:1]:\n                sent_arr +=",
+        "selection": [CUTOFFS],
     },
     {
         "name": "drop-draw-before-the-crash-check",
@@ -124,8 +142,20 @@ MUTANTS: List[Dict[str, object]] = [
     {
         "name": "per-node-sweep-counts-the-budget-as-overload",
         "file": NETWORK,
-        "snippet": "                        if words > node_budget:\n",
-        "replacement": "                        if words >= node_budget:\n",
+        "snippet": (
+            "                if peak > lowest:\n"
+            "                    over = [\n"
+            "                        index\n"
+            "                        for index, words in loads.items()\n"
+            "                        if words > node_budgets.get(index, budget)\n"
+        ),
+        "replacement": (
+            "                if peak >= lowest:\n"
+            "                    over = [\n"
+            "                        index\n"
+            "                        for index, words in loads.items()\n"
+            "                        if words >= node_budgets.get(index, budget)\n"
+        ),
         "selection": [CUTOFFS, DELIVERY, FAULTS],
     },
     {
@@ -134,5 +164,71 @@ MUTANTS: List[Dict[str, object]] = [
         "snippet": "                    or receiver_index in crashed\n",
         "replacement": "",
         "selection": [CUTOFFS, DELIVERY, FAULTS],
+    },
+    # Graph-level NQ scan: containment certificate, Lemma 3.6 stop, and the
+    # periphery start dropped with the topology caches.
+    {
+        "name": "nq-scan-over-certifies-one-extra-level",
+        "file": INDEX,
+        "snippet": "for certified in levels[1 : best - j + 1]:",
+        "replacement": "for certified in levels[1 : best - j + 2]:",
+        "selection": [NQ, NQ_UNIT],
+    },
+    {
+        "name": "nq-scan-stops-at-t0-minus-one",
+        "file": INDEX,
+        "snippet": "stop = math.isqrt(math.ceil(k) - 1) + 1 if",
+        "replacement": "stop = math.isqrt(math.ceil(k) - 1) if",
+        "selection": [NQ, NQ_UNIT],
+    },
+    {
+        "name": "nq-scan-stops-at-floor-sqrt-k",
+        "file": INDEX,
+        "snippet": "stop = math.isqrt(math.ceil(k) - 1) + 1 if",
+        "replacement": "stop = math.isqrt(math.floor(k)) if",
+        "selection": [NQ, NQ_UNIT],
+    },
+    {
+        "name": "periphery-kept-across-edits",
+        "file": INDEX,
+        "snippet": "        self._connected = None\n        self._periphery = None\n",
+        "replacement": "        self._connected = None\n",
+        "selection": [NQ, NQ_UNIT],
+    },
+    {
+        "name": "nq-scan-certifies-at-k-over-best-plus-one",
+        "file": INDEX,
+        "snippet": "if size >= k / best:",
+        "replacement": "if size >= k / (best + 1):",
+        "selection": [NQ, NQ_UNIT],
+    },
+    # Batched h-hop rows: Jacobi rounds over the ball union, within the cap.
+    {
+        "name": "dense-rows-read-gauss-seidel",
+        "file": INDEX,
+        "snippet": "candidate = np.take(dist, t, axis=0,",
+        "replacement": "candidate = np.take(nxt, t, axis=0,",
+        "selection": [HHOP],
+    },
+    {
+        "name": "dense-rows-one-round-short",
+        "file": INDEX,
+        "snippet": "        for _ in range(h):\n            np.copyto(nxt, dist)\n",
+        "replacement": "        for _ in range(h - 1):\n            np.copyto(nxt, dist)\n",
+        "selection": [HHOP],
+    },
+    {
+        "name": "ball-union-one-hop-short",
+        "file": INDEX,
+        "snippet": "        for _ in range(h):\n            end = len(union)\n",
+        "replacement": "        for _ in range(h - 1):\n            end = len(union)\n",
+        "selection": [HHOP],
+    },
+    {
+        "name": "block-cap-ignores-the-sentinel-row",
+        "file": INDEX,
+        "snippet": "limit = _HHOP_BLOCK_CELLS // len(block) - 1",
+        "replacement": "limit = _HHOP_BLOCK_CELLS // len(block)",
+        "selection": [HHOP],
     },
 ]

@@ -6,7 +6,10 @@ scheduler must match the greedy reference
 (``oracles.scheduler.shard_transfers``) and both exchanges must complete; an
 oversized token under strict enforcement must fail loudly with a typed error.
 Theorem 1 on string and mixed int/str node labels must match the oracle
-engines (``oracles.engines``) in metrics and identifier knowledge.
+engines (``oracles.engines``) in metrics and identifier knowledge.  A graph
+that a permanent link failure disconnects mid-run lets the resilient
+dissemination finish, and then makes every diameter-based algorithm on the
+churned graph fail with a typed error.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ import networkx as nx
 import pytest
 
 from repro.core.dissemination import KDissemination
+from repro.core.resilience import ResilientDissemination
+from repro.core.shortest_paths import SkeletonAPSP
 from repro.graphs.generators import path_graph
 from repro.simulator.config import ModelConfig
 from repro.simulator.engine import (
@@ -24,7 +29,7 @@ from repro.simulator.engine import (
     resilient_batched_global_exchange,
 )
 from repro.simulator.errors import CapacityExceededError
-from repro.simulator.faults import FaultSchedule
+from repro.simulator.faults import FaultSchedule, LinkFailure
 from repro.simulator.network import HybridSimulator
 
 from oracles.engines import ORACLES, exchange_via
@@ -149,3 +154,25 @@ def test_dissemination_on_non_integer_labels_matches_the_oracles(labelling, engi
     with exchange_via(engine):
         assert _dissemination_outcome(graph, tokens) == outcome
     assert outcome[0]["global_messages"] > 0
+
+
+# ----------------------------------------------------------------------
+# A graph disconnected by a permanent link failure
+# ----------------------------------------------------------------------
+def test_a_permanent_link_failure_that_disconnects_the_graph():
+    """The resilient run finishes before the cut is committed; afterwards the
+    graph is genuinely split, so algorithms that need the diameter refuse it
+    with the typed error instead of running on a disconnected network."""
+    graph = nx.path_graph(12)
+    schedule = FaultSchedule(link_failures=(LinkFailure(5, 6, 0, 2, permanent=True),))
+    sim = HybridSimulator(graph, ModelConfig.hybrid(), seed=0, fault_schedule=schedule)
+    result = ResilientDissemination(sim, {0: ["left"], 11: ["right"]}).run()
+    assert result.complete and result.all_live_nodes_know_all_tokens()
+    assert result.removed_edges == [(5, 6)] == sim.committed_link_removals
+    assert not graph.has_edge(5, 6) and not nx.is_connected(graph)
+    for algorithm in (
+        lambda: KDissemination(sim, {0: ["left"]}),
+        lambda: SkeletonAPSP(sim, seed=1),
+    ):
+        with pytest.raises(ValueError, match=r"^graph is disconnected; diameter undefined$"):
+            algorithm().run()

@@ -7,14 +7,19 @@ The round engine picks scalar or array code by input size alone:
   one with the vectorised planner;
 * :class:`~repro.simulator.network.HybridSimulator` queues a shard below
   ``HybridSimulator._SMALL_SHARD`` tokens as lists — scalar range and
-  knowledge checks, dict counters, the per-node capacity sweep and the scalar
-  fault filter — and a larger shard as int64 arrays.
+  knowledge checks, the scalar fault filter and scalar identifier keys — and
+  a larger shard as int64 arrays;
+* its capacity sweep reads the round's loads off every queued global shard:
+  a round below ``_SMALL_SHARD`` global tokens in total sums them in dicts,
+  a larger one ``bincount``-s each shard, list or array, into one array pair.
 
 On token counts and shard sizes one below, at and one above each cutoff,
 with and without a fault schedule and in strict mode, schedules must equal
 ``oracles.scheduler.shard_transfers`` and rounds must equal
 ``oracles.delivery.ReferenceNetwork``: metrics, inboxes, delivered positions,
-identifier knowledge and the strict offender.
+identifier knowledge and the strict offender.  Rounds of several global
+shards whose sizes and total fall on either side of ``_SMALL_SHARD`` are
+checked the same way, with and without node-scoped degraded budgets.
 """
 
 from __future__ import annotations
@@ -61,6 +66,15 @@ def _graph():
 def _schedule(faults):
     if faults == "fault-free":
         return None
+    if faults == "degraded":
+        # Node-scoped budgets only: a hub that overloads anyway, and a light
+        # sender that overloads only under its own degraded budget.
+        return FaultSchedule(
+            degradations=(
+                CapacityDegradation(factor=0.5, node=0),
+                CapacityDegradation(factor=0.1, node=HUBS + 1),
+            ),
+        )
     edge = sorted(_graph().edges)[0]
     return FaultSchedule(
         seed=9,
@@ -156,23 +170,29 @@ def _round_traffic(rng, sim, size):
     return global_plane, local_plane
 
 
-def _run_round(network, planes):
-    """One round; ``(error, metrics, inboxes, delivered positions)``."""
-    global_plane, local_plane = planes
+def _run_round(network, shards):
+    """One round of the ``(global, local)`` plane pairs in ``shards``, pair
+    ``j`` tagged ``g{j}`` / ``l{j}``; ``(error, metrics, inboxes, delivered
+    positions by tag)``."""
     try:
-        network.global_send_plane(global_plane, None, "g")
-        network.local_send_plane(local_plane, None, "l")
+        for j, (global_plane, local_plane) in enumerate(shards):
+            network.global_send_plane(global_plane, None, f"g{j}")
+            network.local_send_plane(local_plane, None, f"l{j}")
         network.advance_round()
     except CapacityExceededError as exc:
         return str(exc), network.metrics.summary(), None, None
     inboxes = {mode: network.per_node_inbox(mode) for mode in (GLOBAL_MODE, LOCAL_MODE)}
-    positions = {
-        mode: sorted(
-            record[1][1] for records in inbox.values() for record in records
-        )
-        for mode, inbox in inboxes.items()
-    }
-    return None, network.metrics.summary(), inboxes, positions
+    positions = {}
+    for inbox in inboxes.values():
+        for records in inbox.values():
+            for _, payload, tag, _ in records:
+                positions.setdefault(tag, []).append(payload[1])
+    return (
+        None,
+        network.metrics.summary(),
+        inboxes,
+        {tag: sorted(found) for tag, found in positions.items()},
+    )
 
 
 @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
@@ -182,16 +202,16 @@ def test_rounds_match_the_round_model_at_the_shard_cutoff(size, faults, strict):
     sim, model = _networks(faults, strict)
     rng = random.Random(f"rounds-{size}-{faults}-{strict}")
     for _ in range(3):
-        planes = _round_traffic(rng, sim, size)
-        got = _run_round(sim, planes)
-        assert got == _run_round(model, planes)
+        shards = [_round_traffic(rng, sim, size)]
+        got = _run_round(sim, shards)
+        assert got == _run_round(model, shards)
         error, _, _, positions = got
         if error is not None:
             # Several hubs overload; the error names the lowest-indexed one.
             assert error.startswith(f"node {sim.nodes[0]!r} sent ")
             return
-        for mode, tag in ((GLOBAL_MODE, "g"), (LOCAL_MODE, "l")):
-            assert sorted(sim.delivered_plane_positions(tag, mode)) == positions[mode]
+        for mode, tag in ((GLOBAL_MODE, "g0"), (LOCAL_MODE, "l0")):
+            assert sorted(sim.delivered_plane_positions(tag, mode)) == positions[tag]
         for node in sim.nodes:
             assert sim.known_ids(node) == model.known_ids(node)
     assert not strict, "strict rounds must overload"
@@ -224,3 +244,44 @@ def test_unknown_identifier_at_the_shard_cutoff_queues_nothing(size):
     sim.advance_round()
     assert sim.metrics.global_messages == size - 1
     assert sim.delivered_plane_positions("u") == list(range(size - 1))
+
+
+#: Global shard sizes of one round: several small shards whose total stays
+#: below the cutoff, small shards whose total crosses it, and a small shard
+#: beside a bulk one (31 + 33 tokens).
+MIXED_ROUNDS = [
+    (_SMALL_SHARD // 3, _SMALL_SHARD // 3 + 1),
+    (_SMALL_SHARD // 2 + 4, _SMALL_SHARD // 2 + 4),
+    (_SMALL_SHARD - 1, _SMALL_SHARD + 1),
+]
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+@pytest.mark.parametrize("faults", ["fault-free", "degraded"])
+@pytest.mark.parametrize("sizes", MIXED_ROUNDS, ids=lambda sizes: "+".join(map(str, sizes)))
+def test_mixed_rounds_match_the_round_model_across_the_shard_cutoff(
+    sizes, faults, strict, arms
+):
+    sim, model = _networks(faults, strict)
+    rng = random.Random(f"mixed-{sizes}-{faults}-{strict}")
+    for _ in range(3):
+        shards = [_round_traffic(rng, sim, size) for size in sizes]
+        got = _run_round(sim, shards)
+        assert got == _run_round(model, shards)
+        error, _, _, positions = got
+        if error is not None:
+            # The hubs overload on every side of the cutoff; the error names
+            # the lowest-indexed one with its own (degraded) budget.
+            budget = sim.global_budget_words()
+            if faults == "degraded":
+                budget = max(1, int(budget * 0.5))
+            assert error.startswith(f"node {sim.nodes[0]!r} sent ")
+            assert error.endswith(f", budget is {budget}")
+            return
+        for j in range(len(sizes)):
+            for mode, tag in ((GLOBAL_MODE, f"g{j}"), (LOCAL_MODE, f"l{j}")):
+                assert sorted(sim.delivered_plane_positions(tag, mode)) == positions[tag]
+        for node in sim.nodes:
+            assert sim.known_ids(node) == model.known_ids(node)
+    assert not strict, "strict rounds must overload"
+    assert sim.metrics.capacity_violations > 0
