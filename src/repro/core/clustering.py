@@ -34,6 +34,7 @@ index across all clusters, so mutating a clustered graph (or a cluster's
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from typing import Dict, FrozenSet, Hashable, List, Optional
 
@@ -41,9 +42,8 @@ import networkx as nx
 import numpy as np
 
 from repro.core.neighborhood_quality import neighborhood_quality
-from repro.core.ruling_sets import distributed_ruling_set, greedy_ruling_set
+from repro.core.ruling_sets import greedy_ruling_set
 from repro.graphs.index import get_index
-from repro.graphs.properties import weak_diameter
 from repro.simulator.config import log2_ceil
 from repro.simulator.network import HybridSimulator
 
@@ -97,6 +97,10 @@ class Clustering:
     def leaders(self) -> List[Node]:
         return [cluster.leader for cluster in self.clusters]
 
+    def members(self) -> List[Node]:
+        """Every cluster's members, flattened in cluster order."""
+        return list(itertools.chain.from_iterable(c.members for c in self.clusters))
+
     def max_weak_diameter(self, graph: nx.Graph) -> int:
         """Largest per-cluster weak diameter, on one shared graph index.
 
@@ -111,9 +115,9 @@ class Clustering:
         """Id-native cluster layout: ``(member_perm, starts)`` index ranges.
 
         Flattens every cluster's member list into parallel (cluster id,
-        identifier, node index) columns and sorts them with a single lexsort
-        by (cluster, identifier), so cluster ``ci``'s identifier-sorted
-        members are the contiguous slice
+        identifier, node index) columns and sorts them by identifier, then
+        stably by cluster, so cluster ``ci``'s identifier-sorted members are the
+        contiguous slice
         ``member_perm[starts[ci] : starts[ci + 1]]`` — array views into one
         ``int64`` buffer instead of a sorted Python list per cluster.  The
         within-cluster order is exactly ``sorted(members, key=identifier_of)``
@@ -124,21 +128,14 @@ class Clustering:
         to its identifier (the simulator's integers below ``2^62``, whatever
         the node labels).
         """
-        clusters = self.clusters
-        total = sum(len(c.members) for c in clusters)
-        idx_col = np.fromiter(
-            (indexer[m] for c in clusters for m in c.members), np.int64, count=total
-        )
-        ident_col = np.fromiter(
-            (identifier_of[m] for c in clusters for m in c.members),
-            np.int64,
-            count=total,
-        )
-        sizes = np.fromiter(
-            (len(c.members) for c in clusters), np.int64, count=len(clusters)
-        )
+        members = self.members()
+        total = len(members)
+        idx_col = np.fromiter(map(indexer.__getitem__, members), np.int64, total)
+        ident_col = np.fromiter(map(identifier_of.__getitem__, members), np.int64, total)
+        sizes = np.array([len(c.members) for c in self.clusters], dtype=np.int64)
         cluster_col = np.repeat(np.arange(sizes.size), sizes)
-        member_perm = idx_col[np.lexsort((ident_col, cluster_col))]
+        by_ident = np.argsort(ident_col)
+        member_perm = idx_col[by_ident[np.argsort(cluster_col[by_ident], kind="stable")]]
         starts = np.zeros(sizes.size + 1, dtype=np.int64)
         np.cumsum(sizes, out=starts[1:])
         return member_perm, starts

@@ -284,10 +284,7 @@ class KDissemination(BatchAlgorithm):
             "Theorem 1, cluster chaining subphase 2",
         )
         leader_ids = frozenset(sim.id_of(c.leader) for c in clustering.clusters)
-        sim.declare_learned_ids_bulk(
-            (member for cluster in clustering.clusters for member in cluster.members),
-            leader_ids,
-        )
+        sim.declare_learned_ids_bulk(clustering.members(), leader_ids)
         match_cluster_tree_ids(
             sim, clustering, self.cluster_tree, member_arrays=self._member_arrays
         )

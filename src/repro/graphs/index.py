@@ -755,8 +755,7 @@ class GraphIndex:
                 depth += 1
                 nxt = []
                 for u in frontier:
-                    for j in range(offsets[u], offsets[u + 1]):
-                        v = targets[j]
+                    for v in targets[offsets[u] : offsets[u + 1]]:
                         if visited[v] != epoch:
                             visited[v] = epoch
                             nxt.append(v)
@@ -909,13 +908,13 @@ class GraphIndex:
         "closest ruler, ties by minimum identifier" assignment of Lemma 3.5.
         ``-1`` marks nodes no source reaches.
 
-        The tie-break is exact, not an artefact of expansion order: a node
-        first reached at level ``d`` takes the minimum owner over *all* its
-        level-``d - 1`` neighbours (finalised at the end of the level), and by
-        induction that minimum is the least-ranked source among all sources at
-        distance ``d`` — every closest source reaches ``v`` through some
-        shortest-path parent, whose own owner is already the minimum over the
-        closest sources of that parent.
+        The tie-break is exact: sources are seeded in rank order and a node
+        takes the owner of the first frontier node that reaches it, so every
+        level's frontier is in nondecreasing owner order and a node first
+        reached at level ``d`` takes the minimum owner over *all* its
+        level-``d - 1`` neighbours.  By induction that is the least-ranked
+        source at distance ``d``: every closest source reaches ``v`` through a
+        shortest-path parent whose owner is the minimum over its own.
         """
         dist = [-1] * self.n
         owner = [-1] * self.n
@@ -934,14 +933,11 @@ class GraphIndex:
             nxt = []
             for u in frontier:
                 ou = owner[u]
-                for j in range(offsets[u], offsets[u + 1]):
-                    v = targets[j]
+                for v in targets[offsets[u] : offsets[u + 1]]:
                     if dist[v] < 0:
                         dist[v] = d
                         owner[v] = ou
                         nxt.append(v)
-                    elif dist[v] == d and ou < owner[v]:
-                        owner[v] = ou
             frontier = nxt
         return dist, owner
 
@@ -983,8 +979,7 @@ class GraphIndex:
             for _ in range(1, alpha):
                 nxt = []
                 for u in frontier:
-                    for j in range(offsets[u], offsets[u + 1]):
-                        v = targets[j]
+                    for v in targets[offsets[u] : offsets[u + 1]]:
                         if visited[v] != epoch:
                             visited[v] = epoch
                             covered[v] = 1

@@ -167,6 +167,7 @@ class GraphMutator:
         patches: List = []
         needs_full = False
         applied = 0
+        added = 0  # net edge count of the batch
         try:
             for op, u, v, weight in staged:
                 if op == "add":
@@ -188,6 +189,7 @@ class GraphMutator:
                         lambda index, u=u, v=v, w=1 if weight is None else weight:
                             index.apply_edge_insert(u, v, w)
                     )
+                    added += 1
                 elif op == "remove":
                     if not graph.has_edge(u, v):
                         raise KeyError(f"edge ({u!r}, {v!r}) not in graph")
@@ -195,6 +197,7 @@ class GraphMutator:
                     patches.append(
                         lambda index, u=u, v=v: index.apply_edge_delete(u, v)
                     )
+                    added -= 1
                 else:  # "update"
                     if weight <= 0:
                         raise ValueError("edge weights must be positive")
@@ -214,16 +217,14 @@ class GraphMutator:
             raise
         index = _peek_index(graph)
         before = graph_version(graph)
-        rebuild_cheaper = (
-            _BATCH_REBUILD_FACTOR * len(patches)
-            >= graph.number_of_nodes() + graph.number_of_edges()
-        )
         if (
             index is not None
             and not needs_full
             and not index.retired
             and index.version == before
-            and not rebuild_cheaper
+            # Patch unless a rebuild is cheaper: n + m after the batch is the
+            # current index's count plus the batch's net edges, not O(n) work.
+            and _BATCH_REBUILD_FACTOR * len(patches) < index.n + index.m + added
         ):
             version = bump_graph_version(graph)
             if version is None:

@@ -77,7 +77,8 @@ class _PairMemo:
     small recent buffer of keys absorbed since the last merge (recent >= 1/4
     of the snapshot triggers a merge), so total re-sorting stays linearithmic
     however the keys trickle in, and :meth:`unknown` (the one filter of a
-    round's keys) sweeps both with ``searchsorted``.
+    round's keys) sweeps both with ``searchsorted`` on sorted needles, which
+    walks each level front to back instead of jumping around it per needle.
     """
 
     __slots__ = ("_sorted", "_recent")
@@ -97,8 +98,10 @@ class _PairMemo:
         return False
 
     def unknown(self, keys):
-        """The subset of the int64 array ``keys`` not yet stored (exact; may
-        have dupes)."""
+        """The keys of the int64 array ``keys`` not yet stored, in their given
+        order (exact for any order, duplicates kept).  Callers pass sorted,
+        duplicate-free keys: the fast probe, and the result is ready for
+        :meth:`absorb`."""
         for level in self.levels():
             if not keys.size:
                 break
@@ -141,7 +144,7 @@ class _PairMemo:
         """Store ``keys`` (a list or int64 array) through :meth:`absorb`
         (stored keys and duplicates are dropped)."""
         if len(keys):
-            self.absorb(sorted_unique(self.unknown(np.asarray(keys, dtype=np.int64))))
+            self.absorb(self.unknown(sorted_unique(np.asarray(keys, dtype=np.int64))))
 
     def row(self, a: int, n: int) -> List[int]:
         """Every ``b`` with key ``a * n + b`` stored (may repeat)."""

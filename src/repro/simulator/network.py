@@ -34,7 +34,8 @@ against the node's budget (:meth:`HybridSimulator.global_budget_words`, or a
 node-scoped degraded budget).  Send-side overruns raise in strict mode (they
 are always under the algorithm's control); receive-side overruns raise only
 when ``enforce_receive_capacity`` is set and are otherwise recorded in
-:class:`~repro.simulator.metrics.RoundMetrics.capacity_violations`.  The
+:class:`~repro.simulator.metrics.RoundMetrics.capacity_violations`.  A
+raised overrun voids the round: its queued traffic is discarded.  The
 accounting is therefore identical to charging each message individually — only
 the bookkeeping is grouped per node instead of per message.
 
@@ -337,12 +338,7 @@ class HybridSimulator:
         # their message and word totals, and the batches delivered by the
         # most recent ``advance_round``.  Per-node loads are read off the
         # queued batches by the capacity sweep; the send path keeps none.
-        self._pending_local_planes: List[_PlaneBatch] = []
-        self._pending_global_planes: List[_PlaneBatch] = []
-        self._pending_local_msgs = 0
-        self._pending_local_words = 0
-        self._pending_global_msgs = 0
-        self._pending_global_words = 0
+        self._clear_pending()
         self._delivered_local_planes: List[_PlaneBatch] = []
         self._delivered_global_planes: List[_PlaneBatch] = []
         self._delivered_round = -1
@@ -518,7 +514,10 @@ class HybridSimulator:
         recorded: an unknown node raises :class:`UnknownNodeError` and
         teaches no one.
         """
-        learners = frozenset(self.node_index(node) for node in nodes)
+        try:
+            learners = frozenset(map(self._index_of.__getitem__, nodes))
+        except KeyError as missing:
+            raise UnknownNodeError(missing.args[0]) from None
         self.knowledge.learn_shared(learners, frozenset(self._indices_of_ids(identifiers)))
 
     def global_budget_words(self) -> int:
@@ -544,10 +543,10 @@ class HybridSimulator:
     # ------------------------------------------------------------------
     # Sending — id-native plane API (the round engine's hot path)
     # ------------------------------------------------------------------
-    #: Shards below this size take the scalar (list) paths of validation,
-    #: fault filtering and identifier learning, and a round with fewer global
-    #: tokens than this sweeps capacity with dicts: the grouped NumPy
-    #: reductions only pay off on bulk traffic.
+    #: Shards below this size take the scalar (list) paths of validation and
+    #: fault filtering, and a round with fewer global tokens than this sweeps
+    #: capacity with dicts: the grouped NumPy reductions only pay off on bulk
+    #: traffic.
     _SMALL_SHARD = 32
 
     def _select_plane_columns(self, plane, positions):
@@ -611,7 +610,7 @@ class HybridSimulator:
             fresh = sorted({key for key in keys if key not in pairs})
         else:
             key_column = s_col * n + r_col
-            uniq = sorted_unique(pairs.unknown(key_column))
+            uniq = pairs.unknown(sorted_unique(key_column))
             fresh = uniq.tolist()
         if not fresh:
             return
@@ -790,9 +789,14 @@ class HybridSimulator:
         (:meth:`_learn_from_planes`) and delivery (:meth:`_deliver`).  The
         order is the semantics: capacity is charged per attempt, before
         faults (drops never refund budget), and receivers learn identifiers
-        only from the messages that survived the filter.
+        only from the messages that survived the filter.  A strict capacity
+        error voids the round: its queued traffic (both modes) is discarded.
         """
-        self._sweep_global_capacity()
+        try:
+            self._sweep_global_capacity()
+        except CapacityExceededError:
+            self._clear_pending()
+            raise
         self.metrics.record_local_bulk(self._pending_local_msgs, self._pending_local_words)
         self.metrics.record_global_bulk(self._pending_global_msgs, self._pending_global_words)
         fault_state = self.fault_state
@@ -900,15 +904,19 @@ class HybridSimulator:
         """The queued planes become this round's inboxes; the round ends."""
         self._delivered_local_planes = self._pending_local_planes
         self._delivered_global_planes = self._pending_global_planes
-        self._pending_local_planes = []
-        self._pending_global_planes = []
+        self._clear_pending()
+        self._delivered_round = self.round
+        self.round += 1
+        self.metrics.record_round()
+
+    def _clear_pending(self) -> None:
+        """Start composing a round with nothing queued."""
+        self._pending_local_planes: List[_PlaneBatch] = []
+        self._pending_global_planes: List[_PlaneBatch] = []
         self._pending_local_msgs = 0
         self._pending_local_words = 0
         self._pending_global_msgs = 0
         self._pending_global_words = 0
-        self._delivered_round = self.round
-        self.round += 1
-        self.metrics.record_round()
 
     def _commit_permanent_link_failures(self, fault_state: FaultState) -> None:
         """Turn closed permanent link-failure windows into real edge deletions.
@@ -946,28 +954,19 @@ class HybridSimulator:
 
         Each receiver learns the identifier of every sender it heard from this
         round, recorded as ``receiver * n + sender`` keys in the knowledge
-        tracker's pair store: the round's keys not yet stored are filtered,
-        deduplicated and merged in one sorted absorb, with no per-receiver
-        work at all.  Small batches contribute their keys as one scalar list.
+        tracker's pair store: the round's keys are concatenated, sorted once
+        and filtered through the store's sorted-needle probe straight into
+        one absorb, with no per-receiver work at all.
         """
         pairs = self.knowledge.pairs
         n = self.n
-        fresh_chunks: List[Any] = []
-        scalar_keys: List[int] = []
-        for batch in planes:
-            s_sel = batch.senders
-            r_sel = batch.receivers
-            if len(batch) < self._SMALL_SHARD:
-                scalar_keys.extend(r * n + s for r, s in zip(r_sel, s_sel))
-                continue
-            keys = batch.fresh_pairs if batch.fresh_pairs is not None else r_sel * n + s_sel
-            candidates = pairs.unknown(keys)
-            if candidates.size:
-                fresh_chunks.append(candidates)
-        if scalar_keys:
-            fresh_chunks.append(pairs.unknown(np.array(scalar_keys, dtype=np.int64)))
-        if fresh_chunks:
-            pairs.absorb(sorted_unique(np.concatenate(fresh_chunks)))
+        chunks = [
+            np.asarray(b.receivers, np.int64) * n + np.asarray(b.senders, np.int64)
+            if b.fresh_pairs is None
+            else b.fresh_pairs
+            for b in planes
+        ]
+        pairs.absorb(pairs.unknown(sorted_unique(np.concatenate(chunks))))
 
     # ------------------------------------------------------------------
     # Fault injection (see repro.simulator.faults)

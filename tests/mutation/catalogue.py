@@ -16,6 +16,7 @@ from typing import Dict, List
 NETWORK = "src/repro/simulator/network.py"
 ENGINE = "src/repro/simulator/engine.py"
 INDEX = "src/repro/graphs/index.py"
+KNOWLEDGE_STORE = "src/repro/simulator/knowledge.py"
 
 DELIVERY = "tests/properties/test_delivery_modes.py"
 KNOWLEDGE = "tests/properties/test_knowledge_identity.py"
@@ -26,6 +27,8 @@ SCHEDULES = "tests/properties/test_schedule_grid.py"
 NQ = "tests/properties/test_nq_equivalence.py"
 NQ_UNIT = "tests/unit/test_neighborhood_quality.py"
 HHOP = "tests/properties/test_hhop_rows.py"
+PAIR_MEMO = "tests/properties/test_pair_memo.py"
+WEIGHTED = "tests/properties/test_weighted_equivalence.py"
 
 MUTANTS: List[Dict[str, object]] = [
     # Plane delivery: fault filter, capacity sweep, identifier learning.
@@ -113,8 +116,8 @@ MUTANTS: List[Dict[str, object]] = [
     {
         "name": "learning-reads-only-the-first-batch",
         "file": NETWORK,
-        "snippet": "        for batch in planes:\n",
-        "replacement": "        for batch in planes[:1]:\n",
+        "snippet": "            for b in planes\n        ]\n",
+        "replacement": "            for b in planes[:1]\n        ]\n",
         "selection": [KNOWLEDGE, CUTOFFS],
     },
     {
@@ -123,6 +126,26 @@ MUTANTS: List[Dict[str, object]] = [
         "snippet": "fresh_pairs = pair_r * self.n + pair_s",
         "replacement": "fresh_pairs = pair_s * self.n + pair_r",
         "selection": [KNOWLEDGE, CUTOFFS],
+    },
+    # The pair store behind every knowledge probe.
+    {
+        "name": "unknown-probes-only-the-snapshot",
+        "file": KNOWLEDGE_STORE,
+        "snippet": "        for level in self.levels():\n            if not keys.size:\n",
+        "replacement": "        for level in self.levels()[:1]:\n            if not keys.size:\n",
+        "selection": [PAIR_MEMO, KNOWLEDGE],
+    },
+    # Lemma 3.5 sweeps.  The first-reached owner is the minimum only because
+    # sources are seeded in rank order; seeding them in reverse keeps the
+    # first-reached owner and loses the minimum.
+    {
+        "name": "closest-sources-keeps-a-first-reached-owner-that-is-not-the-minimum",
+        "file": INDEX,
+        "snippet": "owner[s] = rank  # duplicates keep their first (smallest) rank\n"
+        "                frontier.append(s)\n",
+        "replacement": "owner[s] = rank  # duplicates keep their first (smallest) rank\n"
+        "                frontier.insert(0, s)\n",
+        "selection": [WEIGHTED],
     },
     # The scalar arms that input size selects.
     {

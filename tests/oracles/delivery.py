@@ -143,7 +143,12 @@ class ReferenceNetwork:
         pending = self._pending
         metrics = self.metrics
         if self.config.global_mode_enabled():
-            self._sweep(pending[GLOBAL_MODE])
+            try:
+                self._sweep(pending[GLOBAL_MODE])
+            except CapacityExceededError:
+                # A strict error voids the round: its traffic is discarded.
+                self._pending = {GLOBAL_MODE: [], LOCAL_MODE: []}
+                raise
         for mode, record_bulk in (
             (LOCAL_MODE, metrics.record_local_bulk),
             (GLOBAL_MODE, metrics.record_global_bulk),

@@ -7,11 +7,13 @@ The round engine picks scalar or array code by input size alone:
   one with the vectorised planner;
 * :class:`~repro.simulator.network.HybridSimulator` queues a shard below
   ``HybridSimulator._SMALL_SHARD`` tokens as lists — scalar range and
-  knowledge checks, the scalar fault filter and scalar identifier keys — and
-  a larger shard as int64 arrays;
+  knowledge checks and the scalar fault filter — and a larger shard as int64
+  arrays;
 * its capacity sweep reads the round's loads off every queued global shard:
   a round below ``_SMALL_SHARD`` global tokens in total sums them in dicts,
-  a larger one ``bincount``-s each shard, list or array, into one array pair.
+  a larger one ``bincount``-s each shard, list or array, into one array pair;
+  sender-id learning selects on the same total: key by key below it, every
+  shard's keys in one sorted probe above it.
 
 On token counts and shard sizes one below, at and one above each cutoff,
 with and without a fault schedule and in strict mode, schedules must equal

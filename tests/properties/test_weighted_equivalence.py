@@ -196,6 +196,23 @@ def test_closest_sources_duplicate_sources_keep_first_rank():
     assert dist[index.index_of[4]] == 0
 
 
+def test_tie_ranks_follow_python_str_order_on_awkward_labels():
+    # Labels whose str forms collide (1 and "1"), non-ASCII ones, and strs
+    # that differ only in trailing NULs (which NumPy's U dtype would drop):
+    # ranks must reproduce sorted(key=str) exactly, stable on collisions.
+    labels = ["b", 1, "é", "a\x00", "1", "a", "\x00", "Ω", 10, "a\x00\x00", ""]
+    graph = nx.Graph()
+    graph.add_nodes_from(labels)
+    graph.add_edges_from(zip(labels, labels[1:]))
+    index = get_index(graph)
+    ranks, by_rank = index._tie_rank_arrays()
+    nodes = index.nodes
+    expected = sorted(range(len(nodes)), key=lambda i: str(nodes[i]))
+    assert by_rank == expected
+    assert [ranks[i] for i in expected] == list(range(len(nodes)))
+    assert [nodes[i] for i in by_rank][:5] == ["", "\x00", 1, "1", 10]
+
+
 # ----------------------------------------------------------------------
 # Ruling sets and the Lemma 3.5 clustering: byte-identical pre/post
 # ----------------------------------------------------------------------

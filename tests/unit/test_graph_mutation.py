@@ -396,3 +396,49 @@ def test_apply_batch_midway_failure_commits_partial_burst_safely():
     assert stale.retired
     assert graph_version(graph) == 1
     assert get_index(graph).sssp_dict(0) == GraphIndex(graph).sssp_dict(0)
+
+
+def test_apply_batch_decision_matches_a_fresh_edge_count():
+    # The patch-or-rebuild decision reads n + m off the current index plus the
+    # batch's net edge count; it must equal the decision taken on the graph's
+    # own node and edge counts after the batch, on mixed add / remove /
+    # update bursts around the crossover (k * 4 >= n + m rebuilds).
+    import random
+
+    rng = random.Random(7)
+    graph = cycle_graph(14)
+    decisions = set()
+    net_count_mattered = 0
+    for _ in range(120):
+        index = get_index(graph)
+        nodes = list(graph.nodes)
+        shadow = graph.copy()
+        edits = []
+        for _ in range(rng.randrange(1, 9)):
+            op = rng.choice(["add", "add", "remove", "remove", "update"])
+            if op == "add":
+                u, v = rng.sample(nodes, 2)
+                if shadow.has_edge(u, v):
+                    continue
+                shadow.add_edge(u, v)
+                edits.append(("add", u, v, rng.randrange(1, 9)))
+            elif shadow.number_of_edges() > 1:
+                u, v = rng.choice(list(shadow.edges))
+                if op == "remove":
+                    shadow.remove_edge(u, v)
+                    edits.append(("remove", u, v))
+                else:
+                    edits.append(("update", u, v, rng.randrange(1, 9)))
+        if not edits:
+            continue
+        rebuild = 4 * len(edits) >= shadow.number_of_nodes() + shadow.number_of_edges()
+        # Counting before the batch would decide some of these the other way.
+        net_count_mattered += rebuild != (4 * len(edits) >= index.n + index.m)
+        GraphMutator(graph).apply_batch(edits)
+        assert index.retired == rebuild, edits
+        if not rebuild:
+            assert get_index(graph) is index
+            assert index.m == graph.number_of_edges()
+        decisions.add(rebuild)
+    assert decisions == {False, True}
+    assert net_count_mattered

@@ -31,6 +31,7 @@ from repro.simulator.metrics import ChargeRecord, RoundMetrics
 from repro.simulator.network import HybridSimulator, node_sort_key
 
 from oracles import transport
+from oracles.delivery import ReferenceNetwork
 from oracles.transport import Message
 
 
@@ -238,6 +239,8 @@ class TestPairStore:
         tracker.pairs.add([40])
         keys = np.array([3, 4, 9, 40, 41, 90, 4], dtype=np.int64)
         assert tracker.pairs.unknown(keys).tolist() == [4, 41, 4]
+        sorted_keys = np.array([3, 4, 9, 40, 41, 90], dtype=np.int64)
+        assert tracker.pairs.unknown(sorted_keys).tolist() == [4, 41]
 
 
 class TestPairKeyRange:
@@ -430,6 +433,30 @@ class TestGlobalMode:
         with pytest.raises(CapacityExceededError):
             sim.advance_round()
         assert sim.metrics.capacity_violations >= 1
+
+    @pytest.mark.parametrize(
+        "network", [HybridSimulator, ReferenceNetwork], ids=["simulator", "reference"]
+    )
+    def test_strict_capacity_error_voids_the_round(self, network, arms):
+        # One 9-word token against the 8-word budget of path_graph(4), beside
+        # a local message: the error discards the round's traffic in both
+        # modes, counts one violation and leaves the round counter alone.
+        net = network(path_graph(4), ModelConfig.hybrid0())
+        budget = net.global_budget_words()
+        assert budget == 8
+        transport.send_batch(net, [(0, 1, "big", budget + 1)])
+        transport.send_batch(net, [(2, 3, "near")], mode=LOCAL_MODE)
+        with pytest.raises(CapacityExceededError, match="sent 9 global words in round 0"):
+            net.advance_round()
+        assert (net.metrics.capacity_violations, net.round) == (1, 0)
+        net.advance_round()
+        assert (net.metrics.capacity_violations, net.round) == (1, 1)
+        assert net.per_node_inbox(GLOBAL_MODE) == net.per_node_inbox(LOCAL_MODE) == {}
+        transport.send_batch(net, [(0, 1, "fits", budget)])
+        net.advance_round()
+        assert net.per_node_inbox() == {1: [(0, "fits", None, budget)]}
+        assert (net.metrics.capacity_violations, net.round) == (1, 2)
+        assert (net.metrics.global_messages, net.metrics.local_messages) == (1, 0)
 
     def test_send_within_capacity_passes(self):
         sim = HybridSimulator(path_graph(40), ModelConfig.hybrid())
