@@ -152,9 +152,9 @@ class SqrtNSkeletonAPSP:
     The per-node ``h``-hop limited tables are dense rows from one batched
     :meth:`~repro.graphs.index.GraphIndex.h_hop_limited_rows` call, and
     :meth:`run` returns a lazy
-    :class:`~repro.core.shortest_paths.DenseDistanceTable`
-    (``row_store="array"``) whose skeleton Dijkstra rows are computed on
-    first use — values identical to the historical eager dict-of-dicts.
+    :class:`~repro.core.shortest_paths.DenseDistanceTable` whose skeleton
+    Dijkstra rows are computed on first use — values identical to the
+    historical eager dict-of-dicts.
     """
 
     def __init__(self, simulator: HybridSimulator, *, seed: Optional[int] = None):
@@ -238,6 +238,5 @@ class SqrtNSkeletonAPSP:
             row_factory=make_row,
             stretch_bound=1.0,
             metrics=sim.metrics,
-            row_store="array",
             index=skeleton_rows.index,
         )

@@ -45,6 +45,7 @@ from array import array
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.core.clustering import Clustering, distributed_nq_clustering
 from repro.core.dissemination import KDissemination
@@ -114,18 +115,14 @@ class DenseDistanceTable(DistanceTable):
 
     Each target's estimates are one flat ``|columns|``-wide sequence of floats
     aligned with a fixed column order, produced lazily by ``row_factory`` from
-    the :class:`~repro.graphs.index.GraphIndex` sweeps and cached.  The
+    the :class:`~repro.graphs.index.GraphIndex` sweeps and cached as an
+    ``array('d')`` of C doubles (8 bytes per entry instead of a pointer to a
+    boxed float; values are exactly preserved).  A factory row that already is
+    an ``array('d')`` is cached as it is, without a copy.  The
     dict-of-dicts :attr:`estimates` view of the base class is materialised on
     first attribute access, so existing consumers (stretch measurement,
     equivalence tests) see exactly the classic representation while all-pairs
     producers avoid building ``n^2`` dict entries they may never read.
-
-    ``row_store`` selects the cached-row container: ``"list"`` keeps plain
-    Python lists; ``"array"`` packs each cached row into an
-    ``array('d', ...)`` of C doubles — 8 bytes per entry instead of a pointer
-    to a boxed float, which shrinks a fully-cached ``n x n`` weighted table
-    several-fold.  Values are exactly preserved (Python floats are C
-    doubles); indexing and iteration behave identically.
 
     Query contract (shared with :class:`DistanceTable` and ``weak_diameter``):
 
@@ -156,18 +153,14 @@ class DenseDistanceTable(DistanceTable):
         stretch_bound: float,
         metrics: RoundMetrics,
         nq: Optional[int] = None,
-        row_store: str = "list",
         index: Optional[GraphIndex] = None,
     ) -> None:
-        if row_store not in ("list", "array"):
-            raise ValueError("row_store must be 'list' or 'array'")
         self._row_nodes = list(row_nodes)
         self._row_set = set(self._row_nodes)
         self._columns = list(columns)
         self._column_position = {node: i for i, node in enumerate(self._columns)}
         self._row_factory = row_factory
-        self._rows: Dict[Node, Sequence[float]] = {}
-        self._pack = (lambda row: array("d", row)) if row_store == "array" else None
+        self._rows: Dict[Node, array] = {}
         self._estimates: Optional[Dict[Node, Dict[Node, float]]] = None
         self.stretch_bound = stretch_bound
         self.metrics = metrics
@@ -183,7 +176,7 @@ class DenseDistanceTable(DistanceTable):
     def columns(self) -> List[Node]:
         return list(self._columns)
 
-    def row(self, target: Node) -> Sequence[float]:
+    def row(self, target: Node) -> array:
         """The dense estimate row of ``target``, aligned with :meth:`columns`."""
         self._check_guard()
         if target not in self._row_set:
@@ -192,15 +185,15 @@ class DenseDistanceTable(DistanceTable):
         if cached is None:
             if self._estimates is not None:
                 # The dict view is materialised; read it back instead of
-                # re-running the row factory, but keep the row_store packing
-                # and the cache — repeated row() reads after materialisation
-                # must not rebuild a boxed list per call.
+                # re-running the row factory, but keep the packing and the
+                # cache — repeated row() reads after materialisation must not
+                # rebuild a boxed list per call.
                 row_dict = self._estimates[target]
                 cached = [row_dict[column] for column in self._columns]
             else:
                 cached = self._row_factory(target)
-            if self._pack is not None:
-                cached = self._pack(cached)
+            if not (isinstance(cached, array) and cached.typecode == "d"):
+                cached = array("d", cached)
             self._rows[target] = cached
         return cached
 
@@ -667,7 +660,6 @@ class SpannerAPSP(BatchAlgorithm):
             stretch_bound=float(2 * self._t - 1),
             metrics=sim.metrics,
             nq=neighborhood_quality(sim.graph, sim.n),
-            row_store="array",
             index=index,
         )
 
@@ -781,14 +773,19 @@ class SkeletonAPSP(BatchAlgorithm):
         sim.charge_rounds(h, "h-hop local neighborhood exploration", "Theorem 8")
         index = get_index(sim.graph)
         self._limited = dict(zip(sim.nodes, index.h_hop_limited_rows(sim.nodes, h)))
-        skeleton_positions = [(u, index.index_of[u]) for u in skeleton.skeleton_nodes]
-        skeleton_set = set(skeleton.skeleton_nodes)
+        # ``skeleton_nodes`` is ``str``-sorted, so the first minimum of a row
+        # read at these positions is the ``(dist, str)`` minimum.
+        skeleton_nodes = skeleton.skeleton_nodes
+        skeleton_set = set(skeleton_nodes)
+        at = np.array([index.index_of[u] for u in skeleton_nodes])
         for v in sim.nodes:
-            row = self._limited[v]
-            candidates = {u: row[p] for u, p in skeleton_positions if row[p] < math.inf}
-            if not candidates:
-                full = weighted_distances_from(sim.graph, v)
-                candidates = {u: d for u, d in full.items() if u in skeleton_set}
+            dists = np.frombuffer(self._limited[v])[at]
+            j = int(np.argmin(dists))
+            if dists[j] < math.inf:
+                self._closest_skeleton[v] = (skeleton_nodes[j], float(dists[j]))
+                continue
+            full = weighted_distances_from(sim.graph, v)
+            candidates = {u: d for u, d in full.items() if u in skeleton_set}
             best, dist = min(candidates.items(), key=lambda kv: (kv[1], str(kv[0])))
             self._closest_skeleton[v] = (best, dist)
         KDissemination(
@@ -806,30 +803,26 @@ class SkeletonAPSP(BatchAlgorithm):
         columns = list(sim.nodes)
         # Column j's position in the dense h-hop limited rows.
         index_of = get_index(sim.graph).index_of
-        limited_pos = [index_of[w] for w in columns]
+        limited_pos = np.array([index_of[w] for w in columns])
 
         # Per-column closest-skeleton data, resolved once: ``cs_pos[j]`` is
         # the spanner-index position of column j's closest skeleton node and
         # ``cs_dist[j]`` the distance to it.
-        cs_pos = array(
-            "q", (skeleton_rows.position_of(closest_skeleton[w][0]) for w in columns)
-        )
-        cs_dist = array("d", (closest_skeleton[w][1] for w in columns))
+        cs_pos = np.array([skeleton_rows.position_of(closest_skeleton[w][0]) for w in columns])
+        cs_dist = np.array([closest_skeleton[w][1] for w in columns], dtype=np.float64)
 
         # Algorithm 4 estimate, one lazy row per target: the skeleton-spanner
         # Dijkstra row of v's closest skeleton node is pulled (and cached) on
         # first use, so a consumer reading only a few targets never pays for
-        # an all-skeleton sweep.  ``(d_v_vs + row[cs_pos]) + cs_dist`` keeps
+        # an all-skeleton sweep.  ``(d_v_vs + skel[cs_pos]) + cs_dist`` keeps
         # the reference formula's left-to-right association, so the values
         # are bit-identical to the eager dict-of-dicts construction.
-        def make_row(v: Node) -> List[float]:
+        def make_row(v: Node) -> array:
             v_s, d_v_vs = closest_skeleton[v]
-            skeleton_row = skeleton_rows.row(v_s)
-            lim = limited[v]
-            return [
-                min(lim[p], (d_v_vs + skeleton_row[cs_pos[j]]) + cs_dist[j])
-                for j, p in enumerate(limited_pos)
-            ]
+            skel = np.frombuffer(skeleton_rows.row(v_s))
+            lim = np.frombuffer(limited[v])
+            row = np.minimum(lim[limited_pos], (d_v_vs + skel[cs_pos]) + cs_dist)
+            return array("d", row.tobytes())
 
         return DenseDistanceTable(
             row_nodes=columns,
@@ -838,6 +831,5 @@ class SkeletonAPSP(BatchAlgorithm):
             stretch_bound=float(4 * self.alpha - 1),
             metrics=sim.metrics,
             nq=self.nq,
-            row_store="array",
             index=skeleton_rows.index,
         )

@@ -23,6 +23,7 @@ The distributed wrapper charges the eO(1) CONGEST rounds of [RG20].
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from typing import Dict, Hashable, List, Optional, Set, Tuple
@@ -30,7 +31,6 @@ from typing import Dict, Hashable, List, Optional, Set, Tuple
 import networkx as nx
 
 from repro.graphs.index import get_index
-from repro.graphs.properties import edge_weight
 from repro.simulator.config import log2_ceil
 from repro.simulator.network import HybridSimulator
 
@@ -40,7 +40,11 @@ __all__ = ["greedy_spanner", "baswana_sen_spanner", "distributed_spanner", "span
 
 
 def greedy_spanner(graph: nx.Graph, t: int) -> nx.Graph:
-    """Greedy ``(2t - 1)``-spanner with ``O(n^{1 + 1/t})`` edges."""
+    """Greedy ``(2t - 1)``-spanner with ``O(n^{1 + 1/t})`` edges.
+
+    Each decision is a Dijkstra over the spanner so far, cut off at
+    ``(2t - 1) * weight``: exact for non-negative weights (DESIGN.md).
+    """
     if t < 1:
         raise ValueError("t must be at least 1")
     stretch = 2 * t - 1
@@ -50,15 +54,35 @@ def greedy_spanner(graph: nx.Graph, t: int) -> nx.Graph:
         graph.edges(data=True),
         key=lambda item: (item[2].get("weight", 1), str(item[0]), str(item[1])),
     )
+    if edges and edges[0][2].get("weight", 1) < 0:
+        raise ValueError("greedy_spanner needs non-negative edge weights")
+    position = {node: i for i, node in enumerate(graph.nodes)}
+    adjacency: List[Dict[int, float]] = [{} for _ in position]
     for u, v, data in edges:
         weight = data.get("weight", 1)
-        try:
-            current = nx.dijkstra_path_length(spanner, u, v, weight="weight")
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            current = math.inf
-        if current > stretch * weight:
+        source, target = position[u], position[v]
+        if source != target and not _reaches_within(adjacency, source, target, stretch * weight):
             spanner.add_edge(u, v, weight=weight)
+            adjacency[source][target] = adjacency[target][source] = weight
     return spanner
+
+
+def _reaches_within(adjacency: list, source: int, target: int, cutoff: float) -> bool:
+    """Whether some ``source``-``target`` path weighs at most ``cutoff``."""
+    best = {source: 0}
+    heap = [(0, source)]
+    while heap:
+        d, x = heapq.heappop(heap)
+        if d > best[x]:
+            continue
+        for y, w in adjacency[x].items():
+            candidate = d + w
+            if candidate <= cutoff and candidate < best.get(y, math.inf):
+                if y == target:
+                    return True
+                best[y] = candidate
+                heapq.heappush(heap, (candidate, y))
+    return False
 
 
 def baswana_sen_spanner(graph: nx.Graph, t: int, seed: Optional[int] = None) -> nx.Graph:

@@ -17,6 +17,8 @@ NETWORK = "src/repro/simulator/network.py"
 ENGINE = "src/repro/simulator/engine.py"
 INDEX = "src/repro/graphs/index.py"
 KNOWLEDGE_STORE = "src/repro/simulator/knowledge.py"
+SPANNER = "src/repro/core/spanner.py"
+SHORTEST_PATHS = "src/repro/core/shortest_paths.py"
 
 DELIVERY = "tests/properties/test_delivery_modes.py"
 KNOWLEDGE = "tests/properties/test_knowledge_identity.py"
@@ -29,6 +31,7 @@ NQ_UNIT = "tests/unit/test_neighborhood_quality.py"
 HHOP = "tests/properties/test_hhop_rows.py"
 PAIR_MEMO = "tests/properties/test_pair_memo.py"
 WEIGHTED = "tests/properties/test_weighted_equivalence.py"
+THEOREM8 = "tests/properties/test_theorem8_analytics.py"
 
 MUTANTS: List[Dict[str, object]] = [
     # Plane delivery: fault filter, capacity sweep, identifier learning.
@@ -253,5 +256,29 @@ MUTANTS: List[Dict[str, object]] = [
         "snippet": "limit = _HHOP_BLOCK_CELLS // len(block) - 1",
         "replacement": "limit = _HHOP_BLOCK_CELLS // len(block)",
         "selection": [HHOP],
+    },
+    # Theorem 8 analytics: the bounded spanner search and Algorithm 4 rows.
+    {
+        "name": "spanner-search-prunes-paths-at-the-cutoff",
+        "file": SPANNER,
+        "snippet": "if candidate <= cutoff and candidate < best.get(y, math.inf):",
+        "replacement": "if candidate < cutoff and candidate < best.get(y, math.inf):",
+        "selection": [THEOREM8],
+    },
+    {
+        "name": "estimate-row-reassociates-the-skeleton-sum",
+        "file": SHORTEST_PATHS,
+        "snippet": "(d_v_vs + skel[cs_pos]) + cs_dist)",
+        "replacement": "d_v_vs + (skel[cs_pos] + cs_dist))",
+        "selection": [THEOREM8],
+    },
+    {
+        "name": "closest-skeleton-ignores-the-str-tie",
+        "file": SHORTEST_PATHS,
+        "snippet": "        skeleton_nodes = skeleton.skeleton_nodes\n",
+        "replacement": (
+            "        skeleton_nodes = sorted(skeleton.skeleton_nodes, key=index.index_of.get)\n"
+        ),
+        "selection": [THEOREM8],
     },
 ]

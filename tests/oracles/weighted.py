@@ -13,6 +13,15 @@
   (:func:`_dijkstra`) on the original or the power-of-``(1 + eps)`` rounded
   weights; the flat-array Dijkstra of :mod:`repro.graphs.index` replicates its
   tie-break keys and relaxation tolerance.
+* :func:`_reference_greedy_spanner` is the greedy scan with one full
+  ``networkx`` Dijkstra per edge, which the cutoff-bounded
+  :func:`repro.core.spanner.greedy_spanner` must match edge for edge, in
+  insertion order.
+* :func:`_reference_closest_skeleton` and :func:`_reference_skeleton_estimates`
+  are Algorithm 4's closest-skeleton choice (``min`` by ``(dist, str)``) and
+  its eager dict-of-dicts estimate formula over Python floats, which the
+  rows of :class:`repro.core.shortest_paths.SkeletonAPSP` must match bit for
+  bit.
 """
 
 from __future__ import annotations
@@ -108,3 +117,60 @@ def _dijkstra(graph: nx.Graph, source: Node, transform) -> Dict[Node, float]:
                 dist[v] = candidate
                 heapq.heappush(heap, (candidate, tie_key[v], v))
     return dist
+
+
+def _reference_greedy_spanner(graph: nx.Graph, t: int) -> nx.Graph:
+    """The greedy ``(2t - 1)``-spanner with one full Dijkstra per edge."""
+    if t < 1:
+        raise ValueError("t must be at least 1")
+    stretch = 2 * t - 1
+    spanner = nx.Graph()
+    spanner.add_nodes_from(graph.nodes)
+    edges = sorted(
+        graph.edges(data=True),
+        key=lambda item: (item[2].get("weight", 1), str(item[0]), str(item[1])),
+    )
+    for u, v, data in edges:
+        weight = data.get("weight", 1)
+        try:
+            current = nx.dijkstra_path_length(spanner, u, v, weight="weight")
+        except (nx.NetworkXNoPath, nx.NodeNotFound):
+            current = math.inf
+        if current > stretch * weight:
+            spanner.add_edge(u, v, weight=weight)
+    return spanner
+
+
+def _reference_closest_skeleton(graph: nx.Graph, skeleton) -> Dict[Node, Tuple[Node, float]]:
+    """Every node's closest skeleton node within ``h`` hops, ties by ``str``;
+    past ``h`` hops, the closest one by full distance."""
+    closest: Dict[Node, Tuple[Node, float]] = {}
+    for v in graph.nodes:
+        near = _reference_h_hop_limited_distances(graph, v, skeleton.h)
+        if not any(u in near for u in skeleton.skeleton_nodes):
+            near = _reference_exact_sssp_distances(graph, v)
+        candidates = [(u, near[u]) for u in skeleton.skeleton_nodes if u in near]
+        closest[v] = min(candidates, key=lambda item: (item[1], str(item[0])))
+    return closest
+
+
+def _reference_skeleton_estimates(
+    graph: nx.Graph, skeleton, alpha: int
+) -> Dict[Node, Dict[Node, float]]:
+    """Algorithm 4: ``min(d^h(v, w), (d(v, v_s) + d_H(v_s, w_s)) + d(w_s, w))``
+    over a ``(2 alpha - 1)``-spanner ``H`` of the skeleton."""
+    spanner = _reference_greedy_spanner(skeleton.graph, alpha)
+    closest = _reference_closest_skeleton(graph, skeleton)
+    limited = {v: _reference_h_hop_limited_distances(graph, v, skeleton.h) for v in graph}
+    via = {u: _reference_exact_sssp_distances(spanner, u) for u in skeleton.skeleton_nodes}
+    estimates: Dict[Node, Dict[Node, float]] = {}
+    for v in graph.nodes:
+        v_s, d_v_vs = closest[v]
+        estimates[v] = {
+            w: min(
+                limited[v].get(w, math.inf),
+                (d_v_vs + via[v_s].get(closest[w][0], math.inf)) + closest[w][1],
+            )
+            for w in graph.nodes
+        }
+    return estimates

@@ -17,6 +17,7 @@ Three layers of cross-validation over six graph families x three seeds:
 
 import math
 import random
+from array import array
 
 import pytest
 
@@ -186,6 +187,24 @@ def test_dense_table_api_is_consistent():
         table.estimate(0, "missing")
     with pytest.raises(KeyError):
         table.row("missing")
+
+
+def test_dense_table_caches_rows_as_c_doubles_without_copying_arrays():
+    """A factory row that already is an ``array('d')`` is cached as it is;
+    any other row is packed into one, with the same values."""
+    made = {"packed": array("d", [0.0, 1.5]), "listed": [2.5, math.inf]}
+    table = DenseDistanceTable(
+        row_nodes=list(made),
+        columns=["a", "b"],
+        row_factory=made.__getitem__,
+        stretch_bound=1.0,
+        metrics=None,
+    )
+    assert table.row("packed") is made["packed"]
+    listed = table.row("listed")
+    assert isinstance(listed, array) and listed.typecode == "d"
+    assert list(listed) == made["listed"]
+    assert table.row("listed") is listed
 
 
 def test_hinted_apsp_is_exact_on_a_path_on_every_engine():
