@@ -58,11 +58,6 @@ class TheoryPredictions:
             raise ValueError("dim must be positive")
         return min(max(k, 0.0) ** (1.0 / (dim + 1)), float(diameter))
 
-    @staticmethod
-    def nq_polynomial_growth(k: float, dim: int, diameter: int) -> float:
-        """Theorem 17: same shape as the grid bound for ball growth Omega(r^d)."""
-        return TheoryPredictions.nq_grid(k, dim, diameter)
-
     # ------------------------------------------------------------------
     # Figure 1 axes: exponents.
     # ------------------------------------------------------------------

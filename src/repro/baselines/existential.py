@@ -34,11 +34,6 @@ class ExistentialBounds:
         """[KS20]: (k, l)-routing in eO(sqrt(k) + k*l/n) rounds."""
         return math.sqrt(max(k, 1)) + (k * l) / max(n, 1)
 
-    @staticmethod
-    def dissemination_lower_bound_existential(k: int) -> float:
-        """The existential lower bound eOmega(sqrt(k)) [Sch23]."""
-        return math.sqrt(max(k, 1))
-
     # ------------------------------------------------------------------
     # Table 2: APSP
     # ------------------------------------------------------------------

@@ -134,9 +134,6 @@ class CutApproximation:
     nq: int
     metrics: RoundMetrics
 
-    def approximate_cut(self, side: Iterable[Node]) -> float:
-        return cut_weight(self.sparsifier, side)
-
     def approximate_min_cut(self) -> float:
         return nx.stoer_wagner(self.sparsifier, weight="weight")[0]
 

@@ -96,6 +96,3 @@ class PairwiseHash:
             raise ValueError("identifiers must be non-negative")
         encoded = (i % self.universe) * self.universe + (j % self.universe)
         return self._evaluate(encoded) % self.buckets
-
-    def bucket_of(self, encoded: int) -> int:
-        return self._evaluate(encoded) % self.buckets

@@ -527,14 +527,6 @@ class GraphIndex:
             frontier = nxt
         return dist
 
-    def hop_distances(self, sources: Iterable[Node]) -> List[int]:
-        """Multi-source hop distances as a flat list aligned with :attr:`nodes`.
-
-        ``result[i]`` is ``min_{s in sources} hop(s, nodes[i])`` or ``-1`` when
-        no source reaches ``nodes[i]``.
-        """
-        return self._distances_idx([self._require(node) for node in sources])
-
     def hop_distance_row(self, source: Node) -> List[int]:
         """One dense hop-distance row: ``row[i] = hop(source, nodes[i])``.
 

@@ -111,10 +111,6 @@ class ModelConfig:
             return max(1, log2_ceil(max(n, 2)))
         return self.global_messages_per_node
 
-    def resolve_global_bit_budget(self, n: int) -> int:
-        """``gamma`` in bits for an ``n``-node network."""
-        return self.resolve_global_message_budget(n) * word_bits(n)
-
     def resolve_global_word_budget(self, n: int) -> int:
         """Per-node, per-round global budget in words (messages x words/message)."""
         return self.resolve_global_message_budget(n) * max(1, self.words_per_message)

@@ -101,7 +101,7 @@ class TokenPlane:
     :class:`~repro.simulator.errors.ChargeOnlyError`.
     """
 
-    __slots__ = ("senders", "receivers", "words", "payloads", "_pair_spine")
+    __slots__ = ("senders", "receivers", "words", "payloads")
 
     def __init__(
         self, senders, receivers, words, payloads: Optional[List[Any]] = None
@@ -110,13 +110,12 @@ class TokenPlane:
         self.receivers = np.asarray(receivers, dtype=np.int64)
         self.words = np.asarray(words, dtype=np.int64)
         self.payloads = payloads
-        self._pair_spine = None
 
     def __len__(self) -> int:
         return len(self.senders)
 
     def charge_view(self) -> "TokenPlane":
-        """A payload-free view sharing this plane's columns (and spine cache).
+        """A payload-free view sharing this plane's columns.
 
         The charge-only substitution at the plane level: the view schedules,
         sends and accounts identically to ``self`` — the columns are the very
@@ -131,26 +130,7 @@ class TokenPlane:
         view.receivers = self.receivers
         view.words = self.words
         view.payloads = None
-        view._pair_spine = self._pair_spine
         return view
-
-    def pair_spine(self):
-        """Sorted positions of each distinct (sender, receiver) pair's first
-        occurrence (cached).
-
-        Rank-matched workloads repeat a small pair set over a long token
-        column; per-pair knowledge work (HYBRID_0 validation and sender-id
-        learning) only ever concerns a pair's *first* token, so every shard
-        of this plane can intersect this spine instead of scanning its full
-        columns.  Computed once per plane with the two-pass narrow-key sort.
-        """
-        spine = self._pair_spine
-        if spine is None:
-            order = _pair_order(self.senders, self.receivers)
-            starts = _pair_starts(self.senders, self.receivers, order)
-            spine = np.sort(order[starts])
-            self._pair_spine = spine
-        return spine
 
     @classmethod
     def from_triples(

@@ -148,29 +148,20 @@ class _PlaneBatch:
     (``None`` when the whole plane was sent).  ``payloads`` is ``None`` for
     charge-only traffic — scheduling, fault filtering, capacity accounting
     and id learning never read it; only :meth:`records` (inbox assembly)
-    does, and raises.  ``fresh_pairs`` (optional) is
-    the precomputed ``receiver * n + sender`` key column of the shard's
-    first-occurrence pairs — the only pairs sender-id learning can concern —
-    so delivery never rescans the full columns.  Per-receiver record tuples
-    are only built if the round's inbox is actually read.
+    does, and raises.  Sender-id learning reads the batch's own columns.
+    Per-receiver record tuples are only built if the round's inbox is
+    actually read.
     """
 
-    __slots__ = (
-        "senders", "receivers", "words", "payloads", "positions", "tag",
-        "fresh_pairs",
-    )
+    __slots__ = ("senders", "receivers", "words", "payloads", "positions", "tag")
 
-    def __init__(
-        self, senders, receivers, words, payloads, positions, tag,
-        fresh_pairs=None,
-    ) -> None:
+    def __init__(self, senders, receivers, words, payloads, positions, tag) -> None:
         self.senders = senders
         self.receivers = receivers
         self.words = words
         self.payloads = payloads
         self.positions = positions
         self.tag = tag
-        self.fresh_pairs = fresh_pairs
 
     def __len__(self) -> int:
         return len(self.senders)
@@ -595,13 +586,11 @@ class HybridSimulator:
         out first and only the residue is checked against the shared
         records; repeated pairs (the common case in rank-matched workloads)
         cost one probe, not one per token.  The error reported is the
-        earliest offending token in submission order.  A small shard passes
-        its full list columns (one scalar store probe per token); a bulk
-        shard passes its first-occurrence pair columns (in submission order
-        — see :meth:`~repro.simulator.engine.TokenPlane.pair_spine`), swept
-        in one vectorised filter: a pair's validity is decided at its first
-        token, and the earliest offending pair's first occurrence *is* the
-        earliest offending token.
+        earliest offending token in submission order.  A small shard probes
+        the store once per token (scalar); a bulk shard sorts its own pair
+        keys once and probes the store with the distinct ones.  The pair
+        store is the only thing a shard trusts: no earlier shard of the same
+        plane vouches for it.
         """
         pairs = self.knowledge.pairs
         n = self.n
@@ -656,32 +645,8 @@ class HybridSimulator:
         self._validate_index_range(s_sel)
         self._validate_index_range(r_sel)
         small = count < self._SMALL_SHARD
-        fresh_pairs = None
-        pair_s, pair_r = s_sel, r_sel
-        if not small:
-            # The shard's distinct pairs, via the plane's first-occurrence
-            # spine: per-pair knowledge work (validation below, sender-id
-            # learning at delivery) reduces to this (tiny) subset — pairs
-            # whose first occurrence fell in an earlier shard were handled
-            # when that shard was queued/delivered.
-            spine = plane.pair_spine()
-            if positions is None:
-                sel_first = spine
-            else:
-                sorted_pos = (
-                    positions
-                    if positions.size < 2
-                    or bool((positions[1:] >= positions[:-1]).all())
-                    else np.sort(positions)
-                )
-                loc = np.searchsorted(sorted_pos, spine)
-                loc[loc == sorted_pos.size] = 0
-                sel_first = spine[sorted_pos[loc] == spine]
-            pair_s = plane.senders[sel_first]
-            pair_r = plane.receivers[sel_first]
-            fresh_pairs = pair_r * self.n + pair_s
         if self.config.is_hybrid0():
-            self._validate_plane_knowledge(pair_s, pair_r, small)
+            self._validate_plane_knowledge(s_sel, r_sel, small)
         if small:
             wt = [w + tag_words for w in w_sel] if tag_words else w_sel
             total = sum(wt)
@@ -692,7 +657,7 @@ class HybridSimulator:
             _PlaneBatch(
                 s_sel, r_sel, wt,
                 None if self.charge_only else plane.payloads,
-                positions, tag, fresh_pairs,
+                positions, tag,
             )
         )
         self._pending_global_msgs += count
@@ -962,8 +927,6 @@ class HybridSimulator:
         n = self.n
         chunks = [
             np.asarray(b.receivers, np.int64) * n + np.asarray(b.senders, np.int64)
-            if b.fresh_pairs is None
-            else b.fresh_pairs
             for b in planes
         ]
         pairs.absorb(pairs.unknown(sorted_unique(np.concatenate(chunks))))
@@ -1020,9 +983,8 @@ class HybridSimulator:
         computed per batch (:func:`_fault_keep_mask`), then the RNG consumes
         one draw per crash/edge survivor in ascending token order, exactly
         like the scalar loop that small batches run — the drop decisions and
-        the draw stream match bit for bit.  A filtered batch loses its
-        precomputed ``fresh_pairs``; the id-learning pass recomputes pairs
-        from the surviving columns instead of trusting a stale spine.
+        the draw stream match bit for bit.  Id learning later reads the
+        surviving columns, so a dropped token teaches nothing.
         """
         n = self.n
         dropped = 0
@@ -1056,7 +1018,6 @@ class HybridSimulator:
                     batch.payloads,
                     kept if positions is None else positions[kept],
                     batch.tag,
-                    None,
                 )
                 continue
             keep: List[int] = []
@@ -1084,7 +1045,6 @@ class HybridSimulator:
                 batch.payloads,
                 keep if positions is None else [positions[k] for k in keep],
                 batch.tag,
-                None,
             )
         return dropped
 

@@ -100,21 +100,6 @@ MUTANTS: List[Dict[str, object]] = [
         ),
         "selection": [DELIVERY, KNOWLEDGE, CUTOFFS, FAULTS],
     },
-    {
-        "name": "stale-fresh-pairs-after-filtering",
-        "file": NETWORK,
-        "snippet": (
-            "                    kept if positions is None else positions[kept],\n"
-            "                    batch.tag,\n"
-            "                    None,\n"
-        ),
-        "replacement": (
-            "                    kept if positions is None else positions[kept],\n"
-            "                    batch.tag,\n"
-            "                    batch.fresh_pairs,\n"
-        ),
-        "selection": [KNOWLEDGE, CUTOFFS],
-    },
     # Sender-identifier learning.
     {
         "name": "learning-reads-only-the-first-batch",
@@ -126,9 +111,19 @@ MUTANTS: List[Dict[str, object]] = [
     {
         "name": "bulk-learning-key-direction-swapped",
         "file": NETWORK,
-        "snippet": "fresh_pairs = pair_r * self.n + pair_s",
-        "replacement": "fresh_pairs = pair_s * self.n + pair_r",
+        "snippet": "np.asarray(b.receivers, np.int64) * n + np.asarray(b.senders, np.int64)",
+        "replacement": "np.asarray(b.senders, np.int64) * n + np.asarray(b.receivers, np.int64)",
         "selection": [KNOWLEDGE, CUTOFFS],
+    },
+    # HYBRID_0 send checks: the pair store is the only thing a shard trusts.
+    # Absorbing a shard's pairs before its offending check lets a refused
+    # shard vouch for a later shard of the same plane.
+    {
+        "name": "refused-shard-vouches-for-the-next",
+        "file": NETWORK,
+        "snippet": "            fresh = uniq.tolist()\n",
+        "replacement": "            pairs.absorb(uniq)\n            fresh = uniq.tolist()\n",
+        "selection": [KNOWLEDGE],
     },
     # The pair store behind every knowledge probe.
     {

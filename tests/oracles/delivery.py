@@ -19,9 +19,15 @@ array sweeps, keep-masks or pair-key stores the simulator uses:
 * **identifier learning** — in HYBRID_0 each receiver learns the identifier
   of every sender whose record reached it, kept as plain per-node sets.
 
-The model validates nothing beyond the per-edge local limit: feed it traffic
-the simulator accepts.  Permanent link-failure commits (graph mutations) are
-not modelled, and payload-free planes are not supported.
+Sends validate two things: the per-edge local limit, and, in HYBRID_0, that
+each global sender already knows its receiver's identifier (its own set,
+declared identifiers included).  A send that names an unknown identifier
+raises :class:`~repro.simulator.errors.UnknownIdentifierError` at its
+earliest offending token and queues nothing; every send is checked against
+the sets alone, whatever was sent before.  Node membership and adjacency are
+not validated: feed the model node indices and local pairs the simulator
+accepts.  Permanent link-failure commits (graph mutations) are not modelled,
+and payload-free planes are not supported.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from repro.simulator.errors import (
     CapacityExceededError,
     LocalBandwidthExceededError,
     RoundLifecycleError,
+    UnknownIdentifierError,
 )
 from repro.simulator.faults import FaultSchedule, FaultState
 from repro.simulator.messages import GLOBAL_MODE, LOCAL_MODE, payload_words
@@ -102,11 +109,11 @@ class ReferenceNetwork:
             return self.fault_state.degraded_budget(base, self.round)
         return base
 
-    def _queue(self, plane, positions, tag) -> List[Record]:
+    def _queue(self, plane, positions, tag, mode) -> List[Record]:
         tag_words = payload_words(tag) if tag is not None else 0
         if positions is None:
             positions = range(len(plane.senders))
-        return [
+        records = [
             (
                 int(plane.senders[p]),
                 int(plane.receivers[p]),
@@ -116,14 +123,22 @@ class ReferenceNetwork:
             )
             for p in positions
         ]
+        if mode == GLOBAL_MODE and self._known is not None:
+            for sender, receiver, *_ in records:
+                if self._ids[receiver] not in self._known[sender]:
+                    raise UnknownIdentifierError(
+                        f"node {self.nodes[sender]!r} does not know "
+                        f"identifier {self._ids[receiver]!r}"
+                    )
+        return records
 
     def global_send_plane(self, plane, positions=None, tag=None) -> int:
-        records = self._queue(plane, positions, tag)
+        records = self._queue(plane, positions, tag, GLOBAL_MODE)
         self._pending[GLOBAL_MODE].extend(records)
         return len(records)
 
     def local_send_plane(self, plane, positions=None, tag=None) -> int:
-        records = self._queue(plane, positions, tag)
+        records = self._queue(plane, positions, tag, LOCAL_MODE)
         limit = self.config.resolve_local_word_limit()
         if limit is not None:
             oversized = [record for record in records if record[4] > limit]

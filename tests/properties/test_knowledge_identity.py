@@ -11,7 +11,10 @@ payload run (charge-only is accounting-identical by construction).
 
 ``KDissemination`` declares each rank-matched partner's identifier before it
 sends, so its receivers already know their senders; the raw-traffic test
-below pins sender-identifier learning itself, round by round.
+below pins sender-identifier learning itself, round by round.  The lockstep
+tests at the end send one plane in several shards across refusals, crashes
+and voided rounds: each shard is checked and learned against the knowledge
+store alone, never on the word of an earlier shard of the same plane.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from repro.core.dissemination import KDissemination
 from repro.graphs.generators import erdos_renyi_graph, path_graph, star_graph
 from repro.simulator.config import ModelConfig
 from repro.simulator.engine import TokenPlane
+from repro.simulator.errors import CapacityExceededError, UnknownIdentifierError
 from repro.simulator.faults import CrashEvent, FaultSchedule
 from repro.simulator.messages import payload_words
 from repro.simulator.network import HybridSimulator
@@ -125,3 +129,127 @@ def test_round_by_round_sender_learning_matches_per_message_sends(seed, faults, 
                 model_sim.known_ids(node)
             )
     assert plane_sim.metrics.summary() == model_sim.metrics.summary()
+
+
+def _plane(pairs):
+    """A plane of ``(sender, receiver)`` index pairs; each payload is its position."""
+    return TokenPlane(
+        [s for s, _ in pairs],
+        [r for _, r in pairs],
+        [payload_words(k) for k in range(len(pairs))],
+        list(range(len(pairs))),
+    )
+
+
+def _lockstep(graph, config, plane, script, schedule=None):
+    """Run ``script`` on a simulator and on the round model, step by step.
+
+    Steps are ``("declare", (node, other))`` (``node`` is told ``other``'s
+    identifier), ``("send", positions)`` (one shard of ``plane``) and
+    ``("round", None)``.  A send's outcome is its count or its error; a
+    round's is its error or the delivered plane positions plus every node's
+    known identifiers.  The two must agree at every step; returns the
+    outcomes and the node -> identifier map.
+    """
+    sims = [
+        model(graph, config, seed=0, fault_schedule=schedule)
+        for model in (HybridSimulator, ReferenceNetwork)
+    ]
+    ids = {node: sims[0].id_of(node) for node in sims[0].nodes}
+    outcomes = []
+    for action, argument in script:
+        results = []
+        for sim in sims:
+            try:
+                if action == "declare":
+                    node, other = argument
+                    result = sim.declare_learned_ids(node, [ids[other]])
+                elif action == "send":
+                    result = sim.global_send_plane(plane, list(argument))
+                else:
+                    sim.advance_round()
+                    inbox = sim.per_node_inbox()
+                    result = (
+                        sorted(rec[1] for records in inbox.values() for rec in records),
+                        {node: sim.known_ids(node) for node in graph.nodes},
+                    )
+            except (UnknownIdentifierError, CapacityExceededError) as error:
+                result = (type(error).__name__, str(error))
+            results.append(result)
+        assert results[0] == results[1], (action, argument)
+        outcomes.append(results[0])
+    return outcomes, ids
+
+
+def test_a_refused_shard_vouches_for_no_later_shard(arms):
+    """Node 0 does not know node 9: every shard naming 9 is refused, the
+    second as well as the first, and nothing is queued until 0 learns 9."""
+    plane = _plane([(0, 9 if k % 3 == 2 else 1) for k in range(72)])
+    outcomes, ids = _lockstep(
+        path_graph(10),
+        ModelConfig.hybrid0(strict=False),
+        plane,
+        [
+            ("send", range(0, 36)),
+            ("send", range(36, 72)),
+            ("round", None),
+            ("declare", (0, 9)),
+            ("send", range(36, 72)),
+            ("round", None),
+        ],
+    )
+    refused = ("UnknownIdentifierError", f"node 0 does not know identifier {ids[9]!r}")
+    assert outcomes[0] == outcomes[1] == refused
+    assert outcomes[2][0] == []
+    assert outcomes[4] == 36
+    delivered, known = outcomes[5]
+    assert delivered == list(range(36, 72))
+    assert ids[0] in known[9]
+
+
+def test_a_crash_dropped_first_shard_leaves_the_later_one_to_teach(arms):
+    """Node 9 is down in round 0, so the first shard teaches it nothing; the
+    second shard, delivered in round 1, must teach it node 0's identifier."""
+    schedule = FaultSchedule(
+        seed=0, crashes=(CrashEvent(node=9, crash_round=0, recover_round=1),)
+    )
+    outcomes, ids = _lockstep(
+        path_graph(10),
+        ModelConfig.hybrid0(strict=False),
+        _plane([(0, 9)] * 72),
+        [
+            ("declare", (0, 9)),
+            ("send", range(0, 36)),
+            ("round", None),
+            ("send", range(36, 72)),
+            ("round", None),
+        ],
+        schedule=schedule,
+    )
+    dropped, known = outcomes[2]
+    assert dropped == [] and ids[0] not in known[9]
+    delivered, known = outcomes[4]
+    assert delivered == list(range(36, 72))
+    assert ids[0] in known[9]
+
+
+def test_a_voided_round_leaves_the_remaining_shard_to_teach(arms):
+    """Two shards overload node 0 and the strict error voids their round; the
+    remaining shard repeats their pairs one token per sender, fits the
+    budget, and must teach every receiver its sender's identifier."""
+    n = 40
+    partner = {s: (s + n // 2 + 1) % n for s in range(n)}
+    pairs = [(k % n, partner[k % n]) for k in range(2 * n)] + [(0, partner[0])] * n
+    script = [("declare", (s, r)) for s, r in partner.items()]
+    script += [
+        ("send", range(0, n)),
+        ("send", range(2 * n, 3 * n)),
+        ("round", None),
+        ("send", range(n, 2 * n)),
+        ("round", None),
+    ]
+    outcomes, ids = _lockstep(path_graph(n), ModelConfig.hybrid0(), _plane(pairs), script)
+    assert outcomes[n + 2][0] == "CapacityExceededError"
+    delivered, known = outcomes[n + 4]
+    assert delivered == list(range(n, 2 * n))
+    assert all(ids[s] in known[r] for s, r in partner.items())
