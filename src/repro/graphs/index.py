@@ -9,6 +9,21 @@ compressed-sparse-row adjacency built over integer node indices, plus flat-array
 BFS primitives and incremental *ball growers* that evaluate Definition 3.1 with
 early termination.
 
+One BFS level kernel
+--------------------
+
+Every hop primitive reads its BFS levels from one private generator,
+:meth:`GraphIndex._levels` (``sources``, optional ``depth``): the distinct
+sources, then the nodes at hop distance 1, 2, ... under one epoch of the shared
+``visited`` stamps, each level expanded only when the caller asks for it.
+Sweeps, distance rows, ball sizes, the NQ grower, ruling-set balls, weak
+diameters, the h-hop ball unions and iFUB's level buckets all stop where their
+question is answered, and nothing past ``depth`` is stamped.
+:meth:`GraphIndex.closest_sources` keeps its own loop: it carries an owner
+along every edge, which the kernel would have to branch on.  The weighted
+primitives (Bellman-Ford, Dijkstra, the dense h-hop rows) are not BFS and do
+not use it.
+
 Why early termination is correct and fast
 -----------------------------------------
 
@@ -30,10 +45,14 @@ therefore computed *lazily* — never as ``n`` BFS passes, but via a cached
 eccentricity-bound pruning search (double sweep + iFUB): BFS levels around a
 midpoint of an approximately diametral path are scanned outward-in, and the
 scan stops as soon as ``2 * level <= best_found``, because any pair realising a
-larger diameter would have an endpoint in an already-scanned level.  The result
-is exact; on paths/grids/barbells it needs only a handful of BFS passes.  A
-running diameter *lower* bound (the largest eccentricity any full sweep has
-seen) often answers ``min(t1, D)`` without computing ``D`` at all.
+larger diameter would have an endpoint in an already-scanned level.  Where
+several nodes lie halfway along the double sweep's path (a grid's whole
+anti-diagonal), one more BFS picks the most central of them.  The result is
+exact; paths and grids need a handful of BFS passes (7 on a 60 x 60 grid), but
+a barbell's clique sits in the outermost levels and is scanned node by node
+(``nx.barbell_graph(500, 1000)`` takes 501 sweeps).  A running diameter
+*lower* bound (the largest eccentricity any full sweep has seen) often answers
+``min(t1, D)`` without computing ``D`` at all.
 
 The graph-level value ``NQ_k(G) = max_v NQ_k(v)`` does not need a ball from
 every node.  Two facts let :meth:`GraphIndex.nq_value` skip most of them while
@@ -106,7 +125,8 @@ Caching
 
 :func:`get_index` memoises one :class:`GraphIndex` per graph object in a
 ``WeakKeyDictionary`` (the index holds no strong reference back to the graph,
-so graphs are collected normally).  Scalar ``NQ_k`` values are additionally
+so graphs are collected normally); anything but an ``nx.Graph`` is refused
+with ``TypeError``.  Scalar ``NQ_k`` values are additionally
 memoised per ``(index, k)``, and rounded-weight CSR arrays per ``epsilon`` —
 repeated ``neighborhood_quality(graph, k)`` / ``approx_sssp_distances(graph,
 s, eps)`` calls inside one experiment (routing + shortest paths + lower
@@ -146,7 +166,6 @@ import math
 import operator
 import weakref
 from array import array
-from collections import OrderedDict
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import networkx as nx
@@ -197,32 +216,19 @@ _GRAPH_VERSIONS: "weakref.WeakKeyDictionary[nx.Graph, int]" = (
 
 
 def graph_version(graph: nx.Graph) -> int:
-    """The current mutation-version stamp of ``graph`` (0 if never bumped).
-
-    Unhashable / non-weakrefable graph-like objects cannot carry a stamp and
-    always read 0 — for those, staleness detection falls back to the
-    node/edge-count comparison in :func:`get_index`.
-    """
-    try:
-        return _GRAPH_VERSIONS.get(graph, 0)
-    except TypeError:
-        return 0
+    """The current mutation-version stamp of ``graph`` (0 if never bumped)."""
+    return _GRAPH_VERSIONS.get(graph, 0)
 
 
-def bump_graph_version(graph: nx.Graph) -> Optional[int]:
+def bump_graph_version(graph: nx.Graph) -> int:
     """Advance ``graph``'s version stamp; returns the new version.
 
     Every supported mutation path calls this (directly or via
-    :func:`invalidate_index`).  Returns ``None`` when ``graph`` cannot be
-    stamped (unhashable / non-weakrefable) — callers must then fall back to
-    :func:`invalidate_index` semantics.
+    :func:`invalidate_index`).
     """
-    try:
-        version = _GRAPH_VERSIONS.get(graph, 0) + 1
-        _GRAPH_VERSIONS[graph] = version
-        return version
-    except TypeError:
-        return None
+    version = _GRAPH_VERSIONS.get(graph, 0) + 1
+    _GRAPH_VERSIONS[graph] = version
+    return version
 
 
 def round_weight_up(weight: float, epsilon: float) -> float:
@@ -252,9 +258,9 @@ class GraphIndex:
 
     ``nodes[i]`` is the node with index ``i`` and ``index_of[node]`` inverts
     it; the adjacency of index ``u`` is ``targets[offsets[u]:offsets[u + 1]]``.
-    All BFS primitives work on flat integer arrays with an epoch-stamped
-    ``visited`` scratch vector, so a query touching only a small ball costs
-    only that ball — no O(n) per-query (re)initialisation.
+    The BFS primitives read their levels from :meth:`_levels`, which stamps an
+    epoch into a ``visited`` scratch vector, so a query touching only a small
+    ball costs only that ball — no O(n) per-query (re)initialisation.
 
     The index records the :func:`graph_version` it reflects (:attr:`version`)
     and supports in-place incremental maintenance for single-edge edits whose
@@ -476,55 +482,54 @@ class GraphIndex:
             raise KeyError(f"source {node!r} not in graph")
         return index
 
-    def _sweep(self, s: int):
-        """Full BFS from index ``s``: ``(eccentricity, component_size, farthest)``."""
+    def _levels(
+        self, sources: Iterable[int], depth: Optional[int] = None
+    ) -> Iterator[List[int]]:
+        """The BFS level kernel behind every hop primitive.
+
+        Yields the distinct ``sources`` (in order), then the nodes at hop
+        distance 1, 2, ... up to ``depth`` (``None``: until the component is
+        exhausted); an empty level ends the iteration.  All levels share one
+        fresh epoch of ``_visited``, and level ``t + 1`` is expanded only when
+        the caller asks for it, so a caller that stops early pays only for
+        the levels it read and nothing past ``depth`` is stamped.  Another
+        epoch-stamped query must not run while a level iteration is open.
+        """
         self._epoch += 1
         epoch = self._epoch
-        visited = self._visited
-        offsets = self._offsets
-        targets = self._targets
-        visited[s] = epoch
-        frontier = [s]
-        size = 1
-        ecc = 0
-        last = s
+        visited, offsets, targets = self._visited, self._offsets, self._targets
+        frontier = []
+        for s in sources:
+            if visited[s] != epoch:
+                visited[s] = epoch
+                frontier.append(s)
+        t = 0
         while frontier:
+            yield frontier
+            if t == depth:
+                return
+            t += 1
             nxt = []
             for u in frontier:
-                for j in range(offsets[u], offsets[u + 1]):
-                    v = targets[j]
+                for v in targets[offsets[u] : offsets[u + 1]]:
                     if visited[v] != epoch:
                         visited[v] = epoch
                         nxt.append(v)
-            if not nxt:
-                break
-            ecc += 1
-            size += len(nxt)
-            last = nxt[0]
             frontier = nxt
-        return ecc, size, last
+
+    def _sweep(self, s: int):
+        """Full BFS from index ``s``: ``(eccentricity, component_size, farthest)``."""
+        size = 0
+        for ecc, level in enumerate(self._levels((s,))):
+            size += len(level)
+        return ecc, size, level[0]
 
     def _distances_idx(self, sources: Sequence[int]) -> List[int]:
         """Multi-source BFS over indices; ``-1`` marks unreachable nodes."""
         dist = [-1] * self.n
-        offsets = self._offsets
-        targets = self._targets
-        frontier: List[int] = []
-        for s in sources:
-            if dist[s] < 0:
-                dist[s] = 0
-                frontier.append(s)
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for j in range(offsets[u], offsets[u + 1]):
-                    v = targets[j]
-                    if dist[v] < 0:
-                        dist[v] = d
-                        nxt.append(v)
-            frontier = nxt
+        for d, level in enumerate(self._levels(sources)):
+            for v in level:
+                dist[v] = d
         return dist
 
     def hop_distance_row(self, source: Node) -> List[int]:
@@ -657,24 +662,12 @@ class GraphIndex:
     def _ball_union(self, block: List[int], h: int) -> Optional[List[int]]:
         """Indices within ``h`` hops of a block source; ``None`` past the cap."""
         limit = _HHOP_BLOCK_CELLS // len(block) - 1  # one more row: the sentinel
-        self._epoch += 1
-        epoch = self._epoch
-        visited, offsets, targets = self._visited, self._offsets, self._targets
-        union = list(dict.fromkeys(block))  # distinct sources, in order
-        for s in union:
-            visited[s] = epoch
-        start = 0
-        for _ in range(h):
-            end = len(union)
-            for u in union[start:end]:
-                for v in targets[offsets[u] : offsets[u + 1]]:
-                    if visited[v] != epoch:
-                        visited[v] = epoch
-                        union.append(v)
-            if len(union) == end or len(union) > limit:
-                break
-            start = end
-        return union if len(union) <= limit else None
+        union: List[int] = []
+        for level in self._levels(block, h):
+            union += level
+            if len(union) > limit:
+                return None
+        return union
 
     def _dense_rows(self, csr, block, union, degrees, h):
         """Synchronous multi-source Bellman-Ford over one block's ball union.
@@ -730,35 +723,17 @@ class GraphIndex:
                 sources.append(i)
         if len(sources) <= 1:
             return 0
-        member_set = seen
-        offsets = self._offsets
-        targets = self._targets
-        visited = self._visited
         best = 0
         for s in sources:
-            self._epoch += 1
-            epoch = self._epoch
-            visited[s] = epoch
-            remaining = len(sources) - 1
-            frontier = [s]
-            depth = 0
-            farthest = 0
-            while frontier and remaining:
-                depth += 1
-                nxt = []
-                for u in frontier:
-                    for v in targets[offsets[u] : offsets[u + 1]]:
-                        if visited[v] != epoch:
-                            visited[v] = epoch
-                            nxt.append(v)
-                            if v in member_set:
-                                remaining -= 1
-                                farthest = depth
-                frontier = nxt
-            if remaining:
+            remaining = len(sources)
+            for depth, level in enumerate(self._levels((s,))):
+                remaining -= len(seen.intersection(level))
+                if not remaining:
+                    break
+            else:
                 return math.inf
-            if farthest > best:
-                best = farthest
+            if depth > best:
+                best = depth
         return best
 
     # ------------------------------------------------------------------
@@ -907,6 +882,10 @@ class GraphIndex:
         level-``d - 1`` neighbours.  By induction that is the least-ranked
         source at distance ``d``: every closest source reaches ``v`` through a
         shortest-path parent whose owner is the minimum over its own.
+
+        This is the one hop primitive with its own loop instead of
+        :meth:`_levels`: it carries an owner along every edge, and folding
+        that into the kernel would make the kernel branch on its caller.
         """
         dist = [-1] * self.n
         owner = [-1] * self.n
@@ -941,8 +920,8 @@ class GraphIndex:
         Scans nodes in the given order (default: sorted by ``str`` label,
         matching :func:`repro.core.ruling_sets.greedy_ruling_set`) and adds a
         node whenever no earlier ruler covered it; each new ruler marks its
-        radius-``alpha - 1`` ball in a shared flat ``covered`` array via an
-        epoch-stamped truncated BFS.  Returns the rulers in scan order.
+        radius-``alpha - 1`` ball in a shared flat ``covered`` array via a
+        truncated BFS.  Returns the rulers in scan order.
         """
         if alpha < 1:
             raise ValueError("alpha must be at least 1")
@@ -952,33 +931,17 @@ class GraphIndex:
             _, order_idx = self._tie_rank_arrays()
         else:
             order_idx = [self._require(node) for node in order]
-        offsets = self._offsets
-        targets = self._targets
-        visited = self._visited
         covered = bytearray(self.n)
         ruling: List[Node] = []
         for s in order_idx:
             if covered[s]:
                 continue
             ruling.append(self.nodes[s])
-            covered[s] = 1
-            # Truncated BFS with a private epoch: coverage by earlier rulers
-            # must not block the traversal, only the addability test.
-            self._epoch += 1
-            epoch = self._epoch
-            visited[s] = epoch
-            frontier = [s]
-            for _ in range(1, alpha):
-                nxt = []
-                for u in frontier:
-                    for v in targets[offsets[u] : offsets[u + 1]]:
-                        if visited[v] != epoch:
-                            visited[v] = epoch
-                            covered[v] = 1
-                            nxt.append(v)
-                if not nxt:
-                    break
-                frontier = nxt
+            # Each ball is its own BFS: coverage by earlier rulers must not
+            # block the traversal, only the addability test.
+            for level in self._levels((s,), alpha - 1):
+                for v in level:
+                    covered[v] = 1
         return ruling
 
     # ------------------------------------------------------------------
@@ -990,30 +953,8 @@ class GraphIndex:
 
     def ball_sizes_all_radii(self, center: Node) -> List[int]:
         """``[|B_0(v)|, |B_1(v)|, ..., |B_ecc(v)|]`` from one level BFS."""
-        s = self._require(center)
-        self._epoch += 1
-        epoch = self._epoch
-        visited = self._visited
-        offsets = self._offsets
-        targets = self._targets
-        visited[s] = epoch
-        frontier = [s]
-        size = 1
-        sizes = [1]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for j in range(offsets[u], offsets[u + 1]):
-                    v = targets[j]
-                    if visited[v] != epoch:
-                        visited[v] = epoch
-                        nxt.append(v)
-            if not nxt:
-                break
-            size += len(nxt)
-            sizes.append(size)
-            frontier = nxt
-        return sizes
+        levels = self._levels((self._require(center),))
+        return list(itertools.accumulate(map(len, levels)))
 
     def is_connected(self) -> bool:
         """Whether the graph is connected (empty graphs count as connected)."""
@@ -1061,20 +1002,24 @@ class GraphIndex:
         ecc_b = max(dist_b)
         lb = max(ecc_r, ecc_a, ecc_b)
 
+        # The midpoint sits halfway along an a-b shortest path.  Where several
+        # nodes do (a grid's whole anti-diagonal, whose first node in index
+        # order is a corner), one more BFS from the first picks the one
+        # nearest the middle of their spread.
         half = ecc_a // 2
-        mid = a
-        for u in range(self.n):
-            if dist_a[u] == half and dist_a[u] + dist_b[u] == ecc_a:
-                mid = u
-                break
-        dist_m = self._distances_idx([mid])
-        ecc_m = max(dist_m)
+        middle = [
+            u for u in range(self.n) if dist_a[u] == half and dist_b[u] == ecc_a - half
+        ]
+        mid = middle[0]
+        if len(middle) > 1:
+            dist_c = self._distances_idx([mid])
+            lb = max(lb, max(dist_c))
+            spread = max(dist_c[u] for u in middle)
+            mid = min(middle, key=lambda u: abs(2 * dist_c[u] - spread))
+        levels = list(self._levels((mid,)))  # whole: the scan's sweeps re-stamp
+        ecc_m = len(levels) - 1
         if ecc_m > lb:
             lb = ecc_m
-
-        levels: List[List[int]] = [[] for _ in range(ecc_m + 1)]
-        for u, d in enumerate(dist_m):
-            levels[d].append(u)
 
         # Scan levels outward-in.  Any pair realising a diameter > lb has an
         # endpoint at level > lb / 2 (its distance to mid is at least half the
@@ -1116,37 +1061,16 @@ class GraphIndex:
         saturated case.  ``levels``, when given, receives the BFS levels the
         growth visited: ``[s]``, then the nodes at hop distance 1, 2, ...
         """
-        self._epoch += 1
-        epoch = self._epoch
-        visited = self._visited
-        offsets = self._offsets
-        targets = self._targets
-        visited[s] = epoch
-        frontier = [s]
-        if levels is not None:
-            levels.append(frontier)
-        size = 1
-        t = 0
-        while True:
-            t += 1
-            if cap is not None and t > cap:
-                return cap
-            nxt = []
-            for u in frontier:
-                for j in range(offsets[u], offsets[u + 1]):
-                    v = targets[j]
-                    if visited[v] != epoch:
-                        visited[v] = epoch
-                        nxt.append(v)
-            if not nxt:
-                ecc = t - 1
-                break
+        size = 0
+        for t, level in enumerate(self._levels((s,), cap)):
             if levels is not None:
-                levels.append(nxt)
-            size += len(nxt)
-            if size >= k / t:
+                levels.append(level)
+            size += len(level)
+            if t and size >= k / t:
                 return t
-            frontier = nxt
+        if t == cap:
+            return cap  # unmet up to the explicit diameter
+        ecc = t  # the BFS exhausted s's component
         if self._connected and ecc > self._diam_lb:
             self._diam_lb = ecc
         return self._saturated_nq(size, ecc, k, cap)
@@ -1318,42 +1242,10 @@ _INDEX_CACHE: "weakref.WeakKeyDictionary[nx.Graph, GraphIndex]" = (
     weakref.WeakKeyDictionary()
 )
 
-# Bounded fallback for graph-like objects the weak cache cannot hold
-# (unhashable or non-weakrefable).  Keyed by ``id()`` with the graph object
-# kept as a strong reference — both to memoise repeated queries (the old
-# behaviour rebuilt the CSR on *every* call) and to pin the id so a collected
-# object's recycled address can never alias a cache hit (an entry only
-# matches when ``entry[0] is graph``).  Lifetime note: the cache keeps the
-# last ``_FALLBACK_LIMIT`` such graphs alive until evicted in FIFO order or
-# dropped via ``invalidate_index``; weak-cacheable graphs (every ``nx.Graph``)
-# never enter it.
-_FALLBACK_LIMIT = 4
-_FALLBACK_CACHE: "OrderedDict[int, Tuple[object, GraphIndex]]" = OrderedDict()
-
-
-def _fallback_get(graph: nx.Graph) -> Optional[GraphIndex]:
-    entry = _FALLBACK_CACHE.get(id(graph))
-    if entry is not None and entry[0] is graph:
-        return entry[1]
-    return None
-
-
-def _fallback_store(graph: nx.Graph, index: GraphIndex) -> None:
-    _FALLBACK_CACHE[id(graph)] = (graph, index)
-    _FALLBACK_CACHE.move_to_end(id(graph))
-    while len(_FALLBACK_CACHE) > _FALLBACK_LIMIT:
-        _FALLBACK_CACHE.popitem(last=False)
-
 
 def _peek_index(graph: nx.Graph) -> Optional[GraphIndex]:
     """The cached index of ``graph`` without building one (mutator hook)."""
-    try:
-        cached = _INDEX_CACHE.get(graph)
-    except TypeError:
-        cached = None
-    if cached is None:
-        cached = _fallback_get(graph)
-    return cached
+    return _INDEX_CACHE.get(graph)
 
 
 def _index_is_current(cached: GraphIndex, graph: nx.Graph) -> bool:
@@ -1381,28 +1273,18 @@ def get_index(graph: nx.Graph) -> GraphIndex:
     rebuild — including rewirings that preserve the node and edge counts
     (those defeated the historical count-only check).  The count comparison
     is retained as a backstop for hand mutations that bypassed stamping.
-    Unhashable / non-weakrefable graph-like objects are memoised in a small
-    bounded strong-reference cache keyed by identity (see the lifetime note
-    on the fallback cache above).
+    Anything but an ``nx.Graph`` raises ``TypeError``: the cache and the
+    version stamps are weak-keyed by the graph object.
     """
-    try:
-        cached = _INDEX_CACHE.get(graph)
-        weak_capable = True
-    except TypeError:  # unhashable graph-like object
-        cached = None
-        weak_capable = False
-    if cached is None:
-        cached = _fallback_get(graph)
+    if not isinstance(graph, nx.Graph):
+        raise TypeError(
+            f"get_index requires a networkx Graph, got {type(graph).__name__}"
+        )
+    cached = _INDEX_CACHE.get(graph)
     if cached is not None and _index_is_current(cached, graph):
         return cached
     index = GraphIndex(graph)
-    if weak_capable:
-        try:
-            _INDEX_CACHE[graph] = index
-            return index
-        except TypeError:  # hashable but not weak-referenceable
-            pass
-    _fallback_store(graph, index)
+    _INDEX_CACHE[graph] = index
     return index
 
 
@@ -1420,15 +1302,7 @@ def invalidate_index(graph: nx.Graph) -> None:
     :class:`repro.graphs.mutation.GraphMutator`, which patches the index
     incrementally instead of dropping it.
     """
-    try:
-        cached = _INDEX_CACHE.pop(graph, None)
-    except TypeError:
-        cached = None
-    entry = _FALLBACK_CACHE.get(id(graph))
-    if entry is not None and entry[0] is graph:
-        if cached is None:
-            cached = entry[1]
-        del _FALLBACK_CACHE[id(graph)]
+    cached = _INDEX_CACHE.pop(graph, None)
     if cached is not None:
         cached.retired = True
     bump_graph_version(graph)

@@ -26,9 +26,8 @@ oracle: the property grid in ``tests/properties/test_dynamic_index.py`` pins
 that every query answer on a patched index is value-identical to a fresh
 build across the six graph families.  Edits the patcher does not support —
 adding an edge whose endpoint is a **new node** — fall back to the full-drop
-path (:func:`~repro.graphs.index.invalidate_index`), as do graph-like
-objects that cannot carry a version stamp.  See DESIGN.md ("Graph mutation
-and the version-stamp protocol") for the decision table.
+path (:func:`~repro.graphs.index.invalidate_index`).  See DESIGN.md ("Graph
+mutation and the version-stamp protocol") for the decision table.
 """
 
 from __future__ import annotations
@@ -227,9 +226,6 @@ class GraphMutator:
             and _BATCH_REBUILD_FACTOR * len(patches) < index.n + index.m + added
         ):
             version = bump_graph_version(graph)
-            if version is None:
-                invalidate_index(graph)
-                return 0
             try:
                 for patch in patches:
                     patch(index)
@@ -239,11 +235,7 @@ class GraphMutator:
             index.version = version
             return version
         if index is None:
-            version = bump_graph_version(graph)
-            if version is None:
-                invalidate_index(graph)
-                return 0
-            return version
+            return bump_graph_version(graph)
         return self._full_drop()
 
     @staticmethod
@@ -277,11 +269,6 @@ class GraphMutator:
         graph = self.graph
         before = graph_version(graph)
         version = bump_graph_version(graph)
-        if version is None:
-            # Unstampable graph-like object: no version to check, so the only
-            # safe move is the full drop.
-            invalidate_index(graph)
-            return 0
         index = _peek_index(graph)
         if index is None:
             return version

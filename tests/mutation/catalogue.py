@@ -32,6 +32,8 @@ HHOP = "tests/properties/test_hhop_rows.py"
 PAIR_MEMO = "tests/properties/test_pair_memo.py"
 WEIGHTED = "tests/properties/test_weighted_equivalence.py"
 THEOREM8 = "tests/properties/test_theorem8_analytics.py"
+RULING = "tests/unit/test_clustering_and_ruling_sets.py"
+LEVELS = "tests/properties/test_level_kernel.py"
 
 MUTANTS: List[Dict[str, object]] = [
     # Plane delivery: fault filter, capacity sweep, identifier learning.
@@ -241,8 +243,8 @@ MUTANTS: List[Dict[str, object]] = [
     {
         "name": "ball-union-one-hop-short",
         "file": INDEX,
-        "snippet": "        for _ in range(h):\n            end = len(union)\n",
-        "replacement": "        for _ in range(h - 1):\n            end = len(union)\n",
+        "snippet": "self._levels(block, h)",
+        "replacement": "self._levels(block, h - 1)",
         "selection": [HHOP],
     },
     {
@@ -251,6 +253,32 @@ MUTANTS: List[Dict[str, object]] = [
         "snippet": "limit = _HHOP_BLOCK_CELLS // len(block) - 1",
         "replacement": "limit = _HHOP_BLOCK_CELLS // len(block)",
         "selection": [HHOP],
+    },
+    # The BFS level kernel: the depth bound, and the iFUB midpoint.
+    {
+        "name": "levels-yields-one-level-past-the-depth",
+        "file": INDEX,
+        "snippet": "            if t == depth:\n                return\n",
+        "replacement": "            if depth is not None and t > depth:\n                return\n",
+        "selection": [LEVELS, RULING],
+    },
+    {
+        "name": "levels-expands-one-level-past-the-depth",
+        "file": INDEX,
+        "snippet": "            yield frontier\n            if t == depth:\n                return\n",
+        "replacement": (
+            "            if depth is not None and t > depth:\n"
+            "                return\n"
+            "            yield frontier\n"
+        ),
+        "selection": [LEVELS],
+    },
+    {
+        "name": "ifub-midpoint-takes-the-first-qualifier",
+        "file": INDEX,
+        "snippet": "        if len(middle) > 1:\n",
+        "replacement": "        if False:\n",
+        "selection": [LEVELS],
     },
     # Theorem 8 analytics: the bounded spanner search and Algorithm 4 rows.
     {

@@ -3,8 +3,8 @@
 Covers :class:`~repro.graphs.mutation.GraphMutator` validation and cache
 synchronisation, the :class:`~repro.graphs.index.GraphIndex` self-loop
 rejection (via the public BFS and Dijkstra entry points), its rejection of
-directed graphs and multigraphs, the bounded
-``get_index`` fallback memo for non-weakrefable graph-likes, and the
+directed graphs and multigraphs, ``get_index``'s rejection of graph-likes
+that are not ``networkx`` graphs, and the
 staleness guards downstream of the version stamp: ``SSSPRowCache``,
 ``DenseDistanceTable`` and the simulator plane-send paths.
 """
@@ -14,7 +14,6 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
-from repro.graphs import index as index_module
 from repro.graphs.generators import cycle_graph, path_graph
 from repro.graphs.index import (
     GraphIndex,
@@ -149,14 +148,10 @@ def test_multigraph_rejected_at_index_construction():
 
 
 # ----------------------------------------------------------------------
-# get_index fallback memo (non-weakrefable graph-likes)
+# get_index accepts networkx graphs only
 # ----------------------------------------------------------------------
 class _UnhashableGraph:
-    """A graph-like wrapper that defeats the weak-dict cache.
-
-    Unhashable, so both the weak lookup and the version registry raise
-    ``TypeError`` — exercising the bounded id()-keyed fallback memo.
-    """
+    """A graph-like wrapper the weak-keyed index cache cannot hold."""
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -166,57 +161,10 @@ class _UnhashableGraph:
     def __getattr__(self, name):
         return getattr(self._graph, name)
 
-    def __getitem__(self, key):
-        return self._graph[key]
 
-    def __contains__(self, node):
-        return node in self._graph
-
-    def __len__(self):
-        return len(self._graph)
-
-    def __iter__(self):
-        return iter(self._graph)
-
-
-@pytest.fixture
-def clean_fallback_cache():
-    index_module._FALLBACK_CACHE.clear()
-    yield
-    index_module._FALLBACK_CACHE.clear()
-
-
-def test_fallback_memo_serves_repeat_queries(clean_fallback_cache):
-    wrapper = _UnhashableGraph(path_graph(5))
-    first = get_index(wrapper)
-    assert get_index(wrapper) is first  # memoised, not rebuilt per call
-    assert first.hop_distance_row(0) == [0, 1, 2, 3, 4]
-    invalidate_index(wrapper)
-    assert first.retired
-    assert get_index(wrapper) is not first
-
-
-def test_fallback_memo_evicts_fifo_beyond_limit(clean_fallback_cache):
-    wrappers = [_UnhashableGraph(path_graph(4)) for _ in range(index_module._FALLBACK_LIMIT + 1)]
-    first = get_index(wrappers[0])
-    for wrapper in wrappers[1:]:
-        get_index(wrapper)
-    assert len(index_module._FALLBACK_CACHE) == index_module._FALLBACK_LIMIT
-    # The oldest entry was evicted; a repeat query rebuilds it.
-    assert get_index(wrappers[0]) is not first
-    # The newest entries are still memoised.
-    assert get_index(wrappers[-1]) is get_index(wrappers[-1])
-
-
-def test_mutator_on_unstampable_graph_falls_back_to_full_drop(clean_fallback_cache):
-    wrapper = _UnhashableGraph(path_graph(5))
-    stale = get_index(wrapper)
-    version = GraphMutator(wrapper).add_edge(0, 4, weight=2)
-    assert version == 0  # no stamp to advance
-    assert stale.retired
-    fresh = get_index(wrapper)
-    assert fresh is not stale
-    assert fresh.hop_distance_row(0)[4] == 1
+def test_get_index_rejects_graph_likes_that_are_not_networkx_graphs():
+    with pytest.raises(TypeError, match="requires a networkx Graph, got _UnhashableGraph"):
+        get_index(_UnhashableGraph(path_graph(5)))
 
 
 # ----------------------------------------------------------------------

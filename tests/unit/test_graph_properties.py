@@ -186,6 +186,14 @@ class TestDiameters:
         with pytest.raises(ValueError, match="disconnected"):
             _reference_diameter(g)
 
+    @pytest.mark.parametrize("rows,cols", [(60, 60), (45, 45), (30, 90)])
+    def test_diameter_matches_reference_on_large_grids(self, rows, cols):
+        # Many nodes lie halfway along the double sweep's a-b path here (a
+        # whole anti-diagonal on the square grids), so iFUB's midpoint is a
+        # choice; the answer must not depend on it.
+        graph = nx.grid_2d_graph(rows, cols)
+        assert diameter(graph) == _reference_diameter(graph)
+
     def test_index_diameter_error_matches_reference_error(self):
         g = nx.Graph()
         g.add_nodes_from([0, 1, 2])
