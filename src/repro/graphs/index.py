@@ -310,12 +310,7 @@ class GraphIndex:
         chain = itertools.chain.from_iterable
         offsets = [0, *itertools.accumulate(map(len, neighbours))]
         targets = list(map(index_of.__getitem__, chain(neighbours)))
-        weights = list(
-            map(
-                operator.methodcaller("get", "weight", 1),
-                chain(map(operator.methodcaller("values"), neighbours)),
-            )
-        )
+        weights = [d.get("weight", 1) for nbrs in neighbours for d in nbrs.values()]
         self.m = len(targets) // 2
         self._offsets = offsets
         self._targets = targets

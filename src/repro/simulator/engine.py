@@ -332,24 +332,17 @@ def _admit_round_numpy(sa, ra, wa, order_s, order_r, budget: int):
     return admitted
 
 
-def _pair_round_bounds(senders, receivers, wt, budget: int):
+def _pair_round_bounds(senders, receivers, per_round: int):
     """Static per-token lower bounds on the round a token can be admitted in.
 
     Within one (sender, receiver) pair of a uniform-word workload, tokens are
     admitted in FIFO order (identical constraints, equal words) and at most
-    ``c = budget // words`` of them fit any single round (the sender's cap),
-    so the token with static pair-rank ``q`` cannot move before round
-    ``q // c`` — *whatever* the rest of the schedule does.  The round loop
-    uses this to scan only the handful of currently-admissible tokens per
-    round instead of the whole pending backlog.  Returns ``None`` (no
-    pruning) for mixed-size or oversized workloads.
+    ``c = per_round = budget // words`` of them fit any single round (the
+    sender's cap), so the token with static pair-rank ``q`` cannot move
+    before round ``q // c`` — *whatever* the rest of the schedule does.  The
+    round loop uses this to scan only the handful of currently-admissible
+    tokens per round instead of the whole pending backlog.
     """
-    w0 = int(wt[0])
-    if int(wt.max()) != w0 or int(wt.min()) != w0:
-        return None
-    per_round = budget // w0
-    if per_round <= 0:
-        return None
     order = _pair_order(senders, receivers)
     starts = _pair_starts(senders, receivers, order)
     rank = _grouped_prefix(order, starts, np.ones(senders.size, dtype=np.int64))
@@ -368,7 +361,7 @@ def _split_rounds(rounds):
     return [by_round[edges[i] : edges[i + 1]] for i in range(edges.size - 1)]
 
 
-def _plan_rounds_uniform(senders, receivers, wt, budget: int, min_round):
+def _plan_rounds_uniform(senders, receivers, wt, budget: int):
     """Exact component decomposition for uniform-word workloads.
 
     Greedy-FIFO admission reads only a token's own sender and receiver
@@ -418,7 +411,7 @@ def _plan_rounds_uniform(senders, receivers, wt, budget: int, min_round):
     entangled[sr[np.repeat(shared, counts)]] = True
     dirty = entangled[senders]
     if dirty.all():
-        return _plan_rounds_bucketed(senders, receivers, wt, budget, min_round)
+        return _plan_rounds_bucketed(senders, receivers, wt, budget)
     rounds = np.empty(m, dtype=np.int64)
     clean = ~dirty
     cs = senders[clean]
@@ -430,34 +423,36 @@ def _plan_rounds_uniform(senders, receivers, wt, budget: int, min_round):
     )
     rounds[clean] = (rank - 1) // per_round
     didx = np.flatnonzero(dirty)
-    sub = _plan_rounds_bucketed(
-        senders[didx], receivers[didx], wt[didx], budget, min_round[didx]
-    )
+    sub = _plan_rounds_bucketed(senders[didx], receivers[didx], wt[didx], budget)
     for index, shard in enumerate(sub):
         rounds[didx[shard]] = index
     return _split_rounds(rounds)
 
 
-def _plan_rounds_bucketed(senders, receivers, wt, budget: int, min_round):
+def _plan_rounds_bucketed(senders, receivers, wt, budget: int):
     """Greedy-FIFO planning for uniform-word workloads, bucketed by bound.
 
-    The static :func:`_pair_round_bounds` lower bounds partition the workload
-    into per-round admission buckets.  Deferred tokens are *re*-bucketed with
-    a dynamic bound: a token left behind with ``j`` same-pair tokens still
-    ahead of it needs ``j + 1 <= c * (rounds elapsed)`` pair slots before it
-    can move, so it cannot be admitted before round ``current + 1 + j // c``
-    — and in every earlier round the greedy scan provably rejects it (its
-    unadmitted same-pair predecessor faces identical counters first, and
-    rejections leave the counters untouched), so omitting it from those scans
-    is exact.  Per-round work therefore scales with the tokens that can
-    actually move this round instead of the whole eligible backlog, while the
-    shard boundaries stay identical to the reference greedy scan.
+    The static :func:`_pair_round_bounds` lower bounds, computed over the
+    given tokens only, partition them into per-round admission buckets.  On
+    the entangled residue of :func:`_plan_rounds_uniform` they equal the
+    whole plane's bounds: a pair's tokens share one sender, so a pair is
+    wholly in the residue or wholly out of it.  Deferred tokens are
+    *re*-bucketed with a dynamic bound: a token left behind with ``j``
+    same-pair tokens still ahead of it needs ``j + 1 <= c * (rounds
+    elapsed)`` pair slots before it can move, so it cannot be admitted before
+    round ``current + 1 + j // c`` — and in every earlier round the greedy
+    scan provably rejects it (its unadmitted same-pair predecessor faces
+    identical counters first, and rejections leave the counters untouched),
+    so omitting it from those scans is exact.  Per-round work therefore
+    scales with the tokens that can actually move this round instead of the
+    whole eligible backlog, while the shard boundaries stay identical to the
+    reference greedy scan.
     Every unadmitted token sits in a bucket no later than its true admission
     round (the bounds are valid), so the pending set always contains this
     round's reference admissions and in particular never runs dry.
     """
-    w0 = int(wt[0])
-    per_round = budget // w0
+    per_round = budget // int(wt[0])
+    min_round = _pair_round_bounds(senders, receivers, per_round)
     order = np.argsort(_narrow_sort_key(min_round), kind="stable")
     bounds_sorted = min_round[order]
     last_bound = int(bounds_sorted[-1])
@@ -548,9 +543,9 @@ def _plan_rounds_numpy(senders, receivers, wt, budget: int):
         recv = np.bincount(receivers, weights=wt, minlength=1)
         if recv.max() <= budget:
             return [np.arange(senders.size, dtype=np.int64)]
-    min_round = _pair_round_bounds(senders, receivers, wt, budget)
-    if min_round is not None:
-        return _plan_rounds_uniform(senders, receivers, wt, budget, min_round)
+    w0 = int(wt[0])
+    if int(wt.max()) == w0 == int(wt.min()) and budget // w0 > 0:
+        return _plan_rounds_uniform(senders, receivers, wt, budget)
     shards = []
     positions = np.arange(senders.size, dtype=np.int64)
     s = senders

@@ -81,6 +81,7 @@ recorded in :class:`~repro.simulator.metrics.RoundMetrics`.
 from __future__ import annotations
 
 import random
+from itertools import chain
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 import networkx as nx
@@ -313,11 +314,12 @@ class HybridSimulator:
         # committed at window close, in commit order).  See ``advance_round``.
         self.committed_link_removals: List[Tuple[Node, Node]] = []
 
-        self._nodes: List[Node] = sorted(graph.nodes, key=node_sort_key)
-        self._node_set: Set[Node] = set(self._nodes)
-        self._index_of: Dict[Node, int] = {
-            node: index for index, node in enumerate(self._nodes)
-        }
+        # All-int labels sort plainly, in node_sort_key's order (bool and
+        # NumPy ints are not ``int`` and take its str group).
+        nodes: List[Node] = list(graph.nodes)
+        nodes.sort(key=None if set(map(type, nodes)) == {int} else node_sort_key)
+        self._nodes = nodes
+        self._index_of: Dict[Node, int] = dict(zip(nodes, range(self.n)))
         # Lazy id-native cache (frozen-graph caveat; see invalidate_index):
         # the directed adjacency as sorted flat s * n + r keys for vectorised
         # edge validation.
@@ -431,19 +433,26 @@ class HybridSimulator:
 
     def _edge_key_index(self):
         """The directed adjacency as flat ``s * n + r`` keys (cached): a
-        sorted int64 array, validated with one ``searchsorted`` per shard."""
+        sorted int64 array, validated with one ``searchsorted`` per shard.
+
+        Built from the adjacency in node order by C-level passes (targets
+        mapped to indices, row bases repeated by degree) and one sort; a
+        directed graph's successor lists get their reverse keys too."""
         keys = self._edge_keys
         if keys is None:
             n = self.n
-            index_of = self._index_of
-            pairs = set()
-            for u, v in self.graph.edges():
-                ui = index_of[u]
-                vi = index_of[v]
-                pairs.add(ui * n + vi)
-                pairs.add(vi * n + ui)
-            keys = np.fromiter(pairs, dtype=np.int64, count=len(pairs))
-            keys.sort()
+            neighbours = list(map(dict(self.graph.adjacency()).__getitem__, self._nodes))
+            degrees = np.fromiter(map(len, neighbours), dtype=np.int64, count=n)
+            keys = np.fromiter(
+                map(self._index_of.__getitem__, chain.from_iterable(neighbours)),
+                dtype=np.int64,
+                count=int(degrees.sum()),
+            )
+            keys += np.repeat(np.arange(0, n * n, n, dtype=np.int64), degrees)
+            if self.graph.is_directed():
+                keys = sorted_unique(np.concatenate((keys, keys % n * n + keys // n)))
+            else:
+                keys.sort()
             self._edge_keys = keys
         return keys
 
@@ -1118,7 +1127,7 @@ class HybridSimulator:
     # Internals
     # ------------------------------------------------------------------
     def _require_node(self, node: Node) -> None:
-        if node not in self._node_set:
+        if node not in self._index_of:
             raise UnknownNodeError(node)
 
     def _require_delivered(self) -> None:

@@ -34,6 +34,7 @@ WEIGHTED = "tests/properties/test_weighted_equivalence.py"
 THEOREM8 = "tests/properties/test_theorem8_analytics.py"
 RULING = "tests/unit/test_clustering_and_ruling_sets.py"
 LEVELS = "tests/properties/test_level_kernel.py"
+SETUP = "tests/properties/test_setup_arrays.py"
 
 MUTANTS: List[Dict[str, object]] = [
     # Plane delivery: fault filter, capacity sweep, identifier learning.
@@ -146,6 +147,31 @@ MUTANTS: List[Dict[str, object]] = [
         "replacement": "owner[s] = rank  # duplicates keep their first (smallest) rank\n"
         "                frontier.insert(0, s)\n",
         "selection": [WEIGHTED],
+    },
+    # The uniform-word planner's residue.
+    {
+        "name": "residue-bounds-shifted-by-one-token",
+        "file": ENGINE,
+        "snippet": "    min_round = _pair_round_bounds(senders, receivers, per_round)\n",
+        "replacement": (
+            "    min_round = np.roll(_pair_round_bounds(senders, receivers, per_round), 1)\n"
+        ),
+        "selection": [SCHEDULES, CUTOFFS, ROUND_ENGINE],
+    },
+    # Per-graph set-up: node order and HYBRID_0 adjacency keys.
+    {
+        "name": "edge-keys-drop-the-reverse-of-directed-links",
+        "file": NETWORK,
+        "snippet": "keys = sorted_unique(np.concatenate((keys, keys % n * n + keys // n)))",
+        "replacement": "keys = sorted_unique(keys)",
+        "selection": [SETUP],
+    },
+    {
+        "name": "node-order-fast-path-admits-int-subclasses",
+        "file": NETWORK,
+        "snippet": "set(map(type, nodes)) == {int}",
+        "replacement": "all(isinstance(v, (int, np.integer)) for v in nodes)",
+        "selection": [SETUP],
     },
     # The scalar arms that input size selects.
     {

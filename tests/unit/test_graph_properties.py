@@ -190,9 +190,17 @@ class TestDiameters:
     def test_diameter_matches_reference_on_large_grids(self, rows, cols):
         # Many nodes lie halfway along the double sweep's a-b path here (a
         # whole anti-diagonal on the square grids), so iFUB's midpoint is a
-        # choice; the answer must not depend on it.
+        # choice; the answer must not depend on it.  networkx's bounding
+        # diameter is exact and fast here, where the index-free reference
+        # runs one dict BFS per node (about 30 s for these three grids).
         graph = nx.grid_2d_graph(rows, cols)
-        assert diameter(graph) == _reference_diameter(graph)
+        assert diameter(graph) == nx.diameter(graph, usebounds=True) == rows + cols - 2
+
+    def test_diameter_matches_index_free_reference_on_a_square_grid(self):
+        # A whole anti-diagonal of midpoint candidates, small enough for the
+        # per-node BFS reference.
+        graph = nx.grid_2d_graph(20, 20)
+        assert diameter(graph) == _reference_diameter(graph) == 38
 
     def test_index_diameter_error_matches_reference_error(self):
         g = nx.Graph()
