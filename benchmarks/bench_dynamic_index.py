@@ -1,4 +1,4 @@
-"""Dynamic-index benchmark: incremental CSR patching vs invalidate+rebuild.
+"""Dynamic-index benchmark: the GraphMutator CSR splice vs invalidate+rebuild.
 
 Acceptance check for the versioned mutation layer (PR: frozen-graph
 staleness fix): an edit/re-query loop — delete an edge, run a local
@@ -6,10 +6,10 @@ re-query, re-insert the edge with a fresh weight, re-query — over six
 graph families at ``n ~ 2000``, driven two ways on identically seeded
 graphs and edit scripts:
 
-* **incremental** — :class:`~repro.graphs.mutation.GraphMutator` patches
-  the cached :class:`~repro.graphs.index.GraphIndex` in place (CSR
-  adjacency, weight arrays, memoised rounded/pair derivatives; only the
-  caches the edit class can change are dropped);
+* **incremental** — :class:`~repro.graphs.mutation.GraphMutator` splices
+  each edit into the cached :class:`~repro.graphs.index.GraphIndex` in
+  place (CSR adjacency, weight arrays, memoised rounded/pair derivatives;
+  only the caches the edit class can change are dropped);
 * **rebuild** — the historical path: mutate the graph directly, retire the
   index via :func:`~repro.graphs.index.invalidate_index`, and let
   ``get_index`` rebuild from scratch before the re-query.
@@ -35,7 +35,7 @@ import random
 import time
 from typing import Any, Callable, Dict, List, Tuple
 
-from _artifacts import update_trajectory, write_bench_artifact
+from _artifacts import environment, update_trajectory, write_bench_artifact
 from repro.graphs.generators import (
     barbell_graph,
     broom_graph,
@@ -47,6 +47,7 @@ from repro.graphs.generators import (
 from repro.graphs.index import GraphIndex, get_index, invalidate_index
 from repro.graphs.mutation import GraphMutator
 from repro.graphs.weighted import assign_random_weights
+from suite.harness import usable_cores
 
 #: Every family is built at roughly this size (the acceptance point).
 N_TARGET = 2000
@@ -119,20 +120,21 @@ def _run_rebuild(graph, script) -> Tuple[float, List[Any]]:
 
 
 def _oracle_agrees(graph) -> bool:
-    """The patched index equals a from-scratch rebuild on spot queries."""
-    patched = get_index(graph)
+    """The spliced index equals a from-scratch rebuild on spot queries."""
+    spliced = get_index(graph)
     oracle = GraphIndex(graph)
-    if (patched.n, patched.m) != (oracle.n, oracle.m):
+    if (spliced.n, spliced.m) != (oracle.n, oracle.m):
         return False
-    probes = [patched.nodes[0], patched.nodes[patched.n // 2], patched.nodes[-1]]
+    probes = [spliced.nodes[0], spliced.nodes[spliced.n // 2], spliced.nodes[-1]]
     return all(
-        patched.hop_distance_row(node) == oracle.hop_distance_row(node)
-        and patched.sssp_row(node) == oracle.sssp_row(node)
+        spliced.hop_distance_row(node) == oracle.hop_distance_row(node)
+        and spliced.sssp_row(node) == oracle.sssp_row(node)
         for node in probes
     )
 
 
 def run_dynamic_index_comparison() -> List[Dict[str, Any]]:
+    env = environment()
     rows: List[Dict[str, Any]] = []
     for family in sorted(FAMILIES):
         incremental_graph = _build(family)
@@ -153,6 +155,9 @@ def run_dynamic_index_comparison() -> List[Dict[str, Any]]:
                 "speedup": round(rebuild_seconds / incremental_seconds, 2),
                 "identical queries": incremental_checks == rebuild_checks,
                 "oracle agrees": _oracle_agrees(incremental_graph),
+                "cores": usable_cores(),
+                "python": env["python"],
+                "numpy": env["numpy"],
             }
         )
     return rows
@@ -165,7 +170,7 @@ def _check(rows: List[Dict[str, Any]]) -> None:
             f"{label}: incremental and rebuild re-queries diverged"
         )
         assert row["oracle agrees"], (
-            f"{label}: patched index disagrees with a from-scratch rebuild"
+            f"{label}: spliced index disagrees with a from-scratch rebuild"
         )
         assert row["speedup"] >= REQUIRED_SPEEDUP, (
             f"{label}: incremental edit+re-query speedup {row['speedup']}x "
@@ -182,12 +187,12 @@ def _write_artifact(rows: List[Dict[str, Any]]) -> None:
         seed=SEED,
         required_speedup=REQUIRED_SPEEDUP,
     )
-    speedups = sorted(row["speedup"] for row in rows)
+    speedups = ", ".join(f"{row['family']} {row['speedup']}x" for row in rows)
     update_trajectory(
         "dynamic_index",
-        f"incremental edit+re-query {speedups[0]}x-{speedups[-1]}x faster than "
-        f"invalidate+rebuild (floor {REQUIRED_SPEEDUP}x) over "
-        f"{len(rows)} families at n~{N_TARGET}",
+        f"incremental edit+re-query vs invalidate+rebuild at n~{N_TARGET}: "
+        f"{speedups} on {rows[0]['cores']} cores, Python {rows[0]['python']}, "
+        f"NumPy {rows[0]['numpy']} (floor {REQUIRED_SPEEDUP}x)",
     )
 
 
@@ -197,7 +202,7 @@ def test_dynamic_index_speedup(save_table):
         "dynamic_index_speedup",
         rows,
         f"Dynamic index - single-edge edits + 2-hop re-queries at n~{N_TARGET}, "
-        "GraphMutator patching vs invalidate+rebuild",
+        "GraphMutator splice vs invalidate+rebuild",
     )
     _write_artifact(rows)
     _check(rows)

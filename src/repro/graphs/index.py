@@ -144,8 +144,8 @@ nothing stamped) — so rewiring or re-weighting through the supported paths is
 always detected, including edits that preserve both counts.
 
 Who bumps: :class:`repro.graphs.mutation.GraphMutator` (the supported edit
-API — it additionally patches the cached index *in place*, see the
-``apply_*`` methods), the :mod:`repro.graphs.weighted` helpers (via
+API — it additionally splices each batch into the cached index *in place*,
+see :meth:`GraphIndex._splice`), the :mod:`repro.graphs.weighted` helpers (via
 :func:`invalidate_index`), and :func:`invalidate_index` itself, which both
 bumps the stamp and marks the dropped index *retired*.  Who checks:
 :func:`get_index`, :class:`SSSPRowCache` reads,
@@ -263,13 +263,12 @@ class GraphIndex:
     ball costs only that ball — no O(n) per-query (re)initialisation.
 
     The index records the :func:`graph_version` it reflects (:attr:`version`)
-    and supports in-place incremental maintenance for single-edge edits whose
-    endpoints already exist (:meth:`apply_edge_insert`,
-    :meth:`apply_edge_delete`, :meth:`apply_weight_update`) — used by
-    :class:`repro.graphs.mutation.GraphMutator` so an edit costs an O(n)
-    offset shift instead of a full O(n + m) rebuild.  Self-loops are rejected
-    at construction (``ValueError``): they would silently inflate degrees,
-    ball sizes and NQ, and no supported workload produces them.  Directed
+    and takes batches of edge edits between existing nodes in place
+    (:meth:`_splice`, called by :class:`repro.graphs.mutation.GraphMutator`):
+    one rewrite per touched row instead of a full O(n + m) rebuild.
+    Self-loops are rejected at construction (``ValueError``): they would
+    silently inflate degrees, ball sizes and NQ, and no supported workload
+    produces them.  Directed
     graphs and multigraphs are rejected with ``TypeError``: the CSR is read
     from ``graph.adj`` and assumes one symmetric, simple adjacency.
     """
@@ -359,19 +358,8 @@ class GraphIndex:
             )
 
     # ------------------------------------------------------------------
-    # Incremental maintenance (single-edge patches; GraphMutator's substrate)
+    # Batch edits (GraphMutator's substrate)
     # ------------------------------------------------------------------
-    # Each patch keeps every memoised CSR derivative aligned: the parallel
-    # ``targets`` / ``weights`` arrays, every cached rounded-weight array and
-    # every cached ``(target, weight)`` pair array get the same positional
-    # edit.  Analytics caches are dropped only when a given edit class can
-    # change their answers: topology edits drop connectivity / diameter / NQ
-    # memos but keep the tie-rank arrays (the node set is untouched);
-    # weight-only edits keep every hop-based cache.  Within-slice entry order
-    # may differ from a from-scratch rebuild, but every query result is
-    # order-independent (BFS levels, end-of-level tie finalisation in
-    # ``closest_sources``, rank-ordered Dijkstra heaps), which the
-    # rebuild-oracle property grid pins.
     def _drop_topology_caches(self) -> None:
         self._connected = None
         self._periphery = None
@@ -379,94 +367,83 @@ class GraphIndex:
         self._diam_lb = 0
         self._nq_cache.clear()
 
-    def _insert_csr_entry(self, position: int, target: int, weight: float) -> None:
-        self._targets.insert(position, target)
-        self._weights.insert(position, weight)
-        for eps, rounded in self._rounded_weights.items():
-            rounded.insert(position, round_weight_up(weight, eps))
-        for eps, pairs in self._adjacency_pairs.items():
-            w = weight if eps <= 0 else round_weight_up(weight, eps)
-            pairs.insert(position, (target, w))
+    def _splice(self, edits: Sequence[Tuple[str, Node, Node, Optional[float]]]) -> None:
+        """Splice a validated batch of ``(op, u, v, weight)`` edits into the CSR.
 
-    def _delete_csr_entry(self, position: int) -> None:
-        del self._targets[position]
-        del self._weights[position]
-        for rounded in self._rounded_weights.values():
-            del rounded[position]
-        for pairs in self._adjacency_pairs.values():
-            del pairs[position]
+        ``op`` is ``"add"``, ``"remove"`` or ``"update"``; both endpoints are
+        indexed nodes and each edit is valid against the graph as the earlier
+        edits left it (the caller, :class:`~repro.graphs.mutation.GraphMutator`,
+        checks that and owns the graph and its version stamp).  An add with
+        weight ``None`` is indexed at the default weight 1, like a build.
 
-    def _entry_position(self, ui: int, vi: int) -> int:
-        """Position of the ``ui -> vi`` CSR entry; KeyError if absent."""
-        try:
-            return self._targets.index(vi, self._offsets[ui], self._offsets[ui + 1])
-        except ValueError:
-            raise KeyError(
-                f"edge ({self.nodes[ui]!r}, {self.nodes[vi]!r}) not in index"
-            ) from None
-
-    def _shift_offsets(self, start: int, delta: int) -> None:
-        # Slice re-assignment beats an explicit Python loop for the O(n)
-        # suffix shift — this is the whole per-edit cost on sparse graphs.
+        Each touched row is rewritten once, in batch order: an add appends to
+        both endpoints' rows, a remove deletes the entry in place and an update
+        re-weights it in place.  Entry order within a row may therefore differ
+        from a rebuild's, which no query observes (BFS levels, end-of-level
+        ties in ``closest_sources``, rank-ordered Dijkstra heaps).  Every
+        parallel column (``targets``, ``weights``, each memoised rounded-weight
+        and ``(target, weight)`` pair column) gets one slice assignment per
+        row, last touched row first, so the rows not yet written still sit at
+        their old offsets; ``offsets`` is then shifted once, one segment
+        between each pair of touched rows.  Topology caches are
+        dropped unless every edit is an update; tie ranks survive (the node
+        set is unchanged).
+        """
         offsets = self._offsets
-        offsets[start:] = [o + delta for o in offsets[start:]]
-
-    def apply_edge_insert(self, u: Node, v: Node, weight: float = 1) -> None:
-        """Patch the CSR for a new edge ``(u, v)`` between existing nodes.
-
-        Appends the entry at the end of each endpoint's adjacency slice and
-        shifts the offset suffixes.  Topology analytics caches are dropped;
-        tie ranks survive.  Raises ``KeyError`` for unknown endpoints and
-        ``ValueError`` for self-loops or non-positive weights.  The caller
-        (normally :class:`~repro.graphs.mutation.GraphMutator`) owns graph
-        mutation and version stamping.
-        """
-        if weight <= 0:
-            raise ValueError("edge weights must be positive")
-        ui = self._require(u)
-        vi = self._require(v)
-        if ui == vi:
-            raise ValueError(f"self-loop at node {u!r}: not supported")
-        self._insert_csr_entry(self._offsets[ui + 1], vi, weight)
-        self._shift_offsets(ui + 1, 1)
-        self._insert_csr_entry(self._offsets[vi + 1], ui, weight)
-        self._shift_offsets(vi + 1, 1)
-        self.m += 1
-        self._drop_topology_caches()
-
-    def apply_edge_delete(self, u: Node, v: Node) -> None:
-        """Patch the CSR for the removal of edge ``(u, v)``.
-
-        Raises ``KeyError`` if either endpoint or the edge is missing.
-        Topology analytics caches are dropped; tie ranks survive.
-        """
-        ui = self._require(u)
-        vi = self._require(v)
-        self._delete_csr_entry(self._entry_position(ui, vi))
-        self._shift_offsets(ui + 1, -1)
-        self._delete_csr_entry(self._entry_position(vi, ui))
-        self._shift_offsets(vi + 1, -1)
-        self.m -= 1
-        self._drop_topology_caches()
-
-    def apply_weight_update(self, u: Node, v: Node, weight: float) -> None:
-        """Patch the weight of the existing edge ``(u, v)`` in place.
-
-        A weight-only edit cannot change any hop-based answer, so every
-        analytics cache (connectivity, diameter, NQ, tie ranks) survives —
-        only the weight arrays and their rounded/pair derivatives are patched.
-        """
-        if weight <= 0:
-            raise ValueError("edge weights must be positive")
-        ui = self._require(u)
-        vi = self._require(v)
-        for position in (self._entry_position(ui, vi), self._entry_position(vi, ui)):
-            self._weights[position] = weight
-            for eps, rounded in self._rounded_weights.items():
-                rounded[position] = round_weight_up(weight, eps)
-            for eps, pairs in self._adjacency_pairs.items():
-                w = weight if eps <= 0 else round_weight_up(weight, eps)
-                pairs[position] = (pairs[position][0], w)
+        targets = self._targets
+        index_of = self.index_of
+        # Per touched row: its targets as the batch leaves them, and its edits
+        # as (position, target, weight) steps: no position appends, no target
+        # deletes, both re-weight in place.
+        rows: Dict[int, Tuple[List[int], List[Tuple]]] = {}
+        for op, u, v, weight in edits:
+            ui, vi = index_of[u], index_of[v]
+            for a, b in ((ui, vi), (vi, ui)):
+                if a not in rows:
+                    rows[a] = (targets[offsets[a] : offsets[a + 1]], [])
+                row, steps = rows[a]
+                if op == "add":
+                    row.append(b)
+                    steps.append((None, b, 1 if weight is None else weight))
+                else:
+                    i = row.index(b)
+                    if op == "remove":
+                        del row[i]
+                        steps.append((i, None, None))
+                    else:
+                        steps.append((i, b, weight))
+        columns = [(targets, lambda t, w: t), (self._weights, lambda t, w: w)]
+        for eps, rounded in self._rounded_weights.items():
+            columns.append((rounded, lambda t, w, eps=eps: round_weight_up(w, eps)))
+        for eps, pairs in self._adjacency_pairs.items():
+            columns.append((
+                pairs,
+                lambda t, w, eps=eps: (t, round_weight_up(w, eps) if eps > 0 else w),
+            ))
+        for a in sorted(rows, reverse=True):
+            start, end = offsets[a], offsets[a + 1]
+            steps = rows[a][1]
+            for column, entry in columns:
+                row = column[start:end]
+                for i, t, w in steps:
+                    if i is None:
+                        row.append(entry(t, w))
+                    elif t is None:
+                        del row[i]
+                    else:
+                        row[i] = entry(t, w)
+                column[start:end] = row
+        touched = sorted(rows)
+        deltas = [len(rows[a][0]) - (offsets[a + 1] - offsets[a]) for a in touched]
+        shift = 0
+        for a, delta, stop in zip(touched, deltas, touched[1:] + [self.n]):
+            shift += delta
+            if shift:
+                segment = offsets[a + 1 : stop + 1]
+                offsets[a + 1 : stop + 1] = [o + shift for o in segment]
+        self.m = offsets[-1] // 2
+        if any(op != "update" for op, *_ in edits):
+            self._drop_topology_caches()
 
     # ------------------------------------------------------------------
     # Flat BFS primitives
@@ -1293,9 +1270,9 @@ def invalidate_index(graph: nx.Graph) -> None:
     (:func:`get_index`, ``HybridSimulator`` plane sends) to resynchronise.
     The weight-assignment helpers in :mod:`repro.graphs.weighted` call this
     after mutating a graph in place; code that edits ``graph[u][v]["weight"]``
-    by hand must do the same.  Single-edge edits should prefer
-    :class:`repro.graphs.mutation.GraphMutator`, which patches the index
-    incrementally instead of dropping it.
+    by hand must do the same.  It is the tool for wholesale rewrites; edits
+    to a few edges should prefer :class:`repro.graphs.mutation.GraphMutator`,
+    which splices them into the index instead of dropping it.
     """
     cached = _INDEX_CACHE.pop(graph, None)
     if cached is not None:

@@ -7,14 +7,15 @@ so they compose with the generators:
     >>> from repro.graphs import grid_graph, assign_random_weights
     >>> g = assign_random_weights(grid_graph(4), max_weight=10, seed=0)
 
-Each helper rewrites *every* edge weight, so patching the cached
-:class:`~repro.graphs.index.GraphIndex` incrementally (the
-:class:`~repro.graphs.mutation.GraphMutator` path for single-edge edits)
-would be pointless work — they take the full-drop path instead:
+Each helper rewrites *every* edge weight, so splicing the edits into the
+cached :class:`~repro.graphs.index.GraphIndex` (the
+:class:`~repro.graphs.mutation.GraphMutator` path, which rewrites each
+touched row) would touch every row — they take the full-drop path instead:
 :func:`~repro.graphs.index.invalidate_index` retires the cached index and
 bumps the graph's version stamp, so every versioned consumer (``get_index``,
-simulator plane sends, row caches) resynchronises on next use.  For
-single-edge re-weighting prefer ``GraphMutator.update_weight``.
+simulator plane sends, row caches) resynchronises on next use.  To
+re-weight a few edges prefer ``GraphMutator.update_weight`` or
+``GraphMutator.apply_batch``.
 """
 
 from __future__ import annotations

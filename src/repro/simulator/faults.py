@@ -106,9 +106,10 @@ class LinkFailure:
 
     ``permanent=True`` upgrades the window-scoped outage to a real topology
     edit: when the window closes, the simulator *commits* the failure as an
-    edge deletion through :class:`repro.graphs.mutation.GraphMutator` — the
-    edge is gone from the graph itself (version stamp bumped, analytics index
-    patched incrementally, simulator adjacency caches resynchronised), and
+    edge deletion through :class:`repro.graphs.mutation.GraphMutator`, one
+    batch per round — the edge is gone from the graph itself (version stamp
+    bumped, the round's deletions spliced into the analytics index,
+    simulator adjacency caches resynchronised), and
     later dissemination/APSP runs see the churned topology.  A permanent
     failure therefore requires a *finite* ``end_round`` (an open-ended window
     already drops everything forever and has no close to commit at); see

@@ -895,14 +895,15 @@ class HybridSimulator:
     def _commit_permanent_link_failures(self, fault_state: FaultState) -> None:
         """Turn closed permanent link-failure windows into real edge deletions.
 
-        A ``LinkFailure(..., permanent=True)`` whose window has closed (the
-        just-entered round is at or past its ``end_round``) is committed as a
-        graph mutation through :class:`~repro.graphs.mutation.GraphMutator` —
-        the edge is deleted for good, the graph's version stamp advances, and
-        the cached analytics :class:`~repro.graphs.index.GraphIndex` is
-        patched incrementally, so dissemination/APSP re-runs on the churned
-        graph see the committed topology.  The simulator resynchronises its
-        own id-native caches via :meth:`invalidate_index` (knowledge and
+        Every ``LinkFailure(..., permanent=True)`` whose window has closed (the
+        just-entered round is at or past its ``end_round``) is committed in
+        one graph mutation per round, a
+        :meth:`~repro.graphs.mutation.GraphMutator.apply_batch` of removals:
+        the edges are deleted for good, the graph's version stamp advances
+        once, and the cached analytics :class:`~repro.graphs.index.GraphIndex`
+        takes one splice, so dissemination/APSP re-runs on the churned graph
+        see the committed topology.  The simulator resynchronises its own
+        id-native caches via :meth:`invalidate_index` (knowledge and
         identifiers are untouched: nodes never disappear).  Committed edges
         are appended to :attr:`committed_link_removals` in commit order.
         """
@@ -910,16 +911,19 @@ class HybridSimulator:
         if not closures:
             return
         nodes = self._nodes
-        mutator = GraphMutator(self.graph)
+        seen = set()
         removed: List[Tuple[Node, Node]] = []
         for ui, vi in closures:
             u, v = nodes[ui], nodes[vi]
-            # A schedule may name a non-edge (or a pair a previous window
-            # already removed) — committing it is a no-op, not an error.
-            if self.graph.has_edge(u, v):
-                mutator.remove_edge(u, v)
+            key = (ui, vi) if ui < vi else (vi, ui)
+            # A schedule may name a non-edge, a pair a previous window already
+            # removed, or one edge twice (in either orientation) closing in
+            # the same round: each is committed at most once, never an error.
+            if key not in seen and self.graph.has_edge(u, v):
+                seen.add(key)
                 removed.append((u, v))
         if removed:
+            GraphMutator(self.graph).apply_batch([("remove", u, v) for u, v in removed])
             self.committed_link_removals.extend(removed)
             self.invalidate_index()
 

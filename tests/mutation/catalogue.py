@@ -35,6 +35,7 @@ THEOREM8 = "tests/properties/test_theorem8_analytics.py"
 RULING = "tests/unit/test_clustering_and_ruling_sets.py"
 LEVELS = "tests/properties/test_level_kernel.py"
 SETUP = "tests/properties/test_setup_arrays.py"
+DYNAMIC = "tests/properties/test_dynamic_index.py"
 
 MUTANTS: List[Dict[str, object]] = [
     # Plane delivery: fault filter, capacity sweep, identifier learning.
@@ -243,6 +244,24 @@ MUTANTS: List[Dict[str, object]] = [
         "snippet": "        self._connected = None\n        self._periphery = None\n",
         "replacement": "        self._connected = None\n",
         "selection": [NQ, NQ_UNIT],
+    },
+    # The batch splice behind every GraphMutator edit.
+    {
+        "name": "splice-rows-first-to-last",
+        "file": INDEX,
+        "snippet": "        for a in sorted(rows, reverse=True):\n",
+        "replacement": "        for a in sorted(rows):\n",
+        "selection": [DYNAMIC],
+    },
+    {
+        "name": "splice-skips-a-memoised-pair-column",
+        "file": INDEX,
+        "snippet": "        for eps, pairs in self._adjacency_pairs.items():\n            columns.append(",
+        "replacement": (
+            "        for eps, pairs in list(self._adjacency_pairs.items())[1:]:\n"
+            "            columns.append("
+        ),
+        "selection": [DYNAMIC],
     },
     {
         "name": "nq-scan-certifies-at-k-over-best-plus-one",

@@ -1,20 +1,22 @@
 """Property harness for the versioned mutation API (dynamic GraphIndex).
 
 The contract under test: after any sequence of :class:`GraphMutator` edits,
-the *patched* cached index served by :func:`get_index` answers every query
+the *spliced* cached index served by :func:`get_index` answers every query
 with values identical to a from-scratch ``GraphIndex(graph)`` rebuild — the
-rebuild stays the oracle, the incremental patcher must never be observable
-through query results.  Three layers over six graph families x three seeds:
+rebuild stays the oracle, the batch splice must never be observable through
+query results.  Three layers over six graph families x three seeds:
 
-* **edit-script equivalence** — a seeded script of remove/add/re-weight
-  edits, checking after *every* step that (a) ``get_index`` still serves the
-  same patched object (no silent rebuild) and (b) a query battery (BFS rows,
-  exact and rounded Dijkstra rows, h-hop limited tables, multi-source
-  sweeps, ruling sets, connectivity/diameter/NQ when defined) matches the
-  fresh oracle;
-* **the (n, m)-preserving two-edge swap** — the exact staleness bug-class
-  this PR fixes: a rewiring that keeps both counts unchanged used to slip
-  past the count-only currency check and serve a dead CSR; under the
+* **edit-script equivalence** — a seeded script of single remove/add/
+  re-weight edits and multi-edit ``apply_batch`` steps, checking after
+  *every* step that (a) ``get_index`` still serves the same spliced object
+  (no silent rebuild), (b) every CSR row holds the rebuild's entries and
+  every memoised rounded/pair column lines up with the weights, and (c) a
+  query battery (BFS rows, exact and rounded Dijkstra rows, h-hop limited
+  tables, multi-source sweeps, ruling sets, connectivity/diameter/NQ when
+  defined) matches the fresh oracle;
+* **the (n, m)-preserving two-edge swap** — the staleness bug class the
+  version stamp closes: a rewiring that keeps both counts unchanged used to
+  slip past the count-only currency check and serve a dead CSR; under the
   version stamp it is reflected immediately;
 * **out-of-band mutations** — direct ``networkx`` edits that change the
   counts are still caught by the (n, m) backstop.
@@ -35,7 +37,7 @@ from repro.graphs.generators import (
     grid_graph,
     path_graph,
 )
-from repro.graphs.index import GraphIndex, get_index, graph_version
+from repro.graphs.index import GraphIndex, get_index, graph_version, round_weight_up
 from repro.graphs.mutation import GraphMutator
 from repro.graphs.weighted import assign_random_weights
 
@@ -94,26 +96,56 @@ def _battery(index):
 
 
 def _assert_matches_rebuild(graph, step):
-    patched = get_index(graph)
+    spliced = get_index(graph)
     oracle = GraphIndex(graph)
-    assert patched.nodes == oracle.nodes
-    assert (patched.n, patched.m) == (oracle.n, oracle.m), step
-    got, want = _battery(patched), _battery(oracle)
+    assert spliced.nodes == oracle.nodes
+    assert (spliced.n, spliced.m) == (oracle.n, oracle.m), step
+    _assert_columns_match(spliced, oracle, step)
+    got, want = _battery(spliced), _battery(oracle)
     assert set(got) == set(want), step
     for key in want:
         assert got[key] == want[key], (step, key)
 
 
+def _assert_columns_match(spliced, oracle, step):
+    """Every row holds the rebuild's entries (in any order), and every
+    memoised rounded and pair column still lines up with the weights."""
+    offsets = spliced._offsets
+    for i in range(spliced.n):
+        start, end = offsets[i], offsets[i + 1]
+        o_start, o_end = oracle._offsets[i], oracle._offsets[i + 1]
+        got = sorted(zip(spliced._targets[start:end], spliced._weights[start:end]))
+        want = sorted(zip(oracle._targets[o_start:o_end], oracle._weights[o_start:o_end]))
+        assert got == want, (step, "row", spliced.nodes[i])
+    assert offsets[-1] == len(spliced._targets) == len(spliced._weights), step
+    for eps, rounded in spliced._rounded_weights.items():
+        assert rounded == [round_weight_up(w, eps) for w in spliced._weights], (step, eps)
+    for eps, pairs in spliced._adjacency_pairs.items():
+        weights = spliced._rounded_weights[eps] if eps > 0 else spliced._weights
+        assert pairs == list(zip(spliced._targets, weights)), (step, eps)
+
+
 # ----------------------------------------------------------------------
-# Seeded edit scripts: patched index == fresh rebuild after every step
+# Seeded edit scripts: spliced index == fresh rebuild after every step
 # ----------------------------------------------------------------------
-def _edit_script(graph, rng, steps=6):
-    """Yield (description, thunk) edit steps for a seeded mutation script."""
+def _edit_script(graph, rng, steps=8):
+    """Yield (description, thunk) edit steps for a seeded mutation script.
+
+    Steps cycle through a single remove, add and re-weight, then one
+    ``apply_batch`` that changes row lengths at several rows, removes and
+    re-adds an edge, and re-weights an edge it added earlier.
+    """
     mutator = GraphMutator(graph)
     nodes = sorted(graph.nodes)
     removed = []
     for step in range(steps):
-        kind = step % 3
+        kind = step % 4
+        if kind == 3:
+            batch = _batch(graph, nodes, rng)
+            yield f"step {step}: apply_batch({batch})", (
+                lambda batch=batch: mutator.apply_batch(batch)
+            )
+            continue
         if kind == 0:  # remove an existing edge
             u, v = rng.choice(sorted(graph.edges()))
             removed.append((u, v))
@@ -137,6 +169,21 @@ def _edit_script(graph, rng, steps=6):
             )
 
 
+def _batch(graph, nodes, rng):
+    """Remove two edges, add a fresh one and re-weight it, and remove then
+    re-add a third edge: rows change length at up to six nodes."""
+    first, second, readded = rng.sample(sorted(graph.edges()), 3)
+    a, b = _pick_non_edge(graph, nodes, rng)
+    return [
+        ("remove", *first),
+        ("add", a, b, rng.randint(1, 9)),
+        ("remove", *readded),
+        ("remove", *second),
+        ("add", *readded, rng.randint(1, 9)),
+        ("update", a, b, rng.randint(1, 9)),
+    ]
+
+
 def _pick_non_edge(graph, nodes, rng):
     while True:
         u, v = rng.sample(nodes, 2)
@@ -154,7 +201,7 @@ def test_edit_script_matches_rebuild_after_every_step(case):
     for step, apply_edit in _edit_script(graph, rng):
         version = apply_edit()
         assert graph_version(graph) == version, step
-        # The cached index was patched in place, not silently rebuilt.
+        # The cached index was spliced in place, not silently rebuilt.
         assert get_index(graph) is baseline, step
         assert baseline.version == version, step
         _assert_matches_rebuild(graph, step)

@@ -432,6 +432,32 @@ def test_permanent_failure_commits_edge_deletion_at_window_close():
     sim.advance_round()
 
 
+def test_permanent_failures_closing_together_commit_as_one_batch():
+    from repro.graphs.generators import cycle_graph
+    from repro.graphs.index import GraphIndex, get_index, graph_version
+
+    graph = cycle_graph(8)
+    index = get_index(graph)
+    index.sssp_row(0, 0.5)  # memoise a rounded and a pair column
+    schedule = FaultSchedule(
+        link_failures=(
+            LinkFailure(2, 3, start_round=0, end_round=1, permanent=True),
+            LinkFailure(5, 6, start_round=0, end_round=1, permanent=True),
+            LinkFailure(3, 2, start_round=0, end_round=1, permanent=True),  # named twice
+        )
+    )
+    sim = HybridSimulator(graph, ModelConfig.hybrid(), fault_schedule=schedule)
+    sim.advance_round()  # round 0 -> 1: all three windows close
+    assert sim.committed_link_removals == [(2, 3), (5, 6)]
+    assert graph_version(graph) == 1  # one bump for the round's batch
+    assert get_index(graph) is index
+    assert index.m == 6
+    fresh = GraphIndex(graph)
+    for source in graph.nodes:
+        assert index.hop_distance_row(source) == fresh.hop_distance_row(source)
+        assert index.sssp_row(source, 0.5) == fresh.sssp_row(source, 0.5)
+
+
 def test_initial_knowledge_survives_a_committed_edge_deletion(arms):
     # HYBRID_0 knowledge is a copy of the construction-time adjacency: once
     # the fault layer deletes edge (0, 1) for good, both ends still know each

@@ -248,10 +248,9 @@ def test_simulator_plane_send_raises_until_invalidate_resync():
 
 
 # ----------------------------------------------------------------------
-# apply_batch: k edits, one version bump, one index decision
+# apply_batch: k edits, one version bump, one splice
 # ----------------------------------------------------------------------
-def test_apply_batch_patches_in_place_below_crossover():
-    # path_graph(40): n + m = 79, so 4 edits (cost 16) stay on the patch path.
+def test_apply_batch_splices_in_place_with_one_bump():
     graph = path_graph(40)
     index = get_index(graph)
     version = GraphMutator(graph).apply_batch(
@@ -262,31 +261,32 @@ def test_apply_batch_patches_in_place_below_crossover():
             ("add", 3, 7),
         ]
     )
-    # One bump for the whole burst, and the same index object, patched.
+    # One bump for the whole burst, and the same index object, spliced.
     assert version == graph_version(graph) == 1
     assert get_index(graph) is index
     assert index.version == version
     assert graph.has_edge(0, 5) and graph.has_edge(3, 7)
     assert not graph.has_edge(3, 4)
-    # Value identity: the patched index answers like a from-scratch build.
+    # Value identity: the spliced index answers like a from-scratch build.
     fresh = GraphIndex(graph)
     for source in (0, 7, 39):
         assert index.sssp_dict(source) == fresh.sssp_dict(source)
 
 
-def test_apply_batch_prefers_rebuild_when_cheaper():
-    # path_graph(5): after three adds n + m = 12 and the batch costs
-    # 4 * 3 = 12 >= 12, so the planner retires the index instead of patching.
+def test_apply_batch_splices_a_batch_that_rewrites_most_rows():
+    # Three adds on a 5-node path touch four of its five rows: still one
+    # splice into the same index, never a rebuild.
     graph = path_graph(5)
-    stale = get_index(graph)
+    index = get_index(graph)
     version = GraphMutator(graph).apply_batch(
         [("add", 0, 2), ("add", 0, 3), ("add", 0, 4)]
     )
-    assert version == graph_version(graph) == 1  # still exactly one bump
-    assert stale.retired
-    fresh = get_index(graph)
-    assert fresh is not stale
-    assert fresh.sssp_dict(0) == GraphIndex(graph).sssp_dict(0)
+    assert version == graph_version(graph) == 1
+    assert get_index(graph) is index and not index.retired
+    assert index.m == 7
+    fresh = GraphIndex(graph)
+    for source in graph.nodes:
+        assert index.sssp_dict(source) == fresh.sssp_dict(source)
 
 
 def test_apply_batch_empty_is_a_noop():
@@ -344,49 +344,3 @@ def test_apply_batch_midway_failure_commits_partial_burst_safely():
     assert stale.retired
     assert graph_version(graph) == 1
     assert get_index(graph).sssp_dict(0) == GraphIndex(graph).sssp_dict(0)
-
-
-def test_apply_batch_decision_matches_a_fresh_edge_count():
-    # The patch-or-rebuild decision reads n + m off the current index plus the
-    # batch's net edge count; it must equal the decision taken on the graph's
-    # own node and edge counts after the batch, on mixed add / remove /
-    # update bursts around the crossover (k * 4 >= n + m rebuilds).
-    import random
-
-    rng = random.Random(7)
-    graph = cycle_graph(14)
-    decisions = set()
-    net_count_mattered = 0
-    for _ in range(120):
-        index = get_index(graph)
-        nodes = list(graph.nodes)
-        shadow = graph.copy()
-        edits = []
-        for _ in range(rng.randrange(1, 9)):
-            op = rng.choice(["add", "add", "remove", "remove", "update"])
-            if op == "add":
-                u, v = rng.sample(nodes, 2)
-                if shadow.has_edge(u, v):
-                    continue
-                shadow.add_edge(u, v)
-                edits.append(("add", u, v, rng.randrange(1, 9)))
-            elif shadow.number_of_edges() > 1:
-                u, v = rng.choice(list(shadow.edges))
-                if op == "remove":
-                    shadow.remove_edge(u, v)
-                    edits.append(("remove", u, v))
-                else:
-                    edits.append(("update", u, v, rng.randrange(1, 9)))
-        if not edits:
-            continue
-        rebuild = 4 * len(edits) >= shadow.number_of_nodes() + shadow.number_of_edges()
-        # Counting before the batch would decide some of these the other way.
-        net_count_mattered += rebuild != (4 * len(edits) >= index.n + index.m)
-        GraphMutator(graph).apply_batch(edits)
-        assert index.retired == rebuild, edits
-        if not rebuild:
-            assert get_index(graph) is index
-            assert index.m == graph.number_of_edges()
-        decisions.add(rebuild)
-    assert decisions == {False, True}
-    assert net_count_mattered
