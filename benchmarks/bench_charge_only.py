@@ -13,14 +13,16 @@ exact, but no payload is materialised.  Two tiers:
 
 * **Large** (``BENCH_SCALE=large``, the scheduled CI job) — charge-only
   ``KDissemination`` k=4096 on an n=10^6 **star** and, as a separate test, on
-  an n=10^7 star: rounds, global words, wall-clock, peak RSS and the
-  generation-0/1/2 garbage collections ``run()`` triggered.  The star keeps NQ_k
-  at 2 (the center's radius-1 ball is the whole graph), which yields few,
-  large clusters and a down-cast volume that fits in memory — a payload run
-  at this scale would materialise ~10^7 token objects.  NQ is passed as a
-  hint (``nq=2`` by inspection) because the centralized NQ computation is
-  Theta(n^2) on a star and is not what this benchmark measures.  The n=10^6
-  run peaks near 2 GB of memory; the n=10^7 run needs about ten times that.
+  an n=10^7 star: the simulator's construction seconds and the process
+  peak RSS after it; then rounds, global words, ``run()`` wall-clock, peak
+  RSS and the generation-0/1/2 garbage collections ``run()`` triggered.
+  The star keeps NQ_k at 2 (the center's radius-1 ball is the whole graph),
+  which yields few, large clusters and a down-cast volume that fits in
+  memory — a payload run at this scale would materialise ~10^7 token
+  objects.  NQ is passed as a hint (``nq=2`` by inspection) because the
+  centralized NQ computation is Theta(n^2) on a star and is not what this
+  benchmark measures.  The n=10^6 run peaks near 1.2 GB of memory; the
+  n=10^7 run needs about ten times that.
 
 Every row records the host's usable core count.  Each run writes
 ``BENCH_charge_only.json`` next to the ASCII tables (see ``_artifacts.py``).
@@ -34,11 +36,13 @@ from __future__ import annotations
 
 import gc
 import os
+import platform
 import random
 import resource
 import time
 from typing import Any, Dict, List
 
+import numpy as np
 import pytest
 
 from _artifacts import update_trajectory, write_bench_artifact
@@ -126,10 +130,23 @@ def _counting_collections(call):
         gc.callbacks.remove(on_gc)
 
 
+def _peak_rss_mb() -> float:
+    """The process's peak resident set so far, in MB (Linux ``ru_maxrss``)."""
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+
+
 def run_charge_only_star(n: int) -> Dict[str, Any]:
-    """One end-to-end charge-only star dissemination at ``n`` nodes."""
+    """One end-to-end charge-only star dissemination at ``n`` nodes.
+
+    The simulator's construction (HYBRID_0 identifier draw, adjacency keys,
+    pair-store seed) is timed on its own, apart from ``run()``.
+    """
     graph = star_graph(n)
+    gc.collect()
+    start = time.perf_counter()
     simulator = HybridSimulator(graph, ModelConfig.hybrid0(), seed=3, charge_only=True)
+    construction = time.perf_counter() - start
+    construction_peak = _peak_rss_mb()
     # NQ_k(star) = 2 by inspection (the center's radius-1 ball is the whole
     # graph); the centralized NQ computation is Theta(n^2) here.
     algorithm = KDissemination(simulator, _tokens(n), nq=2, charge_only=True)
@@ -137,15 +154,19 @@ def run_charge_only_star(n: int) -> Dict[str, Any]:
     start = time.perf_counter()
     result, collections = _counting_collections(algorithm.run)
     elapsed = time.perf_counter() - start
-    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return {
         "workload": f"charge-only KDissemination k={K_DISSEMINATION} (star)",
         "n": n,
         "cores": usable_cores(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "construction seconds": round(construction, 2),
+        # Process peaks so far (the graph included): after construction, and
+        # after the run -- the run's own peak unless an earlier row in the
+        # same process went higher.
+        "peak rss MB after construction": construction_peak,
         "seconds": round(elapsed, 2),
-        # Process peak so far: the run's own peak unless an earlier row in
-        # the same process went higher.
-        "peak rss MB": round(peak_kb / 1024, 1),
+        "peak rss MB": _peak_rss_mb(),
         "gc collections gen0/1/2": "/".join(map(str, collections)),
         "total rounds": result.metrics.total_rounds,
         "global words": result.metrics.global_words,
@@ -184,7 +205,8 @@ def _write_artifact(row: Dict[str, Any]) -> None:
     update_trajectory(
         "charge_only",
         f"charge-only dissemination {row['speedup']}x vs payload with "
-        f"bit-identical metrics at n={N_DISSEMINATION} on {row['cores']} cores "
+        f"bit-identical metrics at n={N_DISSEMINATION} on {row['cores']} cores, "
+        f"Python {platform.python_version()}, NumPy {np.__version__} "
         f"(floor {CHARGE_ONLY_FLOOR}x)",
     )
 

@@ -28,6 +28,7 @@ from repro.core.clustering import Clustering, distributed_nq_clustering
 from repro.core.dissemination import (
     ClusterTree,
     KDissemination,
+    _cluster_member_arrays,
     build_cluster_tree,
     match_cluster_tree_ids,
     rank_matched_triples,
@@ -121,10 +122,11 @@ class KAggregation(BatchAlgorithm):
 
         self.clustering = distributed_nq_clustering(sim, self.k, nq=self.nq)
         self.cluster_tree = build_cluster_tree(self.clustering)
-        identifier_of = sim.node_identifiers()
+        member_arrays = _cluster_member_arrays(sim, self.clustering)
+        nodes = sim.nodes
         self._sorted_members = {
-            cluster.index: sorted(cluster.members, key=identifier_of.__getitem__)
-            for cluster in self.clustering.clusters
+            index: list(map(nodes.__getitem__, members.tolist()))
+            for index, members in member_arrays.items()
         }
         sim.charge_rounds(
             log_n * log_n, "cluster-tree construction", "Lemma 4.6 via Theorem 2"
@@ -134,7 +136,7 @@ class KAggregation(BatchAlgorithm):
             "matching parent/child cluster nodes rank-by-rank",
             "Theorem 2 via Theorem 1, cluster chaining",
         )
-        match_cluster_tree_ids(sim, self.clustering, self.cluster_tree)
+        match_cluster_tree_ids(sim, self.clustering, self.cluster_tree, member_arrays)
 
     def _phase_intra_cluster(self) -> None:
         """Intra-cluster intermediate aggregation (local flooding, charged)."""

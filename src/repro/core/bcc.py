@@ -70,12 +70,13 @@ def _run_bcc_round(
         for node, value in broadcasts.items()
     }
     result = KDissemination(simulator, tokens, nq=nq, clustering=clustering).run()
+    node_of_id = {token[1]: node for node, (token,) in tokens.items()}
     received: Dict[Node, Dict[Node, Any]] = {}
     for node, known in result.known_tokens.items():
         view: Dict[Node, Any] = {}
         for token in known:
             if isinstance(token, tuple) and len(token) == 3 and token[0] == "bcc":
-                view[simulator.node_of_id(token[1])] = token[2]
+                view[node_of_id[token[1]]] = token[2]
         received[node] = view
     return BCCRoundResult(
         broadcasts=dict(broadcasts),

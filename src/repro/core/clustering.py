@@ -111,7 +111,7 @@ class Clustering:
         index = get_index(graph)
         return max(index.weak_diameter(cluster.members) for cluster in self.clusters)
 
-    def member_layout(self, indexer, identifier_of):
+    def member_layout(self, indexer, identifiers):
         """Id-native cluster layout: ``(member_perm, starts)`` index ranges.
 
         Flattens every cluster's member list into parallel (cluster id,
@@ -120,18 +120,17 @@ class Clustering:
         contiguous slice
         ``member_perm[starts[ci] : starts[ci + 1]]`` — array views into one
         ``int64`` buffer instead of a sorted Python list per cluster.  The
-        within-cluster order is exactly ``sorted(members, key=identifier_of)``
+        within-cluster order is exactly the members sorted by identifier
         (identifiers are unique integers), which is the rank order the
         Theorem 1 workload assembly tiles from.
 
-        ``indexer`` maps a node to its simulator index and ``identifier_of``
-        to its identifier (the simulator's integers below ``2^62``, whatever
-        the node labels).
+        ``indexer`` maps a node to its simulator index and ``identifiers`` is
+        the simulator's identifier column (int64, indexed by node index).
         """
         members = self.members()
         total = len(members)
         idx_col = np.fromiter(map(indexer.__getitem__, members), np.int64, total)
-        ident_col = np.fromiter(map(identifier_of.__getitem__, members), np.int64, total)
+        ident_col = identifiers[idx_col]
         sizes = np.array([len(c.members) for c in self.clusters], dtype=np.int64)
         cluster_col = np.repeat(np.arange(sizes.size), sizes)
         by_ident = np.argsort(ident_col)

@@ -74,7 +74,7 @@ def _cluster_member_arrays(
     Views into the one permutation array of :meth:`Clustering.member_layout`.
     """
     member_perm, starts = clustering.member_layout(
-        simulator.node_indexer(), simulator.node_identifiers()
+        simulator.node_indexer(), simulator.identifier_column()
     )
     bounds = starts.tolist()
     return {

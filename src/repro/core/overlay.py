@@ -128,8 +128,7 @@ def build_virtual_tree(simulator: HybridSimulator) -> VirtualTree:
     (``declare_learned_ids``), which is exactly the post-condition of
     Lemma 4.3.
     """
-    ids = np.asarray(simulator.identifier_column(), dtype=np.int64)
-    tree = VirtualTree(simulator.nodes, np.argsort(ids, kind="stable"))
+    tree = VirtualTree(simulator.nodes, np.argsort(simulator.identifier_column()))
     log_n = log2_ceil(max(simulator.n, 2))
     simulator.charge_rounds(
         log_n * log_n,
@@ -149,10 +148,8 @@ def build_virtual_tree_on_subset(
     tree over the identifier-sorted subset, with the combined construction and
     pruning cost of Lemmas 4.3 + 4.5 charged.
     """
-    column = sorted(
-        {simulator.node_index(node) for node in subset},
-        key=simulator.identifier_column().__getitem__,
-    )
+    ids = simulator.identifier_column()
+    column = sorted({simulator.node_index(node) for node in subset}, key=ids.item)
     if not column:
         raise ValueError("subset must be non-empty")
     tree = VirtualTree(simulator.nodes, column)

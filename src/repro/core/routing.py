@@ -264,12 +264,10 @@ class KLRouting(BatchAlgorithm):
         self.exchange(request_triples, "rt-rq")
 
         reply_triples: List[GlobalTriple] = []
-        for _, intermediate, request in request_triples:
-            source_id, target_id, helper_id = request
+        for helper, intermediate, (source_id, target_id, _) in request_triples:
+            # The reply goes to the helper whose identifier the request carries.
             payload = self._intermediate_store[intermediate].get((source_id, target_id))
-            reply_triples.append(
-                (intermediate, sim.node_of_id(helper_id), (source_id, target_id, payload))
-            )
+            reply_triples.append((intermediate, helper, (source_id, target_id, payload)))
         self.exchange(reply_triples, "rt-rp")
         self._reply_triples = reply_triples
 
@@ -283,9 +281,9 @@ class KLRouting(BatchAlgorithm):
             "Theorem 3 / Lemma 5.2 property (2)",
         )
         delivered: Dict[Node, Dict[Node, Any]] = {t: {} for t in self.targets}
-        for _, _, reply in self._reply_triples:
-            source_id, target_id, payload = reply
-            delivered[sim.node_of_id(target_id)][sim.node_of_id(source_id)] = payload
+        node_of_id = {sim.id_of(v): v for v in (*self.sources, *self.targets)}
+        for _, _, (source_id, target_id, payload) in self._reply_triples:
+            delivered[node_of_id[target_id]][node_of_id[source_id]] = payload
         self._delivered = delivered
         for node in sim.nodes:
             self._intermediate_load.setdefault(node, 0)

@@ -198,8 +198,7 @@ class KnowledgeTracker:
     def learn(self, a: int, learned: Iterable[int]) -> None:
         """Node ``a`` learns the identifiers of the node indices ``learned``."""
         self._validate(a)
-        base = a * self.n
-        self.pairs.add([base + b for b in learned])
+        self.pairs.add(np.fromiter(learned, np.int64) + a * self.n)
 
     def learn_index_pairs(self, learners, learned) -> None:
         """Node index ``learners[i]`` learns node index ``learned[i]``'s

@@ -80,6 +80,7 @@ recorded in :class:`~repro.simulator.metrics.RoundMetrics`.
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import chain
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Set, Tuple
@@ -115,16 +116,48 @@ BatchRecord = Tuple[Node, Any, Optional[str], int]
 
 
 # HYBRID_0 identifiers come from a polynomial range [n^c] (c = 3).  The
-# range is capped so every identifier fits a C ssize_t (required by
-# random.sample over a range); the cap stays >= n^2 for any graph that fits
-# memory, so identifier collisions remain impossible and the sparse-regime
-# semantics are unchanged.  Below the cap (n < ~1.66 * 10^6) the draw is
-# bit-identical to the uncapped formulation.
+# range is capped so every identifier fits the int64 identifier column; the
+# cap stays >= n^2 for any graph that fits memory, so identifier collisions
+# remain impossible and the sparse-regime semantics are unchanged.  Below the
+# cap (n < ~1.66 * 10^6) the draw is bit-identical to the uncapped
+# formulation.
 _ID_UNIVERSE_CAP = 1 << 62
 
 
 def _identifier_universe(n: int) -> int:
     return max(min(n**3, _ID_UNIVERSE_CAP), 8)
+
+
+def _sample_distinct(rng: random.Random, universe: int, k: int) -> np.ndarray:
+    """``rng.sample(range(universe), k)`` as an int64 array, read in bulk and
+    leaving ``rng`` in the same state; ``universe < 2**63`` (see DESIGN.md)."""
+    setsize = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+    if universe <= setsize:  # sample's pool path
+        return np.array(rng.sample(range(universe), k), dtype=np.int64)
+    # The set path keeps the first k distinct getrandbits(bits) attempts below
+    # universe: ``words`` little-endian MT words each, the top one shifted right
+    # by -bits % 32.  A read short of k values retries with twice the attempts.
+    bits = universe.bit_length()
+    words = -(-bits // 32)
+    expected = -math.log1p(-k / universe) * (1 << bits)
+    attempts = int(expected + 4 * math.sqrt(expected)) + 16
+    state = rng.getstate()
+    while True:
+        raw = rng.getrandbits(32 * words * attempts).to_bytes(4 * words * attempts, "little")
+        column = np.frombuffer(raw, dtype="<u4").astype(np.uint64).reshape(attempts, words)
+        values = column[:, -1] >> np.uint64(-bits % 32)
+        for word in range(words - 2, -1, -1):
+            values = values << np.uint64(32) | column[:, word]
+        (kept,) = np.nonzero(values < universe)
+        if not np.diff(np.sort(values[kept])).all():  # a repeat counts at its first attempt
+            kept = kept[np.sort(np.unique(values[kept], return_index=True)[1])]
+        if kept.size >= k:
+            break
+        rng.setstate(state)
+        attempts *= 2
+    rng.setstate(state)
+    rng.getrandbits(32 * words * (int(kept[k - 1]) + 1) if k else 0)
+    return values[kept[:k]].astype(np.int64)
 
 
 def node_sort_key(node: Node) -> Tuple[int, Any]:
@@ -340,23 +373,18 @@ class HybridSimulator:
     # Identifiers and knowledge
     # ------------------------------------------------------------------
     def _assign_identifiers(self) -> None:
-        nodes = self._nodes
         if self.config.identifier_regime is IdentifierRegime.DENSE:
-            # HYBRID: identifiers are exactly [n].  When nodes are already the
-            # integers 0..n-1 we use them verbatim; otherwise we enumerate.
-            if all(isinstance(v, int) for v in nodes) and set(nodes) == set(range(self.n)):
-                ids = list(nodes)
-            else:
-                ids = list(range(self.n))
+            # HYBRID: identifiers are exactly [n] in node order (a graph on
+            # 0..n-1 keeps its labels); the column is its own argsort.
+            ids = self._by_id = np.arange(self.n, dtype=np.int64)
         else:
-            # HYBRID_0: identifiers from a polynomial range [n^c]; we draw
-            # distinct random integers from [n^3] (capped, see
-            # _identifier_universe).
-            ids = self.rng.sample(range(_identifier_universe(self.n)), self.n)
-        #: Identifier of every node, aligned with the node order.
-        self._ids: List[int] = ids
-        self._node_to_id: Dict[Node, int] = dict(zip(nodes, ids))
-        self._id_to_node: Dict[int, Node] = dict(zip(ids, nodes))
+            # HYBRID_0: distinct random identifiers from [n^3] (capped, see
+            # _identifier_universe), drawn exactly as rng.sample draws them.
+            ids = _sample_distinct(self.rng, _identifier_universe(self.n), self.n)
+            self._by_id = None  # argsort of the column, built on first lookup
+        ids.setflags(write=False)
+        #: Identifier of every node, in node-index order (read-only int64).
+        self._ids = ids
 
     def _init_knowledge(self) -> None:
         """HYBRID: everyone knows every identifier (one flag).  HYBRID_0: a
@@ -457,46 +485,45 @@ class HybridSimulator:
         return keys
 
     def id_of(self, node: Node) -> int:
-        self._require_node(node)
-        return self._node_to_id[node]
+        """Identifier of ``node``, a Python ``int``."""
+        return self._ids.item(self.node_index(node))
 
-    def node_identifiers(self) -> Dict[Node, int]:
-        """``node -> identifier`` for every node (the simulator's own map).
-
-        Treat as read-only; bulk callers use it to avoid one :meth:`id_of`
-        validation per lookup.
-        """
-        return self._node_to_id
-
-    def identifier_column(self) -> List[int]:
-        """Every node's identifier in node-index order (the simulator's own
-        list; treat as read-only)."""
+    def identifier_column(self) -> np.ndarray:
+        """Every node's identifier in node-index order: the simulator's own
+        int64 array, read-only (writes raise)."""
         return self._ids
 
     def node_of_id(self, identifier: int) -> Node:
-        if identifier not in self._id_to_node:
+        """The node holding ``identifier``; :class:`UnknownNodeError` if none does,
+        as for every value no identifier equals (non-integer, out of range)."""
+        found = self._indices_of_ids((identifier,))
+        if not found.size:
             raise UnknownNodeError(identifier)
-        return self._id_to_node[identifier]
+        return self._nodes[found.item(0)]
 
     def all_ids(self) -> List[int]:
-        return sorted(self._id_to_node)
+        return np.sort(self._ids).tolist()
 
-    def _indices_of_ids(self, identifiers: Iterable[int]) -> List[int]:
+    def _indices_of_ids(self, identifiers: Iterable[int]) -> np.ndarray:
         """Node indices of ``identifiers``, skipping ones that do not exist (a
         node may be told bogus identifiers; it simply cannot reach anyone
-        with them)."""
-        id_to_node = self._id_to_node
-        index_of = self._index_of
-        return [index_of[id_to_node[i]] for i in identifiers if i in id_to_node]
+        with them), non-integers and integers outside the universe included."""
+        held = (i for i in identifiers if isinstance(i, (int, np.integer)))
+        wanted = np.fromiter((i for i in held if 0 <= i < _ID_UNIVERSE_CAP), np.int64)
+        ids, by_id = self._ids, self._by_id
+        if by_id is None:
+            by_id = self._by_id = np.argsort(ids)
+        found = by_id[np.minimum(ids.searchsorted(wanted, sorter=by_id), self.n - 1)]
+        return found[ids[found] == wanted]
 
     def known_ids(self, node: Node) -> Set[int]:
-        ids = self._ids
-        return {ids[b] for b in self.knowledge.known(self.node_index(node))}
+        known = self.knowledge.known(self.node_index(node))
+        return set(self._ids[np.fromiter(known, np.int64, len(known))].tolist())
 
     def knows_id(self, node: Node, identifier: int) -> bool:
         learner = self.node_index(node)
-        target = self._id_to_node.get(identifier)
-        return target is not None and self.knowledge.knows(learner, self._index_of[target])
+        found = self._indices_of_ids((identifier,))
+        return bool(found.size) and self.knowledge.knows(learner, found.item(0))
 
     def declare_learned_ids(self, node: Node, identifiers: Iterable[int]) -> None:
         """Record that ``node`` learned identifiers from received payloads."""
@@ -518,7 +545,9 @@ class HybridSimulator:
             learners = frozenset(map(self._index_of.__getitem__, nodes))
         except KeyError as missing:
             raise UnknownNodeError(missing.args[0]) from None
-        self.knowledge.learn_shared(learners, frozenset(self._indices_of_ids(identifiers)))
+        self.knowledge.learn_shared(
+            learners, frozenset(self._indices_of_ids(identifiers).tolist())
+        )
 
     def global_budget_words(self) -> int:
         """Per-node, per-round global budget in words.
@@ -623,7 +652,7 @@ class HybridSimulator:
             position = next(k for k, key in enumerate(keys) if key in offending)
             raise UnknownIdentifierError(
                 f"node {self._nodes[int(s_col[position])]!r} does not know "
-                f"identifier {self._ids[int(r_col[position])]!r}"
+                f"identifier {self._ids.item(r_col[position])!r}"
             )
         pairs.absorb(np.array(fresh, dtype=np.int64) if small else uniq)
 

@@ -174,6 +174,24 @@ MUTANTS: List[Dict[str, object]] = [
         "replacement": "all(isinstance(v, (int, np.integer)) for v in nodes)",
         "selection": [SETUP],
     },
+    # The bulk HYBRID_0 identifier draw.
+    {
+        "name": "draw-drops-the-top-word-shift",
+        "file": NETWORK,
+        "snippet": "values = column[:, -1] >> np.uint64(-bits % 32)",
+        "replacement": "values = column[:, -1]",
+        "selection": [SETUP],
+    },
+    {
+        "name": "draw-keeps-the-last-repeat",
+        "file": NETWORK,
+        "snippet": "kept = kept[np.sort(np.unique(values[kept], return_index=True)[1])]",
+        "replacement": (
+            "kept = kept[np.sort(kept.size - 1"
+            " - np.unique(values[kept][::-1], return_index=True)[1])]"
+        ),
+        "selection": [SETUP],
+    },
     # The scalar arms that input size selects.
     {
         "name": "small-workload-planner-rejects-a-full-budget",

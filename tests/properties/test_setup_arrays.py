@@ -6,8 +6,10 @@ HYBRID_0 pair store from them; ``GraphIndex`` reads its weight column off
 the neighbour dicts.  Each must equal the per-node / per-edge formulation in
 ``oracles.construction`` (or ``graph[u][v]``) on every input the constructors
 accept: six families x three seeds under shuffled integer labels, directed
-and multigraph inputs, self-loops and non-integer labels.  The identifier
-draw must stay the bare ``random.Random(seed).sample`` call.
+and multigraph inputs, self-loops and non-integer labels.  The HYBRID_0
+identifier draw is a bulk read of Python's own generator and must equal the
+bare ``random.Random(seed).sample`` call: the same identifiers and the same
+generator state afterwards.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from repro.graphs.generators import (
 )
 from repro.graphs.index import GraphIndex
 from repro.simulator.config import ModelConfig
-from repro.simulator.network import HybridSimulator
+from repro.simulator.network import _ID_UNIVERSE_CAP, HybridSimulator, _sample_distinct
 
 from oracles.construction import (
     _reference_edge_keys,
@@ -159,6 +161,33 @@ def test_identifier_draw_is_one_bare_sample(case):
     reference = random.Random(seed)
     ids = reference.sample(range(max(n**3, 8)), n)
     assert [sim.id_of(node) for node in sim.nodes] == ids
+    assert sim.rng.getstate() == reference.getstate()
+
+
+# universe -> sample size: sample's pool path; just past its set size for
+# k = 100, so repeats are common; 32 bits with no shift; 33 bits, two words
+# and a shift of 31; the capped universe (63 bits).
+DRAWS = {8: 6, 1046: 100, 2**32 - 1: 1000, 2**32: 1000, _ID_UNIVERSE_CAP: 1000}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("universe", sorted(DRAWS), ids=hex)
+def test_bulk_draw_equals_sample(universe, seed):
+    k = DRAWS[universe]
+    rng, reference = random.Random(seed), random.Random(seed)
+    drawn = _sample_distinct(rng, universe, k)
+    assert drawn.dtype == np.int64
+    assert drawn.tolist() == reference.sample(range(universe), k)
+    assert rng.getstate() == reference.getstate()
+    assert rng.random() == reference.random()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tiny_hybrid0_draws_equal_sample(n, seed):
+    sim = HybridSimulator(path_graph(n), ModelConfig.hybrid0(), seed=seed)
+    reference = random.Random(seed)
+    assert sim.identifier_column().tolist() == reference.sample(range(max(n**3, 8)), n)
     assert sim.rng.getstate() == reference.getstate()
 
 

@@ -348,6 +348,51 @@ class TestSimulatorBasics:
             transport.inbox(sim, 0, LOCAL_MODE)
 
 
+class TestIdentifierBoundary:
+    """Identifiers live in an int64 column but cross the API as plain ints,
+    and values the column cannot hold are simply no one's identifier."""
+
+    BOGUS = [2**64, -1, 1.5, "x"]
+
+    @pytest.mark.parametrize("config", [ModelConfig.hybrid0(), ModelConfig.hybrid()])
+    def test_identifiers_come_out_as_python_ints(self, config):
+        sim = HybridSimulator(path_graph(6), config, seed=0)
+        assert all(type(sim.id_of(v)) is int for v in sim.nodes)
+        assert all(type(i) is int for i in sim.all_ids())
+        assert all(type(i) is int for i in sim.known_ids(2))
+        assert sim.all_ids() == sorted(sim.id_of(v) for v in sim.nodes)
+
+    @pytest.mark.parametrize("neighbour_tokens", [0, 40], ids=["scalar", "array"])
+    def test_unknown_identifier_message_prints_a_plain_int(self, neighbour_tokens):
+        # 40 tokens to a neighbour first put the shard on the array arm.
+        sim = HybridSimulator(path_graph(6), ModelConfig.hybrid0(), seed=0)
+        assert sim.id_of(5) == 130
+        senders, receivers = [0] * (neighbour_tokens + 1), [1] * neighbour_tokens + [5]
+        with pytest.raises(UnknownIdentifierError) as caught:
+            transport.send_ids(sim, senders, receivers, ["nope"] * len(senders))
+        assert str(caught.value) == "node 0 does not know identifier 130"
+
+    @pytest.mark.parametrize("config", [ModelConfig.hybrid0(), ModelConfig.hybrid()])
+    @pytest.mark.parametrize("bogus", BOGUS, ids=repr)
+    def test_values_the_column_cannot_hold_are_no_identifier(self, config, bogus):
+        sim = HybridSimulator(path_graph(6), config, seed=0)
+        before = sim.known_ids(0)
+        sim.declare_learned_ids(0, [bogus, sim.id_of(5)])
+        sim.declare_learned_ids_bulk([1, 2], [bogus])
+        assert sim.known_ids(0) == before | {sim.id_of(5)}
+        assert not sim.knows_id(0, bogus)
+        with pytest.raises(UnknownNodeError):
+            sim.node_of_id(bogus)
+
+    def test_identifier_column_is_read_only(self):
+        sim = HybridSimulator(path_graph(6), ModelConfig.hybrid0(), seed=0)
+        column = sim.identifier_column()
+        assert column.dtype == np.int64
+        assert column.tolist() == [sim.id_of(v) for v in sim.nodes]
+        with pytest.raises(ValueError):
+            column[0] = 1
+
+
 class TestLocalMode:
     def test_local_send_delivers_next_round(self):
         sim = HybridSimulator(path_graph(3))
