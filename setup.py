@@ -5,8 +5,8 @@ work on environments whose setuptools/pip combination predates full PEP 660
 editable-install support (such as offline machines without the ``wheel``
 package).
 
-The install requirements are ``networkx`` (graph input) and ``numpy`` (the
-array backend of the round engine, the simulator's knowledge store and the
+The install requirements are ``networkx`` (graph input) and ``numpy`` >= 1.23
+(the array backend of the round engine, the simulator's knowledge store and the
 analytics kernels); there is no optional accelerator and no pure-Python
 fallback.
 """
@@ -23,7 +23,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.9",
-    install_requires=["networkx", "numpy"],
+    install_requires=["networkx", "numpy>=1.23"],
     extras_require={
         "test": ["pytest", "pytest-benchmark", "hypothesis"],
     },

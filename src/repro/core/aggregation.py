@@ -28,7 +28,6 @@ from repro.core.clustering import Clustering, distributed_nq_clustering
 from repro.core.dissemination import (
     ClusterTree,
     KDissemination,
-    _cluster_member_arrays,
     build_cluster_tree,
     match_cluster_tree_ids,
     rank_matched_triples,
@@ -122,11 +121,14 @@ class KAggregation(BatchAlgorithm):
 
         self.clustering = distributed_nq_clustering(sim, self.k, nq=self.nq)
         self.cluster_tree = build_cluster_tree(self.clustering)
-        member_arrays = _cluster_member_arrays(sim, self.clustering)
-        nodes = sim.nodes
+        layout = self.clustering.member_layout(
+            sim.node_indexer(), sim.identifier_column()
+        )
+        members = list(map(sim.nodes.__getitem__, layout[0].tolist()))
+        bounds = layout[1].tolist()
         self._sorted_members = {
-            index: list(map(nodes.__getitem__, members.tolist()))
-            for index, members in member_arrays.items()
+            c.index: members[bounds[c.index] : bounds[c.index + 1]]
+            for c in self.clustering.clusters
         }
         sim.charge_rounds(
             log_n * log_n, "cluster-tree construction", "Lemma 4.6 via Theorem 2"
@@ -136,7 +138,7 @@ class KAggregation(BatchAlgorithm):
             "matching parent/child cluster nodes rank-by-rank",
             "Theorem 2 via Theorem 1, cluster chaining",
         )
-        match_cluster_tree_ids(sim, self.clustering, self.cluster_tree, member_arrays)
+        match_cluster_tree_ids(sim, self.clustering, self.cluster_tree, layout)
 
     def _phase_intra_cluster(self) -> None:
         """Intra-cluster intermediate aggregation (local flooding, charged)."""

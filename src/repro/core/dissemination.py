@@ -37,7 +37,7 @@ produce identical round counts, inboxes and metrics.
 from __future__ import annotations
 
 import dataclasses
-import operator
+import itertools
 from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -66,28 +66,32 @@ def build_cluster_tree(clustering: Clustering) -> ClusterTree:
     return VirtualTree(order, list(range(len(order))))
 
 
-def _cluster_member_arrays(
-    simulator: HybridSimulator, clustering: Clustering
-) -> Dict[int, Any]:
-    """Cluster index -> its members' node indices in identifier order.
+def _rank_matched_columns(layout, sources, targets, counts) -> Tuple[Any, Any]:
+    """Sender and receiver node-index columns of rank-matched cluster edges.
 
-    Views into the one permutation array of :meth:`Clustering.member_layout`.
+    Edge ``e`` carries ``counts[e]`` tokens from cluster ``sources[e]`` (``S``
+    members) to cluster ``targets[e]`` (``T`` members); its position ``j`` is
+    sent by source member ``j % S`` to target member ``(j % S) % T``, members
+    in identifier order.  Each column is one gather into the member
+    permutation of ``layout``, the ``(member_perm, starts)`` pair of
+    :meth:`Clustering.member_layout`, over every edge at once.
     """
-    member_perm, starts = clustering.member_layout(
-        simulator.node_indexer(), simulator.identifier_column()
+    member_perm, starts = layout
+    first_source, first_target = starts[sources], starts[targets]
+    j = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    rank = j % np.repeat(starts[sources + 1] - first_source, counts)
+    target_rank = rank % np.repeat(starts[targets + 1] - first_target, counts)
+    return (
+        member_perm[np.repeat(first_source, counts) + rank],
+        member_perm[np.repeat(first_target, counts) + target_rank],
     )
-    bounds = starts.tolist()
-    return {
-        c.index: member_perm[bounds[c.index] : bounds[c.index + 1]]
-        for c in clustering.clusters
-    }
 
 
 def match_cluster_tree_ids(
     simulator: HybridSimulator,
     clustering: Clustering,
     cluster_tree: ClusterTree,
-    member_arrays: Optional[Dict[int, Any]] = None,
+    layout=None,
 ) -> None:
     """Phase 3 subphase 2 of Theorem 1: rank-match adjacent clusters.
 
@@ -96,29 +100,29 @@ def match_cluster_tree_ids(
     identifier so they can exchange global messages.  The round cost of the
     matching (O(log n), one tree level at a time) is charged by the caller.
 
-    ``member_arrays`` (optional) supplies :func:`_cluster_member_arrays`, which
-    the plane engine already holds.  The matching is assembled as flat
-    learner / learned index columns and recorded in the knowledge tracker's
-    pair store with one merge.
+    ``layout`` (optional) supplies :meth:`Clustering.member_layout`, which
+    the plane engine already holds.  The larger cluster of each edge plays
+    the source of :func:`_rank_matched_columns`, one position per member,
+    and the pairs are recorded in the knowledge tracker's pair store with
+    one merge.
     """
-    if member_arrays is None:
-        member_arrays = _cluster_member_arrays(simulator, clustering)
-    learner_chunks: List[Any] = []
-    learned_chunks: List[Any] = []
-    for child_index, parent_index in cluster_tree.parent.items():
-        if parent_index is None:
-            continue
-        child_arr = member_arrays[child_index]
-        parent_arr = member_arrays[parent_index]
-        span = max(child_arr.size, parent_arr.size)
-        a = np.resize(child_arr, span)
-        b = np.resize(parent_arr, span)
-        learner_chunks.extend((a, b))
-        learned_chunks.extend((b, a))
-    if learner_chunks:
-        simulator.knowledge.learn_index_pairs(
-            np.concatenate(learner_chunks), np.concatenate(learned_chunks)
+    if layout is None:
+        layout = clustering.member_layout(
+            simulator.node_indexer(), simulator.identifier_column()
         )
+    edges = [(c, p) for c, p in cluster_tree.parent.items() if p is not None]
+    if not edges:
+        return
+    child, parent = np.array(edges, dtype=np.int64).T
+    sizes = np.diff(layout[1])
+    swap = sizes[child] < sizes[parent]
+    larger = np.where(swap, parent, child)
+    a, b = _rank_matched_columns(
+        layout, larger, np.where(swap, child, parent), sizes[larger]
+    )
+    simulator.knowledge.learn_index_pairs(
+        np.concatenate((a, b)), np.concatenate((b, a))
+    )
 
 
 def rank_matched_triples(
@@ -203,21 +207,20 @@ class KDissemination(BatchAlgorithm):
         self.nq = 0
         self.clustering: Optional[Clustering] = None
         self.cluster_tree: Optional[ClusterTree] = None
-        # Cluster index -> id-sorted member node indices, as views into one
-        # permutation array (:func:`_cluster_member_arrays`).
-        self._member_arrays: Dict[int, Any] = {}
+        # Id-sorted cluster members as index ranges over one permutation
+        # array (:meth:`Clustering.member_layout`).
+        self._member_layout: Any = None
         # Id-native token state (phase 5): tokens are handled as *ranks* into
-        # the one str-sorted token list, so set algebra over cluster holdings
-        # becomes boolean-mask work and the sorted payload order of every
-        # exchange is simply ascending rank.
-        self._sorted_tokens: List[Any] = []
-        self._token_rank: Dict[Any, int] = {}
+        # the one str-sorted token array (1-D, dtype object), so set algebra
+        # over cluster holdings becomes boolean-mask work and the sorted
+        # payload order of every exchange is simply ascending rank.
+        self._sorted_tokens: Any = None
         self._cluster_masks: Any = None
         self._uniform_token_words: Optional[int] = None
         self._known_tokens: Dict[Node, FrozenSet[Any]] = {}
         # Each token crosses many cluster-tree edges; its word size is
         # computed once, indexed by rank, and reused by every exchange.
-        self._words_by_rank: List[int] = []
+        self._words_by_rank: Any = None
 
     # ------------------------------------------------------------------
     def phases(self):
@@ -270,9 +273,11 @@ class KDissemination(BatchAlgorithm):
         self.clustering = clustering
         self.cluster_tree = build_cluster_tree(clustering)
         # Clusters as index ranges over one permutation array: the
-        # rank-matched workloads of phase 5 are tiled straight from these
+        # rank-matched workloads of phase 5 are gathered straight from these
         # ranges without touching individual tokens.
-        self._member_arrays = _cluster_member_arrays(sim, clustering)
+        self._member_layout = clustering.member_layout(
+            sim.node_indexer(), sim.identifier_column()
+        )
         sim.charge_rounds(
             log_n * log_n,
             "cluster-tree construction over cluster leaders",
@@ -286,7 +291,7 @@ class KDissemination(BatchAlgorithm):
         leader_ids = frozenset(sim.id_of(c.leader) for c in clustering.clusters)
         sim.declare_learned_ids_bulk(clustering.members(), leader_ids)
         match_cluster_tree_ids(
-            sim, clustering, self.cluster_tree, member_arrays=self._member_arrays
+            sim, clustering, self.cluster_tree, layout=self._member_layout
         )
 
     def _phase_load_balance(self) -> None:
@@ -323,13 +328,15 @@ class KDissemination(BatchAlgorithm):
         sim = self.simulator
         cluster_tree = self.cluster_tree
         sorted_tokens = sorted(self.all_tokens, key=str)
-        self._sorted_tokens = sorted_tokens
+        # fromiter keeps equal-length tuple tokens as elements, where
+        # np.array would stack them into a 2-D array.
+        self._sorted_tokens = np.fromiter(sorted_tokens, dtype=object, count=self.k)
         token_rank = {token: rank for rank, token in enumerate(sorted_tokens)}
-        self._token_rank = token_rank
-        self._words_by_rank = [payload_words(token) for token in sorted_tokens]
-        distinct_words = set(self._words_by_rank)
+        words_by_rank = [payload_words(token) for token in sorted_tokens]
+        self._words_by_rank = np.array(words_by_rank, dtype=np.int64)
+        distinct_words = set(words_by_rank)
         # Homogeneous tokens (the normal case) let the plane builder emit the
-        # words column as one list repetition instead of a per-token lookup.
+        # words column as one fill instead of a per-token take.
         self._uniform_token_words = (
             distinct_words.pop() if len(distinct_words) == 1 else None
         )
@@ -356,11 +363,22 @@ class KDissemination(BatchAlgorithm):
     def _cluster_token_masks(self, token_rank: Dict[Any, int]) -> Any:
         """One row per cluster: the ranks of the tokens its members hold,
         read from the input holdings (see :meth:`_phase_load_balance`), as a
-        ``(clusters, k)`` boolean array."""
-        cluster_of = self.clustering.cluster_of
+        ``(clusters, k)`` boolean array set by one scatter over flat
+        holder-row and token-rank columns."""
+        holdings = self.tokens_by_node
+        holders = len(holdings)
+        cluster_rows = np.fromiter(
+            map(self.clustering.cluster_of.__getitem__, holdings), np.int64, holders
+        )
+        sizes = np.fromiter(map(len, holdings.values()), np.int64, holders)
+        rows = np.repeat(cluster_rows, sizes)
+        cols = np.fromiter(
+            map(token_rank.__getitem__, itertools.chain.from_iterable(holdings.values())),
+            np.int64,
+            rows.size,
+        )
         masks = np.zeros((len(self.clustering.clusters), self.k), dtype=bool)
-        for node, tokens in self.tokens_by_node.items():
-            masks[cluster_of[node], [token_rank[token] for token in tokens]] = True
+        masks[rows, cols] = True
         return masks
 
     def _phase_down_cast(self) -> None:
@@ -433,13 +451,12 @@ class KDissemination(BatchAlgorithm):
     def _exchange_level(self, edges: Sequence[Tuple[int, int, Any]]) -> None:
         """Move one cluster-tree level of tokens: ``(source, target, ranks)``.
 
-        ``ranks`` are ascending positions into the str-sorted token list.  The
-        whole level is assembled as one id-native
-        :class:`~repro.simulator.engine.TokenPlane` from the precomputed
-        member-index columns (rank-matching is cyclic pattern repetition, word
-        counts come from the shared per-rank table).  The token order —
-        level-edge by level-edge, payloads in sorted order, senders cycling by
-        rank — is that of :func:`rank_matched_triples`.
+        ``ranks`` are ascending positions into the str-sorted token array.
+        The whole level is assembled as one id-native
+        :class:`~repro.simulator.engine.TokenPlane` (see
+        :meth:`_build_level_plane`).  The token order — level-edge by
+        level-edge, payloads in sorted order, senders cycling by rank — is
+        that of :func:`rank_matched_triples`.
         """
         plane = self._build_level_plane(edges)
         if plane is not None:
@@ -450,55 +467,34 @@ class KDissemination(BatchAlgorithm):
     ) -> Optional[TokenPlane]:
         """Assemble one level's id-native workload from token ranks.
 
-        The sender/receiver columns are whole-chunk tile operations over the
-        cached per-cluster member arrays (the cyclic rank-matching is exactly
-        ``np.resize``), the words column is one ``np.full`` (homogeneous
-        tokens) or a take from the per-rank word table, and the payload side
-        list is one ``itemgetter`` pass over the str-sorted token list.
+        The sender and receiver columns are one gather each into the
+        cluster member permutation (:func:`_rank_matched_columns`), the
+        words column is one ``np.full`` (homogeneous tokens) or a take from
+        the per-rank word table, and the payload column is one take from the
+        str-sorted token array — a 1-D object array, not a list.
 
-        Under ``charge_only`` the payload pass is skipped entirely — the
-        plane is built payload-free (``payloads=None``).  The id/word columns
-        (and hence the schedule and every metric) are untouched by the
-        elision; this is where charge-only dissemination stops scaling with
-        token *content* and the n ~ 10^6 tier becomes feasible.
+        Under ``charge_only`` the payload take is skipped — the plane is
+        built payload-free (``payloads=None``).  The id/word columns (and
+        hence the schedule and every metric) are untouched by the elision;
+        this is where charge-only dissemination stops scaling with token
+        *content* and the n ~ 10^6 tier becomes feasible.
         """
-        sorted_tokens = self._sorted_tokens
-        uniform = self._uniform_token_words
-        charge_only = self.charge_only
-        payloads: Optional[List[Any]] = None if charge_only else []
-        member_arrays = self._member_arrays
-        sender_chunks = []
-        receiver_chunks = []
-        rank_chunks = []
-        for source_index, target_index, ranks in edges:
-            count = len(ranks)
-            if not count:
-                continue
-            source = member_arrays[source_index]
-            target = member_arrays[target_index]
-            pattern = target[np.arange(source.size) % target.size]
-            sender_chunks.append(np.resize(source, count))
-            receiver_chunks.append(np.resize(pattern, count))
-            rank_chunks.append(ranks)
-            if charge_only:
-                continue
-            if count == len(sorted_tokens):
-                payloads.extend(sorted_tokens)
-            elif count == 1:
-                payloads.append(sorted_tokens[ranks[0]])
-            else:
-                payloads.extend(operator.itemgetter(*ranks)(sorted_tokens))
-        if not sender_chunks:
+        edges = [edge for edge in edges if len(edge[2])]
+        if not edges:
             return None
-        if uniform is not None:
-            count_total = sum(chunk.size for chunk in sender_chunks)
-            words = np.full(count_total, uniform, dtype=np.int64)
-        else:
-            table = np.asarray(self._words_by_rank, dtype=np.int64)
-            words = table.take(np.concatenate(rank_chunks))
-        return TokenPlane(
-            np.concatenate(sender_chunks),
-            np.concatenate(receiver_chunks),
-            words,
-            payloads,
+        sources, targets, rank_chunks = zip(*edges)
+        counts = np.fromiter(map(len, rank_chunks), np.int64, len(edges))
+        senders, receivers = _rank_matched_columns(
+            self._member_layout,
+            np.array(sources, dtype=np.int64),
+            np.array(targets, dtype=np.int64),
+            counts,
         )
+        ranks = np.concatenate(rank_chunks)
+        uniform = self._uniform_token_words
+        if uniform is None:
+            words = self._words_by_rank.take(ranks)
+        else:
+            words = np.full(ranks.size, uniform, dtype=np.int64)
+        payloads = None if self.charge_only else self._sorted_tokens.take(ranks)
+        return TokenPlane(senders, receivers, words, payloads)

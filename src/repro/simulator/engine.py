@@ -84,14 +84,16 @@ GlobalTriple = Tuple[Node, Node, Any]
 # Token planes
 # ----------------------------------------------------------------------
 class TokenPlane:
-    """An id-native workload: parallel id arrays plus a payload side list.
+    """An id-native workload: parallel id arrays plus a payload column.
 
     ``senders[i]`` / ``receivers[i]`` are integer **node indices** — positions
     in the simulator's deterministic node order (see
     :meth:`HybridSimulator.node_indexer`) — and ``words[i]`` is the token's
     payload size in words (excluding any shared tag).  ``payloads[i]`` is the
     application object; the scheduler and the capacity accounting never touch
-    it.  The three id/word columns are ``int64`` arrays.
+    it.  The three id/word columns are ``int64`` arrays.  ``payloads`` is a
+    sequence — a list or a 1-D object ndarray — that is indexed and iterated
+    but never truth-tested.
 
     ``payloads`` may be ``None``: a **charge-only** plane carries only the
     three columns.  Scheduling, capacity accounting, round counts and
@@ -104,7 +106,7 @@ class TokenPlane:
     __slots__ = ("senders", "receivers", "words", "payloads")
 
     def __init__(
-        self, senders, receivers, words, payloads: Optional[List[Any]] = None
+        self, senders, receivers, words, payloads: Optional[Sequence[Any]] = None
     ) -> None:
         self.senders = np.asarray(senders, dtype=np.int64)
         self.receivers = np.asarray(receivers, dtype=np.int64)

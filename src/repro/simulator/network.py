@@ -999,10 +999,12 @@ class HybridSimulator:
             (LOCAL_MODE, self._pending_local_planes),
         ):
             rate = fault_state.drop_rate(mode)
-            rng = fault_state.round_rng(round_index, mode) if rate > 0.0 else None
             edges = failed_edges if (mode == LOCAL_MODE and failed_edges) else None
-            if not planes or (not crashed and edges is None and rng is None):
+            if not planes or (not crashed and edges is None and not rate > 0.0):
                 continue
+            # Seeded fresh from (seed, round, mode), so seeding only rounds
+            # that draw leaves every draw unchanged.
+            rng = fault_state.round_rng(round_index, mode) if rate > 0.0 else None
             crashed_arr = fault_state.crashed_index_array(round_index)
             failed_arr = (
                 fault_state.failed_edge_key_array(round_index)

@@ -19,6 +19,7 @@ INDEX = "src/repro/graphs/index.py"
 KNOWLEDGE_STORE = "src/repro/simulator/knowledge.py"
 SPANNER = "src/repro/core/spanner.py"
 SHORTEST_PATHS = "src/repro/core/shortest_paths.py"
+DISSEMINATION = "src/repro/core/dissemination.py"
 
 DELIVERY = "tests/properties/test_delivery_modes.py"
 KNOWLEDGE = "tests/properties/test_knowledge_identity.py"
@@ -36,6 +37,7 @@ RULING = "tests/unit/test_clustering_and_ruling_sets.py"
 LEVELS = "tests/properties/test_level_kernel.py"
 SETUP = "tests/properties/test_setup_arrays.py"
 DYNAMIC = "tests/properties/test_dynamic_index.py"
+THEOREM1 = "tests/unit/test_dissemination_and_aggregation.py"
 
 MUTANTS: List[Dict[str, object]] = [
     # Plane delivery: fault filter, capacity sweep, identifier learning.
@@ -176,10 +178,10 @@ MUTANTS: List[Dict[str, object]] = [
     },
     # The bulk HYBRID_0 identifier draw.
     {
-        "name": "draw-drops-the-top-word-shift",
+        "name": "draw-shifts-the-top-word-one-bit-too-far",
         "file": NETWORK,
         "snippet": "values = column[:, -1] >> np.uint64(-bits % 32)",
-        "replacement": "values = column[:, -1]",
+        "replacement": "values = column[:, -1] >> np.uint64(-bits % 32 + 1)",
         "selection": [SETUP],
     },
     {
@@ -191,6 +193,21 @@ MUTANTS: List[Dict[str, object]] = [
             " - np.unique(values[kept][::-1], return_index=True)[1])]"
         ),
         "selection": [SETUP],
+    },
+    # Theorem 1's phase-5 level planes and cluster token masks.
+    {
+        "name": "level-receivers-tiled-by-position",
+        "file": DISSEMINATION,
+        "snippet": "target_rank = rank % np.repeat(starts[targets + 1] - first_target, counts)",
+        "replacement": "target_rank = j % np.repeat(starts[targets + 1] - first_target, counts)",
+        "selection": [THEOREM1],
+    },
+    {
+        "name": "mask-scatter-cycles-the-holder-rows",
+        "file": DISSEMINATION,
+        "snippet": "rows = np.repeat(cluster_rows, sizes)",
+        "replacement": "rows = np.resize(cluster_rows, int(sizes.sum()))",
+        "selection": [THEOREM1],
     },
     # The scalar arms that input size selects.
     {

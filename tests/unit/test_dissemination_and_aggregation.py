@@ -79,10 +79,13 @@ class TestClusterTree:
             parent = clustering.clusters[parent_index]
             child_members = sorted(child.members, key=sim.id_of)
             parent_members = sorted(parent.members, key=sim.id_of)
-            for rank, member in enumerate(child_members):
-                counterpart = parent_members[rank % len(parent_members)]
-                assert sim.knows_id(member, sim.id_of(counterpart))
-                assert sim.knows_id(counterpart, sim.id_of(member))
+            # Member i of either cluster meets member i mod |other| of the
+            # other, whichever cluster is larger.
+            for mine, other in ((child_members, parent_members), (parent_members, child_members)):
+                for rank, member in enumerate(mine):
+                    counterpart = other[rank % len(other)]
+                    assert sim.knows_id(member, sim.id_of(counterpart))
+                    assert sim.knows_id(counterpart, sim.id_of(member))
 
     def test_rank_matched_triples_only_use_matched_pairs(self):
         g = grid_graph(5, 2)
@@ -100,19 +103,30 @@ class TestClusterTree:
             assert receiver == target_members[rank % len(target_members)]
 
 
-def test_level_planes_lower_to_the_rank_matched_tuple_workload(monkeypatch, arms):
-    """Every cluster-tree level plane KDissemination submits, lowered to
-    tuples, is token for token the :func:`rank_matched_triples` workload of
-    that level's edges: same senders, receivers, payloads, words and order."""
-    graph = grid_graph(6, 2)
-    rng = random.Random(4)
-    nodes = sorted(graph.nodes)
-    tokens = {}
-    for i in range(30):
-        # Mixed token sizes exercise the per-rank words table.
-        token = ("tok", i) if i % 3 else ("wide", i, "x" * (8 * (i % 5)))
-        tokens.setdefault(rng.choice(nodes), []).append(token)
-    sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=4)
+LOAD_BALANCE_FAMILIES = {
+    "path": lambda seed: path_graph(30),
+    "cycle": lambda seed: cycle_graph(30),
+    "grid": lambda seed: grid_graph(6, 2),
+    "barbell": lambda seed: barbell_graph(8, 12),
+    "broom": lambda seed: broom_graph(18, 10),
+    "erdos_renyi": lambda seed: erdos_renyi_graph(30, 0.12, seed=seed),
+}
+
+
+#: Token shapes for the plane tests: variable-length tuples of mixed word
+#: sizes; equal-length pairs (one words value); equal-length triples of mixed
+#: word sizes.  Equal-length tuples are what ``np.array(..., dtype=object)``
+#: would stack into a 2-D array instead of a column of tokens.
+TOKEN_KINDS = {
+    "mixed": lambda i: ("tok", i) if i % 3 else ("wide", i, "x" * (8 * (i % 5))),
+    "pairs": lambda i: ("tok", i),
+    "triples": lambda i: ("tok", i, "x" * (8 * (i % 4))),
+}
+
+
+def _recorded_level_planes(monkeypatch, graph, tokens, seed, charge_only=False):
+    """Run KDissemination and return it with every ``(edges, plane)`` its
+    level builder produced."""
     built = []
     build = KDissemination._build_level_plane
 
@@ -121,11 +135,35 @@ def test_level_planes_lower_to_the_rank_matched_tuple_workload(monkeypatch, arms
         built.append((list(edges), plane))
         return plane
 
-    monkeypatch.setattr(KDissemination, "_build_level_plane", recording)
-    algorithm = KDissemination(sim, tokens)
-    result = algorithm.run()
+    # A context, not undo(): undo() would also revert the ``arms`` cutoffs.
+    with monkeypatch.context() as patch:
+        patch.setattr(KDissemination, "_build_level_plane", recording)
+        sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
+        algorithm = KDissemination(sim, tokens, charge_only=charge_only)
+        result = algorithm.run()
+    return algorithm, result, built
+
+
+@pytest.mark.parametrize("kind", sorted(TOKEN_KINDS))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("family", sorted(LOAD_BALANCE_FAMILIES))
+def test_level_planes_lower_to_the_rank_matched_tuple_workload(
+    family, seed, kind, monkeypatch, arms
+):
+    """Every cluster-tree level plane KDissemination submits, lowered to
+    tuples, is token for token the :func:`rank_matched_triples` workload of
+    that level's edges: same senders, receivers, payloads, words and order.
+    A charge-only run builds the very same columns, with no payloads."""
+    graph = LOAD_BALANCE_FAMILIES[family](seed)
+    rng = random.Random(seed)
+    nodes = sorted(graph.nodes)
+    tokens = {}
+    for i in range(30):
+        tokens.setdefault(rng.choice(nodes), []).append(TOKEN_KINDS[kind](i))
+    algorithm, result, built = _recorded_level_planes(monkeypatch, graph, tokens, seed)
     assert result.all_nodes_know_all_tokens()
 
+    sim = algorithm.simulator
     members = {
         cluster.index: sorted(cluster.members, key=sim.id_of)
         for cluster in algorithm.clustering.clusters
@@ -147,19 +185,26 @@ def test_level_planes_lower_to_the_rank_matched_tuple_workload(monkeypatch, arms
         if not expected:
             assert plane is None
             continue
+        assert plane.payloads.shape == (len(expected),)
         assert list(iter_triples(plane, sim)) == expected
         lowered += 1
     assert lowered >= 2
 
-
-LOAD_BALANCE_FAMILIES = {
-    "path": lambda seed: path_graph(30),
-    "cycle": lambda seed: cycle_graph(30),
-    "grid": lambda seed: grid_graph(6, 2),
-    "barbell": lambda seed: barbell_graph(8, 12),
-    "broom": lambda seed: broom_graph(18, 10),
-    "erdos_renyi": lambda seed: erdos_renyi_graph(30, 0.12, seed=seed),
-}
+    charged, charged_result, charged_built = _recorded_level_planes(
+        monkeypatch, graph, tokens, seed, charge_only=True
+    )
+    assert charged_result.metrics.summary() == result.metrics.summary()
+    assert len(charged_built) == len(built)
+    for (edges, plane), (charged_edges, charged_plane) in zip(built, charged_built):
+        assert [(s, t, r.tolist()) for s, t, r in charged_edges] == [
+            (s, t, r.tolist()) for s, t, r in edges
+        ]
+        if plane is None:
+            assert charged_plane is None
+            continue
+        assert charged_plane.payloads is None
+        for column in ("senders", "receivers", "words"):
+            assert np.array_equal(getattr(charged_plane, column), getattr(plane, column))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
