@@ -28,7 +28,7 @@ from repro.core.aggregation import KAggregation
 from repro.core.clustering import nq_clustering
 from repro.core.dissemination import KDissemination
 from repro.core.ksp import KSourceShortestPaths
-from repro.core.neighborhood_quality import neighborhood_quality, nq_profile
+from repro.core.neighborhood_quality import neighborhood_quality
 from repro.core.routing import KLRouting, RoutingScenario
 from repro.core.shortest_paths import (
     KLShortestPaths,
@@ -557,7 +557,7 @@ def run_nq_scale_point(
     graph = generate_graph(spec)
     n = graph.number_of_nodes()
     start = time.perf_counter()
-    profile = nq_profile(graph, list(ks))
+    profile = {k: neighborhood_quality(graph, k) for k in ks}
     elapsed = time.perf_counter() - start
     row: Dict[str, Any] = {
         "graph": spec.label(),

@@ -21,20 +21,22 @@ whole levels of partial aggregates through the batch messaging engine.
 from __future__ import annotations
 
 import dataclasses
-from collections import defaultdict
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence
+
+import numpy as np
 
 from repro.core.clustering import Clustering, distributed_nq_clustering
 from repro.core.dissemination import (
     ClusterTree,
     KDissemination,
+    _rank_matched_columns,
     build_cluster_tree,
     match_cluster_tree_ids,
-    rank_matched_triples,
 )
 from repro.core.neighborhood_quality import neighborhood_quality
 from repro.simulator.config import log2_ceil
-from repro.simulator.engine import BatchAlgorithm, GlobalTriple
+from repro.simulator.engine import BatchAlgorithm, TokenPlane
+from repro.simulator.messages import payload_words
 from repro.simulator.metrics import RoundMetrics
 from repro.simulator.network import HybridSimulator
 
@@ -95,7 +97,8 @@ class KAggregation(BatchAlgorithm):
         self.nq = 0
         self.clustering: Optional[Clustering] = None
         self.cluster_tree: Optional[ClusterTree] = None
-        self._sorted_members: Dict[int, List[Node]] = {}
+        # Id-sorted cluster members (:meth:`Clustering.member_layout`).
+        self._member_layout: Any = None
         self._cluster_partials: Dict[int, List[Any]] = {}
         self._final_aggregates: List[Any] = []
         self._known_aggregates: Dict[Node, List[Any]] = {}
@@ -124,12 +127,7 @@ class KAggregation(BatchAlgorithm):
         layout = self.clustering.member_layout(
             sim.node_indexer(), sim.identifier_column()
         )
-        members = list(map(sim.nodes.__getitem__, layout[0].tolist()))
-        bounds = layout[1].tolist()
-        self._sorted_members = {
-            c.index: members[bounds[c.index] : bounds[c.index + 1]]
-            for c in self.clustering.clusters
-        }
+        self._member_layout = layout
         sim.charge_rounds(
             log_n * log_n, "cluster-tree construction", "Lemma 4.6 via Theorem 2"
         )
@@ -168,7 +166,15 @@ class KAggregation(BatchAlgorithm):
         )
 
     def _phase_converge_cast(self) -> None:
-        """Converge-cast the k partial aggregates up the cluster tree (measured)."""
+        """Converge-cast the k partial aggregates up the cluster tree (measured).
+
+        Each level is one :class:`~repro.simulator.engine.TokenPlane`: every
+        edge carries its cluster's ``k`` pairs ``(index, partial[index])`` in
+        index order over the rank-matched member pairs of Theorem 1
+        (:func:`~repro.core.dissemination._rank_matched_columns`).  The parents
+        fold the pairs from the locally known partials, so the exchange does
+        not harvest.
+        """
         sim = self.simulator
         k = self.k
         combine = self.combine
@@ -176,27 +182,25 @@ class KAggregation(BatchAlgorithm):
         cluster_partials = self._cluster_partials
         levels = cluster_tree.levels()
         for level in reversed(levels[1:]):
-            triples: List[GlobalTriple] = []
-            incoming: Dict[int, List[Tuple[int, Any]]] = defaultdict(list)
-            for cluster_index in level:
-                parent_index = cluster_tree.parent[cluster_index]
-                partial = cluster_partials[cluster_index]
-                payloads = [(index, partial[index]) for index in range(k)]
-                triples.extend(
-                    rank_matched_triples(
-                        self._sorted_members[cluster_index],
-                        self._sorted_members[parent_index],
-                        payloads,
-                    )
-                )
-                incoming[parent_index].extend(payloads)
-            if triples:
-                # Deliveries are folded from the locally-known ``incoming``
-                # pairs below; the result dict would be discarded.
-                self.exchange(triples, "kagg", collect=False)
-            for parent_index, pairs in incoming.items():
+            parents = [cluster_tree.parent[cluster_index] for cluster_index in level]
+            payloads = [
+                (index, value)
+                for cluster_index in level
+                for index, value in enumerate(cluster_partials[cluster_index])
+            ]
+            senders, receivers = _rank_matched_columns(
+                self._member_layout,
+                np.array(level, dtype=np.int64),
+                np.array(parents, dtype=np.int64),
+                np.full(len(level), k, dtype=np.int64),
+            )
+            words = np.fromiter(map(payload_words, payloads), np.int64, len(payloads))
+            self.exchange(
+                TokenPlane(senders, receivers, words, payloads), "kagg", collect=False
+            )
+            for cluster_index, parent_index in zip(level, parents):
                 parent_partial = cluster_partials[parent_index]
-                for index, value in pairs:
+                for index, value in enumerate(cluster_partials[cluster_index]):
                     if value is None:
                         continue
                     if parent_partial[index] is None:

@@ -29,9 +29,10 @@ note 1).
 The implementation is a :class:`~repro.simulator.engine.BatchAlgorithm`: each
 cluster-tree level of phase 5 is assembled as one id-native
 :class:`~repro.simulator.engine.TokenPlane` and moved by the round engine's
-exchange.  Its token order is that of :func:`rank_matched_triples` over the
-level's edges, so the tuple and per-message oracles (``tests/oracles/``)
-produce identical round counts, inboxes and metrics.
+exchange.  Its token order is that of the reference ``rank_matched_triples``
+(``tests/oracles/scheduler.py``) over the level's edges, so the tuple and
+per-message oracles (``tests/oracles/``) produce identical round counts,
+inboxes and metrics.
 """
 
 from __future__ import annotations
@@ -125,38 +126,6 @@ def match_cluster_tree_ids(
     )
 
 
-def rank_matched_triples(
-    source_members: Sequence[Node],
-    target_members: Sequence[Node],
-    payloads: Sequence[Any],
-    words_map: Optional[Dict[Any, int]] = None,
-) -> List[Tuple]:
-    """(sender, receiver, payload) triples between rank-matched cluster members.
-
-    ``source_members`` / ``target_members`` are the id-sorted member lists of
-    the two clusters.  Payloads are spread round-robin over the source members
-    (mirroring the load-balanced state) and each source member sends only to
-    its fixed rank-matched counterpart in the target cluster, exactly the pairs
-    taught by :func:`match_cluster_tree_ids`.  When ``words_map`` (payload ->
-    precomputed word count) is given, 4-tuples ``(sender, receiver, payload,
-    words)`` are produced so the exchange skips re-estimating payload sizes.
-    """
-    if not payloads:
-        return []
-    n_source = len(source_members)
-    n_target = len(target_members)
-    triples: List[Tuple] = []
-    for position, payload in enumerate(payloads):
-        sender_rank = position % n_source
-        sender = source_members[sender_rank]
-        receiver = target_members[sender_rank % n_target]
-        if words_map is None:
-            triples.append((sender, receiver, payload))
-        else:
-            triples.append((sender, receiver, payload, words_map[payload]))
-    return triples
-
-
 @dataclasses.dataclass
 class DisseminationResult:
     """Outcome of a k-dissemination run.
@@ -190,7 +159,8 @@ class KDissemination(BatchAlgorithm):
         clustering: Optional[Clustering] = None,
         charge_only: bool = False,
     ) -> None:
-        super().__init__(simulator, charge_only=charge_only)
+        super().__init__(simulator)
+        self.charge_only = bool(charge_only)
         node_set = set(simulator.nodes)
         self.tokens_by_node = {
             node: list(tokens) for node, tokens in tokens_by_node.items() if tokens
@@ -456,7 +426,7 @@ class KDissemination(BatchAlgorithm):
         :class:`~repro.simulator.engine.TokenPlane` (see
         :meth:`_build_level_plane`).  The token order — level-edge by
         level-edge, payloads in sorted order, senders cycling by rank — is
-        that of :func:`rank_matched_triples`.
+        that of the reference ``rank_matched_triples``.
         """
         plane = self._build_level_plane(edges)
         if plane is not None:

@@ -17,8 +17,7 @@ This module provides
   stop each node's BFS at the radius that certifies its answer, the diameter is
   resolved lazily (only for nodes whose exploration exhausts the graph unmet),
   graph-level ``NQ_k`` skips every node a grown ball already certifies and is
-  memoised per ``(graph, k)``, and ``nq_profile`` runs that pruned scan once
-  per distinct workload.  The original Theta(n * m) formulations are test
+  memoised per ``(graph, k)``.  The original Theta(n * m) formulations are test
   oracles (``tests/oracles/nq.py``), pinned by
   ``tests/properties/test_nq_equivalence.py``;
 * :class:`DistributedNQComputation`, the distributed computation of Lemma 3.3
@@ -58,7 +57,6 @@ __all__ = [
     "neighborhood_quality_of_node",
     "neighborhood_quality_per_node",
     "neighborhood_quality",
-    "nq_profile",
     "DistributedNQComputation",
     "NQResult",
 ]
@@ -79,11 +77,6 @@ def neighborhood_quality_per_node(graph: nx.Graph, k: float) -> Dict[Node, int]:
 def neighborhood_quality(graph: nx.Graph, k: float) -> int:
     """``NQ_k(G) = max_v NQ_k(v)`` (centralized; memoised per ``(graph, k)``)."""
     return get_index(graph).nq_value(k)
-
-
-def nq_profile(graph: nx.Graph, ks: list) -> Dict[float, int]:
-    """``NQ_k(G)`` for several workloads ``k`` (one pruned scan per distinct ``k``)."""
-    return get_index(graph).nq_profile(ks)
 
 
 @dataclasses.dataclass

@@ -228,7 +228,7 @@ class KLRouting(BatchAlgorithm):
                 to_intermediate.append(
                     (helper, intermediate, (source_id, target_id, payload))
                 )
-        self.exchange(to_intermediate, "rt-st")
+        self.exchange(to_intermediate, "rt-st", collect=False)
         for _, intermediate, item in to_intermediate:
             source_id, target_id, payload = item
             self._intermediate_store[intermediate][(source_id, target_id)] = payload
@@ -261,14 +261,14 @@ class KLRouting(BatchAlgorithm):
                 request_triples.append(
                     (helper, intermediate, (source_id, target_id, sim.id_of(helper)))
                 )
-        self.exchange(request_triples, "rt-rq")
+        self.exchange(request_triples, "rt-rq", collect=False)
 
         reply_triples: List[GlobalTriple] = []
         for helper, intermediate, (source_id, target_id, _) in request_triples:
             # The reply goes to the helper whose identifier the request carries.
             payload = self._intermediate_store[intermediate].get((source_id, target_id))
             reply_triples.append((intermediate, helper, (source_id, target_id, payload)))
-        self.exchange(reply_triples, "rt-rp")
+        self.exchange(reply_triples, "rt-rp", collect=False)
         self._reply_triples = reply_triples
 
     def _phase_collect(self) -> None:

@@ -118,10 +118,8 @@ class ApproxSSSP(BatchAlgorithm):
         simulator: HybridSimulator,
         source: Node,
         epsilon: float = 0.25,
-        *,
-        charge_only: bool = False,
     ) -> None:
-        super().__init__(simulator, charge_only=charge_only)
+        super().__init__(simulator)
         if source not in set(simulator.nodes):
             raise KeyError(f"source {source!r} is not a node of the network")
         if epsilon <= 0:

@@ -1139,22 +1139,6 @@ class GraphIndex:
         self._nq_cache[k] = best
         return best
 
-    def nq_profile(self, ks: Iterable[float]) -> Dict[float, int]:
-        """``NQ_k(G)`` for several workloads: :meth:`nq_value` per distinct ``k``.
-
-        Each workload runs the pruned graph-level scan, memoised per ``k``, so
-        a repeated or already answered ``k`` costs one lookup.  Every ``k`` is
-        validated before anything is computed.
-        """
-        ks_list = list(ks)
-        self._require_nq_preconditions()
-        if self.n == 1:
-            return {k: 0 for k in ks_list}
-        for k in ks_list:
-            if k <= 0:
-                raise ValueError("k must be positive")
-        return {k: self.nq_value(k) for k in ks_list}
-
 
 class SSSPRowCache:
     """Lazily computed, caller-owned dense Dijkstra rows of one index.

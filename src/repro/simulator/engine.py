@@ -116,24 +116,6 @@ class TokenPlane:
     def __len__(self) -> int:
         return len(self.senders)
 
-    def charge_view(self) -> "TokenPlane":
-        """A payload-free view sharing this plane's columns.
-
-        The charge-only substitution at the plane level: the view schedules,
-        sends and accounts identically to ``self`` — the columns are the very
-        same objects — but carries no payload list, so delivering it does no
-        inbox/knowledge payload work.  Already-payload-free planes return
-        themselves.
-        """
-        if self.payloads is None:
-            return self
-        view = TokenPlane.__new__(TokenPlane)
-        view.senders = self.senders
-        view.receivers = self.receivers
-        view.words = self.words
-        view.payloads = None
-        return view
-
     @classmethod
     def from_triples(
         cls, simulator: HybridSimulator, triples: Iterable[Tuple]
@@ -679,9 +661,7 @@ def batched_global_exchange(
     triples: Union[TokenPlane, Iterable[Tuple]],
     *,
     tag: Optional[str] = None,
-    max_rounds: Optional[int] = None,
     collect: bool = True,
-    charge_only: bool = False,
 ) -> Dict[Node, List[Any]]:
     """Deliver a workload over the global mode without exceeding capacity.
 
@@ -689,23 +669,20 @@ def batched_global_exchange(
     words])`` tuples, which is resolved into a plane once up front — is
     scheduled by :func:`plan_token_rounds` and each shard is submitted with one
     :meth:`~repro.simulator.network.HybridSimulator.global_send_plane` call and
-    one ``advance_round``.  Deliveries are harvested **directly from the shard
-    buckets** (receiver indices and payload positions the scheduler already
-    holds) — the per-round inbox dict is never rebuilt and never tag-filtered,
-    so unrelated traffic queued by the caller in the same rounds can never
-    leak into the result, whatever tag it carries.  Records are stamped with a
-    unique :class:`ExchangeTag` derived from ``tag``.  Returns ``receiver ->
-    [payloads in delivery order]`` — or ``{}`` without assembling anything
-    when ``collect=False`` (several broadcast algorithms track delivery state
-    themselves and ignore the result).  Raises ``RuntimeError`` if
-    ``max_rounds`` is given and the schedule would exceed it.
+    one ``advance_round``; a single-shard schedule sends the plane's own
+    columns, with no position selection.  Deliveries are harvested **directly
+    from the shard buckets** (receiver indices and payload positions the
+    scheduler already holds) — the per-round inbox dict is never rebuilt and
+    never tag-filtered, so unrelated traffic queued by the caller in the same
+    rounds can never leak into the result, whatever tag it carries.  Records
+    are stamped with a unique :class:`ExchangeTag` derived from ``tag``.
+    Returns ``receiver -> [payloads in delivery order]`` — or ``{}`` without
+    assembling anything when ``collect=False`` (several broadcast algorithms
+    track delivery state themselves and ignore the result).
 
-    With ``charge_only=True`` the plane is demoted to its payload-free
-    :meth:`~TokenPlane.charge_view` before anything is queued: schedules,
-    rounds and metrics are bit-identical (the scheduler and the accounting
-    only ever read the id/word columns), but no payload is retained anywhere.
-    ``collect=True`` on a payload-free workload — whether demoted here or
-    submitted as a payload-free plane — raises
+    A payload-free (charge-only) plane schedules, sends and accounts exactly
+    like its payload twin, since the scheduler and the accounting read only
+    the id/word columns; ``collect=True`` on one raises
     :class:`~repro.simulator.errors.ChargeOnlyError` rather than silently
     returning nothing.
 
@@ -719,8 +696,6 @@ def batched_global_exchange(
         if isinstance(triples, TokenPlane)
         else TokenPlane.from_triples(simulator, triples)
     )
-    if charge_only:
-        plane = plane.charge_view()
     if collect and plane.payloads is None:
         raise ChargeOnlyError(
             "collect=True requires payloads; charge-only exchanges must pass "
@@ -731,37 +706,9 @@ def batched_global_exchange(
     exchange_tag = ExchangeTag(tag)
     budget = simulator.global_budget_words()
     shards = plan_token_rounds(plane, budget, exchange_tag.payload_words_override)
-    if (
-        len(shards) == 1
-        and len(shards[0]) == len(plane)
-        and (max_rounds is None or max_rounds >= 1)
-    ):
-        # Uncongested fast path: the whole workload is one shard — hand the
-        # plane's own columns through (no position selection, no copies).
-        simulator.global_send_plane(plane, None, exchange_tag)
-        simulator.advance_round()
-        if not collect:
-            return {}
-        nodes = simulator.nodes
-        receivers = plane.receivers
-        delivered: Dict[Node, List[Any]] = defaultdict(list)
-        for position, payload in enumerate(plane.payloads):
-            delivered[nodes[receivers[position]]].append(payload)
-        return dict(delivered)
-    if max_rounds is not None and len(shards) > max_rounds:
-        # Mirror the reference behaviour: the allowed rounds run before the
-        # overflow is reported, so partial metrics match shard for shard.
-        for shard in shards[:max_rounds]:
-            simulator.global_send_plane(plane, shard, exchange_tag)
-            simulator.advance_round()
-        raise RuntimeError(
-            f"batched exchange exceeded the allowed {max_rounds} rounds"
-        )
-    if not collect:
-        for shard in shards:
-            simulator.global_send_plane(plane, shard, exchange_tag)
-            simulator.advance_round()
-        return {}
+    if len(shards) == 1 and len(shards[0]) == len(plane):
+        # Uncongested: send the plane's own columns, with no position gather.
+        shards = [None]
     nodes = simulator.nodes
     receivers = plane.receivers
     payloads = plane.payloads
@@ -769,15 +716,21 @@ def batched_global_exchange(
     for shard in shards:
         simulator.global_send_plane(plane, shard, exchange_tag)
         simulator.advance_round()
-        positions = shard.tolist() if hasattr(shard, "tolist") else shard
-        for position in positions:
-            delivered[nodes[receivers[position]]].append(payloads[position])
+        if collect:
+            positions = range(len(plane)) if shard is None else np.asarray(shard).tolist()
+            for position in positions:
+                delivered[nodes[receivers[position]]].append(payloads[position])
     return dict(delivered)
 
 
 # ----------------------------------------------------------------------
 # Self-healing exchange (fault-tolerant delivery, see repro.simulator.faults)
 # ----------------------------------------------------------------------
+#: Most idle rounds the resilient exchange waits between attempts that made
+#: no progress (the backoff doubles from 1 up to this cap).
+_BACKOFF_CAP = 8
+
+
 @dataclasses.dataclass
 class ResilientExchangeResult:
     """Outcome of one :func:`resilient_batched_global_exchange`.
@@ -806,9 +759,7 @@ def resilient_batched_global_exchange(
     *,
     tag: Optional[str] = None,
     max_attempts: int = 16,
-    backoff_cap: int = 8,
     collect: bool = True,
-    charge_only: bool = False,
 ) -> ResilientExchangeResult:
     """Ack-tracked delivery with retransmission under a fault schedule.
 
@@ -827,7 +778,7 @@ def resilient_batched_global_exchange(
       with the budget they impose.
 
     Attempts that make no progress idle-wait with **bounded exponential
-    backoff in rounds** (1, 2, 4, ... up to ``backoff_cap`` idle rounds
+    backoff in rounds** (1, 2, 4, ... up to ``_BACKOFF_CAP`` idle rounds
     between attempts), letting crash/degradation windows expire without
     hammering a dead network.  Every token submitted a second or later time is
     counted in :attr:`~repro.simulator.metrics.RoundMetrics.retransmissions`.
@@ -841,15 +792,11 @@ def resilient_batched_global_exchange(
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
-    if backoff_cap < 1:
-        raise ValueError("backoff_cap must be at least 1")
     plane = (
         triples
         if isinstance(triples, TokenPlane)
         else TokenPlane.from_triples(simulator, triples)
     )
-    if charge_only:
-        plane = plane.charge_view()
     if collect and plane.payloads is None:
         # The ack channel (delivered_plane_positions) is position-based and
         # fully charge-only compatible; only payload harvest is impossible.
@@ -925,7 +872,7 @@ def resilient_batched_global_exchange(
             backoff = 1
         elif attempts < max_attempts:
             simulator.advance_rounds(backoff)
-            backoff = min(backoff * 2, backoff_cap)
+            backoff = min(backoff * 2, _BACKOFF_CAP)
     return ResilientExchangeResult(
         delivered=dict(delivered),
         undelivered_positions=pending,
@@ -960,25 +907,10 @@ class BatchAlgorithm:
     :meth:`exchange` — and :meth:`finish`, which assembles the result object.
     :meth:`run` executes the phases in order and records a
     :class:`PhaseRecord` delta for each in :attr:`phase_log`.
-
-    Parameters
-    ----------
-    simulator: the network.
-    charge_only: when true, every :meth:`exchange` demotes its workload to a
-        payload-free charge view before queueing — metrics and round counts
-        stay bit-identical to the payload run (property-pinned), but no
-        payload is materialised or retained, which is what makes n ~ 10^6
-        metrics-only experiments feasible.
     """
 
-    def __init__(
-        self,
-        simulator: HybridSimulator,
-        *,
-        charge_only: bool = False,
-    ) -> None:
+    def __init__(self, simulator: HybridSimulator) -> None:
         self.simulator = simulator
-        self.charge_only = bool(charge_only)
         self.phase_log: List[PhaseRecord] = []
 
     # ------------------------------------------------------------------
@@ -1021,7 +953,6 @@ class BatchAlgorithm:
         triples: Union[TokenPlane, Sequence[Tuple]],
         tag: Optional[str] = None,
         *,
-        max_rounds: Optional[int] = None,
         collect: bool = True,
     ) -> Dict[Node, List[Any]]:
         """Move a workload of tokens (a plane, or triples) over the global mode.
@@ -1039,8 +970,7 @@ class BatchAlgorithm:
         if not len(triples):
             return {}
         return batched_global_exchange(
-            self.simulator, triples, tag=tag, max_rounds=max_rounds,
-            collect=collect, charge_only=self.charge_only,
+            self.simulator, triples, tag=tag, collect=collect
         )
 
     def resilient_exchange(
@@ -1049,7 +979,6 @@ class BatchAlgorithm:
         tag: Optional[str] = None,
         *,
         max_attempts: int = 16,
-        backoff_cap: int = 8,
         collect: bool = True,
     ) -> ResilientExchangeResult:
         """Self-healing variant of :meth:`exchange`.
@@ -1066,7 +995,5 @@ class BatchAlgorithm:
             triples,
             tag=tag,
             max_attempts=max_attempts,
-            backoff_cap=backoff_cap,
             collect=collect,
-            charge_only=self.charge_only,
         )

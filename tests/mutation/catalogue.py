@@ -20,6 +20,7 @@ KNOWLEDGE_STORE = "src/repro/simulator/knowledge.py"
 SPANNER = "src/repro/core/spanner.py"
 SHORTEST_PATHS = "src/repro/core/shortest_paths.py"
 DISSEMINATION = "src/repro/core/dissemination.py"
+AGGREGATION = "src/repro/core/aggregation.py"
 
 DELIVERY = "tests/properties/test_delivery_modes.py"
 KNOWLEDGE = "tests/properties/test_knowledge_identity.py"
@@ -193,6 +194,34 @@ MUTANTS: List[Dict[str, object]] = [
             " - np.unique(values[kept][::-1], return_index=True)[1])]"
         ),
         "selection": [SETUP],
+    },
+    # The exchange loop's harvest.
+    {
+        "name": "exchange-harvests-only-the-last-shard",
+        "file": ENGINE,
+        "snippet": (
+            "    delivered: Dict[Node, List[Any]] = defaultdict(list)\n"
+            "    for shard in shards:\n"
+        ),
+        "replacement": (
+            "    for shard in shards:\n"
+            "        delivered: Dict[Node, List[Any]] = defaultdict(list)\n"
+        ),
+        "selection": [DELIVERY, ROUND_ENGINE],
+    },
+    # Theorem 2's converge-cast level planes.
+    {
+        "name": "aggregation-plane-swaps-source-and-target-clusters",
+        "file": AGGREGATION,
+        "snippet": (
+            "                np.array(level, dtype=np.int64),\n"
+            "                np.array(parents, dtype=np.int64),\n"
+        ),
+        "replacement": (
+            "                np.array(parents, dtype=np.int64),\n"
+            "                np.array(level, dtype=np.int64),\n"
+        ),
+        "selection": [THEOREM1],
     },
     # Theorem 1's phase-5 level planes and cluster token masks.
     {

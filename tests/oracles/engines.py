@@ -19,8 +19,9 @@ every place where the engines this path replaced behaved differently:
   per-message tree operations (:mod:`oracles.overlay`).
 
 ``exchange_via("batch")`` changes nothing, so tests can parametrize over
-:data:`ENGINES`.  Oracle engines lower payloads to tuples and therefore
-refuse ``charge_only`` algorithms.
+:data:`ENGINES`.  Oracle engines lower payloads to tuples, so a payload-free
+plane raises :class:`~repro.simulator.errors.ChargeOnlyError` in
+:func:`~oracles.scheduler.iter_triples`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 from repro.core import dissemination as dissemination_module
 from repro.core.neighborhood_quality import DistributedNQComputation
 from repro.simulator.engine import BatchAlgorithm, TokenPlane
-from repro.simulator.errors import ChargeOnlyError
 
 from oracles import nq, overlay
 from oracles.scheduler import iter_triples, reference_batched_global_exchange
@@ -55,27 +55,19 @@ def _oracle_exchange(name: str):
         triples: Union[TokenPlane, Sequence[Tuple]],
         tag: Optional[str] = None,
         *,
-        max_rounds: Optional[int] = None,
         collect: bool = True,
     ) -> Dict[Any, List[Any]]:
-        if self.charge_only:
-            raise ChargeOnlyError(
-                f"the {name!r} oracle materialises payload tuples and cannot "
-                f"run charge-only"
-            )
         if isinstance(triples, TokenPlane):
             triples = list(iter_triples(triples, self.simulator))
         if not triples:
             return {}
         if name == "batch-reference":
-            return reference_batched_global_exchange(
-                self.simulator, triples, tag=tag, max_rounds=max_rounds
-            )
+            return reference_batched_global_exchange(self.simulator, triples, tag=tag)
         transfers = [
             GlobalTransfer(sender=t[0], receiver=t[1], payload=t[2], tag=tag)
             for t in triples
         ]
-        return throttled_global_exchange(self.simulator, transfers, max_rounds=max_rounds)
+        return throttled_global_exchange(self.simulator, transfers)
 
     return exchange
 

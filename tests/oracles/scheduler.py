@@ -9,7 +9,9 @@ is the tuple exchange the plane engine replaced: it shards with
 inbox dict.  It runs on a simulator or on an
 :class:`oracles.delivery.ReferenceNetwork`.  :func:`iter_triples` lowers a
 :class:`~repro.simulator.engine.TokenPlane` into the tuple workload these
-oracles consume.
+oracles consume, and :func:`rank_matched_triples` is the reference token
+order of a rank-matched cluster-tree edge: the level planes of Theorem 1
+(``KDissemination``) and Theorem 2 (``KAggregation``) must lower to it.
 """
 
 from __future__ import annotations
@@ -62,6 +64,38 @@ def shard_transfers(
         pending = deferred
 
 
+def rank_matched_triples(
+    source_members: Sequence[Node],
+    target_members: Sequence[Node],
+    payloads: Sequence[Any],
+    words_map: Optional[Dict[Any, int]] = None,
+) -> List[Tuple]:
+    """(sender, receiver, payload) triples between rank-matched cluster members.
+
+    ``source_members`` / ``target_members`` are the id-sorted member lists of
+    the two clusters.  Payloads are spread round-robin over the source members
+    (mirroring the load-balanced state) and each source member sends only to
+    its fixed rank-matched counterpart in the target cluster, exactly the pairs
+    taught by :func:`match_cluster_tree_ids`.  When ``words_map`` (payload ->
+    precomputed word count) is given, 4-tuples ``(sender, receiver, payload,
+    words)`` are produced so the exchange skips re-estimating payload sizes.
+    """
+    if not payloads:
+        return []
+    n_source = len(source_members)
+    n_target = len(target_members)
+    triples: List[Tuple] = []
+    for position, payload in enumerate(payloads):
+        sender_rank = position % n_source
+        sender = source_members[sender_rank]
+        receiver = target_members[sender_rank % n_target]
+        if words_map is None:
+            triples.append((sender, receiver, payload))
+        else:
+            triples.append((sender, receiver, payload, words_map[payload]))
+    return triples
+
+
 def iter_triples(plane: TokenPlane, simulator: HybridSimulator) -> Iterable[Token]:
     """``plane`` as ``(sender, receiver, payload, words)`` tuples, in order.
 
@@ -85,7 +119,6 @@ def reference_batched_global_exchange(
     triples: Iterable[Tuple],
     *,
     tag: Optional[str] = None,
-    max_rounds: Optional[int] = None,
 ) -> Dict[Node, List[Any]]:
     """The tuple exchange: :func:`shard_transfers` plus inbox-dict harvest.
 
@@ -104,15 +137,9 @@ def reference_batched_global_exchange(
     tag_words = payload_words(tag) if tag is not None else 0
     budget = simulator.global_budget_words()
     delivered: Dict[Node, List[Any]] = defaultdict(list)
-    rounds_used = 0
     for shard in shard_transfers(tokens, budget, tag_words):
-        if max_rounds is not None and rounds_used >= max_rounds:
-            raise RuntimeError(
-                f"batched exchange exceeded the allowed {max_rounds} rounds"
-            )
         transport.send_batch(simulator, shard, tag)
         simulator.advance_round()
-        rounds_used += 1
         inbox = simulator.per_node_inbox(GLOBAL_MODE)
         for receiver in {token[1] for token in shard}:
             payloads = [record[1] for record in inbox.get(receiver, ()) if record[2] == tag]

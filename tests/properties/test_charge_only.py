@@ -4,15 +4,16 @@ Charge-only traffic carries only the (sender, receiver, words) columns — no
 payload objects are materialised, queued or delivered — yet schedules, round
 counts and every :class:`~repro.simulator.metrics.RoundMetrics` field must be
 bit-identical to the payload run, because the engine's accounting reads only
-the words columns.  Three activation levels are pinned across the 6-family x
+the words columns.  Both activation levels are pinned across the 6-family x
 3-seed grid:
 
 * **algorithm-level** — ``KDissemination(..., charge_only=True)`` builds
   payload-free planes at the source;
 * **simulator-level** — ``HybridSimulator(charge_only=True)`` drops payload
-  references when plane batches are queued;
-* **exchange-level** — ``batched_global_exchange(..., charge_only=True)``
-  demotes one workload via ``TokenPlane.charge_view()``.
+  references when plane batches are queued.
+
+The exchanges take payload-free ``TokenPlane(senders, receivers, words)``
+planes as they are, so they are pinned against their payload twins too.
 
 Reading payload *content* out of charge-only traffic is a hard
 :class:`~repro.simulator.errors.ChargeOnlyError`, never a silent wrong
@@ -102,6 +103,11 @@ def test_dissemination_charge_only_is_accounting_identical(case, arms):
     assert payload_metrics.capacity_violations == 0
 
 
+def _payload_free(plane):
+    """``plane``'s id/word columns without its payloads."""
+    return TokenPlane(plane.senders, plane.receivers, plane.words)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_exchange_level_charge_only_is_accounting_identical(seed, arms):
     graph = erdos_renyi_graph(28, 0.18, seed=seed)
@@ -115,13 +121,16 @@ def test_exchange_level_charge_only_is_accounting_identical(seed, arms):
         for i in range(rng.randrange(60, 140))
     ]
 
-    def run(**kwargs):
+    def run(charge_only):
         sim = HybridSimulator(graph, ModelConfig(strict=False), seed=seed)
-        batched_global_exchange(sim, list(triples), tag="ce", collect=False, **kwargs)
+        plane = TokenPlane.from_triples(sim, triples)
+        if charge_only:
+            plane = _payload_free(plane)
+        batched_global_exchange(sim, plane, tag="ce", collect=False)
         return sim.metrics
 
-    payload_metrics = run()
-    charged_metrics = run(charge_only=True)
+    payload_metrics = run(False)
+    charged_metrics = run(True)
     assert payload_metrics.diff(charged_metrics) == {}
     assert payload_metrics.global_messages > 0
 
@@ -129,34 +138,18 @@ def test_exchange_level_charge_only_is_accounting_identical(seed, arms):
 # ----------------------------------------------------------------------
 # Guards: payload content is unreachable, loudly
 # ----------------------------------------------------------------------
-def test_charge_view_shares_columns_and_drops_payloads(arms):
-    plane = TokenPlane([0, 1, 2], [3, 4, 5], [1, 2, 3], ["a", "b", "c"])
-    view = plane.charge_view()
-    assert view.payloads is None
-    assert len(view) == len(plane) == 3
-    assert view.senders is plane.senders
-    assert view.receivers is plane.receivers
-    assert view.words is plane.words
-    # Idempotent: a charge-only plane is its own charge view.
-    assert view.charge_view() is view
-    with pytest.raises(ChargeOnlyError):
-        list(iter_triples(view, HybridSimulator(path_graph(6), ModelConfig.hybrid())))
-
-
 def test_collect_from_charge_only_exchange_raises(arms):
     sim = HybridSimulator(path_graph(8), ModelConfig.hybrid(), seed=0)
-    triples = [(0, 5, "x"), (1, 6, "y")]
+    plane = TokenPlane([0, 1], [5, 6], [1, 1])
     with pytest.raises(ChargeOnlyError):
-        batched_global_exchange(sim, triples, tag="g", charge_only=True)
+        batched_global_exchange(sim, plane, tag="g")
     with pytest.raises(ChargeOnlyError):
-        resilient_batched_global_exchange(sim, triples, tag="g", charge_only=True)
+        resilient_batched_global_exchange(sim, plane, tag="g")
+    # The oracles cannot lower it to tuples either.
+    with pytest.raises(ChargeOnlyError):
+        list(iter_triples(plane, sim))
     # collect=False is the supported combination and must work.
-    assert (
-        batched_global_exchange(
-            sim, triples, tag="g", collect=False, charge_only=True
-        )
-        == {}
-    )
+    assert batched_global_exchange(sim, plane, tag="g", collect=False) == {}
 
 
 def test_charge_only_inbox_read_raises(arms):
@@ -189,12 +182,11 @@ def test_fault_schedule_replays_identically_charge_only(seed, arms):
         sim = HybridSimulator(
             graph, ModelConfig.hybrid(), seed=seed, fault_schedule=schedule
         )
+        plane = TokenPlane.from_triples(sim, triples)
+        if charge_only:
+            plane = _payload_free(plane)
         outcome = resilient_batched_global_exchange(
-            sim,
-            list(triples),
-            tag="fco",
-            collect=False,
-            charge_only=charge_only,
+            sim, plane, tag="fco", collect=False
         )
         return (
             sim.metrics.summary(),

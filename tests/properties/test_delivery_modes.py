@@ -144,11 +144,7 @@ def test_exchange_metrics_match_the_reference_exchange(seed, groups, mode, arms)
         **faults,
     )
     delivered = batched_global_exchange(
-        sim,
-        list(triples),
-        tag="sd",
-        collect=mode == "fault-free",
-        charge_only=mode == "charge-only",
+        sim, list(triples), tag="sd", collect=mode == "fault-free"
     )
     assert sim.metrics.diff(reference_sim.metrics) == {}
     assert sim.metrics.summary() == reference_sim.metrics.summary()
@@ -218,10 +214,9 @@ def _run_overload(seed, mode, hot_receivers, path, *, strict):
     payloads = [("p", i) for i in range(count)]
     try:
         if path == "plane":
-            plane = TokenPlane(senders, receivers, words, payloads)
-            if mode == "charge-only":
-                plane = plane.charge_view()
-            sim.global_send_plane(plane, tag="ov")
+            sim.global_send_plane(
+                TokenPlane(senders, receivers, words, payloads), tag="ov"
+            )
         else:
             transport.send_batch(
                 sim,

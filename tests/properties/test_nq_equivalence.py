@@ -25,7 +25,6 @@ from repro.core.neighborhood_quality import (
     neighborhood_quality,
     neighborhood_quality_of_node,
     neighborhood_quality_per_node,
-    nq_profile,
 )
 from repro.graphs.generators import GraphSpec, generate_graph
 from repro.graphs.index import GraphIndex, get_index
@@ -102,7 +101,8 @@ def test_graph_level_nq_matches_reference(family, seed):
 def test_nq_profile_matches_reference(family, seed):
     graph = generate_graph(FAMILY_SPECS[family](seed))
     ks = _workloads(graph.number_of_nodes())
-    assert nq_profile(graph, ks) == _reference_nq_profile(graph, ks)
+    profile = {k: neighborhood_quality(graph, k) for k in ks}
+    assert profile == _reference_nq_profile(graph, ks)
 
 
 @pytest.mark.parametrize("family,seed", CASES)
@@ -214,12 +214,13 @@ def test_graph_level_nq_is_the_per_node_maximum(data):
     assert value == _reference_neighborhood_quality(graph, k)
 
 
-def test_nq_value_after_nq_profile():
+def test_nq_value_after_earlier_workloads():
     graph = generate_graph(GraphSpec.of("barbell", clique_size=6, path_length=20))
     n = graph.number_of_nodes()
     profiled = [2, 7, n]
     index = GraphIndex(graph)
-    index.nq_profile(profiled)
+    for k in profiled:
+        index.nq_value(k)
     for k in profiled + [2.5, 3 * n, 10**6]:
         assert index.nq_value(k) == _reference_neighborhood_quality(graph, k), k
 

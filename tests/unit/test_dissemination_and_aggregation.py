@@ -12,7 +12,6 @@ from repro.core.dissemination import (
     KDissemination,
     build_cluster_tree,
     match_cluster_tree_ids,
-    rank_matched_triples,
 )
 from repro.core.clustering import nq_clustering
 from repro.core.load_balancing import balance_items
@@ -27,10 +26,11 @@ from repro.graphs.generators import (
     star_graph,
 )
 from repro.simulator.config import ModelConfig, log2_ceil
+from repro.simulator.engine import BatchAlgorithm
 from repro.simulator.messages import payload_words
 from repro.simulator.network import HybridSimulator
 
-from oracles.scheduler import iter_triples
+from oracles.scheduler import iter_triples, rank_matched_triples
 
 
 def scatter(graph, k, seed=0, concentrated=False):
@@ -205,6 +205,66 @@ def test_level_planes_lower_to_the_rank_matched_tuple_workload(
         assert charged_plane.payloads is None
         for column in ("senders", "receivers", "words"):
             assert np.array_equal(getattr(charged_plane, column), getattr(plane, column))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("family", sorted(LOAD_BALANCE_FAMILIES))
+def test_aggregation_level_planes_lower_to_the_rank_matched_tuple_workload(
+    family, seed, monkeypatch, arms
+):
+    """Every converge-cast level plane KAggregation submits, lowered to
+    tuples, is token for token the :func:`rank_matched_triples` workload of
+    that level: each cluster sends its ``k`` pairs ``(index, partial)`` in
+    index order to its parent, partials folded bottom-up level by level."""
+    graph = LOAD_BALANCE_FAMILIES[family](seed)
+    rng = random.Random(seed)
+    k = 7
+    values = {node: [rng.randrange(100) for _ in range(k)] for node in graph.nodes}
+    submitted = []
+    exchange = BatchAlgorithm.exchange
+
+    def recording(self, triples, tag=None, **kwargs):
+        submitted.append(triples)
+        return exchange(self, triples, tag, **kwargs)
+
+    # A context, not undo(): undo() would also revert the ``arms`` cutoffs.
+    with monkeypatch.context() as patch:
+        patch.setattr(KAggregation, "exchange", recording)
+        sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=seed)
+        algorithm = KAggregation(sim, values, operator.add)
+        result = algorithm.run()
+    assert result.all_nodes_know_all_aggregates()
+
+    clustering = algorithm.clustering
+    tree = algorithm.cluster_tree
+    members = {
+        cluster.index: sorted(cluster.members, key=sim.id_of)
+        for cluster in clustering.clusters
+    }
+    partials = {
+        cluster.index: [sum(values[v][i] for v in cluster.members) for i in range(k)]
+        for cluster in clustering.clusters
+    }
+    levels = list(reversed(tree.levels()[1:]))
+    assert len(submitted) == len(levels) >= 1
+    for level, plane in zip(levels, submitted):
+        expected = []
+        for cluster_index in level:
+            pairs = list(enumerate(partials[cluster_index]))
+            expected.extend(
+                rank_matched_triples(
+                    members[cluster_index],
+                    members[tree.parent[cluster_index]],
+                    pairs,
+                    {pair: payload_words(pair) for pair in pairs},
+                )
+            )
+        assert list(iter_triples(plane, sim)) == expected
+        for cluster_index in level:
+            parent = partials[tree.parent[cluster_index]]
+            for index, value in enumerate(partials[cluster_index]):
+                parent[index] += value
+    assert result.aggregates == partials[tree.root]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -9,7 +9,6 @@ from repro.core.neighborhood_quality import (
     neighborhood_quality,
     neighborhood_quality_of_node,
     neighborhood_quality_per_node,
-    nq_profile,
 )
 from repro.graphs.generators import (
     complete_graph,
@@ -70,13 +69,6 @@ class TestDefinition:
         g = path_graph(30)
         per_node = neighborhood_quality_per_node(g, 20)
         assert neighborhood_quality(g, 20) == max(per_node.values())
-
-    def test_profile_matches_individual_calls(self):
-        g = grid_graph(5, 2)
-        ks = [1, 5, 25, 100]
-        profile = nq_profile(g, ks)
-        for k in ks:
-            assert profile[k] == neighborhood_quality(g, k)
 
     def test_monotone_in_k(self):
         g = path_graph(64)
