@@ -34,9 +34,9 @@ from repro.core.dissemination import (
     match_cluster_tree_ids,
 )
 from repro.core.neighborhood_quality import neighborhood_quality
+from repro.core.overlay import _level_words
 from repro.simulator.config import log2_ceil
 from repro.simulator.engine import BatchAlgorithm, TokenPlane
-from repro.simulator.messages import payload_words
 from repro.simulator.metrics import RoundMetrics
 from repro.simulator.network import HybridSimulator
 
@@ -183,18 +183,19 @@ class KAggregation(BatchAlgorithm):
         levels = cluster_tree.levels()
         for level in reversed(levels[1:]):
             parents = [cluster_tree.parent[cluster_index] for cluster_index in level]
-            payloads = [
-                (index, value)
-                for cluster_index in level
-                for index, value in enumerate(cluster_partials[cluster_index])
+            values = [
+                value for cluster_index in level for value in cluster_partials[cluster_index]
             ]
+            payloads = list(zip(list(range(k)) * len(level), values))
             senders, receivers = _rank_matched_columns(
                 self._member_layout,
                 np.array(level, dtype=np.int64),
                 np.array(parents, dtype=np.int64),
                 np.full(len(level), k, dtype=np.int64),
             )
-            words = np.fromiter(map(payload_words, payloads), np.int64, len(payloads))
+            # A pair is its framing word, one word for an index below 2^64
+            # and the partial's own words.
+            words = 2 + np.array(_level_words(values), dtype=np.int64)
             self.exchange(
                 TokenPlane(senders, receivers, words, payloads), "kagg", collect=False
             )

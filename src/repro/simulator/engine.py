@@ -14,7 +14,7 @@ work out of the schedule/send/harvest cycle:
   shard — no greedy scanning at all, which is the common case for most phases.
   Congested workloads fall to a **vectorised greedy-FIFO** that resolves each
   round with a few whole-array *waves* (upper/lower prefix-sum bounds, see
-  ``_admit_round``) and is schedule-identical, token for token, to the plain
+  ``_admit_round_numpy``) and is schedule-identical, token for token, to the plain
   greedy scan kept as a test oracle (``tests/oracles/scheduler.py``;
   ``tests/properties/test_round_engine.py`` pins the equivalence and the round
   pins in ``tests/unit/test_round_regression.py`` hold bit-for-bit).
@@ -191,6 +191,24 @@ def _grouped_prefix(order, starts, weights):
     return out
 
 
+def _grouped_rank(order, starts):
+    """Per-group 0-based FIFO ranks, in token order: a token's position in
+    the stable ``order`` minus its group start (``starts`` is the group-start
+    mask; ``maximum.accumulate`` propagates the nondecreasing starts)."""
+    position = np.arange(order.size, dtype=np.int64)
+    first = np.where(starts, position, 0)
+    np.maximum.accumulate(first, out=first)
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = position - first
+    return rank
+
+
+def _column_rank(column):
+    """:func:`_grouped_rank` grouped by ``column``, from one stable sort."""
+    order = np.argsort(_narrow_sort_key(column), kind="stable")
+    return _grouped_rank(order, _group_starts(column, order))
+
+
 def _compress_order(order, keep):
     """Restrict a stable sorted-order array to the kept positions.
 
@@ -328,21 +346,21 @@ def _pair_round_bounds(senders, receivers, per_round: int):
     tokens per round instead of the whole pending backlog.
     """
     order = _pair_order(senders, receivers)
-    starts = _pair_starts(senders, receivers, order)
-    rank = _grouped_prefix(order, starts, np.ones(senders.size, dtype=np.int64))
-    return (rank - 1) // per_round
+    return _grouped_rank(order, _pair_starts(senders, receivers, order)) // per_round
 
 
 def _split_rounds(rounds):
     """Round indices -> per-round position shards, FIFO within each round.
 
     ``rounds`` must occupy a gap-free ``0..max`` range (component schedules
-    are each gap-free and share round 0, so their union is too).
+    are each gap-free and share round 0, so their union is too).  Edges come
+    from one count per round; the key is 1 byte while the last round is < 127.
     """
-    by_round = np.argsort(_narrow_sort_key(rounds), kind="stable")
-    sorted_rounds = rounds[by_round]
-    edges = np.searchsorted(sorted_rounds, np.arange(int(sorted_rounds[-1]) + 2))
-    return [by_round[edges[i] : edges[i + 1]] for i in range(edges.size - 1)]
+    counts = np.bincount(rounds)
+    edges = [0, *np.cumsum(counts).tolist()]
+    key = rounds.astype(np.int8) if counts.size <= 127 else _narrow_sort_key(rounds)
+    by_round = np.argsort(key, kind="stable")
+    return [by_round[edges[i] : edges[i + 1]] for i in range(counts.size)]
 
 
 def _plan_rounds_uniform(senders, receivers, wt, budget: int):
@@ -363,49 +381,38 @@ def _plan_rounds_uniform(senders, receivers, wt, budget: int):
 
     The residue — senders entangled through shared receivers — is planned by
     the bucketed round loop over its (typically tiny) token subset, and all
-    component schedules interleave back in FIFO order per round.  The caller
-    guarantees uniform words with ``c >= 1``.
+    component schedules interleave back in FIFO order per round.  A plane
+    costs one stable sort of its senders (receivers when sender-exclusive),
+    O(m) scatter/gather passes and the round split.  The caller guarantees
+    uniform words with ``c >= 1``.
     """
-    w0 = int(wt[0])
-    per_round = budget // w0
-    m = senders.size
-    ones = np.ones(m, dtype=np.int64)
-    order_r = np.argsort(_narrow_sort_key(receivers), kind="stable")
-    rr = receivers[order_r]
-    sr = senders[order_r]
-    starts_r = np.empty(m, dtype=bool)
-    starts_r[0] = True
-    starts_r[1:] = rr[1:] != rr[:-1]
-    group_at = np.flatnonzero(starts_r)
-    shared = np.minimum.reduceat(sr, group_at) != np.maximum.reduceat(sr, group_at)
-    if not shared.any():
+    per_round = budget // int(wt[0])
+    # ``owner[r]`` keeps the sender of *some* token to ``r``, whichever write
+    # NumPy keeps: a receiver with one distinct sender matches on every token,
+    # one with several mismatches on all but the kept sender's tokens.  So a
+    # receiver is shared iff a token of it mismatches; ``target`` tests
+    # sender-exclusivity the same way.
+    owner = np.empty(int(receivers.max()) + 1, dtype=np.int64)
+    owner[receivers] = senders
+    mismatch = owner[receivers] != senders
+    if not mismatch.any():
         # Every sender is clean: the whole workload is in closed form.
-        order_s = np.argsort(_narrow_sort_key(senders), kind="stable")
-        rank = _grouped_prefix(order_s, _group_starts(senders, order_s), ones)
-        return _split_rounds((rank - 1) // per_round)
-    order_s = np.argsort(_narrow_sort_key(senders), kind="stable")
-    ss = senders[order_s]
-    rs = receivers[order_s]
-    if not ((ss[1:] == ss[:-1]) & (rs[1:] != rs[:-1])).any():
+        return _split_rounds(_column_rank(senders) // per_round)
+    target = np.empty(int(senders.max()) + 1, dtype=np.int64)
+    target[senders] = receivers
+    if (target[senders] == receivers).all():
         # Sender-exclusive: only the receiver caps can bind.
-        rank = _grouped_prefix(order_r, starts_r, ones)
-        return _split_rounds((rank - 1) // per_round)
-    counts = np.diff(np.append(group_at, m))
-    entangled = np.zeros(int(senders.max()) + 1, dtype=bool)
-    entangled[sr[np.repeat(shared, counts)]] = True
+        return _split_rounds(_column_rank(receivers) // per_round)
+    shared = np.zeros(owner.size, dtype=bool)
+    shared[receivers[mismatch]] = True
+    entangled = np.zeros(target.size, dtype=bool)
+    entangled[senders[shared[receivers]]] = True
     dirty = entangled[senders]
     if dirty.all():
         return _plan_rounds_bucketed(senders, receivers, wt, budget)
-    rounds = np.empty(m, dtype=np.int64)
-    clean = ~dirty
-    cs = senders[clean]
-    order_cs = np.argsort(_narrow_sort_key(cs), kind="stable")
-    rank = _grouped_prefix(
-        order_cs,
-        _group_starts(cs, order_cs),
-        np.ones(cs.size, dtype=np.int64),
-    )
-    rounds[clean] = (rank - 1) // per_round
+    # A sender is wholly clean or wholly entangled, so its rank over the
+    # plane is its rank among the clean tokens: one sort ranks them all.
+    rounds = _column_rank(senders) // per_round
     didx = np.flatnonzero(dirty)
     sub = _plan_rounds_bucketed(senders[didx], receivers[didx], wt[didx], budget)
     for index, shard in enumerate(sub):
@@ -442,6 +449,7 @@ def _plan_rounds_bucketed(senders, receivers, wt, budget: int):
     last_bound = int(bounds_sorted[-1])
     bucket_edges = np.searchsorted(bounds_sorted, np.arange(last_bound + 2))
     narrow = int(receivers.max()) < 32767 and int(senders.max()) < 32767
+    key_type = np.int16 if narrow else np.int64
     buckets: Dict[int, list] = {}
     shards = []
     remaining = senders.size
@@ -466,12 +474,8 @@ def _plan_rounds_bucketed(senders, receivers, wt, budget: int):
         es = senders[pending]
         er = receivers[pending]
         ew = wt[pending]
-        if narrow:
-            order_s = np.argsort(es.astype(np.int16), kind="stable")
-            order_r = np.argsort(er.astype(np.int16), kind="stable")
-        else:
-            order_s = np.argsort(es, kind="stable")
-            order_r = np.argsort(er, kind="stable")
+        order_s = np.argsort(es.astype(key_type, copy=False), kind="stable")
+        order_r = np.argsort(er.astype(key_type, copy=False), kind="stable")
         admitted = _admit_round_numpy(es, er, ew, order_s, order_r, budget)
         if admitted.all():
             shards.append(pending)
@@ -487,13 +491,7 @@ def _plan_rounds_bucketed(senders, receivers, wt, budget: int):
             ds = es[rejected]
             dr = er[rejected]
             porder = _pair_order(ds, dr)
-            starts = _pair_starts(ds, dr, porder)
-            ahead = (
-                _grouped_prefix(
-                    porder, starts, np.ones(ds.size, dtype=np.int64)
-                )
-                - 1
-            )
+            ahead = _grouped_rank(porder, _pair_starts(ds, dr, porder))
             extra = ahead // per_round
             depth = int(extra.max())
             if depth == 0:
@@ -515,11 +513,12 @@ def _plan_rounds_numpy(senders, receivers, wt, budget: int):
     node's totals fit the budget the whole workload is a single shard and no
     greedy state is ever built.  Tier 2 — uniform-word workloads decompose
     into independent components with closed-form schedules plus a small
-    entangled residue (:func:`_plan_rounds_uniform`) that runs the bucketed
-    round loop (:func:`_plan_rounds_bucketed`) over the *admissible* tokens
-    only (see :func:`_pair_round_bounds`; tokens whose pair rank proves they
-    cannot move yet are never scanned, which is exact because greedy counters
-    only ever count admitted tokens).  Mixed-size workloads keep the dense
+    entangled residue (:func:`_plan_rounds_uniform`, one sender sort plus
+    O(m) passes) that runs the bucketed round loop
+    (:func:`_plan_rounds_bucketed`) over the *admissible* tokens only (see
+    :func:`_pair_round_bounds`; tokens whose pair rank proves they cannot
+    move yet are never scanned, which is exact because greedy counters only
+    ever count admitted tokens).  Mixed-size workloads keep the dense
     compression loop below.
     """
     sent = np.bincount(senders, weights=wt, minlength=1)

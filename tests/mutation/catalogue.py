@@ -152,7 +152,7 @@ MUTANTS: List[Dict[str, object]] = [
         "                frontier.insert(0, s)\n",
         "selection": [WEIGHTED],
     },
-    # The uniform-word planner's residue.
+    # The uniform-word planner: residue bounds, entanglement, round split.
     {
         "name": "residue-bounds-shifted-by-one-token",
         "file": ENGINE,
@@ -161,6 +161,20 @@ MUTANTS: List[Dict[str, object]] = [
             "    min_round = np.roll(_pair_round_bounds(senders, receivers, per_round), 1)\n"
         ),
         "selection": [SCHEDULES, CUTOFFS, ROUND_ENGINE],
+    },
+    {
+        "name": "only-the-first-shared-receiver-entangles",
+        "file": ENGINE,
+        "snippet": "    shared[receivers[mismatch]] = True\n",
+        "replacement": "    shared[receivers[mismatch][:1]] = True\n",
+        "selection": [SCHEDULES, ROUND_ENGINE],
+    },
+    {
+        "name": "one-byte-round-key-up-to-int16",
+        "file": ENGINE,
+        "snippet": "if counts.size <= 127 else",
+        "replacement": "if counts.size <= 32767 else",
+        "selection": [SCHEDULES, ROUND_ENGINE],
     },
     # Per-graph set-up: node order and HYBRID_0 adjacency keys.
     {

@@ -7,12 +7,16 @@ node-disjoint congested groups (independent components of the sender/receiver
 counters) and three seeds.  The same identity is pinned
 for workloads that force individually-oversized tokens through, for a single
 global hot receiver, and for small hand-built planes whose schedules are
-known in closed form.
+known in closed form.  Uniform-word planes built to reach each branch of
+the component decomposition (every sender clean, sender-exclusive hot
+receivers, clean senders beside an entangled residue, all entangled), with
+narrow and wide node indices, pin the same identity.
 """
 
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 
 import pytest
 
@@ -157,6 +161,102 @@ def test_hot_receiver_schedule_is_token_identical(seed, tag_words, arms):
     # The hot receiver takes at most ``budget`` words per round.
     for shard in actual:
         assert sum(words[p] + tag_words for p in shard) <= 13 or len(shard) == 1
+
+
+# ----------------------------------------------------------------------
+# Uniform-word planes, one per branch of the component decomposition
+# ----------------------------------------------------------------------
+def _clean_tokens(rng, count, senders, first_receiver):
+    """Tokens of ``senders`` to receivers of their own (four each)."""
+    tokens = []
+    for _ in range(count):
+        sender = rng.choice(senders)
+        tokens.append((sender, first_receiver + 4 * sender + rng.randrange(4)))
+    return tokens
+
+
+def _entangled_tokens(rng, count, groups, first_sender, first_receiver):
+    """``groups`` disjoint groups of three senders sharing two receivers."""
+    tokens = []
+    for _ in range(count):
+        group = rng.randrange(groups)
+        tokens.append(
+            (
+                first_sender + 3 * group + rng.randrange(3),
+                first_receiver + 2 * group + rng.randrange(2),
+            )
+        )
+    return tokens
+
+
+def _uniform_plane(branch, rng):
+    """``(tokens, words, tokens per round)`` of a congested uniform plane."""
+    if branch == "all-clean":
+        return _clean_tokens(rng, 150, range(12), 100), 2, 3
+    if branch == "sender-exclusive":
+        hot = {sender: 100 + sender % 4 for sender in range(30)}
+        senders = [rng.randrange(30) for _ in range(150)]
+        return [(sender, hot[sender]) for sender in senders], 1, 5
+    if branch == "clean-and-entangled":
+        tokens = _clean_tokens(rng, 120, range(12), 100) + _entangled_tokens(
+            rng, 90, 3, 20, 200
+        )
+        rng.shuffle(tokens)
+        return tokens, 3, 3
+    if branch == "all-entangled":
+        return _entangled_tokens(rng, 160, 4, 0, 20), 2, 2
+    # One sender with ``budget == words``: a round per token, past the
+    # 1-byte round key.
+    return [(0, 1 + rng.randrange(50)) for _ in range(200)], 3, 1
+
+
+def _branch_of(tokens):
+    """Which decomposition branch ``tokens`` reaches, from sender/receiver sets."""
+    senders_of = defaultdict(set)
+    receivers_of = defaultdict(set)
+    for sender, receiver in tokens:
+        senders_of[receiver].add(sender)
+        receivers_of[sender].add(receiver)
+    shared = {receiver for receiver, senders in senders_of.items() if len(senders) > 1}
+    if not shared:
+        return "all-clean"
+    if all(len(receivers) == 1 for receivers in receivers_of.values()):
+        return "sender-exclusive"
+    entangled = {sender for receiver in shared for sender in senders_of[receiver]}
+    return "all-entangled" if entangled == set(receivers_of) else "clean-and-entangled"
+
+
+UNIFORM_BRANCHES = [
+    "all-clean",
+    "sender-exclusive",
+    "clean-and-entangled",
+    "all-entangled",
+    "many-rounds",
+]
+
+
+@pytest.mark.parametrize("offset", [0, 40_000], ids=["narrow", "wide"])
+@pytest.mark.parametrize("tag_words", [0, 1])
+@pytest.mark.parametrize("branch", UNIFORM_BRANCHES)
+def test_uniform_branches_are_token_identical(branch, tag_words, offset, arms):
+    """Every branch of the uniform-word planner matches the greedy reference,
+    with node indices below and above the ``int16`` sort-key range."""
+    rng = random.Random(f"uniform-{branch}")
+    tokens, size, per_round = _uniform_plane(branch, rng)
+    expected_branch = "all-clean" if branch == "many-rounds" else branch
+    assert _branch_of(tokens) == expected_branch
+    senders = [sender + offset for sender, _ in tokens]
+    receivers = [receiver + offset for _, receiver in tokens]
+    words = [size] * len(tokens)
+    budget = per_round * (size + tag_words)
+
+    actual = _as_lists(
+        plan_token_rounds(_plane(senders, receivers, words), budget, tag_words)
+    )
+    assert actual == _reference_schedule(senders, receivers, words, budget, tag_words)
+    assert len(actual) > 1
+    if branch == "many-rounds":
+        assert len(actual) == len(tokens) > 127
 
 
 # ----------------------------------------------------------------------
