@@ -16,8 +16,11 @@ It additionally guards the frontier-based analytics engine
 (:mod:`repro.graphs.index`):
 
 * ``test_nq_engine_speedup`` — the fast ``NQ_k`` path must beat the Theta(n*m)
-  reference implementation (``oracles.nq``) by >= 10x at n = 2000 (relaxable
-  on noisy CI runners via ``NQ_MIN_SPEEDUP``) while agreeing exactly;
+  reference implementation (``oracles.nq``) by >= 10x (relaxable on noisy CI
+  runners via ``NQ_MIN_SPEEDUP``) while agreeing exactly, on an n = 2000 path
+  (one ball growth) and a random 6-regular graph with k = n (no ball
+  certifies another, so the priced dense blocks grow them); each row reports
+  the per-source growths and dense-block sources of one scan;
 * ``test_nq_large_scale`` — full NQ_k profiles on n ~ 10^5 path / tree / ring
   instances, infeasible before the engine, must complete inside the harness;
 * ``test_nq_large_tier`` — the ``default_benchmark_specs("large")`` grid
@@ -100,8 +103,12 @@ def test_nq_special_families(benchmark, save_table):
 # ----------------------------------------------------------------------
 # Analytics engine guards
 # ----------------------------------------------------------------------
-SPEEDUP_N = 2000
-SPEEDUP_K = 1024
+#: name -> (graph, k).  The regular graph is sized so that its reference
+#: takes about 1.5 s on a 2-core host, against about 5 s for the path.
+SPEEDUP_CASES = {
+    "path": (GraphSpec.of("path", n=2000), 1024),
+    "random-regular": (GraphSpec.of("random_regular", n=1000, degree=6, seed=1), 1000),
+}
 SPEEDUP_REPEATS = 3
 #: The acceptance bar on a quiet machine.  Shared CI runners have wall-clock
 #: variance, so CI may relax the floor via NQ_MIN_SPEEDUP (exact agreement
@@ -109,13 +116,34 @@ SPEEDUP_REPEATS = 3
 REQUIRED_NQ_SPEEDUP = float(os.environ.get("NQ_MIN_SPEEDUP", "10.0"))
 
 
-def run_nq_speedup_comparison() -> dict:
-    """Time fast vs. reference NQ_k on the n = 2000 path, fresh caches each run."""
-    spec = GraphSpec.of("path", n=SPEEDUP_N)
+def _scan_arms(graph, k: int) -> dict:
+    """The per-source growths and dense-block sources of one fresh scan."""
+    index = GraphIndex(graph)
+    counts = {"per-source growths": 0, "dense-block sources": 0}
+    grow, block = index._nq_grow, index._nq_block
 
+    def counting_grow(*args):
+        counts["per-source growths"] += 1
+        return grow(*args)
+
+    def counting_block(csr, sources, *args):
+        counts["dense-block sources"] += len(sources)
+        return block(csr, sources, *args)
+
+    index._nq_grow, index._nq_block = counting_grow, counting_block
+    index.nq_value(k)
+    return counts
+
+
+def run_nq_speedup_comparison() -> list:
+    """Time fast vs. reference NQ_k on every speedup case, fresh caches each run."""
+    return [_speedup_row(name, spec, k) for name, (spec, k) in SPEEDUP_CASES.items()]
+
+
+def _speedup_row(name: str, spec: GraphSpec, k: int) -> dict:
     reference_graph = generate_graph(spec)
     start = time.perf_counter()
-    reference_value = _reference_neighborhood_quality(reference_graph, SPEEDUP_K)
+    reference_value = _reference_neighborhood_quality(reference_graph, k)
     reference_seconds = time.perf_counter() - start
 
     fast_times = []
@@ -126,61 +154,64 @@ def run_nq_speedup_comparison() -> dict:
         # cold-start cost a caller pays.
         graph = generate_graph(spec)
         start = time.perf_counter()
-        fast_value = neighborhood_quality(graph, SPEEDUP_K)
+        fast_value = neighborhood_quality(graph, k)
         fast_times.append(time.perf_counter() - start)
 
     fast_best = min(fast_times)
     env = environment()
     return {
-        "n": SPEEDUP_N,
-        "k": SPEEDUP_K,
+        "graph": name,
+        "n": reference_graph.number_of_nodes(),
+        "k": k,
         "NQ_k (fast)": fast_value,
         "NQ_k (reference)": reference_value,
         "fast seconds (best of 3, cold cache)": round(fast_best, 4),
         "reference seconds": round(reference_seconds, 4),
         "speedup": round(reference_seconds / fast_best, 1),
         "identical": fast_value == reference_value,
+        **_scan_arms(generate_graph(spec), k),
         "cores": usable_cores(),
         "python": env["python"],
         "numpy": env["numpy"],
     }
 
 
-def _check_speedup(row: dict) -> None:
-    assert row["identical"], "fast NQ_k disagrees with the reference"
-    assert row["speedup"] >= REQUIRED_NQ_SPEEDUP, (
-        f"NQ engine speedup {row['speedup']}x below the required "
-        f"{REQUIRED_NQ_SPEEDUP}x"
-    )
+def _check_speedup(rows: list) -> None:
+    for row in rows:
+        assert row["identical"], f"fast NQ_k disagrees with the reference on {row['graph']}"
+        assert row["speedup"] >= REQUIRED_NQ_SPEEDUP, (
+            f"NQ engine speedup {row['speedup']}x on {row['graph']} below the "
+            f"required {REQUIRED_NQ_SPEEDUP}x"
+        )
 
 
-def _write_speedup_artifact(row: dict) -> None:
+def _write_speedup_artifact(rows: list) -> None:
     write_bench_artifact(
         "nq_engine",
-        [row],
-        n=SPEEDUP_N,
-        k=SPEEDUP_K,
+        rows,
         repeats=SPEEDUP_REPEATS,
         required_speedup=REQUIRED_NQ_SPEEDUP,
     )
+    cases = ", ".join(
+        f"{row['speedup']}x on {row['graph']} (n={row['n']}, k={row['k']})" for row in rows
+    )
     update_trajectory(
         "nq_engine",
-        f"pruned frontier NQ_k {row['speedup']}x faster than the Theta(n*m) "
-        f"reference (floor {REQUIRED_NQ_SPEEDUP}x) at n={SPEEDUP_N}, "
-        f"k={SPEEDUP_K} on {row['cores']} cores, Python {row['python']}, "
-        f"NumPy {row['numpy']}",
+        f"pruned NQ_k scan faster than the Theta(n*m) reference (floor "
+        f"{REQUIRED_NQ_SPEEDUP}x): {cases} on {rows[0]['cores']} cores, Python "
+        f"{rows[0]['python']}, NumPy {rows[0]['numpy']}",
     )
 
 
 def test_nq_engine_speedup(save_table):
-    row = run_nq_speedup_comparison()
+    rows = run_nq_speedup_comparison()
     save_table(
         "nq_speedup",
-        [row],
+        rows,
         "NQ analytics engine - pruned graph-level scan vs Theta(n*m) reference",
     )
-    _write_speedup_artifact(row)
-    _check_speedup(row)
+    _write_speedup_artifact(rows)
+    _check_speedup(rows)
 
 
 LARGE_SCALE_KS = [16, 256, 4096]
@@ -279,12 +310,14 @@ def test_nq_value_large_tier(save_table, monkeypatch):
 
 
 def main() -> None:
-    row = run_nq_speedup_comparison()
-    width = max(len(key) for key in row)
-    for key, value in row.items():
-        print(f"{key:<{width}}  {value}")
-    _write_speedup_artifact(row)
-    _check_speedup(row)
+    rows = run_nq_speedup_comparison()
+    for row in rows:
+        width = max(len(key) for key in row)
+        for key, value in row.items():
+            print(f"{key:<{width}}  {value}")
+        print()
+    _write_speedup_artifact(rows)
+    _check_speedup(rows)
     print(f"\nOK: NQ analytics engine meets the >= {REQUIRED_NQ_SPEEDUP}x bar.")
 
 

@@ -48,11 +48,11 @@ scan stops as soon as ``2 * level <= best_found``, because any pair realising a
 larger diameter would have an endpoint in an already-scanned level.  Where
 several nodes lie halfway along the double sweep's path (a grid's whole
 anti-diagonal), one more BFS picks the most central of them.  The result is
-exact; paths and grids need a handful of BFS passes (7 on a 60 x 60 grid), but
-a barbell's clique sits in the outermost levels and is scanned node by node
-(``nx.barbell_graph(500, 1000)`` takes 501 sweeps).  A running diameter
-*lower* bound (the largest eccentricity any full sweep has seen) often answers
-``min(t1, D)`` without computing ``D`` at all.
+exact; paths and grids need a handful of BFS passes (7 on a 60 x 60 grid).  A
+level is swept once per class of true twins (equal closed neighbourhoods), so
+a barbell's outermost clique costs one sweep, not one per node.  A running
+diameter *lower* bound (the largest eccentricity any full sweep has seen) often
+answers ``min(t1, D)`` without computing ``D`` at all.
 
 The graph-level value ``NQ_k(G) = max_v NQ_k(v)`` does not need a ball from
 every node.  Two facts let :meth:`GraphIndex.nq_value` skip most of them while
@@ -74,10 +74,10 @@ staying exact:
   ``D`` stop applies.
 
 The scan starts at the periphery node the connectivity sweep already found
-(on paths and grids its ball grows slowest), then goes in index order.  On a
-10^4-node path with ``k = 4096`` that is one growth instead of 10^4; where
-every node has a similar ball (random regular graphs) nothing is certified
-and every ball is grown, as before.
+(on paths and grids its ball grows slowest), then goes in index order: one
+growth instead of 10^4 on a 10^4-node path with ``k = 4096``.  A growth that
+certifies nothing prices the next uncertified nodes like an h-hop block (below;
+levels and expanded nodes for rounds and relaxations), which may grow densely.
 
 The weighted engine
 -------------------
@@ -116,9 +116,10 @@ substrate for every centralized weighted computation:
   equals the per-source one.  The source before each block runs per-source
   and prices it: dense iff ``(I + 1) * (E_U * S / _HHOP_NUMPY_RATIO +
   maxdeg_U * _HHOP_CALL_COST) < S * F * E_U / |U|`` (``I`` rounds and ``F``
-  frontier nodes of that source, ``E_U`` the union's CSR entries).  Blocks
-  halve until the matrix fits in ``_HHOP_BLOCK_CELLS``.  A single source
-  always runs per-source.
+  frontier nodes of that source, ``E_U`` the union's CSR entries), so never
+  once the first source's ball alone has ``(I + 1) * |B| >= ratio * F``.
+  Blocks halve until the matrix fits in ``_HHOP_BLOCK_CELLS``.  A single
+  source always runs per-source.  NQ blocks share this layout and pricing.
 
 Caching
 -------
@@ -160,6 +161,7 @@ full-drop decision table.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -614,9 +616,13 @@ class GraphIndex:
     def _dense_block(self, csr, src, start, h, relaxed, rounds):
         """The next block, with its ball union and degrees in descending degree
         order (``None``: run the block per-source)."""
+        bound = _HHOP_NUMPY_RATIO * relaxed / (rounds + 1)  # no larger union goes dense
         size = min(_HHOP_BLOCK_SOURCES, len(src) - start)
+        if size and self._ball_union(src[start : start + 1], h, bound) is None:
+            size = 0
         while size:
-            union = self._ball_union(src[start : start + size], h)
+            limit = _HHOP_BLOCK_CELLS // size - 1  # one more row: the sentinel
+            union = self._ball_union(src[start : start + size], h, limit)
             if union is not None:
                 break
             size //= 2
@@ -631,9 +637,8 @@ class GraphIndex:
         order = np.argsort(-degrees, kind="stable")
         return block, (union[order], degrees[order])
 
-    def _ball_union(self, block: List[int], h: int) -> Optional[List[int]]:
-        """Indices within ``h`` hops of a block source; ``None`` past the cap."""
-        limit = _HHOP_BLOCK_CELLS // len(block) - 1  # one more row: the sentinel
+    def _ball_union(self, block: List[int], h: int, limit: float) -> Optional[List]:
+        """Indices within ``h`` hops of a block source; ``None`` past ``limit``."""
         union: List[int] = []
         for level in self._levels(block, h):
             union += level
@@ -641,23 +646,26 @@ class GraphIndex:
                 return None
         return union
 
-    def _dense_rows(self, csr, block, union, degrees, h):
-        """Synchronous multi-source Bellman-Ford over one block's ball union.
-
-        With ``union`` sorted by degree, descending, every degree column is a
-        row prefix; the extra last row stays ``inf`` for nodes outside ``U``.
-        """
-        offsets, targets, weights = csr
+    def _degree_columns(self, csr, union, degrees):
+        """``local`` (node -> row of ``U``; outside: the last, sentinel row) and,
+        per degree column ``c`` of ``U`` sorted by degree, descending, ``(count,
+        rows, entries)``: the prefix of degree above ``c``, its c-th neighbours."""
         size = len(union)
         local = np.full(self.n, size)  # O(n), like every output row
         local[union] = np.arange(size)
-        starts = offsets[union]
+        starts = csr[0][union]
         columns = []
         for c in range(int(degrees[0])):
             count = int(np.count_nonzero(degrees > c))
             entries = starts[:count] + c
-            columns.append((count, local[targets[entries]], weights[entries][:, None]))
-        dist = np.full((size + 1, len(block)), math.inf)
+            columns.append((count, local[csr[1][entries]], entries))
+        return local, columns
+
+    def _dense_rows(self, csr, block, union, degrees, h):
+        """Synchronous multi-source Bellman-Ford over one block's ball union."""
+        local, columns = self._degree_columns(csr, union, degrees)
+        columns = [(count, t, csr[2][entries][:, None]) for count, t, entries in columns]
+        dist = np.full((len(union) + 1, len(block)), math.inf)
         dist[local[block], np.arange(len(block))] = 0.0
         nxt, scratch = np.empty_like(dist), np.empty_like(dist)
         for _ in range(h):
@@ -670,7 +678,7 @@ class GraphIndex:
                 break
             dist, nxt = nxt, dist
         row = np.full(self.n, math.inf)
-        for column in dist[:size].T:
+        for column in dist[:-1].T:
             row[union] = column
             yield array("d", row.tobytes())
 
@@ -996,9 +1004,14 @@ class GraphIndex:
         # Scan levels outward-in.  Any pair realising a diameter > lb has an
         # endpoint at level > lb / 2 (its distance to mid is at least half the
         # diameter), so once 2 * i <= lb every unscanned node is irrelevant.
+        # Sweep one node per class of true twins: they share an eccentricity.
         i = ecc_m
         while 2 * i > lb:
+            classes = {}
             for u in levels[i]:
+                twins = sorted([u, *self._targets[offsets[u] : offsets[u + 1]]])
+                classes.setdefault(tuple(twins), u)
+            for u in classes.values():
                 ecc_u, _, _ = self._sweep(u)
                 if ecc_u > lb:
                     lb = ecc_u
@@ -1042,10 +1055,7 @@ class GraphIndex:
                 return t
         if t == cap:
             return cap  # unmet up to the explicit diameter
-        ecc = t  # the BFS exhausted s's component
-        if self._connected and ecc > self._diam_lb:
-            self._diam_lb = ecc
-        return self._saturated_nq(size, ecc, k, cap)
+        return self._saturated_nq(size, t, k, cap)  # t: s's eccentricity
 
     def _saturated_nq(self, size: int, ecc: int, k: float, cap: Optional[int]) -> int:
         """Resolve ``NQ_k(v)`` once the BFS exhausted v's component unmet.
@@ -1054,6 +1064,8 @@ class GraphIndex:
         smallest satisfying radius solves ``size >= k / t`` directly; the
         definition caps the answer at the diameter.
         """
+        if self._connected and ecc > self._diam_lb:
+            self._diam_lb = ecc
         if math.isinf(k) or math.isnan(k):
             # Threshold never satisfiable: the definition falls back to D.
             return cap if cap is not None else self.diameter()
@@ -1117,27 +1129,75 @@ class GraphIndex:
         # t0 >= 1 is the least integer with t0^2 >= k, i.e. t0^2 >= ceil(k).
         stop = math.isqrt(math.ceil(k) - 1) + 1 if math.isfinite(k) else None
         done = bytearray(self.n)
-        best = 0
-        for s in itertools.chain((self._periphery,), range(self.n)):
-            if done[s]:
-                continue
+        flags = np.frombuffer(done, dtype=np.uint8)
+        best = pos = unpriced = 0
+        csr, s = None, self._periphery
+        while s >= 0:
             done[s] = 1
             levels: List[List[int]] = []
             best = max(best, self._nq_grow(s, k, None, levels))
             if best == stop or best == self._diameter:
                 break
-            # j* is the first radius whose ball reaches k / best; the levels
-            # 1 .. best - j* around s are then certified.
-            size = 0
-            for j, level in enumerate(levels):
-                size += len(level)
-                if size >= k / best:
-                    for certified in levels[1 : best - j + 1]:
-                        for w in certified:
-                            done[w] = 1
-                    break
+            sizes = list(itertools.accumulate(map(len, levels)))
+            reach = self._certified_levels(sizes, k, best)
+            for certified in levels[1 : reach + 1]:
+                for w in certified:
+                    done[w] = 1
+            if unpriced:
+                unpriced -= 1
+            elif not reach and stop is not None:  # certified nothing: price a block
+                src = np.flatnonzero(flags[pos:] == 0)[:_HHOP_BLOCK_SOURCES] + pos
+                csr = csr or (np.array(self._offsets), np.array(self._targets))
+                block, ball = self._dense_block(
+                    csr, src.tolist(), 0, stop, sizes[-2], len(levels) - 1
+                )
+                if ball is None:
+                    unpriced = len(block)
+                else:
+                    values, balls, first = self._nq_block(csr, block, *ball, k, stop)
+                    flags[block] = 1
+                    best = max(best, int(values.max()))
+                    if best == stop or best == self._diameter:
+                        break
+                    reaches = [self._certified_levels(c, k, best) for c in balls]
+                    flags[ball[0][(first[:-1] <= reaches).any(axis=1)]] = 1
+            s = done.find(0, pos)
+            pos = s + 1
         self._nq_cache[k] = best
         return best
+
+    @staticmethod
+    def _certified_levels(sizes, k: float, best: int) -> int:
+        """The grown levels ``1 .. best - j*`` are certified, ``j*`` the first
+        radius whose ball size reaches ``k / best`` (none: 0 levels)."""
+        j = bisect.bisect_left(sizes, k / best)  # ball sizes never shrink
+        return min(best - j, len(sizes) - 1) if j < len(sizes) else 0
+
+    def _nq_block(self, csr, block, union, degrees, k: float, stop: int):
+        """Grow a block's balls in one boolean ``(|U| + 1) x S`` matrix over its
+        ``stop``-hop ball union: ``NQ_k``, each ball's sizes per radius ``t <=
+        T`` and each row's first-hit level (``T + 1``: unreached)."""
+        local, columns = self._degree_columns(csr, union, degrees)
+        reached = np.zeros((len(union) + 1, len(block)), dtype=bool)
+        reached[local[block], np.arange(len(block))] = True
+        hits = reached.astype(np.min_scalar_type(stop + 1))  # levels reached
+        sizes = [reached.sum(axis=0, dtype=np.int32)]
+        values = np.zeros(len(block), dtype=np.int64)
+        nxt, scratch = np.empty_like(reached), np.empty_like(reached)
+        for t in range(1, stop + 1):
+            np.copyto(nxt, reached)
+            for count, rows, _ in columns:
+                pull = np.take(reached, rows, axis=0, out=scratch[:count], mode="clip")
+                np.logical_or(nxt[:count], pull, out=nxt[:count])
+            np.add(hits, nxt, out=hits)
+            sizes.append(nxt.sum(axis=0, dtype=np.int32))
+            for j in np.flatnonzero((values == 0) & (sizes[-1] == sizes[-2])):
+                values[j] = self._saturated_nq(int(sizes[-1][j]), t - 1, k, None)
+            values[(values == 0) & (sizes[-1] >= k / t)] = t  # stalled ones are set
+            if values.all():
+                break
+            reached, nxt = nxt, reached
+        return values, np.array(sizes).T.tolist(), len(sizes) - hits
 
 
 class SSSPRowCache:

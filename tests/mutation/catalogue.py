@@ -293,13 +293,32 @@ MUTANTS: List[Dict[str, object]] = [
         "replacement": "",
         "selection": [CUTOFFS, DELIVERY, FAULTS],
     },
-    # Graph-level NQ scan: containment certificate, Lemma 3.6 stop, and the
-    # periphery start dropped with the topology caches.
+    # Graph-level NQ scan: containment certificate (shared by per-source
+    # growths and dense blocks), Lemma 3.6 stop, the block's level test and
+    # its sentinel row, and the periphery start dropped with the topology
+    # caches.
     {
         "name": "nq-scan-over-certifies-one-extra-level",
         "file": INDEX,
-        "snippet": "for certified in levels[1 : best - j + 1]:",
-        "replacement": "for certified in levels[1 : best - j + 2]:",
+        "snippet": "return min(best - j, len(sizes) - 1)",
+        "replacement": "return min(best - j + 1, len(sizes) - 1)",
+        "selection": [NQ, NQ_UNIT],
+    },
+    {
+        "name": "nq-block-counts-the-sentinel-row",
+        "file": INDEX,
+        "snippet": "        reached[local[block], np.arange(len(block))] = True\n",
+        "replacement": (
+            "        reached[local[block], np.arange(len(block))] = True\n"
+            "        reached[-1] = True\n"
+        ),
+        "selection": [NQ, NQ_UNIT],
+    },
+    {
+        "name": "nq-block-tests-level-t-at-k-over-t-plus-one",
+        "file": INDEX,
+        "snippet": "(sizes[-1] >= k / t)",
+        "replacement": "(sizes[-1] >= k / (t + 1))",
         "selection": [NQ, NQ_UNIT],
     },
     {
@@ -344,8 +363,8 @@ MUTANTS: List[Dict[str, object]] = [
     {
         "name": "nq-scan-certifies-at-k-over-best-plus-one",
         "file": INDEX,
-        "snippet": "if size >= k / best:",
-        "replacement": "if size >= k / (best + 1):",
+        "snippet": "bisect.bisect_left(sizes, k / best)",
+        "replacement": "bisect.bisect_left(sizes, k / (best + 1))",
         "selection": [NQ, NQ_UNIT],
     },
     # Batched h-hop rows: Jacobi rounds over the ball union, within the cap.
@@ -373,11 +392,11 @@ MUTANTS: List[Dict[str, object]] = [
     {
         "name": "block-cap-ignores-the-sentinel-row",
         "file": INDEX,
-        "snippet": "limit = _HHOP_BLOCK_CELLS // len(block) - 1",
-        "replacement": "limit = _HHOP_BLOCK_CELLS // len(block)",
+        "snippet": "limit = _HHOP_BLOCK_CELLS // size - 1",
+        "replacement": "limit = _HHOP_BLOCK_CELLS // size",
         "selection": [HHOP],
     },
-    # The BFS level kernel: the depth bound, and the iFUB midpoint.
+    # The BFS level kernel: the depth bound, the iFUB midpoint and twins.
     {
         "name": "levels-yields-one-level-past-the-depth",
         "file": INDEX,
@@ -401,6 +420,13 @@ MUTANTS: List[Dict[str, object]] = [
         "file": INDEX,
         "snippet": "        if len(middle) > 1:\n",
         "replacement": "        if False:\n",
+        "selection": [LEVELS],
+    },
+    {
+        "name": "ifub-twins-keyed-by-the-open-neighbourhood",
+        "file": INDEX,
+        "snippet": "sorted([u, *self._targets[offsets[u] : offsets[u + 1]]])",
+        "replacement": "sorted([*self._targets[offsets[u] : offsets[u + 1]]])",
         "selection": [LEVELS],
     },
     # Theorem 8 analytics: the bounded spanner search and Algorithm 4 rows.

@@ -5,8 +5,8 @@ nodes at hop distance 1, 2, ... up to ``depth``.  These tests pin its levels
 against networkx BFS distances, pin that it stamps exactly the ball
 ``B_depth(sources)`` (a kernel that expands one level past ``depth`` without
 yielding it returns the same levels but does the extra work), and bound the
-BFS runs ``diameter()`` makes on a square grid, where every BFS of the
-diameter search goes through the kernel.
+BFS runs ``diameter()`` makes on a square grid, a barbell and a lollipop,
+where every BFS of the diameter search goes through the kernel.
 """
 
 from __future__ import annotations
@@ -58,10 +58,9 @@ def test_levels_without_a_depth_exhaust_the_component():
     assert sum(stamp == index._epoch for stamp in index._visited) == 6
 
 
-def test_square_grid_diameter_takes_a_few_bfs_runs(monkeypatch):
-    # The midpoint of the double sweep's a-b path is a choice among a whole
-    # anti-diagonal here; taking its first node (a corner) made the outward
-    # level scan run 1,772 BFS sweeps.
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """Count the level-kernel runs (every BFS of the diameter search)."""
     runs = [0]
     levels = GraphIndex._levels
 
@@ -70,5 +69,26 @@ def test_square_grid_diameter_takes_a_few_bfs_runs(monkeypatch):
         return levels(self, *args, **kwargs)
 
     monkeypatch.setattr(GraphIndex, "_levels", counting)
+    return runs
+
+
+def test_square_grid_diameter_takes_a_few_bfs_runs(kernel_runs):
+    # The midpoint of the double sweep's a-b path is a choice among a whole
+    # anti-diagonal here; taking its first node (a corner) made the outward
+    # level scan run 1,772 BFS sweeps.
     assert GraphIndex(nx.grid_2d_graph(60, 60)).diameter() == 118
-    assert runs[0] <= 8
+    assert kernel_runs[0] <= 8
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [nx.barbell_graph(200, 400), nx.lollipop_graph(60, 120)],
+    ids=["barbell", "lollipop"],
+)
+def test_clique_ended_diameter_takes_a_few_bfs_runs(graph, kernel_runs):
+    # The outermost level around the midpoint holds a whole clique but its
+    # attachment node: one true-twin class, so one sweep stands for all of
+    # them (node by node, the barbell took 201 sweeps).  Open neighbourhoods
+    # differ within a clique, so a scan keyed by them sweeps every node.
+    assert GraphIndex(graph).diameter() == nx.diameter(graph, usebounds=True)
+    assert kernel_runs[0] <= 8

@@ -12,6 +12,11 @@ The graph-level scan skips the nodes a grown ball already certifies and stops
 at the Lemma 3.6 bound, so it is also pinned against the per-node maximum on
 random connected graphs, after every cache-filling call that can precede it,
 and after edge edits; a spy on its ball grower pins that the pruning engages.
+It grows the balls per source or, where the h-hop pricing says so, in dense
+boolean blocks: the per-node, graph-level, profile and random-graph cases run
+under each of ``test_hhop_rows.MODES`` (per-source and dense arms forced,
+small blocks), and spies pin the arm the shipped pricing takes on a regular
+graph, a long path and a grid.
 """
 
 import math
@@ -49,6 +54,7 @@ from oracles.nq import (
     _reference_neighborhood_quality_per_node,
     _reference_nq_profile,
 )
+from test_hhop_rows import MODES, arm
 from test_nq_properties import connected_graphs
 
 SEEDS = [0, 1, 2]
@@ -79,29 +85,35 @@ def _workloads(n):
     return [0.5, 1, 2, 2.5, 7, max(1, n // 2), n, 3 * n, 10**6, math.inf]
 
 
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("family,seed", CASES)
-def test_per_node_nq_matches_reference(family, seed):
+def test_per_node_nq_matches_reference(family, seed, mode):
     graph = generate_graph(FAMILY_SPECS[family](seed))
-    for k in _workloads(graph.number_of_nodes()):
-        assert neighborhood_quality_per_node(graph, k) == (
-            _reference_neighborhood_quality_per_node(graph, k)
-        ), f"{family} seed={seed} k={k}"
+    with arm(mode):
+        for k in _workloads(graph.number_of_nodes()):
+            assert neighborhood_quality_per_node(graph, k) == (
+                _reference_neighborhood_quality_per_node(graph, k)
+            ), f"{family} seed={seed} k={k}"
 
 
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("family,seed", CASES)
-def test_graph_level_nq_matches_reference(family, seed):
+def test_graph_level_nq_matches_reference(family, seed, mode):
     graph = generate_graph(FAMILY_SPECS[family](seed))
-    for k in _workloads(graph.number_of_nodes()):
-        assert neighborhood_quality(graph, k) == _reference_neighborhood_quality(
-            graph, k
-        ), f"{family} seed={seed} k={k}"
+    with arm(mode):
+        for k in _workloads(graph.number_of_nodes()):
+            assert neighborhood_quality(graph, k) == _reference_neighborhood_quality(
+                graph, k
+            ), f"{family} seed={seed} k={k}"
 
 
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("family,seed", CASES)
-def test_nq_profile_matches_reference(family, seed):
+def test_nq_profile_matches_reference(family, seed, mode):
     graph = generate_graph(FAMILY_SPECS[family](seed))
     ks = _workloads(graph.number_of_nodes())
-    profile = {k: neighborhood_quality(graph, k) for k in ks}
+    with arm(mode):
+        profile = {k: neighborhood_quality(graph, k) for k in ks}
     assert profile == _reference_nq_profile(graph, ks)
 
 
@@ -205,11 +217,13 @@ def _graph_and_workload(draw):
     return graph, k
 
 
+@pytest.mark.parametrize("mode", MODES)
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_graph_and_workload())
-def test_graph_level_nq_is_the_per_node_maximum(data):
+def test_graph_level_nq_is_the_per_node_maximum(mode, data):
     graph, k = data
-    value = GraphIndex(graph).nq_value(k)
+    with arm(mode):
+        value = GraphIndex(graph).nq_value(k)
     assert value == max(GraphIndex(graph).nq_per_node(k).values())
     assert value == _reference_neighborhood_quality(graph, k)
 
@@ -275,10 +289,27 @@ def growths(monkeypatch):
     return calls
 
 
-def test_pruning_engages_on_a_long_path(growths):
-    # The end of the path reaches the Lemma 3.6 bound t0 = 64 at once.
+@pytest.fixture
+def nq_blocks(monkeypatch):
+    """Record the sources of every dense NQ block the scan grows."""
+    blocks = []
+    nq_block = GraphIndex._nq_block
+
+    def spy(self, csr, block, *args):
+        blocks.append(list(block))
+        return nq_block(self, csr, block, *args)
+
+    monkeypatch.setattr(GraphIndex, "_nq_block", spy)
+    return blocks
+
+
+def test_pruning_engages_on_a_long_path(growths, nq_blocks, monkeypatch):
+    # The end of the path reaches the Lemma 3.6 bound t0 = 64 at once: one
+    # growth, and the scan never prices a block.
+    priced = []
+    monkeypatch.setattr(GraphIndex, "_dense_block", lambda *args: priced.append(1))
     assert GraphIndex(nx.path_graph(10_000)).nq_value(4096) == 64
-    assert growths[0] <= 2
+    assert growths[0] == 1 and not nq_blocks and not priced
 
 
 def test_pruning_engages_on_a_grid(growths):
@@ -296,3 +327,23 @@ def test_unprunable_regular_graph_still_matches(growths):
             graph, k
         )
     assert growths[0] > 0
+
+
+def test_pricing_grows_a_regular_graph_in_dense_blocks(growths, nq_blocks):
+    # Balls certify next to nothing here, so after the first growth that
+    # certifies nothing, the pricing hands every remaining node to one block.
+    graph = nx.random_regular_graph(4, 200, seed=1)
+    assert GraphIndex(graph).nq_value(200) == _reference_neighborhood_quality(
+        graph, 200
+    )
+    assert growths[0] <= 2
+    assert len(nq_blocks) == 1 and len(nq_blocks[0]) > 190
+
+
+def test_pricing_never_grows_a_grid_in_dense_blocks(nq_blocks):
+    # Grid balls certify their neighbours; where one does not, the rest of
+    # the scan still lives on certificates and the pricing keeps per-source.
+    graph = nx.grid_2d_graph(60, 60)
+    for k in (64, 1024, 3600):
+        assert GraphIndex(graph).nq_value(k) == GraphIndex(graph).nq_of_node((0, 0), k)
+    assert nq_blocks == []

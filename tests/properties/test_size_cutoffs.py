@@ -13,7 +13,13 @@ The round engine picks scalar or array code by input size alone:
   a round below ``_SMALL_SHARD`` global tokens in total sums them in dicts,
   a larger one ``bincount``-s each shard, list or array, into one array pair;
   sender-id learning selects on the same total: key by key below it, every
-  shard's keys in one sorted probe above it.
+  shard's keys in one sorted probe above it;
+* :meth:`~repro.graphs.index.GraphIndex.nq_value` prices dense boolean blocks
+  of ball growths with the h-hop rule, and a block whose ``(|U| + 1) x S``
+  matrix exceeds ``_HHOP_BLOCK_CELLS`` halves.  Both arms of the pricing run
+  against the NQ oracle in ``test_nq_equivalence.py`` (``test_hhop_rows.MODES``
+  forces each); here a forced-dense scan runs one cell below, at and one
+  above the cap of a four-source block.
 
 On token counts and shard sizes one below, at and one above each cutoff,
 with and without a fault schedule and in strict mode, schedules must equal
@@ -30,7 +36,11 @@ import random
 
 import pytest
 
+import networkx as nx
+
+import repro.graphs.index as graph_index
 from repro.graphs.generators import erdos_renyi_graph
+from repro.graphs.index import GraphIndex
 from repro.simulator.config import ModelConfig
 from repro.simulator.engine import (
     _SMALL_WORKLOAD,
@@ -49,7 +59,10 @@ from repro.simulator.messages import GLOBAL_MODE, LOCAL_MODE
 from repro.simulator.network import HybridSimulator
 
 from oracles.delivery import ReferenceNetwork
+from oracles.nq import _reference_neighborhood_quality
 from oracles.scheduler import reference_batched_global_exchange, shard_transfers
+
+from test_hhop_rows import FORCE_DENSE
 
 WORKLOAD_SIZES = [_SMALL_WORKLOAD - 1, _SMALL_WORKLOAD, _SMALL_WORKLOAD + 1]
 _SMALL_SHARD = HybridSimulator._SMALL_SHARD
@@ -287,3 +300,30 @@ def test_mixed_rounds_match_the_round_model_across_the_shard_cutoff(
             assert sim.known_ids(node) == model.known_ids(node)
     assert not strict, "strict rounds must overload"
     assert sim.metrics.capacity_violations > 0
+
+
+# ----------------------------------------------------------------------
+# NQ blocks: a four-source block at _HHOP_BLOCK_CELLS +- 1
+# ----------------------------------------------------------------------
+#: Its balls certify nothing at k = n, and every 8-hop ball union is the whole
+#: graph: 61 rows x 4 sources.
+NQ_GRAPH = nx.random_regular_graph(4, 60, seed=1)
+NQ_BLOCK_CELLS = (NQ_GRAPH.number_of_nodes() + 1) * 4
+
+
+@pytest.mark.parametrize("cells", [NQ_BLOCK_CELLS - 1, NQ_BLOCK_CELLS, NQ_BLOCK_CELLS + 1])
+def test_nq_blocks_match_the_oracle_at_the_block_cell_cap(cells, monkeypatch):
+    overrides = dict(FORCE_DENSE, _HHOP_BLOCK_SOURCES=4, _HHOP_BLOCK_CELLS=cells)
+    for name, value in overrides.items():
+        monkeypatch.setattr(graph_index, name, value)
+    widths = []
+    nq_block = GraphIndex._nq_block
+
+    def spy(self, csr, block, *args):
+        widths.append(len(block))
+        return nq_block(self, csr, block, *args)
+
+    monkeypatch.setattr(GraphIndex, "_nq_block", spy)
+    k = NQ_GRAPH.number_of_nodes()
+    assert GraphIndex(NQ_GRAPH).nq_value(k) == _reference_neighborhood_quality(NQ_GRAPH, k)
+    assert max(widths) == (4 if cells >= NQ_BLOCK_CELLS else 2)
