@@ -21,6 +21,11 @@ It additionally guards the frontier-based analytics engine
   (one ball growth) and a random 6-regular graph with k = n (no ball
   certifies another, so the priced dense blocks grow them); each row reports
   the per-source growths and dense-block sources of one scan;
+* ``test_nq_cycle_small_k`` — graph-level NQ_k on an n = 2·10^4 cycle at
+  k = 2, 8 and 32, where no ball certifies another and every block pricing is
+  settled before any ball-union BFS; each row reports the best-of-7 process
+  time, the scan's arms and the union BFS count, and checks the value against
+  the per-node reference (a cycle is vertex-transitive);
 * ``test_nq_large_scale`` — full NQ_k profiles on n ~ 10^5 path / tree / ring
   instances, infeasible before the engine, must complete inside the harness;
 * ``test_nq_large_tier`` — the ``default_benchmark_specs("large")`` grid
@@ -45,7 +50,10 @@ if __name__ == "__main__":
     sys.path.append(str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
 
 from _artifacts import environment, update_trajectory, write_bench_artifact
-from oracles.nq import _reference_neighborhood_quality
+from oracles.nq import (
+    _reference_neighborhood_quality,
+    _reference_neighborhood_quality_of_node,
+)
 from repro.analysis.comparison import fit_power_law_exponent
 from repro.analysis.experiments import (
     default_benchmark_specs,
@@ -212,6 +220,62 @@ def test_nq_engine_speedup(save_table):
     )
     _write_speedup_artifact(rows)
     _check_speedup(rows)
+
+
+CYCLE_N = 20_000
+CYCLE_KS = [2, 8, 32]
+#: Best of this many fresh-index runs per row: single runs vary by ~20%.
+CYCLE_REPEATS = 7
+
+
+def run_nq_cycle_rows() -> list:
+    """Graph-level NQ_k on the cycle, one row per k (fresh index per repeat)."""
+    graph = generate_graph(GraphSpec.of("cycle", n=CYCLE_N))
+    rows = []
+    for k in CYCLE_KS:
+        times = []
+        for _ in range(CYCLE_REPEATS):
+            index = GraphIndex(graph)
+            start = time.process_time()
+            value = index.nq_value(k)
+            times.append(time.process_time() - start)
+        unions = [0]
+        index = GraphIndex(graph)
+        ball_union = index._ball_union
+
+        def counting_union(*args):
+            unions[0] += 1
+            return ball_union(*args)
+
+        index._ball_union = counting_union
+        index.nq_value(k)
+        reference = _reference_neighborhood_quality_of_node(
+            graph, k, 0, graph_diameter=CYCLE_N // 2
+        )
+        rows.append(
+            {
+                "graph": "cycle",
+                "n": CYCLE_N,
+                "k": k,
+                "NQ_k": value,
+                "NQ_k (reference, node 0)": reference,
+                f"process ms (best of {CYCLE_REPEATS})": round(1e3 * min(times), 1),
+                **_scan_arms(graph, k),
+                "union BFS": unions[0],
+                "cores": usable_cores(),
+            }
+        )
+    return rows
+
+
+def test_nq_cycle_small_k(save_table):
+    """Small k on a cycle: no block can price dense, so none runs a union BFS."""
+    rows = run_nq_cycle_rows()
+    save_table("nq_cycle_small_k", rows, "Graph-level NQ_k on a cycle at small k")
+    for row in rows:
+        assert row["NQ_k"] == row["NQ_k (reference, node 0)"]
+        assert row["dense-block sources"] == 0
+        assert row["union BFS"] == 0
 
 
 LARGE_SCALE_KS = [16, 256, 4096]

@@ -20,7 +20,6 @@ from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 import networkx as nx
 
 from repro.analysis.comparison import fit_power_law_exponent
-from repro.analysis.tables import ExperimentRow
 from repro.analysis.theory import TheoryPredictions
 from repro.baselines.centralized import exact_apsp, exact_hop_apsp, max_stretch_of_table
 from repro.baselines.existential import ExistentialBounds

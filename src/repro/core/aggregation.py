@@ -187,7 +187,7 @@ class KAggregation(BatchAlgorithm):
                 value for cluster_index in level for value in cluster_partials[cluster_index]
             ]
             payloads = list(zip(list(range(k)) * len(level), values))
-            senders, receivers = _rank_matched_columns(
+            senders, receivers, _ = _rank_matched_columns(
                 self._member_layout,
                 np.array(level, dtype=np.int64),
                 np.array(parents, dtype=np.int64),

@@ -45,10 +45,9 @@ import numpy as np
 
 from repro.core.clustering import Clustering, distributed_nq_clustering
 from repro.core.neighborhood_quality import neighborhood_quality
-from repro.core.overlay import VirtualTree, basic_aggregation, build_virtual_tree
+from repro.core.overlay import VirtualTree, _level_words, basic_aggregation, build_virtual_tree
 from repro.simulator.config import log2_ceil
 from repro.simulator.engine import BatchAlgorithm, TokenPlane
-from repro.simulator.messages import payload_words
 from repro.simulator.metrics import RoundMetrics
 from repro.simulator.network import HybridSimulator
 
@@ -67,24 +66,35 @@ def build_cluster_tree(clustering: Clustering) -> ClusterTree:
     return VirtualTree(order, list(range(len(order))))
 
 
-def _rank_matched_columns(layout, sources, targets, counts) -> Tuple[Any, Any]:
-    """Sender and receiver node-index columns of rank-matched cluster edges.
+def _rank_matched_columns(layout, sources, targets, counts) -> Tuple[Any, Any, Any]:
+    """Sender, receiver and sender-rank columns of rank-matched cluster edges.
 
     Edge ``e`` carries ``counts[e]`` tokens from cluster ``sources[e]`` (``S``
     members) to cluster ``targets[e]`` (``T`` members); its position ``j`` is
-    sent by source member ``j % S`` to target member ``(j % S) % T``, members
+    sent by source member ``m = j % S`` to target member ``m % T``, members
     in identifier order.  Each column is one gather into the member
     permutation of ``layout``, the ``(member_perm, starts)`` pair of
-    :meth:`Clustering.member_layout`, over every edge at once.
+    :meth:`Clustering.member_layout`, over every edge at once.  A token's rank
+    among its sender's tokens, with no sort, is ``j // S`` plus
+    ``c // S + (m < c % S)`` per earlier edge of ``c`` tokens from the cluster.
     """
     member_perm, starts = layout
     first_source, first_target = starts[sources], starts[targets]
-    j = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    rank = j % np.repeat(starts[sources + 1] - first_source, counts)
-    target_rank = rank % np.repeat(starts[targets + 1] - first_target, counts)
+    size = starts[sources + 1] - first_source
+    ends = np.cumsum(counts)
+    j = np.arange(counts.sum()) - np.repeat(ends - counts, counts)
+    sender_rank, member = np.divmod(j, np.repeat(size, counts))
+    target_rank = member % np.repeat(starts[targets + 1] - first_target, counts)
+    earlier: Dict[int, List[int]] = {}
+    for e, source in enumerate(sources.tolist()):
+        at = slice(ends[e] - counts[e], ends[e])
+        for c in earlier.setdefault(source, []):  # a down-cast parent's later edges
+            sender_rank[at] += c // size[e] + (member[at] < c % size[e])
+        earlier[source].append(int(counts[e]))
     return (
-        member_perm[np.repeat(first_source, counts) + rank],
+        member_perm[np.repeat(first_source, counts) + member],
         member_perm[np.repeat(first_target, counts) + target_rank],
+        sender_rank,
     )
 
 
@@ -118,7 +128,7 @@ def match_cluster_tree_ids(
     sizes = np.diff(layout[1])
     swap = sizes[child] < sizes[parent]
     larger = np.where(swap, parent, child)
-    a, b = _rank_matched_columns(
+    a, b, _ = _rank_matched_columns(
         layout, larger, np.where(swap, child, parent), sizes[larger]
     )
     simulator.knowledge.learn_index_pairs(
@@ -186,7 +196,6 @@ class KDissemination(BatchAlgorithm):
         # payload order of every exchange is simply ascending rank.
         self._sorted_tokens: Any = None
         self._cluster_masks: Any = None
-        self._uniform_token_words: Optional[int] = None
         self._known_tokens: Dict[Node, FrozenSet[Any]] = {}
         # Each token crosses many cluster-tree edges; its word size is
         # computed once, indexed by rank, and reused by every exchange.
@@ -302,14 +311,7 @@ class KDissemination(BatchAlgorithm):
         # np.array would stack them into a 2-D array.
         self._sorted_tokens = np.fromiter(sorted_tokens, dtype=object, count=self.k)
         token_rank = {token: rank for rank, token in enumerate(sorted_tokens)}
-        words_by_rank = [payload_words(token) for token in sorted_tokens]
-        self._words_by_rank = np.array(words_by_rank, dtype=np.int64)
-        distinct_words = set(words_by_rank)
-        # Homogeneous tokens (the normal case) let the plane builder emit the
-        # words column as one fill instead of a per-token take.
-        self._uniform_token_words = (
-            distinct_words.pop() if len(distinct_words) == 1 else None
-        )
+        self._words_by_rank = _level_words(self._sorted_tokens)
 
         masks = self._cluster_token_masks(token_rank)
         self._cluster_masks = masks
@@ -438,10 +440,10 @@ class KDissemination(BatchAlgorithm):
         """Assemble one level's id-native workload from token ranks.
 
         The sender and receiver columns are one gather each into the
-        cluster member permutation (:func:`_rank_matched_columns`), the
-        words column is one ``np.full`` (homogeneous tokens) or a take from
-        the per-rank word table, and the payload column is one take from the
-        str-sorted token array — a 1-D object array, not a list.
+        cluster member permutation (:func:`_rank_matched_columns`), which
+        also gives the plane its sender ranks; the words column is one take
+        from the per-rank word table, and the payload column is one take from
+        the str-sorted token array — a 1-D object array, not a list.
 
         Under ``charge_only`` the payload take is skipped — the plane is
         built payload-free (``payloads=None``).  The id/word columns (and
@@ -454,17 +456,15 @@ class KDissemination(BatchAlgorithm):
             return None
         sources, targets, rank_chunks = zip(*edges)
         counts = np.fromiter(map(len, rank_chunks), np.int64, len(edges))
-        senders, receivers = _rank_matched_columns(
+        senders, receivers, sender_rank = _rank_matched_columns(
             self._member_layout,
             np.array(sources, dtype=np.int64),
             np.array(targets, dtype=np.int64),
             counts,
         )
         ranks = np.concatenate(rank_chunks)
-        uniform = self._uniform_token_words
-        if uniform is None:
-            words = self._words_by_rank.take(ranks)
-        else:
-            words = np.full(ranks.size, uniform, dtype=np.int64)
+        words = self._words_by_rank.take(ranks)
         payloads = None if self.charge_only else self._sorted_tokens.take(ranks)
-        return TokenPlane(senders, receivers, words, payloads)
+        plane = TokenPlane(senders, receivers, words, payloads)
+        plane._sender_rank = sender_rank
+        return plane

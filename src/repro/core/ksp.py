@@ -45,7 +45,6 @@ from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 from repro.core.dissemination import KDissemination
 from repro.core.helper_sets import compute_classic_helper_sets
 from repro.core.skeleton import SkeletonGraph, build_skeleton
-from repro.core.sssp import sssp_round_cost
 from repro.graphs.index import SSSPRowCache, get_index
 from repro.graphs.properties import weighted_distances_from
 from repro.simulator.config import log2_ceil

@@ -175,20 +175,41 @@ def _teach_tree_ids(simulator: HybridSimulator, tree: VirtualTree) -> None:
 _ONE_WORD_INT = 1 << 64
 
 
-def _level_words(payloads: List[Any]) -> List[int]:
-    """The words column of one aggregation level.
+def _column_words(kind: type, column: Sequence[Any]) -> Optional[int]:
+    """The one word size of values of exact type ``kind`` (``None``: none)."""
+    if kind is int:
+        return 1 if -_ONE_WORD_INT < min(column) and max(column) < _ONE_WORD_INT else None
+    if kind is str:
+        low, high = (payload_words(pick(column, key=len)) for pick in (min, max))
+        return low if low == high else None
+    return 1 if kind in (bool, float, type(None)) else None
 
-    When every partial is ``None`` or an ``int`` of at most 64 bits -- exactly
-    the values :func:`payload_words` charges one word -- the level is sized
-    once; any other level is sized value by value.
-    """
-    if set(map(type, payloads)) <= {int, type(None)}:
+
+def _level_words(payloads: Sequence[Any]) -> Any:
+    """:func:`payload_words` of every payload (int64), sized per type pattern,
+    a payload's exact type or a tuple's element types: at once where the ints
+    of a pattern stay within 64 bits and its strs within one word count,
+    payload by payload for any other pattern (nested, wide, subclasses)."""
+    if set(map(type, payloads)) <= {bool, float, int, type(None)}:
         nonzero = list(filter(None, payloads))
-        if not nonzero or (
-            min(nonzero) > -_ONE_WORD_INT and max(nonzero) < _ONE_WORD_INT
-        ):
-            return [1] * len(payloads)
-    return [payload_words(payload) for payload in payloads]
+        if not nonzero or -_ONE_WORD_INT < min(nonzero) and max(nonzero) < _ONE_WORD_INT:
+            return np.ones(len(payloads), dtype=np.int64)
+    payloads = np.fromiter(payloads, dtype=object, count=len(payloads))
+    groups: Dict[Any, List[int]] = {}
+    for position, p in enumerate(payloads):
+        # Not tuple(map(...)): after a full collection its resizes feed gen-0 GC.
+        shape = (*map(type, p),) if type(p) is tuple else type(p)
+        groups.setdefault(shape, []).append(position)
+    words = np.empty(len(payloads), dtype=np.int64)
+    for shape, where in groups.items():
+        group = payloads[where]
+        if type(shape) is tuple:  # by position: zip(*group) would hold n iterators
+            columns = ([p[i] for p in group] for i in range(len(shape)))
+            sizes = [1, *map(_column_words, shape, columns)]
+        else:
+            sizes = [_column_words(shape, group)]
+        words[where] = list(map(payload_words, group)) if None in sizes else max(1, sum(sizes))
+    return words
 
 
 def aggregate_via_tree(

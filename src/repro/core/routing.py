@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import math
 from collections import defaultdict
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 

@@ -12,7 +12,6 @@ labelled ``0..n-1`` so that they can be fed directly to the HYBRID simulator
 from __future__ import annotations
 
 import dataclasses
-import math
 import random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 

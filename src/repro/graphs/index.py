@@ -618,7 +618,10 @@ class GraphIndex:
         order (``None``: run the block per-source)."""
         bound = _HHOP_NUMPY_RATIO * relaxed / (rounds + 1)  # no larger union goes dense
         size = min(_HHOP_BLOCK_SOURCES, len(src) - start)
-        if size and self._ball_union(src[start : start + 1], h, bound) is None:
+        # A union holds its sources: a block of ``bound`` or more never goes dense.
+        if size >= bound or (
+            size and self._ball_union(src[start : start + 1], h, bound) is None
+        ):
             size = 0
         while size:
             limit = _HHOP_BLOCK_CELLS // size - 1  # one more row: the sentinel

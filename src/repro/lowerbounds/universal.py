@@ -18,7 +18,6 @@ Corollary 2.1 (BCC simulation).
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Dict, Hashable, Optional
 
 import networkx as nx

@@ -101,9 +101,13 @@ class TokenPlane:
     payload), but content-level operations — ``collect=True`` exchanges,
     inbox reads of the delivered traffic — raise
     :class:`~repro.simulator.errors.ChargeOnlyError`.
+
+    The private ``_sender_rank``, if set, is each token's rank among its
+    sender's tokens, read by the planner instead of a sender sort.  It is
+    trusted: only Theorem 1's level builder sets it; no derived plane copies it.
     """
 
-    __slots__ = ("senders", "receivers", "words", "payloads")
+    __slots__ = ("senders", "receivers", "words", "payloads", "_sender_rank")
 
     def __init__(
         self, senders, receivers, words, payloads: Optional[Sequence[Any]] = None
@@ -112,6 +116,7 @@ class TokenPlane:
         self.receivers = np.asarray(receivers, dtype=np.int64)
         self.words = np.asarray(words, dtype=np.int64)
         self.payloads = payloads
+        self._sender_rank = None
 
     def __len__(self) -> int:
         return len(self.senders)
@@ -363,7 +368,7 @@ def _split_rounds(rounds):
     return [by_round[edges[i] : edges[i + 1]] for i in range(counts.size)]
 
 
-def _plan_rounds_uniform(senders, receivers, wt, budget: int):
+def _plan_rounds_uniform(senders, receivers, wt, budget: int, sender_rank=None):
     """Exact component decomposition for uniform-word workloads.
 
     Greedy-FIFO admission reads only a token's own sender and receiver
@@ -383,8 +388,9 @@ def _plan_rounds_uniform(senders, receivers, wt, budget: int):
     the bucketed round loop over its (typically tiny) token subset, and all
     component schedules interleave back in FIFO order per round.  A plane
     costs one stable sort of its senders (receivers when sender-exclusive),
-    O(m) scatter/gather passes and the round split.  The caller guarantees
-    uniform words with ``c >= 1``.
+    O(m) scatter/gather passes and the round split; ``sender_rank``, a
+    plane's supplied rank column (see :class:`TokenPlane`), replaces the
+    sender sort.  The caller guarantees uniform words with ``c >= 1``.
     """
     per_round = budget // int(wt[0])
     # ``owner[r]`` keeps the sender of *some* token to ``r``, whichever write
@@ -397,7 +403,8 @@ def _plan_rounds_uniform(senders, receivers, wt, budget: int):
     mismatch = owner[receivers] != senders
     if not mismatch.any():
         # Every sender is clean: the whole workload is in closed form.
-        return _split_rounds(_column_rank(senders) // per_round)
+        rank = _column_rank(senders) if sender_rank is None else sender_rank
+        return _split_rounds(rank // per_round)
     target = np.empty(int(senders.max()) + 1, dtype=np.int64)
     target[senders] = receivers
     if (target[senders] == receivers).all():
@@ -412,7 +419,8 @@ def _plan_rounds_uniform(senders, receivers, wt, budget: int):
         return _plan_rounds_bucketed(senders, receivers, wt, budget)
     # A sender is wholly clean or wholly entangled, so its rank over the
     # plane is its rank among the clean tokens: one sort ranks them all.
-    rounds = _column_rank(senders) // per_round
+    rank = _column_rank(senders) if sender_rank is None else sender_rank
+    rounds = rank // per_round
     didx = np.flatnonzero(dirty)
     sub = _plan_rounds_bucketed(senders[didx], receivers[didx], wt[didx], budget)
     for index, shard in enumerate(sub):
@@ -505,20 +513,12 @@ def _plan_rounds_bucketed(senders, receivers, wt, budget: int):
     return shards
 
 
-def _plan_rounds_numpy(senders, receivers, wt, budget: int):
+def _plan_rounds_numpy(senders, receivers, wt, budget: int, sender_rank=None):
     """Vectorised :func:`plan_token_rounds` body (``_SMALL_WORKLOAD`` tokens
-    or more).
-
-    Tier 1 — uncongested fast path: one grouped reduction per side; when every
-    node's totals fit the budget the whole workload is a single shard and no
-    greedy state is ever built.  Tier 2 — uniform-word workloads decompose
-    into independent components with closed-form schedules plus a small
-    entangled residue (:func:`_plan_rounds_uniform`, one sender sort plus
-    O(m) passes) that runs the bucketed round loop
-    (:func:`_plan_rounds_bucketed`) over the *admissible* tokens only (see
-    :func:`_pair_round_bounds`; tokens whose pair rank proves they cannot
-    move yet are never scanned, which is exact because greedy counters only
-    ever count admitted tokens).  Mixed-size workloads keep the dense
+    or more): one shard when every node's sent and received totals fit the
+    budget (one grouped reduction per side, no greedy state); otherwise
+    uniform-word workloads go to :func:`_plan_rounds_uniform`, with the
+    plane's ``sender_rank`` if it has one, and mixed sizes to the dense
     compression loop below.
     """
     sent = np.bincount(senders, weights=wt, minlength=1)
@@ -528,7 +528,7 @@ def _plan_rounds_numpy(senders, receivers, wt, budget: int):
             return [np.arange(senders.size, dtype=np.int64)]
     w0 = int(wt[0])
     if int(wt.max()) == w0 == int(wt.min()) and budget // w0 > 0:
-        return _plan_rounds_uniform(senders, receivers, wt, budget)
+        return _plan_rounds_uniform(senders, receivers, wt, budget, sender_rank)
     shards = []
     positions = np.arange(senders.size, dtype=np.int64)
     s = senders
@@ -612,7 +612,8 @@ def plan_token_rounds(
         return []
     wt = plane.words + tag_words if tag_words else plane.words
     if m >= _SMALL_WORKLOAD:
-        return _plan_rounds_numpy(plane.senders, plane.receivers, wt, budget)
+        rank = plane._sender_rank
+        return _plan_rounds_numpy(plane.senders, plane.receivers, wt, budget, rank)
     return _plan_rounds_python(
         plane.senders.tolist(), plane.receivers.tolist(), wt.tolist(), budget
     )

@@ -122,6 +122,8 @@ BatchRecord = Tuple[Node, Any, Optional[str], int]
 # cap (n < ~1.66 * 10^6) the draw is bit-identical to the uncapped
 # formulation.
 _ID_UNIVERSE_CAP = 1 << 62
+#: Most ``getrandbits`` attempts :func:`_sample_distinct` reads at once.
+_DRAW_CHUNK = 1 << 18
 
 
 def _identifier_universe(n: int) -> int:
@@ -136,28 +138,35 @@ def _sample_distinct(rng: random.Random, universe: int, k: int) -> np.ndarray:
         return np.array(rng.sample(range(universe), k), dtype=np.int64)
     # The set path keeps the first k distinct getrandbits(bits) attempts below
     # universe: ``words`` little-endian MT words each, the top one shifted right
-    # by -bits % 32.  A read short of k values retries with twice the attempts.
+    # by -bits % 32.  Reads of up to _DRAW_CHUNK attempts continue one stream
+    # until it holds k distinct values, so the k-th is in the last read.
     bits = universe.bit_length()
     words = -(-bits // 32)
     expected = -math.log1p(-k / universe) * (1 << bits)
-    attempts = int(expected + 4 * math.sqrt(expected)) + 16
-    state = rng.getstate()
+    attempts = min(int(expected + 4 * math.sqrt(expected)) + 16, _DRAW_CHUNK)
+    state, drawn, reads = rng.getstate(), [], 0  # drawn: values below universe
     while True:
+        reads += 1
         raw = rng.getrandbits(32 * words * attempts).to_bytes(4 * words * attempts, "little")
         column = np.frombuffer(raw, dtype="<u4").astype(np.uint64).reshape(attempts, words)
         values = column[:, -1] >> np.uint64(-bits % 32)
         for word in range(words - 2, -1, -1):
             values = values << np.uint64(32) | column[:, word]
+        del raw, column  # not held through the final dedupe
         (kept,) = np.nonzero(values < universe)
-        if not np.diff(np.sort(values[kept])).all():  # a repeat counts at its first attempt
-            kept = kept[np.sort(np.unique(values[kept], return_index=True)[1])]
-        if kept.size >= k:
+        drawn.append(values[kept])
+        if sum(map(len, drawn)) < k:
+            continue
+        values = np.concatenate(drawn)
+        drawn, first = [values], np.arange(k)
+        if not np.diff(np.sort(values)).all():  # a repeat counts at its first attempt
+            first = np.sort(np.unique(values, return_index=True)[1])
+        if first.size >= k:
             break
-        rng.setstate(state)
-        attempts *= 2
+    last = int(kept[first[k - 1] - (values.size - kept.size)]) if k else -1
     rng.setstate(state)
-    rng.getrandbits(32 * words * (int(kept[k - 1]) + 1) if k else 0)
-    return values[kept[:k]].astype(np.int64)
+    rng.getrandbits(32 * words * (attempts * (reads - 1) + last + 1))
+    return values[first[:k]].astype(np.int64)
 
 
 def node_sort_key(node: Node) -> Tuple[int, Any]:

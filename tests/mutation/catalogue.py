@@ -21,6 +21,7 @@ SPANNER = "src/repro/core/spanner.py"
 SHORTEST_PATHS = "src/repro/core/shortest_paths.py"
 DISSEMINATION = "src/repro/core/dissemination.py"
 AGGREGATION = "src/repro/core/aggregation.py"
+OVERLAY = "src/repro/core/overlay.py"
 
 DELIVERY = "tests/properties/test_delivery_modes.py"
 KNOWLEDGE = "tests/properties/test_knowledge_identity.py"
@@ -202,10 +203,10 @@ MUTANTS: List[Dict[str, object]] = [
     {
         "name": "draw-keeps-the-last-repeat",
         "file": NETWORK,
-        "snippet": "kept = kept[np.sort(np.unique(values[kept], return_index=True)[1])]",
+        "snippet": "first = np.sort(np.unique(values, return_index=True)[1])",
         "replacement": (
-            "kept = kept[np.sort(kept.size - 1"
-            " - np.unique(values[kept][::-1], return_index=True)[1])]"
+            "first = np.sort(values.size - 1"
+            " - np.unique(values[::-1], return_index=True)[1])"
         ),
         "selection": [SETUP],
     },
@@ -241,8 +242,24 @@ MUTANTS: List[Dict[str, object]] = [
     {
         "name": "level-receivers-tiled-by-position",
         "file": DISSEMINATION,
-        "snippet": "target_rank = rank % np.repeat(starts[targets + 1] - first_target, counts)",
+        "snippet": "target_rank = member % np.repeat(starts[targets + 1] - first_target, counts)",
         "replacement": "target_rank = j % np.repeat(starts[targets + 1] - first_target, counts)",
+        "selection": [THEOREM1],
+    },
+    {
+        "name": "level-rank-drops-earlier-edge-offset",
+        "file": DISSEMINATION,
+        "snippet": "sender_rank[at] += c // size[e] + (member[at] < c % size[e])",
+        "replacement": "sender_rank[at] += 0",
+        "selection": [THEOREM1],
+    },
+    {
+        "name": "token-sizing-ignores-wide-ints",
+        "file": OVERLAY,
+        "snippet": (
+            "return 1 if -_ONE_WORD_INT < min(column) and max(column) < _ONE_WORD_INT else None"
+        ),
+        "replacement": "return 1",
         "selection": [THEOREM1],
     },
     {
@@ -367,7 +384,15 @@ MUTANTS: List[Dict[str, object]] = [
         "replacement": "bisect.bisect_left(sizes, k / (best + 1))",
         "selection": [NQ, NQ_UNIT],
     },
-    # Batched h-hop rows: Jacobi rounds over the ball union, within the cap.
+    # Batched h-hop rows: Jacobi rounds over the ball union, within the cap,
+    # and the block pricing's size pre-check (shared with NQ blocks).
+    {
+        "name": "dense-block-pricing-skips-the-size-precheck",
+        "file": INDEX,
+        "snippet": "if size >= bound or (",
+        "replacement": "if False or (",
+        "selection": [NQ_UNIT],
+    },
     {
         "name": "dense-rows-read-gauss-seidel",
         "file": INDEX,

@@ -3,6 +3,7 @@
 Usage::
 
     python tests/mutation/run.py [--repo DIR] [--catalogue FILE] [--out FILE]
+                                 [--only NAME [NAME ...]]
 
 For every mutant the repository (``--repo``, default: this checkout) is
 copied to a temporary directory, the mutant's snippet is replaced there, and
@@ -12,8 +13,10 @@ when the snippet does not occur exactly once or pytest cannot run the
 selection.  Before any mutant, the union of the selections must pass on an
 unmutated copy.  The kill matrix — per mutant the status, the failing test
 ids and the run time — is printed and written to ``--out`` as JSON.  The exit
-status is non-zero if any mutant survived or errored.  The environment is
-passed through to pytest; no network and no extra package is needed.
+status is non-zero if any mutant survived or errored.  ``--only`` runs just
+the named mutants, with the baseline over their selections only; an unknown
+name exits with status 2.  The environment is passed through to pytest; no
+network and no extra package is needed.
 """
 
 from __future__ import annotations
@@ -91,9 +94,16 @@ def main(argv=None) -> int:
     parser.add_argument("--repo", type=Path, default=ROOT)
     parser.add_argument("--catalogue", type=Path, default=Path(__file__).with_name("catalogue.py"))
     parser.add_argument("--out", type=Path, default=None, help="kill-matrix JSON path")
+    parser.add_argument("--only", nargs="+", metavar="NAME", help="run just these mutants")
     args = parser.parse_args(argv)
     repo = args.repo.resolve()
     mutants = load_catalogue(args.catalogue)
+    if args.only:
+        unknown = sorted(set(args.only) - {m["name"] for m in mutants})
+        if unknown:
+            print(f"unknown mutant: {', '.join(unknown)}", file=sys.stderr)
+            return 2
+        mutants = [m for m in mutants if m["name"] in args.only]
 
     selection = sorted({path for m in mutants for path in m["selection"]})
     with tempfile.TemporaryDirectory(prefix="mutant-baseline-") as scratch:

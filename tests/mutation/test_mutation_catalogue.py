@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import run
 from catalogue import MUTANTS
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -31,3 +32,8 @@ def test_snippet_occurs_exactly_once_in_src(mutant):
     assert counts == {ROOT / mutant["file"]: 1}
     for path in mutant["selection"]:
         assert (ROOT / path).is_file(), path
+
+
+def test_runner_refuses_an_unknown_mutant_name(capsys):
+    assert run.main(["--only", "no-such-mutant", MUTANTS[0]["name"]]) == 2
+    assert "no-such-mutant" in capsys.readouterr().err

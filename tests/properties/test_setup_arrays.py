@@ -30,7 +30,13 @@ from repro.graphs.generators import (
 )
 from repro.graphs.index import GraphIndex
 from repro.simulator.config import ModelConfig
-from repro.simulator.network import _ID_UNIVERSE_CAP, HybridSimulator, _sample_distinct
+from repro.simulator import network
+from repro.simulator.network import (
+    _ID_UNIVERSE_CAP,
+    HybridSimulator,
+    _identifier_universe,
+    _sample_distinct,
+)
 
 from oracles.construction import (
     _reference_edge_keys,
@@ -180,6 +186,43 @@ def test_bulk_draw_equals_sample(universe, seed):
     assert drawn.tolist() == reference.sample(range(universe), k)
     assert rng.getstate() == reference.getstate()
     assert rng.random() == reference.random()
+
+
+class _CountingRandom(random.Random):
+    """A ``random.Random`` that counts its ``getrandbits`` reads."""
+
+    reads = 0
+
+    def getrandbits(self, k):
+        self.reads += 1
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("chunk", [7, 64])
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("universe", sorted(DRAWS)[1:], ids=hex)
+def test_chunked_draw_equals_sample(universe, seed, chunk, monkeypatch):
+    """Reads of ``chunk`` attempts continue one stream: repeats keep their
+    first attempt across read boundaries, and the state ends where
+    ``sample`` leaves it."""
+    monkeypatch.setattr(network, "_DRAW_CHUNK", chunk)
+    k = DRAWS[universe]
+    rng, reference = _CountingRandom(seed), random.Random(seed)
+    drawn = _sample_distinct(rng, universe, k)
+    assert rng.reads > 3  # several reads, then the advance
+    assert drawn.tolist() == reference.sample(range(universe), k)
+    assert rng.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("n", [300, 2000, 10_000, 30_000])
+def test_benchmark_sized_draws_read_once(n):
+    """At the benchmark suite's sizes the whole draw is one read (plus the
+    advance past the attempts it used)."""
+    rng, reference = _CountingRandom(1), random.Random(1)
+    drawn = _sample_distinct(rng, _identifier_universe(n), n)
+    assert rng.reads == 2
+    assert drawn.tolist() == reference.sample(range(_identifier_universe(n)), n)
+    assert rng.getstate() == reference.getstate()
 
 
 @pytest.mark.parametrize("seed", SEEDS)

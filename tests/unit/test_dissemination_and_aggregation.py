@@ -16,6 +16,7 @@ from repro.core.dissemination import (
 from repro.core.clustering import nq_clustering
 from repro.core.load_balancing import balance_items
 from repro.core.neighborhood_quality import neighborhood_quality
+from repro.core.overlay import _level_words
 from repro.graphs.generators import (
     barbell_graph,
     broom_graph,
@@ -26,11 +27,17 @@ from repro.graphs.generators import (
     star_graph,
 )
 from repro.simulator.config import ModelConfig, log2_ceil
-from repro.simulator.engine import BatchAlgorithm
+from repro.simulator.engine import (
+    BatchAlgorithm,
+    ExchangeTag,
+    TokenPlane,
+    _column_rank,
+    plan_token_rounds,
+)
 from repro.simulator.messages import payload_words
 from repro.simulator.network import HybridSimulator
 
-from oracles.scheduler import iter_triples, rank_matched_triples
+from oracles.scheduler import iter_triples, rank_matched_triples, shard_transfers
 
 
 def scatter(graph, k, seed=0, concentrated=False):
@@ -205,6 +212,117 @@ def test_level_planes_lower_to_the_rank_matched_tuple_workload(
         assert charged_plane.payloads is None
         for column in ("senders", "receivers", "words"):
             assert np.array_equal(getattr(charged_plane, column), getattr(plane, column))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("family", sorted(LOAD_BALANCE_FAMILIES))
+def test_level_planes_carry_their_sender_rank(family, seed, monkeypatch, arms):
+    """Every level plane's supplied rank column is the sorted rank
+    ``_column_rank(senders)``, down-cast planes with two edges from one source
+    cluster included, and the schedule planned with it is the greedy
+    reference's.  A plane built from the same columns carries no rank."""
+    graph = LOAD_BALANCE_FAMILIES[family](seed)
+    rng = random.Random(seed)
+    nodes = sorted(graph.nodes)
+    tokens = {}
+    for i in range(30):
+        tokens.setdefault(rng.choice(nodes), []).append(("tok", i))
+    algorithm, result, built = _recorded_level_planes(monkeypatch, graph, tokens, seed)
+    assert result.all_nodes_know_all_tokens()
+
+    sim = algorithm.simulator
+    budget = sim.global_budget_words()
+    tag_words = payload_words("kdiss")
+    shared_sources = 0
+    for edges, plane in built:
+        if plane is None:
+            continue
+        assert np.array_equal(plane._sender_rank, _column_rank(plane.senders))
+        sources = [source for source, _, ranks in edges if len(ranks)]
+        shared_sources += len(sources) - len(set(sources))
+        tuples = [
+            (s, r, position, w)
+            for position, (s, r, _, w) in enumerate(iter_triples(plane, sim))
+        ]
+        expected = [
+            [position for _, _, position, _ in shard]
+            for shard in shard_transfers(tuples, budget, tag_words)
+        ]
+        planned = plan_token_rounds(plane, budget, tag_words)
+        assert [np.asarray(shard).tolist() for shard in planned] == expected
+        bare = TokenPlane(plane.senders, plane.receivers, plane.words, plane.payloads)
+        assert bare._sender_rank is None
+    # Down-cast parents with two children: later edges need the offset.
+    assert shared_sources >= 1
+
+
+#: Values whose type-pattern size must equal ``payload_words``: the 64-bit
+#: edges, bool, None, float, one- and two-word strs, nested tuples and an
+#: ``ExchangeTag`` (its ``payload_words_override``, not its text).
+SIZED_VALUES = [
+    2**63 - 1,
+    2**64 - 1,
+    2**64,
+    -(2**64 - 1),
+    -(2**64),
+    True,
+    None,
+    1.5,
+    "x" * 8,
+    "x" * 9,
+    "",
+    (),
+    ("tok", (1, 2)),
+    (("a", 1), ("b", 2)),
+    ExchangeTag("kdiss"),
+    ExchangeTag(None),
+    ("tok", 2**64),
+    ("tok", 2**64 - 1),
+    ("x" * 8, None, True, 1.5),
+    ("x" * 9, -(2**64 - 1)),
+]
+
+#: Token sets of one or several shapes, each a pattern the bounds size at once
+#: or one they must refuse (a wide int or a str past one word count).
+TOKEN_SETS = {
+    "pairs": [("tok", i) for i in range(50)],
+    "wide-int-among-pairs": [("tok", i) for i in range(50)] + [("tok", 2**64)],
+    "negative-wide-int": [("tok", -i) for i in range(5)] + [("tok", -(2**64))],
+    "mixed-str-words": [("x" * (i % 17), i) for i in range(40)],
+    "mixed-shapes": [TOKEN_KINDS["mixed"](i) for i in range(30)],
+    "lone-values": [1, 2**64, "abc", "x" * 9, None, True, 2.5, (), (1,), frozenset({1})],
+    "ints": [3, -7, 2**64 - 1, None, 0],
+    "wide-ints": [3, -7, 2**64, None, 0],
+    "tags": [ExchangeTag("a"), ExchangeTag("bb"), ExchangeTag(None)],
+    "empty": [],
+}
+
+
+def test_type_pattern_sizes_equal_payload_words():
+    for value in SIZED_VALUES:
+        assert _level_words([value]).tolist() == [payload_words(value)], value
+    assert _level_words(SIZED_VALUES).tolist() == list(map(payload_words, SIZED_VALUES))
+    for name, tokens in TOKEN_SETS.items():
+        sized = _level_words(tokens)
+        assert sized.dtype == np.int64
+        assert sized.tolist() == list(map(payload_words, tokens)), name
+
+
+@pytest.mark.parametrize("kind", ["wide", "mixed"])
+def test_converge_cast_words_equal_payload_words(kind):
+    """The per-rank words table of a run is ``payload_words`` of each token."""
+    graph = path_graph(30)
+    rng = random.Random(3)
+    tokens = {}
+    for i in range(24):
+        token = ("tok", 2**64 + i) if kind == "wide" and i % 2 else TOKEN_KINDS["mixed"](i)
+        tokens.setdefault(rng.choice(sorted(graph.nodes)), []).append(token)
+    sim = HybridSimulator(graph, ModelConfig.hybrid0(), seed=3)
+    algorithm = KDissemination(sim, tokens)
+    result = algorithm.run()
+    assert result.all_nodes_know_all_tokens()
+    ranked = sorted(algorithm.all_tokens, key=str)
+    assert algorithm._words_by_rank.tolist() == list(map(payload_words, ranked))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -17,6 +17,7 @@ from repro.graphs.generators import (
     path_graph,
     star_graph,
 )
+from repro.graphs.index import GraphIndex
 from repro.graphs.properties import diameter
 from repro.simulator.config import ModelConfig
 from repro.simulator.network import HybridSimulator
@@ -95,6 +96,25 @@ class TestKnownFamilies:
         nq = neighborhood_quality(g, k)
         prediction = k ** (1.0 / 3.0)
         assert 0.3 * prediction <= nq <= 3 * prediction
+
+    @pytest.mark.parametrize("k, expected", [(2, 1), (8, 2), (32, 4)])
+    def test_small_k_on_a_cycle_prices_blocks_without_a_union_bfs(
+        self, k, expected, monkeypatch
+    ):
+        # No ball of a cycle certifies another, so the scan prices a block
+        # after every 256 growths; a ball of at most 2 * expected + 1 nodes
+        # cannot make a 256-source block dense, which its size alone tells.
+        unions = []
+        ball_union = GraphIndex._ball_union
+
+        def counting(self, *args):
+            unions.append(args)
+            return ball_union(self, *args)
+
+        monkeypatch.setattr(GraphIndex, "_ball_union", counting)
+        # |B_t| = 2t + 1 >= k / t first holds at t = expected.
+        assert GraphIndex(cycle_graph(20_000)).nq_value(k) == expected
+        assert not unions
 
     def test_grid_beats_path_for_same_k(self):
         k = 80
